@@ -3,9 +3,9 @@
 Every command prints a single JSON report to stdout; diagnostics go to
 stderr.  Exit codes: 0 when all checks pass (or a command has no checks),
 1 when at least one check fails, 2 on input errors (malformed documents,
-violated preconditions, exceeded budgets), where no partial report is
-emitted.  Reports are deterministic for fixed inputs up to the "timing"
-field.
+violated preconditions, exceeded budgets) and 3 on an internal error; after
+2 or 3 no partial report is emitted.  Reports are deterministic for fixed
+inputs up to the "timing" field.
 """
 
 from __future__ import annotations
@@ -18,11 +18,9 @@ import time
 from typing import Sequence
 
 from .ehrhart import (
-    ehrhart_quasipoly,
     em_reciprocity_check,
     fan_from_json,
     hpolytope_from_json,
-    inner_pruned_count,
     normal_fan_of,
     pruned_reciprocity_check,
     unit_cube,
@@ -44,7 +42,7 @@ from .hypergraph import (
     vertices_via_headings,
 )
 from .permutahedron import GPerm, face_lattice_to_json, vertices
-from .polynomial import interpolate_quasipoly
+from .polynomial import Polynomial
 from .report import Report
 from .setfn import setfn_from_json, setfn_from_vertices
 
@@ -75,35 +73,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "lattice points.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_jobs(p):
-        p.add_argument("--jobs", type=_positive("--jobs"), default=1,
-                       help="accepted for compatibility; execution is single-process")
-
     p = sub.add_parser("chi", help="direction-count polynomial and reciprocity "
                                    "for a submodular set function")
     p.add_argument("--setfn", required=True, help="set-function JSON file")
     p.add_argument("--k", type=int, default=0, help="face dimension class (default 0)")
     p.add_argument("--m-max", type=_positive("--m-max"), default=3)
-    add_jobs(p)
 
     p = sub.add_parser("faces", help="face lattice of a submodular set function")
     p.add_argument("--setfn", required=True)
-    add_jobs(p)
 
     p = sub.add_parser("hg-chromatic", help="proper-coloring polynomial of a hypergraph")
     p.add_argument("--hg", required=True, help="hypergraph JSON file")
     p.add_argument("--m", type=_positive("--m"), default=None,
                    help="also report the count at this number of colors")
-    add_jobs(p)
 
     p = sub.add_parser("hg-headings", help="acyclic headings and their in-degree vectors")
     p.add_argument("--hg", required=True)
-    add_jobs(p)
 
     p = sub.add_parser("hg-reciprocity", help="coloring/heading reciprocity checks")
     p.add_argument("--hg", required=True)
     p.add_argument("--m-max", type=_positive("--m-max"), default=3)
-    add_jobs(p)
 
     p = sub.add_parser("ehrhart", help="dilation-count quasipolynomial and its "
                                        "interior reciprocity")
@@ -112,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="declared degree (default: ambient dimension)")
     p.add_argument("--period", type=_positive("--period"), default=1)
     p.add_argument("--t-max", type=_positive("--t-max"), default=4)
-    add_jobs(p)
 
     p = sub.add_parser("pruned", help="pruned counts against a complete fan "
                                       "and their reciprocity")
@@ -123,12 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--period", type=_positive("--period"), default=1)
     p.add_argument("--t-max", type=_positive("--t-max"), default=4)
-    add_jobs(p)
 
     p = sub.add_parser("verify-all", help="seeded random self-verification suite")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--trials", type=_positive("--trials"), default=5)
-    add_jobs(p)
 
     return parser
 
@@ -180,7 +166,8 @@ def cmd_hg_headings(args) -> tuple[dict, int]:
     return payload, 0
 
 
-def _hg_reciprocity_report(h, P: GPerm, m_max: int) -> Report:
+def _hg_reciprocity_report(h, P: GPerm, m_max: int) -> tuple[Polynomial, Report]:
+    """The chromatic polynomial of h and the report of its identities."""
     poly = chromatic_polynomial(h)
     sign = (-1) ** h.d
     report = Report()
@@ -194,17 +181,17 @@ def _hg_reciprocity_report(h, P: GPerm, m_max: int) -> Report:
                      P.reciprocity_rhs(0, m))
     report.check("negative m=1 vs acyclic headings", sign * poly(-1),
                  len(acyclic_headings(h)))
-    return report
+    return poly, report
 
 
 def cmd_hg_reciprocity(args) -> tuple[dict, int]:
     h, names = hypergraph_from_json(_load_json(args.hg))
     P = GPerm(hypergraphic_setfn(h))
-    report = _hg_reciprocity_report(h, P, args.m_max)
+    poly, report = _hg_reciprocity_report(h, P, args.m_max)
     payload = {
         "command": "hg-reciprocity",
         "nodes": list(names),
-        "polynomial": chromatic_polynomial(h).to_json(),
+        "polynomial": poly.to_json(),
     }
     payload.update(report.to_json())
     return payload, report.failures
@@ -213,8 +200,7 @@ def cmd_hg_reciprocity(args) -> tuple[dict, int]:
 def cmd_ehrhart(args) -> tuple[dict, int]:
     poly = hpolytope_from_json(_load_json(args.poly))
     degree = poly.d if args.degree is None else args.degree
-    qp = ehrhart_quasipoly(poly, degree, args.period)
-    report = em_reciprocity_check(poly, degree, args.period, args.t_max)
+    qp, report = em_reciprocity_check(poly, degree, args.period, args.t_max)
     payload = {
         "command": "ehrhart",
         "degree": degree,
@@ -233,9 +219,7 @@ def cmd_pruned(args) -> tuple[dict, int]:
     else:
         fan = normal_fan_of(GPerm(_load_setfn(args.setfn)))
     degree = poly.d if args.degree is None else args.degree
-    inner = interpolate_quasipoly(
-        lambda t: inner_pruned_count(poly.interior(), fan, t), degree, args.period)
-    report = pruned_reciprocity_check(poly, fan, degree, args.period, args.t_max)
+    inner, report = pruned_reciprocity_check(poly, fan, degree, args.period, args.t_max)
     payload = {
         "command": "pruned",
         "degree": degree,
@@ -268,19 +252,19 @@ def verify_all(seed: int, trials: int) -> Report:
         Ph = GPerm(hypergraphic_setfn(h))
         report.check(f"{tag}: heading vertex description (d={h.d})",
                      vertices_via_headings(h) == set(Ph.vertices), True)
-        report.merge(_hg_reciprocity_report(h, Ph, 2), f"{tag}: hypergraph d={h.d}")
+        report.merge(_hg_reciprocity_report(h, Ph, 2)[1], f"{tag}: hypergraph d={h.d}")
 
         qbox, deg, period = random_rational_box(rng)
-        report.merge(em_reciprocity_check(qbox, deg, period, 3),
+        report.merge(em_reciprocity_check(qbox, deg, period, 3)[1],
                      f"{tag}: dilation counts, box d={deg}")
         qsim, deg, period = random_rational_simplex(rng)
-        report.merge(em_reciprocity_check(qsim, deg, period, 3),
+        report.merge(em_reciprocity_check(qsim, deg, period, 3)[1],
                      f"{tag}: dilation counts, simplex d={deg}")
 
         zf = random_hypergraphic_setfn(rng, max_d=3)
         Pf = GPerm(zf)
         report.merge(
-            pruned_reciprocity_check(unit_cube(Pf.d), normal_fan_of(Pf), Pf.d, 1, 3),
+            pruned_reciprocity_check(unit_cube(Pf.d), normal_fan_of(Pf), Pf.d, 1, 3)[1],
             f"{tag}: pruned counts d={Pf.d}")
     return report
 
@@ -317,6 +301,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (GpcountError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     payload["timing"] = round(time.perf_counter() - start, 6)
     print(json.dumps(payload, indent=2))
     return 0 if failures == 0 else 1

@@ -210,8 +210,9 @@ def ehrhart_quasipoly(poly: HPolytope, degree: int, period: int) -> QuasiPolynom
 
 
 def em_reciprocity_check(poly: HPolytope, degree: int, period: int,
-                         t_max: int) -> Report:
-    """Sign-alternating closed count at -t against the direct open count at t.
+                         t_max: int) -> tuple[QuasiPolynomial, Report]:
+    """Fit the closed count, then test its sign-alternating value at -t
+    against the direct open count at t; returns the fit and the report.
 
     The closed description must be irredundant (caller responsibility), so the
     relative interior is exactly the strict version of the inequality rows.
@@ -222,7 +223,7 @@ def em_reciprocity_check(poly: HPolytope, degree: int, period: int,
     report = Report()
     for t in range(1, t_max + 1):
         report.check(f"t={t}", sign * qp(-t), count_lattice(open_poly, t))
-    return report
+    return qp, report
 
 
 @dataclass(frozen=True)
@@ -319,10 +320,10 @@ def cumulative_pruned_count(poly: HPolytope, fan: FullDimFan, t: int) -> int:
 
 
 def pruned_reciprocity_check(poly: HPolytope, fan: FullDimFan, degree: int,
-                             period: int, t_max: int) -> Report:
+                             period: int, t_max: int) -> tuple[QuasiPolynomial, Report]:
     """Fit the inner pruned count of the interior, then test its
     sign-alternating value at -t against the cumulative count of the closed
-    polytope, for t = 1..t_max."""
+    polytope, for t = 1..t_max; returns the fit and the report."""
     _check_fan_poly(poly, fan)
     open_poly = poly.interior()
     inner = interpolate_quasipoly(
@@ -331,7 +332,7 @@ def pruned_reciprocity_check(poly: HPolytope, fan: FullDimFan, degree: int,
     report = Report()
     for t in range(1, t_max + 1):
         report.check(f"t={t}", sign * inner(-t), cumulative_pruned_count(poly, fan, t))
-    return report
+    return inner, report
 
 
 def _row_to_json(row: Row) -> dict:

@@ -208,7 +208,7 @@ def hypergraph_from_json(doc: object) -> tuple[Hypergraph, tuple[str, ...]]:
         raise InputFormatError("'edges' must be a list of node-name lists")
     decoded = []
     for e in edges:
-        if not isinstance(e, list) or not e:
+        if not isinstance(e, list) or not e or not all(isinstance(n, str) for n in e):
             raise InputFormatError("each edge must be a nonempty list of node names")
         members = set()
         for n in e:

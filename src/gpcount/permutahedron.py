@@ -4,8 +4,9 @@ A polytope is materialized as the deduplicated set of greedy vertices, one per
 chain of the ground set.  Faces are discovered through ordered set
 compositions: every linear direction selects the face where it is maximized,
 and two directions with the same level-set composition select the same face,
-so one representative per composition suffices and per-direction queries are
-answered from a composition-keyed cache.
+so one representative direction per composition suffices.  Exactly
+binom(m, j) directions in [m]^d have a given composition with j blocks, so
+direction counts are sums over the compositions, never scans of [m]^d.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from math import comb
 from typing import Iterator, Sequence
 
 from .errors import NotSubmodularError
@@ -24,7 +25,6 @@ from .report import Report
 from .setfn import SetFn, greedy_vertex
 
 FACE_ENUM_MAX_D = 6
-DIRECTION_ENUM_MAX_M = 8
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,16 @@ class Composition:
     def representative_direction(self) -> tuple[int, ...]:
         """Integer direction whose level sets reproduce this composition:
         block number l (1-based) gets value #blocks - l + 1."""
-        k = len(self.blocks)
-        y = [0] * self.d
-        for idx, block in enumerate(self.blocks):
-            for i in block:
-                y[i - 1] = k - idx
-        return tuple(y)
+        return _direction_of_key(self.blocks)
+
+
+def _direction_of_key(blocks: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    k = len(blocks)
+    y = [0] * sum(len(b) for b in blocks)
+    for idx, block in enumerate(blocks):
+        for i in block:
+            y[i - 1] = k - idx
+    return tuple(y)
 
 
 def _comp_key(y: Sequence) -> tuple[tuple[int, ...], ...]:
@@ -134,7 +138,6 @@ class GPerm:
         self._face_index_by_ids: dict[tuple[int, ...], int] = {}
         self._face_of_comp: dict[tuple[tuple[int, ...], ...], int] = {}
         self._lattice_complete = False
-        self._visit_counts: dict[int, Counter] = {}
         self._k_face_counts: dict[tuple[tuple[int, ...], int], int] = {}
 
     @property
@@ -145,11 +148,7 @@ class GPerm:
         idx = self._face_of_comp.get(key)
         if idx is not None:
             return idx
-        k = len(key)
-        y = [0] * self.d
-        for pos, block in enumerate(key):
-            for i in block:
-                y[i - 1] = k - pos
+        y = _direction_of_key(key)
         best = None
         arg: list[int] = []
         for vid, v in enumerate(self._dot_vertices):
@@ -188,7 +187,7 @@ class GPerm:
             if not allow_large:
                 raise ValueError(
                     f"face enumeration is capped at d <= {FACE_ENUM_MAX_D}; "
-                    "pass allow_large=True to override")
+                    "call face_lattice(allow_large=True) to override")
             warnings.warn(f"enumerating all compositions at d={self.d}", stacklevel=3)
         for comp in compositions(self.d):
             self._face_index_for_key(comp.blocks)
@@ -221,29 +220,24 @@ class GPerm:
         if not 0 <= k <= self.d - 1:
             raise ValueError(f"k must be in 0..{self.d - 1}")
 
-    def _direction_face_visits(self, m: int, allow_large: bool = False) -> Counter:
-        """Face-index visit counts over the full enumeration of [m]^d directions."""
+    def _directions_per_face(self, m: int) -> Counter:
+        """Face index -> number of directions in [m]^d maximized on that face.
+        The binom(m, j) directions whose composition C has j blocks all select
+        face(C), so this is one pass over the compositions."""
         if m < 1:
             raise ValueError("m must be a positive integer")
-        counts = self._visit_counts.get(m)
-        if counts is None:
-            if m > DIRECTION_ENUM_MAX_M:
-                if not allow_large:
-                    raise ValueError(
-                        f"direction enumeration is capped at m <= {DIRECTION_ENUM_MAX_M}; "
-                        "pass allow_large=True to override")
-                warnings.warn(f"enumerating {m}^{self.d} directions", stacklevel=3)
-            counts = Counter()
-            for y in itertools.product(range(1, m + 1), repeat=self.d):
-                counts[self._face_index_for_key(_comp_key(y))] += 1
-            self._visit_counts[m] = counts
+        self._ensure_lattice()
+        counts = Counter()
+        for key, idx in self._face_of_comp.items():
+            if len(key) <= m:  # no direction in [m]^d has more than m levels
+                counts[idx] += comb(m, len(key))
         return counts
 
-    def chi_count(self, k: int, m: int, *, allow_large: bool = False) -> int:
+    def chi_count(self, k: int, m: int) -> int:
         """Number of directions in [m]^d whose maximal face is k-dimensional."""
         self._check_k(k)
-        visits = self._direction_face_visits(m, allow_large)
-        return sum(n for idx, n in visits.items() if self._faces[idx].dim == k)
+        return sum(n for idx, n in self._directions_per_face(m).items()
+                   if self._faces[idx].dim == k)
 
     def chi_polynomial(self, k: int) -> Polynomial:
         """The unique polynomial of degree <= d-k through chi_count(k, m) at
@@ -251,16 +245,15 @@ class GPerm:
         self._check_k(k)
         return interpolate([(m, self.chi_count(k, m)) for m in range(1, self.d - k + 2)])
 
-    def reciprocity_rhs(self, k: int, m: int, *, allow_large: bool = False) -> int:
+    def reciprocity_rhs(self, k: int, m: int) -> int:
         """Sum over all directions in [m]^d of the number of k-faces of the
         face maximizing that direction."""
         self._check_k(k)
-        visits = self._direction_face_visits(m, allow_large)
         return sum(n * self.count_k_faces(self._faces[idx], k)
-                   for idx, n in visits.items())
+                   for idx, n in self._directions_per_face(m).items())
 
     def verify_reciprocity(self, k: int, m_max: int) -> Report:
-        """Check the interpolated count forwards against direct enumeration and
+        """Check the interpolated count forwards against the direct count and
         backwards (sign-alternating evaluation at -m) against the weighted
         face count, for m = 1..m_max."""
         self._check_k(k)

@@ -8,6 +8,7 @@ instances.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from gpcount.polynomial import Polynomial, monomial
@@ -80,6 +81,15 @@ def comp_coarsens(coarse, fine) -> bool:
                 return False
             remaining -= set(piece)
     return next(pieces, None) is None
+
+
+def direction_face_visits(P, m: int) -> Counter:
+    """Scan every direction y in [m]^d and count, per face vertex-id tuple,
+    the directions whose maximal face it is."""
+    visits = Counter()
+    for y in itertools.product(range(1, m + 1), repeat=P.d):
+        visits[P.face_of_direction(y).vertex_ids] += 1
+    return visits
 
 
 def brute_count_lattice(poly, t: int) -> int:

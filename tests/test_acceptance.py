@@ -166,10 +166,10 @@ def test_criterion_7_dilation_counts():
     rng = random.Random(43)
     for _ in range(10):
         poly, degree, period = random_rational_box(rng)
-        ok = ok and em_reciprocity_check(poly, degree, period, 5).all_pass
+        ok = ok and em_reciprocity_check(poly, degree, period, 5)[1].all_pass
     for _ in range(10):
         poly, degree, period = random_rational_simplex(rng)
-        ok = ok and em_reciprocity_check(poly, degree, period, 5).all_pass
+        ok = ok and em_reciprocity_check(poly, degree, period, 5)[1].all_pass
     _finish(7, ok, time.perf_counter() - start, 10,
             "unit-square dilation counts and open/closed reciprocity "
             "for 20 rational boxes and simplices")
@@ -178,17 +178,17 @@ def test_criterion_7_dilation_counts():
 def test_criterion_8_pruned_counts():
     start = time.perf_counter()
     square = unit_cube(2)
-    ok = pruned_reciprocity_check(square, DIAGONAL_FAN, 2, 1, 5).all_pass
+    ok = pruned_reciprocity_check(square, DIAGONAL_FAN, 2, 1, 5)[1].all_pass
     for t in range(1, 6):
         ok = ok and inner_pruned_count(square.interior(), DIAGONAL_FAN, t) == (t - 1) * (t - 2)
         ok = ok and cumulative_pruned_count(square, DIAGONAL_FAN, t) == (t + 1) * (t + 2)
     for d in (2, 3):
         fan = normal_fan_of(GPerm(standard_perm_setfn(d)))
-        ok = ok and pruned_reciprocity_check(unit_cube(d), fan, d, 1, 4).all_pass
+        ok = ok and pruned_reciprocity_check(unit_cube(d), fan, d, 1, 4)[1].all_pass
     rng = random.Random(53)
     for _ in range(10):
         P = GPerm(random_hypergraphic_setfn(rng, max_d=3))
-        report = pruned_reciprocity_check(unit_cube(P.d), normal_fan_of(P), P.d, 1, 4)
+        _, report = pruned_reciprocity_check(unit_cube(P.d), normal_fan_of(P), P.d, 1, 4)
         ok = ok and report.all_pass
     _finish(8, ok, time.perf_counter() - start, 30,
             "pruned dilation counts against normal fans: unit square with the "

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from gpcount import cli
 from gpcount.cli import run
 from gpcount.ehrhart import fan_to_json, hpolytope_to_json, unit_cube
 from gpcount.setfn import setfn_to_json, standard_perm_setfn
@@ -174,9 +175,27 @@ def test_pruned_needs_exactly_one_fan_source(inputs, capsys):
     assert rc == 2 and "exactly one" in err
 
 
-def test_jobs_flag_accepted(inputs, capsys):
-    rc, _, _ = invoke(capsys, "chi", "--setfn", inputs["std2"], "--jobs", "4")
-    assert rc == 0
+def test_jobs_flag_rejected(inputs, capsys):
+    rc, payload, _ = invoke(capsys, "chi", "--setfn", inputs["std2"], "--jobs", "4")
+    assert rc == 2 and payload is None
+
+
+def test_non_string_edge_member_is_input_error(inputs, capsys):
+    path = inputs["dir"] / "nested.json"
+    path.write_text(json.dumps({"nodes": ["a", "b"], "edges": [["a", ["b"]]]}))
+    rc, payload, err = invoke(capsys, "hg-headings", "--hg", str(path))
+    assert rc == 2 and payload is None
+    assert err.startswith("error:")
+
+
+def test_internal_error_exit_3(inputs, capsys, monkeypatch):
+    def crash(args):
+        raise KeyError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "faces", crash)
+    rc, payload, err = invoke(capsys, "faces", "--setfn", inputs["std2"])
+    assert rc == 3 and payload is None
+    assert err.startswith("internal error:") and err.count("\n") == 1
 
 
 def test_verify_all_deterministic(capsys):

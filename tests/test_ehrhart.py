@@ -127,18 +127,19 @@ def test_quasipoly_wrong_declaration():
 
 
 def test_em_reciprocity():
-    assert em_reciprocity_check(SQUARE, 2, 1, 6).all_pass
+    assert em_reciprocity_check(SQUARE, 2, 1, 6)[1].all_pass
     simplex = standard_simplex(2)
-    report = em_reciprocity_check(simplex, 2, 1, 3)
+    fit, report = em_reciprocity_check(simplex, 2, 1, 3)
     assert report.all_pass
+    assert fit == ehrhart_quasipoly(simplex, 2, 1)
     assert report.entries[-1].lhs == 1  # 3-dilate of the open simplex
-    assert em_reciprocity_check(single_point((0, 0)), 0, 1, 4).all_pass
+    assert em_reciprocity_check(single_point((0, 0)), 0, 1, 4)[1].all_pass
 
 
 def test_em_reciprocity_scaled_simplex():
     poly = standard_simplex(2, Fraction(3, 2))
     assert [count_lattice(poly, t) for t in range(1, 7)] == [3, 10, 15, 28, 36, 55]
-    assert em_reciprocity_check(poly, 2, 2, 5).all_pass
+    assert em_reciprocity_check(poly, 2, 2, 5)[1].all_pass
 
 
 def test_em_random_instances():
@@ -146,7 +147,7 @@ def test_em_random_instances():
     for _ in range(8):
         poly, degree, period = (random_rational_box(rng) if rng.random() < 0.5
                                 else random_rational_simplex(rng))
-        assert em_reciprocity_check(poly, degree, period, 4).all_pass
+        assert em_reciprocity_check(poly, degree, period, 4)[1].all_pass
 
 
 def test_em_needs_irredundant_rows():
@@ -156,7 +157,7 @@ def test_em_needs_irredundant_rows():
         2,
         (((1, 0), "<=", 0), ((-1, 0), "<=", 0), ((0, -1), "<=", 0), ((0, 1), "<=", 1)),
         ((0, 0), (0, 1)))
-    report = em_reciprocity_check(degenerate, 1, 1, 3)
+    _, report = em_reciprocity_check(degenerate, 1, 1, 3)
     assert report.failures > 0
 
 
@@ -234,12 +235,13 @@ def test_region_decomposition():
 
 
 def test_pruned_reciprocity_square():
-    report = pruned_reciprocity_check(SQUARE, DIAGONAL_FAN, 2, 1, 5)
+    fit, report = pruned_reciprocity_check(SQUARE, DIAGONAL_FAN, 2, 1, 5)
     assert report.all_pass
     # closed forms: O(t) = (t-1)(t-2) on the open square, Ex(t) = (t+1)(t+2)
     inner = interpolate_quasipoly(
         lambda t: inner_pruned_count(SQUARE.interior(), DIAGONAL_FAN, t), 2, 1)
     assert inner.constituents[0].coefficients == (2, -3, 1)
+    assert fit == inner
     assert [cumulative_pruned_count(SQUARE, DIAGONAL_FAN, t) for t in range(1, 6)] \
         == [(t + 1) * (t + 2) for t in range(1, 6)]
 
@@ -248,14 +250,14 @@ def test_pruned_reciprocity_cube_braid():
     # braid-fan regions of the cube are integral, so period 1 suffices
     for d in (2, 3, 4):
         fan = normal_fan_of(perm_gp(d))
-        assert pruned_reciprocity_check(unit_cube(d), fan, d, 1, 4).all_pass
+        assert pruned_reciprocity_check(unit_cube(d), fan, d, 1, 4)[1].all_pass
 
 
 def test_pruned_single_cone_is_plain_ehrhart():
     for t in range(1, 5):
         assert inner_pruned_count(SQUARE, WHOLE_PLANE, t) == count_lattice(SQUARE, t)
         assert cumulative_pruned_count(SQUARE, WHOLE_PLANE, t) == count_lattice(SQUARE, t)
-    assert pruned_reciprocity_check(SQUARE, WHOLE_PLANE, 2, 1, 4).all_pass
+    assert pruned_reciprocity_check(SQUARE, WHOLE_PLANE, 2, 1, 4)[1].all_pass
 
 
 def test_direction_count_bridge():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from gpcount.permutahedron import (
 from gpcount.rational import ratvec
 from gpcount.report import Report
 from gpcount.setfn import SetFn, setfn_sum, standard_perm_setfn
-from oracles import comp_coarsens
+from oracles import comp_coarsens, direction_face_visits
 
 
 def perm_gp(d):
@@ -178,6 +179,26 @@ def test_chi_degree():
             assert P.chi_polynomial(k).degree == d - k
 
 
+def test_direction_counts_match_scan():
+    # the composition sums against a scan of all of [m]^d, also for
+    # m > d - k + 1, where the forward check is not implied by interpolation
+    rng = random.Random(37)
+    cases = [perm_gp(d) for d in range(1, 5)]
+    cases += [GPerm(random_hypergraphic_setfn(rng, max_d=4)) for _ in range(10)]
+    for P in cases:
+        faces = {f.vertex_ids: f for f in P.face_lattice()}
+        scanned = GPerm(P.z)  # its faces are found by direction only
+        for m in range(1, P.d + 3):
+            visits = direction_face_visits(scanned, m)
+            for k in range(P.d):
+                assert P.chi_count(k, m) == sum(
+                    n for ids, n in visits.items() if faces[ids].dim == k)
+                assert P.reciprocity_rhs(k, m) == sum(
+                    n * sum(1 for g in faces.values()
+                            if g.dim == k and set(g.vertex_ids) <= set(ids))
+                    for ids, n in visits.items())
+
+
 def test_reciprocity_rhs_examples():
     assert perm_gp(3).reciprocity_rhs(0, 1) == 6
     assert perm_gp(2).reciprocity_rhs(0, 2) == 6
@@ -255,11 +276,11 @@ def test_enumeration_caps():
     big = GPerm(standard_perm_setfn(7))
     with pytest.raises(ValueError):
         big.face_lattice()
-    P = perm_gp(2)
     with pytest.raises(ValueError):
-        P.chi_count(0, 9)
-    with pytest.warns(UserWarning):
-        assert P.chi_count(0, 9, allow_large=True) == 72
+        big.chi_count(0, 1)  # direction counts use the capped face lattice
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert perm_gp(2).chi_count(0, 9) == 72  # no cap on m
 
 
 def test_face_lattice_json():
