@@ -41,7 +41,7 @@ from .hypergraph import (
     hypergraphic_setfn,
     vertices_via_headings,
 )
-from .permutahedron import GPerm, face_lattice_to_json, vertices
+from .permutahedron import GPerm, face_lattice_to_json
 from .polynomial import Polynomial
 from .report import Report
 from .setfn import setfn_from_json, setfn_from_vertices
@@ -121,12 +121,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_chi(args) -> tuple[dict, int]:
     P = GPerm(_load_setfn(args.setfn))
-    report = P.verify_reciprocity(args.k, args.m_max)
+    poly, report = P.verify_reciprocity(args.k, args.m_max)
     payload = {
         "command": "chi",
         "d": P.d,
         "k": args.k,
-        "polynomial": P.chi_polynomial(args.k).to_json(),
+        "polynomial": poly.to_json(),
     }
     payload.update(report.to_json())
     return payload, report.failures
@@ -239,14 +239,13 @@ def verify_all(seed: int, trials: int) -> Report:
         tag = f"trial {trial}"
 
         z = random_hypergraphic_setfn(rng, max_d=5)
-        verts = vertices(z)
-        report.check(f"{tag}: set-function round trip (d={z.d})",
-                     setfn_from_vertices(verts) == z, True)
-
         P = GPerm(z)
+        report.check(f"{tag}: set-function round trip (d={z.d})",
+                     setfn_from_vertices(P.vertices) == z, True)
+
         ks = range(P.d) if P.d <= 4 else (0,)
         for k in ks:
-            report.merge(P.verify_reciprocity(k, 2), f"{tag}: directions d={P.d}")
+            report.merge(P.verify_reciprocity(k, 2)[1], f"{tag}: directions d={P.d}")
 
         h = random_hypergraph(rng, max_d=5, max_edges=5)
         Ph = GPerm(hypergraphic_setfn(h))

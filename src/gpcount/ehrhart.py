@@ -4,33 +4,40 @@ intersections with complete fans.
 A polytope is a halfspace description (rows may be non-strict, strict, or
 equalities) together with a trusted integer bounding box at dilation 1; the
 t-th dilate keeps every normal vector and scales the right-hand sides by t,
-and counting scans only the dilated box.  Rows are rescaled once to integer
-coefficients, and rows involving a single coordinate are folded into the axis
-ranges, so boxes and simplices are scanned without slack.
+and counting scans only the dilated box.  Rows are rescaled to integer
+coefficients once per polytope, on first use, and rows involving a single
+coordinate are folded into the axis ranges, so boxes and simplices are
+scanned without slack.  A scan of more than `SCAN_BUDGET` box points is
+refused before it starts.
 
 A full-dimensional fan is a list of closed cones (homogeneous non-strict
-rows).  The multiplicity of a point is the number of closed cones containing
-it; the inner pruned count keeps the points of multiplicity exactly one, the
-cumulative pruned count sums multiplicities.  A counted point with
-multiplicity zero means the fan does not cover space and is a hard error.
+rows), compiled to integer rows once per fan, on first use.  The
+multiplicity of a point is the number of closed cones containing it; one scan
+of the dilate gives the histogram of multiplicities, from which the inner
+pruned count takes the points of multiplicity exactly one and the cumulative
+pruned count the sum of multiplicities.  A counted point in no cone, or
+strictly inside two cones, means the cones do not form a complete fan and is
+a hard error.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import ceil, floor, lcm
+from functools import cached_property
+from math import ceil, floor, lcm, prod
 from typing import Iterator, Sequence
 
-from .errors import IncompleteFanError, InputFormatError
+from .errors import BudgetExceededError, IncompleteFanError, InputFormatError
 from .permutahedron import GPerm
 from .polynomial import QuasiPolynomial, interpolate_quasipoly
 from .rational import format_rat, parse_rat
 from .report import Report
 
 RELATIONS = ("<=", "<", "=")
+SCAN_BUDGET = 10 ** 7
 
 Row = tuple[tuple[Fraction, ...], str, Fraction]
 
@@ -60,6 +67,15 @@ class HPolytope:
             if any(lo > hi for lo, hi in box_):
                 raise ValueError("bbox bounds out of order")
             object.__setattr__(self, "bbox", box_)
+
+    @cached_property
+    def int_rows(self) -> tuple[tuple[tuple[int, ...], str, int], ...]:
+        """The rows rescaled to integer coefficients."""
+        out = []
+        for a, rel, b in self.rows:
+            mult = lcm(b.denominator, *(c.denominator for c in a))
+            out.append((tuple(int(c * mult) for c in a), rel, int(b * mult)))
+        return tuple(out)
 
     def interior(self) -> "HPolytope":
         """Relative interior: inequality rows become strict, equalities stay."""
@@ -116,21 +132,12 @@ def single_point(coords: Sequence[Fraction]) -> HPolytope:
     return HPolytope(d, rows, bbox)
 
 
-@lru_cache(maxsize=None)
-def _integer_rows(poly: HPolytope) -> tuple[tuple[tuple[int, ...], str, int], ...]:
-    out = []
-    for a, rel, b in poly.rows:
-        mult = lcm(b.denominator, *(c.denominator for c in a))
-        out.append((tuple(int(c * mult) for c in a), rel, int(b * mult)))
-    return tuple(out)
-
-
 def _dilate_frame(poly: HPolytope, t: int):
     """Axis ranges of the t-dilate with single-coordinate rows folded in, plus
     the remaining rows as (coeffs, rel, t*b).  None signals an empty dilate."""
     ranges = [[lo * t, hi * t] for lo, hi in poly.bbox]
     rows = []
-    for a, rel, b in _integer_rows(poly):
+    for a, rel, b in poly.int_rows:
         nz = [i for i, c in enumerate(a) if c]
         tb = t * b
         if not nz:
@@ -173,6 +180,10 @@ def _lattice_points(poly: HPolytope, t: int) -> Iterator[tuple[int, ...]]:
     ranges, rows = _dilate_frame(poly, t)
     if ranges is None:
         return
+    size = prod(hi - lo + 1 for lo, hi in ranges)
+    if size > SCAN_BUDGET:
+        raise BudgetExceededError(
+            f"scanning {size} box points at t={t} exceeds the budget of {SCAN_BUDGET}")
     for x in itertools.product(*[range(lo, hi + 1) for lo, hi in ranges]):
         ok = True
         for a, rel, tb in rows:
@@ -249,6 +260,12 @@ class FullDimFan:
     def d(self) -> int:
         return self.cones[0].d
 
+    @cached_property
+    def cone_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per cone, the integer coefficient vectors of its nonzero rows."""
+        return tuple(tuple(a for a, _rel, _b in cone.int_rows if any(a))
+                     for cone in self.cones)
+
 
 def normal_fan_of(P: GPerm) -> FullDimFan:
     """One closed cone per vertex v, cut out by (u - v) . y <= 0 over the
@@ -264,59 +281,57 @@ def normal_fan_of(P: GPerm) -> FullDimFan:
     return FullDimFan(tuple(cones))
 
 
-@lru_cache(maxsize=None)
-def _compiled_fan(fan: FullDimFan):
-    return tuple(tuple(a for a, _rel, _b in _integer_rows(cone)) for cone in fan.cones)
+def _cone_hits(cone_rows, point) -> tuple[int, int]:
+    """Numbers of cones containing the point, and of those strictly (every row negative)."""
+    closed = strict = 0
+    for rows in cone_rows:
+        interior = True
+        for a in rows:
+            s = 0
+            for c, x in zip(a, point):
+                if c:
+                    s += c * x
+            if s > 0:
+                break
+            if s == 0:
+                interior = False
+        else:
+            closed += 1
+            strict += interior
+    return closed, strict
 
 
 def multiplicity(fan: FullDimFan, point: Sequence[int]) -> int:
     """Number of closed cones of the fan containing the point."""
     if len(point) != fan.d:
         raise ValueError("point length mismatch")
-    count = 0
-    for cone_rows in _compiled_fan(fan):
-        inside = True
-        for a in cone_rows:
-            s = 0
-            for c, x in zip(a, point):
-                if c:
-                    s += c * x
-            if s > 0:
-                inside = False
-                break
-        if inside:
-            count += 1
-    return count
+    return _cone_hits(fan.cone_rows, point)[0]
 
 
-def _check_fan_poly(poly: HPolytope, fan: FullDimFan) -> None:
+def _multiplicities(poly: HPolytope, fan: FullDimFan, t: int) -> Counter:
+    """Histogram of cone multiplicities over the integer points of the t-dilate;
+    raises unless each point lies in some cone and strictly inside at most one."""
     if poly.d != fan.d:
         raise ValueError("polytope and fan live in different dimensions")
+    hist = Counter()
+    for x in _lattice_points(poly, t):
+        mult, strict = _cone_hits(fan.cone_rows, x)
+        if mult == 0:
+            raise IncompleteFanError(f"point {x} lies in no cone of the fan")
+        if strict > 1:
+            raise IncompleteFanError(f"point {x} lies strictly inside {strict} cones of the fan")
+        hist[mult] += 1
+    return hist
 
 
 def inner_pruned_count(poly: HPolytope, fan: FullDimFan, t: int) -> int:
     """Integer points of the t-dilate lying in exactly one closed cone."""
-    _check_fan_poly(poly, fan)
-    total = 0
-    for x in _lattice_points(poly, t):
-        mult = multiplicity(fan, x)
-        if mult == 0:
-            raise IncompleteFanError(f"point {x} lies in no cone of the fan")
-        if mult == 1:
-            total += 1
-    return total
+    return _multiplicities(poly, fan, t)[1]
 
 
 def cumulative_pruned_count(poly: HPolytope, fan: FullDimFan, t: int) -> int:
     """Sum of cone multiplicities over the integer points of the t-dilate."""
-    _check_fan_poly(poly, fan)
-    total = 0
-    for x in _lattice_points(poly, t):
-        mult = multiplicity(fan, x)
-        if mult == 0:
-            raise IncompleteFanError(f"point {x} lies in no cone of the fan")
-        total += mult
-    return total
+    return sum(mult * n for mult, n in _multiplicities(poly, fan, t).items())
 
 
 def pruned_reciprocity_check(poly: HPolytope, fan: FullDimFan, degree: int,
@@ -324,7 +339,6 @@ def pruned_reciprocity_check(poly: HPolytope, fan: FullDimFan, degree: int,
     """Fit the inner pruned count of the interior, then test its
     sign-alternating value at -t against the cumulative count of the closed
     polytope, for t = 1..t_max; returns the fit and the report."""
-    _check_fan_poly(poly, fan)
     open_poly = poly.interior()
     inner = interpolate_quasipoly(
         lambda t: inner_pruned_count(open_poly, fan, t), degree, period)

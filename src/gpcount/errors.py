@@ -18,7 +18,8 @@ class InterpolationMismatchError(GpcountError):
 
 
 class IncompleteFanError(GpcountError):
-    """A counted lattice point fell outside every cone of the fan."""
+    """The cones do not form a complete fan: a counted lattice point lies in
+    no cone, or strictly inside two."""
 
 
 class InputFormatError(GpcountError):

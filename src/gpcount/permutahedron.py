@@ -252,10 +252,10 @@ class GPerm:
         return sum(n * self.count_k_faces(self._faces[idx], k)
                    for idx, n in self._directions_per_face(m).items())
 
-    def verify_reciprocity(self, k: int, m_max: int) -> Report:
+    def verify_reciprocity(self, k: int, m_max: int) -> tuple[Polynomial, Report]:
         """Check the interpolated count forwards against the direct count and
         backwards (sign-alternating evaluation at -m) against the weighted
-        face count, for m = 1..m_max."""
+        face count, for m = 1..m_max; returns the polynomial and the report."""
         self._check_k(k)
         if m_max < 1:
             raise ValueError("m_max must be positive")
@@ -267,7 +267,7 @@ class GPerm:
         for m in range(1, m_max + 1):
             report.check(f"k={k} negative m={m}", sign * poly(-m),
                          self.reciprocity_rhs(k, m))
-        return report
+        return poly, report
 
 
 def face_lattice_to_json(P: GPerm) -> dict:

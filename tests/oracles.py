@@ -92,15 +92,24 @@ def direction_face_visits(P, m: int) -> Counter:
     return visits
 
 
-def brute_count_lattice(poly, t: int) -> int:
+def brute_lattice_points(poly, t: int):
     """Scan the whole dilated bbox with plain Fraction arithmetic, ignoring
     the library's row preprocessing."""
     ranges = [range(lo * t, hi * t + 1) for lo, hi in poly.bbox]
-    total = 0
     for x in itertools.product(*ranges):
         if all(_row_holds(a, rel, b, x, t) for a, rel, b in poly.rows):
-            total += 1
-    return total
+            yield x
+
+
+def brute_count_lattice(poly, t: int) -> int:
+    return sum(1 for _ in brute_lattice_points(poly, t))
+
+
+def brute_multiplicity(fan, x) -> int:
+    """Number of cones whose Fraction rows `a . x <= 0` all hold at x, read
+    from `cone.rows` without the library's integer compilation."""
+    return sum(1 for cone in fan.cones
+               if all(_row_holds(a, rel, b, x, 1) for a, rel, b in cone.rows))
 
 
 def _row_holds(a, rel, b, x, t) -> bool:

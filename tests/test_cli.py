@@ -8,7 +8,7 @@ from gpcount import cli
 from gpcount.cli import run
 from gpcount.ehrhart import fan_to_json, hpolytope_to_json, unit_cube
 from gpcount.setfn import setfn_to_json, standard_perm_setfn
-from test_ehrhart import DIAGONAL_FAN
+from test_ehrhart import DIAGONAL_FAN, HUGE_SIMPLEX, OVERLAPPING
 
 RUNNING_DOC = {
     "nodes": ["a", "b", "c"],
@@ -173,6 +173,23 @@ def test_pruned_needs_exactly_one_fan_source(inputs, capsys):
     rc, _, err = invoke(capsys, "pruned", "--poly", inputs["square"],
                         "--fan", inputs["fan"], "--setfn", inputs["std2"])
     assert rc == 2 and "exactly one" in err
+
+
+def test_pruned_overlapping_cones_exit_2(inputs, capsys):
+    path = inputs["dir"] / "overlap.json"
+    path.write_text(json.dumps(fan_to_json(OVERLAPPING)))
+    rc, payload, err = invoke(capsys, "pruned", "--poly", inputs["square"],
+                              "--fan", str(path), "--degree", "2")
+    assert rc == 2 and payload is None
+    assert err.startswith("error:") and "strictly inside" in err
+
+
+def test_scan_budget_exit_2(inputs, capsys):
+    path = inputs["dir"] / "huge.json"
+    path.write_text(json.dumps(hpolytope_to_json(HUGE_SIMPLEX)))
+    rc, payload, err = invoke(capsys, "ehrhart", "--poly", str(path))
+    assert rc == 2 and payload is None
+    assert err.startswith("error:") and "budget" in err
 
 
 def test_jobs_flag_rejected(inputs, capsys):

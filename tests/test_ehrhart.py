@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from gpcount import ehrhart
 from gpcount.errors import (
+    BudgetExceededError,
     IncompleteFanError,
     InputFormatError,
     InterpolationMismatchError,
@@ -36,7 +38,7 @@ from gpcount.generators import (
 from gpcount.permutahedron import GPerm
 from gpcount.polynomial import interpolate_quasipoly
 from gpcount.setfn import standard_perm_setfn
-from oracles import brute_count_lattice
+from oracles import brute_count_lattice, brute_lattice_points, brute_multiplicity
 
 SQUARE = unit_cube(2)
 SEGMENT_HALF = box([(0, Fraction(1, 2))])
@@ -45,6 +47,15 @@ DIAGONAL_FAN = FullDimFan((
     HPolytope(2, (((-1, 1), "<=", 0),), None),
 ))
 WHOLE_PLANE = FullDimFan((HPolytope(2, (), None),))
+# a half-plane, the whole plane and the opposite half-plane: they cover the
+# plane, but every point with x1 != 0 lies strictly inside two of them
+OVERLAPPING = FullDimFan((
+    HPolytope(2, (((1, 0), "<=", 0),), None),
+    HPolytope(2, (), None),
+    HPolytope(2, (((-1, 0), "<=", 0),), None),
+))
+# one diagonal row, so nothing folds: (10^5 + 1)^3 box points at t = 1
+HUGE_SIMPLEX = HPolytope(3, (((1, 1, 1), "<=", 300000),), ((0, 10 ** 5),) * 3)
 
 
 def perm_gp(d):
@@ -212,6 +223,48 @@ def test_incomplete_fan():
         inner_pruned_count(SQUARE, half, 1)
     with pytest.raises(IncompleteFanError):
         cumulative_pruned_count(SQUARE, half, 1)
+
+
+def test_overlapping_cones_rejected():
+    assert multiplicity(OVERLAPPING, (1, 0)) == 2
+    with pytest.raises(IncompleteFanError, match="strictly inside"):
+        inner_pruned_count(SQUARE.interior(), OVERLAPPING, 2)
+    with pytest.raises(IncompleteFanError, match="strictly inside"):
+        cumulative_pruned_count(SQUARE, OVERLAPPING, 1)
+
+
+def test_pruned_counts_against_brute_multiplicity():
+    rng = random.Random(71)
+    for _ in range(6):
+        fan = normal_fan_of(GPerm(random_hypergraphic_setfn(rng, max_d=3)))
+        polys = [unit_cube(fan.d), unit_cube(fan.d).interior()]
+        while len(polys) < 4:
+            poly, _deg, _per = random_rational_box(rng)
+            if poly.d == fan.d:
+                polys += [poly, poly.interior()]
+        for poly in polys:
+            for t in range(1, 4):
+                mults = [brute_multiplicity(fan, x) for x in brute_lattice_points(poly, t)]
+                assert inner_pruned_count(poly, fan, t) == mults.count(1)
+                assert cumulative_pruned_count(poly, fan, t) == sum(mults)
+
+
+def test_scan_budget(monkeypatch):
+    # the first box point (1, 1, 1) lies in no cone, so reaching the scan
+    # would raise IncompleteFanError instead
+    no_origin = HPolytope(3, HUGE_SIMPLEX.rows, ((1, 10 ** 5),) * 3)
+    half = FullDimFan((HPolytope(3, (((1, 0, 0), "<=", 0),), None),))
+    with pytest.raises(BudgetExceededError):
+        inner_pruned_count(no_origin, half, 1)
+    with pytest.raises(BudgetExceededError):
+        count_lattice(HUGE_SIMPLEX, 1)
+    # single-coordinate rows fold into the ranges before the budget applies
+    folded = HUGE_SIMPLEX.with_rows([(a, "<=", 1) for a, _rel, _b in unit_cube(3).rows[1::2]])
+    assert count_lattice(folded, 1) == 8
+    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 27)
+    assert count_lattice(unit_cube(3), 2) == 27
+    with pytest.raises(BudgetExceededError):
+        count_lattice(unit_cube(3), 3)
 
 
 def test_region_decomposition():

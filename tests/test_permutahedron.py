@@ -207,17 +207,18 @@ def test_reciprocity_rhs_examples():
 
 def test_verify_reciprocity_passes():
     rng = random.Random(23)
-    assert perm_gp(3).verify_reciprocity(0, 4).all_pass
-    assert perm_gp(3).verify_reciprocity(1, 3).all_pass
-    assert perm_gp(3).verify_reciprocity(2, 3).all_pass
-    assert point_gp(2).verify_reciprocity(0, 3).all_pass
+    assert perm_gp(3).verify_reciprocity(0, 4)[1].all_pass
+    assert perm_gp(3).verify_reciprocity(1, 3)[1].all_pass
+    assert perm_gp(3).verify_reciprocity(2, 3)[1].all_pass
+    assert point_gp(2).verify_reciprocity(0, 3)[1].all_pass
     P = GPerm(random_hypergraphic_setfn(rng, max_d=4))
     for k in range(P.d):
-        assert P.verify_reciprocity(k, 3).all_pass
+        assert P.verify_reciprocity(k, 3)[1].all_pass
 
 
 def test_verify_negative_control():
-    report = perm_gp(2).verify_reciprocity(0, 2)
+    fit, report = perm_gp(2).verify_reciprocity(0, 2)
+    assert fit == perm_gp(2).chi_polynomial(0)
     assert report.all_pass
     perturbed = Report()
     first = report.entries[0]
