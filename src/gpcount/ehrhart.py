@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, lcm, prod
+from math import ceil, floor, gcd, lcm, prod
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, IncompleteFanError, InputFormatError
@@ -78,11 +78,20 @@ class HPolytope:
         return tuple(out)
 
     def interior(self) -> "HPolytope":
-        """Relative interior: inequality rows become strict, equalities stay."""
-        return HPolytope(
-            self.d,
-            tuple((a, "<" if rel == "<=" else rel, b) for a, rel, b in self.rows),
-            self.bbox)
+        """Relative interior: inequality rows become strict and equalities
+        stay, except that two opposite rows `a . x <= b` and
+        `-c a . x <= -c b` (c > 0) together stay as the equality `a . x = b`."""
+        def primitive(a, b):  # an integer row divided by the gcd of its entries
+            g = gcd(*a, b)
+            return tuple(c // g for c in a), b // g
+
+        closed = {primitive(a, b) for a, rel, b in self.int_rows if rel == "<=" and any(a)}
+        rows = []
+        for (a, rel, b), (ia, _, ib) in zip(self.rows, self.int_rows):
+            if rel == "<=":
+                rel = "=" if any(ia) and primitive([-c for c in ia], -ib) in closed else "<"
+            rows.append((a, rel, b))
+        return HPolytope(self.d, tuple(rows), self.bbox)
 
     def with_rows(self, extra: Sequence[Row]) -> "HPolytope":
         return HPolytope(self.d, self.rows + tuple(extra), self.bbox)
@@ -225,8 +234,9 @@ def em_reciprocity_check(poly: HPolytope, degree: int, period: int,
     """Fit the closed count, then test its sign-alternating value at -t
     against the direct open count at t; returns the fit and the report.
 
-    The closed description must be irredundant (caller responsibility), so the
-    relative interior is exactly the strict version of the inequality rows.
+    The closed description must be irredundant and state each implicit
+    equality as an equality row or a pair of opposite rows (caller
+    responsibility), so the relative interior is exactly `poly.interior()`.
     """
     qp = ehrhart_quasipoly(poly, degree, period)
     open_poly = poly.interior()

@@ -96,22 +96,21 @@ def indegree_vector(h: Hypergraph, heads: Sequence[int]) -> tuple[int, ...]:
     return tuple(delta)
 
 
-def headings(h: Hypergraph, budget: int = HEADING_BUDGET) -> Iterator[tuple[int, ...]]:
-    if h.heading_space > budget:
+def headings(h: Hypergraph) -> Iterator[tuple[int, ...]]:
+    if h.heading_space > HEADING_BUDGET:
         raise BudgetExceededError(
-            f"{h.heading_space} headings exceed the budget of {budget}")
+            f"{h.heading_space} headings exceed the budget of {HEADING_BUDGET}")
     yield from itertools.product(*[sorted(e) for e in h.edges])
 
 
-def acyclic_headings(h: Hypergraph, budget: int = HEADING_BUDGET) -> list[tuple[int, ...]]:
+def acyclic_headings(h: Hypergraph) -> list[tuple[int, ...]]:
     """All acyclic headings, lexicographic in the per-edge head tuples."""
-    return [s for s in headings(h, budget) if is_acyclic(h, s)]
+    return [s for s in headings(h) if is_acyclic(h, s)]
 
 
-def vertices_via_headings(h: Hypergraph,
-                          budget: int = HEADING_BUDGET) -> set[tuple[int, ...]]:
+def vertices_via_headings(h: Hypergraph) -> set[tuple[int, ...]]:
     """In-degree vectors of the acyclic headings (the polytope's vertex set)."""
-    return {indegree_vector(h, s) for s in acyclic_headings(h, budget)}
+    return {indegree_vector(h, s) for s in acyclic_headings(h)}
 
 
 def is_proper(h: Hypergraph, colors: Sequence[int]) -> bool:
@@ -125,19 +124,24 @@ def is_proper(h: Hypergraph, colors: Sequence[int]) -> bool:
     return True
 
 
-def chromatic_count(h: Hypergraph, m: int, budget: int = COLORING_BUDGET) -> int:
-    """Number of proper colorings with colors drawn from {1, ..., m}."""
+def _check_colorings(h: Hypergraph, m: int) -> None:
     if m < 1:
         raise ValueError("m must be positive")
-    if m ** h.d > budget:
-        raise BudgetExceededError(f"{m}^{h.d} colorings exceed the budget of {budget}")
+    if m ** h.d > COLORING_BUDGET:
+        raise BudgetExceededError(
+            f"{m}^{h.d} colorings exceed the budget of {COLORING_BUDGET}")
+
+
+def chromatic_count(h: Hypergraph, m: int) -> int:
+    """Number of proper colorings with colors drawn from {1, ..., m}."""
+    _check_colorings(h, m)
     return sum(1 for c in itertools.product(range(1, m + 1), repeat=h.d)
                if is_proper(h, c))
 
 
-def chromatic_polynomial(h: Hypergraph, budget: int = COLORING_BUDGET) -> Polynomial:
+def chromatic_polynomial(h: Hypergraph) -> Polynomial:
     """Interpolation of the proper-coloring count at m = 1, ..., d+1."""
-    return interpolate([(m, chromatic_count(h, m, budget)) for m in range(1, h.d + 2)])
+    return interpolate([(m, chromatic_count(h, m)) for m in range(1, h.d + 2)])
 
 
 def is_compatible(h: Hypergraph, heads: Sequence[int], colors: Sequence[int]) -> bool:
@@ -151,17 +155,14 @@ def is_compatible(h: Hypergraph, heads: Sequence[int], colors: Sequence[int]) ->
     return True
 
 
-def compatible_pairs_count(h: Hypergraph, m: int,
-                           budget: int = HEADING_BUDGET) -> int:
+def compatible_pairs_count(h: Hypergraph, m: int) -> int:
     """Pairs of an acyclic heading and an m-coloring that are compatible.
 
     Per coloring only the max-colored head choices are enumerated; the
-    coloring loop and each per-coloring heading product observe the budget.
+    coloring grid observes the coloring budget and each per-coloring heading
+    product the heading budget.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    if m ** h.d > budget:
-        raise BudgetExceededError(f"{m}^{h.d} colorings exceed the budget of {budget}")
+    _check_colorings(h, m)
     total = 0
     for colors in itertools.product(range(1, m + 1), repeat=h.d):
         per_edge = []
@@ -171,9 +172,9 @@ def compatible_pairs_count(h: Hypergraph, m: int,
             choice = [i for i in sorted(e) if colors[i - 1] == mx]
             per_edge.append(choice)
             space *= len(choice)
-        if space > budget:
+        if space > HEADING_BUDGET:
             raise BudgetExceededError(
-                f"{space} candidate headings exceed the budget of {budget}")
+                f"{space} candidate headings exceed the budget of {HEADING_BUDGET}")
         for heads in itertools.product(*per_edge):
             if is_acyclic(h, heads):
                 total += 1

@@ -1,10 +1,13 @@
 """Generalized permutahedra realized from submodular set functions.
 
 A polytope is materialized as the deduplicated set of greedy vertices, one per
-chain of the ground set.  Faces are discovered through ordered set
-compositions: every linear direction selects the face where it is maximized,
-and two directions with the same level-set composition select the same face,
-so one representative direction per composition suffices.  Exactly
+chain of the ground set.  Faces are indexed by ordered set compositions:
+every linear direction selects the face where it is maximized, and two
+directions with the same level-set composition C select the same face, the
+product of the minors of z along C.  Its vertices are exactly the greedy
+vertices of the chains that list the blocks of C in order, so the whole
+composition-to-face map is read off the d! chains and their cuts into
+consecutive blocks, in one pass and without any linear optimization.  Exactly
 binom(m, j) directions in [m]^d have a given composition with j blocks, so
 direction counts are sums over the compositions, never scans of [m]^d.
 """
@@ -12,9 +15,9 @@ direction counts are sums over the compositions, never scans of [m]^d.
 from __future__ import annotations
 
 import itertools
-import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Iterator, Sequence
 
@@ -55,16 +58,12 @@ class Composition:
     def representative_direction(self) -> tuple[int, ...]:
         """Integer direction whose level sets reproduce this composition:
         block number l (1-based) gets value #blocks - l + 1."""
-        return _direction_of_key(self.blocks)
-
-
-def _direction_of_key(blocks: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    k = len(blocks)
-    y = [0] * sum(len(b) for b in blocks)
-    for idx, block in enumerate(blocks):
-        for i in block:
-            y[i - 1] = k - idx
-    return tuple(y)
+        k = len(self.blocks)
+        y = [0] * self.d
+        for idx, block in enumerate(self.blocks):
+            for i in block:
+                y[i - 1] = k - idx
+        return tuple(y)
 
 
 def _comp_key(y: Sequence) -> tuple[tuple[int, ...], ...]:
@@ -118,10 +117,10 @@ class Face:
 
 
 class GPerm:
-    """A generalized permutahedron with lazily materialized face data.
+    """A generalized permutahedron; its face lattice is built on first use.
 
-    Construction and the lazy fills are single-threaded; once the face lattice
-    is materialized all queries are read-only.
+    Construction and the lattice build are single-threaded; once the lattice
+    is built all queries are read-only.
     """
 
     def __init__(self, z: SetFn):
@@ -130,72 +129,58 @@ class GPerm:
         self.z = z
         self.d = z.d
         self.vertices: tuple[RatVec, ...] = vertices(z)
-        # int coordinates where possible: direction dot products stay exact and fast
-        self._dot_vertices = [
-            tuple(int(c) if c.denominator == 1 else c for c in v) for v in self.vertices
-        ]
-        self._faces: list[Face] = []
-        self._face_index_by_ids: dict[tuple[int, ...], int] = {}
-        self._face_of_comp: dict[tuple[tuple[int, ...], ...], int] = {}
-        self._lattice_complete = False
         self._k_face_counts: dict[tuple[tuple[int, ...], int], int] = {}
 
     @property
     def dimension(self) -> int:
         return affine_rank(self.vertices)
 
-    def _face_index_for_key(self, key: tuple[tuple[int, ...], ...]) -> int:
-        idx = self._face_of_comp.get(key)
-        if idx is not None:
-            return idx
-        y = _direction_of_key(key)
-        best = None
-        arg: list[int] = []
-        for vid, v in enumerate(self._dot_vertices):
-            val = 0
-            for a, b in zip(y, v):
-                val += a * b
-            if best is None or val > best:
-                best, arg = val, [vid]
-            elif val == best:
-                arg.append(vid)
-        ids = tuple(arg)
-        idx = self._face_index_by_ids.get(ids)
-        if idx is None:
-            face = Face(ids, affine_rank([self.vertices[i] for i in ids]))
-            idx = len(self._faces)
-            self._faces.append(face)
-            self._face_index_by_ids[ids] = idx
-        self._face_of_comp[key] = idx
-        return idx
+    @cached_property
+    def _face_of_comp(self) -> dict[tuple[tuple[int, ...], ...], Face]:
+        """The face maximizing the directions of each composition.  Its
+        vertices are the greedy vertices of the chains refining the
+        composition, so every chain adds its vertex to each of its 2^(d-1)
+        cuts into consecutive blocks."""
+        if self.d > FACE_ENUM_MAX_D:
+            raise ValueError(
+                f"face enumeration is capped at d <= {FACE_ENUM_MAX_D}, got d = {self.d}")
+        vertex_id = {v: i for i, v in enumerate(self.vertices)}
+        cuts = [tuple(zip((0,) + c, c + (self.d,)))
+                for r in range(self.d) for c in itertools.combinations(range(1, self.d), r)]
+        spans = {span for cut in cuts for span in cut}
+        members: dict[tuple[tuple[int, ...], ...], set[int]] = {}
+        for perm in itertools.permutations(range(1, self.d + 1)):
+            vid = vertex_id[greedy_vertex(self.z, perm)]
+            block = {(lo, hi): tuple(sorted(perm[lo:hi])) for lo, hi in spans}
+            for cut in cuts:
+                members.setdefault(tuple([block[span] for span in cut]), set()).add(vid)
+        faces: dict[tuple[int, ...], Face] = {}
+        face_of_comp = {}
+        for key, vids in members.items():
+            ids = tuple(sorted(vids))
+            if ids not in faces:
+                faces[ids] = Face(ids, affine_rank([self.vertices[i] for i in ids]))
+            face_of_comp[key] = faces[ids]
+        return face_of_comp
+
+    @cached_property
+    def _faces(self) -> dict[Face, None]:
+        """The distinct faces, as an insertion-ordered set."""
+        return dict.fromkeys(self._face_of_comp.values())
 
     def face_of_direction(self, y: Sequence) -> Face:
-        """The face maximizing the direction y; cached per composition of y."""
+        """The face maximizing the direction y."""
         if len(y) != self.d:
             raise ValueError("direction length mismatch")
-        return self._faces[self._face_index_for_key(_comp_key(y))]
+        return self._face_of_comp[_comp_key(y)]
 
     def face_of_composition(self, comp: Composition) -> Face:
         if comp.d != self.d:
             raise ValueError("composition is not over this ground set")
-        return self._faces[self._face_index_for_key(comp.blocks)]
+        return self._face_of_comp[comp.blocks]
 
-    def _ensure_lattice(self, allow_large: bool = False) -> None:
-        if self._lattice_complete:
-            return
-        if self.d > FACE_ENUM_MAX_D:
-            if not allow_large:
-                raise ValueError(
-                    f"face enumeration is capped at d <= {FACE_ENUM_MAX_D}; "
-                    "call face_lattice(allow_large=True) to override")
-            warnings.warn(f"enumerating all compositions at d={self.d}", stacklevel=3)
-        for comp in compositions(self.d):
-            self._face_index_for_key(comp.blocks)
-        self._lattice_complete = True
-
-    def face_lattice(self, *, allow_large: bool = False) -> tuple[Face, ...]:
+    def face_lattice(self) -> tuple[Face, ...]:
         """Every nonempty face exactly once, the polytope itself included."""
-        self._ensure_lattice(allow_large)
         return tuple(self._faces)
 
     def count_k_faces(self, face: Face, k: int) -> int:
@@ -203,9 +188,7 @@ class GPerm:
         (0 whenever k exceeds the dimension of ``face``)."""
         if k < 0:
             raise ValueError("k must be nonnegative")
-        self._ensure_lattice()
-        idx = self._face_index_by_ids.get(face.vertex_ids)
-        if idx is None or self._faces[idx] != face:
+        if face not in self._faces:
             raise ValueError("not a face of this polytope")
         key = (face.vertex_ids, k)
         cached = self._k_face_counts.get(key)
@@ -221,23 +204,21 @@ class GPerm:
             raise ValueError(f"k must be in 0..{self.d - 1}")
 
     def _directions_per_face(self, m: int) -> Counter:
-        """Face index -> number of directions in [m]^d maximized on that face.
+        """Face -> number of directions in [m]^d maximized on that face.
         The binom(m, j) directions whose composition C has j blocks all select
         face(C), so this is one pass over the compositions."""
         if m < 1:
             raise ValueError("m must be a positive integer")
-        self._ensure_lattice()
         counts = Counter()
-        for key, idx in self._face_of_comp.items():
+        for key, face in self._face_of_comp.items():
             if len(key) <= m:  # no direction in [m]^d has more than m levels
-                counts[idx] += comb(m, len(key))
+                counts[face] += comb(m, len(key))
         return counts
 
     def chi_count(self, k: int, m: int) -> int:
         """Number of directions in [m]^d whose maximal face is k-dimensional."""
         self._check_k(k)
-        return sum(n for idx, n in self._directions_per_face(m).items()
-                   if self._faces[idx].dim == k)
+        return sum(n for face, n in self._directions_per_face(m).items() if face.dim == k)
 
     def chi_polynomial(self, k: int) -> Polynomial:
         """The unique polynomial of degree <= d-k through chi_count(k, m) at
@@ -249,8 +230,8 @@ class GPerm:
         """Sum over all directions in [m]^d of the number of k-faces of the
         face maximizing that direction."""
         self._check_k(k)
-        return sum(n * self.count_k_faces(self._faces[idx], k)
-                   for idx, n in self._directions_per_face(m).items())
+        return sum(n * self.count_k_faces(face, k)
+                   for face, n in self._directions_per_face(m).items())
 
     def verify_reciprocity(self, k: int, m_max: int) -> tuple[Polynomial, Report]:
         """Check the interpolated count forwards against the direct count and

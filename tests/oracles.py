@@ -83,12 +83,47 @@ def comp_coarsens(coarse, fine) -> bool:
     return next(pieces, None) is None
 
 
+def argmax_ids(P, y) -> tuple[int, ...]:
+    """Indices of the vertices of P with the largest dot product with y."""
+    values = [sum(Fraction(c) * yi for c, yi in zip(v, y)) for v in P.vertices]
+    best = max(values)
+    return tuple(i for i, value in enumerate(values) if value == best)
+
+
+def argmax_face(P, comp) -> tuple[tuple[int, ...], int]:
+    """Vertex ids and dimension of the face of P maximizing a direction with
+    composition comp: block number l (0-based) gets the value -l."""
+    y = [0] * P.d
+    for level, block in enumerate(comp.blocks):
+        for i in block:
+            y[i - 1] = -level
+    ids = argmax_ids(P, y)
+    base = P.vertices[ids[0]]
+    return ids, _rank([[c - b for c, b in zip(P.vertices[i], base)] for i in ids])
+
+
+def _rank(vectors) -> int:
+    """Rank by Gaussian elimination, one vector at a time against an echelon
+    basis whose rows vanish at the pivot columns of the rows before them."""
+    basis = []
+    for v in vectors:
+        v = [Fraction(c) for c in v]
+        for col, row in basis:
+            if v[col]:
+                f = v[col] / row[col]
+                v = [x - f * r for x, r in zip(v, row)]
+        col = next((j for j, c in enumerate(v) if c), None)
+        if col is not None:
+            basis.append((col, v))
+    return len(basis)
+
+
 def direction_face_visits(P, m: int) -> Counter:
-    """Scan every direction y in [m]^d and count, per face vertex-id tuple,
-    the directions whose maximal face it is."""
+    """Scan every direction y in [m]^d and count, per vertex-id tuple of its
+    maximal face (found by `argmax_ids`), the directions it maximizes."""
     visits = Counter()
     for y in itertools.product(range(1, m + 1), repeat=P.d):
-        visits[P.face_of_direction(y).vertex_ids] += 1
+        visits[argmax_ids(P, y)] += 1
     return visits
 
 

@@ -41,6 +41,17 @@ def inputs(tmp_path):
             ],
             "bbox": [[0, 0], [0, 1]],
         }),
+        "pinched": write("pinched.json", {
+            "d": 3,
+            "rows": [
+                {"a": ["-1", "0", "0"], "rel": "<=", "b": "0"},
+                {"a": ["0", "-1", "0"], "rel": "<=", "b": "0"},
+                {"a": ["1", "1", "0"], "rel": "<=", "b": "0"},
+                {"a": ["0", "0", "-1"], "rel": "<=", "b": "0"},
+                {"a": ["0", "0", "1"], "rel": "<=", "b": "1"},
+            ],
+            "bbox": [[0, 0], [0, 0], [0, 1]],
+        }),
         "dir": tmp_path,
     }
 
@@ -144,9 +155,20 @@ def test_ehrhart(inputs, capsys):
     assert payload["summary"] == {"checks": 4, "failures": 0}
 
 
-def test_ehrhart_failing_checks_exit_1(inputs, capsys):
+def test_ehrhart_opposite_rows_exit_0(inputs, capsys):
+    # x1 <= 0 and -x1 <= 0 stay the equality x1 = 0 in the open count
     rc, payload, _ = invoke(
         capsys, "ehrhart", "--poly", inputs["degenerate"], "--degree", "1")
+    assert rc == 0
+    assert payload["quasipolynomial"] == {"period": 1, "constituents": [["1", "1"]]}
+    assert payload["summary"] == {"checks": 4, "failures": 0}
+
+
+def test_ehrhart_failing_checks_exit_1(inputs, capsys):
+    # an implicit equality that is no pair of opposite rows still empties the
+    # open count, so the checks fail
+    rc, payload, _ = invoke(
+        capsys, "ehrhart", "--poly", inputs["pinched"], "--degree", "1")
     assert rc == 1
     assert payload["summary"]["failures"] > 0  # report still emitted
 

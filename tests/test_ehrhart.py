@@ -162,14 +162,32 @@ def test_em_random_instances():
 
 
 def test_em_needs_irredundant_rows():
-    # x <= 0 and -x <= 0 describe a segment; flipping both strict empties it,
-    # so the reciprocity check reports failures (documented caller contract)
-    degenerate = HPolytope(
-        2,
-        (((1, 0), "<=", 0), ((-1, 0), "<=", 0), ((0, -1), "<=", 0), ((0, 1), "<=", 1)),
-        ((0, 0), (0, 1)))
-    _, report = em_reciprocity_check(degenerate, 1, 1, 3)
+    # -x <= 0, -y <= 0 and x + y <= 0 pin x = y = 0 with no pair of opposite
+    # rows; flipping all three strict empties the segment, so the reciprocity
+    # check reports failures (documented caller contract)
+    pinched = HPolytope(
+        3,
+        (((-1, 0, 0), "<=", 0), ((0, -1, 0), "<=", 0), ((1, 1, 0), "<=", 0),
+         ((0, 0, -1), "<=", 0), ((0, 0, 1), "<=", 1)),
+        ((0, 0), (0, 0), (0, 1)))
+    _, report = em_reciprocity_check(pinched, 1, 1, 3)
     assert report.failures > 0
+
+
+def test_interior_keeps_opposite_rows():
+    # x <= 0 and -2x <= 0 describe a segment; its interior keeps x = 0
+    segment = HPolytope(
+        2,
+        (((1, 0), "<=", 0), ((-2, 0), "<=", 0), ((0, -1), "<=", 0), ((0, 1), "<=", 1)),
+        ((0, 0), (0, 1)))
+    open_rels = [rel for _a, rel, _b in segment.interior().rows]
+    assert open_rels == ["=", "=", "<", "<"]
+    assert [count_lattice(segment.interior(), t) for t in range(1, 6)] == [0, 1, 2, 3, 4]
+    _, report = em_reciprocity_check(segment, 1, 1, 5)
+    assert report.all_pass
+    # parallel rows that are not opposite (a slab) and zero rows stay strict
+    slab = HPolytope(1, (((1,), "<=", 1), ((-1,), "<=", 0), ((0,), "<=", 1)), ((0, 1),))
+    assert [rel for _a, rel, _b in slab.interior().rows] == ["<", "<", "<"]
 
 
 def test_normal_fan_structure():

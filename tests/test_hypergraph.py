@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from gpcount import hypergraph
 from gpcount.errors import BudgetExceededError, InputFormatError
 from gpcount.generators import random_hypergraph
 from gpcount.hypergraph import (
@@ -109,10 +110,11 @@ def test_running_example_headings():
     assert vertices_via_headings(RUNNING) == deltas
 
 
-def test_heading_budget():
+def test_heading_budget(monkeypatch):
     assert RUNNING.heading_space == 12
+    monkeypatch.setattr(hypergraph, "HEADING_BUDGET", 11)
     with pytest.raises(BudgetExceededError):
-        acyclic_headings(RUNNING, budget=11)
+        acyclic_headings(RUNNING)
 
 
 def test_vertex_description_examples():
@@ -138,14 +140,15 @@ def test_is_proper():
         is_proper(e, (1,))
 
 
-def test_chromatic_count_examples():
+def test_chromatic_count_examples(monkeypatch):
     assert chromatic_count(hg(2, {1, 2}), 2) == 2
     assert chromatic_count(hg(2), 3) == 9
     assert [chromatic_count(hg(3, {1, 2, 3}), m) for m in range(1, 5)] == [0, 3, 15, 42]
-    with pytest.raises(BudgetExceededError):
-        chromatic_count(hg(2, {1, 2}), 10, budget=99)
     with pytest.raises(ValueError):
         chromatic_count(hg(2, {1, 2}), 0)
+    monkeypatch.setattr(hypergraph, "COLORING_BUDGET", 99)
+    with pytest.raises(BudgetExceededError):
+        chromatic_count(hg(2, {1, 2}), 10)
 
 
 def test_chromatic_polynomial_examples():
@@ -189,6 +192,18 @@ def test_compatible_pairs_examples():
     assert compatible_pairs_count(hg(2), 2) == 4
     with pytest.raises(ValueError):
         compatible_pairs_count(hg(2), 0)
+
+
+def test_compatible_pairs_budgets(monkeypatch):
+    # the m^d coloring grid is held to the coloring budget, and each
+    # coloring's candidate headings to the heading budget
+    monkeypatch.setattr(hypergraph, "HEADING_BUDGET", 1)
+    monkeypatch.setattr(hypergraph, "COLORING_BUDGET", 99)
+    with pytest.raises(BudgetExceededError):
+        compatible_pairs_count(hg(2), 10)
+    assert compatible_pairs_count(hg(2), 9) == 81
+    with pytest.raises(BudgetExceededError):
+        compatible_pairs_count(hg(2, {1, 2}), 1)  # two heads tie at color 1
 
 
 def test_reciprocity_identities():

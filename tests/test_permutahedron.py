@@ -19,7 +19,7 @@ from gpcount.permutahedron import (
 from gpcount.rational import ratvec
 from gpcount.report import Report
 from gpcount.setfn import SetFn, setfn_sum, standard_perm_setfn
-from oracles import comp_coarsens, direction_face_visits
+from oracles import argmax_face, comp_coarsens, direction_face_visits
 
 
 def perm_gp(d):
@@ -187,9 +187,8 @@ def test_direction_counts_match_scan():
     cases += [GPerm(random_hypergraphic_setfn(rng, max_d=4)) for _ in range(10)]
     for P in cases:
         faces = {f.vertex_ids: f for f in P.face_lattice()}
-        scanned = GPerm(P.z)  # its faces are found by direction only
         for m in range(1, P.d + 3):
-            visits = direction_face_visits(scanned, m)
+            visits = direction_face_visits(P, m)
             for k in range(P.d):
                 assert P.chi_count(k, m) == sum(
                     n for ids, n in visits.items() if faces[ids].dim == k)
@@ -197,6 +196,27 @@ def test_direction_counts_match_scan():
                     n * sum(1 for g in faces.values()
                             if g.dim == k and set(g.vertex_ids) <= set(ids))
                     for ids, n in visits.items())
+
+
+def test_faces_match_argmax_oracle():
+    # the faces read off the chains against a dot-product argmax over all
+    # vertices, with the dimension from an independent rank
+    rng = random.Random(41)
+    cases = [standard_perm_setfn(d) for d in range(1, 6)]
+    cases += [random_hypergraphic_setfn(rng, max_d=4) for _ in range(12)]
+    for _ in range(12):  # non-integer values
+        z = random_hypergraphic_setfn(rng, max_d=4)
+        scale = Fraction(rng.randint(1, 9), rng.randint(2, 7))
+        scaled = SetFn(z.d, tuple(scale * v for v in standard_perm_setfn(z.d).values))
+        cases.append(setfn_sum(z, scaled))
+    for z in cases:
+        P = GPerm(z)
+        seen = set()
+        for comp in compositions(P.d):
+            face = P.face_of_composition(comp)
+            assert (face.vertex_ids, face.dim) == argmax_face(P, comp)
+            seen.add(face)
+        assert seen == set(P.face_lattice())
 
 
 def test_reciprocity_rhs_examples():
@@ -279,6 +299,10 @@ def test_enumeration_caps():
         big.face_lattice()
     with pytest.raises(ValueError):
         big.chi_count(0, 1)  # direction counts use the capped face lattice
+    with pytest.raises(ValueError):
+        big.face_of_direction((1,) * 7)
+    with pytest.raises(ValueError):
+        big.face_of_composition(Composition((tuple(range(1, 8)),)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert perm_gp(2).chi_count(0, 9) == 72  # no cap on m
