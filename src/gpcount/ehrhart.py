@@ -348,8 +348,15 @@ def pruned_reciprocity_check(poly: HPolytope, fan: FullDimFan, degree: int,
                              period: int, t_max: int) -> tuple[QuasiPolynomial, Report]:
     """Fit the inner pruned count of the interior, then test its
     sign-alternating value at -t against the cumulative count of the closed
-    polytope, for t = 1..t_max; returns the fit and the report."""
+    polytope, for t = 1..t_max; returns the fit and the report.
+
+    The identity is stated for full-dimensional polytopes, so a polytope
+    whose interior keeps an equality row (written as `=` or as two opposite
+    rows) is rejected with a `ValueError` before any counting."""
     open_poly = poly.interior()
+    if any(rel == "=" for _, rel, _ in open_poly.rows):
+        raise ValueError("pruned counts need a full-dimensional polytope, "
+                         "but this one lies on an equality row")
     inner = interpolate_quasipoly(
         lambda t: inner_pruned_count(open_poly, fan, t), degree, period)
     sign = (-1) ** degree

@@ -6,6 +6,15 @@ cycle there corresponds exactly to an oriented cycle of edges.  Proper
 colorings (a unique maximal color on every edge) and heading/coloring
 compatibility give the counting polynomials whose reciprocity the rest of the
 package checks.
+
+Proper colorings are counted through their color classes, not by scanning
+[m]^d.  Reading a proper coloring from its top color down gives an ordered
+partition (S_1, ..., S_j) of the nodes into nonempty blocks in which every
+edge meets the first block it touches in exactly one node; conversely each
+such partition and each choice of j colors out of m give one coloring.  So
+the count is sum_j c[j] * binom(m, j), where c[j] counts those partitions
+with j blocks, and one subset DP over (uncolored set, next block) pairs
+finds every c[j] at once, in O(3^d * d) steps whatever m is.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, InputFormatError
@@ -108,9 +118,15 @@ def acyclic_headings(h: Hypergraph) -> list[tuple[int, ...]]:
     return [s for s in headings(h) if is_acyclic(h, s)]
 
 
-def vertices_via_headings(h: Hypergraph) -> set[tuple[int, ...]]:
-    """In-degree vectors of the acyclic headings (the polytope's vertex set)."""
-    return {indegree_vector(h, s) for s in acyclic_headings(h)}
+def vertices_via_headings(h: Hypergraph,
+                          acyclic: Sequence[Sequence[int]] | None = None) -> set[tuple[int, ...]]:
+    """In-degree vectors of the acyclic headings (the polytope's vertex set).
+
+    `acyclic` is `acyclic_headings(h)` when the caller already holds it, so
+    the headings are not scanned again."""
+    if acyclic is None:
+        acyclic = acyclic_headings(h)
+    return {indegree_vector(h, s) for s in acyclic}
 
 
 def is_proper(h: Hypergraph, colors: Sequence[int]) -> bool:
@@ -132,16 +148,52 @@ def _check_colorings(h: Hypergraph, m: int) -> None:
             f"{m}^{h.d} colorings exceed the budget of {COLORING_BUDGET}")
 
 
+def _color_class_counts(h: Hypergraph) -> list[int]:
+    """c[j] for j = 0..d: ordered partitions (S_1, ..., S_j) of the nodes into
+    nonempty blocks, S_1 the top color, such that every edge meets the first
+    block it touches in exactly one node.
+
+    The DP peels blocks from the top: a block S may be taken from the
+    uncolored set U when every edge inside U meets S in at most one node.  It
+    visits each of the 3^d pairs S <= U once, which COLORING_BUDGET bounds
+    before any work.
+    """
+    if 3 ** h.d > COLORING_BUDGET:
+        raise BudgetExceededError(
+            f"3^{h.d} subset pairs exceed the coloring budget of {COLORING_BUDGET}")
+    # duplicate edges constrain alike and singletons never tie
+    masks = {sum(1 << (i - 1) for i in e) for e in h.edges if len(e) > 1}
+    full = (1 << h.d) - 1
+    partitions = [[0] * (h.d + 1) for _ in range(full + 1)]
+    partitions[0][0] = 1
+    for uncolored in range(1, full + 1):
+        inside = [e for e in masks if e & uncolored == e]
+        row = partitions[uncolored]
+        block = uncolored
+        while block:
+            if all((e & block) & ((e & block) - 1) == 0 for e in inside):
+                rest = partitions[uncolored ^ block]
+                for j, n in enumerate(rest[:-1]):
+                    row[j + 1] += n
+            block = (block - 1) & uncolored
+    return partitions[full]
+
+
 def chromatic_count(h: Hypergraph, m: int) -> int:
     """Number of proper colorings with colors drawn from {1, ..., m}."""
-    _check_colorings(h, m)
-    return sum(1 for c in itertools.product(range(1, m + 1), repeat=h.d)
-               if is_proper(h, c))
+    if m < 1:
+        raise ValueError("m must be positive")
+    return sum(n * comb(m, j) for j, n in enumerate(_color_class_counts(h)))
 
 
 def chromatic_polynomial(h: Hypergraph) -> Polynomial:
-    """Interpolation of the proper-coloring count at m = 1, ..., d+1."""
-    return interpolate([(m, chromatic_count(h, m)) for m in range(1, h.d + 2)])
+    """sum_j c[j] * binom(m, j) in the monomial basis, exactly.
+
+    The DP runs once; `interpolate` only changes basis, through the d + 1
+    values of that sum at m = 0..d, so no coloring is counted per m."""
+    counts = _color_class_counts(h)
+    return interpolate([(m, sum(n * comb(m, j) for j, n in enumerate(counts)))
+                        for m in range(h.d + 1)])
 
 
 def is_compatible(h: Hypergraph, heads: Sequence[int], colors: Sequence[int]) -> bool:

@@ -11,6 +11,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+from gpcount.hypergraph import is_proper
 from gpcount.polynomial import Polynomial, monomial
 
 
@@ -37,6 +38,12 @@ def has_cycle_by_definition(h, heads) -> bool:
             ):
                 return True
     return False
+
+
+def brute_chromatic_count(h, m: int) -> int:
+    """Proper colorings of h with colors 1..m, by scanning all of [m]^d."""
+    return sum(1 for colors in itertools.product(range(1, m + 1), repeat=h.d)
+               if is_proper(h, colors))
 
 
 def chromatic_poly_deletion_contraction(num_nodes: int, edge_list) -> Polynomial:

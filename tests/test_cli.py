@@ -1,13 +1,16 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from gpcount import cli
 from gpcount.cli import run
 from gpcount.ehrhart import fan_to_json, hpolytope_to_json, unit_cube
+from gpcount.hypergraph import hypergraph_from_json
 from gpcount.setfn import setfn_to_json, standard_perm_setfn
+from oracles import brute_chromatic_count
 from test_ehrhart import DIAGONAL_FAN, HUGE_SIMPLEX, OVERLAPPING
 
 RUNNING_DOC = {
@@ -197,6 +200,16 @@ def test_pruned_needs_exactly_one_fan_source(inputs, capsys):
     assert rc == 2 and "exactly one" in err
 
 
+def test_pruned_lower_dimensional_exit_2(inputs, capsys):
+    # the segment x1 = 0, 0 <= x2 <= 1 is not full-dimensional, so the pruned
+    # identity does not cover it
+    for source in (["--fan", inputs["fan"]], ["--setfn", inputs["std2"]]):
+        rc, payload, err = invoke(capsys, "pruned", "--poly", inputs["degenerate"],
+                                  *source, "--degree", "1")
+        assert rc == 2 and payload is None
+        assert err.startswith("error:") and "full-dimensional" in err
+
+
 def test_pruned_overlapping_cones_exit_2(inputs, capsys):
     path = inputs["dir"] / "overlap.json"
     path.write_text(json.dumps(fan_to_json(OVERLAPPING)))
@@ -204,6 +217,23 @@ def test_pruned_overlapping_cones_exit_2(inputs, capsys):
                               "--fan", str(path), "--degree", "2")
     assert rc == 2 and payload is None
     assert err.startswith("error:") and "strictly inside" in err
+
+
+def test_hg_chromatic_eight_nodes(inputs, capsys):
+    doc = {"nodes": list("abcdefgh"),
+           "edges": [["a", "b", "c"], ["c", "d"], ["d", "e", "f", "g"], ["g", "h"],
+                     ["a", "h"], ["b", "e"], ["b", "e"], ["f"]]}
+    path = inputs["dir"] / "hg8.json"
+    path.write_text(json.dumps(doc))
+    rc, payload, _ = invoke(capsys, "hg-chromatic", "--hg", str(path), "--m", "3")
+    assert rc == 0
+    h, _ = hypergraph_from_json(doc)
+    poly = [Fraction(c) for c in payload["polynomial"]]
+    assert len(poly) == 9
+    for m in (1, 2, 3):
+        want = brute_chromatic_count(h, m)
+        assert sum(c * m ** i for i, c in enumerate(poly)) == want
+    assert payload["count"] == want
 
 
 def test_scan_budget_exit_2(inputs, capsys):

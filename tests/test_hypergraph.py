@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpcount import hypergraph
 from gpcount.errors import BudgetExceededError, InputFormatError
@@ -24,7 +26,11 @@ from gpcount.hypergraph import (
     vertices_via_headings,
 )
 from gpcount.permutahedron import GPerm, vertices
-from oracles import chromatic_poly_deletion_contraction, has_cycle_by_definition
+from oracles import (
+    brute_chromatic_count,
+    chromatic_poly_deletion_contraction,
+    has_cycle_by_definition,
+)
 
 
 def hg(d, *edges):
@@ -146,9 +152,14 @@ def test_chromatic_count_examples(monkeypatch):
     assert [chromatic_count(hg(3, {1, 2, 3}), m) for m in range(1, 5)] == [0, 3, 15, 42]
     with pytest.raises(ValueError):
         chromatic_count(hg(2, {1, 2}), 0)
-    monkeypatch.setattr(hypergraph, "COLORING_BUDGET", 99)
+    # the budget bounds the DP's 3^d subset pairs, whatever m is
+    monkeypatch.setattr(hypergraph, "COLORING_BUDGET", 3 ** 2 - 1)
     with pytest.raises(BudgetExceededError):
         chromatic_count(hg(2, {1, 2}), 10)
+    with pytest.raises(BudgetExceededError):
+        chromatic_polynomial(hg(2, {1, 2}))
+    monkeypatch.setattr(hypergraph, "COLORING_BUDGET", 3 ** 2)
+    assert chromatic_count(hg(2, {1, 2}), 10) == 90
 
 
 def test_chromatic_polynomial_examples():
@@ -156,9 +167,8 @@ def test_chromatic_polynomial_examples():
     assert chromatic_polynomial(hg(2)).coefficients == (0, 0, 1)
     p = chromatic_polynomial(hg(3, {1, 2, 3}))
     assert p.coefficients == (0, Fraction(1, 2), Fraction(-3, 2), 1)
-    # interpolation holds beyond its nodes
-    assert p(5) == chromatic_count(hg(3, {1, 2, 3}), 5)
-    assert p(6) == chromatic_count(hg(3, {1, 2, 3}), 6)
+    assert p(5) == brute_chromatic_count(hg(3, {1, 2, 3}), 5)
+    assert p(6) == brute_chromatic_count(hg(3, {1, 2, 3}), 6)
 
 
 def test_chromatic_polynomial_extra_nodes():
@@ -167,7 +177,44 @@ def test_chromatic_polynomial_extra_nodes():
         h = random_hypergraph(rng, max_d=4, max_edges=4)
         p = chromatic_polynomial(h)
         for m in (h.d + 2, h.d + 3):
-            assert p(m) == chromatic_count(h, m)
+            assert p(m) == brute_chromatic_count(h, m)
+
+
+@st.composite
+def hypergraphs(draw, max_d=5):
+    """Up to 5 random edges, then repeats of some of them and singleton edges."""
+    d = draw(st.integers(1, max_d))
+    edges = draw(st.lists(st.frozensets(st.integers(1, d), min_size=1), max_size=5))
+    if edges:
+        edges += draw(st.lists(st.sampled_from(edges), max_size=2))
+    edges += draw(st.lists(st.integers(1, d).map(lambda i: frozenset({i})), max_size=2))
+    return Hypergraph(d, tuple(draw(st.permutations(edges))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(hypergraphs())
+def test_coloring_dp_matches_scan(h):
+    p = chromatic_polynomial(h)
+    for m in range(1, h.d + 3):
+        count = brute_chromatic_count(h, m)
+        assert chromatic_count(h, m) == count
+        assert p(m) == count
+
+
+@st.composite
+def graphs(draw, max_d=6):
+    """Multigraphs as (d, list of node pairs); parallel edges allowed."""
+    d = draw(st.integers(2, max_d))
+    pair = st.lists(st.integers(1, d), min_size=2, max_size=2, unique=True)
+    return d, [tuple(e) for e in draw(st.lists(pair, max_size=7))]
+
+
+@settings(deadline=None)
+@given(graphs())
+def test_coloring_dp_matches_deletion_contraction(graph):
+    d, pairs = graph
+    h = Hypergraph(d, tuple(frozenset(e) for e in pairs))
+    assert chromatic_polynomial(h) == chromatic_poly_deletion_contraction(d, pairs)
 
 
 def test_coloring_direction_dictionary():
