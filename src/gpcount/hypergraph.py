@@ -119,13 +119,11 @@ def acyclic_headings(h: Hypergraph) -> list[tuple[int, ...]]:
 
 
 def vertices_via_headings(h: Hypergraph,
-                          acyclic: Sequence[Sequence[int]] | None = None) -> set[tuple[int, ...]]:
+                          acyclic: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
     """In-degree vectors of the acyclic headings (the polytope's vertex set).
 
-    `acyclic` is `acyclic_headings(h)` when the caller already holds it, so
-    the headings are not scanned again."""
-    if acyclic is None:
-        acyclic = acyclic_headings(h)
+    `acyclic` is `acyclic_headings(h)`; callers scan the headings once and
+    pass the list on."""
     return {indegree_vector(h, s) for s in acyclic}
 
 
@@ -155,14 +153,17 @@ def _color_class_counts(h: Hypergraph) -> list[int]:
 
     The DP peels blocks from the top: a block S may be taken from the
     uncolored set U when every edge inside U meets S in at most one node.  It
-    visits each of the 3^d pairs S <= U once, which COLORING_BUDGET bounds
-    before any work.
+    visits each of the 3^d pairs S <= U once and tests at most every distinct
+    edge at each, so COLORING_BUDGET bounds 3^d times the number of distinct
+    edges (at least 1) before any work.
     """
-    if 3 ** h.d > COLORING_BUDGET:
-        raise BudgetExceededError(
-            f"3^{h.d} subset pairs exceed the coloring budget of {COLORING_BUDGET}")
     # duplicate edges constrain alike and singletons never tie
     masks = {sum(1 << (i - 1) for i in e) for e in h.edges if len(e) > 1}
+    steps = 3 ** h.d * max(1, len(masks))
+    if steps > COLORING_BUDGET:
+        raise BudgetExceededError(
+            f"3^{h.d} subset pairs times {len(masks)} distinct edges exceed "
+            f"the coloring budget of {COLORING_BUDGET}")
     full = (1 << h.d) - 1
     partitions = [[0] * (h.d + 1) for _ in range(full + 1)]
     partitions[0][0] = 1
@@ -179,11 +180,16 @@ def _color_class_counts(h: Hypergraph) -> list[int]:
     return partitions[full]
 
 
+def _colorings_from_classes(counts: Sequence[int], m: int) -> int:
+    """sum_j c[j] * binom(m, j): each j-class partition takes j of m colors."""
+    return sum(n * comb(m, j) for j, n in enumerate(counts))
+
+
 def chromatic_count(h: Hypergraph, m: int) -> int:
     """Number of proper colorings with colors drawn from {1, ..., m}."""
     if m < 1:
         raise ValueError("m must be positive")
-    return sum(n * comb(m, j) for j, n in enumerate(_color_class_counts(h)))
+    return _colorings_from_classes(_color_class_counts(h), m)
 
 
 def chromatic_polynomial(h: Hypergraph) -> Polynomial:
@@ -192,7 +198,7 @@ def chromatic_polynomial(h: Hypergraph) -> Polynomial:
     The DP runs once; `interpolate` only changes basis, through the d + 1
     values of that sum at m = 0..d, so no coloring is counted per m."""
     counts = _color_class_counts(h)
-    return interpolate([(m, sum(n * comb(m, j) for j, n in enumerate(counts)))
+    return interpolate([(m, _colorings_from_classes(counts, m))
                         for m in range(h.d + 1)])
 
 

@@ -127,7 +127,8 @@ def test_criterion_5_heading_vertex_description():
     start = time.perf_counter()
     ok = True
     for h in _hypergraph_corpus() + [RUNNING_HG]:
-        ok = ok and vertices_via_headings(h) == set(vertices(hypergraphic_setfn(h)))
+        ok = ok and (vertices_via_headings(h, acyclic_headings(h))
+                     == set(vertices(hypergraphic_setfn(h))))
     _finish(5, ok, time.perf_counter() - start, 20,
             "acyclic-heading in-degree vectors equal polytope vertices "
             "for 51 hypergraphs")

@@ -113,7 +113,7 @@ def test_running_example_headings():
     assert found == sorted(found)  # lexicographic contract
     deltas = {indegree_vector(RUNNING, s) for s in found}
     assert deltas == {(1, 2, 3), (1, 4, 1), (2, 1, 3), (3, 1, 2), (3, 2, 1)}
-    assert vertices_via_headings(RUNNING) == deltas
+    assert vertices_via_headings(RUNNING, found) == deltas
 
 
 def test_heading_budget(monkeypatch):
@@ -124,16 +124,17 @@ def test_heading_budget(monkeypatch):
 
 
 def test_vertex_description_examples():
-    assert vertices_via_headings(hg(3, {1, 2, 3})) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    assert vertices_via_headings(hg(2)) == {(0, 0)}
-    assert vertices_via_headings(hg(2, {1, 2}, {1, 2})) == {(2, 0), (0, 2)}
+    assert vertices_via_headings(hg(3, {1, 2, 3}), acyclic_headings(hg(3, {1, 2, 3}))) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    assert vertices_via_headings(hg(2), acyclic_headings(hg(2))) == {(0, 0)}
+    assert vertices_via_headings(hg(2, {1, 2}, {1, 2}),
+                                 acyclic_headings(hg(2, {1, 2}, {1, 2}))) == {(2, 0), (0, 2)}
 
 
 def test_vertex_description_random():
     rng = random.Random(5)
     cases = [RUNNING] + [random_hypergraph(rng) for _ in range(15)]
     for h in cases:
-        assert vertices_via_headings(h) == set(vertices(hypergraphic_setfn(h)))
+        assert vertices_via_headings(h, acyclic_headings(h)) == set(vertices(hypergraphic_setfn(h)))
 
 
 def test_is_proper():
@@ -160,6 +161,20 @@ def test_chromatic_count_examples(monkeypatch):
         chromatic_polynomial(hg(2, {1, 2}))
     monkeypatch.setattr(hypergraph, "COLORING_BUDGET", 3 ** 2)
     assert chromatic_count(hg(2, {1, 2}), 10) == 90
+
+
+def test_coloring_budget_counts_distinct_edges(monkeypatch):
+    # the DP tests every distinct edge of size >= 2 at each of its 3^d pairs
+    two = hg(3, {1, 2}, {2, 3})
+    monkeypatch.setattr(hypergraph, "COLORING_BUDGET", 3 ** 3 * 2 - 1)
+    with pytest.raises(BudgetExceededError):
+        chromatic_count(two, 2)
+    monkeypatch.setattr(hypergraph, "COLORING_BUDGET", 3 ** 3 * 2)
+    assert chromatic_count(two, 2) == brute_chromatic_count(two, 2)
+    # duplicates and singletons are dropped before the budget is read
+    monkeypatch.setattr(hypergraph, "COLORING_BUDGET", 3 ** 3)
+    assert chromatic_count(hg(3, {1, 2}, {1, 2}, {3}), 2) == 4
+    assert chromatic_count(hg(3), 2) == 8
 
 
 def test_chromatic_polynomial_examples():
