@@ -5,8 +5,10 @@ A polytope is a halfspace description (rows may be non-strict, strict, or
 equalities) together with a trusted integer bounding box at dilation 1; the
 t-th dilate keeps every normal vector and scales the right-hand sides by t,
 and counting scans only the dilated box.  Rows are rescaled to integer
-coefficients once per polytope, on first use, and rows involving a single
-coordinate are folded into the axis ranges, so boxes and simplices are
+coefficients once per polytope, on first use.  On integer points the t-th
+dilate is then one integer system of `a . x <= b` rows: a strict row lowers
+its bound by one and an equality becomes two opposite rows.  Rows involving a
+single coordinate are folded into the axis ranges, so boxes and simplices are
 scanned without slack.  A scan of more than `SCAN_BUDGET` box points is
 refused before it starts.
 
@@ -33,7 +35,7 @@ from typing import Iterator, Sequence
 from .errors import BudgetExceededError, IncompleteFanError, InputFormatError
 from .permutahedron import GPerm
 from .polynomial import QuasiPolynomial, interpolate_quasipoly
-from .rational import format_rat, parse_rat
+from .rational import format_rat, rat_from_json
 from .report import Report
 
 RELATIONS = ("<=", "<", "=")
@@ -80,7 +82,8 @@ class HPolytope:
     def interior(self) -> "HPolytope":
         """Relative interior: inequality rows become strict and equalities
         stay, except that two opposite rows `a . x <= b` and
-        `-c a . x <= -c b` (c > 0) together stay as the equality `a . x = b`."""
+        `-c a . x <= -c b` (c > 0) together stay as the equality `a . x = b`,
+        and a zero row, which bounds nothing, stays as written."""
         def primitive(a, b):  # an integer row divided by the gcd of its entries
             g = gcd(*a, b)
             return tuple(c // g for c in a), b // g
@@ -88,8 +91,8 @@ class HPolytope:
         closed = {primitive(a, b) for a, rel, b in self.int_rows if rel == "<=" and any(a)}
         rows = []
         for (a, rel, b), (ia, _, ib) in zip(self.rows, self.int_rows):
-            if rel == "<=":
-                rel = "=" if any(ia) and primitive([-c for c in ia], -ib) in closed else "<"
+            if rel == "<=" and any(ia):
+                rel = "=" if primitive([-c for c in ia], -ib) in closed else "<"
             rows.append((a, rel, b))
         return HPolytope(self.d, tuple(rows), self.bbox)
 
@@ -142,43 +145,39 @@ def single_point(coords: Sequence[Fraction]) -> HPolytope:
 
 
 def _dilate_frame(poly: HPolytope, t: int):
-    """Axis ranges of the t-dilate with single-coordinate rows folded in, plus
-    the remaining rows as (coeffs, rel, t*b).  None signals an empty dilate."""
-    ranges = [[lo * t, hi * t] for lo, hi in poly.bbox]
+    """Axis ranges of the t-dilate, and its other rows as (coeffs, bound)
+    meaning coeffs . x <= bound.  None signals an empty dilate.
+
+    On integer points, with integer coefficients, `a . x < tb` is
+    `a . x <= tb - 1` and `a . x = tb` is the pair `a . x <= tb`,
+    `-a . x <= -tb`, so the dilate is one integer `<=` system.  A row in a
+    single coordinate folds into that coordinate's range by floor division,
+    and a zero row empties the dilate when its bound is negative."""
     rows = []
     for a, rel, b in poly.int_rows:
-        nz = [i for i, c in enumerate(a) if c]
         tb = t * b
+        rows.append((a, tb - 1 if rel == "<" else tb))
+        if rel == "=":
+            rows.append((tuple(-c for c in a), -tb))
+    ranges = [[lo * t, hi * t] for lo, hi in poly.bbox]
+    rest = []
+    for a, bound in rows:
+        nz = [i for i, c in enumerate(a) if c]
         if not nz:
-            ok = (0 <= tb) if rel == "<=" else (0 < tb) if rel == "<" else (tb == 0)
-            if not ok:
+            if bound < 0:
                 return None, None
         elif len(nz) == 1:
             i = nz[0]
             c = a[i]
-            bound = Fraction(tb, c)
-            if rel == "=":
-                if bound.denominator != 1:
-                    return None, None
-                v = int(bound)
-                ranges[i][0] = max(ranges[i][0], v)
-                ranges[i][1] = min(ranges[i][1], v)
-            elif (c > 0) == (rel == "<="):
-                # c>0 non-strict or c<0 strict tightens from the matching side
-                if c > 0:
-                    ranges[i][1] = min(ranges[i][1], floor(bound))
-                else:
-                    ranges[i][0] = max(ranges[i][0], floor(bound) + 1)
+            if c > 0:
+                ranges[i][1] = min(ranges[i][1], bound // c)
             else:
-                if c > 0:
-                    ranges[i][1] = min(ranges[i][1], ceil(bound) - 1)
-                else:
-                    ranges[i][0] = max(ranges[i][0], ceil(bound))
+                ranges[i][0] = max(ranges[i][0], -(bound // -c))
         else:
-            rows.append((a, rel, tb))
+            rest.append((a, bound))
     if any(lo > hi for lo, hi in ranges):
         return None, None
-    return [tuple(r) for r in ranges], rows
+    return [tuple(r) for r in ranges], rest
 
 
 def _lattice_points(poly: HPolytope, t: int) -> Iterator[tuple[int, ...]]:
@@ -194,24 +193,14 @@ def _lattice_points(poly: HPolytope, t: int) -> Iterator[tuple[int, ...]]:
         raise BudgetExceededError(
             f"scanning {size} box points at t={t} exceeds the budget of {SCAN_BUDGET}")
     for x in itertools.product(*[range(lo, hi + 1) for lo, hi in ranges]):
-        ok = True
-        for a, rel, tb in rows:
+        for a, bound in rows:
             s = 0
             for c, xi in zip(a, x):
                 if c:
                     s += c * xi
-            if rel == "<=":
-                if s > tb:
-                    ok = False
-                    break
-            elif rel == "<":
-                if s >= tb:
-                    ok = False
-                    break
-            elif s != tb:
-                ok = False
+            if s > bound:
                 break
-        if ok:
+        else:
             yield x
 
 
@@ -378,14 +367,6 @@ def hpolytope_to_json(poly: HPolytope) -> dict:
     return doc
 
 
-def _parse_rat_field(value) -> Fraction:
-    if isinstance(value, str):
-        return parse_rat(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise InputFormatError(f"expected a rational literal, got {value!r}")
-
-
 def hpolytope_from_json(doc: object, *, require_bbox: bool = True) -> HPolytope:
     if not isinstance(doc, dict) or "d" not in doc or "rows" not in doc:
         raise InputFormatError("polytope document needs 'd' and 'rows'")
@@ -400,12 +381,8 @@ def hpolytope_from_json(doc: object, *, require_bbox: bool = True) -> HPolytope:
             raise InputFormatError("each row needs 'a', 'rel' and 'b'")
         if not isinstance(raw["a"], list):
             raise InputFormatError("row 'a' must be a list")
-        try:
-            a = tuple(_parse_rat_field(c) for c in raw["a"])
-            b = _parse_rat_field(raw["b"])
-        except ValueError as exc:
-            raise InputFormatError(str(exc)) from exc
-        rows.append((a, raw["rel"], b))
+        a = tuple(rat_from_json(c) for c in raw["a"])
+        rows.append((a, raw["rel"], rat_from_json(raw["b"])))
     bbox = None
     if "bbox" in doc and doc["bbox"] is not None:
         raw_box = doc["bbox"]

@@ -124,25 +124,24 @@ class QuasiPolynomial:
         }
 
 
-def interpolate_quasipoly(count: Callable[[int], int], degree: int, period: int,
-                          extra_nodes: int = 1) -> QuasiPolynomial:
+def interpolate_quasipoly(count: Callable[[int], int], degree: int,
+                          period: int) -> QuasiPolynomial:
     """Fit a quasipolynomial to ``count`` with declared degree and period.
 
     Each constituent is interpolated through the degree+1 smallest t >= 1 in
-    its residue class and then checked against ``count`` at ``extra_nodes``
-    further values; a mismatch means the declaration is wrong and raises.
+    its residue class and then checked against ``count`` at the next t in
+    that class; a mismatch means the declaration is wrong and raises.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     constituents = []
     for residue in range(period):
         start = residue if residue >= 1 else period
-        ts = [start + i * period for i in range(degree + 1 + extra_nodes)]
-        poly = interpolate([(t, count(t)) for t in ts[: degree + 1]])
-        for t in ts[degree + 1:]:
-            if poly(t) != count(t):
-                raise InterpolationMismatchError(
-                    f"constituent for residue {residue} disagrees with the count at "
-                    f"t={t}; declared degree {degree} / period {period} is wrong")
+        ts = [start + i * period for i in range(degree + 2)]
+        poly = interpolate([(t, count(t)) for t in ts[:-1]])
+        if poly(ts[-1]) != count(ts[-1]):
+            raise InterpolationMismatchError(
+                f"constituent for residue {residue} disagrees with the count at "
+                f"t={ts[-1]}; declared degree {degree} / period {period} is wrong")
         constituents.append(poly)
     return QuasiPolynomial(period, tuple(constituents))

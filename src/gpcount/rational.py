@@ -12,6 +12,8 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import InputFormatError
+
 Rat = Fraction
 RatVec = tuple[Fraction, ...]
 
@@ -27,6 +29,18 @@ def parse_rat(text: str) -> Fraction:
         num, den = s.split("/")
         return Fraction(int(num), int(den))
     return Fraction(int(s))
+
+
+def rat_from_json(value) -> Fraction:
+    """A rational field of a JSON document: a rational literal or an integer."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise InputFormatError(f"expected a rational literal, got {value!r}")
+    try:
+        return parse_rat(value)
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from exc
 
 
 def format_rat(value: Fraction | int) -> str:

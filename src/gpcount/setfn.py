@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputFormatError, NotSubmodularError
-from .rational import RatVec, format_rat, parse_rat
+from .rational import RatVec, format_rat, rat_from_json
 
 MAX_GROUND_SET = 8
 
@@ -139,18 +139,8 @@ def setfn_from_json(doc: object) -> SetFn:
     d, raw = doc["d"], doc["values"]
     if not isinstance(d, int) or isinstance(d, bool) or not isinstance(raw, list):
         raise InputFormatError("'d' must be an integer and 'values' a list")
-    values = []
-    for v in raw:
-        if isinstance(v, str):
-            try:
-                values.append(parse_rat(v))
-            except ValueError as exc:
-                raise InputFormatError(str(exc)) from exc
-        elif isinstance(v, int) and not isinstance(v, bool):
-            values.append(Fraction(v))
-        else:
-            raise InputFormatError(f"set-function value must be a rational literal: {v!r}")
+    values = tuple(rat_from_json(v) for v in raw)
     try:
-        return SetFn(d, tuple(values))
+        return SetFn(d, values)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc

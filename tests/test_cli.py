@@ -34,6 +34,8 @@ def inputs(tmp_path):
         "running": write("running.json", RUNNING_DOC),
         "square": write("square.json", hpolytope_to_json(unit_cube(2))),
         "fan": write("fan.json", fan_to_json(DIAGONAL_FAN)),
+        "zero_row": write("zero_row.json", hpolytope_to_json(
+            unit_cube(2).with_rows([((0, 0), "<=", 0)]))),
         "degenerate": write("degenerate.json", {
             "d": 2,
             "rows": [
@@ -167,6 +169,14 @@ def test_ehrhart_opposite_rows_exit_0(inputs, capsys):
     assert payload["summary"] == {"checks": 4, "failures": 0}
 
 
+def test_ehrhart_zero_row_exit_0(inputs, capsys):
+    # 0 . x <= 0 bounds nothing, so the open count keeps it as written
+    rc, payload, _ = invoke(capsys, "ehrhart", "--poly", inputs["zero_row"], "--t-max", "3")
+    assert rc == 0
+    assert payload["quasipolynomial"] == {"period": 1, "constituents": [["1", "2", "1"]]}
+    assert payload["summary"] == {"checks": 3, "failures": 0}
+
+
 def test_ehrhart_failing_checks_exit_1(inputs, capsys):
     # an implicit equality that is no pair of opposite rows still empties the
     # open count, so the checks fail
@@ -188,6 +198,13 @@ def test_pruned_with_fan(inputs, capsys):
 def test_pruned_with_setfn(inputs, capsys):
     rc, payload, _ = invoke(
         capsys, "pruned", "--poly", inputs["square"], "--setfn", inputs["std2"])
+    assert rc == 0
+    assert payload["summary"]["failures"] == 0
+
+
+def test_pruned_zero_row_exit_0(inputs, capsys):
+    rc, payload, _ = invoke(
+        capsys, "pruned", "--poly", inputs["zero_row"], "--setfn", inputs["std2"])
     assert rc == 0
     assert payload["summary"]["failures"] == 0
 

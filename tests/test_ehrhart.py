@@ -110,11 +110,32 @@ def test_count_lattice_point():
         count_lattice(HPolytope(1, (((1,), "<=", 1),), None), 1)
 
 
+def random_hpolytope(rng):
+    """Up to 5 rows over d <= 3, each `<=`, `<` or `=`, with zero,
+    single-coordinate or multi-coordinate Fraction coefficients of both
+    signs; each bound passes near an integer point of the box, so `=` rows
+    are not always empty."""
+    d = rng.randint(1, 3)
+    bbox = tuple(sorted((rng.randint(-2, 2), rng.randint(-2, 2))) for _ in range(d))
+    point = [rng.randint(lo, hi) for lo, hi in bbox]
+    rows = []
+    for _ in range(rng.randint(1, 5)):
+        support = rng.choice([[], [rng.randrange(d)], [rng.randrange(d)], range(d), range(d)])
+        a = [Fraction(0)] * d
+        for i in support:
+            a[i] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+        shift = Fraction(rng.randint(-1, 3), rng.randint(1, 2)) if rng.random() < 0.7 else 0
+        b = sum(c * x for c, x in zip(a, point)) + shift
+        rows.append((tuple(a), rng.choice(ehrhart.RELATIONS), b))
+    return HPolytope(d, tuple(rows), bbox)
+
+
 def test_count_lattice_against_brute_force():
     rng = random.Random(53)
-    for _ in range(12):
-        poly, _deg, _per = (random_rational_box(rng) if rng.random() < 0.5
-                            else random_rational_simplex(rng))
+    polys = [(random_rational_box(rng) if rng.random() < 0.5
+              else random_rational_simplex(rng))[0] for _ in range(12)]
+    polys += [random_hpolytope(rng) for _ in range(60)]
+    for poly in polys:
         for t in range(1, 4):
             assert count_lattice(poly, t) == brute_count_lattice(poly, t)
             open_poly = poly.interior()
@@ -185,9 +206,10 @@ def test_interior_keeps_opposite_rows():
     assert [count_lattice(segment.interior(), t) for t in range(1, 6)] == [0, 1, 2, 3, 4]
     _, report = em_reciprocity_check(segment, 1, 1, 5)
     assert report.all_pass
-    # parallel rows that are not opposite (a slab) and zero rows stay strict
+    # parallel rows that are not opposite (a slab) turn strict; a zero row
+    # bounds nothing and stays as written
     slab = HPolytope(1, (((1,), "<=", 1), ((-1,), "<=", 0), ((0,), "<=", 1)), ((0, 1),))
-    assert [rel for _a, rel, _b in slab.interior().rows] == ["<", "<", "<"]
+    assert [rel for _a, rel, _b in slab.interior().rows] == ["<", "<", "<="]
 
 
 def test_normal_fan_structure():
@@ -359,6 +381,10 @@ def test_polytope_json_round_trip():
         {"d": 2, "rows": [{"a": ["1", "0"], "rel": ">=", "b": "0"}],
          "bbox": [[0, 1], [0, 1]]},
         {"d": 2, "rows": [{"a": ["1", "0"], "rel": "<=", "b": "0.5"}],
+         "bbox": [[0, 1], [0, 1]]},
+        {"d": 2, "rows": [{"a": [1.5, "0"], "rel": "<=", "b": "0"}],
+         "bbox": [[0, 1], [0, 1]]},
+        {"d": 2, "rows": [{"a": ["1", "0"], "rel": "<=", "b": True}],
          "bbox": [[0, 1], [0, 1]]},
         {"d": 2, "rows": [], "bbox": [[0, 1]]},
         {"d": 2, "rows": [], "bbox": [[0.5, 1], [0, 1]]},
