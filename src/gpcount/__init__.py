@@ -1,70 +1,4 @@
 """Exact counting polynomials and reciprocity checks for generalized
 permutahedra, hypergraph colorings, and lattice points of rational polytopes."""
 
-from .ehrhart import (
-    FullDimFan,
-    HPolytope,
-    box,
-    count_lattice,
-    cumulative_pruned_count,
-    ehrhart_quasipoly,
-    em_reciprocity_check,
-    fan_from_json,
-    fan_to_json,
-    hpolytope_from_json,
-    hpolytope_to_json,
-    inner_pruned_count,
-    multiplicity,
-    normal_fan_of,
-    pruned_reciprocity_check,
-    single_point,
-    standard_simplex,
-    unit_cube,
-)
-from .errors import (
-    BudgetExceededError,
-    GpcountError,
-    IncompleteFanError,
-    InputFormatError,
-    InterpolationMismatchError,
-    NotSubmodularError,
-)
-from .hypergraph import (
-    Hypergraph,
-    acyclic_headings,
-    chromatic_count,
-    chromatic_polynomial,
-    compatible_pairs_count,
-    headings,
-    hypergraph_from_json,
-    hypergraph_to_json,
-    hypergraphic_setfn,
-    indegree_vector,
-    is_acyclic,
-    is_compatible,
-    is_proper,
-    vertices_via_headings,
-)
-from .permutahedron import (
-    Composition,
-    Face,
-    GPerm,
-    composition_of_direction,
-    compositions,
-    face_lattice_to_json,
-    vertices,
-)
-from .polynomial import Polynomial, QuasiPolynomial, interpolate, interpolate_quasipoly
-from .rational import Rat, RatVec, affine_rank, format_rat, parse_rat
-from .report import CheckEntry, Report
-from .setfn import (
-    SetFn,
-    greedy_vertex,
-    setfn_from_json,
-    setfn_from_vertices,
-    setfn_sum,
-    setfn_to_json,
-    standard_perm_setfn,
-)
-
 __version__ = "0.1.0"

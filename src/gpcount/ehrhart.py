@@ -340,10 +340,11 @@ def pruned_reciprocity_check(poly: HPolytope, fan: FullDimFan, degree: int,
     polytope, for t = 1..t_max; returns the fit and the report.
 
     The identity is stated for full-dimensional polytopes, so a polytope
-    whose interior keeps an equality row (written as `=` or as two opposite
-    rows) is rejected with a `ValueError` before any counting."""
+    whose interior keeps an equality row with a nonzero coefficient (written
+    as `=` or as two opposite rows) is rejected with a `ValueError` before
+    any counting; a zero `=` row constrains no direction."""
     open_poly = poly.interior()
-    if any(rel == "=" for _, rel, _ in open_poly.rows):
+    if any(rel == "=" and any(a) for a, rel, _ in open_poly.rows):
         raise ValueError("pruned counts need a full-dimensional polytope, "
                          "but this one lies on an equality row")
     inner = interpolate_quasipoly(

@@ -7,6 +7,12 @@ colorings (a unique maximal color on every edge) and heading/coloring
 compatibility give the counting polynomials whose reciprocity the rest of the
 package checks.
 
+Acyclic headings are grown edge by edge, not filtered out of the product of
+the edges: a partial heading is dropped as soon as its newest head already
+reaches another node of that edge, since every completion keeps that cycle.
+One enumerator lists the acyclic headings and counts the compatible pairs
+(head choices per coloring: each edge's max-colored nodes).
+
 Proper colorings are counted through their color classes, not by scanning
 [m]^d.  Reading a proper coloring from its top color down gives an ordered
 partition (S_1, ..., S_j) of the nodes into nonempty blocks in which every
@@ -75,28 +81,6 @@ def hypergraphic_setfn(h: Hypergraph) -> SetFn:
     return SetFn(h.d, values)
 
 
-def is_acyclic(h: Hypergraph, heads: Sequence[int]) -> bool:
-    """True when the heading induces no oriented cycle of edges."""
-    check_heading(h, heads)
-    succ: list[list[int]] = [[] for _ in range(h.d + 1)]
-    indeg = [0] * (h.d + 1)
-    for e, head in zip(h.edges, heads):
-        for u in e:
-            if u != head:
-                succ[u].append(head)
-                indeg[head] += 1
-    queue = [i for i in range(1, h.d + 1) if indeg[i] == 0]
-    removed = 0
-    while queue:
-        u = queue.pop()
-        removed += 1
-        for v in succ[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                queue.append(v)
-    return removed == h.d
-
-
 def indegree_vector(h: Hypergraph, heads: Sequence[int]) -> tuple[int, ...]:
     """Coordinate i counts the edges whose head is node i."""
     check_heading(h, heads)
@@ -106,16 +90,44 @@ def indegree_vector(h: Hypergraph, heads: Sequence[int]) -> tuple[int, ...]:
     return tuple(delta)
 
 
-def headings(h: Hypergraph) -> Iterator[tuple[int, ...]]:
-    if h.heading_space > HEADING_BUDGET:
-        raise BudgetExceededError(
-            f"{h.heading_space} headings exceed the budget of {HEADING_BUDGET}")
-    yield from itertools.product(*[sorted(e) for e in h.edges])
+def _acyclic_heads(h: Hypergraph,
+                   choices: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
+    """Acyclic headings whose edge i takes its head from `choices[i]`, in
+    lexicographic order when each list is sorted.
+
+    Depth first on an explicit stack, as a recursion would be as deep as the
+    edge list is long.  reach[i][v] is the bitmask of the nodes that node
+    v + 1 reaches under the first i heads, itself included; heading edge i at
+    `head` closes a cycle exactly when `head` reaches another node of the edge.
+    """
+    if not choices:
+        yield ()
+        return
+    masks = [sum(1 << (i - 1) for i in e) for e in h.edges]
+    heads = [0] * len(choices)
+    reach = [[1 << v for v in range(h.d)]] + [None] * len(choices)
+    stack = [(0, head) for head in reversed(choices[0])]
+    while stack:
+        i, head = stack.pop()
+        down = reach[i][head - 1]
+        others = masks[i] & ~(1 << (head - 1))
+        if down & others:
+            continue
+        heads[i] = head
+        if i + 1 == len(choices):
+            yield tuple(heads)
+            continue
+        # a node that reaches a tail of the new arcs now reaches all `head` does
+        reach[i + 1] = [r | down if r & others else r for r in reach[i]]
+        stack.extend((i + 1, nxt) for nxt in reversed(choices[i + 1]))
 
 
 def acyclic_headings(h: Hypergraph) -> list[tuple[int, ...]]:
     """All acyclic headings, lexicographic in the per-edge head tuples."""
-    return [s for s in headings(h) if is_acyclic(h, s)]
+    if h.heading_space > HEADING_BUDGET:
+        raise BudgetExceededError(
+            f"{h.heading_space} headings exceed the budget of {HEADING_BUDGET}")
+    return list(_acyclic_heads(h, [sorted(e) for e in h.edges]))
 
 
 def vertices_via_headings(h: Hypergraph,
@@ -125,25 +137,6 @@ def vertices_via_headings(h: Hypergraph,
     `acyclic` is `acyclic_headings(h)`; callers scan the headings once and
     pass the list on."""
     return {indegree_vector(h, s) for s in acyclic}
-
-
-def is_proper(h: Hypergraph, colors: Sequence[int]) -> bool:
-    """Every edge has exactly one node of maximal color."""
-    if len(colors) != h.d:
-        raise ValueError("one color per node required")
-    for e in h.edges:
-        mx = max(colors[i - 1] for i in e)
-        if sum(1 for i in e if colors[i - 1] == mx) != 1:
-            return False
-    return True
-
-
-def _check_colorings(h: Hypergraph, m: int) -> None:
-    if m < 1:
-        raise ValueError("m must be positive")
-    if m ** h.d > COLORING_BUDGET:
-        raise BudgetExceededError(
-            f"{m}^{h.d} colorings exceed the budget of {COLORING_BUDGET}")
 
 
 def _color_class_counts(h: Hypergraph) -> list[int]:
@@ -202,25 +195,18 @@ def chromatic_polynomial(h: Hypergraph) -> Polynomial:
                         for m in range(h.d + 1)])
 
 
-def is_compatible(h: Hypergraph, heads: Sequence[int], colors: Sequence[int]) -> bool:
-    """The head of every edge carries that edge's maximal color."""
-    check_heading(h, heads)
-    if len(colors) != h.d:
-        raise ValueError("one color per node required")
-    for e, head in zip(h.edges, heads):
-        if colors[head - 1] != max(colors[i - 1] for i in e):
-            return False
-    return True
-
-
 def compatible_pairs_count(h: Hypergraph, m: int) -> int:
     """Pairs of an acyclic heading and an m-coloring that are compatible.
 
-    Per coloring only the max-colored head choices are enumerated; the
-    coloring grid observes the coloring budget and each per-coloring heading
-    product the heading budget.
+    Per coloring only the max-colored head choices are grown into acyclic
+    headings; the coloring grid observes the coloring budget and each
+    per-coloring heading product the heading budget.
     """
-    _check_colorings(h, m)
+    if m < 1:
+        raise ValueError("m must be positive")
+    if m ** h.d > COLORING_BUDGET:
+        raise BudgetExceededError(
+            f"{m}^{h.d} colorings exceed the budget of {COLORING_BUDGET}")
     total = 0
     for colors in itertools.product(range(1, m + 1), repeat=h.d):
         per_edge = []
@@ -233,9 +219,7 @@ def compatible_pairs_count(h: Hypergraph, m: int) -> int:
         if space > HEADING_BUDGET:
             raise BudgetExceededError(
                 f"{space} candidate headings exceed the budget of {HEADING_BUDGET}")
-        for heads in itertools.product(*per_edge):
-            if is_acyclic(h, heads):
-                total += 1
+        total += sum(1 for _ in _acyclic_heads(h, per_edge))
     return total
 
 

@@ -11,7 +11,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from gpcount.hypergraph import is_proper
+from gpcount.hypergraph import check_heading
 from gpcount.polynomial import Polynomial, monomial
 
 
@@ -38,6 +38,43 @@ def has_cycle_by_definition(h, heads) -> bool:
             ):
                 return True
     return False
+
+
+def brute_acyclic_headings(h) -> list:
+    """Every heading in the product of the sorted edges, in that order,
+    kept when `has_cycle_by_definition` finds no cycle."""
+    return [heads for heads in itertools.product(*[sorted(e) for e in h.edges])
+            if not has_cycle_by_definition(h, heads)]
+
+
+def is_proper(h, colors) -> bool:
+    """Every edge has exactly one node of maximal color."""
+    if len(colors) != h.d:
+        raise ValueError("one color per node required")
+    for e in h.edges:
+        mx = max(colors[i - 1] for i in e)
+        if sum(1 for i in e if colors[i - 1] == mx) != 1:
+            return False
+    return True
+
+
+def is_compatible(h, heads, colors) -> bool:
+    """The head of every edge carries that edge's maximal color."""
+    check_heading(h, heads)
+    if len(colors) != h.d:
+        raise ValueError("one color per node required")
+    for e, head in zip(h.edges, heads):
+        if colors[head - 1] != max(colors[i - 1] for i in e):
+            return False
+    return True
+
+
+def brute_compatible_pairs(h, m: int) -> int:
+    """Compatible (acyclic heading, coloring) pairs, by testing every
+    acyclic heading of `brute_acyclic_headings` against all of [m]^d."""
+    acyclic = brute_acyclic_headings(h)
+    return sum(1 for colors in itertools.product(range(1, m + 1), repeat=h.d)
+               for heads in acyclic if is_compatible(h, heads, colors))
 
 
 def brute_chromatic_count(h, m: int) -> int:

@@ -36,6 +36,8 @@ def inputs(tmp_path):
         "fan": write("fan.json", fan_to_json(DIAGONAL_FAN)),
         "zero_row": write("zero_row.json", hpolytope_to_json(
             unit_cube(2).with_rows([((0, 0), "<=", 0)]))),
+        "zero_eq": write("zero_eq.json", hpolytope_to_json(
+            unit_cube(2).with_rows([((0, 0), "=", 0)]))),
         "degenerate": write("degenerate.json", {
             "d": 2,
             "rows": [
@@ -203,10 +205,13 @@ def test_pruned_with_setfn(inputs, capsys):
 
 
 def test_pruned_zero_row_exit_0(inputs, capsys):
-    rc, payload, _ = invoke(
-        capsys, "pruned", "--poly", inputs["zero_row"], "--setfn", inputs["std2"])
-    assert rc == 0
-    assert payload["summary"]["failures"] == 0
+    # a zero row, `<=` or `=`, constrains no direction: the square stays
+    # full-dimensional
+    for name in ("zero_row", "zero_eq"):
+        rc, payload, _ = invoke(
+            capsys, "pruned", "--poly", inputs[name], "--setfn", inputs["std2"])
+        assert rc == 0
+        assert payload["summary"]["failures"] == 0
 
 
 def test_pruned_needs_exactly_one_fan_source(inputs, capsys):

@@ -20,16 +20,16 @@ from gpcount.hypergraph import (
     hypergraph_to_json,
     hypergraphic_setfn,
     indegree_vector,
-    is_acyclic,
-    is_compatible,
-    is_proper,
     vertices_via_headings,
 )
 from gpcount.permutahedron import GPerm, vertices
 from oracles import (
+    brute_acyclic_headings,
     brute_chromatic_count,
+    brute_compatible_pairs,
     chromatic_poly_deletion_contraction,
-    has_cycle_by_definition,
+    is_compatible,
+    is_proper,
 )
 
 
@@ -72,27 +72,36 @@ def test_check_heading():
         check_heading(RUNNING, (1, 2, 1, 1, 2, 3))  # 1 is not in {2,3}
 
 
-def test_is_acyclic_examples():
-    single = hg(3, {1, 2, 3})
-    for head in (1, 2, 3):
-        assert is_acyclic(single, (head,))
-    double = hg(2, {1, 2}, {1, 2})
-    assert not is_acyclic(double, (1, 2))
-    assert not is_acyclic(double, (2, 1))
-    assert is_acyclic(double, (1, 1))
-    assert is_acyclic(double, (2, 2))
-    assert not is_acyclic(RUNNING, (2, 1, 3, 1, 2, 3))
+def with_repeats(rng, h):
+    """h plus up to two copies of its edges and up to two singleton edges,
+    shuffled."""
+    edges = list(h.edges)
+    edges += [rng.choice(h.edges) for _ in range(rng.randint(0, 2))]
+    edges += [frozenset({rng.randint(1, h.d)}) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(edges)
+    return Hypergraph(h.d, tuple(edges))
 
 
 def test_acyclicity_matches_direct_definition():
-    # every heading of every multiset of up to 3 edges on 4 nodes
+    # the whole ordered list against the product scan: every multiset of up
+    # to 3 edges on 4 nodes, then random ones with repeated and singleton edges
     pool = [frozenset(s) for r in range(1, 5)
             for s in itertools.combinations(range(1, 5), r)]
-    for count in range(1, 4):
-        for combo in itertools.combinations_with_replacement(pool, count):
-            h = Hypergraph(4, combo)
-            for heads in itertools.product(*[sorted(e) for e in combo]):
-                assert is_acyclic(h, heads) == (not has_cycle_by_definition(h, heads))
+    cases = [Hypergraph(4, combo) for count in range(1, 4)
+             for combo in itertools.combinations_with_replacement(pool, count)]
+    rng = random.Random(3)
+    cases += [with_repeats(rng, random_hypergraph(rng, max_d=5, max_edges=3))
+              for _ in range(60)]
+    for h in cases:
+        assert acyclic_headings(h) == brute_acyclic_headings(h)
+
+
+def test_many_singleton_edges():
+    # the heads are fixed edge by edge; a long edge list must not run out of stack
+    h = hg(3, {1, 2}, *[{i % 3 + 1} for i in range(3000)])
+    found = acyclic_headings(h)
+    assert len(found) == 2
+    assert [heads[0] for heads in found] == [1, 2]
 
 
 def test_indegree_vector():
@@ -254,6 +263,15 @@ def test_compatible_pairs_examples():
     assert compatible_pairs_count(hg(2), 2) == 4
     with pytest.raises(ValueError):
         compatible_pairs_count(hg(2), 0)
+
+
+def test_compatible_pairs_match_scan():
+    rng = random.Random(29)
+    cases = [RUNNING] + [with_repeats(rng, random_hypergraph(rng, max_d=4, max_edges=3))
+                         for _ in range(25)]
+    for h in cases:
+        for m in (1, 2, 3):
+            assert compatible_pairs_count(h, m) == brute_compatible_pairs(h, m)
 
 
 def test_compatible_pairs_budgets(monkeypatch):
