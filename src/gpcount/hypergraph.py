@@ -3,37 +3,42 @@
 A heading picks one head node per edge.  Acyclicity is decided on the digraph
 that points every non-head node of an edge at that edge's head; a directed
 cycle there corresponds exactly to an oriented cycle of edges.  Proper
-colorings (a unique maximal color on every edge) and heading/coloring
-compatibility give the counting polynomials whose reciprocity the rest of the
-package checks.
+colorings (a unique maximal color on every edge) and compatible pairs (an
+acyclic heading whose heads carry their edges' maximal colors) give the
+counting polynomials whose reciprocity the rest of the package checks.
 
 Acyclic headings are grown edge by edge, not filtered out of the product of
 the edges: a partial heading is dropped as soon as its newest head already
 reaches another node of that edge, since every completion keeps that cycle.
-One enumerator lists the acyclic headings and counts the compatible pairs
-(head choices per coloring: each edge's max-colored nodes).
 
-Proper colorings are counted through their color classes, not by scanning
-[m]^d.  Reading a proper coloring from its top color down gives an ordered
-partition (S_1, ..., S_j) of the nodes into nonempty blocks in which every
-edge meets the first block it touches in exactly one node; conversely each
-such partition and each choice of j colors out of m give one coloring.  So
-the count is sum_j c[j] * binom(m, j), where c[j] counts those partitions
-with j blocks, and one subset DP over (uncolored set, next block) pairs
-finds every c[j] at once, in O(3^d * d) steps whatever m is.
+Both counts come from one subset DP, never from a scan of [m]^d.  From its
+top color down, a coloring is an ordered partition into j blocks plus j of
+m colors; block S, taken from the uncolored set U, holds the maximal color of
+each edge inside U that meets it, and the edge ties when it meets S in two
+nodes or more.  So a count is sum_j c[j] * binom(m, j), c[j] summing block
+weight products over the j-block partitions.  Proper colorings weigh 1 for
+a block without ties, else 0; compatible pairs weigh the acyclic headings of
+the tie family, since arcs never descend in color and so a heading is
+acyclic when each block's is.  That weight is the vertex count of the minor
+on S, so the sum is the Aguiar-Ardila face count of the hypergraphic z.
+
+COLORING_BUDGET bounds the 3^d pairs (U, S) times the distinct edges tested
+at each; HEADING_BUDGET bounds the product of the edge sizes, the largest tie
+family's (U = S = all nodes).  Both are read before any work, and each DP
+runs once per Hypergraph, which caches its table.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Iterator, Sequence
+from functools import cache, cached_property
+from math import comb, prod
+from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InputFormatError
 from .polynomial import Polynomial, interpolate
-from .setfn import SetFn
+from .setfn import SetFn, check_ground_set
 
 HEADING_BUDGET = 10 ** 7
 COLORING_BUDGET = 10 ** 7
@@ -59,10 +64,22 @@ class Hypergraph:
 
     @property
     def heading_space(self) -> int:
-        n = 1
-        for e in self.edges:
-            n *= len(e)
-        return n
+        return prod(len(e) for e in self.edges)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """The edges as bitmasks, bit v - 1 standing for node v."""
+        return tuple(sum(1 << (i - 1) for i in e) for e in self.edges)
+
+    @cached_property
+    def _proper_partitions(self) -> tuple[int, ...]:
+        return _ordered_partitions(self, lambda ties: int(not ties))
+
+    @cached_property
+    def _compatible_partitions(self) -> tuple[int, ...]:
+        _check_heading_budget(self)
+        return _ordered_partitions(
+            self, cache(lambda ties: sum(1 for _ in _acyclic_heads(tuple(ties)))))
 
 
 def check_heading(h: Hypergraph, heads: Sequence[int]) -> None:
@@ -75,8 +92,8 @@ def check_heading(h: Hypergraph, heads: Sequence[int]) -> None:
 
 def hypergraphic_setfn(h: Hypergraph) -> SetFn:
     """z(T) = number of edges meeting T, counted with multiplicity."""
-    masks = [sum(1 << (i - 1) for i in e) for e in h.edges]
-    values = tuple(Fraction(sum(1 for em in masks if em & mask))
+    check_ground_set(h.d)
+    values = tuple(Fraction(sum(1 for em in h.masks if em & mask))
                    for mask in range(1 << h.d))
     return SetFn(h.d, values)
 
@@ -90,22 +107,21 @@ def indegree_vector(h: Hypergraph, heads: Sequence[int]) -> tuple[int, ...]:
     return tuple(delta)
 
 
-def _acyclic_heads(h: Hypergraph,
-                   choices: Sequence[Sequence[int]]) -> Iterator[tuple[int, ...]]:
-    """Acyclic headings whose edge i takes its head from `choices[i]`, in
-    lexicographic order when each list is sorted.
+def _acyclic_heads(masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Acyclic headings of the edges with node bitmasks `masks`, heads tried
+    in increasing node order, so the head tuples come lexicographically.
 
     Depth first on an explicit stack, as a recursion would be as deep as the
     edge list is long.  reach[i][v] is the bitmask of the nodes that node
     v + 1 reaches under the first i heads, itself included; heading edge i at
     `head` closes a cycle exactly when `head` reaches another node of the edge.
     """
-    if not choices:
+    if not masks:
         yield ()
         return
-    masks = [sum(1 << (i - 1) for i in e) for e in h.edges]
-    heads = [0] * len(choices)
-    reach = [[1 << v for v in range(h.d)]] + [None] * len(choices)
+    choices = [[v + 1 for v in range(e.bit_length()) if e >> v & 1] for e in masks]
+    heads = [0] * len(masks)
+    reach = [[1 << v for v in range(max(masks).bit_length())]] + [None] * len(masks)
     stack = [(0, head) for head in reversed(choices[0])]
     while stack:
         i, head = stack.pop()
@@ -114,7 +130,7 @@ def _acyclic_heads(h: Hypergraph,
         if down & others:
             continue
         heads[i] = head
-        if i + 1 == len(choices):
+        if i + 1 == len(masks):
             yield tuple(heads)
             continue
         # a node that reaches a tail of the new arcs now reaches all `head` does
@@ -122,12 +138,16 @@ def _acyclic_heads(h: Hypergraph,
         stack.extend((i + 1, nxt) for nxt in reversed(choices[i + 1]))
 
 
-def acyclic_headings(h: Hypergraph) -> list[tuple[int, ...]]:
-    """All acyclic headings, lexicographic in the per-edge head tuples."""
+def _check_heading_budget(h: Hypergraph) -> None:
     if h.heading_space > HEADING_BUDGET:
         raise BudgetExceededError(
             f"{h.heading_space} headings exceed the budget of {HEADING_BUDGET}")
-    return list(_acyclic_heads(h, [sorted(e) for e in h.edges]))
+
+
+def acyclic_headings(h: Hypergraph) -> list[tuple[int, ...]]:
+    """All acyclic headings, lexicographic in the per-edge head tuples."""
+    _check_heading_budget(h)
+    return list(_acyclic_heads(h.masks))
 
 
 def vertices_via_headings(h: Hypergraph,
@@ -139,42 +159,36 @@ def vertices_via_headings(h: Hypergraph,
     return {indegree_vector(h, s) for s in acyclic}
 
 
-def _color_class_counts(h: Hypergraph) -> list[int]:
-    """c[j] for j = 0..d: ordered partitions (S_1, ..., S_j) of the nodes into
-    nonempty blocks, S_1 the top color, such that every edge meets the first
-    block it touches in exactly one node.
-
-    The DP peels blocks from the top: a block S may be taken from the
-    uncolored set U when every edge inside U meets S in at most one node.  It
-    visits each of the 3^d pairs S <= U once and tests at most every distinct
-    edge at each, so COLORING_BUDGET bounds 3^d times the number of distinct
-    edges (at least 1) before any work.
-    """
-    # duplicate edges constrain alike and singletons never tie
-    masks = {sum(1 << (i - 1) for i in e) for e in h.edges if len(e) > 1}
-    steps = 3 ** h.d * max(1, len(masks))
-    if steps > COLORING_BUDGET:
+def _ordered_partitions(h: Hypergraph,
+                        weight: Callable[[frozenset[int]], int]) -> tuple[int, ...]:
+    """c[j] for j = 0..d: over the ordered partitions into j blocks, top color
+    first, the sum of the products of the blocks' weights.  A block's tie
+    family is passed as the set of its ties: two edges that tie alike
+    take one head, or they close a 2-cycle, so repeats change no count."""
+    tested = {mask for mask in h.masks if mask & (mask - 1)}
+    if 3 ** h.d * max(1, len(tested)) > COLORING_BUDGET:
         raise BudgetExceededError(
-            f"3^{h.d} subset pairs times {len(masks)} distinct edges exceed "
+            f"3^{h.d} subset pairs times {len(tested)} distinct edges exceed "
             f"the coloring budget of {COLORING_BUDGET}")
     full = (1 << h.d) - 1
     partitions = [[0] * (h.d + 1) for _ in range(full + 1)]
     partitions[0][0] = 1
     for uncolored in range(1, full + 1):
-        inside = [e for e in masks if e & uncolored == e]
+        inside = [e for e in tested if e & uncolored == e]
         row = partitions[uncolored]
         block = uncolored
         while block:
-            if all((e & block) & ((e & block) - 1) == 0 for e in inside):
+            w = weight(frozenset(t for e in inside if (t := e & block) & (t - 1)))
+            if w:
                 rest = partitions[uncolored ^ block]
-                for j, n in enumerate(rest[:-1]):
-                    row[j + 1] += n
+                for j, count in enumerate(rest[:-1]):
+                    row[j + 1] += w * count
             block = (block - 1) & uncolored
-    return partitions[full]
+    return tuple(partitions[full])
 
 
-def _colorings_from_classes(counts: Sequence[int], m: int) -> int:
-    """sum_j c[j] * binom(m, j): each j-class partition takes j of m colors."""
+def _binomial_sum(counts: Sequence[int], m: int) -> int:
+    """sum_j c[j] * binom(m, j): each j-block partition takes j of m colors."""
     return sum(n * comb(m, j) for j, n in enumerate(counts))
 
 
@@ -182,45 +196,23 @@ def chromatic_count(h: Hypergraph, m: int) -> int:
     """Number of proper colorings with colors drawn from {1, ..., m}."""
     if m < 1:
         raise ValueError("m must be positive")
-    return _colorings_from_classes(_color_class_counts(h), m)
+    return _binomial_sum(h._proper_partitions, m)
 
 
 def chromatic_polynomial(h: Hypergraph) -> Polynomial:
     """sum_j c[j] * binom(m, j) in the monomial basis, exactly.
 
-    The DP runs once; `interpolate` only changes basis, through the d + 1
-    values of that sum at m = 0..d, so no coloring is counted per m."""
-    counts = _color_class_counts(h)
-    return interpolate([(m, _colorings_from_classes(counts, m))
+    `interpolate` only changes basis, through the d + 1 values of that sum
+    at m = 0..d, so no coloring is counted per m."""
+    return interpolate([(m, _binomial_sum(h._proper_partitions, m))
                         for m in range(h.d + 1)])
 
 
 def compatible_pairs_count(h: Hypergraph, m: int) -> int:
-    """Pairs of an acyclic heading and an m-coloring that are compatible.
-
-    Per coloring only the max-colored head choices are grown into acyclic
-    headings; the coloring grid observes the coloring budget and each
-    per-coloring heading product the heading budget.
-    """
+    """Pairs of an acyclic heading and an m-coloring that are compatible."""
     if m < 1:
         raise ValueError("m must be positive")
-    if m ** h.d > COLORING_BUDGET:
-        raise BudgetExceededError(
-            f"{m}^{h.d} colorings exceed the budget of {COLORING_BUDGET}")
-    total = 0
-    for colors in itertools.product(range(1, m + 1), repeat=h.d):
-        per_edge = []
-        space = 1
-        for e in h.edges:
-            mx = max(colors[i - 1] for i in e)
-            choice = [i for i in sorted(e) if colors[i - 1] == mx]
-            per_edge.append(choice)
-            space *= len(choice)
-        if space > HEADING_BUDGET:
-            raise BudgetExceededError(
-                f"{space} candidate headings exceed the budget of {HEADING_BUDGET}")
-        total += sum(1 for _ in _acyclic_heads(h, per_edge))
-    return total
+    return _binomial_sum(h._compatible_partitions, m)
 
 
 def hypergraph_to_json(h: Hypergraph, names: Sequence[str] | None = None) -> dict:

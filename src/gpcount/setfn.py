@@ -25,8 +25,7 @@ class SetFn:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not 1 <= self.d <= MAX_GROUND_SET:
-            raise ValueError(f"ground-set size must be in 1..{MAX_GROUND_SET}, got {self.d}")
+        check_ground_set(self.d)
         values = tuple(Fraction(v) for v in self.values)
         if len(values) != 1 << self.d:
             raise ValueError(f"need {1 << self.d} values, got {len(values)}")
@@ -58,6 +57,12 @@ class SetFn:
                     if v[mask | bi] + v[mask | bj] < v[mask | bi | bj] + v[mask]:
                         return False
         return True
+
+
+def check_ground_set(d: int) -> None:
+    """Reject a ground-set size outside 1..MAX_GROUND_SET."""
+    if not 1 <= d <= MAX_GROUND_SET:
+        raise ValueError(f"ground-set size must be in 1..{MAX_GROUND_SET}, got {d}")
 
 
 def standard_perm_setfn(d: int) -> SetFn:

@@ -27,17 +27,18 @@ def submodular_by_definition(z) -> bool:
 
 def has_cycle_by_definition(h, heads) -> bool:
     """Search for a cyclic sequence of distinct edges straight from the
-    definition: the head of each edge is a non-head node of the next."""
-    indices = range(len(h.edges))
-    for length in range(1, len(h.edges) + 1):
-        for seq in itertools.permutations(indices, length):
-            if all(
-                heads[seq[p]] in h.edges[seq[(p + 1) % length]]
-                and heads[seq[p]] != heads[seq[(p + 1) % length]]
-                for p in range(length)
-            ):
-                return True
-    return False
+    definition: the head of each edge is a non-head node of the next.  A
+    sequence is extended one edge at a time, only while each edge links to
+    the next, and closes when its last edge links back to its first."""
+    def links(p, q):
+        return heads[p] in h.edges[q] and heads[p] != heads[q]
+
+    def closes(seq):
+        return links(seq[-1], seq[0]) or any(
+            closes(seq + (q,)) for q in range(len(h.edges))
+            if q not in seq and links(seq[-1], q))
+
+    return any(closes((p,)) for p in range(len(h.edges)))
 
 
 def brute_acyclic_headings(h) -> list:

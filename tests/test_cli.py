@@ -241,6 +241,18 @@ def test_pruned_overlapping_cones_exit_2(inputs, capsys):
     assert err.startswith("error:") and "strictly inside" in err
 
 
+def test_hg_reciprocity_forty_nodes_exit_2(inputs):
+    # the node count is checked before the 2^d set-function table is built
+    names = [f"v{i}" for i in range(40)]
+    path = inputs["dir"] / "hg40.json"
+    path.write_text(json.dumps({"nodes": names, "edges": [names[i:i + 2] for i in range(39)]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gpcount", "hg-reciprocity", "--hg", str(path)],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: ground-set size must be in 1..8, got 40\n"
+
+
 def test_hg_chromatic_eight_nodes(inputs, capsys):
     doc = {"nodes": list("abcdefgh"),
            "edges": [["a", "b", "c"], ["c", "d"], ["d", "e", "f", "g"], ["g", "h"],

@@ -223,6 +223,8 @@ def test_coloring_dp_matches_scan(h):
         count = brute_chromatic_count(h, m)
         assert chromatic_count(h, m) == count
         assert p(m) == count
+    for m in (1, 2, 3):
+        assert compatible_pairs_count(h, m) == brute_compatible_pairs(h, m)
 
 
 @st.composite
@@ -275,15 +277,21 @@ def test_compatible_pairs_match_scan():
 
 
 def test_compatible_pairs_budgets(monkeypatch):
-    # the m^d coloring grid is held to the coloring budget, and each
-    # coloring's candidate headings to the heading budget
-    monkeypatch.setattr(hypergraph, "HEADING_BUDGET", 1)
-    monkeypatch.setattr(hypergraph, "COLORING_BUDGET", 99)
+    # the coloring budget bounds the DP's 3^d pairs times its distinct edges,
+    # whatever m is, and the heading budget the product of the edge sizes,
+    # the tie family of the one-block partition; fresh hypergraphs, as each
+    # caches its table
+    assert compatible_pairs_count(hg(2), 10 ** 4) == 10 ** 8
+    monkeypatch.setattr(hypergraph, "COLORING_BUDGET", 3 ** 3 * 3 - 1)
     with pytest.raises(BudgetExceededError):
-        compatible_pairs_count(hg(2), 10)
-    assert compatible_pairs_count(hg(2), 9) == 81
+        compatible_pairs_count(Hypergraph(3, RUNNING.edges), 1)
+    monkeypatch.setattr(hypergraph, "COLORING_BUDGET", 3 ** 3 * 3)
+    monkeypatch.setattr(hypergraph, "HEADING_BUDGET", RUNNING.heading_space - 1)
     with pytest.raises(BudgetExceededError):
-        compatible_pairs_count(hg(2, {1, 2}), 1)  # two heads tie at color 1
+        compatible_pairs_count(Hypergraph(3, RUNNING.edges), 1)
+    monkeypatch.setattr(hypergraph, "HEADING_BUDGET", RUNNING.heading_space)
+    assert compatible_pairs_count(Hypergraph(3, RUNNING.edges), 10) == \
+        brute_compatible_pairs(RUNNING, 10)
 
 
 def test_reciprocity_identities():
