@@ -3,14 +3,16 @@ intersections with complete fans.
 
 A polytope is a halfspace description (rows may be non-strict, strict, or
 equalities) together with a trusted integer bounding box at dilation 1; the
-t-th dilate keeps every normal vector and scales the right-hand sides by t,
-and counting scans only the dilated box.  Rows are rescaled to integer
-coefficients once per polytope, on first use.  On integer points the t-th
-dilate is then one integer system of `a . x <= b` rows: a strict row lowers
-its bound by one and an equality becomes two opposite rows.  Rows involving a
-single coordinate are folded into the axis ranges, so boxes and simplices are
-scanned without slack.  A scan of more than `SCAN_BUDGET` box points is
-refused before it starts.
+t-th dilate keeps every normal vector and scales the right-hand sides by t.
+Rows are rescaled to integer coefficients once per polytope, on first use.
+On integer points the t-th dilate is then one integer system of
+`a . x <= b` rows: a strict row lowers its bound by one and an equality
+becomes two opposite rows.  Rows involving a single coordinate are folded
+into the axis ranges.  Counting then scans only the first d - 1 coordinates
+of the folded box: over each such prefix every row bounds the last
+coordinate, so the points over it form one integer interval, read off by
+floor division (Beck-Robins, *Computing the Continuous Discretely*).  A scan
+of more than `SCAN_BUDGET` prefixes is refused before it starts.
 
 A full-dimensional fan is a list of closed cones (homogeneous non-strict
 rows), compiled to integer rows once per fan, on first use.  The
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor, gcd, lcm, prod
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, IncompleteFanError, InputFormatError
@@ -180,7 +183,18 @@ def _dilate_frame(poly: HPolytope, t: int):
     return [tuple(r) for r in ranges], rest
 
 
-def _lattice_points(poly: HPolytope, t: int) -> Iterator[tuple[int, ...]]:
+def _intervals(poly: HPolytope, t: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """The integer points of the t-dilate as runs along the last coordinate:
+    `(prefix, lo, hi)` for each prefix `(x_1..x_{d-1})` of the folded ranges,
+    in lexicographic order, whose points `prefix + (x_d,)` with
+    `lo <= x_d <= hi` are exactly the dilate's points over that prefix.
+    Prefixes over which the dilate is empty are skipped.
+
+    Each row `a . x <= bound` of `_dilate_frame` leaves
+    `a_d x_d <= rest = bound - a[:-1] . prefix`, which lowers `hi` to
+    `floor(rest / a_d)` when `a_d > 0`, raises `lo` to `ceil(rest / a_d)`
+    when `a_d < 0`, and empties the prefix when `a_d = 0` and `rest < 0`.
+    A scan of more than `SCAN_BUDGET` prefixes is refused before it starts."""
     if t < 1:
         raise ValueError("dilation must be a positive integer")
     if poly.bbox is None:
@@ -188,25 +202,39 @@ def _lattice_points(poly: HPolytope, t: int) -> Iterator[tuple[int, ...]]:
     ranges, rows = _dilate_frame(poly, t)
     if ranges is None:
         return
-    size = prod(hi - lo + 1 for lo, hi in ranges)
+    *head, (first, last) = ranges
+    size = prod(hi - lo + 1 for lo, hi in head)
     if size > SCAN_BUDGET:
         raise BudgetExceededError(
-            f"scanning {size} box points at t={t} exceeds the budget of {SCAN_BUDGET}")
-    for x in itertools.product(*[range(lo, hi + 1) for lo, hi in ranges]):
-        for a, bound in rows:
-            s = 0
-            for c, xi in zip(a, x):
-                if c:
-                    s += c * xi
-            if s > bound:
+            f"scanning {size} prefixes of the last coordinate at t={t} "
+            f"exceeds the budget of {SCAN_BUDGET}")
+    rows = [(a[:-1], a[-1], bound) for a, bound in rows]
+    for prefix in itertools.product(*[range(lo, hi + 1) for lo, hi in head]):
+        lo, hi = first, last
+        for a, c, bound in rows:
+            rest = bound - sum(map(mul, a, prefix))
+            if c > 0:
+                hi = min(hi, rest // c)
+            elif c < 0:
+                lo = max(lo, -(rest // -c))
+            elif rest < 0:
+                break
+            if lo > hi:
                 break
         else:
-            yield x
+            yield prefix, lo, hi
+
+
+def _lattice_points(poly: HPolytope, t: int) -> Iterator[tuple[int, ...]]:
+    """The integer points of the t-dilate in lexicographic order."""
+    for prefix, lo, hi in _intervals(poly, t):
+        for x_d in range(lo, hi + 1):
+            yield prefix + (x_d,)
 
 
 def count_lattice(poly: HPolytope, t: int) -> int:
     """Number of integer points in the t-th dilate."""
-    return sum(1 for _ in _lattice_points(poly, t))
+    return sum(hi - lo + 1 for _prefix, lo, hi in _intervals(poly, t))
 
 
 def ehrhart_quasipoly(poly: HPolytope, degree: int, period: int) -> QuasiPolynomial:

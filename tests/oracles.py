@@ -181,10 +181,6 @@ def brute_lattice_points(poly, t: int):
             yield x
 
 
-def brute_count_lattice(poly, t: int) -> int:
-    return sum(1 for _ in brute_lattice_points(poly, t))
-
-
 def brute_multiplicity(fan, x) -> int:
     """Number of cones whose Fraction rows `a . x <= 0` all hold at x, read
     from `cone.rows` without the library's integer compilation."""

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from gpcount.errors import (
 from gpcount.ehrhart import (
     FullDimFan,
     HPolytope,
+    _lattice_points,
     box,
     count_lattice,
     cumulative_pruned_count,
@@ -38,7 +40,7 @@ from gpcount.generators import (
 from gpcount.permutahedron import GPerm
 from gpcount.polynomial import interpolate_quasipoly
 from gpcount.setfn import standard_perm_setfn
-from oracles import brute_count_lattice, brute_lattice_points, brute_multiplicity
+from oracles import brute_lattice_points, brute_multiplicity
 
 SQUARE = unit_cube(2)
 SEGMENT_HALF = box([(0, Fraction(1, 2))])
@@ -54,7 +56,7 @@ OVERLAPPING = FullDimFan((
     HPolytope(2, (), None),
     HPolytope(2, (((-1, 0), "<=", 0),), None),
 ))
-# one diagonal row, so nothing folds: (10^5 + 1)^3 box points at t = 1
+# one diagonal row, so nothing folds: (10^5 + 1)^2 prefixes at t = 1
 HUGE_SIMPLEX = HPolytope(3, (((1, 1, 1), "<=", 300000),), ((0, 10 ** 5),) * 3)
 
 
@@ -110,17 +112,21 @@ def test_count_lattice_point():
         count_lattice(HPolytope(1, (((1,), "<=", 1),), None), 1)
 
 
-def random_hpolytope(rng):
-    """Up to 5 rows over d <= 3, each `<=`, `<` or `=`, with zero,
-    single-coordinate or multi-coordinate Fraction coefficients of both
-    signs; each bound passes near an integer point of the box, so `=` rows
-    are not always empty."""
-    d = rng.randint(1, 3)
-    bbox = tuple(sorted((rng.randint(-2, 2), rng.randint(-2, 2))) for _ in range(d))
+def random_hpolytope(rng, d=None):
+    """Up to 5 rows over d <= 3 (or the given d), each `<=`, `<` or `=`, with
+    zero, single-coordinate, multi-coordinate or all-but-last-coordinate
+    Fraction coefficients of both signs; each bound passes near an integer
+    point of the box, so `=` rows are not always empty.  Boxes in d = 4 have
+    sides of at most 2, so the oracle scan stays small."""
+    d = rng.randint(1, 3) if d is None else d
+    side = 2 if d < 4 else 1
+    bbox = tuple(sorted((rng.randint(-side, side), rng.randint(-side, side)))
+                 for _ in range(d))
     point = [rng.randint(lo, hi) for lo, hi in bbox]
     rows = []
     for _ in range(rng.randint(1, 5)):
-        support = rng.choice([[], [rng.randrange(d)], [rng.randrange(d)], range(d), range(d)])
+        support = rng.choice([[], [rng.randrange(d)], [rng.randrange(d)], range(d), range(d),
+                              range(d - 1)])
         a = [Fraction(0)] * d
         for i in support:
             a[i] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
@@ -130,16 +136,44 @@ def random_hpolytope(rng):
     return HPolytope(d, tuple(rows), bbox)
 
 
+def last_coordinate_cases(poly):
+    """Which kinds of row the interval scan reads `x_d` from: rows in two
+    coordinates or more (single-coordinate rows fold into the box), keyed by
+    the sign of the integer coefficient of `x_d`, by `=`, and by a strict row
+    whose `x_d` coefficient is not +-1 (so its floor division rounds)."""
+    cases = set()
+    for a, rel, _b in poly.int_rows:
+        if sum(1 for c in a if c) < 2:
+            continue
+        c = a[-1]
+        cases.add("zero" if c == 0 else "positive" if c > 0 else "negative")
+        if rel == "=" and c:
+            cases.add("equality")
+        if rel == "<" and abs(c) > 1:
+            cases.add("strict, |c| > 1")
+    return cases
+
+
 def test_count_lattice_against_brute_force():
     rng = random.Random(53)
     polys = [(random_rational_box(rng) if rng.random() < 0.5
               else random_rational_simplex(rng))[0] for _ in range(12)]
     polys += [random_hpolytope(rng) for _ in range(60)]
+    polys += [random_hpolytope(rng, 4) for _ in range(12)]
+    cases, dims = set(), set()
     for poly in polys:
-        for t in range(1, 4):
-            assert count_lattice(poly, t) == brute_count_lattice(poly, t)
-            open_poly = poly.interior()
-            assert count_lattice(open_poly, t) == brute_count_lattice(open_poly, t)
+        dims.add(poly.d)
+        for P in (poly, poly.interior()):
+            cases |= last_coordinate_cases(P)
+            for t in range(1, 5):
+                points = list(brute_lattice_points(P, t))
+                assert count_lattice(P, t) == len(points)
+                assert list(_lattice_points(P, t)) == points
+                if not points:
+                    cases.add("empty")
+    # the draws reach every branch of the interval scan
+    assert dims == {1, 2, 3, 4}
+    assert cases == {"zero", "positive", "negative", "equality", "strict, |c| > 1", "empty"}
 
 
 def test_ehrhart_quasipoly():
@@ -267,9 +301,14 @@ def test_incomplete_fan():
 
 def test_overlapping_cones_rejected():
     assert multiplicity(OVERLAPPING, (1, 0)) == 2
-    with pytest.raises(IncompleteFanError, match="strictly inside"):
+    # the pruned counts visit points in lexicographic order, so the error
+    # names the first offending point: (1, 1) is the only point of the open
+    # 2-dilate, and (0, 0), (0, 1) lie on x1 = 0, strictly inside one cone
+    with pytest.raises(IncompleteFanError,
+                       match=re.escape("point (1, 1) lies strictly inside 2 cones")):
         inner_pruned_count(SQUARE.interior(), OVERLAPPING, 2)
-    with pytest.raises(IncompleteFanError, match="strictly inside"):
+    with pytest.raises(IncompleteFanError,
+                       match=re.escape("point (1, 0) lies strictly inside 2 cones")):
         cumulative_pruned_count(SQUARE, OVERLAPPING, 1)
 
 
@@ -301,9 +340,11 @@ def test_scan_budget(monkeypatch):
     # single-coordinate rows fold into the ranges before the budget applies
     folded = HUGE_SIMPLEX.with_rows([(a, "<=", 1) for a, _rel, _b in unit_cube(3).rows[1::2]])
     assert count_lattice(folded, 1) == 8
-    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 27)
-    assert count_lattice(unit_cube(3), 2) == 27
-    with pytest.raises(BudgetExceededError):
+    # the budget bounds the prefixes (x1, x2) of the last coordinate: 16 at t = 3
+    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 16)
+    assert count_lattice(unit_cube(3), 3) == 64
+    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 15)
+    with pytest.raises(BudgetExceededError, match="16 prefixes of the last coordinate"):
         count_lattice(unit_cube(3), 3)
 
 

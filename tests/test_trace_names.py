@@ -1,14 +1,18 @@
 """The benchmark's tracer (`perfbench/spans.py`) wraps library functions by
 name and raises when one is missing, or when a workload never calls one it
-requires.  Installing it here, and running the tiny traced hypergraph pass,
-makes deleting, renaming or no longer calling a traced name fail this suite,
-not only the benchmark's smoke test.
+requires.  Installing it here, and running the tiny traced hypergraph and
+dilation passes, makes deleting, renaming or no longer calling a traced name
+fail this suite, not only the benchmark's smoke test.  Every report of
+those passes must also pass the benchmark's own checks.
 """
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from gpcount import hypergraph
 
@@ -30,9 +34,12 @@ def test_benchmark_tracer_finds_every_traced_name():
     assert hypergraph.acyclic_headings is original
 
 
-def test_tiny_traced_hypergraph_pass_fires_every_required_span():
+@pytest.mark.parametrize("workload", ["hypergraph", "dilation"])
+def test_tiny_traced_pass_fires_every_required_span(workload):
     done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "hypergraph",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "7", "--seconds", "1", "--trace", "1", "--tiny"],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["failed"] == 0 and result["attempted"] > 0, done.stdout
