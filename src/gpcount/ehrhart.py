@@ -11,17 +11,18 @@ becomes two opposite rows.  Rows involving a single coordinate are folded
 into the axis ranges.  Counting then scans only the first d - 1 coordinates
 of the folded box: over each such prefix every row bounds the last
 coordinate, so the points over it form one integer interval, read off by
-floor division (Beck-Robins, *Computing the Continuous Discretely*).  A scan
-of more than `SCAN_BUDGET` prefixes is refused before it starts.
+floor division (Beck-Robins, *Computing the Continuous Discretely*).  A count
+scanning more than `SCAN_BUDGET` prefixes is refused before it starts.
 
 A full-dimensional fan is a list of closed cones (homogeneous non-strict
 rows), compiled to integer rows once per fan, on first use.  The
 multiplicity of a point is the number of closed cones containing it; one scan
-of the dilate gives the histogram of multiplicities, from which the inner
-pruned count takes the points of multiplicity exactly one and the cumulative
-pruned count the sum of multiplicities.  A counted point in no cone, or
-strictly inside two cones, means the cones do not form a complete fan and is
-a hard error.
+of the dilate's points gives the histogram of multiplicities, from which the
+inner pruned count takes the points of multiplicity exactly one and the
+cumulative pruned count the sum of multiplicities.  That scan visits every
+point, so a folded box of more than `SCAN_BUDGET` points is refused before
+it starts.  A counted point in no cone, or strictly inside two cones, means
+the cones do not form a complete fan and is a hard error.
 """
 
 from __future__ import annotations
@@ -156,6 +157,10 @@ def _dilate_frame(poly: HPolytope, t: int):
     `-a . x <= -tb`, so the dilate is one integer `<=` system.  A row in a
     single coordinate folds into that coordinate's range by floor division,
     and a zero row empties the dilate when its bound is negative."""
+    if t < 1:
+        raise ValueError("dilation must be a positive integer")
+    if poly.bbox is None:
+        raise ValueError("counting requires a bounding box")
     rows = []
     for a, rel, b in poly.int_rows:
         tb = t * b
@@ -183,31 +188,26 @@ def _dilate_frame(poly: HPolytope, t: int):
     return [tuple(r) for r in ranges], rest
 
 
-def _intervals(poly: HPolytope, t: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """The integer points of the t-dilate as runs along the last coordinate:
-    `(prefix, lo, hi)` for each prefix `(x_1..x_{d-1})` of the folded ranges,
-    in lexicographic order, whose points `prefix + (x_d,)` with
-    `lo <= x_d <= hi` are exactly the dilate's points over that prefix.
-    Prefixes over which the dilate is empty are skipped.
-
-    Each row `a . x <= bound` of `_dilate_frame` leaves
-    `a_d x_d <= rest = bound - a[:-1] . prefix`, which lowers `hi` to
-    `floor(rest / a_d)` when `a_d > 0`, raises `lo` to `ceil(rest / a_d)`
-    when `a_d < 0`, and empties the prefix when `a_d = 0` and `rest < 0`.
-    A scan of more than `SCAN_BUDGET` prefixes is refused before it starts."""
-    if t < 1:
-        raise ValueError("dilation must be a positive integer")
-    if poly.bbox is None:
-        raise ValueError("counting requires a bounding box")
-    ranges, rows = _dilate_frame(poly, t)
-    if ranges is None:
-        return
-    *head, (first, last) = ranges
-    size = prod(hi - lo + 1 for lo, hi in head)
+def _check_budget(ranges, what: str, t: int) -> None:
+    """Refuse a scan over the product of `ranges` larger than `SCAN_BUDGET`."""
+    size = prod(hi - lo + 1 for lo, hi in ranges)
     if size > SCAN_BUDGET:
         raise BudgetExceededError(
-            f"scanning {size} prefixes of the last coordinate at t={t} "
-            f"exceeds the budget of {SCAN_BUDGET}")
+            f"scanning {size} {what} at t={t} exceeds the budget of {SCAN_BUDGET}")
+
+
+def _intervals(ranges, rows) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """The integer points of a dilate, given by its `_dilate_frame`, as runs
+    along the last coordinate: `(prefix, lo, hi)` for each prefix
+    `(x_1..x_{d-1})` of the ranges, in lexicographic order, whose points
+    `prefix + (x_d,)` with `lo <= x_d <= hi` are exactly the dilate's points
+    over that prefix.  Prefixes over which the dilate is empty are skipped.
+
+    Each row `a . x <= bound` leaves `a_d x_d <= rest = bound - a[:-1] . prefix`,
+    which lowers `hi` to `floor(rest / a_d)` when `a_d > 0`, raises `lo` to
+    `ceil(rest / a_d)` when `a_d < 0`, and empties the prefix when `a_d = 0`
+    and `rest < 0`."""
+    *head, (first, last) = ranges
     rows = [(a[:-1], a[-1], bound) for a, bound in rows]
     for prefix in itertools.product(*[range(lo, hi + 1) for lo, hi in head]):
         lo, hi = first, last
@@ -226,15 +226,27 @@ def _intervals(poly: HPolytope, t: int) -> Iterator[tuple[tuple[int, ...], int, 
 
 
 def _lattice_points(poly: HPolytope, t: int) -> Iterator[tuple[int, ...]]:
-    """The integer points of the t-dilate in lexicographic order."""
-    for prefix, lo, hi in _intervals(poly, t):
+    """The integer points of the t-dilate in lexicographic order.  Every
+    point is visited, so a folded box of more than `SCAN_BUDGET` points is
+    refused before the scan starts."""
+    ranges, rows = _dilate_frame(poly, t)
+    if ranges is None:
+        return
+    _check_budget(ranges, "box points", t)
+    for prefix, lo, hi in _intervals(ranges, rows):
         for x_d in range(lo, hi + 1):
             yield prefix + (x_d,)
 
 
 def count_lattice(poly: HPolytope, t: int) -> int:
-    """Number of integer points in the t-th dilate."""
-    return sum(hi - lo + 1 for _prefix, lo, hi in _intervals(poly, t))
+    """Number of integer points in the t-th dilate.  Only the prefixes of the
+    last coordinate are scanned, so more than `SCAN_BUDGET` of them are
+    refused before the scan starts."""
+    ranges, rows = _dilate_frame(poly, t)
+    if ranges is None:
+        return 0
+    _check_budget(ranges[:-1], "prefixes of the last coordinate", t)
+    return sum(hi - lo + 1 for _prefix, lo, hi in _intervals(ranges, rows))
 
 
 def ehrhart_quasipoly(poly: HPolytope, degree: int, period: int) -> QuasiPolynomial:

@@ -348,6 +348,32 @@ def test_scan_budget(monkeypatch):
         count_lattice(unit_cube(3), 3)
 
 
+def test_pruned_scan_budget_bounds_box_points(monkeypatch):
+    # the pruned counts visit every point, so their budget bounds the folded
+    # box even where the prefixes of the last coordinate fit: the 3-dilated
+    # cube has 16 prefixes and 64 box points
+    fan = normal_fan_of(perm_gp(3))
+    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 64)
+    assert cumulative_pruned_count(unit_cube(3), fan, 3) == 120
+    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 63)
+    with pytest.raises(BudgetExceededError, match="64 box points"):
+        cumulative_pruned_count(unit_cube(3), fan, 3)
+    # at the default budget: 1 and 2 prefixes, 10^12 + 1 and 2 (10^7 + 1) points
+    monkeypatch.undo()
+    long_segment = box([(0, 10 ** 12)])
+    line = FullDimFan((HPolytope(1, (((1,), "<=", 0),), None),
+                       HPolytope(1, (((-1,), "<=", 0),), None)))
+    assert count_lattice(long_segment, 1) == 10 ** 12 + 1
+    with pytest.raises(BudgetExceededError, match=re.escape("1000000000001 box points")):
+        inner_pruned_count(long_segment, line, 1)
+    with pytest.raises(BudgetExceededError):
+        cumulative_pruned_count(long_segment, line, 1)
+    wide = box([(0, 1), (0, 10 ** 7)])
+    assert count_lattice(wide, 1) == 2 * (10 ** 7 + 1)
+    with pytest.raises(BudgetExceededError, match="box points"):
+        inner_pruned_count(wide, WHOLE_PLANE, 1)
+
+
 def test_region_decomposition():
     # inner = sum over open regions, cumulative = sum over closed regions
     cases = [
