@@ -10,6 +10,14 @@ composition-to-face map is read off the d! chains and their cuts into
 consecutive blocks, in one pass and without any linear optimization.  Exactly
 binom(m, j) directions in [m]^d have a given composition with j blocks, so
 direction counts are sums over the compositions, never scans of [m]^d.
+
+A face's dimension is d minus the most blocks among the compositions that
+map to it, with no rank computation per face.  The normal fan of P coarsens
+the braid fan, so the normal cone of a face F, of dimension d - dim F, is the
+union of the braid cones of its compositions, and the braid cone of a
+composition with j blocks has dimension j.  `GPerm.dimension` is the affine
+rank of all vertices; the face map checks it against the block count of the
+one-block composition, whose face is P itself.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from .errors import NotSubmodularError
 from .polynomial import Polynomial, interpolate
@@ -110,7 +118,10 @@ def vertices(z: SetFn) -> tuple[RatVec, ...]:
 
 @dataclass(frozen=True)
 class Face:
-    """A face, canonicalized by its sorted vertex-index set."""
+    """A face, canonicalized by its sorted vertex-index set.  ``dim`` is d
+    minus the most blocks among the compositions whose directions it
+    maximizes: its normal cone, of dimension d - dim, is the union of their
+    braid cones, and a braid cone with j blocks has dimension j."""
 
     vertex_ids: tuple[int, ...]
     dim: int
@@ -140,7 +151,9 @@ class GPerm:
         """The face maximizing the directions of each composition.  Its
         vertices are the greedy vertices of the chains refining the
         composition, so every chain adds its vertex to each of its 2^(d-1)
-        cuts into consecutive blocks."""
+        cuts into consecutive blocks.  Each face's dimension is d minus the
+        most blocks among its compositions; the whole polytope's must equal
+        the affine rank of all vertices, or the map raises RuntimeError."""
         if self.d > FACE_ENUM_MAX_D:
             raise ValueError(
                 f"face enumeration is capped at d <= {FACE_ENUM_MAX_D}, got d = {self.d}")
@@ -148,20 +161,27 @@ class GPerm:
         cuts = [tuple(zip((0,) + c, c + (self.d,)))
                 for r in range(self.d) for c in itertools.combinations(range(1, self.d), r)]
         spans = {span for cut in cuts for span in cut}
-        members: dict[tuple[tuple[int, ...], ...], set[int]] = {}
+        # composition -> vertex-id set, then, in place, its sorted id tuple and its Face
+        members: dict[tuple[tuple[int, ...], ...], Any] = {}
         for perm in itertools.permutations(range(1, self.d + 1)):
             vid = vertex_id[greedy_vertex(self.z, perm)]
             block = {(lo, hi): tuple(sorted(perm[lo:hi])) for lo, hi in spans}
             for cut in cuts:
                 members.setdefault(tuple([block[span] for span in cut]), set()).add(vid)
-        faces: dict[tuple[int, ...], Face] = {}
-        face_of_comp = {}
+        most_blocks: dict[tuple[int, ...], int] = {}
         for key, vids in members.items():
-            ids = tuple(sorted(vids))
-            if ids not in faces:
-                faces[ids] = Face(ids, affine_rank([self.vertices[i] for i in ids]))
-            face_of_comp[key] = faces[ids]
-        return face_of_comp
+            ids = members[key] = tuple(sorted(vids))
+            if len(key) > most_blocks.get(ids, 0):
+                most_blocks[ids] = len(key)
+        faces = {ids: Face(ids, self.d - j) for ids, j in most_blocks.items()}
+        whole, rank = faces[members[(tuple(range(1, self.d + 1)),)]], self.dimension
+        if whole.dim != rank:
+            raise RuntimeError(
+                f"face dimensions disagree: the whole polytope has dimension {whole.dim} "
+                f"from its block counts but affine rank {rank}")
+        for key, ids in members.items():
+            members[key] = faces[ids]
+        return members
 
     @cached_property
     def _faces(self) -> dict[Face, None]:

@@ -143,8 +143,14 @@ def argmax_face(P, comp) -> tuple[tuple[int, ...], int]:
         for i in block:
             y[i - 1] = -level
     ids = argmax_ids(P, y)
+    return ids, face_rank(P, ids)
+
+
+def face_rank(P, ids) -> int:
+    """Dimension of the convex hull of the vertices of P with these ids: the
+    rank of their differences from the first one."""
     base = P.vertices[ids[0]]
-    return ids, _rank([[c - b for c, b in zip(P.vertices[i], base)] for i in ids])
+    return _rank([[c - b for c, b in zip(P.vertices[i], base)] for i in ids])
 
 
 def _rank(vectors) -> int:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gpcount import cli
+from gpcount import cli, permutahedron
 from gpcount.cli import run
 from gpcount.ehrhart import fan_to_json, hpolytope_to_json, unit_cube
 from gpcount.hypergraph import hypergraph_from_json
@@ -299,6 +299,16 @@ def test_internal_error_exit_3(inputs, capsys, monkeypatch):
     rc, payload, err = invoke(capsys, "faces", "--setfn", inputs["std2"])
     assert rc == 3 and payload is None
     assert err.startswith("internal error:") and err.count("\n") == 1
+
+
+def test_face_dimension_disagreement_exit_3(inputs, capsys, monkeypatch):
+    # an affine rank one too high breaks the whole-polytope check of the face map
+    true_rank = permutahedron.affine_rank
+    monkeypatch.setattr(permutahedron, "affine_rank", lambda points: true_rank(points) + 1)
+    rc, payload, err = invoke(capsys, "faces", "--setfn", inputs["std3"])
+    assert rc == 3 and payload is None
+    assert err.startswith("internal error: RuntimeError: face dimensions disagree")
+    assert "dimension 2 from its block counts but affine rank 3" in err
 
 
 def test_verify_all_deterministic(capsys):

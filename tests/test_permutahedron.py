@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gpcount import permutahedron
 from gpcount.errors import NotSubmodularError
 from gpcount.generators import random_hypergraphic_setfn
 from gpcount.hypergraph import Hypergraph, hypergraphic_setfn
@@ -19,7 +20,7 @@ from gpcount.permutahedron import (
 from gpcount.rational import ratvec
 from gpcount.report import Report
 from gpcount.setfn import SetFn, setfn_sum, standard_perm_setfn
-from oracles import argmax_face, comp_coarsens, direction_face_visits
+from oracles import argmax_face, comp_coarsens, direction_face_visits, face_rank
 
 
 def perm_gp(d):
@@ -217,6 +218,31 @@ def test_faces_match_argmax_oracle():
             assert (face.vertex_ids, face.dim) == argmax_face(P, comp)
             seen.add(face)
         assert seen == set(P.face_lattice())
+
+
+def test_face_dimensions_at_d6_match_rank_oracle():
+    # the dimensions from block counts against an independent rank of each
+    # face's vertex differences, at the dimension the benchmark runs
+    rng = random.Random(43)
+    cases = [standard_perm_setfn(6)]
+    while len(cases) < 3:
+        z = random_hypergraphic_setfn(rng, max_d=6)
+        if z.d == 6:
+            cases.append(z)
+    gperms = [GPerm(z) for z in cases]
+    assert len(gperms[0].face_lattice()) == 4683
+    for P in gperms:
+        for face in P.face_lattice():
+            assert face.dim == face_rank(P, face.vertex_ids)
+
+
+def test_face_map_checks_dimension_against_affine_rank(monkeypatch):
+    true_rank = permutahedron.affine_rank
+    monkeypatch.setattr(permutahedron, "affine_rank", lambda points: true_rank(points) + 1)
+    with pytest.raises(RuntimeError, match="face dimensions disagree"):
+        perm_gp(3).face_lattice()
+    with pytest.raises(RuntimeError, match="face dimensions disagree"):
+        point_gp(2).face_lattice()
 
 
 def test_reciprocity_rhs_examples():

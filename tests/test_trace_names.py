@@ -1,9 +1,10 @@
 """The benchmark's tracer (`perfbench/spans.py`) wraps library functions by
 name and raises when one is missing, or when a workload never calls one it
-requires.  Installing it here, and running the tiny traced hypergraph and
-dilation passes, makes deleting, renaming or no longer calling a traced name
-fail this suite, not only the benchmark's smoke test.  Every report of
-those passes must also pass the benchmark's own checks.
+requires.  Installing it here, and running the tiny traced pass of each of
+the four workloads (gperm, dilation, hypergraph, verify), makes deleting,
+renaming or no longer calling a traced name fail this suite, not only the
+benchmark's smoke test or a traced benchmark run.  Every report of those
+passes must also pass the benchmark's own checks.
 """
 
 import importlib.util
@@ -34,7 +35,7 @@ def test_benchmark_tracer_finds_every_traced_name():
     assert hypergraph.acyclic_headings is original
 
 
-@pytest.mark.parametrize("workload", ["hypergraph", "dilation"])
+@pytest.mark.parametrize("workload", ["gperm", "dilation", "hypergraph", "verify"])
 def test_tiny_traced_pass_fires_every_required_span(workload):
     done = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
