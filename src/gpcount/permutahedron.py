@@ -174,7 +174,8 @@ class GPerm:
             if len(key) > most_blocks.get(ids, 0):
                 most_blocks[ids] = len(key)
         faces = {ids: Face(ids, self.d - j) for ids, j in most_blocks.items()}
-        whole, rank = faces[members[(tuple(range(1, self.d + 1)),)]], self.dimension
+        whole = faces[members[(tuple(range(1, self.d + 1)),)]]
+        rank = self.dimension
         if whole.dim != rank:
             raise RuntimeError(
                 f"face dimensions disagree: the whole polytope has dimension {whole.dim} "
