@@ -1,15 +1,28 @@
 """Generalized permutahedra realized from submodular set functions.
 
-A polytope is materialized as the deduplicated set of greedy vertices, one per
-chain of the ground set.  Faces are indexed by ordered set compositions:
-every linear direction selects the face where it is maximized, and two
-directions with the same level-set composition C select the same face, the
-product of the minors of z along C.  Its vertices are exactly the greedy
-vertices of the chains that list the blocks of C in order, so the whole
-composition-to-face map is read off the d! chains and their cuts into
-consecutive blocks, in one pass and without any linear optimization.  Exactly
-binom(m, j) directions in [m]^d have a given composition with j blocks, so
-direction counts are sums over the compositions, never scans of [m]^d.
+Everything below runs on integers.  z is scaled once by the lcm L of its
+denominators.  A chain {i_1} < {i_1, i_2} < ... of the ground set gives its
+prefix masks and its greedy vertex, coordinate i_j getting the marginal value
+of i_j on the prefix before it; `vertices(z)` is the sorted set of these
+vertices divided by L.
+
+A linear direction y is maximized on the face of the points tight on every
+upper level set of y: x(S) = z(S) for each S in the flag of y.  So a face is
+an intersection of tight sets.  ``tight[S]`` is the bitmask of the vertex ids
+whose chain passes through S, and the face of y is the AND of ``tight`` over
+the prefixes of its level-set composition (its blocks of equal value, largest
+value first).  Its vertices are the greedy vertices of the chains that refine
+the composition, and no linear optimization is needed.
+
+The whole composition-to-face map is a DP over chains of subsets.  Prefix
+sets A are taken in increasing numeric order, each with counts of
+(face mask, #blocks) states, and extending A by a nonempty block B outside it
+ANDs in ``tight[A | B]``.  At the full set each face mask holds its
+compositions counted by number of blocks.  Exactly binom(m, j) directions in
+[m]^d have a given composition with j blocks, so direction counts are sums
+over these histograms, never scans of [m]^d.  With a[k][j] the number of
+compositions with j blocks whose face has dimension k,
+chi_count(k, m) = sum_j a[k][j] * binom(m, j).
 
 A face's dimension is d minus the most blocks among the compositions that
 map to it, with no rank computation per face.  The normal fan of P coarsens
@@ -23,17 +36,18 @@ one-block composition, whose face is P itself.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from math import comb
-from typing import Any, Iterator, Sequence
+from math import comb, lcm
+from operator import mul
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NotSubmodularError
 from .polynomial import Polynomial, interpolate
 from .rational import RatVec, affine_rank, format_rat
 from .report import Report
-from .setfn import SetFn, greedy_vertex
+from .setfn import SetFn
 
 FACE_ENUM_MAX_D = 6
 
@@ -108,30 +122,85 @@ def compositions(d: int) -> Iterator[Composition]:
         yield Composition(blocks)
 
 
+def _scaled(z: SetFn) -> tuple[int, list[int]]:
+    """The lcm L of the denominators of z, and the integer values L * z."""
+    scale = lcm(*(v.denominator for v in z.values))
+    return scale, [v.numerator * (scale // v.denominator) for v in z.values]
+
+
+def _greedy_chains(d: int, values: Sequence[int]) -> Iterator[tuple[list[int], tuple[int, ...]]]:
+    """Each chain's prefix masks and greedy vertex under the integer values."""
+    for perm in itertools.permutations(range(d)):
+        coords = [0] * d
+        prefixes = []
+        mask = 0
+        for i in perm:
+            prev = values[mask]
+            mask |= 1 << i
+            coords[i] = values[mask] - prev
+            prefixes.append(mask)
+        yield prefixes, tuple(coords)
+
+
 def vertices(z: SetFn) -> tuple[RatVec, ...]:
     """Greedy vertices over all chains, deduplicated and sorted lexicographically."""
     if not z.is_submodular:
         raise NotSubmodularError("set function is not submodular")
-    seen = {greedy_vertex(z, perm) for perm in itertools.permutations(range(1, z.d + 1))}
-    return tuple(sorted(seen))
+    scale, values = _scaled(z)
+    distinct = {v for _, v in _greedy_chains(z.d, values)}
+    return tuple(tuple(Fraction(c, scale) for c in v) for v in sorted(distinct))
+
+
+def _level_prefixes(y: Sequence) -> list[int]:
+    """Masks of the upper level sets of y, from the largest value down."""
+    levels: dict = {}
+    for i, v in enumerate(y):
+        levels[v] = levels.get(v, 0) | 1 << i
+    prefixes = []
+    mask = 0
+    for v in sorted(levels, reverse=True):
+        mask |= levels[v]
+        prefixes.append(mask)
+    return prefixes
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(ids)
 
 
 @dataclass(frozen=True)
 class Face:
-    """A face, canonicalized by its sorted vertex-index set.  ``dim`` is d
-    minus the most blocks among the compositions whose directions it
-    maximizes: its normal cone, of dimension d - dim, is the union of their
-    braid cones, and a braid cone with j blocks has dimension j."""
+    """A face, canonicalized by its sorted vertex-index set: the vertices
+    tight on every prefix of any composition whose directions it maximizes,
+    the AND of ``tight`` over those prefixes.  ``dim`` is d minus the most
+    blocks among these compositions: its normal cone, of dimension d - dim,
+    is the union of their braid cones, and a braid cone with j blocks has
+    dimension j."""
 
     vertex_ids: tuple[int, ...]
     dim: int
 
 
-class GPerm:
-    """A generalized permutahedron; its face lattice is built on first use.
+class _FaceMap(NamedTuple):
+    tight: list[int]                # subset mask -> mask of the vertex ids tight on it
+    faces: dict[int, Face]          # vertex-id mask -> face
+    blocks: dict[Face, list[int]]   # face -> its compositions by number of blocks
 
-    Construction and the lattice build are single-threaded; once the lattice
-    is built all queries are read-only.
+
+class GPerm:
+    """A generalized permutahedron; its face map is built on first use.
+
+    Vertex ids index the sorted ``vertices``.  The face map holds
+    ``tight[S]``, the vertex ids whose chain passes through S, and for each
+    face its compositions counted by number of blocks j (index j); summed
+    over the faces of dimension k these give the table a[k][j] that
+    `chi_count` weights by binom(m, j).  Construction and the map build are
+    single-threaded; once the map is built all queries are read-only.
     """
 
     def __init__(self, z: SetFn):
@@ -147,76 +216,105 @@ class GPerm:
         return affine_rank(self.vertices)
 
     @cached_property
-    def _face_of_comp(self) -> dict[tuple[tuple[int, ...], ...], Face]:
-        """The face maximizing the directions of each composition.  Its
-        vertices are the greedy vertices of the chains refining the
-        composition, so every chain adds its vertex to each of its 2^(d-1)
-        cuts into consecutive blocks.  Each face's dimension is d minus the
-        most blocks among its compositions; the whole polytope's must equal
-        the affine rank of all vertices, or the map raises RuntimeError."""
-        if self.d > FACE_ENUM_MAX_D:
+    def _face_map(self) -> _FaceMap:
+        """The tight sets and the flag DP over them.  The whole polytope's
+        dimension from its block counts must equal the affine rank of all
+        vertices, or the map raises RuntimeError."""
+        d = self.d
+        if d > FACE_ENUM_MAX_D:
             raise ValueError(
-                f"face enumeration is capped at d <= {FACE_ENUM_MAX_D}, got d = {self.d}")
-        vertex_id = {v: i for i, v in enumerate(self.vertices)}
-        cuts = [tuple(zip((0,) + c, c + (self.d,)))
-                for r in range(self.d) for c in itertools.combinations(range(1, self.d), r)]
-        spans = {span for cut in cuts for span in cut}
-        # composition -> vertex-id set, then, in place, its sorted id tuple and its Face
-        members: dict[tuple[tuple[int, ...], ...], Any] = {}
-        for perm in itertools.permutations(range(1, self.d + 1)):
-            vid = vertex_id[greedy_vertex(self.z, perm)]
-            block = {(lo, hi): tuple(sorted(perm[lo:hi])) for lo, hi in spans}
-            for cut in cuts:
-                members.setdefault(tuple([block[span] for span in cut]), set()).add(vid)
-        most_blocks: dict[tuple[int, ...], int] = {}
-        for key, vids in members.items():
-            ids = members[key] = tuple(sorted(vids))
-            if len(key) > most_blocks.get(ids, 0):
-                most_blocks[ids] = len(key)
-        faces = {ids: Face(ids, self.d - j) for ids, j in most_blocks.items()}
-        whole = faces[members[(tuple(range(1, self.d + 1)),)]]
+                f"face enumeration is capped at d <= {FACE_ENUM_MAX_D}, got d = {d}")
+        full = (1 << d) - 1
+        through: dict[tuple[int, ...], set[int]] = {}
+        for prefixes, v in _greedy_chains(d, _scaled(self.z)[1]):
+            through.setdefault(v, set()).update(prefixes)
+        tight = [0] * (full + 1)
+        for vid, v in enumerate(sorted(through)):
+            for s in through[v]:
+                tight[s] |= 1 << vid
+        # prefix set -> {(face mask so far, #blocks): compositions of the prefix}
+        states: list[dict[tuple[int, int], int]] = [{} for _ in range(full + 1)]
+        states[0][(tight[full], 0)] = 1
+        for a in range(full):
+            rest = full ^ a
+            b = rest
+            while b:
+                nxt, t = states[a | b], tight[a | b]
+                for (f, j), n in states[a].items():
+                    key = (f & t, j + 1)
+                    nxt[key] = nxt.get(key, 0) + n
+                b = (b - 1) & rest
+            states[a] = {}
+        hists: dict[int, list[int]] = {}
+        for (f, j), n in states[full].items():
+            hists.setdefault(f, [0] * (d + 1))[j] = n
+        faces = {f: Face(_bits(f), d - max(j for j, n in enumerate(hist) if n))
+                 for f, hist in hists.items()}
+        whole = faces[tight[full]]
         rank = self.dimension
         if whole.dim != rank:
             raise RuntimeError(
                 f"face dimensions disagree: the whole polytope has dimension {whole.dim} "
                 f"from its block counts but affine rank {rank}")
-        for key, ids in members.items():
-            members[key] = faces[ids]
-        return members
+        return _FaceMap(tight, faces, {faces[f]: hist for f, hist in hists.items()})
 
     @cached_property
-    def _faces(self) -> dict[Face, None]:
-        """The distinct faces, as an insertion-ordered set."""
-        return dict.fromkeys(self._face_of_comp.values())
+    def _chi_table(self) -> list[list[int]]:
+        """a[k][j]: compositions with j blocks whose face has dimension k."""
+        table = [[0] * (self.d + 1) for _ in range(self.d)]
+        for face, hist in self._face_map.blocks.items():
+            row = table[face.dim]
+            for j, n in enumerate(hist):
+                row[j] += n
+        return table
+
+    @cached_property
+    def _mask_of(self) -> dict[Face, int]:
+        return {face: f for f, face in self._face_map.faces.items()}
+
+    @cached_property
+    def _masks_by_dim(self) -> list[list[int]]:
+        by_dim: list[list[int]] = [[] for _ in range(self.d + 1)]
+        for f, face in self._face_map.faces.items():
+            by_dim[face.dim].append(f)
+        return by_dim
+
+    def _face_along(self, prefixes: Iterable[int]) -> Face:
+        fm = self._face_map
+        f = -1
+        for s in prefixes:
+            f &= fm.tight[s]
+        return fm.faces[f]
 
     def face_of_direction(self, y: Sequence) -> Face:
         """The face maximizing the direction y."""
         if len(y) != self.d:
             raise ValueError("direction length mismatch")
-        return self._face_of_comp[_comp_key(y)]
+        return self._face_along(_level_prefixes(y))
 
     def face_of_composition(self, comp: Composition) -> Face:
         if comp.d != self.d:
             raise ValueError("composition is not over this ground set")
-        return self._face_of_comp[comp.blocks]
+        return self._face_along(itertools.accumulate(
+            sum(1 << (i - 1) for i in block) for block in comp.blocks))
 
     def face_lattice(self) -> tuple[Face, ...]:
         """Every nonempty face exactly once, the polytope itself included."""
-        return tuple(self._faces)
+        return tuple(self._face_map.faces.values())
 
     def count_k_faces(self, face: Face, k: int) -> int:
         """Number of k-dimensional faces of this polytope contained in ``face``
         (0 whenever k exceeds the dimension of ``face``)."""
         if k < 0:
             raise ValueError("k must be nonnegative")
-        if face not in self._faces:
+        f = self._mask_of.get(face)
+        if f is None:
             raise ValueError("not a face of this polytope")
         key = (face.vertex_ids, k)
         cached = self._k_face_counts.get(key)
         if cached is None:
-            members = set(face.vertex_ids)
-            cached = sum(1 for g in self._faces
-                         if g.dim == k and members.issuperset(g.vertex_ids))
+            masks = self._masks_by_dim[k] if k <= self.d else ()
+            cached = sum(1 for g in masks if not g & ~f)
             self._k_face_counts[key] = cached
         return cached
 
@@ -224,22 +322,17 @@ class GPerm:
         if not 0 <= k <= self.d - 1:
             raise ValueError(f"k must be in 0..{self.d - 1}")
 
-    def _directions_per_face(self, m: int) -> Counter:
-        """Face -> number of directions in [m]^d maximized on that face.
-        The binom(m, j) directions whose composition C has j blocks all select
-        face(C), so this is one pass over the compositions."""
+    def _binomials(self, m: int) -> list[int]:
+        """binom(m, j) for j = 0..min(m, d): the directions in [m]^d whose
+        level-set composition is a given one with j blocks."""
         if m < 1:
             raise ValueError("m must be a positive integer")
-        counts = Counter()
-        for key, face in self._face_of_comp.items():
-            if len(key) <= m:  # no direction in [m]^d has more than m levels
-                counts[face] += comb(m, len(key))
-        return counts
+        return [comb(m, j) for j in range(min(m, self.d) + 1)]
 
     def chi_count(self, k: int, m: int) -> int:
         """Number of directions in [m]^d whose maximal face is k-dimensional."""
         self._check_k(k)
-        return sum(n for face, n in self._directions_per_face(m).items() if face.dim == k)
+        return sum(map(mul, self._chi_table[k], self._binomials(m)))
 
     def chi_polynomial(self, k: int) -> Polynomial:
         """The unique polynomial of degree <= d-k through chi_count(k, m) at
@@ -251,8 +344,13 @@ class GPerm:
         """Sum over all directions in [m]^d of the number of k-faces of the
         face maximizing that direction."""
         self._check_k(k)
-        return sum(n * self.count_k_faces(face, k)
-                   for face, n in self._directions_per_face(m).items())
+        weights = self._binomials(m)
+        total = 0
+        for face, hist in self._face_map.blocks.items():
+            n = sum(map(mul, hist, weights))
+            if n:  # some direction in [m]^d selects the face
+                total += n * self.count_k_faces(face, k)
+        return total
 
     def verify_reciprocity(self, k: int, m_max: int) -> tuple[Polynomial, Report]:
         """Check the interpolated count forwards against the direct count and

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InputFormatError
@@ -66,35 +67,34 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     """Dimension of the affine hull of ``points`` (0 for a single point).
 
-    Row-reduces the difference vectors against the first point with exact
-    arithmetic and first-nonzero pivoting, so the result is deterministic.
+    Fraction-free: the points are scaled by the lcm of their denominators,
+    and each integer difference vector against the first point is reduced
+    against an echelon basis of at most d rows, each divided by the gcd of
+    its entries.  Every basis row vanishes at the pivot columns of the rows
+    before it, so a vector is in their span exactly when it reduces to zero.
+    Coordinates may be ints or Fractions.
     """
     if not points:
         raise ValueError("affine_rank needs at least one point")
     d = len(points[0])
     if any(len(p) != d for p in points):
         raise ValueError("points of mixed length")
-    base = points[0]
-    rows = [[Fraction(p[j]) - Fraction(base[j]) for j in range(d)] for p in points[1:]]
-    rank = 0
-    for col in range(d):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
+    scale = lcm(*(c.denominator for p in points for c in p))
+    rows = [[c.numerator * (scale // c.denominator) for c in p] for p in points]
+    base = rows[0]
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    for p in rows[1:]:
+        v = [c - b for c, b in zip(p, base)]
+        for col, row in basis:
+            if v[col]:
+                g = gcd(v[col], row[col])
+                a, b = row[col] // g, v[col] // g
+                v = [a * x - b * r for x, r in zip(v, row)]
+        col = next((j for j, c in enumerate(v) if c), None)
+        if col is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            factor = rows[r][col]
-            if factor == 0:
-                continue
-            coef = factor / lead
-            for c in range(col, d):
-                rows[r][c] -= coef * rows[rank][c]
-        rank += 1
-        if rank == len(rows):
+        g = gcd(*v)
+        basis.append((col, [c // g for c in v]))
+        if len(basis) == d:
             break
-    return rank
+    return len(basis)

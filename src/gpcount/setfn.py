@@ -2,8 +2,9 @@
 
 Subsets are bitmasks (bit i set means element i+1 is in the subset) over a
 dense value table of length 2^d.  The module covers the submodularity test,
-the greedy vertex rule, pointwise sums, and reconstruction of a set function
-from a vertex set by maximizing coordinate sums.
+pointwise sums, and reconstruction of a set function from a vertex set by
+maximizing coordinate sums.  The greedy vertices of the chains are computed
+in `permutahedron`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import InputFormatError, NotSubmodularError
-from .rational import RatVec, format_rat, rat_from_json
+from .errors import InputFormatError
+from .rational import format_rat, rat_from_json
 
 MAX_GROUND_SET = 8
 
@@ -75,30 +76,6 @@ def standard_perm_setfn(d: int) -> SetFn:
         k = mask.bit_count()
         values.append(Fraction(k * d - k * (k - 1) // 2))
     return SetFn(d, tuple(values))
-
-
-def _check_perm(d: int, perm: Sequence[int]) -> None:
-    if sorted(perm) != list(range(1, d + 1)):
-        raise ValueError(f"not a permutation of 1..{d}: {tuple(perm)}")
-
-
-def greedy_vertex(z: SetFn, perm: Sequence[int]) -> RatVec:
-    """Vertex selected by the chain {perm[0]} c {perm[0], perm[1]} c ...
-
-    Coordinate perm[j] receives the marginal value of adding perm[j] to the
-    chain prefix.  Submodularity is required: only then is the resulting point
-    guaranteed to lie in the polytope and maximize the chain's directions.
-    """
-    _check_perm(z.d, perm)
-    if not z.is_submodular:
-        raise NotSubmodularError("set function is not submodular")
-    coords = [Fraction(0)] * z.d
-    mask = 0
-    for i in perm:
-        prev = z.values[mask]
-        mask |= 1 << (i - 1)
-        coords[i - 1] = z.values[mask] - prev
-    return tuple(coords)
 
 
 def setfn_sum(z1: SetFn, z2: SetFn) -> SetFn:

@@ -11,6 +11,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+from gpcount.errors import NotSubmodularError
 from gpcount.hypergraph import check_heading
 from gpcount.polynomial import Polynomial, monomial
 
@@ -102,6 +103,47 @@ def chromatic_poly_deletion_contraction(num_nodes: int, edge_list) -> Polynomial
 
     edges = tuple(tuple(sorted(e)) for e in edge_list)
     return rec(frozenset(range(1, num_nodes + 1)), edges)
+
+
+def _check_perm(d: int, perm) -> None:
+    if sorted(perm) != list(range(1, d + 1)):
+        raise ValueError(f"not a permutation of 1..{d}: {tuple(perm)}")
+
+
+def greedy_vertex(z, perm) -> tuple:
+    """Vertex selected by the chain {perm[0]} c {perm[0], perm[1]} c ...
+
+    Coordinate perm[j] receives the marginal value of adding perm[j] to the
+    chain prefix, in `Fraction` arithmetic.  Submodularity is required: only
+    then is the resulting point guaranteed to lie in the polytope and
+    maximize the chain's directions.
+    """
+    _check_perm(z.d, perm)
+    if not z.is_submodular:
+        raise NotSubmodularError("set function is not submodular")
+    coords = [Fraction(0)] * z.d
+    mask = 0
+    for i in perm:
+        prev = z.values[mask]
+        mask |= 1 << (i - 1)
+        coords[i - 1] = z.values[mask] - prev
+    return tuple(coords)
+
+
+def chain_cut_faces(P) -> dict:
+    """Composition blocks -> sorted ids of the greedy vertices of the chains
+    that refine the composition.  Every chain adds its `greedy_vertex` to
+    each of its 2^(d-1) cuts into consecutive blocks."""
+    vertex_id = {v: i for i, v in enumerate(P.vertices)}
+    cuts = [tuple(zip((0,) + c, c + (P.d,)))
+            for r in range(P.d) for c in itertools.combinations(range(1, P.d), r)]
+    members: dict = {}
+    for perm in itertools.permutations(range(1, P.d + 1)):
+        vid = vertex_id[greedy_vertex(P.z, perm)]
+        for cut in cuts:
+            key = tuple(tuple(sorted(perm[lo:hi])) for lo, hi in cut)
+            members.setdefault(key, set()).add(vid)
+    return {key: tuple(sorted(ids)) for key, ids in members.items()}
 
 
 def perm_refines(perm, comp) -> bool:

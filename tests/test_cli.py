@@ -1,7 +1,10 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,8 @@ from gpcount.hypergraph import hypergraph_from_json
 from gpcount.setfn import setfn_to_json, standard_perm_setfn
 from oracles import brute_chromatic_count
 from test_ehrhart import DIAGONAL_FAN, HUGE_SIMPLEX, OVERLAPPING
+
+PI_6 = str(Path(__file__).resolve().parent.parent / "perfbench" / "docs" / "pi_6.json")
 
 RUNNING_DOC = {
     "nodes": ["a", "b", "c"],
@@ -124,6 +129,27 @@ def test_faces(inputs, capsys):
     assert payload["d"] == 3
     assert len(payload["faces"]) == 13
     assert len(payload["vertices"]) == 6
+
+
+def surjections(n, k):
+    return sum((-1) ** i * comb(k, i) * (k - i) ** n for i in range(k + 1))
+
+
+def test_faces_and_chi_on_pi_6(capsys):
+    # a face of pi_6 with dimension k is an ordered set partition into 6 - k
+    # blocks, and each one is selected by binom(m, 6 - k) directions in [m]^6
+    rc, payload, _ = invoke(capsys, "faces", "--setfn", PI_6)
+    assert rc == 0
+    dims = Counter(f["dim"] for f in payload["faces"])
+    assert [dims[k] for k in range(6)] == [surjections(6, 6 - k) for k in range(6)]
+    for k in range(6):
+        rc, payload, _ = invoke(capsys, "chi", "--setfn", PI_6, "--k", str(k), "--m-max", "3")
+        assert rc == 0
+        coefficients = [Fraction(c) for c in payload["polynomial"]]
+        assert len(coefficients) == 7 - k
+        for m in range(8):
+            assert (sum(c * m ** i for i, c in enumerate(coefficients))
+                    == comb(m, 6 - k) * surjections(6, 6 - k))
 
 
 def test_hg_chromatic(inputs, capsys):

@@ -1,7 +1,9 @@
 import itertools
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
+from math import comb, lcm
 
 import pytest
 
@@ -11,6 +13,7 @@ from gpcount.generators import random_hypergraphic_setfn
 from gpcount.hypergraph import Hypergraph, hypergraphic_setfn
 from gpcount.permutahedron import (
     Composition,
+    Face,
     GPerm,
     composition_of_direction,
     compositions,
@@ -20,7 +23,14 @@ from gpcount.permutahedron import (
 from gpcount.rational import ratvec
 from gpcount.report import Report
 from gpcount.setfn import SetFn, setfn_sum, standard_perm_setfn
-from oracles import argmax_face, comp_coarsens, direction_face_visits, face_rank
+from oracles import (
+    argmax_face,
+    chain_cut_faces,
+    comp_coarsens,
+    direction_face_visits,
+    face_rank,
+    greedy_vertex,
+)
 
 
 def perm_gp(d):
@@ -71,6 +81,32 @@ def test_vertices_examples():
     assert vertices(single) == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     with pytest.raises(NotSubmodularError):
         vertices(SetFn(2, (0, 0, 0, 1)))
+
+
+def non_integer_setfn(rng, max_d):
+    """A random hypergraphic set function plus a non-integer multiple of
+    the standard one."""
+    z = random_hypergraphic_setfn(rng, max_d=max_d)
+    scale = Fraction(rng.randint(1, 9), rng.randint(2, 7))
+    scaled = SetFn(z.d, tuple(scale * v for v in standard_perm_setfn(z.d).values))
+    return setfn_sum(z, scaled)
+
+
+def test_vertices_match_greedy_oracle():
+    # the integer chain pass against Fraction greedy vertices, chain by chain
+    rng = random.Random(47)
+    cases = [standard_perm_setfn(d) for d in range(1, 6)]
+    cases += [random_hypergraphic_setfn(rng, max_d=5) for _ in range(10)]
+    scaled = []
+    while len(scaled) < 10:
+        z = random_hypergraphic_setfn(rng, max_d=5)
+        scale = Fraction(rng.randint(1, 9), rng.randint(2, 7))
+        z = SetFn(z.d, tuple(scale * v for v in z.values))
+        if lcm(*(v.denominator for v in z.values)) > 1:
+            scaled.append(z)
+    for z in cases + scaled:
+        chains = itertools.permutations(range(1, z.d + 1))
+        assert vertices(z) == tuple(sorted({greedy_vertex(z, perm) for perm in chains}))
 
 
 def test_gperm_dimension():
@@ -205,11 +241,7 @@ def test_faces_match_argmax_oracle():
     rng = random.Random(41)
     cases = [standard_perm_setfn(d) for d in range(1, 6)]
     cases += [random_hypergraphic_setfn(rng, max_d=4) for _ in range(12)]
-    for _ in range(12):  # non-integer values
-        z = random_hypergraphic_setfn(rng, max_d=4)
-        scale = Fraction(rng.randint(1, 9), rng.randint(2, 7))
-        scaled = SetFn(z.d, tuple(scale * v for v in standard_perm_setfn(z.d).values))
-        cases.append(setfn_sum(z, scaled))
+    cases += [non_integer_setfn(rng, max_d=4) for _ in range(12)]
     for z in cases:
         P = GPerm(z)
         seen = set()
@@ -234,6 +266,43 @@ def test_face_dimensions_at_d6_match_rank_oracle():
     for P in gperms:
         for face in P.face_lattice():
             assert face.dim == face_rank(P, face.vertex_ids)
+
+
+def test_face_map_matches_chain_cut_oracle():
+    # the tight-set DP against the chain-cut map, face by face and in the
+    # direction counts; for m <= 3 only faces of compositions with at most
+    # three blocks are selected
+    rng = random.Random(53)
+    cases = [standard_perm_setfn(6)]
+    while len(cases) < 3:
+        z = random_hypergraphic_setfn(rng, max_d=6)
+        if z.d == 6:
+            cases.append(z)
+    cases += [non_integer_setfn(rng, max_d=5) for _ in range(3)]
+    for z in cases:
+        P = GPerm(z)
+        ref = chain_cut_faces(P)
+        most = Counter()
+        for blocks, ids in ref.items():
+            most[ids] = max(most[ids], len(blocks))
+        dim = {ids: P.d - j for ids, j in most.items()}
+        for comp in compositions(P.d):
+            face = P.face_of_composition(comp)
+            assert (face.vertex_ids, face.dim) == (ref[comp.blocks], dim[ref[comp.blocks]])
+        assert set(P.face_lattice()) == {Face(ids, j) for ids, j in dim.items()}
+        by_blocks = Counter((ids, len(blocks)) for blocks, ids in ref.items())
+        members = {ids: frozenset(ids) for ids in dim}
+        inside = {}  # face selected for some m <= 3 -> its faces counted by dim
+        for (ids, j) in by_blocks:
+            if j <= 3 and ids not in inside:
+                inside[ids] = Counter(dim[g] for g in dim if members[g] <= members[ids])
+        for m in range(1, 4):
+            for k in range(P.d):
+                assert P.chi_count(k, m) == sum(
+                    n * comb(m, j) for (ids, j), n in by_blocks.items() if dim[ids] == k)
+                assert P.reciprocity_rhs(k, m) == sum(
+                    n * comb(m, j) * inside[ids][k]
+                    for (ids, j), n in by_blocks.items() if j <= m)
 
 
 def test_face_map_checks_dimension_against_affine_rank(monkeypatch):

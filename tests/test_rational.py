@@ -1,10 +1,14 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gpcount.permutahedron import vertices
 from gpcount.rational import affine_rank, dot, format_rat, parse_rat, ratvec
+from gpcount.setfn import standard_perm_setfn
+from oracles import _rank
 
 
 def test_parse_rat_literals():
@@ -89,3 +93,46 @@ def test_affine_rank_bounds(points):
 @given(points3)
 def test_affine_rank_duplicate_point(points):
     assert affine_rank(points + [points[0]]) == affine_rank(points)
+
+
+def rank_oracle(points) -> int:
+    return _rank([[c - b for c, b in zip(p, points[0])] for p in points[1:]])
+
+
+coord = st.builds(Fraction, st.integers(-240, 240), st.integers(1, 12))
+
+
+@st.composite
+def point_sets(draw, entry=coord):
+    """Up to 30 points in dimension 1..6: free points, or a base point plus
+    small integer combinations of r generators, so every rank 0..d occurs."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        return [draw(st.tuples(*[entry] * d)) for _ in range(n)]
+    r = draw(st.integers(0, d))
+    base = draw(st.tuples(*[entry] * d))
+    gens = [draw(st.tuples(*[entry] * d)) for _ in range(r)]
+    points = []
+    for _ in range(n):
+        coefs = draw(st.tuples(*[st.integers(-3, 3)] * r))
+        points.append(tuple(b + sum(c * g[j] for c, g in zip(coefs, gens))
+                            for j, b in enumerate(base)))
+    return points
+
+
+@given(point_sets())
+def test_affine_rank_matches_oracle(points):
+    assert affine_rank(points) == rank_oracle(points)
+
+
+@given(point_sets(st.integers(-20, 20)))
+def test_affine_rank_int_points(points):
+    assert all(type(c) is int for p in points for c in p)
+    assert affine_rank(points) == rank_oracle(points)
+
+
+def test_affine_rank_pi_6():
+    perms = list(itertools.permutations(range(1, 7)))
+    assert affine_rank(perms) == 5
+    assert affine_rank(vertices(standard_perm_setfn(6))) == 5

@@ -11,14 +11,13 @@ from gpcount.permutahedron import compositions, vertices
 from gpcount.rational import dot
 from gpcount.setfn import (
     SetFn,
-    greedy_vertex,
     setfn_from_json,
     setfn_from_vertices,
     setfn_sum,
     setfn_to_json,
     standard_perm_setfn,
 )
-from oracles import perm_refines, submodular_by_definition
+from oracles import greedy_vertex, perm_refines, submodular_by_definition
 
 
 def edge_fn(d, *edges):
