@@ -33,11 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import comb, prod
+from math import prod
 from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InputFormatError
-from .polynomial import Polynomial, interpolate
+from .polynomial import Polynomial, binomial_polynomial, binomial_sum
 from .setfn import SetFn, check_ground_set
 
 HEADING_BUDGET = 10 ** 7
@@ -187,32 +187,21 @@ def _ordered_partitions(h: Hypergraph,
     return tuple(partitions[full])
 
 
-def _binomial_sum(counts: Sequence[int], m: int) -> int:
-    """sum_j c[j] * binom(m, j): each j-block partition takes j of m colors."""
-    return sum(n * comb(m, j) for j, n in enumerate(counts))
-
-
 def chromatic_count(h: Hypergraph, m: int) -> int:
-    """Number of proper colorings with colors drawn from {1, ..., m}."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    return _binomial_sum(h._proper_partitions, m)
+    """Number of proper colorings with colors drawn from {1, ..., m}: each
+    j-block partition takes j of the m colors."""
+    return binomial_sum(h._proper_partitions, m)
 
 
 def chromatic_polynomial(h: Hypergraph) -> Polynomial:
-    """sum_j c[j] * binom(m, j) in the monomial basis, exactly.
-
-    `interpolate` only changes basis, through the d + 1 values of that sum
-    at m = 0..d, so no coloring is counted per m."""
-    return interpolate([(m, _binomial_sum(h._proper_partitions, m))
-                        for m in range(h.d + 1)])
+    """sum_j c[j] * binom(m, j) in the monomial basis, exactly; no coloring
+    is counted per m."""
+    return binomial_polynomial(h._proper_partitions)
 
 
 def compatible_pairs_count(h: Hypergraph, m: int) -> int:
     """Pairs of an acyclic heading and an m-coloring that are compatible."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    return _binomial_sum(h._compatible_partitions, m)
+    return binomial_sum(h._compatible_partitions, m)
 
 
 def hypergraph_to_json(h: Hypergraph, names: Sequence[str] | None = None) -> dict:

@@ -2,17 +2,17 @@
 
 Everything below runs on integers.  z is scaled once by the lcm L of its
 denominators.  A chain {i_1} < {i_1, i_2} < ... of the ground set gives its
-prefix masks and its greedy vertex, coordinate i_j getting the marginal value
-of i_j on the prefix before it; `vertices(z)` is the sorted set of these
-vertices divided by L.
+greedy vertex, coordinate i_j getting the marginal value of i_j on the prefix
+before it; `vertices(z)` is the sorted set of these vertices divided by L,
+and a vertex id is an index into it.
 
 A linear direction y is maximized on the face of the points tight on every
 upper level set of y: x(S) = z(S) for each S in the flag of y.  So a face is
 an intersection of tight sets.  ``tight[S]`` is the bitmask of the vertex ids
-whose chain passes through S, and the face of y is the AND of ``tight`` over
-the prefixes of its level-set composition (its blocks of equal value, largest
-value first).  Its vertices are the greedy vertices of the chains that refine
-the composition, and no linear optimization is needed.
+v with L * v(S) = L * z(S), read off the subset sums of each scaled vertex,
+and the face of y is the AND of ``tight`` over the prefixes of its level-set
+composition (its blocks of equal value, largest value first).  The chains
+are walked once, in `vertices`, and no linear optimization is needed.
 
 The whole composition-to-face map is a DP over chains of subsets.  Prefix
 sets A are taken in increasing numeric order, each with counts of
@@ -39,87 +39,16 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm
-from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from math import lcm
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import NotSubmodularError
-from .polynomial import Polynomial, interpolate
+from .polynomial import Polynomial, binomial_polynomial, binomial_sum
 from .rational import RatVec, affine_rank, format_rat
 from .report import Report
-from .setfn import SetFn
+from .setfn import SetFn, subset_sums
 
 FACE_ENUM_MAX_D = 6
-
-
-@dataclass(frozen=True)
-class Composition:
-    """Ordered set composition of {1, ..., d}: disjoint nonempty blocks whose
-    union is the whole ground set, listed from the largest direction value
-    downwards."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        blocks = tuple(tuple(sorted(b)) for b in self.blocks)
-        seen: set[int] = set()
-        for b in blocks:
-            if not b:
-                raise ValueError("composition blocks must be nonempty")
-            if seen & set(b):
-                raise ValueError("composition blocks must be disjoint")
-            seen.update(b)
-        if seen != set(range(1, len(seen) + 1)):
-            raise ValueError("composition blocks must partition 1..d")
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def d(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    def representative_direction(self) -> tuple[int, ...]:
-        """Integer direction whose level sets reproduce this composition:
-        block number l (1-based) gets value #blocks - l + 1."""
-        k = len(self.blocks)
-        y = [0] * self.d
-        for idx, block in enumerate(self.blocks):
-            for i in block:
-                y[i - 1] = k - idx
-        return tuple(y)
-
-
-def _comp_key(y: Sequence) -> tuple[tuple[int, ...], ...]:
-    levels: dict = {}
-    for i, v in enumerate(y, start=1):
-        levels.setdefault(v, []).append(i)
-    return tuple(tuple(levels[v]) for v in sorted(levels, reverse=True))
-
-
-def composition_of_direction(y: Sequence) -> Composition:
-    """Level sets of y ordered by strictly decreasing value."""
-    if not len(y):
-        raise ValueError("direction must be nonempty")
-    return Composition(_comp_key(y))
-
-
-def compositions(d: int) -> Iterator[Composition]:
-    """All ordered set compositions of {1, ..., d}, in a deterministic order."""
-    if d < 1:
-        raise ValueError("d must be positive")
-
-    def rec(remaining: tuple[int, ...]):
-        if not remaining:
-            yield ()
-            return
-        n = len(remaining)
-        for mask in range(1, 1 << n):
-            block = tuple(remaining[i] for i in range(n) if mask >> i & 1)
-            rest = tuple(remaining[i] for i in range(n) if not mask >> i & 1)
-            for tail in rec(rest):
-                yield (block,) + tail
-
-    for blocks in rec(tuple(range(1, d + 1))):
-        yield Composition(blocks)
 
 
 def _scaled(z: SetFn) -> tuple[int, list[int]]:
@@ -128,18 +57,16 @@ def _scaled(z: SetFn) -> tuple[int, list[int]]:
     return scale, [v.numerator * (scale // v.denominator) for v in z.values]
 
 
-def _greedy_chains(d: int, values: Sequence[int]) -> Iterator[tuple[list[int], tuple[int, ...]]]:
-    """Each chain's prefix masks and greedy vertex under the integer values."""
+def _greedy_chains(d: int, values: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Each chain's greedy vertex under the integer values."""
     for perm in itertools.permutations(range(d)):
         coords = [0] * d
-        prefixes = []
         mask = 0
         for i in perm:
             prev = values[mask]
             mask |= 1 << i
             coords[i] = values[mask] - prev
-            prefixes.append(mask)
-        yield prefixes, tuple(coords)
+        yield tuple(coords)
 
 
 def vertices(z: SetFn) -> tuple[RatVec, ...]:
@@ -147,7 +74,7 @@ def vertices(z: SetFn) -> tuple[RatVec, ...]:
     if not z.is_submodular:
         raise NotSubmodularError("set function is not submodular")
     scale, values = _scaled(z)
-    distinct = {v for _, v in _greedy_chains(z.d, values)}
+    distinct = set(_greedy_chains(z.d, values))
     return tuple(tuple(Fraction(c, scale) for c in v) for v in sorted(distinct))
 
 
@@ -189,27 +116,25 @@ class Face:
 class _FaceMap(NamedTuple):
     tight: list[int]                # subset mask -> mask of the vertex ids tight on it
     faces: dict[int, Face]          # vertex-id mask -> face
-    blocks: dict[Face, list[int]]   # face -> its compositions by number of blocks
+    blocks: dict[int, list[int]]    # vertex-id mask -> its compositions by number of blocks
 
 
 class GPerm:
     """A generalized permutahedron; its face map is built on first use.
 
     Vertex ids index the sorted ``vertices``.  The face map holds
-    ``tight[S]``, the vertex ids whose chain passes through S, and for each
-    face its compositions counted by number of blocks j (index j); summed
-    over the faces of dimension k these give the table a[k][j] that
-    `chi_count` weights by binom(m, j).  Construction and the map build are
+    ``tight[S]``, the vertex ids v with v(S) = z(S), and for each face its
+    compositions counted by number of blocks j (index j); summed over the
+    faces of dimension k these give the table a[k][j] that `chi_count`
+    weights by binom(m, j).  Construction and the map build are
     single-threaded; once the map is built all queries are read-only.
     """
 
     def __init__(self, z: SetFn):
-        if not z.is_submodular:
-            raise NotSubmodularError("set function is not submodular")
         self.z = z
         self.d = z.d
         self.vertices: tuple[RatVec, ...] = vertices(z)
-        self._k_face_counts: dict[tuple[tuple[int, ...], int], int] = {}
+        self._k_face_counts: dict[tuple[int, int], int] = {}
 
     @property
     def dimension(self) -> int:
@@ -225,13 +150,13 @@ class GPerm:
             raise ValueError(
                 f"face enumeration is capped at d <= {FACE_ENUM_MAX_D}, got d = {d}")
         full = (1 << d) - 1
-        through: dict[tuple[int, ...], set[int]] = {}
-        for prefixes, v in _greedy_chains(d, _scaled(self.z)[1]):
-            through.setdefault(v, set()).update(prefixes)
+        scale, values = _scaled(self.z)
         tight = [0] * (full + 1)
-        for vid, v in enumerate(sorted(through)):
-            for s in through[v]:
-                tight[s] |= 1 << vid
+        for vid, v in enumerate(self.vertices):
+            sums = subset_sums([c.numerator * (scale // c.denominator) for c in v])
+            for s in range(full + 1):
+                if sums[s] == values[s]:
+                    tight[s] |= 1 << vid
         # prefix set -> {(face mask so far, #blocks): compositions of the prefix}
         states: list[dict[tuple[int, int], int]] = [{} for _ in range(full + 1)]
         states[0][(tight[full], 0)] = 1
@@ -245,32 +170,29 @@ class GPerm:
                     nxt[key] = nxt.get(key, 0) + n
                 b = (b - 1) & rest
             states[a] = {}
-        hists: dict[int, list[int]] = {}
+        blocks: dict[int, list[int]] = {}
         for (f, j), n in states[full].items():
-            hists.setdefault(f, [0] * (d + 1))[j] = n
+            blocks.setdefault(f, [0] * (d + 1))[j] = n
         faces = {f: Face(_bits(f), d - max(j for j, n in enumerate(hist) if n))
-                 for f, hist in hists.items()}
+                 for f, hist in blocks.items()}
         whole = faces[tight[full]]
         rank = self.dimension
         if whole.dim != rank:
             raise RuntimeError(
                 f"face dimensions disagree: the whole polytope has dimension {whole.dim} "
                 f"from its block counts but affine rank {rank}")
-        return _FaceMap(tight, faces, {faces[f]: hist for f, hist in hists.items()})
+        return _FaceMap(tight, faces, blocks)
 
     @cached_property
     def _chi_table(self) -> list[list[int]]:
         """a[k][j]: compositions with j blocks whose face has dimension k."""
+        fm = self._face_map
         table = [[0] * (self.d + 1) for _ in range(self.d)]
-        for face, hist in self._face_map.blocks.items():
-            row = table[face.dim]
+        for f, hist in fm.blocks.items():
+            row = table[fm.faces[f].dim]
             for j, n in enumerate(hist):
                 row[j] += n
         return table
-
-    @cached_property
-    def _mask_of(self) -> dict[Face, int]:
-        return {face: f for f, face in self._face_map.faces.items()}
 
     @cached_property
     def _masks_by_dim(self) -> list[list[int]]:
@@ -279,24 +201,15 @@ class GPerm:
             by_dim[face.dim].append(f)
         return by_dim
 
-    def _face_along(self, prefixes: Iterable[int]) -> Face:
-        fm = self._face_map
-        f = -1
-        for s in prefixes:
-            f &= fm.tight[s]
-        return fm.faces[f]
-
     def face_of_direction(self, y: Sequence) -> Face:
         """The face maximizing the direction y."""
         if len(y) != self.d:
             raise ValueError("direction length mismatch")
-        return self._face_along(_level_prefixes(y))
-
-    def face_of_composition(self, comp: Composition) -> Face:
-        if comp.d != self.d:
-            raise ValueError("composition is not over this ground set")
-        return self._face_along(itertools.accumulate(
-            sum(1 << (i - 1) for i in block) for block in comp.blocks))
+        fm = self._face_map
+        f = -1
+        for s in _level_prefixes(y):
+            f &= fm.tight[s]
+        return fm.faces[f]
 
     def face_lattice(self) -> tuple[Face, ...]:
         """Every nonempty face exactly once, the polytope itself included."""
@@ -307,50 +220,45 @@ class GPerm:
         (0 whenever k exceeds the dimension of ``face``)."""
         if k < 0:
             raise ValueError("k must be nonnegative")
-        f = self._mask_of.get(face)
-        if f is None:
+        f = 0
+        for i in face.vertex_ids:
+            f |= 1 << i
+        if self._face_map.faces.get(f) != face:
             raise ValueError("not a face of this polytope")
-        key = (face.vertex_ids, k)
-        cached = self._k_face_counts.get(key)
+        cached = self._k_face_counts.get((f, k))
         if cached is None:
             masks = self._masks_by_dim[k] if k <= self.d else ()
             cached = sum(1 for g in masks if not g & ~f)
-            self._k_face_counts[key] = cached
+            self._k_face_counts[(f, k)] = cached
         return cached
 
     def _check_k(self, k: int) -> None:
         if not 0 <= k <= self.d - 1:
             raise ValueError(f"k must be in 0..{self.d - 1}")
 
-    def _binomials(self, m: int) -> list[int]:
-        """binom(m, j) for j = 0..min(m, d): the directions in [m]^d whose
-        level-set composition is a given one with j blocks."""
-        if m < 1:
-            raise ValueError("m must be a positive integer")
-        return [comb(m, j) for j in range(min(m, self.d) + 1)]
-
     def chi_count(self, k: int, m: int) -> int:
         """Number of directions in [m]^d whose maximal face is k-dimensional."""
         self._check_k(k)
-        return sum(map(mul, self._chi_table[k], self._binomials(m)))
+        return binomial_sum(self._chi_table[k], m)
 
     def chi_polynomial(self, k: int) -> Polynomial:
-        """The unique polynomial of degree <= d-k through chi_count(k, m) at
-        m = 1, ..., d-k+1."""
+        """The direction count sum_j a[k][j] * binom(m, j) as a polynomial in
+        m, of degree <= d-k."""
         self._check_k(k)
-        return interpolate([(m, self.chi_count(k, m)) for m in range(1, self.d - k + 2)])
+        return binomial_polynomial(self._chi_table[k])
 
     def reciprocity_rhs(self, k: int, m: int) -> int:
         """Sum over all directions in [m]^d of the number of k-faces of the
         face maximizing that direction."""
         self._check_k(k)
-        weights = self._binomials(m)
-        total = 0
-        for face, hist in self._face_map.blocks.items():
-            n = sum(map(mul, hist, weights))
-            if n:  # some direction in [m]^d selects the face
-                total += n * self.count_k_faces(face, k)
-        return total
+        fm = self._face_map
+        weighted = [0] * (self.d + 1)  # compositions by #blocks, times their k-faces
+        for f, hist in fm.blocks.items():
+            if m > 0 and any(hist[:m + 1]):  # some direction in [m]^d selects the face
+                n = self.count_k_faces(fm.faces[f], k)
+                for j, c in enumerate(hist):
+                    weighted[j] += c * n
+        return binomial_sum(weighted, m)
 
     def verify_reciprocity(self, k: int, m_max: int) -> tuple[Polynomial, Report]:
         """Check the interpolated count forwards against the direct count and

@@ -1,9 +1,11 @@
-"""Exact polynomials and quasipolynomials with rational coefficients."""
+"""Exact polynomials and quasipolynomials with rational coefficients, and
+counts written in the binomial basis binom(m, j)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable, Sequence
 
 from .errors import InterpolationMismatchError
@@ -91,6 +93,24 @@ def interpolate(points: Sequence[tuple]) -> Polynomial:
         for k, c in enumerate(basis):
             total[k] += scale * c
     return Polynomial(tuple(total))
+
+
+def binomial_sum(counts: Sequence[int], m: int) -> int:
+    """sum_j c[j] * binom(m, j) at a positive integer m."""
+    if m < 1:
+        raise ValueError("m must be a positive integer")
+    return sum(n * comb(m, j) for j, n in enumerate(counts))
+
+
+def binomial_polynomial(counts: Sequence[int]) -> Polynomial:
+    """sum_j c[j] * binom(m, j) in the monomial basis, exactly.
+
+    Its degree is the last j with c[j] != 0, so `interpolate` through its
+    values at m = 1..j+1 only changes the basis."""
+    n = len(counts)
+    while n and not counts[n - 1]:
+        n -= 1
+    return interpolate([(m, binomial_sum(counts, m)) for m in range(1, n + 1)])
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 Subsets are bitmasks (bit i set means element i+1 is in the subset) over a
 dense value table of length 2^d.  The module covers the submodularity test,
-pointwise sums, and reconstruction of a set function from a vertex set by
-maximizing coordinate sums.  The greedy vertices of the chains are computed
-in `permutahedron`.
+pointwise sums, the coordinate sums of a point over all subsets, and
+reconstruction of a set function from a vertex set by maximizing those sums.
+The greedy vertices of the chains are computed in `permutahedron`.
 """
 
 from __future__ import annotations
@@ -98,17 +98,18 @@ def setfn_from_vertices(vertex_set: Iterable[Sequence[Fraction]]) -> SetFn:
     if all(c.denominator == 1 for p in pts for c in p):
         # integer fast path; subset sums stay exact either way
         pts = [tuple(int(c) for c in p) for p in pts]
-    n = 1 << d
-    best: list = [None] * n
-    for p in pts:
-        sums = [0] * n
-        for mask in range(1, n):
-            low = mask & -mask
-            sums[mask] = sums[mask ^ low] + p[low.bit_length() - 1]
-        for mask in range(n):
-            if best[mask] is None or sums[mask] > best[mask]:
-                best[mask] = sums[mask]
+    best = subset_sums(pts[0])
+    for p in pts[1:]:
+        best = list(map(max, best, subset_sums(p)))
     return SetFn(d, tuple(Fraction(b) for b in best))
+
+
+def subset_sums(p: Sequence) -> list:
+    """The coordinate sum of p over every subset mask A, indexed by A."""
+    sums = [0]
+    for c in p:
+        sums += [s + c for s in sums]
+    return sums
 
 
 def setfn_to_json(z: SetFn) -> dict:

@@ -146,10 +146,36 @@ def chain_cut_faces(P) -> dict:
     return {key: tuple(sorted(ids)) for key, ids in members.items()}
 
 
-def perm_refines(perm, comp) -> bool:
-    """True when the chain of perm runs through the block prefixes of comp."""
+def compositions(d: int) -> list:
+    """Every ordered set composition of {1, ..., d}, as a tuple of sorted
+    blocks listed from the largest direction value down."""
+    def split(ground):
+        if not ground:
+            yield ()
+            return
+        for r in range(1, len(ground) + 1):
+            for block in itertools.combinations(ground, r):
+                rest = tuple(i for i in ground if i not in block)
+                for tail in split(rest):
+                    yield (block,) + tail
+
+    return list(split(tuple(range(1, d + 1))))
+
+
+def representative_direction(blocks) -> tuple[int, ...]:
+    """An integer direction whose level sets, from the largest value down,
+    are these blocks: block number l (0-based) gets #blocks - l."""
+    y = [0] * sum(len(block) for block in blocks)
+    for level, block in enumerate(blocks):
+        for i in block:
+            y[i - 1] = len(blocks) - level
+    return tuple(y)
+
+
+def perm_refines(perm, blocks) -> bool:
+    """True when the chain of perm runs through the prefixes of blocks."""
     start = 0
-    for block in comp.blocks:
+    for block in blocks:
         stop = start + len(block)
         if set(perm[start:stop]) != set(block):
             return False
@@ -158,9 +184,10 @@ def perm_refines(perm, comp) -> bool:
 
 
 def comp_coarsens(coarse, fine) -> bool:
-    """True when coarse arises from fine by merging consecutive blocks."""
-    pieces = iter(fine.blocks)
-    for block in coarse.blocks:
+    """True when the blocks coarse arise from the blocks fine by merging
+    consecutive ones."""
+    pieces = iter(fine)
+    for block in coarse:
         remaining = set(block)
         while remaining:
             piece = next(pieces, None)
@@ -177,14 +204,10 @@ def argmax_ids(P, y) -> tuple[int, ...]:
     return tuple(i for i, value in enumerate(values) if value == best)
 
 
-def argmax_face(P, comp) -> tuple[tuple[int, ...], int]:
-    """Vertex ids and dimension of the face of P maximizing a direction with
-    composition comp: block number l (0-based) gets the value -l."""
-    y = [0] * P.d
-    for level, block in enumerate(comp.blocks):
-        for i in block:
-            y[i - 1] = -level
-    ids = argmax_ids(P, y)
+def argmax_face(P, blocks) -> tuple[tuple[int, ...], int]:
+    """Vertex ids and dimension of the face of P maximizing a direction
+    whose level sets are these blocks."""
+    ids = argmax_ids(P, representative_direction(blocks))
     return ids, face_rank(P, ids)
 
 

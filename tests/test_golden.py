@@ -1,0 +1,58 @@
+"""Golden reports: the stdout of `faces`, of `chi --k k` at every k, and of
+`hg-reciprocity` on three fixed inputs in `tests/golden/` (pi_4, a seeded
+non-integer set function with d = 4, and a 5-node hypergraph), compared byte
+for byte with the committed fixtures there apart from the `timing` value.
+
+A refactor must leave these reports unchanged.  To record an intended
+report change, regenerate the fixtures with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and say in CHANGES.md which reports changed and why.
+"""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+from gpcount.cli import run
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+TIMING = re.compile(r'"timing": [-+0-9.e]+')
+
+
+def _cases() -> dict:
+    cases = {}
+    for name, d in (("pi_4", 4), ("nonint_4", 4)):
+        doc = str(GOLDEN / f"{name}.json")
+        cases[f"faces_{name}"] = ["faces", "--setfn", doc]
+        for k in range(d):
+            cases[f"chi_{name}_k{k}"] = ["chi", "--setfn", doc, "--k", str(k)]
+    cases["hg_reciprocity_hg_5"] = ["hg-reciprocity", "--hg", str(GOLDEN / "hg_5.json")]
+    return cases
+
+
+CASES = _cases()
+
+
+def report(argv) -> str:
+    """The stdout of one CLI call with its timing value set to 0; the call
+    must exit 0 and write nothing to stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run(argv)
+    assert (rc, err.getvalue()) == (0, ""), (argv, rc, err.getvalue())
+    return TIMING.sub('"timing": 0', out.getvalue())
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_golden(case):
+    assert report(CASES[case]) == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    for case, argv in CASES.items():
+        (GOLDEN / f"{case}.out").write_text(report(argv), encoding="utf-8")

@@ -11,15 +11,7 @@ from gpcount import permutahedron
 from gpcount.errors import NotSubmodularError
 from gpcount.generators import random_hypergraphic_setfn
 from gpcount.hypergraph import Hypergraph, hypergraphic_setfn
-from gpcount.permutahedron import (
-    Composition,
-    Face,
-    GPerm,
-    composition_of_direction,
-    compositions,
-    face_lattice_to_json,
-    vertices,
-)
+from gpcount.permutahedron import Face, GPerm, face_lattice_to_json, vertices
 from gpcount.rational import ratvec
 from gpcount.report import Report
 from gpcount.setfn import SetFn, setfn_sum, standard_perm_setfn
@@ -27,9 +19,11 @@ from oracles import (
     argmax_face,
     chain_cut_faces,
     comp_coarsens,
+    compositions,
     direction_face_visits,
     face_rank,
     greedy_vertex,
+    representative_direction,
 )
 
 
@@ -41,34 +35,23 @@ def point_gp(d):
     return GPerm(SetFn(d, (0,) * (1 << d)))
 
 
-def test_composition_validation():
-    Composition(((2, 1), (3,)))  # blocks get sorted internally
-    with pytest.raises(ValueError):
-        Composition(((1, 2), ()))
-    with pytest.raises(ValueError):
-        Composition(((1, 2), (2, 3)))
-    with pytest.raises(ValueError):
-        Composition(((1,), (3,)))
-
-
 def test_composition_of_direction():
-    assert composition_of_direction((5, 5, 2)).blocks == ((1, 2), (3,))
-    assert composition_of_direction((1, 2, 3)).blocks == ((3,), (2,), (1,))
-    assert composition_of_direction((2, 2, 2)).blocks == ((1, 2, 3),)
-    y = ratvec(["1/2", "1/3", "1/2"])
-    assert composition_of_direction(y).blocks == ((1, 3), (2,))
-
-
-def test_representative_direction_round_trip():
-    for d in range(1, 5):
-        for comp in compositions(d):
-            assert composition_of_direction(comp.representative_direction()) == comp
+    # ties and rational values: the face depends only on the level sets
+    P = perm_gp(3)
+    cases = [((5, 5, 2), ((1, 2), (3,))), ((1, 2, 3), ((3,), (2,), (1,))),
+             ((2, 2, 2), ((1, 2, 3),)), (ratvec(["1/2", "1/3", "1/2"]), ((1, 3), (2,)))]
+    for y, blocks in cases:
+        face = P.face_of_direction(y)
+        assert face == P.face_of_direction(representative_direction(blocks))
+        assert (face.vertex_ids, face.dim) == argmax_face(P, blocks)
+    assert P.face_of_direction((5, 5, 2)).dim == 1
+    assert P.face_of_direction(ratvec(["1/2", "1/3", "1/2"])).dim == 1
 
 
 def test_composition_counts():
     # ordered Bell numbers
     for d, expected in [(1, 1), (2, 3), (3, 13), (4, 75)]:
-        comps = list(compositions(d))
+        comps = compositions(d)
         assert len(comps) == expected
         assert len(set(comps)) == expected
 
@@ -130,10 +113,12 @@ def test_face_of_direction():
 
 
 def test_direction_and_composition_agree():
+    # an order-preserving change of the values keeps the level sets, so the face
     P = perm_gp(3)
-    for comp in compositions(3):
-        y = comp.representative_direction()
-        assert P.face_of_direction(y) == P.face_of_composition(comp)
+    for blocks in compositions(3):
+        y = representative_direction(blocks)
+        moved = [Fraction(3 * c - 7, 2) for c in y]
+        assert P.face_of_direction(y) == P.face_of_direction(moved)
 
 
 def test_face_lattice_counts():
@@ -179,9 +164,18 @@ def test_count_k_faces():
     assert P.count_k_faces(vert, 0) == 1
     with pytest.raises(ValueError):
         P.count_k_faces(edge, -1)
-    from gpcount.permutahedron import Face
     with pytest.raises(ValueError):
         P.count_k_faces(Face((0, 5), 1), 0)  # not a face of P
+
+
+def test_count_k_faces_rejects_wrong_dim():
+    # a Face with the vertex ids of a real face but another dim is no face of P
+    P = perm_gp(3)
+    edge = P.face_of_direction((2, 2, 1))
+    for dim in (0, 2):
+        with pytest.raises(ValueError, match="not a face"):
+            P.count_k_faces(Face(edge.vertex_ids, dim), 0)
+    assert P.count_k_faces(Face(edge.vertex_ids, 1), 0) == 2
 
 
 def test_chi_count_examples():
@@ -246,7 +240,7 @@ def test_faces_match_argmax_oracle():
         P = GPerm(z)
         seen = set()
         for comp in compositions(P.d):
-            face = P.face_of_composition(comp)
+            face = P.face_of_direction(representative_direction(comp))
             assert (face.vertex_ids, face.dim) == argmax_face(P, comp)
             seen.add(face)
         assert seen == set(P.face_lattice())
@@ -287,8 +281,8 @@ def test_face_map_matches_chain_cut_oracle():
             most[ids] = max(most[ids], len(blocks))
         dim = {ids: P.d - j for ids, j in most.items()}
         for comp in compositions(P.d):
-            face = P.face_of_composition(comp)
-            assert (face.vertex_ids, face.dim) == (ref[comp.blocks], dim[ref[comp.blocks]])
+            face = P.face_of_direction(representative_direction(comp))
+            assert (face.vertex_ids, face.dim) == (ref[comp], dim[ref[comp]])
         assert set(P.face_lattice()) == {Face(ids, j) for ids, j in dim.items()}
         by_blocks = Counter((ids, len(blocks)) for blocks, ids in ref.items())
         members = {ids: frozenset(ids) for ids in dim}
@@ -348,8 +342,8 @@ def test_dimension_duality():
     for P in (perm_gp(3), GPerm(random_hypergraphic_setfn(rng, max_d=4))):
         finest = {}
         for comp in compositions(P.d):
-            face = P.face_of_composition(comp)
-            blocks = len(comp.blocks)
+            face = P.face_of_direction(representative_direction(comp))
+            blocks = len(comp)
             if blocks > finest.get(face.vertex_ids, 0):
                 finest[face.vertex_ids] = blocks
         for face in P.face_lattice():
@@ -363,7 +357,8 @@ def test_order_reversal():
     for P in (perm_gp(3), GPerm(random_hypergraphic_setfn(rng, max_d=4))):
         mapped = {}
         for comp in compositions(P.d):
-            mapped.setdefault(P.face_of_composition(comp).vertex_ids, []).append(comp)
+            face = P.face_of_direction(representative_direction(comp))
+            mapped.setdefault(face.vertex_ids, []).append(comp)
         for f, g in itertools.permutations(P.face_lattice(), 2):
             if not set(f.vertex_ids) <= set(g.vertex_ids):
                 continue
@@ -384,8 +379,8 @@ def test_pairwise_edge_sum_is_translate_of_standard():
     assert [tuple(c + 1 for c in v) for v in P.vertices] == list(Q.vertices)
     # identical face structure: the translate has the same normal fan
     for comp in compositions(3):
-        assert (P.face_of_composition(comp).vertex_ids
-                == Q.face_of_composition(comp).vertex_ids)
+        y = representative_direction(comp)
+        assert P.face_of_direction(y).vertex_ids == Q.face_of_direction(y).vertex_ids
 
 
 def test_enumeration_caps():
@@ -396,8 +391,6 @@ def test_enumeration_caps():
         big.chi_count(0, 1)  # direction counts use the capped face lattice
     with pytest.raises(ValueError):
         big.face_of_direction((1,) * 7)
-    with pytest.raises(ValueError):
-        big.face_of_composition(Composition((tuple(range(1, 8)),)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert perm_gp(2).chi_count(0, 9) == 72  # no cap on m

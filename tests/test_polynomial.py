@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,8 @@ from gpcount.errors import InterpolationMismatchError
 from gpcount.polynomial import (
     Polynomial,
     QuasiPolynomial,
+    binomial_polynomial,
+    binomial_sum,
     interpolate,
     interpolate_quasipoly,
     monomial,
@@ -67,6 +70,22 @@ def test_interpolation_round_trip(cs):
     p = Polynomial(tuple(cs))
     nodes = [(m, p(m)) for m in range(1, len(cs) + 1)]
     assert interpolate(nodes) == p
+
+
+@given(st.lists(st.integers(-20, 20), max_size=7), st.integers(1, 12))
+def test_binomial_basis(counts, m):
+    expected = sum(c * comb(m, j) for j, c in enumerate(counts))
+    assert binomial_sum(counts, m) == expected
+    poly = binomial_polynomial(counts)
+    assert poly(m) == expected
+    assert poly.degree == max((j for j, c in enumerate(counts) if c), default=-1)
+
+
+def test_binomial_sum_needs_positive_m():
+    assert binomial_sum([0, 2, 1], 3) == 9  # 2 * 3 + 1 * 3
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="m must be a positive integer"):
+            binomial_sum([1], m)
 
 
 def test_to_json():

@@ -7,7 +7,7 @@ import pytest
 from gpcount.errors import InputFormatError, NotSubmodularError
 from gpcount.generators import random_hypergraphic_setfn
 from gpcount.hypergraph import Hypergraph, hypergraphic_setfn
-from gpcount.permutahedron import compositions, vertices
+from gpcount.permutahedron import vertices
 from gpcount.rational import dot
 from gpcount.setfn import (
     SetFn,
@@ -17,7 +17,13 @@ from gpcount.setfn import (
     setfn_to_json,
     standard_perm_setfn,
 )
-from oracles import greedy_vertex, perm_refines, submodular_by_definition
+from oracles import (
+    compositions,
+    greedy_vertex,
+    perm_refines,
+    representative_direction,
+    submodular_by_definition,
+)
 
 
 def edge_fn(d, *edges):
@@ -122,7 +128,7 @@ def test_greedy_optimality():
         perms = list(itertools.permutations(range(1, z.d + 1)))
         points = {perm: greedy_vertex(z, perm) for perm in perms}
         for comp in compositions(z.d):
-            y = comp.representative_direction()
+            y = representative_direction(comp)
             best = max(dot(y, points[perm]) for perm in perms)
             for perm in perms:
                 if perm_refines(perm, comp):
