@@ -11,6 +11,7 @@ inputs up to the "timing" field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -65,7 +66,10 @@ def _positive(kind: str):
     return convert
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state
+    on it, so every `run` shares it."""
     parser = argparse.ArgumentParser(
         prog="gpcount",
         description="Exact counting polynomials and reciprocity checks for "

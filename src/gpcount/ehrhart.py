@@ -8,11 +8,19 @@ Rows are rescaled to integer coefficients once per polytope, on first use.
 On integer points the t-th dilate is then one integer system of
 `a . x <= b` rows: a strict row lowers its bound by one and an equality
 becomes two opposite rows.  Rows involving a single coordinate are folded
-into the axis ranges.  Counting then scans only the first d - 1 coordinates
-of the folded box: over each such prefix every row bounds the last
-coordinate, so the points over it form one integer interval, read off by
-floor division (Beck-Robins, *Computing the Continuous Discretely*).  A count
-scanning more than `SCAN_BUDGET` prefixes is refused before it starts.
+into the axis ranges.  The scan then fixes one coordinate at a time, in
+order.  At coordinate j each row `a . x <= b` bounds `a_j x_j` by what the
+fixed prefix leaves of b, less the least the later coordinates can add over
+their ranges.  Every point of the dilate meets that bound, so no point is
+lost, and a prefix whose range for x_j is empty is dropped there.  At the
+last coordinate nothing is left to add, so the points over each prefix form
+one integer interval, read off by floor division (Beck-Robins, *Computing the
+Continuous Discretely*).  The coordinates after the last one any row involves
+are free, so a count multiplies their widths and scans only the coordinates
+before them; a box with no row left after folding is one product.  A count
+whose folded box has more than `SCAN_BUDGET` prefixes of the last coordinate
+is refused before it starts, and a reciprocity check is refused before its
+first count when its largest dilate would be.
 
 A full-dimensional fan is a list of closed cones (homogeneous non-strict
 rows), compiled to integer rows once per fan, on first use.  The
@@ -27,13 +35,11 @@ the cones do not form a complete fan and is a hard error.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor, gcd, lcm, prod
-from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, IncompleteFanError, InputFormatError
@@ -196,6 +202,19 @@ def _check_budget(ranges, what: str, t: int) -> None:
             f"scanning {size} {what} at t={t} exceeds the budget of {SCAN_BUDGET}")
 
 
+def _scan_frame(poly: HPolytope, t: int, points: bool):
+    """`_dilate_frame` of the t-dilate, refused before any scan when the scan
+    exceeds `SCAN_BUDGET`: a scan of every point (`points`) is bounded by the
+    folded box, a count by the prefixes of the last coordinate."""
+    ranges, rows = _dilate_frame(poly, t)
+    if ranges is not None:
+        if points:
+            _check_budget(ranges, "box points", t)
+        else:
+            _check_budget(ranges[:-1], "prefixes of the last coordinate", t)
+    return ranges, rows
+
+
 def _intervals(ranges, rows) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """The integer points of a dilate, given by its `_dilate_frame`, as runs
     along the last coordinate: `(prefix, lo, hi)` for each prefix
@@ -203,50 +222,95 @@ def _intervals(ranges, rows) -> Iterator[tuple[tuple[int, ...], int, int]]:
     `prefix + (x_d,)` with `lo <= x_d <= hi` are exactly the dilate's points
     over that prefix.  Prefixes over which the dilate is empty are skipped.
 
-    Each row `a . x <= bound` leaves `a_d x_d <= rest = bound - a[:-1] . prefix`,
-    which lowers `hi` to `floor(rest / a_d)` when `a_d > 0`, raises `lo` to
-    `ceil(rest / a_d)` when `a_d < 0`, and empties the prefix when `a_d = 0`
-    and `rest < 0`."""
-    *head, (first, last) = ranges
-    rows = [(a[:-1], a[-1], bound) for a, bound in rows]
-    for prefix in itertools.product(*[range(lo, hi + 1) for lo, hi in head]):
-        lo, hi = first, last
-        for a, c, bound in rows:
-            rest = bound - sum(map(mul, a, prefix))
+    The scan fixes one coordinate at a time.  At coordinate j a row
+    `a . x <= bound` with `a_j != 0` leaves
+    `a_j x_j <= rest - slack_j`, where `rest = bound - a[:j] . prefix` and
+    `slack_j = sum_{k > j} min(a_k lo_k, a_k hi_k)` over the ranges is the
+    least the later coordinates can add; this holds at every point of the
+    dilate over the prefix, so no point is lost.  It lowers `hi` to
+    `floor((rest - slack_j) / a_j)` when `a_j > 0` and raises `lo` to the
+    ceiling when `a_j < 0`; an empty range drops the prefix.  A value of x_j
+    in range keeps `rest >= slack_j` for the next coordinate, so a row needs
+    no test where its coefficient is zero.  Past the last nonzero coefficient
+    of a row its slack is 0, so at the last coordinate the bounds are exact
+    and `(lo, hi)` is the whole run."""
+    last = len(ranges) - 1
+    bounds = [[] for _ in ranges]  # coordinate j -> (row, a_j, slack_j) where a_j != 0
+    for r, (a, _bound) in enumerate(rows):
+        slack = 0
+        for j in range(last, -1, -1):
+            c = a[j]
+            if c:
+                bounds[j].append((r, c, slack))
+                lo, hi = ranges[j]
+                slack += min(c * lo, c * hi)
+    rest = [bound for _a, bound in rows]
+
+    def scan(j, prefix):
+        lo, hi = ranges[j]
+        touched = bounds[j]
+        for r, c, slack in touched:
+            room = rest[r] - slack
             if c > 0:
-                hi = min(hi, rest // c)
-            elif c < 0:
-                lo = max(lo, -(rest // -c))
-            elif rest < 0:
-                break
-            if lo > hi:
-                break
-        else:
+                hi = min(hi, room // c)
+            else:
+                lo = max(lo, -(room // -c))
+        if lo > hi:
+            return
+        if j == last:
             yield prefix, lo, hi
+            return
+        for r, c, _slack in touched:
+            rest[r] -= c * lo
+        for x in range(lo, hi + 1):
+            yield from scan(j + 1, prefix + (x,))
+            for r, c, _slack in touched:
+                rest[r] -= c
+        for r, c, _slack in touched:
+            rest[r] += c * (hi + 1)
+
+    yield from scan(0, ())
 
 
 def _lattice_points(poly: HPolytope, t: int) -> Iterator[tuple[int, ...]]:
     """The integer points of the t-dilate in lexicographic order.  Every
     point is visited, so a folded box of more than `SCAN_BUDGET` points is
     refused before the scan starts."""
-    ranges, rows = _dilate_frame(poly, t)
+    ranges, rows = _scan_frame(poly, t, points=True)
     if ranges is None:
         return
-    _check_budget(ranges, "box points", t)
     for prefix, lo, hi in _intervals(ranges, rows):
         for x_d in range(lo, hi + 1):
             yield prefix + (x_d,)
 
 
 def count_lattice(poly: HPolytope, t: int) -> int:
-    """Number of integer points in the t-th dilate.  Only the prefixes of the
-    last coordinate are scanned, so more than `SCAN_BUDGET` of them are
-    refused before the scan starts."""
-    ranges, rows = _dilate_frame(poly, t)
+    """Number of integer points in the t-th dilate.  More than `SCAN_BUDGET`
+    prefixes of the last coordinate are refused before the scan starts.
+
+    The coordinates after the last one any row involves are free: each adds
+    a factor, its width.  Only the coordinates up to that one are scanned,
+    so a box is a product."""
+    ranges, rows = _scan_frame(poly, t, points=False)
     if ranges is None:
         return 0
-    _check_budget(ranges[:-1], "prefixes of the last coordinate", t)
-    return sum(hi - lo + 1 for _prefix, lo, hi in _intervals(ranges, rows))
+    stop = max((j + 1 for a, _bound in rows for j, c in enumerate(a) if c), default=0)
+    free = prod(hi - lo + 1 for lo, hi in ranges[stop:])
+    if not stop:
+        return free
+    return free * sum(hi - lo + 1 for _prefix, lo, hi in _intervals(ranges[:stop], rows))
+
+
+def _check_largest_dilates(fitted: HPolytope, degree: int, period: int,
+                           checked: HPolytope, t_max: int, points: bool) -> None:
+    """Apply the scan budget, before any count, to the largest dilates a
+    reciprocity check counts: `fitted` at the fit's last node
+    `(degree + 2) * period` and `checked` at `t_max`.  A declaration the fit
+    rejects before counting (degree < 0 or period < 1) is left to the fit."""
+    if degree >= 0 and period >= 1:
+        _scan_frame(fitted, (degree + 2) * period, points)
+    if t_max >= 1:
+        _scan_frame(checked, t_max, points)
 
 
 def ehrhart_quasipoly(poly: HPolytope, degree: int, period: int) -> QuasiPolynomial:
@@ -266,9 +330,12 @@ def em_reciprocity_check(poly: HPolytope, degree: int, period: int,
     The closed description must be irredundant and state each implicit
     equality as an equality row or a pair of opposite rows (caller
     responsibility), so the relative interior is exactly `poly.interior()`.
+    The largest dilates it counts, the fit's last node and t_max, are held
+    to the scan budget before the first count.
     """
-    qp = ehrhart_quasipoly(poly, degree, period)
     open_poly = poly.interior()
+    _check_largest_dilates(poly, degree, period, open_poly, t_max, points=False)
+    qp = ehrhart_quasipoly(poly, degree, period)
     sign = (-1) ** degree
     report = Report()
     for t in range(1, t_max + 1):
@@ -382,11 +449,14 @@ def pruned_reciprocity_check(poly: HPolytope, fan: FullDimFan, degree: int,
     The identity is stated for full-dimensional polytopes, so a polytope
     whose interior keeps an equality row with a nonzero coefficient (written
     as `=` or as two opposite rows) is rejected with a `ValueError` before
-    any counting; a zero `=` row constrains no direction."""
+    any counting; a zero `=` row constrains no direction.  The largest
+    dilates it scans, the fit's last node and t_max, are then held to the
+    scan budget before the first count."""
     open_poly = poly.interior()
     if any(rel == "=" and any(a) for a, rel, _ in open_poly.rows):
         raise ValueError("pruned counts need a full-dimensional polytope, "
                          "but this one lies on an equality row")
+    _check_largest_dilates(open_poly, degree, period, poly, t_max, points=True)
     inner = interpolate_quasipoly(
         lambda t: inner_pruned_count(open_poly, fan, t), degree, period)
     sign = (-1) ** degree

@@ -9,10 +9,15 @@ and a vertex id is an index into it.
 A linear direction y is maximized on the face of the points tight on every
 upper level set of y: x(S) = z(S) for each S in the flag of y.  So a face is
 an intersection of tight sets.  ``tight[S]`` is the bitmask of the vertex ids
-v with L * v(S) = L * z(S), read off the subset sums of each scaled vertex,
-and the face of y is the AND of ``tight`` over the prefixes of its level-set
-composition (its blocks of equal value, largest value first).  The chains
-are walked once, in `vertices`, and no linear optimization is needed.
+v with v(S) = z(S), and the face of y is the AND of ``tight`` over the
+prefixes of its level-set composition (its blocks of equal value, largest
+value first).  A vertex's tight sets are closed under union and intersection
+and hold the maximal chain of its greedy order, so a nonempty tight set S
+has an element i with S - i tight: intersect S with that chain.  Hence
+``tight[S]`` is the OR over i in S of ``tight[S - i]`` ANDed with the ids v
+whose scaled coordinate L * v_i is L * (z(S) - z(S - i)), read from the
+vertex ids grouped by coordinate value.  The chains are walked once, in
+`vertices`, and no linear optimization is needed.
 
 The whole composition-to-face map is a DP over chains of subsets.  Prefix
 sets A are taken in increasing numeric order, each with counts of
@@ -46,7 +51,7 @@ from .errors import NotSubmodularError
 from .polynomial import Polynomial, binomial_polynomial, binomial_sum
 from .rational import RatVec, affine_rank, format_rat
 from .report import Report
-from .setfn import SetFn, subset_sums
+from .setfn import SetFn
 
 FACE_ENUM_MAX_D = 6
 
@@ -151,12 +156,16 @@ class GPerm:
                 f"face enumeration is capped at d <= {FACE_ENUM_MAX_D}, got d = {d}")
         full = (1 << d) - 1
         scale, values = _scaled(self.z)
-        tight = [0] * (full + 1)
+        by_value: list[dict[int, int]] = [{} for _ in range(d)]  # i -> L * v_i -> ids
         for vid, v in enumerate(self.vertices):
-            sums = subset_sums([c.numerator * (scale // c.denominator) for c in v])
-            for s in range(full + 1):
-                if sums[s] == values[s]:
-                    tight[s] |= 1 << vid
+            for i, c in enumerate(v):
+                key = c.numerator * (scale // c.denominator)
+                by_value[i][key] = by_value[i].get(key, 0) | 1 << vid
+        tight = [(1 << len(self.vertices)) - 1] + [0] * full
+        for s in range(1, full + 1):
+            for i in _bits(s):
+                prev = s ^ 1 << i
+                tight[s] |= tight[prev] & by_value[i].get(values[s] - values[prev], 0)
         # prefix set -> {(face mask so far, #blocks): compositions of the prefix}
         states: list[dict[tuple[int, int], int]] = [{} for _ in range(full + 1)]
         states[0][(tight[full], 0)] = 1

@@ -267,3 +267,15 @@ def _row_holds(a, rel, b, x, t) -> bool:
     if rel == "<":
         return s < bound
     return s == bound
+
+
+def tight_sets_by_subset_sums(P) -> list[int]:
+    """tight[S]: the mask of the vertex ids v of P with v(S) = z(S), by
+    summing each vertex's coordinates over every subset S in Fraction
+    arithmetic."""
+    tight = [0] * (1 << P.d)
+    for vid, v in enumerate(P.vertices):
+        for s in range(1 << P.d):
+            if sum(c for i, c in enumerate(v) if s >> i & 1) == P.z.values[s]:
+                tight[s] |= 1 << vid
+    return tight

@@ -304,6 +304,38 @@ def test_scan_budget_exit_2(inputs, capsys):
     assert err.startswith("error:") and "budget" in err
 
 
+def test_parser_shared_across_runs(inputs, capsys):
+    # one parser serves every run of a process, bad argv included: each run
+    # gives the exit code, report and stderr of a run with a new parser
+    argvs = [
+        ["chi", "--setfn", inputs["std3"], "--k", "1"],
+        ["chi", "--setfn", inputs["std3"], "--m-max", "0"],
+        ["faces", "--setfn", inputs["std2"]],
+        ["ehrhart", "--poly", inputs["square"], "--bogus"],
+        ["hg-chromatic", "--hg", inputs["running"], "--m", "2"],
+        ["no-such-command"],
+        ["chi", "--setfn", inputs["std3"], "--k", "1"],
+        ["pruned", "--poly", inputs["square"], "--fan", inputs["fan"]],
+    ]
+
+    def outcome(argv):
+        rc, payload, err = invoke(capsys, *argv)
+        if payload is not None:
+            del payload["timing"]
+        return rc, payload, err
+
+    fresh = []
+    for argv in argvs:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    cli.build_parser.cache_clear()
+    shared = [outcome(argv) for argv in argvs]
+    assert cli.build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [rc for rc, _payload, _err in shared] == [0, 2, 0, 2, 0, 2, 0, 0]
+    assert all(err.startswith("usage: gpcount") for rc, _payload, err in shared if rc == 2)
+
+
 def test_jobs_flag_rejected(inputs, capsys):
     rc, payload, _ = invoke(capsys, "chi", "--setfn", inputs["std2"], "--jobs", "4")
     assert rc == 2 and payload is None

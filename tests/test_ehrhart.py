@@ -1,6 +1,8 @@
+import itertools
 import random
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -154,14 +156,58 @@ def last_coordinate_cases(poly):
     return cases
 
 
+def random_sparse_hpolytope(rng, d):
+    """Up to 4 `<=` or `<` rows, each on a random set of at least two of the
+    coordinates, drawn among the first d - 1 for about half of the polytopes
+    (so the last coordinates are free), through an integer point of a box
+    with sides of at most 2 (1 in d = 4, so the oracle scan stays small)."""
+    side = 2 if d < 4 else 1
+    bbox = tuple((lo, lo + rng.randint(0, side)) for lo in (rng.randint(-1, 1) for _ in range(d)))
+    point = [rng.randint(lo, hi) for lo, hi in bbox]
+    coords = range(d - 1) if d > 2 and rng.random() < 0.5 else range(d)
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        a = [Fraction(0)] * d
+        for i in rng.sample(coords, rng.randint(2, len(coords))):
+            a[i] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+        b = sum(c * x for c, x in zip(a, point)) + Fraction(rng.randint(-1, 2), rng.randint(1, 2))
+        rows.append((tuple(a), rng.choice(("<=", "<")), b))
+    return HPolytope(d, tuple(rows), bbox)
+
+
+def scan_cases(poly, t):
+    """Which shortcuts of the coordinate scan the t-dilate offers, read off
+    its folded ranges and rows: no row left after folding (a count is one
+    product), free trailing coordinates (after the last one any row
+    involves), and an inner prefix `(x_1..x_j)`, j < d - 1, of the ranges
+    that some row rules out for every completion in the ranges."""
+    ranges, rows = ehrhart._dilate_frame(poly, t)
+    if ranges is None:
+        return set()
+    if not rows:
+        return {"no row left"}
+    cases = set()
+    if all(a[-1] == 0 for a, _bound in rows):
+        cases.add("free trailing")
+    for j in range(1, poly.d):
+        for a, bound in rows:
+            least = sum(min(c * lo, c * hi) for c, (lo, hi) in zip(a[j:], ranges[j:]))
+            for prefix in itertools.product(*[range(lo, hi + 1) for lo, hi in ranges[:j]]):
+                if sum(c * x for c, x in zip(a, prefix)) + least > bound:
+                    cases.add("inner prefix pruned")
+                    return cases
+    return cases
+
+
 def test_count_lattice_against_brute_force():
     rng = random.Random(53)
     polys = [(random_rational_box(rng) if rng.random() < 0.5
               else random_rational_simplex(rng))[0] for _ in range(12)]
     polys += [random_hpolytope(rng) for _ in range(60)]
     polys += [random_hpolytope(rng, 4) for _ in range(12)]
-    cases, dims = set(), set()
-    for poly in polys:
+    sparse = [random_sparse_hpolytope(rng, rng.randint(2, 4)) for _ in range(30)]
+    cases, dims, shortcuts = set(), set(), set()
+    for poly in polys + sparse:
         dims.add(poly.d)
         for P in (poly, poly.interior()):
             cases |= last_coordinate_cases(P)
@@ -171,9 +217,22 @@ def test_count_lattice_against_brute_force():
                 assert list(_lattice_points(P, t)) == points
                 if not points:
                     cases.add("empty")
-    # the draws reach every branch of the interval scan
+                shortcuts |= scan_cases(P, t)
+    # the draws reach every branch of the interval scan and every shortcut
+    # of the coordinate scan
     assert dims == {1, 2, 3, 4}
     assert cases == {"zero", "positive", "negative", "equality", "strict, |c| > 1", "empty"}
+    assert shortcuts == {"no row left", "free trailing", "inner prefix pruned"}
+
+
+def test_simplex_4_closed_forms():
+    # the closed 4-simplex has binom(t + 4, 4) points in its t-dilate and its
+    # interior binom(t - 1, 4)
+    simplex = standard_simplex(4)
+    open_simplex = simplex.interior()
+    for t in range(1, 41):
+        assert count_lattice(simplex, t) == comb(t + 4, 4)
+        assert count_lattice(open_simplex, t) == comb(t - 1, 4)
 
 
 def test_ehrhart_quasipoly():
@@ -372,6 +431,40 @@ def test_pruned_scan_budget_bounds_box_points(monkeypatch):
     assert count_lattice(wide, 1) == 2 * (10 ** 7 + 1)
     with pytest.raises(BudgetExceededError, match="box points"):
         inner_pruned_count(wide, WHOLE_PLANE, 1)
+
+
+def test_reciprocity_checks_refuse_before_counting(monkeypatch):
+    # each check holds its largest dilates to the budget before its first
+    # count, so an over-budget t_max or fit node is refused with nothing counted
+    counted = []
+    real_count, real_mults = ehrhart.count_lattice, ehrhart._multiplicities
+    monkeypatch.setattr(ehrhart, "count_lattice",
+                        lambda poly, t: counted.append(t) or real_count(poly, t))
+    monkeypatch.setattr(ehrhart, "_multiplicities",
+                        lambda poly, fan, t: counted.append(t) or real_mults(poly, fan, t))
+    # the open 2-simplex has 30 prefixes at t = 30, the closed one 5 at the
+    # fit's last node t = 4
+    simplex = standard_simplex(2)
+    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 29)
+    with pytest.raises(BudgetExceededError, match="30 prefixes of the last coordinate at t=30"):
+        em_reciprocity_check(simplex, 2, 1, 30)
+    assert counted == []
+    # the fit's last node (2 + 2) * 3 = 12: 13 prefixes of the closed square
+    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 12)
+    with pytest.raises(BudgetExceededError, match="13 prefixes of the last coordinate at t=12"):
+        em_reciprocity_check(SQUARE, 2, 3, 1)
+    assert counted == []
+    # the pruned check scans every point: 441 of the closed square at t = 20
+    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 440)
+    with pytest.raises(BudgetExceededError, match="441 box points at t=20"):
+        pruned_reciprocity_check(SQUARE, DIAGONAL_FAN, 2, 1, 20)
+    assert counted == []
+    # at the budget every count runs
+    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 30)
+    assert em_reciprocity_check(simplex, 2, 1, 30)[1].all_pass
+    assert max(counted) == 30
+    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 441)
+    assert pruned_reciprocity_check(SQUARE, DIAGONAL_FAN, 2, 1, 20)[1].all_pass
 
 
 def test_region_decomposition():

@@ -24,6 +24,7 @@ from oracles import (
     face_rank,
     greedy_vertex,
     representative_direction,
+    tight_sets_by_subset_sums,
 )
 
 
@@ -297,6 +298,18 @@ def test_face_map_matches_chain_cut_oracle():
                 assert P.reciprocity_rhs(k, m) == sum(
                     n * comb(m, j) * inside[ids][k]
                     for (ids, j), n in by_blocks.items() if j <= m)
+
+
+def test_tight_sets_match_subset_sum_oracle():
+    # the one-element DP over tight sets against the subset sums of every
+    # vertex, on pi_1..pi_6 and on non-integer z, whose scaled values differ
+    rng = random.Random(59)
+    cases = [standard_perm_setfn(d) for d in range(1, 7)]
+    cases += [non_integer_setfn(rng, max_d=6) for _ in range(6)]
+    assert any(any(v.denominator > 1 for v in z.values) for z in cases)
+    for z in cases:
+        P = GPerm(z)
+        assert P._face_map.tight == tight_sets_by_subset_sums(P)
 
 
 def test_face_map_checks_dimension_against_affine_rank(monkeypatch):
