@@ -106,9 +106,6 @@ class HPolytope:
             rows.append((a, rel, b))
         return HPolytope(self.d, tuple(rows), self.bbox)
 
-    def with_rows(self, extra: Sequence[Row]) -> "HPolytope":
-        return HPolytope(self.d, self.rows + tuple(extra), self.bbox)
-
 
 def _unit_row(d: int, i: int, sign: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(sign if j == i else 0) for j in range(d))
@@ -144,14 +141,6 @@ def standard_simplex(d: int, scale: Fraction = Fraction(1)) -> HPolytope:
     rows = [(_unit_row(d, i, -1), "<=", Fraction(0)) for i in range(d)]
     rows.append((tuple(Fraction(1) for _ in range(d)), "<=", scale))
     return HPolytope(d, tuple(rows), tuple((0, ceil(scale)) for _ in range(d)))
-
-
-def single_point(coords: Sequence[Fraction]) -> HPolytope:
-    coords = tuple(Fraction(c) for c in coords)
-    d = len(coords)
-    rows = tuple((_unit_row(d, i, 1), "=", c) for i, c in enumerate(coords))
-    bbox = tuple((floor(c), ceil(c)) for c in coords)
-    return HPolytope(d, rows, bbox)
 
 
 def _dilate_frame(poly: HPolytope, t: int):
@@ -509,10 +498,6 @@ def hpolytope_from_json(doc: object, *, require_bbox: bool = True) -> HPolytope:
         return HPolytope(d, tuple(rows), bbox)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
-
-
-def fan_to_json(fan: FullDimFan) -> dict:
-    return {"cones": [hpolytope_to_json(c) for c in fan.cones]}
 
 
 def fan_from_json(doc: object) -> FullDimFan:

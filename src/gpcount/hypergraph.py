@@ -204,17 +204,6 @@ def compatible_pairs_count(h: Hypergraph, m: int) -> int:
     return binomial_sum(h._compatible_partitions, m)
 
 
-def hypergraph_to_json(h: Hypergraph, names: Sequence[str] | None = None) -> dict:
-    if names is None:
-        names = [str(i) for i in range(1, h.d + 1)]
-    if len(names) != h.d:
-        raise ValueError("one name per node required")
-    return {
-        "nodes": list(names),
-        "edges": [[names[i - 1] for i in sorted(e)] for e in h.edges],
-    }
-
-
 def hypergraph_from_json(doc: object) -> tuple[Hypergraph, tuple[str, ...]]:
     """Decode {"nodes": [...], "edges": [[...], ...]}; node names are mapped to
     1..d in input order and returned alongside the hypergraph."""

@@ -1,7 +1,7 @@
 """Generalized permutahedra realized from submodular set functions.
 
 Everything below runs on integers.  z is scaled once by the lcm L of its
-denominators.  A chain {i_1} < {i_1, i_2} < ... of the ground set gives its
+denominators (`SetFn.scaled`).  A chain {i_1} < {i_1, i_2} < ... of the ground set gives its
 greedy vertex, coordinate i_j getting the marginal value of i_j on the prefix
 before it; `vertices(z)` is the sorted set of these vertices divided by L,
 and a vertex id is an index into it.
@@ -44,7 +44,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import NotSubmodularError
@@ -54,12 +53,6 @@ from .report import Report
 from .setfn import SetFn
 
 FACE_ENUM_MAX_D = 6
-
-
-def _scaled(z: SetFn) -> tuple[int, list[int]]:
-    """The lcm L of the denominators of z, and the integer values L * z."""
-    scale = lcm(*(v.denominator for v in z.values))
-    return scale, [v.numerator * (scale // v.denominator) for v in z.values]
 
 
 def _greedy_chains(d: int, values: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -78,7 +71,7 @@ def vertices(z: SetFn) -> tuple[RatVec, ...]:
     """Greedy vertices over all chains, deduplicated and sorted lexicographically."""
     if not z.is_submodular:
         raise NotSubmodularError("set function is not submodular")
-    scale, values = _scaled(z)
+    scale, values = z.scaled
     distinct = set(_greedy_chains(z.d, values))
     return tuple(tuple(Fraction(c, scale) for c in v) for v in sorted(distinct))
 
@@ -155,7 +148,7 @@ class GPerm:
             raise ValueError(
                 f"face enumeration is capped at d <= {FACE_ENUM_MAX_D}, got d = {d}")
         full = (1 << d) - 1
-        scale, values = _scaled(self.z)
+        scale, values = self.z.scaled
         by_value: list[dict[int, int]] = [{} for _ in range(d)]  # i -> L * v_i -> ids
         for vid, v in enumerate(self.vertices):
             for i, c in enumerate(v):

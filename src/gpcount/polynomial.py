@@ -1,11 +1,23 @@
 """Exact polynomials and quasipolynomials with rational coefficients, and
-counts written in the binomial basis binom(m, j)."""
+counts written in the binomial basis binom(m, j).
+
+Coefficients and values are exact `Fraction`s, but the work runs on
+integers with one `Fraction` per result.  `interpolate` scales the nodes by
+the lcm s of their denominators (u = s * x) and the values by the lcm q of
+theirs, so Lagrange's formula runs on integer nodes U_i and values Y_i: each
+basis numerator N(u) / (u - U_i), with N(u) = prod_j (u - U_j), comes from
+one synthetic division, and its weight w_i = prod_{j != i} (U_i - U_j) is
+cleared by D = lcm(w_i).  A polynomial is evaluated by Horner's rule on its
+coefficients over their common denominator, at x = p / r as the homogeneous
+sum_k N_k p^k r^(n - k).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cached_property
+from math import comb, lcm, prod
 from typing import Callable, Sequence
 
 from .errors import InterpolationMismatchError
@@ -29,11 +41,24 @@ class Polynomial:
         # -1 for the zero polynomial
         return len(self.coefficients) - 1
 
+    @cached_property
+    def _integer_form(self) -> tuple[tuple[int, ...], int]:
+        """Integer numerators N_k over the lcm of the coefficient denominators."""
+        den = lcm(*(c.denominator for c in self.coefficients))
+        return tuple(c.numerator * (den // c.denominator) for c in self.coefficients), den
+
     def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        """The value at an int or Fraction x = p / r, by Horner's rule on
+        sum_k N_k p^k r^(n - k) over den * r^n."""
+        nums, den = self._integer_form
+        if not nums:
+            return Fraction(0)
+        p, r = x.numerator, x.denominator
+        acc, rpow = nums[-1], 1
+        for n in reversed(nums[:-1]):
+            rpow *= r
+            acc = acc * p + n * rpow
+        return Fraction(acc, den * rpow)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.coefficients, other.coefficients
@@ -69,30 +94,35 @@ def monomial(coefficient, power: int) -> Polynomial:
 def interpolate(points: Sequence[tuple]) -> Polynomial:
     """The unique polynomial of degree < len(points) through the given points.
 
-    Lagrange with exact arithmetic; nodes must be pairwise distinct.
+    Lagrange on the integers u = s * x (see the module docstring); nodes
+    must be pairwise distinct.
     """
     xs = [Fraction(x) for x, _ in points]
     ys = [Fraction(y) for _, y in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
-    n = len(points)
-    total = [Fraction(0)] * n
-    for i in range(n):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                nxt[k] -= c * xs[j]
-                nxt[k + 1] += c
-            basis = nxt
-            denom *= xs[i] - xs[j]
-        scale = ys[i] / denom
-        for k, c in enumerate(basis):
-            total[k] += scale * c
-    return Polynomial(tuple(total))
+    s = lcm(*(x.denominator for x in xs))
+    q = lcm(*(y.denominator for y in ys))
+    us = [x.numerator * (s // x.denominator) for x in xs]
+    node = [1]  # N(u), constant first
+    for u in us:
+        node = [0] + node
+        for k in range(len(node) - 1):
+            node[k] -= u * node[k + 1]
+    weights = [prod(ui - uj for uj in us if uj != ui) for ui in us]
+    den = lcm(*weights)
+    total = [0] * len(us)
+    for ui, w, y in zip(us, weights, ys):
+        scale = y.numerator * (q // y.denominator) * (den // w)
+        carry = 0  # synthetic division of N by (u - U_i), top coefficient first
+        for k in range(len(us) - 1, -1, -1):
+            carry = node[k + 1] + ui * carry
+            total[k] += scale * carry
+    coefficients, spow = [], 1
+    for t in total:
+        coefficients.append(Fraction(t * spow, den * q))
+        spow *= s
+    return Polynomial(tuple(coefficients))
 
 
 def binomial_sum(counts: Sequence[int], m: int) -> int:

@@ -1,9 +1,11 @@
 """Set functions on the subsets of {1, ..., d}.
 
 Subsets are bitmasks (bit i set means element i+1 is in the subset) over a
-dense value table of length 2^d.  The module covers the submodularity test,
-pointwise sums, the coordinate sums of a point over all subsets, and
-reconstruction of a set function from a vertex set by maximizing those sums.
+dense value table of length 2^d.  The module covers the values scaled once
+to integers by the lcm of their denominators, the submodularity test on
+those integers, pointwise sums, the coordinate sums of a point over all
+subsets, and reconstruction of a set function from a vertex set by
+maximizing those sums.
 The greedy vertices of the chains are computed in `permutahedron`.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InputFormatError
@@ -46,9 +49,16 @@ class SetFn:
         return self.values[mask]
 
     @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """The lcm L of the denominators of the values, and the integers L * z."""
+        scale = lcm(*(v.denominator for v in self.values))
+        return scale, tuple(v.numerator * (scale // v.denominator) for v in self.values)
+
+    @cached_property
     def is_submodular(self) -> bool:
-        """Local diminishing-returns criterion over all (A, i, j) with i, j not in A."""
-        v = self.values
+        """Local diminishing-returns criterion over all (A, i, j) with i, j not in
+        A, compared on the integers L * z."""
+        v = self.scaled[1]
         for mask in range(1 << self.d):
             free = [i for i in range(self.d) if not mask >> i & 1]
             for pos, i in enumerate(free):

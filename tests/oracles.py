@@ -10,10 +10,47 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from math import ceil, floor
 
+from gpcount.ehrhart import HPolytope, hpolytope_to_json
 from gpcount.errors import NotSubmodularError
 from gpcount.hypergraph import check_heading
 from gpcount.polynomial import Polynomial, monomial
+
+
+def lagrange(points) -> list[Fraction]:
+    """Coefficients, constant first and untrimmed, of the polynomial of
+    degree < len(points) through the points: each Lagrange basis polynomial
+    is multiplied out one node at a time in `Fraction` arithmetic."""
+    xs = [Fraction(x) for x, _ in points]
+    ys = [Fraction(y) for _, y in points]
+    n = len(points)
+    total = [Fraction(0)] * n
+    for i in range(n):
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j in range(n):
+            if j == i:
+                continue
+            nxt = [Fraction(0)] * (len(basis) + 1)
+            for k, c in enumerate(basis):
+                nxt[k] -= c * xs[j]
+                nxt[k + 1] += c
+            basis = nxt
+            denom *= xs[i] - xs[j]
+        scale = ys[i] / denom
+        for k, c in enumerate(basis):
+            total[k] += scale * c
+    return total
+
+
+def horner(coefficients, x) -> Fraction:
+    """The constant-first polynomial at x, by Horner's rule in `Fraction`
+    arithmetic."""
+    acc = Fraction(0)
+    for c in reversed(coefficients):
+        acc = acc * x + c
+    return acc
 
 
 def submodular_by_definition(z) -> bool:
@@ -279,3 +316,34 @@ def tight_sets_by_subset_sums(P) -> list[int]:
             if sum(c for i, c in enumerate(v) if s >> i & 1) == P.z.values[s]:
                 tight[s] |= 1 << vid
     return tight
+
+
+def with_rows(poly, extra) -> HPolytope:
+    """poly with the rows of extra appended, on the same bbox."""
+    return HPolytope(poly.d, poly.rows + tuple(extra), poly.bbox)
+
+
+def single_point(coords) -> HPolytope:
+    """The point as one equality row per coordinate."""
+    coords = tuple(Fraction(c) for c in coords)
+    d = len(coords)
+    rows = tuple((tuple(Fraction(int(j == i)) for j in range(d)), "=", c)
+                 for i, c in enumerate(coords))
+    return HPolytope(d, rows, tuple((floor(c), ceil(c)) for c in coords))
+
+
+def fan_to_json(fan) -> dict:
+    return {"cones": [hpolytope_to_json(c) for c in fan.cones]}
+
+
+def hypergraph_to_json(h, names=None) -> dict:
+    """The document `hypergraph_from_json` reads: node names default to
+    "1".."d", and each edge lists its names in node order."""
+    if names is None:
+        names = [str(i) for i in range(1, h.d + 1)]
+    if len(names) != h.d:
+        raise ValueError("one name per node required")
+    return {
+        "nodes": list(names),
+        "edges": [[names[i - 1] for i in sorted(e)] for e in h.edges],
+    }

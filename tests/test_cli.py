@@ -10,10 +10,10 @@ import pytest
 
 from gpcount import cli, permutahedron
 from gpcount.cli import run
-from gpcount.ehrhart import fan_to_json, hpolytope_to_json, unit_cube
+from gpcount.ehrhart import hpolytope_to_json, unit_cube
 from gpcount.hypergraph import hypergraph_from_json
 from gpcount.setfn import setfn_to_json, standard_perm_setfn
-from oracles import brute_chromatic_count
+from oracles import brute_chromatic_count, fan_to_json, with_rows
 from test_ehrhart import DIAGONAL_FAN, HUGE_SIMPLEX, OVERLAPPING
 
 PI_6 = str(Path(__file__).resolve().parent.parent / "perfbench" / "docs" / "pi_6.json")
@@ -40,9 +40,9 @@ def inputs(tmp_path):
         "square": write("square.json", hpolytope_to_json(unit_cube(2))),
         "fan": write("fan.json", fan_to_json(DIAGONAL_FAN)),
         "zero_row": write("zero_row.json", hpolytope_to_json(
-            unit_cube(2).with_rows([((0, 0), "<=", 0)]))),
+            with_rows(unit_cube(2), [((0, 0), "<=", 0)]))),
         "zero_eq": write("zero_eq.json", hpolytope_to_json(
-            unit_cube(2).with_rows([((0, 0), "=", 0)]))),
+            with_rows(unit_cube(2), [((0, 0), "=", 0)]))),
         "degenerate": write("degenerate.json", {
             "d": 2,
             "rows": [

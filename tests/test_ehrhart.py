@@ -23,14 +23,12 @@ from gpcount.ehrhart import (
     ehrhart_quasipoly,
     em_reciprocity_check,
     fan_from_json,
-    fan_to_json,
     hpolytope_from_json,
     hpolytope_to_json,
     inner_pruned_count,
     multiplicity,
     normal_fan_of,
     pruned_reciprocity_check,
-    single_point,
     standard_simplex,
     unit_cube,
 )
@@ -42,7 +40,13 @@ from gpcount.generators import (
 from gpcount.permutahedron import GPerm
 from gpcount.polynomial import interpolate_quasipoly
 from gpcount.setfn import standard_perm_setfn
-from oracles import brute_lattice_points, brute_multiplicity
+from oracles import (
+    brute_lattice_points,
+    brute_multiplicity,
+    fan_to_json,
+    single_point,
+    with_rows,
+)
 
 SQUARE = unit_cube(2)
 SEGMENT_HALF = box([(0, Fraction(1, 2))])
@@ -397,7 +401,7 @@ def test_scan_budget(monkeypatch):
     with pytest.raises(BudgetExceededError):
         count_lattice(HUGE_SIMPLEX, 1)
     # single-coordinate rows fold into the ranges before the budget applies
-    folded = HUGE_SIMPLEX.with_rows([(a, "<=", 1) for a, _rel, _b in unit_cube(3).rows[1::2]])
+    folded = with_rows(HUGE_SIMPLEX, [(a, "<=", 1) for a, _rel, _b in unit_cube(3).rows[1::2]])
     assert count_lattice(folded, 1) == 8
     # the budget bounds the prefixes (x1, x2) of the last coordinate: 16 at t = 3
     monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 16)
@@ -477,12 +481,12 @@ def test_region_decomposition():
         open_poly = poly.interior()
         for t in range(1, 4):
             open_total = sum(
-                count_lattice(open_poly.with_rows(
-                    [(a, "<", 0) for a, _rel, _b in cone.rows]), t)
+                count_lattice(with_rows(
+                    open_poly, [(a, "<", 0) for a, _rel, _b in cone.rows]), t)
                 for cone in fan.cones)
             assert inner_pruned_count(open_poly, fan, t) == open_total
             closed_total = sum(
-                count_lattice(poly.with_rows(cone.rows), t)
+                count_lattice(with_rows(poly, cone.rows), t)
                 for cone in fan.cones)
             assert cumulative_pruned_count(poly, fan, t) == closed_total
 

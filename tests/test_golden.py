@@ -1,7 +1,10 @@
 """Golden reports: the stdout of `faces`, of `chi --k k` at every k, and of
 `hg-reciprocity` on three fixed inputs in `tests/golden/` (pi_4, a seeded
-non-integer set function with d = 4, and a 5-node hypergraph), compared byte
-for byte with the committed fixtures there apart from the `timing` value.
+non-integer set function with d = 4, and a 5-node hypergraph), of the fitted
+quasipolynomials of `ehrhart` on a period-6 rational box and a period-3
+rational simplex and of `pruned` on the unit 3-cube against the normal fan
+of pi_3, and of `verify-all --seed 3 --trials 2`, compared byte for byte with
+the committed fixtures there apart from the `timing` value.
 
 A refactor must leave these reports unchanged.  To record an intended
 report change, regenerate the fixtures with
@@ -32,6 +35,13 @@ def _cases() -> dict:
         for k in range(d):
             cases[f"chi_{name}_k{k}"] = ["chi", "--setfn", doc, "--k", str(k)]
     cases["hg_reciprocity_hg_5"] = ["hg-reciprocity", "--hg", str(GOLDEN / "hg_5.json")]
+    for name, period in (("box_q6", 6), ("simplex_q3", 3)):
+        cases[f"ehrhart_{name}"] = ["ehrhart", "--poly", str(GOLDEN / f"{name}.json"),
+                                    "--degree", "3", "--period", str(period), "--t-max", "4"]
+    cases["pruned_cube_3_pi_3"] = ["pruned", "--poly", str(GOLDEN / "cube_3.json"),
+                                   "--setfn", str(GOLDEN / "pi_3.json"), "--degree", "3",
+                                   "--period", "1", "--t-max", "3"]
+    cases["verify_all_seed_3"] = ["verify-all", "--seed", "3", "--trials", "2"]
     return cases
 
 

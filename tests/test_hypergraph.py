@@ -17,7 +17,6 @@ from gpcount.hypergraph import (
     chromatic_polynomial,
     compatible_pairs_count,
     hypergraph_from_json,
-    hypergraph_to_json,
     hypergraphic_setfn,
     indegree_vector,
     vertices_via_headings,
@@ -28,6 +27,7 @@ from oracles import (
     brute_chromatic_count,
     brute_compatible_pairs,
     chromatic_poly_deletion_contraction,
+    hypergraph_to_json,
     is_compatible,
     is_proper,
 )

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gpcount.errors import InterpolationMismatchError
@@ -15,6 +15,7 @@ from gpcount.polynomial import (
     interpolate_quasipoly,
     monomial,
 )
+from oracles import horner, lagrange
 
 
 def test_polynomial_basics():
@@ -70,6 +71,33 @@ def test_interpolation_round_trip(cs):
     p = Polynomial(tuple(cs))
     nodes = [(m, p(m)) for m in range(1, len(cs) + 1)]
     assert interpolate(nodes) == p
+
+
+rationals = st.fractions(min_value=-12, max_value=12, max_denominator=7)
+
+
+def point_sets(node):
+    return st.lists(st.tuples(node, rationals), max_size=8, unique_by=lambda p: p[0])
+
+
+@given(st.one_of(point_sets(st.integers(-12, 12)), point_sets(rationals)))
+@example([])
+@example([(Fraction(-5, 3), Fraction(2, 7))])
+@example([(-3, Fraction(1, 2)), (Fraction(-1, 6), 0), (Fraction(5, 4), Fraction(-7, 3))])
+def test_interpolate_matches_lagrange(points):
+    p = interpolate(points)
+    assert all(type(c) is Fraction for c in p.coefficients)
+    want = lagrange(points)
+    assert list(p.coefficients) + [Fraction(0)] * (len(want) - len(p.coefficients)) == want
+
+
+@given(st.lists(rationals, max_size=8), st.one_of(st.integers(-30, 30), rationals))
+@example([], 5)
+@example([], Fraction(-2, 7))
+def test_evaluation_matches_horner(cs, x):
+    value = Polynomial(tuple(cs))(x)
+    assert type(value) is Fraction
+    assert value == horner(cs, x)
 
 
 @given(st.lists(st.integers(-20, 20), max_size=7), st.integers(1, 12))

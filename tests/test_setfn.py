@@ -73,12 +73,22 @@ def test_local_criterion_matches_definition():
     for _ in range(200):
         d = rng.randint(2, 4)
         values = (0,) + tuple(
-            Fraction(rng.randint(-4, 8), rng.choice([1, 1, 2]))
+            Fraction(rng.randint(-4, 8), rng.choice([1, 1, 2, 3, 4, 5, 6, 7]))
             for _ in range((1 << d) - 1))
         z = SetFn(d, values)
         assert z.is_submodular == submodular_by_definition(z)
         verdicts.add(z.is_submodular)
     assert verdicts == {True, False}  # the sample exercises both branches
+
+
+def test_scaled():
+    z = SetFn(2, (0, Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)))
+    assert z.scaled == (12, (0, 6, 8, 9))
+    assert z.is_submodular  # 6 + 8 >= 9 + 0 on the integers
+    assert SetFn(2, (0, Fraction(1, 2), Fraction(2, 3), Fraction(7, 6))).is_submodular  # 7 >= 7
+    assert not SetFn(2, (0, Fraction(1, 2), Fraction(2, 3), Fraction(4, 3))).is_submodular
+    assert standard_perm_setfn(2).scaled == (1, (0, 2, 2, 3))
+    assert SetFn(1, (0, Fraction(-3, 4))).scaled == (4, (0, -3))
 
 
 def test_greedy_vertex_examples():
