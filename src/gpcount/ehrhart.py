@@ -39,13 +39,13 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, gcd, lcm, prod
+from math import ceil, floor, gcd, prod
 from typing import Iterator, Sequence
 
 from .errors import BudgetExceededError, IncompleteFanError, InputFormatError
 from .permutahedron import GPerm
 from .polynomial import QuasiPolynomial, interpolate_quasipoly
-from .rational import format_rat, rat_from_json
+from .rational import rat_from_json, to_integers
 from .report import Report
 
 RELATIONS = ("<=", "<", "=")
@@ -85,8 +85,8 @@ class HPolytope:
         """The rows rescaled to integer coefficients."""
         out = []
         for a, rel, b in self.rows:
-            mult = lcm(b.denominator, *(c.denominator for c in a))
-            out.append((tuple(int(c * mult) for c in a), rel, int(b * mult)))
+            *ia, ib = to_integers((*a, b))[1]
+            out.append((tuple(ia), rel, ib))
         return tuple(out)
 
     def interior(self) -> "HPolytope":
@@ -453,18 +453,6 @@ def pruned_reciprocity_check(poly: HPolytope, fan: FullDimFan, degree: int,
     for t in range(1, t_max + 1):
         report.check(f"t={t}", sign * inner(-t), cumulative_pruned_count(poly, fan, t))
     return inner, report
-
-
-def _row_to_json(row: Row) -> dict:
-    a, rel, b = row
-    return {"a": [format_rat(c) for c in a], "rel": rel, "b": format_rat(b)}
-
-
-def hpolytope_to_json(poly: HPolytope) -> dict:
-    doc = {"d": poly.d, "rows": [_row_to_json(r) for r in poly.rows]}
-    if poly.bbox is not None:
-        doc["bbox"] = [[lo, hi] for lo, hi in poly.bbox]
-    return doc
 
 
 def hpolytope_from_json(doc: object, *, require_bbox: bool = True) -> HPolytope:

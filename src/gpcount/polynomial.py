@@ -21,7 +21,7 @@ from math import comb, lcm, prod
 from typing import Callable, Sequence
 
 from .errors import InterpolationMismatchError
-from .rational import format_rat
+from .rational import format_rat, to_integers
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,11 @@ class Polynomial:
     coefficients: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+        coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in self.coefficients]
+        n = len(coeffs)
+        while n and not coeffs[n - 1]:
+            n -= 1
+        object.__setattr__(self, "coefficients", tuple(coeffs[:n]))
 
     @property
     def degree(self) -> int:
@@ -42,15 +43,15 @@ class Polynomial:
         return len(self.coefficients) - 1
 
     @cached_property
-    def _integer_form(self) -> tuple[tuple[int, ...], int]:
-        """Integer numerators N_k over the lcm of the coefficient denominators."""
-        den = lcm(*(c.denominator for c in self.coefficients))
-        return tuple(c.numerator * (den // c.denominator) for c in self.coefficients), den
+    def _integer_form(self) -> tuple[int, tuple[int, ...]]:
+        """The lcm of the coefficient denominators, and the integer numerators
+        N_k over it."""
+        return to_integers(self.coefficients)
 
     def __call__(self, x) -> Fraction:
         """The value at an int or Fraction x = p / r, by Horner's rule on
         sum_k N_k p^k r^(n - k) over den * r^n."""
-        nums, den = self._integer_form
+        den, nums = self._integer_form
         if not nums:
             return Fraction(0)
         p, r = x.numerator, x.denominator
@@ -60,35 +61,10 @@ class Polynomial:
             acc = acc * p + n * rpow
         return Fraction(acc, den * rpow)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        return Polynomial(tuple(c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)))
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coefficients))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self.coefficients or not other.coefficients:
-            return Polynomial(())
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return Polynomial(tuple(out))
-
     def to_json(self) -> list[str]:
         if not self.coefficients:
             return ["0"]
         return [format_rat(c) for c in self.coefficients]
-
-
-def monomial(coefficient, power: int) -> Polynomial:
-    return Polynomial((Fraction(0),) * power + (Fraction(coefficient),))
 
 
 def interpolate(points: Sequence[tuple]) -> Polynomial:
@@ -97,13 +73,10 @@ def interpolate(points: Sequence[tuple]) -> Polynomial:
     Lagrange on the integers u = s * x (see the module docstring); nodes
     must be pairwise distinct.
     """
-    xs = [Fraction(x) for x, _ in points]
-    ys = [Fraction(y) for _, y in points]
-    if len(set(xs)) != len(xs):
+    s, us = to_integers(x for x, _ in points)
+    q, ys = to_integers(y for _, y in points)
+    if len(set(us)) != len(us):
         raise ValueError("interpolation nodes must be distinct")
-    s = lcm(*(x.denominator for x in xs))
-    q = lcm(*(y.denominator for y in ys))
-    us = [x.numerator * (s // x.denominator) for x in xs]
     node = [1]  # N(u), constant first
     for u in us:
         node = [0] + node
@@ -113,7 +86,7 @@ def interpolate(points: Sequence[tuple]) -> Polynomial:
     den = lcm(*weights)
     total = [0] * len(us)
     for ui, w, y in zip(us, weights, ys):
-        scale = y.numerator * (q // y.denominator) * (den // w)
+        scale = y * (den // w)
         carry = 0  # synthetic division of N by (u - U_i), top coefficient first
         for k in range(len(us) - 1, -1, -1):
             carry = node[k + 1] + ui * carry
@@ -162,10 +135,6 @@ class QuasiPolynomial:
 
     def __call__(self, t: int) -> Fraction:
         return self.constituents[t % self.period](t)
-
-    @property
-    def degree(self) -> int:
-        return max(c.degree for c in self.constituents)
 
     def to_json(self) -> dict:
         return {

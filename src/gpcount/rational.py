@@ -4,6 +4,8 @@ Every coordinate, set-function value, and polynomial coefficient in this
 package is a `fractions.Fraction`; floats never appear.  Text form is the
 rational literal: optional sign, integer, optionally "/" and a positive
 integer ("3", "-2", "3/4").  Decimal notation is rejected on purpose.
+The counting cores run on integers: `to_integers` scales a list of
+rationals by the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Iterable, Sequence
 
 from .errors import InputFormatError
 
-Rat = Fraction
 RatVec = tuple[Fraction, ...]
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
@@ -51,27 +52,23 @@ def format_rat(value: Fraction | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def ratvec(coords: Iterable) -> RatVec:
-    return tuple(Fraction(c) for c in coords)
-
-
-def dot(u: Sequence, v: Sequence) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError("vector length mismatch")
-    total = 0
-    for a, b in zip(u, v):
-        total += a * b
-    return Fraction(total)
+def to_integers(values: Iterable) -> tuple[int, tuple[int, ...]]:
+    """The lcm L of the denominators of ``values`` (ints or Fractions; 1 when
+    there are none), and the integers L * v."""
+    values = tuple(values)
+    scale = lcm(*(v.denominator for v in values))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     """Dimension of the affine hull of ``points`` (0 for a single point).
 
-    Fraction-free: the points are scaled by the lcm of their denominators,
-    and each integer difference vector against the first point is reduced
-    against an echelon basis of at most d rows, each divided by the gcd of
-    its entries.  Every basis row vanishes at the pivot columns of the rows
-    before it, so a vector is in their span exactly when it reduces to zero.
+    Fraction-free: the points are scaled by one lcm of all their
+    denominators, and each integer difference vector against the first
+    point is reduced against an echelon basis of at most d rows, each
+    divided by the gcd of its entries.  Every basis row vanishes at the
+    pivot columns of the rows before it, so a vector is in their span
+    exactly when it reduces to zero.
     Coordinates may be ints or Fractions.
     """
     if not points:
@@ -79,8 +76,8 @@ def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     d = len(points[0])
     if any(len(p) != d for p in points):
         raise ValueError("points of mixed length")
-    scale = lcm(*(c.denominator for p in points for c in p))
-    rows = [[c.numerator * (scale // c.denominator) for c in p] for p in points]
+    flat = to_integers(c for p in points for c in p)[1]
+    rows = [flat[i:i + d] for i in range(0, len(flat), d)]
     base = rows[0]
     basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
     for p in rows[1:]:

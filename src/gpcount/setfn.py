@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InputFormatError
-from .rational import format_rat, rat_from_json
+from .rational import format_rat, rat_from_json, to_integers
 
 MAX_GROUND_SET = 8
 
@@ -37,22 +36,10 @@ class SetFn:
             raise ValueError("the empty set must map to 0")
         object.__setattr__(self, "values", values)
 
-    def value(self, mask: int) -> Fraction:
-        return self.values[mask]
-
-    def of_set(self, subset: Iterable[int]) -> Fraction:
-        mask = 0
-        for i in subset:
-            if not 1 <= i <= self.d:
-                raise ValueError(f"element {i} outside 1..{self.d}")
-            mask |= 1 << (i - 1)
-        return self.values[mask]
-
     @cached_property
     def scaled(self) -> tuple[int, tuple[int, ...]]:
         """The lcm L of the denominators of the values, and the integers L * z."""
-        scale = lcm(*(v.denominator for v in self.values))
-        return scale, tuple(v.numerator * (scale // v.denominator) for v in self.values)
+        return to_integers(self.values)
 
     @cached_property
     def is_submodular(self) -> bool:
@@ -79,8 +66,7 @@ def check_ground_set(d: int) -> None:
 def standard_perm_setfn(d: int) -> SetFn:
     """z(A) = d + (d-1) + ... + (d-|A|+1), the base function whose polytope is
     the convex hull of the permutations of (1, ..., d)."""
-    if not 1 <= d <= MAX_GROUND_SET:
-        raise ValueError(f"d must be in 1..{MAX_GROUND_SET}")
+    check_ground_set(d)
     values = []
     for mask in range(1 << d):
         k = mask.bit_count()
@@ -95,23 +81,23 @@ def setfn_sum(z1: SetFn, z2: SetFn) -> SetFn:
 
 
 def setfn_from_vertices(vertex_set: Iterable[Sequence[Fraction]]) -> SetFn:
-    """Reconstruct z(A) = max over the vertex set of the coordinate sum on A."""
-    pts = [tuple(Fraction(c) for c in v) for v in vertex_set]
+    """Reconstruct z(A) = max over the vertex set of the coordinate sum on A,
+    from the subset sums of the vertices scaled to integers by one lcm L."""
+    pts = list(vertex_set)
     if not pts:
         raise ValueError("need at least one vertex")
     d = len(pts[0])
     if any(len(p) != d for p in pts):
         raise ValueError("vertices of mixed length")
-    total = sum(pts[0])
-    if any(sum(p) != total for p in pts):
+    scale, flat = to_integers(c for p in pts for c in p)
+    rows = [flat[i:i + d] for i in range(0, len(flat), d)]
+    total = sum(rows[0])
+    if any(sum(p) != total for p in rows):
         raise ValueError("vertices do not share a coordinate sum")
-    if all(c.denominator == 1 for p in pts for c in p):
-        # integer fast path; subset sums stay exact either way
-        pts = [tuple(int(c) for c in p) for p in pts]
-    best = subset_sums(pts[0])
-    for p in pts[1:]:
+    best = subset_sums(rows[0])
+    for p in rows[1:]:
         best = list(map(max, best, subset_sums(p)))
-    return SetFn(d, tuple(Fraction(b) for b in best))
+    return SetFn(d, tuple(Fraction(b, scale) for b in best))
 
 
 def subset_sums(p: Sequence) -> list:

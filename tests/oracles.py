@@ -12,10 +12,11 @@ from collections import Counter
 from fractions import Fraction
 from math import ceil, floor
 
-from gpcount.ehrhart import HPolytope, hpolytope_to_json
+from gpcount.ehrhart import HPolytope
 from gpcount.errors import NotSubmodularError
 from gpcount.hypergraph import check_heading
-from gpcount.polynomial import Polynomial, monomial
+from gpcount.polynomial import Polynomial
+from gpcount.rational import format_rat
 
 
 def lagrange(points) -> list[Fraction]:
@@ -129,17 +130,18 @@ def chromatic_poly_deletion_contraction(num_nodes: int, edge_list) -> Polynomial
     to check the hypergraph polynomial on graphs.
     """
 
-    def rec(nodes, edges):
+    def rec(nodes, edges) -> list[int]:  # coefficients, constant first
         if not edges:
-            return monomial(Fraction(1), len(nodes))
+            return [0] * len(nodes) + [1]
         (u, v), rest = edges[0], edges[1:]
         if u == v:
-            return Polynomial(())
+            return []
         merged = tuple((u if a == v else a, u if b == v else b) for a, b in rest)
-        return rec(nodes, rest) - rec(nodes - {v}, merged)
+        return [a - b for a, b in itertools.zip_longest(
+            rec(nodes, rest), rec(nodes - {v}, merged), fillvalue=0)]
 
     edges = tuple(tuple(sorted(e)) for e in edge_list)
-    return rec(frozenset(range(1, num_nodes + 1)), edges)
+    return Polynomial(tuple(rec(frozenset(range(1, num_nodes + 1)), edges)))
 
 
 def _check_perm(d: int, perm) -> None:
@@ -330,6 +332,19 @@ def single_point(coords) -> HPolytope:
     rows = tuple((tuple(Fraction(int(j == i)) for j in range(d)), "=", c)
                  for i, c in enumerate(coords))
     return HPolytope(d, rows, tuple((floor(c), ceil(c)) for c in coords))
+
+
+def _row_to_json(row) -> dict:
+    a, rel, b = row
+    return {"a": [format_rat(c) for c in a], "rel": rel, "b": format_rat(b)}
+
+
+def hpolytope_to_json(poly: HPolytope) -> dict:
+    """The document `hpolytope_from_json` reads."""
+    doc = {"d": poly.d, "rows": [_row_to_json(r) for r in poly.rows]}
+    if poly.bbox is not None:
+        doc["bbox"] = [[lo, hi] for lo, hi in poly.bbox]
+    return doc
 
 
 def fan_to_json(fan) -> dict:

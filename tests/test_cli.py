@@ -10,10 +10,10 @@ import pytest
 
 from gpcount import cli, permutahedron
 from gpcount.cli import run
-from gpcount.ehrhart import hpolytope_to_json, unit_cube
+from gpcount.ehrhart import unit_cube
 from gpcount.hypergraph import hypergraph_from_json
 from gpcount.setfn import setfn_to_json, standard_perm_setfn
-from oracles import brute_chromatic_count, fan_to_json, with_rows
+from oracles import brute_chromatic_count, fan_to_json, hpolytope_to_json, with_rows
 from test_ehrhart import DIAGONAL_FAN, HUGE_SIMPLEX, OVERLAPPING
 
 PI_6 = str(Path(__file__).resolve().parent.parent / "perfbench" / "docs" / "pi_6.json")

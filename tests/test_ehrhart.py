@@ -24,7 +24,6 @@ from gpcount.ehrhart import (
     em_reciprocity_check,
     fan_from_json,
     hpolytope_from_json,
-    hpolytope_to_json,
     inner_pruned_count,
     multiplicity,
     normal_fan_of,
@@ -44,6 +43,7 @@ from oracles import (
     brute_lattice_points,
     brute_multiplicity,
     fan_to_json,
+    hpolytope_to_json,
     single_point,
     with_rows,
 )

@@ -57,10 +57,10 @@ def test_hypergraphic_setfn():
     empty = hypergraphic_setfn(hg(2))
     assert empty.values == (0, 0, 0, 0)
     z = hypergraphic_setfn(RUNNING)
-    assert z.of_set([2]) == 4
-    assert z.of_set([1]) == 3
-    assert z.of_set([1, 3]) == 5
-    assert z.of_set([1, 2, 3]) == 6
+    assert z.values[0b010] == 4
+    assert z.values[0b001] == 3
+    assert z.values[0b101] == 5
+    assert z.values[0b111] == 6
     assert z.is_submodular
 
 

@@ -12,7 +12,6 @@ from gpcount.errors import NotSubmodularError
 from gpcount.generators import random_hypergraphic_setfn
 from gpcount.hypergraph import Hypergraph, hypergraphic_setfn
 from gpcount.permutahedron import Face, GPerm, face_lattice_to_json, vertices
-from gpcount.rational import ratvec
 from gpcount.report import Report
 from gpcount.setfn import SetFn, setfn_sum, standard_perm_setfn
 from oracles import (
@@ -39,14 +38,15 @@ def point_gp(d):
 def test_composition_of_direction():
     # ties and rational values: the face depends only on the level sets
     P = perm_gp(3)
+    rational = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 2))
     cases = [((5, 5, 2), ((1, 2), (3,))), ((1, 2, 3), ((3,), (2,), (1,))),
-             ((2, 2, 2), ((1, 2, 3),)), (ratvec(["1/2", "1/3", "1/2"]), ((1, 3), (2,)))]
+             ((2, 2, 2), ((1, 2, 3),)), (rational, ((1, 3), (2,)))]
     for y, blocks in cases:
         face = P.face_of_direction(y)
         assert face == P.face_of_direction(representative_direction(blocks))
         assert (face.vertex_ids, face.dim) == argmax_face(P, blocks)
     assert P.face_of_direction((5, 5, 2)).dim == 1
-    assert P.face_of_direction(ratvec(["1/2", "1/3", "1/2"])).dim == 1
+    assert P.face_of_direction(rational).dim == 1
 
 
 def test_composition_counts():

@@ -13,7 +13,6 @@ from gpcount.polynomial import (
     binomial_sum,
     interpolate,
     interpolate_quasipoly,
-    monomial,
 )
 from oracles import horner, lagrange
 
@@ -35,20 +34,11 @@ def test_trailing_zeros_trimmed():
     assert zero.coefficients == ()
     assert zero.degree == -1
     assert zero(17) == 0
-
-
-def test_arithmetic():
-    p = monomial(1, 2)   # t^2
-    q = monomial(2, 1)   # 2t
-    assert (p + q)(3) == 15
-    assert (p - p).degree == -1
-    assert (p * q)(2) == 16
-    assert (-q)(5) == -10
-
-
-def test_monomial():
-    assert monomial(Fraction(3, 2), 0)(7) == Fraction(3, 2)
-    assert monomial(1, 3)(2) == 8
+    # int coefficients become Fractions, trimmed the same way
+    ints = Polynomial((3, 0, -2, 0, 0))
+    assert ints.coefficients == (3, 0, -2)
+    assert all(type(c) is Fraction for c in ints.coefficients)
+    assert ints(2) == -5
 
 
 def test_interpolate_exact():
@@ -130,7 +120,6 @@ def test_quasipolynomial_eval():
     # negative arguments pick the nonnegative residue: -3 = 1 mod 2
     assert q(-3) == -1
     assert q(-4) == -1
-    assert q.degree == 1
     assert q.to_json() == {"period": 2, "constituents": [["1", "1/2"], ["1/2", "1/2"]]}
 
 

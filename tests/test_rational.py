@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gpcount.permutahedron import vertices
-from gpcount.rational import affine_rank, dot, format_rat, parse_rat, ratvec
+from gpcount.rational import affine_rank, format_rat, parse_rat, to_integers
 from gpcount.setfn import standard_perm_setfn
 from oracles import _rank
 
@@ -42,11 +42,12 @@ def test_literal_round_trip(q):
     assert parse_rat(format_rat(q)) == q
 
 
-def test_dot():
-    assert dot((1, 2), (3, 4)) == 11
-    assert dot(ratvec(["1/2", "1/3"]), (2, 3)) == 2
-    with pytest.raises(ValueError):
-        dot((1, 2), (1, 2, 3))
+def test_to_integers():
+    assert to_integers([1, Fraction(1, 4), Fraction(1, 6)]) == (12, (12, 3, 2))
+    assert to_integers([Fraction(-3, 4), -2, Fraction(5, 6)]) == (12, (-9, -24, 10))
+    assert to_integers([Fraction(6, 4), 0]) == (2, (3, 0))
+    assert to_integers(iter([3, -7])) == (1, (3, -7))
+    assert to_integers([]) == (1, ())
 
 
 def test_affine_rank_examples():
@@ -54,7 +55,7 @@ def test_affine_rank_examples():
     assert affine_rank([(Fraction(1), Fraction(2)), (Fraction(2), Fraction(1))]) == 1
     perms = [
         (3, 2, 1), (3, 1, 2), (2, 3, 1), (1, 3, 2), (2, 1, 3), (1, 2, 3)]
-    assert affine_rank([ratvec(p) for p in perms]) == 2
+    assert affine_rank([tuple(map(Fraction, p)) for p in perms]) == 2
 
 
 def test_affine_rank_degenerate():
@@ -62,7 +63,8 @@ def test_affine_rank_degenerate():
     p = (Fraction(1), Fraction(1))
     assert affine_rank([p, p, p]) == 0
     # collinear rational points
-    pts = [ratvec(["0", "0"]), ratvec(["1/2", "1/3"]), ratvec(["3/2", "1"])]
+    pts = [(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1, 3)),
+           (Fraction(3, 2), Fraction(1))]
     assert affine_rank(pts) == 1
     with pytest.raises(ValueError):
         affine_rank([])

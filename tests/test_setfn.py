@@ -8,7 +8,6 @@ from gpcount.errors import InputFormatError, NotSubmodularError
 from gpcount.generators import random_hypergraphic_setfn
 from gpcount.hypergraph import Hypergraph, hypergraphic_setfn
 from gpcount.permutahedron import vertices
-from gpcount.rational import dot
 from gpcount.setfn import (
     SetFn,
     setfn_from_json,
@@ -26,6 +25,10 @@ from oracles import (
 )
 
 
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
 def edge_fn(d, *edges):
     return hypergraphic_setfn(Hypergraph(d, tuple(frozenset(e) for e in edges)))
 
@@ -36,7 +39,7 @@ def test_standard_values():
     z3 = standard_perm_setfn(3)
     by_size = {1: 3, 2: 5, 3: 6}
     for mask in range(1, 8):
-        assert z3.value(mask) == by_size[mask.bit_count()]
+        assert z3.values[mask] == by_size[mask.bit_count()]
     assert z3.is_submodular
 
 
@@ -51,14 +54,6 @@ def test_setfn_validation():
         SetFn(9, (0,) * 512)
     with pytest.raises(ValueError):
         standard_perm_setfn(9)
-
-
-def test_of_set():
-    z = standard_perm_setfn(3)
-    assert z.of_set([1, 3]) == 5
-    assert z.of_set([]) == 0
-    with pytest.raises(ValueError):
-        z.of_set([4])
 
 
 def test_is_submodular_examples():
@@ -190,10 +185,15 @@ def test_round_trip():
 
 
 def test_round_trip_rational():
-    # halving a submodular function keeps it submodular; exercises Fractions
-    z = standard_perm_setfn(3)
-    half = SetFn(3, tuple(v / 2 for v in z.values))
-    assert setfn_from_vertices(vertices(half)) == half
+    # scaling a submodular function by 1/q keeps it submodular; its values
+    # and vertices are then Fractions
+    rng = random.Random(5)
+    cases = [SetFn(3, tuple(v / 2 for v in standard_perm_setfn(3).values))]
+    for q in range(2, 8):
+        z = random_hypergraphic_setfn(rng, max_d=5)
+        cases.append(SetFn(z.d, tuple(v / q for v in z.values)))
+    for z in cases:
+        assert setfn_from_vertices(vertices(z)) == z
 
 
 def test_json_round_trip():
