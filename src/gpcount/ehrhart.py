@@ -18,7 +18,8 @@ one integer interval, read off by floor division (Beck-Robins, *Computing the
 Continuous Discretely*).  The coordinates after the last one any row involves
 are free, so a count multiplies their widths and scans only the coordinates
 before them; a box with no row left after folding is one product.  A count
-whose folded box has more than `SCAN_BUDGET` prefixes of the last coordinate
+whose folded box has more than `SCAN_BUDGET` prefixes of the last coordinate,
+or that fixes more than `SCAN_DEPTH` coordinates (one recursion level each),
 is refused before it starts, and a reciprocity check is refused before its
 first count when its largest dilate would be.
 
@@ -50,6 +51,7 @@ from .report import Report
 
 RELATIONS = ("<=", "<", "=")
 SCAN_BUDGET = 10 ** 7
+SCAN_DEPTH = 500  # the scan recurses once per coordinate; Python allows 1000
 
 Row = tuple[tuple[Fraction, ...], str, Fraction]
 
@@ -192,16 +194,24 @@ def _check_budget(ranges, what: str, t: int) -> None:
 
 
 def _scan_frame(poly: HPolytope, t: int, points: bool):
-    """`_dilate_frame` of the t-dilate, refused before any scan when the scan
-    exceeds `SCAN_BUDGET`: a scan of every point (`points`) is bounded by the
-    folded box, a count by the prefixes of the last coordinate."""
+    """`_dilate_frame` of the t-dilate and the number of coordinates the scan
+    fixes, refused before any scan when the scan exceeds `SCAN_BUDGET` or
+    fixes more than `SCAN_DEPTH`: a scan of every point (`points`) is bounded
+    by the folded box, a count by the prefixes of the last coordinate and
+    fixes the coordinates up to the last one any row involves."""
     ranges, rows = _dilate_frame(poly, t)
-    if ranges is not None:
-        if points:
-            _check_budget(ranges, "box points", t)
-        else:
-            _check_budget(ranges[:-1], "prefixes of the last coordinate", t)
-    return ranges, rows
+    if ranges is None:
+        return None, None, 0
+    if points:
+        _check_budget(ranges, "box points", t)
+        scanned = len(ranges)
+    else:
+        _check_budget(ranges[:-1], "prefixes of the last coordinate", t)
+        scanned = max((j + 1 for a, _bound in rows for j, c in enumerate(a) if c), default=0)
+    if scanned > SCAN_DEPTH:
+        raise BudgetExceededError(
+            f"scanning {scanned} coordinates at t={t} exceeds the depth budget of {SCAN_DEPTH}")
+    return ranges, rows, scanned
 
 
 def _intervals(ranges, rows) -> Iterator[tuple[tuple[int, ...], int, int]]:
@@ -265,7 +275,7 @@ def _lattice_points(poly: HPolytope, t: int) -> Iterator[tuple[int, ...]]:
     """The integer points of the t-dilate in lexicographic order.  Every
     point is visited, so a folded box of more than `SCAN_BUDGET` points is
     refused before the scan starts."""
-    ranges, rows = _scan_frame(poly, t, points=True)
+    ranges, rows, _scanned = _scan_frame(poly, t, points=True)
     if ranges is None:
         return
     for prefix, lo, hi in _intervals(ranges, rows):
@@ -280,10 +290,9 @@ def count_lattice(poly: HPolytope, t: int) -> int:
     The coordinates after the last one any row involves are free: each adds
     a factor, its width.  Only the coordinates up to that one are scanned,
     so a box is a product."""
-    ranges, rows = _scan_frame(poly, t, points=False)
+    ranges, rows, stop = _scan_frame(poly, t, points=False)
     if ranges is None:
         return 0
-    stop = max((j + 1 for a, _bound in rows for j, c in enumerate(a) if c), default=0)
     free = prod(hi - lo + 1 for lo, hi in ranges[stop:])
     if not stop:
         return free

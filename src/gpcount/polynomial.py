@@ -1,15 +1,15 @@
 """Exact polynomials and quasipolynomials with rational coefficients, and
 counts written in the binomial basis binom(m, j).
 
-Coefficients and values are exact `Fraction`s, but the work runs on
-integers with one `Fraction` per result.  `interpolate` scales the nodes by
-the lcm s of their denominators (u = s * x) and the values by the lcm q of
-theirs, so Lagrange's formula runs on integer nodes U_i and values Y_i: each
-basis numerator N(u) / (u - U_i), with N(u) = prod_j (u - U_j), comes from
-one synthetic division, and its weight w_i = prod_{j != i} (U_i - U_j) is
-cleared by D = lcm(w_i).  A polynomial is evaluated by Horner's rule on its
-coefficients over their common denominator, at x = p / r as the homogeneous
-sum_k N_k p^k r^(n - k).
+Every polynomial the library fits comes from integer counts at equally
+spaced integer nodes x_i = start + i * step (dilates t, or colors m).
+`interpolate` writes it in Newton's forward-difference form,
+p(x) = sum_k Delta^k y_0 * prod_{i<k} (x - x_i) / (k! step^k), where
+Delta^k y_0 is the k-th forward difference of the values.  Over the one
+denominator D = (n-1)! step^(n-1) every weight D / (k! step^k) is an
+integer, so the products are multiplied out on integers and each coefficient
+becomes one `Fraction`.  A polynomial is evaluated by Horner's rule on the
+integer numerators of its coefficients over their common denominator.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm, prod
+from math import comb, prod
 from typing import Callable, Sequence
 
 from .errors import InterpolationMismatchError
@@ -49,17 +49,13 @@ class Polynomial:
         return to_integers(self.coefficients)
 
     def __call__(self, x) -> Fraction:
-        """The value at an int or Fraction x = p / r, by Horner's rule on
-        sum_k N_k p^k r^(n - k) over den * r^n."""
+        """The value at an int or Fraction x, by Horner's rule on the integer
+        numerators, over their common denominator."""
         den, nums = self._integer_form
-        if not nums:
-            return Fraction(0)
-        p, r = x.numerator, x.denominator
-        acc, rpow = nums[-1], 1
-        for n in reversed(nums[:-1]):
-            rpow *= r
-            acc = acc * p + n * rpow
-        return Fraction(acc, den * rpow)
+        acc = 0
+        for n in reversed(nums):
+            acc = acc * x + n
+        return Fraction(acc, den)
 
     def to_json(self) -> list[str]:
         if not self.coefficients:
@@ -67,35 +63,23 @@ class Polynomial:
         return [format_rat(c) for c in self.coefficients]
 
 
-def interpolate(points: Sequence[tuple]) -> Polynomial:
-    """The unique polynomial of degree < len(points) through the given points.
-
-    Lagrange on the integers u = s * x (see the module docstring); nodes
-    must be pairwise distinct.
-    """
-    s, us = to_integers(x for x, _ in points)
-    q, ys = to_integers(y for _, y in points)
-    if len(set(us)) != len(us):
-        raise ValueError("interpolation nodes must be distinct")
-    node = [1]  # N(u), constant first
-    for u in us:
-        node = [0] + node
-        for k in range(len(node) - 1):
-            node[k] -= u * node[k + 1]
-    weights = [prod(ui - uj for uj in us if uj != ui) for ui in us]
-    den = lcm(*weights)
-    total = [0] * len(us)
-    for ui, w, y in zip(us, weights, ys):
-        scale = y * (den // w)
-        carry = 0  # synthetic division of N by (u - U_i), top coefficient first
-        for k in range(len(us) - 1, -1, -1):
-            carry = node[k + 1] + ui * carry
-            total[k] += scale * carry
-    coefficients, spow = [], 1
-    for t in total:
-        coefficients.append(Fraction(t * spow, den * q))
-        spow *= s
-    return Polynomial(tuple(coefficients))
+def interpolate(values: Sequence[int], start: int, step: int) -> Polynomial:
+    """The unique polynomial of degree < len(values) that takes values[i] at
+    start + i * step, in Newton's forward-difference form (see the module
+    docstring); step must be a positive integer."""
+    if step < 1:
+        raise ValueError("step must be a positive integer")
+    n = len(values)
+    den = weight = prod(k * step for k in range(1, n))  # weight: D / (k! step^k)
+    total, basis, diffs = [0] * n, [1], list(values)  # basis: prod_{i<k} (x - x_i)
+    for k in range(n):
+        for j, b in enumerate(basis):
+            total[j] += diffs[0] * weight * b
+        node = start + k * step
+        basis = [b - node * c for b, c in zip([0] + basis, basis + [0])]
+        weight //= (k + 1) * step
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return Polynomial(tuple(Fraction(t, den) for t in total))
 
 
 def binomial_sum(counts: Sequence[int], m: int) -> int:
@@ -113,7 +97,7 @@ def binomial_polynomial(counts: Sequence[int]) -> Polynomial:
     n = len(counts)
     while n and not counts[n - 1]:
         n -= 1
-    return interpolate([(m, binomial_sum(counts, m)) for m in range(1, n + 1)])
+    return interpolate([binomial_sum(counts, m) for m in range(1, n + 1)], 1, 1)
 
 
 @dataclass(frozen=True)
@@ -147,20 +131,23 @@ def interpolate_quasipoly(count: Callable[[int], int], degree: int,
                           period: int) -> QuasiPolynomial:
     """Fit a quasipolynomial to ``count`` with declared degree and period.
 
-    Each constituent is interpolated through the degree+1 smallest t >= 1 in
-    its residue class and then checked against ``count`` at the next t in
-    that class; a mismatch means the declaration is wrong and raises.
+    Each constituent is interpolated through the degree+2 smallest t >= 1 in
+    its residue class.  The fit through the first degree+1 of them passes
+    through the last exactly when the fit through all of them has degree at
+    most ``degree``; a higher degree means the declaration is wrong and
+    raises.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     constituents = []
     for residue in range(period):
         start = residue if residue >= 1 else period
-        ts = [start + i * period for i in range(degree + 2)]
-        poly = interpolate([(t, count(t)) for t in ts[:-1]])
-        if poly(ts[-1]) != count(ts[-1]):
+        poly = interpolate([count(start + i * period) for i in range(degree + 2)],
+                           start, period)
+        if poly.degree > degree:
             raise InterpolationMismatchError(
                 f"constituent for residue {residue} disagrees with the count at "
-                f"t={ts[-1]}; declared degree {degree} / period {period} is wrong")
+                f"t={start + (degree + 1) * period}; declared degree {degree} / "
+                f"period {period} is wrong")
         constituents.append(poly)
     return QuasiPolynomial(period, tuple(constituents))

@@ -304,6 +304,36 @@ def test_scan_budget_exit_2(inputs, capsys):
     assert err.startswith("error:") and "budget" in err
 
 
+def test_scan_depth_exit_2(tmp_path, capsys):
+    # a single point in d = 1200 whose one row spans every coordinate: the
+    # scan would recurse 1200 deep, so it is refused before it starts
+    d = 1200
+    a = ["1"] + ["0"] * (d - 2) + ["1"]
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({"d": d, "rows": [{"a": a, "rel": "<=", "b": "1"}],
+                                "bbox": [[0, 0]] * d}))
+    rc, payload, err = invoke(
+        capsys, "ehrhart", "--poly", str(path), "--degree", "0", "--t-max", "1")
+    assert rc == 2 and payload is None
+    assert err.startswith("error:") and "1200 coordinates" in err
+
+
+@pytest.mark.xfail(strict=True, reason="an implicit equality that is no pair of opposite "
+                                       "rows makes the open count 0 (ROADMAP item 3)")
+def test_ehrhart_implicit_equality_exit_0(tmp_path, capsys):
+    # P(z) of the hypergraph {1,2}, {1,3} on 4 nodes, z(S) = #edges meeting S:
+    # x_4 = 0 is implied by x_4 <= 0 and x_1 + x_2 + x_3 <= 2 with x([4]) = 2
+    edges = (0b0011, 0b0101)
+    rows = [{"a": [str(S >> i & 1) for i in range(4)], "rel": "<=",
+             "b": str(sum(1 for e in edges if S & e))} for S in range(1, 15)]
+    rows.append({"a": ["1"] * 4, "rel": "=", "b": "2"})
+    path = tmp_path / "hg_pz.json"
+    path.write_text(json.dumps({"d": 4, "rows": rows, "bbox": [[0, 2], [0, 1], [0, 1], [0, 0]]}))
+    rc, payload, _ = invoke(
+        capsys, "ehrhart", "--poly", str(path), "--degree", "2", "--t-max", "3")
+    assert rc == 0, payload["checks"]
+
+
 def test_parser_shared_across_runs(inputs, capsys):
     # one parser serves every run of a process, bad argv included: each run
     # gives the exit code, report and stderr of a run with a new parser

@@ -43,41 +43,39 @@ def test_trailing_zeros_trimmed():
 
 def test_interpolate_exact():
     # through (1,0),(2,2),(3,6): t^2 - t
-    p = interpolate([(1, 0), (2, 2), (3, 6)])
+    p = interpolate([0, 2, 6], 1, 1)
     assert p.coefficients == (Fraction(0), Fraction(-1), Fraction(1))
     assert p(10) == 90
+    # through (-1,2),(2,-1),(5,2) with step 3: (t^2 - 4t + 1) / 3
+    p = interpolate([2, -1, 2], -1, 3)
+    assert p.coefficients == (Fraction(1, 3), Fraction(-4, 3), Fraction(1, 3))
 
 
-def test_interpolate_rejects_repeated_nodes():
-    with pytest.raises(ValueError):
-        interpolate([(1, 0), (1, 1)])
+def test_interpolate_rejects_step_below_one():
+    for step in (0, -1):
+        with pytest.raises(ValueError, match="step must be a positive integer"):
+            interpolate([1, 2], 1, step)
 
 
-coeffs = st.lists(st.fractions(max_denominator=6), min_size=1, max_size=5)
-
-
-@given(coeffs)
-def test_interpolation_round_trip(cs):
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=5), st.integers(-6, 6),
+       st.integers(1, 6))
+def test_interpolation_round_trip(cs, start, step):
     p = Polynomial(tuple(cs))
-    nodes = [(m, p(m)) for m in range(1, len(cs) + 1)]
-    assert interpolate(nodes) == p
+    values = [int(p(start + i * step)) for i in range(len(cs))]
+    assert interpolate(values, start, step) == p
 
 
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=7)
 
 
-def point_sets(node):
-    return st.lists(st.tuples(node, rationals), max_size=8, unique_by=lambda p: p[0])
-
-
-@given(st.one_of(point_sets(st.integers(-12, 12)), point_sets(rationals)))
-@example([])
-@example([(Fraction(-5, 3), Fraction(2, 7))])
-@example([(-3, Fraction(1, 2)), (Fraction(-1, 6), 0), (Fraction(5, 4), Fraction(-7, 3))])
-def test_interpolate_matches_lagrange(points):
-    p = interpolate(points)
+@given(st.lists(st.integers(-50, 50), max_size=9), st.integers(-6, 6), st.integers(1, 6))
+@example([], 1, 1)
+@example([7], -3, 2)
+@example([0, 1, 0, -1, 0], 0, 6)
+def test_interpolate_matches_lagrange(values, start, step):
+    p = interpolate(values, start, step)
     assert all(type(c) is Fraction for c in p.coefficients)
-    want = lagrange(points)
+    want = lagrange([(start + i * step, y) for i, y in enumerate(values)])
     assert list(p.coefficients) + [Fraction(0)] * (len(want) - len(p.coefficients)) == want
 
 
@@ -139,6 +137,21 @@ def test_interpolate_quasipoly():
 def test_interpolate_quasipoly_wrong_degree():
     with pytest.raises(InterpolationMismatchError):
         interpolate_quasipoly(lambda t: t * t, 1, 1)
+
+
+@pytest.mark.parametrize("deg, period", [(1, 1), (2, 1), (1, 3), (3, 2)])
+def test_interpolate_quasipoly_degree_too_low(deg, period):
+    # degree deg and period `period`: t^(deg-1) on the multiples of a period
+    # above 1 and t^deg elsewhere, so residue 0 fits the declared degree
+    # deg - 1 when the period is above 1, and the first residue that fails is
+    # the one of t = 1
+    def count(t):
+        return t ** (deg - 1) if period > 1 and t % period == 0 else t ** deg
+
+    with pytest.raises(InterpolationMismatchError,
+                       match=f"residue {1 % period} disagrees with the count at "
+                             f"t={1 + deg * period}; declared degree {deg - 1} "):
+        interpolate_quasipoly(count, deg - 1, period)
 
 
 def test_interpolate_quasipoly_wrong_period():
