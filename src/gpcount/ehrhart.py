@@ -17,31 +17,39 @@ last coordinate nothing is left to add, so the points over each prefix form
 one integer interval, read off by floor division (Beck-Robins, *Computing the
 Continuous Discretely*).  The coordinates after the last one any row involves
 are free, so a count multiplies their widths and scans only the coordinates
-before them; a box with no row left after folding is one product.  A count
-whose folded box has more than `SCAN_BUDGET` prefixes of the last coordinate,
-or that fixes more than `SCAN_DEPTH` coordinates (one recursion level each),
-is refused before it starts, and a reciprocity check is refused before its
-first count when its largest dilate would be.
+before them; a box with no row left after folding is one product.  One
+recursive scan returns the count and can hand each run to a callback.  A
+count that would scan more than `SCAN_BUDGET` prefixes of the last
+coordinate it fixes, or that fixes more than `SCAN_DEPTH` coordinates (one
+recursion level each), is refused before it starts, and a reciprocity check
+is refused before its first count when its largest dilate would be.
 
 A full-dimensional fan is a list of closed cones (homogeneous non-strict
 rows), compiled to integer rows once per fan, on first use.  The
-multiplicity of a point is the number of closed cones containing it; one scan
-of the dilate's points gives the histogram of multiplicities, from which the
+multiplicity of a point is the number of closed cones containing it; the
 inner pruned count takes the points of multiplicity exactly one and the
-cumulative pruned count the sum of multiplicities.  That scan visits every
-point, so a folded box of more than `SCAN_BUDGET` points is refused before
-it starts.  A counted point in no cone, or strictly inside two cones, means
-the cones do not form a complete fan and is a hard error.
+cumulative pruned count the sum of multiplicities.  Each cone meets a run of
+the last coordinate in an interval, read off its rows by floor division as
+for the run itself, so the scan hands each run to a sweep that adds the
+cones' intervals into difference arrays and reads the multiplicity of every
+point of the run off their running sums, with no cone test per point.  The
+sweep still walks every point, so a folded box of more than `SCAN_BUDGET`
+points is refused before it starts.  A counted point in no cone, or strictly
+inside two cones, means the cones do not form a complete fan and is a hard
+error, raised at the first such point in lexicographic order.  The normal
+fan of a generalized permutahedron coarsens the braid fan, so each of its
+cones is cut out by root rows `y_b - y_a <= 0`, one per edge at its vertex,
+read off the greedy chains.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor, gcd, prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import BudgetExceededError, IncompleteFanError, InputFormatError
 from .permutahedron import GPerm
@@ -196,9 +204,10 @@ def _check_budget(ranges, what: str, t: int) -> None:
 def _scan_frame(poly: HPolytope, t: int, points: bool):
     """`_dilate_frame` of the t-dilate and the number of coordinates the scan
     fixes, refused before any scan when the scan exceeds `SCAN_BUDGET` or
-    fixes more than `SCAN_DEPTH`: a scan of every point (`points`) is bounded
-    by the folded box, a count by the prefixes of the last coordinate and
-    fixes the coordinates up to the last one any row involves."""
+    fixes more than `SCAN_DEPTH`.  A scan of every point (`points`) fixes
+    every coordinate and is bounded by the folded box.  A count fixes the
+    coordinates up to the last one any row involves and is bounded by the
+    prefixes of the last of those."""
     ranges, rows = _dilate_frame(poly, t)
     if ranges is None:
         return None, None, 0
@@ -206,20 +215,21 @@ def _scan_frame(poly: HPolytope, t: int, points: bool):
         _check_budget(ranges, "box points", t)
         scanned = len(ranges)
     else:
-        _check_budget(ranges[:-1], "prefixes of the last coordinate", t)
         scanned = max((j + 1 for a, _bound in rows for j, c in enumerate(a) if c), default=0)
+        _check_budget(ranges[:max(scanned - 1, 0)], "prefixes of the last coordinate", t)
     if scanned > SCAN_DEPTH:
         raise BudgetExceededError(
             f"scanning {scanned} coordinates at t={t} exceeds the depth budget of {SCAN_DEPTH}")
     return ranges, rows, scanned
 
 
-def _intervals(ranges, rows) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """The integer points of a dilate, given by its `_dilate_frame`, as runs
-    along the last coordinate: `(prefix, lo, hi)` for each prefix
-    `(x_1..x_{d-1})` of the ranges, in lexicographic order, whose points
-    `prefix + (x_d,)` with `lo <= x_d <= hi` are exactly the dilate's points
-    over that prefix.  Prefixes over which the dilate is empty are skipped.
+def _scan(ranges, rows, run=None) -> int:
+    """Number of integer points of a dilate, given by its `_dilate_frame`.
+    Over each prefix `(x_1..x_{d-1})` of the ranges, in lexicographic order,
+    the points `prefix + (x_d,)` of the dilate are the run `lo <= x_d <= hi`;
+    each nonempty run is handed to `run(point, lo, hi)` when given, where
+    `point` is one list, as long as `ranges`, holding the prefix (the
+    callback may write its last entry).
 
     The scan fixes one coordinate at a time.  At coordinate j a row
     `a . x <= bound` with `a_j != 0` leaves
@@ -244,48 +254,46 @@ def _intervals(ranges, rows) -> Iterator[tuple[tuple[int, ...], int, int]]:
                 lo, hi = ranges[j]
                 slack += min(c * lo, c * hi)
     rest = [bound for _a, bound in rows]
+    point = [0] * len(ranges)
 
-    def scan(j, prefix):
+    def scan(j):
         lo, hi = ranges[j]
         touched = bounds[j]
         for r, c, slack in touched:
             room = rest[r] - slack
             if c > 0:
-                hi = min(hi, room // c)
+                room //= c
+                if room < hi:
+                    hi = room
             else:
-                lo = max(lo, -(room // -c))
+                room = -(room // -c)
+                if room > lo:
+                    lo = room
         if lo > hi:
-            return
+            return 0
         if j == last:
-            yield prefix, lo, hi
-            return
+            if run is not None:
+                run(point, lo, hi)
+            return hi - lo + 1
         for r, c, _slack in touched:
             rest[r] -= c * lo
+        total = 0
         for x in range(lo, hi + 1):
-            yield from scan(j + 1, prefix + (x,))
+            point[j] = x
+            total += scan(j + 1)
             for r, c, _slack in touched:
                 rest[r] -= c
         for r, c, _slack in touched:
             rest[r] += c * (hi + 1)
+        return total
 
-    yield from scan(0, ())
-
-
-def _lattice_points(poly: HPolytope, t: int) -> Iterator[tuple[int, ...]]:
-    """The integer points of the t-dilate in lexicographic order.  Every
-    point is visited, so a folded box of more than `SCAN_BUDGET` points is
-    refused before the scan starts."""
-    ranges, rows, _scanned = _scan_frame(poly, t, points=True)
-    if ranges is None:
-        return
-    for prefix, lo, hi in _intervals(ranges, rows):
-        for x_d in range(lo, hi + 1):
-            yield prefix + (x_d,)
+    return scan(0)
 
 
 def count_lattice(poly: HPolytope, t: int) -> int:
     """Number of integer points in the t-th dilate.  More than `SCAN_BUDGET`
-    prefixes of the last coordinate are refused before the scan starts.
+    prefixes of the last coordinate scanned are refused before the scan
+    starts.
 
     The coordinates after the last one any row involves are free: each adds
     a factor, its width.  Only the coordinates up to that one are scanned,
@@ -296,7 +304,7 @@ def count_lattice(poly: HPolytope, t: int) -> int:
     free = prod(hi - lo + 1 for lo, hi in ranges[stop:])
     if not stop:
         return free
-    return free * sum(hi - lo + 1 for _prefix, lo, hi in _intervals(ranges[:stop], rows))
+    return free * _scan(ranges[:stop], rows)
 
 
 def _check_largest_dilates(fitted: HPolytope, degree: int, period: int,
@@ -365,66 +373,139 @@ class FullDimFan:
         return self.cones[0].d
 
     @cached_property
-    def cone_rows(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per cone, the integer coefficient vectors of its nonzero rows."""
-        return tuple(tuple(a for a, _rel, _b in cone.int_rows if any(a))
-                     for cone in self.cones)
+    def run_rows(self) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+        """The fan compiled for sweeps along the last coordinate: its
+        distinct nonzero integer rows, each as `(terms, c)` with `terms` the
+        pairs `(i, a_i)` of its nonzero coefficients before the last and `c`
+        the last, and per cone the indices of its rows.  A zero row holds
+        everywhere and is left out."""
+        index: dict[tuple[int, ...], int] = {}
+        cones = []
+        for cone in self.cones:
+            cones.append(tuple(index.setdefault(a, len(index))
+                               for a, _rel, _b in cone.int_rows if any(a)))
+        rows = tuple((tuple((i, c) for i, c in enumerate(a[:-1]) if c), a[-1]) for a in index)
+        return rows, tuple(cones)
 
 
 def normal_fan_of(P: GPerm) -> FullDimFan:
-    """One closed cone per vertex v, cut out by (u - v) . y <= 0 over the
-    other vertices u: the directions maximized at v."""
+    """One closed cone per vertex of P, in `P.vertices` order, cut out by
+    root rows `y_b - y_a <= 0`.  The normal fan coarsens the braid fan, so
+    the cone of a vertex v is the union of the braid cones of the chains
+    whose greedy vertex is v.  Along a chain, with prefix M before the
+    adjacent pair (a, b), swapping a and b moves the greedy vertex by
+    `z(M+a) + z(M+b) - z(M) - z(M+a+b)` times `e_b - e_a`; where that gap
+    is positive the swapped chain's vertex is a neighbour of v across the
+    wall `y_a = y_b`, and the rows of v are these edge directions, read off
+    every chain of v on the integers `z.scaled` (whose sorted greedy
+    vertices are `P.vertices` scaled by one positive factor)."""
+    d = P.d
+    _scale, values = P.z.scaled
+    edges: dict[tuple[int, ...], set[tuple[int, int]]] = {}
+    for perm in itertools.permutations(range(d)):
+        coords = [0] * d
+        pairs = []
+        before = mask = 0  # the prefixes before the previous element and after it
+        prev = None
+        for b in perm:
+            grown = mask | 1 << b
+            coords[b] = values[grown] - values[mask]
+            if prev is not None and values[mask] + values[before | 1 << b] > \
+                    values[before] + values[grown]:
+                pairs.append((prev, b))
+            before, mask, prev = mask, grown, b
+        edges.setdefault(tuple(coords), set()).update(pairs)
     cones = []
-    for v in P.vertices:
-        rows = []
-        for u in P.vertices:
-            if u == v:
-                continue
-            rows.append((tuple(uc - vc for uc, vc in zip(u, v)), "<=", Fraction(0)))
-        cones.append(HPolytope(P.d, tuple(rows), None))
+    for v in sorted(edges):
+        rows = tuple((tuple(1 if i == b else -1 if i == a else 0 for i in range(d)), "<=", 0)
+                     for a, b in sorted(edges[v]))
+        cones.append(HPolytope(d, rows, None))
     return FullDimFan(tuple(cones))
 
 
-def _cone_hits(cone_rows, point) -> tuple[int, int]:
-    """Numbers of cones containing the point, and of those strictly (every row negative)."""
-    closed = strict = 0
-    for rows in cone_rows:
-        interior = True
-        for a in rows:
-            s = 0
-            for c, x in zip(a, point):
-                if c:
-                    s += c * x
-            if s > 0:
-                break
-            if s == 0:
-                interior = False
+def _run_cover(fan: FullDimFan, point, lo: int, hi: int) -> tuple[list[int], list[int]]:
+    """Difference arrays of the cones over the run `x_d = lo..hi` above the
+    prefix `point[:-1]`: entry `x - lo` of `closed` (of `strict`) adds one
+    for each cone whose closed cone (interior) the run enters at x and
+    takes one away where it leaves, so their running sums are the numbers
+    of cones containing each point and strictly containing it.
+
+    Above the prefix a row `a . y <= 0` reads `c x_d <= r` with `c = a_d`
+    and `r = -a[:d-1] . prefix`, an upper bound on x_d when c > 0, a lower
+    bound when c < 0, and all or nothing when c = 0; on integers the strict
+    row is `c x_d <= r - 1`.  A cone meets the run in the intersection of
+    its rows' intervals."""
+    rows, cones = fan.run_rows
+    bounds = []  # per row: closed lo, closed hi, strict lo, strict hi
+    for terms, c in rows:
+        r = 0
+        for i, a in terms:
+            r -= a * point[i]
+        if c > 0:
+            bounds.append((lo, r // c, lo, (r - 1) // c))
+        elif c < 0:
+            bounds.append((-(r // -c), hi, -((r - 1) // -c), hi))
         else:
-            closed += 1
-            strict += interior
+            bounds.append((lo if r >= 0 else hi + 1, hi, lo if r > 0 else hi + 1, hi))
+    closed = [0] * (hi - lo + 2)
+    strict = [0] * (hi - lo + 2)
+    for cone in cones:
+        clo, chi, slo, shi = lo, hi, lo, hi
+        for k in cone:
+            row_clo, row_chi, row_slo, row_shi = bounds[k]
+            if row_clo > clo:
+                clo = row_clo
+            if row_chi < chi:
+                chi = row_chi
+            if row_slo > slo:
+                slo = row_slo
+            if row_shi < shi:
+                shi = row_shi
+        if clo <= chi:
+            closed[clo - lo] += 1
+            closed[chi - lo + 1] -= 1
+            if slo <= shi:
+                strict[slo - lo] += 1
+                strict[shi - lo + 1] -= 1
     return closed, strict
 
 
 def multiplicity(fan: FullDimFan, point: Sequence[int]) -> int:
-    """Number of closed cones of the fan containing the point."""
+    """Number of closed cones of the fan containing the integer point: the
+    cover of the one-point run at it."""
     if len(point) != fan.d:
         raise ValueError("point length mismatch")
-    return _cone_hits(fan.cone_rows, point)[0]
+    return _run_cover(fan, point, point[-1], point[-1])[0][0]
 
 
-def _multiplicities(poly: HPolytope, fan: FullDimFan, t: int) -> Counter:
-    """Histogram of cone multiplicities over the integer points of the t-dilate;
-    raises unless each point lies in some cone and strictly inside at most one."""
+def _multiplicities(poly: HPolytope, fan: FullDimFan, t: int) -> list[int]:
+    """Numbers of integer points of the t-dilate by cone multiplicity
+    (index m: the points in exactly m closed cones), swept one run of the
+    last coordinate at a time; raises at the first point, in lexicographic
+    order, that lies in no cone or strictly inside two."""
     if poly.d != fan.d:
         raise ValueError("polytope and fan live in different dimensions")
-    hist = Counter()
-    for x in _lattice_points(poly, t):
-        mult, strict = _cone_hits(fan.cone_rows, x)
-        if mult == 0:
-            raise IncompleteFanError(f"point {x} lies in no cone of the fan")
-        if strict > 1:
-            raise IncompleteFanError(f"point {x} lies strictly inside {strict} cones of the fan")
-        hist[mult] += 1
+    hist = [0] * (len(fan.cones) + 1)
+    ranges, rows, _scanned = _scan_frame(poly, t, points=True)
+    if ranges is None:
+        return hist
+
+    def sweep(point, lo, hi):
+        closed, strict = _run_cover(fan, point, lo, hi)
+        mult = inside = 0
+        for k in range(hi - lo + 1):
+            mult += closed[k]
+            inside += strict[k]
+            if mult == 0 or inside > 1:
+                point[-1] = lo + k
+                x = tuple(point)
+                if mult == 0:
+                    raise IncompleteFanError(f"point {x} lies in no cone of the fan")
+                raise IncompleteFanError(
+                    f"point {x} lies strictly inside {inside} cones of the fan")
+            hist[mult] += 1
+
+    _scan(ranges, rows, sweep)
     return hist
 
 
@@ -435,7 +516,7 @@ def inner_pruned_count(poly: HPolytope, fan: FullDimFan, t: int) -> int:
 
 def cumulative_pruned_count(poly: HPolytope, fan: FullDimFan, t: int) -> int:
     """Sum of cone multiplicities over the integer points of the t-dilate."""
-    return sum(mult * n for mult, n in _multiplicities(poly, fan, t).items())
+    return sum(mult * n for mult, n in enumerate(_multiplicities(poly, fan, t)))
 
 
 def pruned_reciprocity_check(poly: HPolytope, fan: FullDimFan, degree: int,

@@ -12,7 +12,7 @@ from collections import Counter
 from fractions import Fraction
 from math import ceil, floor
 
-from gpcount.ehrhart import HPolytope
+from gpcount.ehrhart import FullDimFan, HPolytope
 from gpcount.errors import NotSubmodularError
 from gpcount.hypergraph import check_heading
 from gpcount.polynomial import Polynomial
@@ -296,6 +296,37 @@ def brute_multiplicity(fan, x) -> int:
     from `cone.rows` without the library's integer compilation."""
     return sum(1 for cone in fan.cones
                if all(_row_holds(a, rel, b, x, 1) for a, rel, b in cone.rows))
+
+
+def brute_strict_count(fan, x) -> int:
+    """Number of cones whose nonzero Fraction rows `a . x <= 0` all hold
+    strictly at x, read from `cone.rows`; a zero row constrains nothing."""
+    return sum(1 for cone in fan.cones
+               if all(_row_holds(a, "<", b, x, 1) for a, _rel, b in cone.rows if any(a)))
+
+
+def brute_fan_check(fan, points):
+    """The message `IncompleteFanError` carries for the first of the points
+    that lies in no cone or strictly inside two, tested one point at a time
+    with `brute_multiplicity` and `brute_strict_count`; None if there is none."""
+    for x in points:
+        if brute_multiplicity(fan, x) == 0:
+            return f"point {x} lies in no cone of the fan"
+        strict = brute_strict_count(fan, x)
+        if strict > 1:
+            return f"point {x} lies strictly inside {strict} cones of the fan"
+    return None
+
+
+def brute_normal_fan(P) -> FullDimFan:
+    """One closed cone per vertex v, cut out by (u - v) . y <= 0 over the
+    other vertices u: the directions maximized at v."""
+    cones = []
+    for v in P.vertices:
+        rows = tuple((tuple(uc - vc for uc, vc in zip(u, v)), "<=", Fraction(0))
+                     for u in P.vertices if u != v)
+        cones.append(HPolytope(P.d, rows, None))
+    return FullDimFan(tuple(cones))
 
 
 def _row_holds(a, rel, b, x, t) -> bool:

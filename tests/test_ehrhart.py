@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpcount import ehrhart
 from gpcount.errors import (
@@ -16,7 +18,6 @@ from gpcount.errors import (
 from gpcount.ehrhart import (
     FullDimFan,
     HPolytope,
-    _lattice_points,
     box,
     count_lattice,
     cumulative_pruned_count,
@@ -40,8 +41,10 @@ from gpcount.permutahedron import GPerm
 from gpcount.polynomial import interpolate_quasipoly
 from gpcount.setfn import standard_perm_setfn
 from oracles import (
+    brute_fan_check,
     brute_lattice_points,
     brute_multiplicity,
+    brute_normal_fan,
     fan_to_json,
     hpolytope_to_json,
     single_point,
@@ -203,6 +206,22 @@ def scan_cases(poly, t):
     return cases
 
 
+def scanned_points(poly, t):
+    """The scan's count of the t-dilate, and its points expanded from the
+    runs the scan hands its callback."""
+    ranges, rows = ehrhart._dilate_frame(poly, t)
+    points = []
+    if ranges is None:
+        return 0, points
+
+    def expand(point, lo, hi):
+        for x in range(lo, hi + 1):
+            point[-1] = x
+            points.append(tuple(point))
+
+    return ehrhart._scan(ranges, rows, expand), points
+
+
 def test_count_lattice_against_brute_force():
     rng = random.Random(53)
     polys = [(random_rational_box(rng) if rng.random() < 0.5
@@ -218,7 +237,7 @@ def test_count_lattice_against_brute_force():
             for t in range(1, 5):
                 points = list(brute_lattice_points(P, t))
                 assert count_lattice(P, t) == len(points)
-                assert list(_lattice_points(P, t)) == points
+                assert scanned_points(P, t) == (len(points), points)
                 if not points:
                     cases.add("empty")
                 shortcuts |= scan_cases(P, t)
@@ -316,9 +335,74 @@ def test_normal_fan_structure():
     point = GPerm(standard_perm_setfn(1))
     assert len(normal_fan_of(point).cones) == 1
     assert normal_fan_of(point).cones[0].rows == ()
+    # one root row per edge at the vertex: the hexagon has 2 edges at each
+    # vertex, the 3-dimensional pi_4 has 3
     fan3 = normal_fan_of(perm_gp(3))
     assert len(fan3.cones) == 6
-    assert all(len(c.rows) == 5 for c in fan3.cones)
+    assert all(len(c.rows) == 2 for c in fan3.cones)
+    fan4 = normal_fan_of(perm_gp(4))
+    assert len(fan4.cones) == 24
+    assert all(len(c.rows) == 3 for c in fan4.cones)
+
+
+def test_normal_fan_needs_no_face_map():
+    # the root rows are read off the chains, so d = 7 is in reach
+    P = perm_gp(7)
+    fan = normal_fan_of(P)
+    assert len(fan.cones) == 5040
+    assert all(len(c.rows) == 6 for c in fan.cones)
+    assert "_face_map" not in P.__dict__
+
+
+def seeded_setfns(seed, count, max_d):
+    rng = random.Random(seed)
+    return [random_hypergraphic_setfn(rng, max_d=max_d) for _ in range(count)]
+
+
+def cone_membership(fan, y):
+    """Per cone, whether its integer rows hold at y, and hold strictly
+    (every nonzero row negative)."""
+    out = []
+    for cone in fan.cones:
+        top = max((sum(c * x for c, x in zip(a, y)) for a, _rel, _b in cone.int_rows if any(a)),
+                  default=-1)
+        out.append((top <= 0, top < 0))
+    return out
+
+
+def test_normal_fan_matches_all_vertex_fan():
+    # same closed cones and same interiors as the cones cut out by every
+    # other vertex, cone by cone in vertex order, on [-2, 2]^d
+    setfns = [standard_perm_setfn(d) for d in range(1, 5)]
+    setfns += seeded_setfns(83, 100, 4)
+    for z in setfns:
+        P = GPerm(z)
+        fan, brute = normal_fan_of(P), brute_normal_fan(P)
+        assert len(fan.cones) == len(brute.cones) == len(P.vertices)
+        for y in itertools.product(range(-2, 3), repeat=P.d):
+            assert cone_membership(fan, y) == cone_membership(brute, y)
+
+
+def test_normal_fan_rows_are_edges():
+    # the rows of the cone at v are the directions u - v to the other end
+    # of each edge of the face map at v, scaled to e_b - e_a
+    setfns = [standard_perm_setfn(d) for d in range(1, 6)]
+    setfns += seeded_setfns(89, 12, 5)
+    for z in setfns:
+        P = GPerm(z)
+        fan = normal_fan_of(P)
+        edges = [f.vertex_ids for f in P.face_lattice() if f.dim == 1]
+        for vid, cone in enumerate(fan.cones):
+            expected = set()
+            for ids in edges:
+                if vid in ids:
+                    other = ids[1] if ids[0] == vid else ids[0]
+                    step = [u - v for u, v in zip(P.vertices[other], P.vertices[vid])]
+                    root = tuple((c > 0) - (c < 0) for c in step)
+                    assert sorted(root) == [-1] + [0] * (P.d - 2) + [1]
+                    expected.add(root)
+            assert {a for a, _rel, _b in cone.int_rows} == expected
+            assert len(cone.rows) == len(expected)
 
 
 def test_multiplicity():
@@ -391,6 +475,60 @@ def test_pruned_counts_against_brute_multiplicity():
                 assert cumulative_pruned_count(poly, fan, t) == sum(mults)
 
 
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2))
+
+
+@st.composite
+def fans(draw):
+    """The normal fan of a seeded hypergraphic set function with d <= 4, or
+    up to 4 hand-made cones of up to 3 rows with small coefficients in
+    d <= 3, which may leave points uncovered or overlap."""
+    if draw(st.booleans()):
+        z = random_hypergraphic_setfn(random.Random(draw(st.integers(0, 10 ** 6))), max_d=4)
+        return normal_fan_of(GPerm(z))
+    d = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(-2, 2)] * d).map(lambda a: (a, "<=", 0))
+    cone = st.lists(row, max_size=3).map(lambda rows: HPolytope(d, tuple(rows), None))
+    return FullDimFan(tuple(draw(st.lists(cone, min_size=1, max_size=4))))
+
+
+@st.composite
+def polytopes(draw, d):
+    """A box in [-1, 1]^d or a standard simplex of scale up to 3/2 in d, with
+    bounds of denominator up to 2, closed or its interior."""
+    if draw(st.booleans()):
+        bounds = []
+        for _ in range(d):
+            lo = draw(small_fractions.filter(lambda x: -1 <= x <= 1))
+            hi = draw(small_fractions.filter(lambda x, lo=lo: lo <= x <= 1))
+            bounds.append((lo, hi))
+        poly = box(bounds)
+    else:
+        poly = standard_simplex(d, draw(small_fractions.filter(lambda x: 0 < x <= Fraction(3, 2))))
+    return poly.interior() if draw(st.booleans()) else poly
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sweep_against_point_oracles(data):
+    # the sweep along each run gives the per-point multiplicities of the
+    # Fraction oracle, and refuses a fan at the first point, in
+    # lexicographic order, that the per-point check refuses
+    fan = data.draw(fans())
+    poly = data.draw(polytopes(fan.d))
+    t = data.draw(st.integers(1, 3))
+    points = list(brute_lattice_points(poly, t))
+    message = brute_fan_check(fan, points)
+    for count in (inner_pruned_count, cumulative_pruned_count):
+        if message is None:
+            mults = [brute_multiplicity(fan, x) for x in points]
+            expected = mults.count(1) if count is inner_pruned_count else sum(mults)
+            assert count(poly, fan, t) == expected
+        else:
+            with pytest.raises(IncompleteFanError, match=re.escape(message) + "$"):
+                count(poly, fan, t)
+
+
 def test_scan_budget(monkeypatch):
     # the first box point (1, 1, 1) lies in no cone, so reaching the scan
     # would raise IncompleteFanError instead
@@ -405,10 +543,19 @@ def test_scan_budget(monkeypatch):
     assert count_lattice(folded, 1) == 8
     # the budget bounds the prefixes (x1, x2) of the last coordinate: 16 at t = 3
     monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 16)
-    assert count_lattice(unit_cube(3), 3) == 64
+    assert count_lattice(standard_simplex(3), 3) == 20
     monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 15)
     with pytest.raises(BudgetExceededError, match="16 prefixes of the last coordinate"):
-        count_lattice(unit_cube(3), 3)
+        count_lattice(standard_simplex(3), 3)
+    # a box folds every row, so nothing is scanned and no budget applies
+    assert count_lattice(unit_cube(3), 3) == 64
+
+
+def test_scan_budget_counts_scanned_prefixes():
+    # only x1 and x2 are scanned, over 2 prefixes of x2; x3 and x4 are free
+    # and multiply, so the long trailing sides cost nothing
+    poly = HPolytope(4, (((1, 1, 0, 0), "<=", 1),), ((0, 1), (0, 1), (0, 10 ** 7), (0, 10 ** 7)))
+    assert count_lattice(poly, 1) == 3 * (10 ** 7 + 1) ** 2 == 300000060000003
 
 
 def test_pruned_scan_budget_bounds_box_points(monkeypatch):
@@ -453,10 +600,10 @@ def test_reciprocity_checks_refuse_before_counting(monkeypatch):
     with pytest.raises(BudgetExceededError, match="30 prefixes of the last coordinate at t=30"):
         em_reciprocity_check(simplex, 2, 1, 30)
     assert counted == []
-    # the fit's last node (2 + 2) * 3 = 12: 13 prefixes of the closed square
+    # the fit's last node (2 + 2) * 3 = 12: 13 prefixes of the closed simplex
     monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 12)
     with pytest.raises(BudgetExceededError, match="13 prefixes of the last coordinate at t=12"):
-        em_reciprocity_check(SQUARE, 2, 3, 1)
+        em_reciprocity_check(simplex, 2, 3, 1)
     assert counted == []
     # the pruned check scans every point: 441 of the closed square at t = 20
     monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 440)
