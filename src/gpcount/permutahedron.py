@@ -34,8 +34,16 @@ map to it, with no rank computation per face.  The normal fan of P coarsens
 the braid fan, so the normal cone of a face F, of dimension d - dim F, is the
 union of the braid cones of its compositions, and the braid cone of a
 composition with j blocks has dimension j.  `GPerm.dimension` is the affine
-rank of all vertices; the face map checks it against the block count of the
-one-block composition, whose face is P itself.
+rank of the vertices scaled by L, read as integers; the face map checks it
+against the block count of the one-block composition, whose face is P itself.
+
+The face map keeps each face as its vertex-id mask with its dimension.  A
+`Face`, with its sorted vertex ids, is built only when a query returns one
+or hands one to `count_k_faces`.  A k-face lies in a face f only if its
+lowest vertex does, so the faces of each dimension k are indexed by their
+lowest vertex id (one pass over the faces, on first use), and the k-faces
+in f are found by walking the vertex ids of f over that index; each count
+is cached per (face mask, k).
 """
 
 from __future__ import annotations
@@ -113,7 +121,7 @@ class Face:
 
 class _FaceMap(NamedTuple):
     tight: list[int]                # subset mask -> mask of the vertex ids tight on it
-    faces: dict[int, Face]          # vertex-id mask -> face
+    dims: dict[int, int]            # vertex-id mask -> dimension of that face
     blocks: dict[int, list[int]]    # vertex-id mask -> its compositions by number of blocks
 
 
@@ -121,22 +129,33 @@ class GPerm:
     """A generalized permutahedron; its face map is built on first use.
 
     Vertex ids index the sorted ``vertices``.  The face map holds
-    ``tight[S]``, the vertex ids v with v(S) = z(S), and for each face its
-    compositions counted by number of blocks j (index j); summed over the
-    faces of dimension k these give the table a[k][j] that `chi_count`
-    weights by binom(m, j).  Construction and the map build are
-    single-threaded; once the map is built all queries are read-only.
+    ``tight[S]``, the vertex ids v with v(S) = z(S), and for each face mask
+    its dimension and its compositions counted by number of blocks j (index
+    j); summed over the faces of dimension k these give the table a[k][j]
+    that `chi_count` weights by binom(m, j).  `Face` objects are built only
+    when a query returns one.  Construction and queries are single-threaded:
+    queries fill the caches on first use (the face map, the `Face` objects
+    handed out, the k-face index and the count of each (face mask, k) in
+    `count_k_faces`), so they are not read-only.
     """
 
     def __init__(self, z: SetFn):
         self.z = z
         self.d = z.d
         self.vertices: tuple[RatVec, ...] = vertices(z)
-        self._k_face_counts: dict[tuple[int, int], int] = {}
+        self._faces: dict[int, Face] = {}                     # face mask -> its Face
+        self._k_face_counts: dict[tuple[int, int], int] = {}  # (face mask, k) -> k-faces in it
+
+    @cached_property
+    def _scaled_vertices(self) -> tuple[tuple[int, ...], ...]:
+        """The vertices times the scale L of ``z.scaled``, as integers."""
+        scale = self.z.scaled[0]
+        return tuple(tuple(c.numerator * (scale // c.denominator) for c in v)
+                     for v in self.vertices)
 
     @property
     def dimension(self) -> int:
-        return affine_rank(self.vertices)
+        return affine_rank(self._scaled_vertices)
 
     @cached_property
     def _face_map(self) -> _FaceMap:
@@ -148,12 +167,11 @@ class GPerm:
             raise ValueError(
                 f"face enumeration is capped at d <= {FACE_ENUM_MAX_D}, got d = {d}")
         full = (1 << d) - 1
-        scale, values = self.z.scaled
+        values = self.z.scaled[1]
         by_value: list[dict[int, int]] = [{} for _ in range(d)]  # i -> L * v_i -> ids
-        for vid, v in enumerate(self.vertices):
+        for vid, v in enumerate(self._scaled_vertices):
             for i, c in enumerate(v):
-                key = c.numerator * (scale // c.denominator)
-                by_value[i][key] = by_value[i].get(key, 0) | 1 << vid
+                by_value[i][c] = by_value[i].get(c, 0) | 1 << vid
         tight = [(1 << len(self.vertices)) - 1] + [0] * full
         for s in range(1, full + 1):
             for i in _bits(s):
@@ -173,17 +191,17 @@ class GPerm:
                 b = (b - 1) & rest
             states[a] = {}
         blocks: dict[int, list[int]] = {}
+        dims: dict[int, int] = {}
         for (f, j), n in states[full].items():
             blocks.setdefault(f, [0] * (d + 1))[j] = n
-        faces = {f: Face(_bits(f), d - max(j for j, n in enumerate(hist) if n))
-                 for f, hist in blocks.items()}
-        whole = faces[tight[full]]
+            dims[f] = min(dims.get(f, d), d - j)
+        whole = dims[tight[full]]
         rank = self.dimension
-        if whole.dim != rank:
+        if whole != rank:
             raise RuntimeError(
-                f"face dimensions disagree: the whole polytope has dimension {whole.dim} "
+                f"face dimensions disagree: the whole polytope has dimension {whole} "
                 f"from its block counts but affine rank {rank}")
-        return _FaceMap(tight, faces, blocks)
+        return _FaceMap(tight, dims, blocks)
 
     @cached_property
     def _chi_table(self) -> list[list[int]]:
@@ -191,17 +209,24 @@ class GPerm:
         fm = self._face_map
         table = [[0] * (self.d + 1) for _ in range(self.d)]
         for f, hist in fm.blocks.items():
-            row = table[fm.faces[f].dim]
+            row = table[fm.dims[f]]
             for j, n in enumerate(hist):
                 row[j] += n
         return table
 
     @cached_property
-    def _masks_by_dim(self) -> list[list[int]]:
-        by_dim: list[list[int]] = [[] for _ in range(self.d + 1)]
-        for f, face in self._face_map.faces.items():
-            by_dim[face.dim].append(f)
-        return by_dim
+    def _k_face_index(self) -> list[dict[int, list[int]]]:
+        """For each k, the k-face masks keyed by their lowest vertex id."""
+        index: list[dict[int, list[int]]] = [{} for _ in range(self.d + 1)]
+        for g, dim in self._face_map.dims.items():
+            index[dim].setdefault((g & -g).bit_length() - 1, []).append(g)
+        return index
+
+    def _face(self, f: int) -> Face:
+        face = self._faces.get(f)
+        if face is None:
+            face = self._faces[f] = Face(_bits(f), self._face_map.dims[f])
+        return face
 
     def face_of_direction(self, y: Sequence) -> Face:
         """The face maximizing the direction y."""
@@ -211,26 +236,38 @@ class GPerm:
         f = -1
         for s in _level_prefixes(y):
             f &= fm.tight[s]
-        return fm.faces[f]
+        return self._face(f)
 
     def face_lattice(self) -> tuple[Face, ...]:
         """Every nonempty face exactly once, the polytope itself included."""
-        return tuple(self._face_map.faces.values())
+        return tuple(Face(_bits(f), dim) for f, dim in self._face_map.dims.items())
 
     def count_k_faces(self, face: Face, k: int) -> int:
         """Number of k-dimensional faces of this polytope contained in ``face``
-        (0 whenever k exceeds the dimension of ``face``)."""
+        (0 whenever k exceeds the dimension of ``face``).  A k-face lies in
+        ``face`` only if its lowest vertex does, so only the k-faces keyed by
+        the vertices of ``face`` are tested."""
         if k < 0:
             raise ValueError("k must be nonnegative")
+        ids = face.vertex_ids
+        n = len(self.vertices)
         f = 0
-        for i in face.vertex_ids:
+        for i in ids:  # vertex ids, in range and strictly increasing
+            if not 0 <= i < n or f >> i:
+                raise ValueError("not a face of this polytope")
             f |= 1 << i
-        if self._face_map.faces.get(f) != face:
+        if self._face_map.dims.get(f) != face.dim:
             raise ValueError("not a face of this polytope")
         cached = self._k_face_counts.get((f, k))
         if cached is None:
-            masks = self._masks_by_dim[k] if k <= self.d else ()
-            cached = sum(1 for g in masks if not g & ~f)
+            cached = 0
+            if k <= face.dim:
+                by_low = self._k_face_index[k]
+                outside = ~f
+                for i in ids:
+                    for g in by_low.get(i, ()):
+                        if not g & outside:
+                            cached += 1
             self._k_face_counts[(f, k)] = cached
         return cached
 
@@ -257,7 +294,7 @@ class GPerm:
         weighted = [0] * (self.d + 1)  # compositions by #blocks, times their k-faces
         for f, hist in fm.blocks.items():
             if m > 0 and any(hist[:m + 1]):  # some direction in [m]^d selects the face
-                n = self.count_k_faces(fm.faces[f], k)
+                n = self.count_k_faces(self._face(f), k)
                 for j, c in enumerate(hist):
                     weighted[j] += c * n
         return binomial_sum(weighted, m)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import warnings
@@ -167,6 +168,11 @@ def test_count_k_faces():
         P.count_k_faces(edge, -1)
     with pytest.raises(ValueError):
         P.count_k_faces(Face((0, 5), 1), 0)  # not a face of P
+    i, j = edge.vertex_ids
+    # negative, out of range, reversed and repeated vertex ids
+    for ids in ((-1,), (i - 6, j), (6,), (i, 6), (j, i), (i, i, j), (i, j, j)):
+        with pytest.raises(ValueError, match="not a face of this polytope"):
+            P.count_k_faces(Face(ids, len(ids) - 1), 0)
 
 
 def test_count_k_faces_rejects_wrong_dim():
@@ -228,6 +234,50 @@ def test_direction_counts_match_scan():
                     n * sum(1 for g in faces.values()
                             if g.dim == k and set(g.vertex_ids) <= set(ids))
                     for ids, n in visits.items())
+
+
+def test_k_face_counts_match_containment_at_d5_d6():
+    # the lowest-vertex index against mask containment over every pair of
+    # faces, on fresh polytopes queried in two orders: reciprocity_rhs before
+    # face_lattice() and after; the lazily built faces, index and counts must
+    # not depend on which query comes first
+    rng = random.Random(61)
+
+    def seeded_d6():
+        while True:
+            z = random_hypergraphic_setfn(rng, max_d=6)
+            if z.d == 6:
+                return z
+
+    # sums of three draws (a sum of hypergraphic set functions is one):
+    # single draws at d = 6 are mostly polytopes with a few dozen faces
+    cases = [standard_perm_setfn(5)]
+    cases += [functools.reduce(setfn_sum, [seeded_d6() for _ in range(3)]) for _ in range(2)]
+    while len(cases) < 4:
+        z = non_integer_setfn(rng, max_d=5)
+        if z.d == 5:
+            cases.append(z)
+    for z in cases:
+        ref = GPerm(z)
+        faces = ref.face_lattice()
+        mask = {f: sum(1 << i for i in f.vertex_ids) for f in faces}
+        inside = {f: Counter(g.dim for g in faces if not mask[g] & ~mask[f]) for f in faces}
+        pairs = [(k, m) for k in range(z.d) for m in range(1, 4)]
+        expected = {}
+        for m in range(1, 4):
+            visits = Counter(ref.face_of_direction(y)
+                             for y in itertools.product(range(1, m + 1), repeat=z.d))
+            for k in range(z.d):
+                expected[(k, m)] = sum(n * inside[f][k] for f, n in visits.items())
+        for rhs_first in (True, False):
+            P = GPerm(z)
+            rhs = {km: P.reciprocity_rhs(*km) for km in pairs} if rhs_first else {}
+            for f in P.face_lattice():
+                for k in range(z.d + 1):
+                    assert P.count_k_faces(f, k) == inside[f][k]
+            if not rhs_first:
+                rhs = {km: P.reciprocity_rhs(*km) for km in pairs}
+            assert rhs == expected
 
 
 def test_faces_match_argmax_oracle():
