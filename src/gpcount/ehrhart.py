@@ -75,12 +75,12 @@ class HPolytope:
             raise ValueError("d must be positive")
         rows = []
         for a, rel, b in self.rows:
-            a = tuple(Fraction(c) for c in a)
+            a = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in a)
             if len(a) != self.d:
                 raise ValueError("row length mismatch")
             if rel not in RELATIONS:
                 raise ValueError(f"unknown relation {rel!r}")
-            rows.append((a, rel, Fraction(b)))
+            rows.append((a, rel, b if isinstance(b, Fraction) else Fraction(b)))
         object.__setattr__(self, "rows", tuple(rows))
         if self.bbox is not None:
             box_ = tuple((int(lo), int(hi)) for lo, hi in self.bbox)

@@ -3,8 +3,12 @@
 Everything below runs on integers.  z is scaled once by the lcm L of its
 denominators (`SetFn.scaled`).  A chain {i_1} < {i_1, i_2} < ... of the ground set gives its
 greedy vertex, coordinate i_j getting the marginal value of i_j on the prefix
-before it; `vertices(z)` is the sorted set of these vertices divided by L,
-and a vertex id is an index into it.
+before it.  The chains are walked once per set function, on the integers
+L * z, and their sorted distinct vertices are cached as integer tuples
+(`SetFn.scaled_vertices`).  `vertices(z)` divides them by L with one
+`Fraction` per distinct coordinate value; a vertex id is an index into
+either.  The face map, the dimension check and the `faces` report read the
+integer tuples.
 
 A linear direction y is maximized on the face of the points tight on every
 upper level set of y: x(S) = z(S) for each S in the flag of y.  So a face is
@@ -16,8 +20,7 @@ and hold the maximal chain of its greedy order, so a nonempty tight set S
 has an element i with S - i tight: intersect S with that chain.  Hence
 ``tight[S]`` is the OR over i in S of ``tight[S - i]`` ANDed with the ids v
 whose scaled coordinate L * v_i is L * (z(S) - z(S - i)), read from the
-vertex ids grouped by coordinate value.  The chains are walked once, in
-`vertices`, and no linear optimization is needed.
+vertex ids grouped by coordinate value.  No linear optimization is needed.
 
 The whole composition-to-face map is a DP over chains of subsets.  Prefix
 sets A are taken in increasing numeric order, each with counts of
@@ -34,8 +37,9 @@ map to it, with no rank computation per face.  The normal fan of P coarsens
 the braid fan, so the normal cone of a face F, of dimension d - dim F, is the
 union of the braid cones of its compositions, and the braid cone of a
 composition with j blocks has dimension j.  `GPerm.dimension` is the affine
-rank of the vertices scaled by L, read as integers; the face map checks it
-against the block count of the one-block composition, whose face is P itself.
+rank of the scaled vertices, which stops at d - 1 because they all lie in
+x([d]) = L * z([d]); the face map checks it against the block count of the
+one-block composition, whose face is P itself.
 
 The face map keeps each face as its vertex-id mask with its dimension.  A
 `Face`, with its sorted vertex ids, is built only when a query returns one
@@ -48,11 +52,10 @@ is cached per (face mask, k).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import NotSubmodularError
 from .polynomial import Polynomial, binomial_polynomial, binomial_sum
@@ -63,25 +66,13 @@ from .setfn import SetFn
 FACE_ENUM_MAX_D = 6
 
 
-def _greedy_chains(d: int, values: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Each chain's greedy vertex under the integer values."""
-    for perm in itertools.permutations(range(d)):
-        coords = [0] * d
-        mask = 0
-        for i in perm:
-            prev = values[mask]
-            mask |= 1 << i
-            coords[i] = values[mask] - prev
-        yield tuple(coords)
-
-
 def vertices(z: SetFn) -> tuple[RatVec, ...]:
     """Greedy vertices over all chains, deduplicated and sorted lexicographically."""
     if not z.is_submodular:
         raise NotSubmodularError("set function is not submodular")
-    scale, values = z.scaled
-    distinct = set(_greedy_chains(z.d, values))
-    return tuple(tuple(Fraction(c, scale) for c in v) for v in sorted(distinct))
+    scale, points = z.scaled[0], z.scaled_vertices
+    value = {c: Fraction(c, scale) for c in {c for v in points for c in v}}
+    return tuple(tuple(value[c] for c in v) for v in points)
 
 
 def _level_prefixes(y: Sequence) -> list[int]:
@@ -143,15 +134,9 @@ class GPerm:
         self.z = z
         self.d = z.d
         self.vertices: tuple[RatVec, ...] = vertices(z)
+        self._scaled_vertices = z.scaled_vertices  # the vertices times L, in the same order
         self._faces: dict[int, Face] = {}                     # face mask -> its Face
         self._k_face_counts: dict[tuple[int, int], int] = {}  # (face mask, k) -> k-faces in it
-
-    @cached_property
-    def _scaled_vertices(self) -> tuple[tuple[int, ...], ...]:
-        """The vertices times the scale L of ``z.scaled``, as integers."""
-        scale = self.z.scaled[0]
-        return tuple(tuple(c.numerator * (scale // c.denominator) for c in v)
-                     for v in self.vertices)
 
     @property
     def dimension(self) -> int:
@@ -319,8 +304,10 @@ class GPerm:
 
 def face_lattice_to_json(P: GPerm) -> dict:
     faces = sorted(P.face_lattice(), key=lambda f: (f.dim, f.vertex_ids))
+    scale, points = P.z.scaled[0], P._scaled_vertices
+    text = {c: format_rat(Fraction(c, scale)) for c in {c for v in points for c in v}}
     return {
         "d": P.d,
-        "vertices": [[format_rat(c) for c in v] for v in P.vertices],
+        "vertices": [[text[c] for c in v] for v in points],
         "faces": [{"dim": f.dim, "vertices": list(f.vertex_ids)} for f in faces],
     }

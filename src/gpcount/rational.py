@@ -10,6 +10,7 @@ rationals by the lcm of their denominators.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -46,7 +47,10 @@ def rat_from_json(value) -> Fraction:
 
 
 def format_rat(value: Fraction | int) -> str:
-    value = Fraction(value)
+    if type(value) is int:
+        return str(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -63,12 +67,15 @@ def to_integers(values: Iterable) -> tuple[int, tuple[int, ...]]:
 def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     """Dimension of the affine hull of ``points`` (0 for a single point).
 
-    Fraction-free: the points are scaled by one lcm of all their
-    denominators, and each integer difference vector against the first
-    point is reduced against an echelon basis of at most d rows, each
-    divided by the gcd of its entries.  Every basis row vanishes at the
-    pivot columns of the rows before it, so a vector is in their span
-    exactly when it reduces to zero.
+    Fraction-free: integer points are used as they are, other points are
+    scaled by one lcm of all their denominators, and each integer difference
+    vector against the first point is reduced against an echelon basis of
+    gcd-normalized rows.  Every basis row vanishes at the pivot columns of
+    the rows before it, so a vector is in their span exactly when it reduces
+    to zero.  The reduction stops once the basis reaches the rank bound: d,
+    or d - 1 when all points share one coordinate sum, since their
+    differences then lie in the hyperplane x_1 + ... + x_d = 0 (as the
+    vertices of a generalized permutahedron do, x([d]) = z([d])).
     Coordinates may be ints or Fractions.
     """
     if not points:
@@ -76,8 +83,12 @@ def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     d = len(points[0])
     if any(len(p) != d for p in points):
         raise ValueError("points of mixed length")
-    flat = to_integers(c for p in points for c in p)[1]
-    rows = [flat[i:i + d] for i in range(0, len(flat), d)]
+    if set(map(type, itertools.chain.from_iterable(points))) <= {int}:
+        rows = points
+    else:
+        flat = to_integers(c for p in points for c in p)[1]
+        rows = [flat[i:i + d] for i in range(0, len(flat), d)]
+    bound = d - 1 if len(set(map(sum, rows))) == 1 else d
     base = rows[0]
     basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
     for p in rows[1:]:
@@ -92,6 +103,6 @@ def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
             continue
         g = gcd(*v)
         basis.append((col, [c // g for c in v]))
-        if len(basis) == d:
+        if len(basis) == bound:
             break
     return len(basis)

@@ -4,13 +4,15 @@ Subsets are bitmasks (bit i set means element i+1 is in the subset) over a
 dense value table of length 2^d.  The module covers the values scaled once
 to integers by the lcm of their denominators, the submodularity test on
 those integers, pointwise sums, the coordinate sums of a point over all
-subsets, and reconstruction of a set function from a vertex set by
-maximizing those sums.
-The greedy vertices of the chains are computed in `permutahedron`.
+subsets, the greedy points of the chains on the scaled values (the
+vertices of the generalized permutahedron, times L, when z is submodular),
+and reconstruction of a set function from a vertex set by maximizing
+subset sums.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -29,7 +31,7 @@ class SetFn:
 
     def __post_init__(self):
         check_ground_set(self.d)
-        values = tuple(Fraction(v) for v in self.values)
+        values = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
         if len(values) != 1 << self.d:
             raise ValueError(f"need {1 << self.d} values, got {len(values)}")
         if values[0] != 0:
@@ -40,6 +42,24 @@ class SetFn:
     def scaled(self) -> tuple[int, tuple[int, ...]]:
         """The lcm L of the denominators of the values, and the integers L * z."""
         return to_integers(self.values)
+
+    @cached_property
+    def scaled_vertices(self) -> tuple[tuple[int, ...], ...]:
+        """The greedy points of the d! chains {i_1} < {i_1, i_2} < ... on the
+        integers L * z, coordinate i_j getting the marginal value of i_j on
+        the prefix before it, deduplicated and sorted lexicographically.
+        For a submodular z these are the vertices of P(z) times L."""
+        d, values = self.d, self.scaled[1]
+        distinct = set()
+        for perm in itertools.permutations(range(d)):
+            coords = [0] * d
+            mask = 0
+            for i in perm:
+                prev = values[mask]
+                mask |= 1 << i
+                coords[i] = values[mask] - prev
+            distinct.add(tuple(coords))
+        return tuple(sorted(distinct))
 
     @cached_property
     def is_submodular(self) -> bool:

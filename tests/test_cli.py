@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -12,9 +14,17 @@ from gpcount import cli, permutahedron
 from gpcount.cli import run
 from gpcount.ehrhart import unit_cube
 from gpcount.hypergraph import hypergraph_from_json
+from gpcount.rational import format_rat
 from gpcount.setfn import setfn_to_json, standard_perm_setfn
-from oracles import brute_chromatic_count, fan_to_json, hpolytope_to_json, with_rows
+from oracles import (
+    brute_chromatic_count,
+    fan_to_json,
+    greedy_vertex,
+    hpolytope_to_json,
+    with_rows,
+)
 from test_ehrhart import DIAGONAL_FAN, HUGE_SIMPLEX, OVERLAPPING
+from test_permutahedron import non_integer_setfn
 
 PI_6 = str(Path(__file__).resolve().parent.parent / "perfbench" / "docs" / "pi_6.json")
 
@@ -377,6 +387,26 @@ def test_non_string_edge_member_is_input_error(inputs, capsys):
     rc, payload, err = invoke(capsys, "hg-headings", "--hg", str(path))
     assert rc == 2 and payload is None
     assert err.startswith("error:")
+
+
+def test_faces_vertices_match_greedy_oracle(tmp_path, capsys):
+    # the report's vertex strings, read off the scaled integer vertices,
+    # against the formatted Fraction greedy vertex of every chain
+    rng = random.Random(67)
+    cases = [standard_perm_setfn(d) for d in range(1, 7)]
+    while len(cases) < 11:
+        z = non_integer_setfn(rng, max_d=6)
+        if z.d >= 5 and z.scaled[0] > 1:
+            cases.append(z)
+    assert {z.d for z in cases[6:]} == {5, 6}
+    for n, z in enumerate(cases):
+        path = tmp_path / f"z{n}.json"
+        path.write_text(json.dumps(setfn_to_json(z)))
+        rc, payload, _ = invoke(capsys, "faces", "--setfn", str(path))
+        assert rc == 0
+        chains = itertools.permutations(range(1, z.d + 1))
+        expected = sorted({greedy_vertex(z, perm) for perm in chains})
+        assert payload["vertices"] == [[format_rat(c) for c in v] for v in expected]
 
 
 def test_internal_error_exit_3(inputs, capsys, monkeypatch):

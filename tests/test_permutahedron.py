@@ -94,6 +94,36 @@ def test_vertices_match_greedy_oracle():
         assert vertices(z) == tuple(sorted({greedy_vertex(z, perm) for perm in chains}))
 
 
+def test_vertices_make_one_fraction_per_value(monkeypatch):
+    # pi_6 has 720 vertices of 6 coordinates each, but only 6 distinct values
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    z = standard_perm_setfn(6)
+    monkeypatch.setattr(permutahedron, "Fraction", counting)
+    V = vertices(z)
+    assert len(V) == 720
+    assert len(made) <= len({c for v in V for c in v}) == 6
+
+
+def test_scaled_vertices_are_vertices_times_scale():
+    rng = random.Random(61)
+    cases = []
+    while len(cases) < 10:
+        z = non_integer_setfn(rng, max_d=6)
+        if z.d >= 5 and z.scaled[0] > 1:
+            cases.append(z)
+    assert {z.d for z in cases} == {5, 6}
+    for z in cases:
+        P = GPerm(z)
+        scale = z.scaled[0]
+        assert all(type(c) is int for v in P._scaled_vertices for c in v)
+        assert P._scaled_vertices == tuple(tuple(scale * c for c in v) for v in P.vertices)
+
+
 def test_gperm_dimension():
     assert perm_gp(3).dimension == 2
     assert point_gp(2).dimension == 0

@@ -138,3 +138,34 @@ def test_affine_rank_pi_6():
     perms = list(itertools.permutations(range(1, 7)))
     assert affine_rank(perms) == 5
     assert affine_rank(vertices(standard_perm_setfn(6))) == 5
+
+
+@st.composite
+def common_sum_sets(draw, entry=coord):
+    """Up to 37 points in dimension 1..6 that share one coordinate sum: a
+    base point, the base plus each of r generators with coordinate sum 0,
+    and small integer combinations of them, so every rank 0..d-1 occurs;
+    optionally one more point off that hyperplane, which raises the rank by
+    one (to d at most)."""
+    d = draw(st.integers(1, 6))
+    r = draw(st.integers(0, d - 1))
+    base = draw(st.tuples(*[entry] * d))
+    gens = []
+    for _ in range(r):
+        head = draw(st.tuples(*[entry] * (d - 1)))
+        gens.append((*head, -sum(head)))
+    points = [base] + [tuple(b + c for b, c in zip(base, g)) for g in gens]
+    for _ in range(draw(st.integers(0, 30))):
+        coefs = draw(st.tuples(*[st.integers(-3, 3)] * r))
+        points.append(tuple(b + sum(c * g[j] for c, g in zip(coefs, gens))
+                            for j, b in enumerate(base)))
+    if draw(st.booleans()):
+        shift = draw(entry.filter(bool))
+        points.insert(draw(st.integers(0, len(points))), (base[0] + shift, *base[1:]))
+    return points
+
+
+@given(st.one_of(common_sum_sets(), common_sum_sets(st.integers(-20, 20))))
+def test_affine_rank_common_sum_bound(points):
+    # the reduction stops at d - 1 only when every point has the same sum
+    assert affine_rank(points) == rank_oracle(points)
