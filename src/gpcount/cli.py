@@ -1,11 +1,14 @@
 """Command-line interface.
 
 Every command prints a single JSON report to stdout; diagnostics go to
-stderr.  Exit codes: 0 when all checks pass (or a command has no checks),
-1 when at least one check fails, 2 on input errors (malformed documents,
-violated preconditions, exceeded budgets) and 3 on an internal error; after
-2 or 3 no partial report is emitted.  Reports are deterministic for fixed
-inputs up to the "timing" field.
+stderr.  A command returns its payload and its check `Report` (None when it
+has no checks); `run` appends the report's "checks" and "summary", then
+"timing", and reads the exit code off "summary".  Exit codes: 0 when all
+checks pass (or a command has no checks), 1 when at least one check fails,
+2 on input errors (malformed documents, violated preconditions, exceeded
+budgets) and 3 on an internal error; after 2 or 3 no partial report is
+emitted.  Reports are deterministic for fixed inputs up to the "timing"
+field.
 """
 
 from __future__ import annotations
@@ -123,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_chi(args) -> tuple[dict, int]:
+def cmd_chi(args) -> tuple[dict, Report | None]:
     P = GPerm(_load_setfn(args.setfn))
     poly, report = P.verify_reciprocity(args.k, args.m_max)
     payload = {
@@ -132,18 +135,17 @@ def cmd_chi(args) -> tuple[dict, int]:
         "k": args.k,
         "polynomial": poly.to_json(),
     }
-    payload.update(report.to_json())
-    return payload, report.failures
+    return payload, report
 
 
-def cmd_faces(args) -> tuple[dict, int]:
+def cmd_faces(args) -> tuple[dict, Report | None]:
     P = GPerm(_load_setfn(args.setfn))
     payload = {"command": "faces"}
     payload.update(face_lattice_to_json(P))
-    return payload, 0
+    return payload, None
 
 
-def cmd_hg_chromatic(args) -> tuple[dict, int]:
+def cmd_hg_chromatic(args) -> tuple[dict, Report | None]:
     h, names = hypergraph_from_json(_load_json(args.hg))
     payload = {
         "command": "hg-chromatic",
@@ -153,10 +155,10 @@ def cmd_hg_chromatic(args) -> tuple[dict, int]:
     if args.m is not None:
         payload["m"] = args.m
         payload["count"] = chromatic_count(h, args.m)
-    return payload, 0
+    return payload, None
 
 
-def cmd_hg_headings(args) -> tuple[dict, int]:
+def cmd_hg_headings(args) -> tuple[dict, Report | None]:
     h, names = hypergraph_from_json(_load_json(args.hg))
     acyclic = acyclic_headings(h)
     vectors = sorted(vertices_via_headings(h, acyclic))
@@ -167,7 +169,7 @@ def cmd_hg_headings(args) -> tuple[dict, int]:
         "headings": [[names[head - 1] for head in heads] for heads in acyclic],
         "indegree_vectors": [list(v) for v in vectors],
     }
-    return payload, 0
+    return payload, None
 
 
 def _hg_reciprocity_report(h, P: GPerm, acyclic: list, m_max: int) -> tuple[Polynomial, Report]:
@@ -189,7 +191,7 @@ def _hg_reciprocity_report(h, P: GPerm, acyclic: list, m_max: int) -> tuple[Poly
     return poly, report
 
 
-def cmd_hg_reciprocity(args) -> tuple[dict, int]:
+def cmd_hg_reciprocity(args) -> tuple[dict, Report | None]:
     h, names = hypergraph_from_json(_load_json(args.hg))
     P = GPerm(hypergraphic_setfn(h))
     poly, report = _hg_reciprocity_report(h, P, acyclic_headings(h), args.m_max)
@@ -198,11 +200,10 @@ def cmd_hg_reciprocity(args) -> tuple[dict, int]:
         "nodes": list(names),
         "polynomial": poly.to_json(),
     }
-    payload.update(report.to_json())
-    return payload, report.failures
+    return payload, report
 
 
-def cmd_ehrhart(args) -> tuple[dict, int]:
+def cmd_ehrhart(args) -> tuple[dict, Report | None]:
     poly = hpolytope_from_json(_load_json(args.poly))
     degree = poly.d if args.degree is None else args.degree
     qp, report = em_reciprocity_check(poly, degree, args.period, args.t_max)
@@ -211,11 +212,10 @@ def cmd_ehrhart(args) -> tuple[dict, int]:
         "degree": degree,
         "quasipolynomial": qp.to_json(),
     }
-    payload.update(report.to_json())
-    return payload, report.failures
+    return payload, report
 
 
-def cmd_pruned(args) -> tuple[dict, int]:
+def cmd_pruned(args) -> tuple[dict, Report | None]:
     poly = hpolytope_from_json(_load_json(args.poly))
     if (args.fan is None) == (args.setfn is None):
         raise GpcountError("pass exactly one of --fan and --setfn")
@@ -230,8 +230,7 @@ def cmd_pruned(args) -> tuple[dict, int]:
         "degree": degree,
         "inner_quasipolynomial": inner.to_json(),
     }
-    payload.update(report.to_json())
-    return payload, report.failures
+    return payload, report
 
 
 def verify_all(seed: int, trials: int) -> Report:
@@ -274,11 +273,10 @@ def verify_all(seed: int, trials: int) -> Report:
     return report
 
 
-def cmd_verify_all(args) -> tuple[dict, int]:
+def cmd_verify_all(args) -> tuple[dict, Report | None]:
     report = verify_all(args.seed, args.trials)
     payload = {"command": "verify-all", "seed": args.seed, "trials": args.trials}
-    payload.update(report.to_json())
-    return payload, report.failures
+    return payload, report
 
 
 COMMANDS = {
@@ -302,7 +300,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 0 if not exc.code else 2
     start = time.perf_counter()
     try:
-        payload, failures = COMMANDS[args.command](args)
+        payload, report = COMMANDS[args.command](args)
+        if report is not None:
+            payload.update(report.to_json())
     except (GpcountError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -311,7 +311,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 3
     payload["timing"] = round(time.perf_counter() - start, 6)
     print(json.dumps(payload, indent=2))
-    return 0 if failures == 0 else 1
+    return 1 if payload.get("summary", {}).get("failures") else 0
 
 
 def main() -> None:

@@ -28,10 +28,7 @@ def parse_rat(text: str) -> Fraction:
     s = text.strip()
     if not _RAT_RE.match(s):
         raise ValueError(f"invalid rational literal: {text!r}")
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    return Fraction(s)
 
 
 def rat_from_json(value) -> Fraction:
@@ -47,13 +44,7 @@ def rat_from_json(value) -> Fraction:
 
 
 def format_rat(value: Fraction | int) -> str:
-    if type(value) is int:
-        return str(value)
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(value)
 
 
 def to_integers(values: Iterable) -> tuple[int, tuple[int, ...]]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .rational import format_rat
 
@@ -11,9 +10,7 @@ from .rational import format_rat
 def _render(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, Fraction)):
-        return format_rat(value)
-    return str(value)
+    return format_rat(value)
 
 
 @dataclass(frozen=True)

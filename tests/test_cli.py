@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gpcount import cli, permutahedron
+from gpcount import cli, ehrhart, permutahedron
 from gpcount.cli import run
 from gpcount.ehrhart import unit_cube
 from gpcount.hypergraph import hypergraph_from_json
@@ -222,6 +222,36 @@ def test_ehrhart_failing_checks_exit_1(inputs, capsys):
         capsys, "ehrhart", "--poly", inputs["pinched"], "--degree", "1")
     assert rc == 1
     assert payload["summary"]["failures"] > 0  # report still emitted
+
+
+@pytest.mark.parametrize("argv, owner, name", [
+    (["chi", "--setfn", "std3"], permutahedron.GPerm, "reciprocity_rhs"),
+    (["hg-reciprocity", "--hg", "running"], permutahedron.GPerm, "reciprocity_rhs"),
+    (["pruned", "--poly", "square", "--fan", "fan"], ehrhart, "cumulative_pruned_count"),
+    (["verify-all", "--seed", "1", "--trials", "1"], permutahedron.GPerm, "reciprocity_rhs"),
+])
+def test_failing_checks_exit_1(inputs, capsys, monkeypatch, argv, owner, name):
+    # one side of a check off by one: the command exits 1, and its report,
+    # with the checks, the summary and the timing last, is still printed
+    true = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: true(*args) + 1)
+    rc, payload, err = invoke(capsys, *(inputs.get(a, a) for a in argv))
+    assert (rc, err) == (1, "")
+    assert payload["command"] == argv[0]
+    assert payload["summary"]["failures"] > 0
+    assert list(payload)[-3:] == ["checks", "summary", "timing"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["faces", "--setfn", "std3"],
+    ["hg-chromatic", "--hg", "running", "--m", "2"],
+    ["hg-headings", "--hg", "running"],
+])
+def test_commands_without_checks_print_no_summary(inputs, capsys, argv):
+    rc, payload, _ = invoke(capsys, *(inputs.get(a, a) for a in argv))
+    assert rc == 0
+    assert "checks" not in payload and "summary" not in payload
+    assert list(payload)[-1] == "timing"
 
 
 def test_pruned_with_fan(inputs, capsys):

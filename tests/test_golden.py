@@ -1,6 +1,7 @@
 """Golden reports: the stdout of `faces`, of `chi --k k` at every k, and of
-`hg-reciprocity` on three fixed inputs in `tests/golden/` (pi_4, a seeded
-non-integer set function with d = 4, and a 5-node hypergraph), of the fitted
+`hg-reciprocity`, `hg-chromatic --m 3` and `hg-headings` on three fixed
+inputs in `tests/golden/` (pi_4, a seeded non-integer set function with
+d = 4, and a 5-node hypergraph), of the fitted
 quasipolynomials of `ehrhart` on a period-6 rational box and a period-3
 rational simplex and of `pruned` on the unit 3-cube against the normal fan
 of pi_3, and of `verify-all --seed 3 --trials 2`, compared byte for byte with
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from gpcount import cli
 from gpcount.cli import run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -34,7 +36,10 @@ def _cases() -> dict:
         cases[f"faces_{name}"] = ["faces", "--setfn", doc]
         for k in range(d):
             cases[f"chi_{name}_k{k}"] = ["chi", "--setfn", doc, "--k", str(k)]
-    cases["hg_reciprocity_hg_5"] = ["hg-reciprocity", "--hg", str(GOLDEN / "hg_5.json")]
+    hg_5 = str(GOLDEN / "hg_5.json")
+    cases["hg_reciprocity_hg_5"] = ["hg-reciprocity", "--hg", hg_5]
+    cases["hg_chromatic_hg_5"] = ["hg-chromatic", "--hg", hg_5, "--m", "3"]
+    cases["hg_headings_hg_5"] = ["hg-headings", "--hg", hg_5]
     for name, period in (("box_q6", 6), ("simplex_q3", 3)):
         cases[f"ehrhart_{name}"] = ["ehrhart", "--poly", str(GOLDEN / f"{name}.json"),
                                     "--degree", "3", "--period", str(period), "--t-max", "4"]
@@ -56,6 +61,10 @@ def report(argv) -> str:
         rc = run(argv)
     assert (rc, err.getvalue()) == (0, ""), (argv, rc, err.getvalue())
     return TIMING.sub('"timing": 0', out.getvalue())
+
+
+def test_every_command_has_a_golden_case():
+    assert {argv[0] for argv in CASES.values()} == set(cli.COMMANDS)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
