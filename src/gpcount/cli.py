@@ -8,7 +8,9 @@ checks pass (or a command has no checks), 1 when at least one check fails,
 2 on input errors (malformed documents, violated preconditions, exceeded
 budgets) and 3 on an internal error; after 2 or 3 no partial report is
 emitted.  Reports are deterministic for fixed inputs up to the "timing"
-field.
+field.  `run` writes each report with `dumps`, this module's own JSON
+writer, byte for byte as the stdlib's `json.dumps` writes it with an indent
+of 2: with an indent set, the stdlib runs its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import random
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .ehrhart import (
@@ -49,6 +52,49 @@ from .permutahedron import GPerm, face_lattice_to_json
 from .polynomial import Polynomial
 from .report import Report
 from .setfn import setfn_from_json, setfn_from_vertices
+
+
+def dumps(value, pad: str = "\n") -> str:
+    """The stdlib's `json.dumps` with an indent of 2, for dicts with str
+    keys, lists, str, int, finite float (`timing` is the only float), bool
+    and None; anything else raises TypeError.  `pad` is the newline and
+    indent of the line value starts on; callers leave it at its default.  A
+    list of only ints (bools excluded) or only strings is written with one
+    join."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = []
+        for key, item in value.items():  # the encoder refuses non-str keys
+            items.append(encode_basestring_ascii(key) + ": " + dumps(item, inner))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            items = map(int.__repr__, value)
+        elif kinds == {str}:
+            items = map(encode_basestring_ascii, value)
+        else:
+            items = [dumps(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is float:
+        return float.__repr__(value)
+    raise TypeError(f"{kind.__name__} is not JSON serializable")
 
 
 def _load_json(path: str):
@@ -303,14 +349,14 @@ def run(argv: Sequence[str] | None = None) -> int:
         payload, report = COMMANDS[args.command](args)
         if report is not None:
             payload.update(report.to_json())
-    except (GpcountError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (GpcountError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     payload["timing"] = round(time.perf_counter() - start, 6)
-    print(json.dumps(payload, indent=2))
+    print(dumps(payload))
     return 1 if payload.get("summary", {}).get("failures") else 0
 
 

@@ -28,7 +28,7 @@ def parse_rat(text: str) -> Fraction:
     s = text.strip()
     if not _RAT_RE.match(s):
         raise ValueError(f"invalid rational literal: {text!r}")
-    return Fraction(s)
+    return Fraction(*map(int, s.split("/")))
 
 
 def rat_from_json(value) -> Fraction:

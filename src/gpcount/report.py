@@ -50,10 +50,6 @@ class Report:
     def failures(self) -> int:
         return sum(1 for e in self.entries if not e.passed)
 
-    @property
-    def all_pass(self) -> bool:
-        return self.failures == 0
-
     def to_json(self) -> dict:
         return {
             "checks": [e.to_json() for e in self.entries],

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputFormatError
-from .rational import format_rat, rat_from_json, to_integers
+from .rational import rat_from_json, to_integers
 
 MAX_GROUND_SET = 8
 
@@ -94,12 +94,6 @@ def standard_perm_setfn(d: int) -> SetFn:
     return SetFn(d, tuple(values))
 
 
-def setfn_sum(z1: SetFn, z2: SetFn) -> SetFn:
-    if z1.d != z2.d:
-        raise ValueError("mismatched ground-set sizes")
-    return SetFn(z1.d, tuple(a + b for a, b in zip(z1.values, z2.values)))
-
-
 def setfn_from_vertices(vertex_set: Iterable[Sequence[Fraction]]) -> SetFn:
     """Reconstruct z(A) = max over the vertex set of the coordinate sum on A,
     from the subset sums of the vertices scaled to integers by one lcm L."""
@@ -126,10 +120,6 @@ def subset_sums(p: Sequence) -> list:
     for c in p:
         sums += [s + c for s in sums]
     return sums
-
-
-def setfn_to_json(z: SetFn) -> dict:
-    return {"d": z.d, "values": [format_rat(v) for v in z.values]}
 
 
 def setfn_from_json(doc: object) -> SetFn:

@@ -17,6 +17,7 @@ from gpcount.errors import NotSubmodularError
 from gpcount.hypergraph import check_heading
 from gpcount.polynomial import Polynomial
 from gpcount.rational import format_rat
+from gpcount.setfn import SetFn
 
 
 def lagrange(points) -> list[Fraction]:
@@ -393,3 +394,21 @@ def hypergraph_to_json(h, names=None) -> dict:
         "nodes": list(names),
         "edges": [[names[i - 1] for i in sorted(e)] for e in h.edges],
     }
+
+
+def setfn_to_json(z) -> dict:
+    """The document `setfn_from_json` reads."""
+    return {"d": z.d, "values": [format_rat(v) for v in z.values]}
+
+
+def setfn_sum(z1, z2):
+    """The set function A -> z1(A) + z2(A), whose polytope is the Minkowski
+    sum of the two."""
+    if z1.d != z2.d:
+        raise ValueError("mismatched ground-set sizes")
+    return SetFn(z1.d, tuple(a + b for a, b in zip(z1.values, z2.values)))
+
+
+def all_pass(report) -> bool:
+    """Every check of the report holds."""
+    return report.failures == 0

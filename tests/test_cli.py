@@ -15,12 +15,13 @@ from gpcount.cli import run
 from gpcount.ehrhart import unit_cube
 from gpcount.hypergraph import hypergraph_from_json
 from gpcount.rational import format_rat
-from gpcount.setfn import setfn_to_json, standard_perm_setfn
+from gpcount.setfn import standard_perm_setfn
 from oracles import (
     brute_chromatic_count,
     fan_to_json,
     greedy_vertex,
     hpolytope_to_json,
+    setfn_to_json,
     with_rows,
 )
 from test_ehrhart import DIAGONAL_FAN, HUGE_SIMPLEX, OVERLAPPING
@@ -180,6 +181,25 @@ def test_hg_headings(inputs, capsys):
     assert all(set(heads) <= {"a", "b", "c"} for heads in payload["headings"])
     assert payload["indegree_vectors"] == [
         [1, 2, 3], [1, 4, 1], [2, 1, 3], [3, 1, 2], [3, 2, 1]]
+
+
+ODD_NAMES = ["\u00e9", 'q"', "back\\slash", "tab\there", "\ud800"]
+
+
+@pytest.mark.parametrize("argv", [["hg-chromatic", "--m", "2"], ["hg-headings"]])
+def test_odd_node_names_written_as_stdlib_json(tmp_path, capsys, argv):
+    """Node names with a non-ASCII letter, a quote, a backslash, a tab and a
+    lone surrogate come out escaped exactly as `json.dumps(indent=2)` does."""
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"nodes": ODD_NAMES, "edges": [
+        ODD_NAMES[:2], ODD_NAMES[1:4], [ODD_NAMES[4], ODD_NAMES[0]]]}))
+    rc = run([argv[0], "--hg", str(path), *argv[1:]])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert ('  "nodes": [\n    "\\u00e9",\n    "q\\"",\n    "back\\\\slash",\n'
+            '    "tab\\there",\n    "\\ud800"\n  ],\n') in out
+    assert json.loads(out)["nodes"] == ODD_NAMES
 
 
 def test_hg_reciprocity(inputs, capsys):

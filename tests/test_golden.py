@@ -5,7 +5,9 @@ d = 4, and a 5-node hypergraph), of the fitted
 quasipolynomials of `ehrhart` on a period-6 rational box and a period-3
 rational simplex and of `pruned` on the unit 3-cube against the normal fan
 of pi_3, and of `verify-all --seed 3 --trials 2`, compared byte for byte with
-the committed fixtures there apart from the `timing` value.
+the committed fixtures there apart from the `timing` value.  Each report
+must also equal `json.dumps(json.loads(report), indent=2)`, which pins the
+CLI's own JSON writer to the stdlib format.
 
 A refactor must leave these reports unchanged.  To record an intended
 report change, regenerate the fixtures with
@@ -17,6 +19,7 @@ and say in CHANGES.md which reports changed and why.
 
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
@@ -69,7 +72,9 @@ def test_every_command_has_a_golden_case():
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_report_matches_golden(case):
-    assert report(CASES[case]) == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    out = report(CASES[case])
+    assert out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 if __name__ == "__main__":

@@ -1,4 +1,6 @@
 import itertools
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,35 @@ def test_parse_rat_literals():
 def test_parse_rat_rejects(bad):
     with pytest.raises(ValueError):
         parse_rat(bad)
+
+
+def test_parse_rat_agrees_with_fraction_parser():
+    """On random strings over digits (ASCII and not), signs, '/', '_', '.',
+    'e' and whitespace, parse_rat gives what the literal check followed by
+    `Fraction(s)` gives: the same value, or the same ValueError."""
+    literal = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+
+    def by_fraction(text):
+        s = text.strip()
+        if not literal.match(s):
+            raise ValueError(f"invalid rational literal: {text!r}")
+        return Fraction(s)
+
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            return str(exc)
+
+    rng = random.Random(5)
+    alphabet = "0123456789" * 3 + "\u0663\u0669\u096a\uff17" + "+-//_.e \t\n"
+    parsed = 0
+    for _ in range(10 ** 5):
+        text = "".join(rng.choices(alphabet, k=rng.randint(0, 8)))
+        expected = outcome(by_fraction, text)
+        assert outcome(parse_rat, text) == expected, text
+        parsed += isinstance(expected, Fraction)
+    assert parsed > 10 ** 4
 
 
 def test_format_rat():

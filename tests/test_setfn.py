@@ -12,8 +12,6 @@ from gpcount.setfn import (
     SetFn,
     setfn_from_json,
     setfn_from_vertices,
-    setfn_sum,
-    setfn_to_json,
     standard_perm_setfn,
 )
 from oracles import (
@@ -21,6 +19,8 @@ from oracles import (
     greedy_vertex,
     perm_refines,
     representative_direction,
+    setfn_sum,
+    setfn_to_json,
     submodular_by_definition,
 )
 
