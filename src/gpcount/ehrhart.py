@@ -4,20 +4,27 @@ intersections with complete fans.
 A polytope is a halfspace description (rows may be non-strict, strict, or
 equalities) together with a trusted integer bounding box at dilation 1; the
 t-th dilate keeps every normal vector and scales the right-hand sides by t.
-Rows are rescaled to integer coefficients once per polytope, on first use.
-On integer points the t-th dilate is then one integer system of
-`a . x <= b` rows: a strict row lowers its bound by one and an equality
-becomes two opposite rows.  Rows involving a single coordinate are folded
-into the axis ranges.  The scan then fixes one coordinate at a time, in
+On integer points the t-th dilate is one integer system of `a . x <= b`
+rows: a strict row lowers its bound by one and an equality becomes two
+opposite rows.  Each polytope is compiled once, on its first count, into
+an integer dilation frame: its rows rescaled to integer coefficients,
+equalities split, and sorted into zero rows, rows in a single coordinate
+and the rest, together with the number of coordinates a count scans.  A
+t-dilate only scales the box and the right-hand sides: a zero row with a
+negative bound empties it, and a row in a single coordinate folds into that
+coordinate's range.  The interior of a polytope has the same coefficients
+and other relations, so it takes its integer rows from the polytope's
+instead of rescaling them.  The scan then fixes one coordinate at a time, in
 order.  At coordinate j each row `a . x <= b` bounds `a_j x_j` by what the
 fixed prefix leaves of b, less the least the later coordinates can add over
 their ranges.  Every point of the dilate meets that bound, so no point is
 lost, and a prefix whose range for x_j is empty is dropped there.  At the
 last coordinate nothing is left to add, so the points over each prefix form
 one integer interval, read off by floor division (Beck-Robins, *Computing the
-Continuous Discretely*).  The coordinates after the last one any row involves
-are free, so a count multiplies their widths and scans only the coordinates
-before them; a box with no row left after folding is one product.  One
+Continuous Discretely*), inline in the loop over the second-to-last
+coordinate.  The coordinates after the last one any row involves are free,
+so a count multiplies their widths and scans only the coordinates before
+them; a box with no row left after folding is one product.  One
 recursive scan returns the count and can hand each run to a callback.  A
 count that would scan more than `SCAN_BUDGET` prefixes of the last
 coordinate it fixes, or that fixes more than `SCAN_DEPTH` coordinates (one
@@ -83,9 +90,14 @@ class HPolytope:
             rows.append((a, rel, b if isinstance(b, Fraction) else Fraction(b)))
         object.__setattr__(self, "rows", tuple(rows))
         if self.bbox is not None:
-            box_ = tuple((int(lo), int(hi)) for lo, hi in self.bbox)
+            try:
+                box_ = tuple((int(lo), int(hi)) for lo, hi in self.bbox)
+            except OverflowError:  # an infinite float
+                raise ValueError("bbox bounds must be integers") from None
             if len(box_) != self.d:
                 raise ValueError("bbox length mismatch")
+            if any(int(v) != v for pair in self.bbox for v in pair):
+                raise ValueError("bbox bounds must be integers")
             if any(lo > hi for lo, hi in box_):
                 raise ValueError("bbox bounds out of order")
             object.__setattr__(self, "bbox", box_)
@@ -99,22 +111,55 @@ class HPolytope:
             out.append((tuple(ia), rel, ib))
         return tuple(out)
 
+    @cached_property
+    def frame(self) -> tuple[tuple, tuple, tuple, int]:
+        """The integer rows compiled for dilation, `(zero, axis, rest,
+        scanned)`.  On integer points the t-dilate of a row is
+        `a . x <= t b - strict`, where `strict` is 1 for `<` and 0 otherwise,
+        and an equality is two opposite such rows, the row first.  `zero`
+        holds the zero rows as `(b, strict)`, `axis` the rows in a single
+        coordinate i, coefficient c, as `(i, c, b, strict)`, and `rest` the
+        others as `(a, b, strict)`, in row order.  A count scans the
+        coordinates up to the last one a row of `rest` involves: `scanned`
+        of them."""
+        rows = []
+        for a, rel, b in self.int_rows:
+            rows.append((a, b, int(rel == "<")))
+            if rel == "=":
+                rows.append((tuple(-c for c in a), -b, 0))
+        zero, axis, rest = [], [], []
+        for a, b, strict in rows:
+            nz = [i for i, c in enumerate(a) if c]
+            if not nz:
+                zero.append((b, strict))
+            elif len(nz) == 1:
+                axis.append((nz[0], a[nz[0]], b, strict))
+            else:
+                rest.append((a, b, strict))
+        scanned = max((j + 1 for a, _b, _strict in rest for j, c in enumerate(a) if c), default=0)
+        return tuple(zero), tuple(axis), tuple(rest), scanned
+
     def interior(self) -> "HPolytope":
         """Relative interior: inequality rows become strict and equalities
         stay, except that two opposite rows `a . x <= b` and
         `-c a . x <= -c b` (c > 0) together stay as the equality `a . x = b`,
-        and a zero row, which bounds nothing, stays as written."""
+        and a zero row, which bounds nothing, stays as written.  Only the
+        relations change, so the interior's `int_rows` are this polytope's
+        with the new relations, not rescaled again."""
         def primitive(a, b):  # an integer row divided by the gcd of its entries
             g = gcd(*a, b)
             return tuple(c // g for c in a), b // g
 
         closed = {primitive(a, b) for a, rel, b in self.int_rows if rel == "<=" and any(a)}
-        rows = []
+        rows, int_rows = [], []
         for (a, rel, b), (ia, _, ib) in zip(self.rows, self.int_rows):
             if rel == "<=" and any(ia):
                 rel = "=" if primitive([-c for c in ia], -ib) in closed else "<"
             rows.append((a, rel, b))
-        return HPolytope(self.d, tuple(rows), self.bbox)
+            int_rows.append((ia, rel, ib))
+        inner = HPolytope(self.d, tuple(rows), self.bbox)
+        inner.__dict__["int_rows"] = tuple(int_rows)  # where cached_property keeps it
+        return inner
 
 
 def _unit_row(d: int, i: int, sign: int) -> tuple[Fraction, ...]:
@@ -157,40 +202,29 @@ def _dilate_frame(poly: HPolytope, t: int):
     """Axis ranges of the t-dilate, and its other rows as (coeffs, bound)
     meaning coeffs . x <= bound.  None signals an empty dilate.
 
-    On integer points, with integer coefficients, `a . x < tb` is
-    `a . x <= tb - 1` and `a . x = tb` is the pair `a . x <= tb`,
-    `-a . x <= -tb`, so the dilate is one integer `<=` system.  A row in a
+    Scales the polytope's `frame`, each right-hand side to `t b - strict`:
+    a zero row empties the dilate when its bound is negative, a row in a
     single coordinate folds into that coordinate's range by floor division,
-    and a zero row empties the dilate when its bound is negative."""
+    and the other rows are the scan's."""
     if t < 1:
         raise ValueError("dilation must be a positive integer")
     if poly.bbox is None:
         raise ValueError("counting requires a bounding box")
-    rows = []
-    for a, rel, b in poly.int_rows:
-        tb = t * b
-        rows.append((a, tb - 1 if rel == "<" else tb))
-        if rel == "=":
-            rows.append((tuple(-c for c in a), -tb))
+    zero, axis, rest, _scanned = poly.frame
+    for b, strict in zero:
+        if t * b < strict:
+            return None, None
     ranges = [[lo * t, hi * t] for lo, hi in poly.bbox]
-    rest = []
-    for a, bound in rows:
-        nz = [i for i, c in enumerate(a) if c]
-        if not nz:
-            if bound < 0:
-                return None, None
-        elif len(nz) == 1:
-            i = nz[0]
-            c = a[i]
-            if c > 0:
-                ranges[i][1] = min(ranges[i][1], bound // c)
-            else:
-                ranges[i][0] = max(ranges[i][0], -(bound // -c))
+    for i, c, b, strict in axis:
+        bound = t * b - strict
+        if c > 0:
+            ranges[i][1] = min(ranges[i][1], bound // c)
         else:
-            rest.append((a, bound))
-    if any(lo > hi for lo, hi in ranges):
-        return None, None
-    return [tuple(r) for r in ranges], rest
+            ranges[i][0] = max(ranges[i][0], -(bound // -c))
+    for lo, hi in ranges:
+        if lo > hi:
+            return None, None
+    return [tuple(r) for r in ranges], [(a, t * b - strict) for a, b, strict in rest]
 
 
 def _check_budget(ranges, what: str, t: int) -> None:
@@ -206,8 +240,8 @@ def _scan_frame(poly: HPolytope, t: int, points: bool):
     fixes, refused before any scan when the scan exceeds `SCAN_BUDGET` or
     fixes more than `SCAN_DEPTH`.  A scan of every point (`points`) fixes
     every coordinate and is bounded by the folded box.  A count fixes the
-    coordinates up to the last one any row involves and is bounded by the
-    prefixes of the last of those."""
+    coordinates up to the last one any row involves, as the frame records,
+    and is bounded by the prefixes of the last of those."""
     ranges, rows = _dilate_frame(poly, t)
     if ranges is None:
         return None, None, 0
@@ -215,7 +249,7 @@ def _scan_frame(poly: HPolytope, t: int, points: bool):
         _check_budget(ranges, "box points", t)
         scanned = len(ranges)
     else:
-        scanned = max((j + 1 for a, _bound in rows for j, c in enumerate(a) if c), default=0)
+        scanned = poly.frame[3]
         _check_budget(ranges[:max(scanned - 1, 0)], "prefixes of the last coordinate", t)
     if scanned > SCAN_DEPTH:
         raise BudgetExceededError(
@@ -242,7 +276,9 @@ def _scan(ranges, rows, run=None) -> int:
     in range keeps `rest >= slack_j` for the next coordinate, so a row needs
     no test where its coefficient is zero.  Past the last nonzero coefficient
     of a row its slack is 0, so at the last coordinate the bounds are exact
-    and `(lo, hi)` is the whole run."""
+    and `(lo, hi)` is the whole run.  The loop over the second-to-last
+    coordinate reads the run over each of its values inline, from the rows
+    that bound x_d from above and from below."""
     last = len(ranges) - 1
     bounds = [[] for _ in ranges]  # coordinate j -> (row, a_j, slack_j) where a_j != 0
     for r, (a, _bound) in enumerate(rows):
@@ -255,6 +291,13 @@ def _scan(ranges, rows, run=None) -> int:
                 slack += min(c * lo, c * hi)
     rest = [bound for _a, bound in rows]
     point = [0] * len(ranges)
+    # Over x_{d-1} = x a row leaves `rest - a_{d-1} x` for `a_d x_d`, so the
+    # loop over x_{d-1} reads each run from `upper`, the rows bounding x_d
+    # from above as (row, a_d, a_{d-1}), and `lower`, those bounding it from
+    # below as (row, -a_d, a_{d-1}); with one coordinate neither is read.
+    run_lo, run_hi = ranges[last]
+    upper = [(r, c, rows[r][0][last - 1]) for r, c, _slack in bounds[last] if c > 0]
+    lower = [(r, -c, rows[r][0][last - 1]) for r, c, _slack in bounds[last] if c < 0]
 
     def scan(j):
         lo, hi = ranges[j]
@@ -271,13 +314,30 @@ def _scan(ranges, rows, run=None) -> int:
                     lo = room
         if lo > hi:
             return 0
-        if j == last:
+        if j == last:  # only when the scan has one coordinate
             if run is not None:
                 run(point, lo, hi)
             return hi - lo + 1
+        total = 0
+        if j + 1 == last:
+            for x in range(lo, hi + 1):
+                first, final = run_lo, run_hi
+                for r, c, a in upper:
+                    room = (rest[r] - a * x) // c
+                    if room < final:
+                        final = room
+                for r, c, a in lower:
+                    room = -((rest[r] - a * x) // c)
+                    if room > first:
+                        first = room
+                if first <= final:
+                    if run is not None:
+                        point[j] = x
+                        run(point, first, final)
+                    total += final - first + 1
+            return total
         for r, c, _slack in touched:
             rest[r] -= c * lo
-        total = 0
         for x in range(lo, hi + 1):
             point[j] = x
             total += scan(j + 1)

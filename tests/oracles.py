@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 from gpcount.ehrhart import FullDimFan, HPolytope
 from gpcount.errors import NotSubmodularError
@@ -290,6 +290,42 @@ def brute_lattice_points(poly, t: int):
     for x in itertools.product(*ranges):
         if all(_row_holds(a, rel, b, x, t) for a, rel, b in poly.rows):
             yield x
+
+
+def dilate_frame(poly, t: int):
+    """The t-dilate as `_dilate_frame` gives it, its rows analysed anew at
+    this t: each row is rescaled to integers by the lcm of its denominators,
+    a strict row lowers its bound t b by one and an equality adds the
+    opposite row; then a zero row with a negative bound empties the dilate,
+    a row in one coordinate folds into that coordinate's range by floor
+    division, and the others stay as (coeffs, bound), in row order.  None
+    for an empty dilate."""
+    rows = []
+    for a, rel, b in poly.rows:
+        scale = lcm(*(v.denominator for v in (*a, b)))
+        a, tb = tuple(int(c * scale) for c in a), int(b * scale) * t
+        rows.append((a, tb - 1 if rel == "<" else tb))
+        if rel == "=":
+            rows.append((tuple(-c for c in a), -tb))
+    ranges = [[lo * t, hi * t] for lo, hi in poly.bbox]
+    rest = []
+    for a, bound in rows:
+        nz = [i for i, c in enumerate(a) if c]
+        if not nz:
+            if bound < 0:
+                return None, None
+        elif len(nz) == 1:
+            i = nz[0]
+            c = a[i]
+            if c > 0:
+                ranges[i][1] = min(ranges[i][1], bound // c)
+            else:
+                ranges[i][0] = max(ranges[i][0], -(bound // -c))
+        else:
+            rest.append((a, bound))
+    if any(lo > hi for lo, hi in ranges):
+        return None, None
+    return [tuple(r) for r in ranges], rest
 
 
 def brute_multiplicity(fan, x) -> int:

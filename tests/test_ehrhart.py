@@ -46,6 +46,7 @@ from oracles import (
     brute_lattice_points,
     brute_multiplicity,
     brute_normal_fan,
+    dilate_frame,
     fan_to_json,
     hpolytope_to_json,
     single_point,
@@ -91,6 +92,17 @@ def test_hpolytope_validation():
         HPolytope(1, (), ((3, 0),))
     with pytest.raises(ValueError):
         box([(1, 0)])
+
+
+def test_bbox_bounds_must_be_integers():
+    # truncating 3/2 to 1 would lose x = 3 at t = 2 and count [2, 3, 4, 5]
+    rows = (((1,), "<=", Fraction(3, 2)), ((-1,), "<=", 0))
+    for bad in (Fraction(3, 2), 2.7, float("inf")):
+        with pytest.raises(ValueError, match="bbox bounds must be integers"):
+            HPolytope(1, rows, ((0, bad),))
+    segment = HPolytope(1, rows, ((0, 2),))
+    assert [count_lattice(segment, t) for t in range(1, 5)] == [2, 4, 5, 7]
+    assert HPolytope(1, rows, ((Fraction(0), 2.0),)).bbox == ((0, 2),)
 
 
 def test_interior():
@@ -207,6 +219,27 @@ def scan_cases(poly, t):
     return cases
 
 
+def empty_run_reached(ranges, rows):
+    """Whether the scan of a frame in two or more coordinates reaches a
+    prefix `(x_1..x_{d-1})` over which the run of x_d is empty.  The scan
+    reaches a prefix when, at each x_j with a_j != 0, a row leaves room for
+    the least the later coordinates can add over their ranges."""
+    def least(a, j):
+        return sum(min(c * lo, c * hi) for c, (lo, hi) in zip(a[j:], ranges[j:]))
+
+    def dot(a, x):
+        return sum(c * xi for c, xi in zip(a, x))
+
+    lo_d, hi_d = ranges[-1]
+    for prefix in itertools.product(*[range(lo, hi + 1) for lo, hi in ranges[:-1]]):
+        reached = all(dot(a[:j + 1], prefix) + least(a, j + 1) <= bound
+                      for a, bound in rows for j in range(len(prefix)) if a[j])
+        if reached and not any(all(dot(a, prefix + (y,)) <= bound for a, bound in rows)
+                               for y in range(lo_d, hi_d + 1)):
+            return True
+    return False
+
+
 def scanned_points(poly, t):
     """The scan's count of the t-dilate, and its points expanded from the
     runs the scan hands its callback."""
@@ -230,7 +263,7 @@ def test_count_lattice_against_brute_force():
     polys += [random_hpolytope(rng) for _ in range(60)]
     polys += [random_hpolytope(rng, 4) for _ in range(12)]
     sparse = [random_sparse_hpolytope(rng, rng.randint(2, 4)) for _ in range(30)]
-    cases, dims, shortcuts = set(), set(), set()
+    cases, dims, shortcuts, branches = set(), set(), set(), set()
     for poly in polys + sparse:
         dims.add(poly.d)
         for P in (poly, poly.interior()):
@@ -242,11 +275,58 @@ def test_count_lattice_against_brute_force():
                 if not points:
                     cases.add("empty")
                 shortcuts |= scan_cases(P, t)
-    # the draws reach every branch of the interval scan and every shortcut
-    # of the coordinate scan
+                ranges, rows = ehrhart._dilate_frame(P, t)
+                if ranges is not None:
+                    branches.add("one coordinate" if len(ranges) == 1 else "inline last coordinate")
+                    if "empty run" not in branches and len(ranges) > 1 \
+                            and empty_run_reached(ranges, rows):
+                        branches.add("empty run")
+    # the draws reach every branch of the interval scan, every shortcut of
+    # the coordinate scan, and both ways `_scan` reads a run: a scan of one
+    # coordinate, and the inline loop over the second-to-last coordinate,
+    # empty runs included
     assert dims == {1, 2, 3, 4}
     assert cases == {"zero", "positive", "negative", "equality", "strict, |c| > 1", "empty"}
     assert shortcuts == {"no row left", "free trailing", "inner prefix pruned"}
+    assert branches == {"one coordinate", "inline last coordinate", "empty run"}
+
+
+def test_dilate_frame_matches_per_t_reference():
+    # the frame, compiled once per polytope and scaled per t, gives the
+    # ranges and rows of the per-t row analysis of the oracle; an interior
+    # shares its parent's integer coefficients
+    rng = random.Random(29)
+    polys = [random_hpolytope(rng) for _ in range(60)]
+    polys += [random_hpolytope(rng, 4) for _ in range(12)]
+    polys += [random_sparse_hpolytope(rng, rng.randint(2, 4)) for _ in range(30)]
+    cases = set()
+    for poly in polys:
+        for P in (poly, poly.interior()):
+            assert P.int_rows == HPolytope(P.d, P.rows, P.bbox).int_rows
+            for a, rel, b in P.rows:
+                if rel == "=":
+                    cases.add("equality")
+                if not any(a):
+                    cases.add("zero row")
+                    if b < 0 or b == 0 and rel == "<" or b != 0 and rel == "=":
+                        cases.add("zero row empties")
+            for t in range(1, 7):
+                expected = dilate_frame(P, t)
+                assert ehrhart._dilate_frame(P, t) == expected
+                if expected[0] is None:
+                    cases.add("empty")
+    assert cases == {"equality", "zero row", "zero row empties", "empty"}
+
+
+def test_polytope_compiled_once(monkeypatch):
+    # one rescaling per row of the closed simplex: its interior reuses the
+    # integer rows, and no dilate, fitted or checked, rescales again
+    calls = []
+    real = ehrhart.to_integers
+    monkeypatch.setattr(ehrhart, "to_integers", lambda values: calls.append(values) or real(values))
+    simplex = standard_simplex(4)
+    assert all_pass(em_reciprocity_check(simplex, 4, 1, 20)[1])
+    assert len(calls) == len(simplex.rows) == 5
 
 
 def test_simplex_4_closed_forms():
