@@ -6,15 +6,14 @@ equalities) together with a trusted integer bounding box at dilation 1; the
 t-th dilate keeps every normal vector and scales the right-hand sides by t.
 On integer points the t-th dilate is one integer system of `a . x <= b`
 rows: a strict row lowers its bound by one and an equality becomes two
-opposite rows.  Each polytope is compiled once, on its first count, into
-an integer dilation frame: its rows rescaled to integer coefficients,
-equalities split, and sorted into zero rows, rows in a single coordinate
+opposite rows.  A polytope stores each row as its primitive integer row,
+and its interior has the same rows with other relations.  Each polytope is
+compiled once, on its first count, into an integer dilation frame: its rows
+with equalities split, sorted into zero rows, rows in a single coordinate
 and the rest, together with the number of coordinates a count scans.  A
 t-dilate only scales the box and the right-hand sides: a zero row with a
 negative bound empties it, and a row in a single coordinate folds into that
-coordinate's range.  The interior of a polytope has the same coefficients
-and other relations, so it takes its integer rows from the polytope's
-instead of rescaling them.  The scan then fixes one coordinate at a time, in
+coordinate's range.  The scan then fixes one coordinate at a time, in
 order.  At coordinate j each row `a . x <= b` bounds `a_j x_j` by what the
 fixed prefix leaves of b, less the least the later coordinates can add over
 their ranges.  Every point of the dilate meets that bound, so no point is
@@ -32,7 +31,7 @@ recursion level each), is refused before it starts, and a reciprocity check
 is refused before its first count when its largest dilate would be.
 
 A full-dimensional fan is a list of closed cones (homogeneous non-strict
-rows), compiled to integer rows once per fan, on first use.  The
+rows), its distinct rows indexed once per fan, on first use.  The
 multiplicity of a point is the number of closed cones containing it; the
 inner pruned count takes the points of multiplicity exactly one and the
 cumulative pruned count the sum of multiplicities.  Each cone meets a run of
@@ -61,18 +60,21 @@ from typing import Sequence
 from .errors import BudgetExceededError, IncompleteFanError, InputFormatError
 from .permutahedron import GPerm
 from .polynomial import QuasiPolynomial, interpolate_quasipoly
-from .rational import rat_from_json, to_integers
+from .rational import exact, rat_from_json, to_integers
 from .report import Report
 
 RELATIONS = ("<=", "<", "=")
 SCAN_BUDGET = 10 ** 7
 SCAN_DEPTH = 500  # the scan recurses once per coordinate; Python allows 1000
 
-Row = tuple[tuple[Fraction, ...], str, Fraction]
+Row = tuple[tuple[int, ...], str, int]
 
 
 @dataclass(frozen=True)
 class HPolytope:
+    """Rows `a . x rel b` with rational entries, each stored as its primitive
+    integer row: `(*a, b)` scaled by the lcm of its denominators and divided
+    by the gcd of its entries, with its relation, in its place."""
     d: int
     rows: tuple[Row, ...]
     bbox: tuple[tuple[int, int], ...] | None = None
@@ -80,15 +82,21 @@ class HPolytope:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be positive")
-        rows = []
-        for a, rel, b in self.rows:
-            a = tuple(c if isinstance(c, Fraction) else Fraction(c) for c in a)
+        rows = tuple((tuple(a), rel, b) for a, rel, b in self.rows)
+        for a, rel, _b in rows:
             if len(a) != self.d:
                 raise ValueError("row length mismatch")
             if rel not in RELATIONS:
                 raise ValueError(f"unknown relation {rel!r}")
-            rows.append((a, rel, b if isinstance(b, Fraction) else Fraction(b)))
-        object.__setattr__(self, "rows", tuple(rows))
+        if not all(type(c) is int for a, _rel, b in rows for c in (*a, b)) \
+                or any(gcd(*a, b) > 1 for a, _rel, b in rows):
+            primitive = []
+            for a, rel, b in rows:
+                *a, b = to_integers(map(exact, (*a, b)))[1]
+                g = gcd(*a, b) or 1
+                primitive.append((tuple(c // g for c in a), rel, b // g))
+            rows = tuple(primitive)
+        object.__setattr__(self, "rows", rows)
         if self.bbox is not None:
             try:
                 box_ = tuple((int(lo), int(hi)) for lo, hi in self.bbox)
@@ -103,17 +111,8 @@ class HPolytope:
             object.__setattr__(self, "bbox", box_)
 
     @cached_property
-    def int_rows(self) -> tuple[tuple[tuple[int, ...], str, int], ...]:
-        """The rows rescaled to integer coefficients."""
-        out = []
-        for a, rel, b in self.rows:
-            *ia, ib = to_integers((*a, b))[1]
-            out.append((tuple(ia), rel, ib))
-        return tuple(out)
-
-    @cached_property
     def frame(self) -> tuple[tuple, tuple, tuple, int]:
-        """The integer rows compiled for dilation, `(zero, axis, rest,
+        """The rows compiled for dilation, `(zero, axis, rest,
         scanned)`.  On integer points the t-dilate of a row is
         `a . x <= t b - strict`, where `strict` is 1 for `<` and 0 otherwise,
         and an equality is two opposite such rows, the row first.  `zero`
@@ -123,7 +122,7 @@ class HPolytope:
         coordinates up to the last one a row of `rest` involves: `scanned`
         of them."""
         rows = []
-        for a, rel, b in self.int_rows:
+        for a, rel, b in self.rows:
             rows.append((a, b, int(rel == "<")))
             if rel == "=":
                 rows.append((tuple(-c for c in a), -b, 0))
@@ -140,37 +139,29 @@ class HPolytope:
         return tuple(zero), tuple(axis), tuple(rest), scanned
 
     def interior(self) -> "HPolytope":
-        """Relative interior: inequality rows become strict and equalities
-        stay, except that two opposite rows `a . x <= b` and
-        `-c a . x <= -c b` (c > 0) together stay as the equality `a . x = b`,
-        and a zero row, which bounds nothing, stays as written.  Only the
-        relations change, so the interior's `int_rows` are this polytope's
-        with the new relations, not rescaled again."""
-        def primitive(a, b):  # an integer row divided by the gcd of its entries
-            g = gcd(*a, b)
-            return tuple(c // g for c in a), b // g
-
-        closed = {primitive(a, b) for a, rel, b in self.int_rows if rel == "<=" and any(a)}
-        rows, int_rows = [], []
-        for (a, rel, b), (ia, _, ib) in zip(self.rows, self.int_rows):
-            if rel == "<=" and any(ia):
-                rel = "=" if primitive([-c for c in ia], -ib) in closed else "<"
+        """Relative interior: the same rows, with a non-zero `<=` row made
+        `=` when its negation is also a `<=` row (two opposite rows
+        `a . x <= b` and `-c a . x <= -c b`, c > 0, are one primitive row
+        and its negation) and `<` otherwise; equalities, strict rows and zero
+        rows, which bound nothing, stay as written."""
+        closed = {(a, b) for a, rel, b in self.rows if rel == "<=" and any(a)}
+        rows = []
+        for a, rel, b in self.rows:
+            if rel == "<=" and any(a):
+                rel = "=" if (tuple(-c for c in a), -b) in closed else "<"
             rows.append((a, rel, b))
-            int_rows.append((ia, rel, ib))
-        inner = HPolytope(self.d, tuple(rows), self.bbox)
-        inner.__dict__["int_rows"] = tuple(int_rows)  # where cached_property keeps it
-        return inner
+        return HPolytope(self.d, tuple(rows), self.bbox)
 
 
-def _unit_row(d: int, i: int, sign: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(sign if j == i else 0) for j in range(d))
+def _unit_row(d: int, i: int, c: int) -> tuple[int, ...]:
+    return tuple(c if j == i else 0 for j in range(d))
 
 
 def unit_cube(d: int) -> HPolytope:
     rows = []
     for i in range(d):
-        rows.append((_unit_row(d, i, -1), "<=", Fraction(0)))
-        rows.append((_unit_row(d, i, 1), "<=", Fraction(1)))
+        rows.append((_unit_row(d, i, -1), "<=", 0))
+        rows.append((_unit_row(d, i, 1), "<=", 1))
     return HPolytope(d, tuple(rows), tuple((0, 1) for _ in range(d)))
 
 
@@ -179,22 +170,22 @@ def box(bounds: Sequence[tuple[Fraction, Fraction]]) -> HPolytope:
     rows = []
     bbox = []
     for i, (lo, hi) in enumerate(bounds):
-        lo, hi = Fraction(lo), Fraction(hi)
+        lo, hi = exact(lo), exact(hi)
         if lo > hi:
             raise ValueError("box bounds out of order")
-        rows.append((_unit_row(d, i, -1), "<=", -lo))
-        rows.append((_unit_row(d, i, 1), "<=", hi))
+        rows.append((_unit_row(d, i, -lo.denominator), "<=", -lo.numerator))
+        rows.append((_unit_row(d, i, hi.denominator), "<=", hi.numerator))
         bbox.append((floor(lo), ceil(hi)))
     return HPolytope(d, tuple(rows), tuple(bbox))
 
 
 def standard_simplex(d: int, scale: Fraction = Fraction(1)) -> HPolytope:
     """x_i >= 0 and sum x_i <= scale."""
-    scale = Fraction(scale)
+    scale = exact(scale)
     if scale <= 0:
         raise ValueError("scale must be positive")
-    rows = [(_unit_row(d, i, -1), "<=", Fraction(0)) for i in range(d)]
-    rows.append((tuple(Fraction(1) for _ in range(d)), "<=", scale))
+    rows = [(_unit_row(d, i, -1), "<=", 0) for i in range(d)]
+    rows.append(((1,) * d, "<=", scale))
     return HPolytope(d, tuple(rows), tuple((0, ceil(scale)) for _ in range(d)))
 
 
@@ -435,7 +426,7 @@ class FullDimFan:
     @cached_property
     def run_rows(self) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
         """The fan compiled for sweeps along the last coordinate: its
-        distinct nonzero integer rows, each as `(terms, c)` with `terms` the
+        distinct nonzero rows, each as `(terms, c)` with `terms` the
         pairs `(i, a_i)` of its nonzero coefficients before the last and `c`
         the last, and per cone the indices of its rows.  A zero row holds
         everywhere and is left out."""
@@ -443,7 +434,7 @@ class FullDimFan:
         cones = []
         for cone in self.cones:
             cones.append(tuple(index.setdefault(a, len(index))
-                               for a, _rel, _b in cone.int_rows if any(a)))
+                               for a, _rel, _b in cone.rows if any(a)))
         rows = tuple((tuple((i, c) for i, c in enumerate(a[:-1]) if c), a[-1]) for a in index)
         return rows, tuple(cones)
 
@@ -535,6 +526,8 @@ def multiplicity(fan: FullDimFan, point: Sequence[int]) -> int:
     cover of the one-point run at it."""
     if len(point) != fan.d:
         raise ValueError("point length mismatch")
+    if not all(isinstance(x, int) for x in point):
+        raise ValueError(f"multiplicity needs an integer point, got {tuple(point)}")
     return _run_cover(fan, point, point[-1], point[-1])[0][0]
 
 

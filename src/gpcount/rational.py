@@ -3,9 +3,9 @@
 Every coordinate, set-function value, and polynomial coefficient in this
 package is a `fractions.Fraction`; floats never appear.  Text form is the
 rational literal: optional sign, integer, optionally "/" and a positive
-integer ("3", "-2", "3/4").  Decimal notation is rejected on purpose.
-The counting cores run on integers: `to_integers` scales a list of
-rationals by the lcm of their denominators.
+integer ("3", "-2", "3/4").  Decimal notation is rejected on purpose, and
+`exact` refuses a non-integral float.  The counting cores run on integers:
+`to_integers` scales a list of rationals by the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -41,6 +41,15 @@ def rat_from_json(value) -> Fraction:
         return parse_rat(value)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
+
+
+def exact(value) -> Fraction:
+    """``value`` as a Fraction.  A non-integral float raises ValueError: its
+    binary fraction (0.1 is 3602879701896397/36028797018963968) is seldom
+    the rational meant.  An integral float such as 2.0 is its integer."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is a non-integral float, not an exact rational")
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def format_rat(value: Fraction | int) -> str:

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputFormatError
-from .rational import rat_from_json, to_integers
+from .rational import exact, rat_from_json, to_integers
 
 MAX_GROUND_SET = 8
 
@@ -31,7 +31,7 @@ class SetFn:
 
     def __post_init__(self):
         check_ground_set(self.d)
-        values = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in self.values)
+        values = tuple(map(exact, self.values))
         if len(values) != 1 << self.d:
             raise ValueError(f"need {1 << self.d} values, got {len(values)}")
         if values[0] != 0:

@@ -2,7 +2,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -164,7 +164,7 @@ def last_coordinate_cases(poly):
     the sign of the integer coefficient of `x_d`, by `=`, and by a strict row
     whose `x_d` coefficient is not +-1 (so its floor division rounds)."""
     cases = set()
-    for a, rel, _b in poly.int_rows:
+    for a, rel, _b in poly.rows:
         if sum(1 for c in a if c) < 2:
             continue
         c = a[-1]
@@ -302,7 +302,7 @@ def test_dilate_frame_matches_per_t_reference():
     cases = set()
     for poly in polys:
         for P in (poly, poly.interior()):
-            assert P.int_rows == HPolytope(P.d, P.rows, P.bbox).int_rows
+            assert P.rows == HPolytope(P.d, P.rows, P.bbox).rows
             for a, rel, b in P.rows:
                 if rel == "=":
                     cases.add("equality")
@@ -409,6 +409,81 @@ def test_interior_keeps_opposite_rows():
     assert [rel for _a, rel, _b in slab.interior().rows] == ["<", "<", "<="]
 
 
+def positive_ratio(stored, written):
+    """The r > 0 with stored == r * written, entry by entry, or None."""
+    pivot = next((k for k, w in enumerate(written) if w), None)
+    if pivot is None:
+        return 1 if not any(stored) else None
+    r = Fraction(stored[pivot]) / written[pivot]
+    return r if r > 0 and all(c == r * w for c, w in zip(stored, written)) else None
+
+
+def test_rows_are_primitive_integer_rows():
+    # every row of a seeded polytope, written again at a random positive
+    # rational scale in Fractions, is stored as a positive multiple of
+    # itself with coprime integer entries, its relation and its place
+    rng = random.Random(31)
+    polys = [random_hpolytope(rng) for _ in range(40)]
+    polys += [random_sparse_hpolytope(rng, rng.randint(2, 4)) for _ in range(20)]
+    cases = set()
+    for P in polys:
+        written = []
+        for a, rel, b in P.rows:
+            s = Fraction(rng.randint(1, 6), rng.randint(1, 6))
+            written.append((tuple(s * c for c in a), rel, s * b))
+        Q = HPolytope(P.d, tuple(written), P.bbox)
+        assert len(Q.rows) == len(written)
+        for (a, rel, b), (wa, wrel, wb) in zip(Q.rows, written):
+            assert rel == wrel
+            assert all(type(c) is int for c in (*a, b))
+            assert positive_ratio((*a, b), (*wa, wb)) is not None
+            assert gcd(*a, b) == (1 if any(a) or b else 0)
+            cases.add("zero" if not any(a) else rel)
+        assert Q == P
+        assert HPolytope(Q.d, Q.rows, Q.bbox) == Q
+    assert cases == {"zero", "<=", "<", "="}
+    # an opposite pair written at two fractional scales is one primitive row
+    # and its negation, so the interior keeps both as equalities
+    pair = HPolytope(1, (((Fraction(1, 2),), "<=", 1), ((-1,), "<=", -2)), ((0, 3),))
+    assert pair.rows == (((1,), "<=", 2), ((-1,), "<=", -2))
+    assert [rel for _a, rel, _b in pair.interior().rows] == ["=", "="]
+    plane = HPolytope(2, (((Fraction(1, 2), Fraction(1, 3)), "<=", 1),
+                          ((-3, -2), "<=", -6), ((-1, 0), "<=", 0)), ((0, 2), (0, 3)))
+    assert [rel for _a, rel, _b in plane.interior().rows] == ["=", "=", "<"]
+
+
+def test_float_rows_rejected():
+    # 0.1 would be its binary fraction 3602879701896397/36028797018963968 and
+    # count [3, 6, 9, 12]; the rational row x/10 <= 3/10 counts [4, 7, 10, 13]
+    for row in (((0.1,), "<=", 0.3), ((Fraction(1, 10),), "<=", 0.3),
+                ((float("inf"),), "<=", 1)):
+        with pytest.raises(ValueError, match="non-integral float"):
+            HPolytope(1, (row, ((-1,), "<=", 0)), ((0, 5),))
+    exact = HPolytope(1, (((Fraction(1, 10),), "<=", Fraction(3, 10)), ((-1,), "<=", 0)),
+                      ((0, 5),))
+    assert [count_lattice(exact, t) for t in range(1, 5)] == [4, 7, 10, 13]
+    # an integral float is its integer
+    whole = HPolytope(1, (((2.0,), "<=", 6.0), ((-1.0,), "<=", 0)), ((0, 5),))
+    assert whole.rows == (((1,), "<=", 3), ((-1,), "<=", 0))
+    with pytest.raises(ValueError, match="non-integral float"):
+        box([(0, 0.5)])
+    with pytest.raises(ValueError, match="non-integral float"):
+        standard_simplex(2, 1.5)
+
+
+def test_fan_rows_stay_integers(monkeypatch):
+    # the normal fan writes primitive integer rows: no cone rescales them,
+    # and neither does the fan's sweep index
+    calls = []
+    real = ehrhart.to_integers
+    monkeypatch.setattr(ehrhart, "to_integers", lambda values: calls.append(values) or real(values))
+    fan = normal_fan_of(perm_gp(4))
+    rows, cones = fan.run_rows
+    assert calls == []
+    assert all(type(c) is int for cone in fan.cones for a, _rel, b in cone.rows for c in (*a, b))
+    assert len(cones) == 24 and len(rows) == 12
+
+
 def test_normal_fan_structure():
     fan2 = normal_fan_of(perm_gp(2))
     assert len(fan2.cones) == 2
@@ -445,7 +520,7 @@ def cone_membership(fan, y):
     (every nonzero row negative)."""
     out = []
     for cone in fan.cones:
-        top = max((sum(c * x for c, x in zip(a, y)) for a, _rel, _b in cone.int_rows if any(a)),
+        top = max((sum(c * x for c, x in zip(a, y)) for a, _rel, _b in cone.rows if any(a)),
                   default=-1)
         out.append((top <= 0, top < 0))
     return out
@@ -482,7 +557,7 @@ def test_normal_fan_rows_are_edges():
                     root = tuple((c > 0) - (c < 0) for c in step)
                     assert sorted(root) == [-1] + [0] * (P.d - 2) + [1]
                     expected.add(root)
-            assert {a for a, _rel, _b in cone.int_rows} == expected
+            assert {a for a, _rel, _b in cone.rows} == expected
             assert len(cone.rows) == len(expected)
 
 
@@ -493,6 +568,9 @@ def test_multiplicity():
     assert multiplicity(fan, (2, 2, 1)) == 2
     with pytest.raises(ValueError):
         multiplicity(fan, (1, 1))
+    for point in ((Fraction(1, 2), Fraction(1, 2), 0), (1, 1, 1.0), (1, 1, Fraction(1))):
+        with pytest.raises(ValueError, match="integer point"):
+            multiplicity(fan, point)
 
 
 def test_multiplicity_diagonal_translation():

@@ -2,9 +2,12 @@
 `hg-reciprocity`, `hg-chromatic --m 3` and `hg-headings` on three fixed
 inputs in `tests/golden/` (pi_4, a seeded non-integer set function with
 d = 4, and a 5-node hypergraph), of the fitted
-quasipolynomials of `ehrhart` on a period-6 rational box and a period-3
-rational simplex and of `pruned` on the unit 3-cube against the normal fan
-of pi_3, and of `verify-all --seed 3 --trials 2`, compared byte for byte with
+quasipolynomials of `ehrhart` on a period-6 rational box, a period-3
+rational simplex and a period-2 triangle in 3-space written with fractional,
+non-primitive rows and an opposite pair, of `pruned` on the unit 3-cube
+against the normal fan of pi_3 and on a period-2 rectangle against a fan
+document of four cones, both written with fractional, non-primitive rows,
+and of `verify-all --seed 3 --trials 2`, compared byte for byte with
 the committed fixtures there apart from the `timing` value.  Each report
 must also equal `json.dumps(json.loads(report), indent=2)`, which pins the
 CLI's own JSON writer to the stdlib format.
@@ -49,6 +52,11 @@ def _cases() -> dict:
     cases["pruned_cube_3_pi_3"] = ["pruned", "--poly", str(GOLDEN / "cube_3.json"),
                                    "--setfn", str(GOLDEN / "pi_3.json"), "--degree", "3",
                                    "--period", "1", "--t-max", "3"]
+    cases["ehrhart_triangle_q2"] = ["ehrhart", "--poly", str(GOLDEN / "triangle_q2.json"),
+                                    "--degree", "2", "--period", "2", "--t-max", "4"]
+    cases["pruned_rect_q2_fan_diag_q"] = ["pruned", "--poly", str(GOLDEN / "rect_q2.json"),
+                                          "--fan", str(GOLDEN / "fan_diag_q.json"),
+                                          "--degree", "2", "--period", "2", "--t-max", "4"]
     cases["verify_all_seed_3"] = ["verify-all", "--seed", "3", "--trials", "2"]
     return cases
 

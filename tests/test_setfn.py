@@ -56,6 +56,13 @@ def test_setfn_validation():
         standard_perm_setfn(9)
 
 
+def test_setfn_float_values():
+    # 0.1 would be its binary fraction 3602879701896397/36028797018963968
+    with pytest.raises(ValueError, match="non-integral float"):
+        SetFn(1, (0, 0.1))
+    assert SetFn(2, (0, 2.0, 2, 3.0)).values == (0, 2, 2, 3)
+
+
 def test_is_submodular_examples():
     assert SetFn(2, (0, 2, 2, 3)).is_submodular
     assert not SetFn(2, (0, 0, 0, 1)).is_submodular
