@@ -22,10 +22,18 @@ the tie family, since arcs never descend in color and so a heading is
 acyclic when each block's is.  That weight is the vertex count of the minor
 on S, so the sum is the Aguiar-Ardila face count of the hypergraphic z.
 
-COLORING_BUDGET bounds the 3^d pairs (U, S) times the distinct edges tested
-at each; HEADING_BUDGET bounds the product of the edge sizes, the largest tie
-family's (U = S = all nodes).  Both are read before any work, and each DP
-runs once per Hypergraph, which caches its table.
+The ties are read off two tables over the distinct edges with two nodes or
+more, built once per Hypergraph and shared by both DPs: bad[S], the bitmask
+of the edges S meets in two nodes or more, and inside[U], that of the edges
+inside U.  A pair's ties are bad[S] & inside[U]; only the compatible DP turns
+nonzero ties into a tie family, whose heading count it caches.
+
+COLORING_BUDGET bounds the 3^d pairs (U, S) times the distinct edges, which
+covers the 2^d-entry tables as well, and is read as the tables are built;
+HEADING_BUDGET bounds the product of the edge sizes, the largest tie
+family's (U = S = all nodes), and is read before the compatible DP.  So
+both are read before any table or DP work, and each DP runs once per
+Hypergraph, which caches its result.
 """
 
 from __future__ import annotations
@@ -72,14 +80,47 @@ class Hypergraph:
         return tuple(sum(1 << (i - 1) for i in e) for e in self.edges)
 
     @cached_property
+    def _tie_tables(self) -> tuple[tuple[int, ...], list[int], list[int]]:
+        """The distinct edges with two nodes or more as bitmasks, the only
+        edges a block can tie, bit k standing for edge k; bad[S], the edges
+        that S meets in two nodes or more; inside[U], the edges contained
+        in U.  COLORING_BUDGET is read first.
+
+        S meets an edge in two nodes when S minus its lowest node v already
+        meets an edge through v, and an edge lies inside U when it misses
+        the complement of U, so one pass over the subsets builds both."""
+        edges = tuple(sorted({mask for mask in self.masks if mask & (mask - 1)}))
+        if 3 ** self.d * max(1, len(edges)) > COLORING_BUDGET:
+            raise BudgetExceededError(
+                f"3^{self.d} subset pairs times {len(edges)} distinct edges exceed "
+                f"the coloring budget of {COLORING_BUDGET}")
+        through = [sum(1 << k for k, e in enumerate(edges) if e >> v & 1)
+                   for v in range(self.d)]
+        full = (1 << self.d) - 1
+        meets, bad = [0] * (full + 1), [0] * (full + 1)
+        for subset in range(1, full + 1):
+            low = subset & -subset
+            rest = subset ^ low
+            at_low = through[low.bit_length() - 1]
+            meets[subset] = meets[rest] | at_low
+            bad[subset] = bad[rest] | (meets[rest] & at_low)
+        every = (1 << len(edges)) - 1
+        return edges, bad, [every ^ meets[full ^ u] for u in range(full + 1)]
+
+    @cached_property
     def _proper_partitions(self) -> tuple[int, ...]:
-        return _ordered_partitions(self, lambda ties: int(not ties))
+        return _ordered_partitions(self, lambda ties, block: 0)
 
     @cached_property
     def _compatible_partitions(self) -> tuple[int, ...]:
         _check_heading_budget(self)
-        return _ordered_partitions(
-            self, cache(lambda ties: sum(1 for _ in _acyclic_heads(tuple(ties)))))
+        edges = self._tie_tables[0]
+        heads = cache(lambda family: sum(1 for _ in _acyclic_heads(tuple(family))))
+
+        def weight(ties: int, block: int) -> int:
+            return heads(frozenset(edges[k] & block for k in range(ties.bit_length())
+                                   if ties >> k & 1))
+        return _ordered_partitions(self, weight)
 
 
 def check_heading(h: Hypergraph, heads: Sequence[int]) -> None:
@@ -160,29 +201,30 @@ def vertices_via_headings(h: Hypergraph,
 
 
 def _ordered_partitions(h: Hypergraph,
-                        weight: Callable[[frozenset[int]], int]) -> tuple[int, ...]:
+                        weight: Callable[[int, int], int]) -> tuple[int, ...]:
     """c[j] for j = 0..d: over the ordered partitions into j blocks, top color
-    first, the sum of the products of the blocks' weights.  A block's tie
-    family is passed as the set of its ties: two edges that tie alike
-    take one head, or they close a 2-cycle, so repeats change no count."""
-    tested = {mask for mask in h.masks if mask & (mask - 1)}
-    if 3 ** h.d * max(1, len(tested)) > COLORING_BUDGET:
-        raise BudgetExceededError(
-            f"3^{h.d} subset pairs times {len(tested)} distinct edges exceed "
-            f"the coloring budget of {COLORING_BUDGET}")
+    first, the sum of the products of the blocks' weights.  Block S of the
+    uncolored set U ties the edges `bad[S] & inside[U]` (see `_tie_tables`);
+    a block without ties weighs 1, one with ties `weight(ties, S)`.  The
+    compatible weight reads the ties as the set of their meets with S: two
+    edges that tie alike take one head, or they close a 2-cycle, so repeats
+    change no count."""
+    _, bad, inside = h._tie_tables
     full = (1 << h.d) - 1
-    partitions = [[0] * (h.d + 1) for _ in range(full + 1)]
+    # a set of n nodes splits into at most n blocks
+    partitions = [[0] * (u.bit_count() + 1) for u in range(full + 1)]
     partitions[0][0] = 1
     for uncolored in range(1, full + 1):
-        inside = [e for e in tested if e & uncolored == e]
+        within = inside[uncolored]
         row = partitions[uncolored]
         block = uncolored
         while block:
-            w = weight(frozenset(t for e in inside if (t := e & block) & (t - 1)))
+            ties = bad[block] & within
+            w = weight(ties, block) if ties else 1
             if w:
                 rest = partitions[uncolored ^ block]
-                for j, count in enumerate(rest[:-1]):
-                    row[j + 1] += w * count
+                for j, count in enumerate(rest, 1):
+                    row[j] += w * count
             block = (block - 1) & uncolored
     return tuple(partitions[full])
 

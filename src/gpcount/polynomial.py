@@ -21,17 +21,18 @@ from math import comb, prod
 from typing import Callable, Sequence
 
 from .errors import InterpolationMismatchError
-from .rational import format_rat, to_integers
+from .rational import exact, format_rat, to_integers
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Coefficients constant-first; trailing zeros are trimmed on construction."""
+    """Coefficients constant-first; trailing zeros are trimmed on construction.
+    A non-integral float coefficient raises ValueError (`rational.exact`)."""
 
     coefficients: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coeffs = [c if isinstance(c, Fraction) else Fraction(c) for c in self.coefficients]
+        coeffs = [exact(c) for c in self.coefficients]
         n = len(coeffs)
         while n and not coeffs[n - 1]:
             n -= 1
@@ -114,8 +115,10 @@ class QuasiPolynomial:
     def __post_init__(self):
         if self.period < 1:
             raise ValueError("period must be a positive integer")
-        if len(self.constituents) != self.period:
+        constituents = tuple(self.constituents)
+        if len(constituents) != self.period:
             raise ValueError("need exactly one constituent per residue class")
+        object.__setattr__(self, "constituents", constituents)
 
     def __call__(self, t: int) -> Fraction:
         return self.constituents[t % self.period](t)

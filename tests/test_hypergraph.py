@@ -227,6 +227,48 @@ def test_coloring_dp_matches_scan(h):
         assert compatible_pairs_count(h, m) == brute_compatible_pairs(h, m)
 
 
+def six_node_hypergraphs(rng, count):
+    """d = 6: the whole node set, three nested edges, random edges up to 7
+    distinct edges with two nodes or more, a duplicate and a singleton,
+    shuffled."""
+    cases = []
+    for _ in range(count):
+        nodes = rng.sample(range(1, 7), 6)
+        edges = [frozenset(range(1, 7))] + [frozenset(nodes[:k]) for k in (2, 3, 4)]
+        while len({e for e in edges if len(e) >= 2}) < 7:
+            edges.append(frozenset(rng.sample(range(1, 7), rng.randint(2, 3))))
+        edges += [rng.choice(edges), frozenset({rng.randint(1, 6)})]
+        rng.shuffle(edges)
+        cases.append(Hypergraph(6, tuple(edges)))
+    return cases
+
+
+def test_tie_tables_match_definitions():
+    rng = random.Random(47)
+    cases = [RUNNING, hg(2), hg(3, {1}, {2})] + six_node_hypergraphs(rng, 4) + \
+        [with_repeats(rng, random_hypergraph(rng, max_d=5, max_edges=6)) for _ in range(10)]
+    for h in cases:
+        edges, bad, inside = h._tie_tables
+        assert sorted(edges) == sorted({e for e in h.masks if e.bit_count() >= 2})
+        assert len(bad) == len(inside) == 1 << h.d
+        for s in range(1 << h.d):
+            assert bad[s] == sum(1 << k for k, e in enumerate(edges)
+                                 if (e & s).bit_count() >= 2)
+            assert inside[s] == sum(1 << k for k, e in enumerate(edges) if e & s == e)
+
+
+def test_coloring_dp_matches_scan_at_d6():
+    # nested, duplicate and whole-set edges, more than 5 distinct ties
+    for h in six_node_hypergraphs(random.Random(7), 3):
+        p = chromatic_polynomial(h)
+        for m in range(1, 5):
+            count = brute_chromatic_count(h, m)
+            assert chromatic_count(h, m) == count
+            assert p(m) == count
+        # m = 2 is the first m with more than one block
+        assert compatible_pairs_count(h, 2) == brute_compatible_pairs(h, 2)
+
+
 @st.composite
 def graphs(draw, max_d=6):
     """Multigraphs as (d, list of node pairs); parallel edges allowed."""

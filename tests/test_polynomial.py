@@ -41,6 +41,16 @@ def test_trailing_zeros_trimmed():
     assert ints(2) == -5
 
 
+def test_float_coefficients():
+    # an integral float is its integer; any other float is refused, not
+    # read as its binary fraction (0.1 would make p(10) = 1 + 2^-54)
+    assert Polynomial((0, 2.0)) == Polynomial((0, 2))
+    assert Polynomial((1.0, 0.0)).coefficients == (1,)
+    for bad in ((0, 0.1), (0.5,), (1, float("inf")), (float("nan"),)):
+        with pytest.raises(ValueError):
+            Polynomial(bad)
+
+
 def test_interpolate_exact():
     # through (1,0),(2,2),(3,6): t^2 - t
     p = interpolate([0, 2, 6], 1, 1)
@@ -119,6 +129,17 @@ def test_quasipolynomial_eval():
     assert q(-3) == -1
     assert q(-4) == -1
     assert q.to_json() == {"period": 2, "constituents": [["1", "1/2"], ["1/2", "1/2"]]}
+
+
+def test_quasipolynomial_constituents_are_a_tuple():
+    polys = [Polynomial((1,)), Polynomial((0, Fraction(1, 2)))]
+    from_list = QuasiPolynomial(2, polys)
+    from_tuple = QuasiPolynomial(2, tuple(polys))
+    assert from_list.constituents == tuple(polys)
+    assert from_list == from_tuple
+    assert hash(from_list) == hash(from_tuple)
+    assert hash(QuasiPolynomial(1, [Polynomial((1,))])) == \
+        hash(QuasiPolynomial(1, (Polynomial((1,)),)))
 
 
 def test_quasipolynomial_validation():

@@ -5,7 +5,8 @@ the four workloads (gperm, dilation, hypergraph, verify), makes deleting,
 renaming or no longer calling a traced name fail this suite, not only the
 benchmark's smoke test or a traced benchmark run.  Every report of those
 passes must also pass the benchmark's own checks, and so must those of the
-untraced tiny `dilation` pass, the path the benchmark's timings come from.
+untraced tiny `dilation` and `hypergraph` passes, the path the benchmark's
+timings come from.
 `run.py` exits 0 even when reports fail, so each test reads its last line.
 """
 
@@ -48,12 +49,20 @@ def test_tiny_traced_pass_fires_every_required_span(workload):
     assert result["failed"] == 0 and result["attempted"] > 0, done.stdout
 
 
-def test_tiny_untraced_dilation_pass_is_correct():
+def assert_tiny_untraced_pass_is_correct(workload):
     done = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "dilation",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "7", "--seconds", "1", "--trace", "0", "--tiny"],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, done.stdout
     assert result["attempted"] > 0, done.stdout
+
+
+def test_tiny_untraced_dilation_pass_is_correct():
+    assert_tiny_untraced_pass_is_correct("dilation")
+
+
+def test_tiny_untraced_hypergraph_pass_is_correct():
+    assert_tiny_untraced_pass_is_correct("hypergraph")
