@@ -25,6 +25,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .ehrhart import (
+    check_loop_budget,
     em_reciprocity_check,
     fan_from_json,
     hpolytope_from_json,
@@ -32,7 +33,7 @@ from .ehrhart import (
     pruned_reciprocity_check,
     unit_cube,
 )
-from .errors import GpcountError
+from .errors import GpcountError, InputFormatError
 from .generators import (
     random_hypergraph,
     random_hypergraphic_setfn,
@@ -99,7 +100,10 @@ def dumps(value, pad: str = "\n") -> str:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise InputFormatError(f"{path}: JSON nested too deeply to decode") from None
 
 
 def _load_setfn(path: str):
@@ -173,6 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_chi(args) -> tuple[dict, Report | None]:
+    check_loop_budget(2 * args.m_max, "checks")
     P = GPerm(_load_setfn(args.setfn))
     poly, report = P.verify_reciprocity(args.k, args.m_max)
     payload = {
@@ -238,6 +243,7 @@ def _hg_reciprocity_report(h, P: GPerm, acyclic: list, m_max: int) -> tuple[Poly
 
 
 def cmd_hg_reciprocity(args) -> tuple[dict, Report | None]:
+    check_loop_budget(3 * args.m_max + 1, "checks")
     h, names = hypergraph_from_json(_load_json(args.hg))
     P = GPerm(hypergraphic_setfn(h))
     poly, report = _hg_reciprocity_report(h, P, acyclic_headings(h), args.m_max)
@@ -279,10 +285,17 @@ def cmd_pruned(args) -> tuple[dict, Report | None]:
     return payload, report
 
 
+# The most checks one trial of `verify_all` makes: 1 round trip, 16 direction
+# checks (4 for each k < d <= 4), 1 heading check, 7 hypergraph checks and 3
+# for each of the two dilation counts and the pruned count.
+CHECKS_PER_TRIAL = 34
+
+
 def verify_all(seed: int, trials: int) -> Report:
     """Run every reciprocity and round-trip identity on seeded random instances."""
     if trials < 1:
         raise ValueError("trials must be a positive integer")
+    check_loop_budget(CHECKS_PER_TRIAL * trials, "checks")
     rng = random.Random(seed)
     report = Report()
     for trial in range(1, trials + 1):

@@ -28,7 +28,9 @@ recursive scan returns the count and can hand each run to a callback.  A
 count that would scan more than `SCAN_BUDGET` prefixes of the last
 coordinate it fixes, or that fixes more than `SCAN_DEPTH` coordinates (one
 recursion level each), is refused before it starts, and a reciprocity check
-is refused before its first count when its largest dilate would be.
+is refused before its first count when its largest dilate would be, or when
+it would make more than `LOOP_BUDGET` checks or fit more than `LOOP_BUDGET`
+nodes.
 
 A full-dimensional fan is a list of closed cones (homogeneous non-strict
 rows), its distinct rows indexed once per fan, on first use.  The
@@ -65,6 +67,7 @@ from .report import Report
 
 RELATIONS = ("<=", "<", "=")
 SCAN_BUDGET = 10 ** 7
+LOOP_BUDGET = 10 ** 4  # checks one command makes; nodes (degree + 2) * period one fit counts
 SCAN_DEPTH = 500  # the scan recurses once per coordinate; Python allows 1000
 
 Row = tuple[tuple[int, ...], str, int]
@@ -226,6 +229,12 @@ def _check_budget(ranges, what: str, t: int) -> None:
             f"scanning {size} {what} at t={t} exceeds the budget of {SCAN_BUDGET}")
 
 
+def check_loop_budget(size: int, what: str) -> None:
+    """Refuse a loop of more than `LOOP_BUDGET` checks or fit nodes."""
+    if size > LOOP_BUDGET:
+        raise BudgetExceededError(f"{size} {what} exceed the budget of {LOOP_BUDGET}")
+
+
 def _scan_frame(poly: HPolytope, t: int, points: bool):
     """`_dilate_frame` of the t-dilate and the number of coordinates the scan
     fixes, refused before any scan when the scan exceeds `SCAN_BUDGET` or
@@ -360,12 +369,16 @@ def count_lattice(poly: HPolytope, t: int) -> int:
 
 def _check_largest_dilates(fitted: HPolytope, degree: int, period: int,
                            checked: HPolytope, t_max: int, points: bool) -> None:
-    """Apply the scan budget, before any count, to the largest dilates a
-    reciprocity check counts: `fitted` at the fit's last node
-    `(degree + 2) * period` and `checked` at `t_max`.  A declaration the fit
-    rejects before counting (degree < 0 or period < 1) is left to the fit."""
-    if degree >= 0 and period >= 1:
-        _scan_frame(fitted, (degree + 2) * period, points)
+    """Apply the loop budget to the fit's nodes and the t_max checks, then
+    the scan budget to the largest dilates a reciprocity check counts:
+    `fitted` at the fit's last node `(degree + 2) * period` and `checked` at
+    `t_max`, all before any count.  A declaration the fit rejects before
+    counting (degree < 0 or period < 1) is left to the fit."""
+    last_node = (degree + 2) * period if degree >= 0 and period >= 1 else 0
+    check_loop_budget(last_node, "fit nodes")
+    check_loop_budget(t_max, "checks")
+    if last_node:
+        _scan_frame(fitted, last_node, points)
     if t_max >= 1:
         _scan_frame(checked, t_max, points)
 

@@ -41,20 +41,24 @@ rank of the scaled vertices, which stops at d - 1 because they all lie in
 x([d]) = L * z([d]); the face map checks it against the block count of the
 one-block composition, whose face is P itself.
 
-The face map keeps each face as its vertex-id mask with its dimension.  A
-`Face`, with its sorted vertex ids, is built only when a query returns one
-or hands one to `count_k_faces`.  A k-face lies in a face f only if its
-lowest vertex does, so the faces of each dimension k are indexed by their
-lowest vertex id (one pass over the faces, on first use), and the k-faces
-in f are found by walking the vertex ids of f over that index; each count
-is cached per (face mask, k).
+The face map keeps each face as its vertex-id mask with its dimension, and
+the masks of each dimension in one list; row k of the table a is the column
+sum of the histograms of the k-faces.  A `Face` is a named tuple of the
+sorted vertex ids and the dimension, built only when a query returns one or
+hands one to `count_k_faces`.  A k-face lies in a face f only if its lowest
+vertex does, so the k-faces are indexed by their lowest vertex id, one k at
+a time on the first query for that k, and the k-faces in f are found by
+walking the vertex ids of f over that index.  The k-face counts are cached
+per k, keyed by face mask.  `reciprocity_rhs(k, m)` visits only the faces
+that some direction in [m]^d selects: those whose fewest-block composition
+has at most m blocks, grouped by that number on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter, mul
 from typing import NamedTuple, Sequence
 
 from .errors import NotSubmodularError
@@ -97,8 +101,7 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(ids)
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     """A face, canonicalized by its sorted vertex-index set: the vertices
     tight on every prefix of any composition whose directions it maximizes,
     the AND of ``tight`` over those prefixes.  ``dim`` is d minus the most
@@ -114,6 +117,7 @@ class _FaceMap(NamedTuple):
     tight: list[int]                # subset mask -> mask of the vertex ids tight on it
     dims: dict[int, int]            # vertex-id mask -> dimension of that face
     blocks: dict[int, list[int]]    # vertex-id mask -> its compositions by number of blocks
+    by_dim: list[list[int]]         # k -> the masks of the k-faces
 
 
 class GPerm:
@@ -122,12 +126,13 @@ class GPerm:
     Vertex ids index the sorted ``vertices``.  The face map holds
     ``tight[S]``, the vertex ids v with v(S) = z(S), and for each face mask
     its dimension and its compositions counted by number of blocks j (index
-    j); summed over the faces of dimension k these give the table a[k][j]
-    that `chi_count` weights by binom(m, j).  `Face` objects are built only
-    when a query returns one.  Construction and queries are single-threaded:
-    queries fill the caches on first use (the face map, the `Face` objects
-    handed out, the k-face index and the count of each (face mask, k) in
-    `count_k_faces`), so they are not read-only.
+    j), and the face masks of each dimension; summed over the faces of
+    dimension k the histograms give the table a[k][j] that `chi_count`
+    weights by binom(m, j).  `Face` objects are built only when a query
+    returns one.  Construction and queries are single-threaded: queries fill
+    the caches on first use (the face map, the `Face` objects handed out,
+    the k-face index of each k, the faces grouped by fewest blocks and the
+    k-face count of each face), so they are not read-only.
     """
 
     def __init__(self, z: SetFn):
@@ -135,8 +140,9 @@ class GPerm:
         self.d = z.d
         self.vertices: tuple[RatVec, ...] = vertices(z)
         self._scaled_vertices = z.scaled_vertices  # the vertices times L, in the same order
-        self._faces: dict[int, Face] = {}                     # face mask -> its Face
-        self._k_face_counts: dict[tuple[int, int], int] = {}  # (face mask, k) -> k-faces in it
+        self._faces: dict[int, Face] = {}                          # face mask -> its Face
+        self._k_face_index: dict[int, dict[int, list[int]]] = {}   # k -> lowest id -> k-faces
+        self._k_face_counts: dict[int, dict[int, int]] = {}        # k -> face mask -> k-faces in it
 
     @property
     def dimension(self) -> int:
@@ -176,36 +182,57 @@ class GPerm:
                 b = (b - 1) & rest
             states[a] = {}
         blocks: dict[int, list[int]] = {}
-        dims: dict[int, int] = {}
         for (f, j), n in states[full].items():
-            blocks.setdefault(f, [0] * (d + 1))[j] = n
-            dims[f] = min(dims.get(f, d), d - j)
+            hist = blocks.get(f)
+            if hist is None:
+                hist = blocks[f] = [0] * (d + 1)
+            hist[j] = n
+        dims: dict[int, int] = {}
+        by_dim: list[list[int]] = [[] for _ in range(d)]
+        for f, hist in blocks.items():
+            j = d  # the most blocks
+            while not hist[j]:
+                j -= 1
+            dims[f] = d - j
+            by_dim[d - j].append(f)
         whole = dims[tight[full]]
         rank = self.dimension
         if whole != rank:
             raise RuntimeError(
                 f"face dimensions disagree: the whole polytope has dimension {whole} "
                 f"from its block counts but affine rank {rank}")
-        return _FaceMap(tight, dims, blocks)
+        return _FaceMap(tight, dims, blocks, by_dim)
 
     @cached_property
     def _chi_table(self) -> list[list[int]]:
-        """a[k][j]: compositions with j blocks whose face has dimension k."""
+        """a[k][j]: compositions with j blocks whose face has dimension k,
+        the column sums of the k-faces' histograms (empty without k-faces)."""
         fm = self._face_map
-        table = [[0] * (self.d + 1) for _ in range(self.d)]
-        for f, hist in fm.blocks.items():
-            row = table[fm.dims[f]]
-            for j, n in enumerate(hist):
-                row[j] += n
-        return table
+        return [list(map(sum, zip(*map(fm.blocks.__getitem__, faces))))
+                for faces in fm.by_dim]
+
+    def _k_faces_by_lowest_vertex(self, k: int) -> dict[int, list[int]]:
+        """The k-face masks keyed by their lowest vertex id, indexed on the
+        first query for k."""
+        index = self._k_face_index.get(k)
+        if index is None:
+            index = self._k_face_index[k] = {}
+            for g in self._face_map.by_dim[k]:
+                index.setdefault((g & -g).bit_length() - 1, []).append(g)
+        return index
 
     @cached_property
-    def _k_face_index(self) -> list[dict[int, list[int]]]:
-        """For each k, the k-face masks keyed by their lowest vertex id."""
-        index: list[dict[int, list[int]]] = [{} for _ in range(self.d + 1)]
-        for g, dim in self._face_map.dims.items():
-            index[dim].setdefault((g & -g).bit_length() - 1, []).append(g)
-        return index
+    def _faces_by_fewest_blocks(self) -> list[list[int]]:
+        """Face masks grouped by the fewest blocks (index j) among the
+        compositions that map to them: the directions in [m]^d select a face
+        exactly when that number is at most m."""
+        groups: list[list[int]] = [[] for _ in range(self.d + 1)]
+        for f, hist in self._face_map.blocks.items():
+            j = 1  # no composition has 0 blocks
+            while not hist[j]:
+                j += 1
+            groups[j].append(f)
+        return groups
 
     def _face(self, f: int) -> Face:
         face = self._faces.get(f)
@@ -225,7 +252,8 @@ class GPerm:
 
     def face_lattice(self) -> tuple[Face, ...]:
         """Every nonempty face exactly once, the polytope itself included."""
-        return tuple(Face(_bits(f), dim) for f, dim in self._face_map.dims.items())
+        dims = self._face_map.dims
+        return tuple(map(Face, map(_bits, dims), dims.values()))
 
     def count_k_faces(self, face: Face, k: int) -> int:
         """Number of k-dimensional faces of this polytope contained in ``face``
@@ -243,17 +271,18 @@ class GPerm:
             f |= 1 << i
         if self._face_map.dims.get(f) != face.dim:
             raise ValueError("not a face of this polytope")
-        cached = self._k_face_counts.get((f, k))
+        counts = self._k_face_counts.setdefault(k, {})
+        cached = counts.get(f)
         if cached is None:
             cached = 0
             if k <= face.dim:
-                by_low = self._k_face_index[k]
+                by_low = self._k_faces_by_lowest_vertex(k)
                 outside = ~f
                 for i in ids:
                     for g in by_low.get(i, ()):
                         if not g & outside:
                             cached += 1
-            self._k_face_counts[(f, k)] = cached
+            counts[f] = cached
         return cached
 
     def _check_k(self, k: int) -> None:
@@ -273,15 +302,18 @@ class GPerm:
 
     def reciprocity_rhs(self, k: int, m: int) -> int:
         """Sum over all directions in [m]^d of the number of k-faces of the
-        face maximizing that direction."""
+        face maximizing that direction.  Only the faces some direction in
+        [m]^d selects are visited: those with a composition of at most m
+        blocks."""
         self._check_k(k)
-        fm = self._face_map
-        weighted = [0] * (self.d + 1)  # compositions by #blocks, times their k-faces
-        for f, hist in fm.blocks.items():
-            if m > 0 and any(hist[:m + 1]):  # some direction in [m]^d selects the face
-                n = self.count_k_faces(self._face(f), k)
-                for j, c in enumerate(hist):
-                    weighted[j] += c * n
+        blocks = self._face_map.blocks
+        counts = self._k_face_counts.setdefault(k, {})
+        faces = [f for group in self._faces_by_fewest_blocks[1:m + 1] for f in group]
+        weights = [counts[f] if f in counts else self.count_k_faces(self._face(f), k)
+                   for f in faces]
+        # compositions by #blocks, each weighted by the k-faces of its face
+        weighted = [sum(map(mul, weights, column))
+                    for column in zip(*map(blocks.__getitem__, faces))]
         return binomial_sum(weighted, m)
 
     def verify_reciprocity(self, k: int, m_max: int) -> tuple[Polynomial, Report]:
@@ -303,7 +335,7 @@ class GPerm:
 
 
 def face_lattice_to_json(P: GPerm) -> dict:
-    faces = sorted(P.face_lattice(), key=lambda f: (f.dim, f.vertex_ids))
+    faces = sorted(P.face_lattice(), key=attrgetter("dim", "vertex_ids"))
     scale, points = P.z.scaled[0], P._scaled_vertices
     text = {c: format_rat(Fraction(c, scale)) for c in {c for v in points for c in v}}
     return {

@@ -509,3 +509,56 @@ def test_module_entry_point(inputs):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["command"] == "chi"
+
+
+@pytest.mark.parametrize("flag", ["--setfn", "--hg", "--poly", "--fan"])
+def test_deeply_nested_document_exit_2(inputs, capsys, flag):
+    # json.load raises RecursionError on 100 000 nested arrays: bad input, not a crash
+    path = inputs["dir"] / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {
+        "--setfn": ["chi", "--setfn", str(path)],
+        "--hg": ["hg-chromatic", "--hg", str(path)],
+        "--poly": ["ehrhart", "--poly", str(path)],
+        "--fan": ["pruned", "--poly", inputs["square"], "--fan", str(path)],
+    }[flag]
+    rc, payload, err = invoke(capsys, *argv)
+    assert rc == 2 and payload is None
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["chi", "--setfn", "std2", "--m-max", "5001"],
+    ["hg-reciprocity", "--hg", "edge12", "--m-max", "3334"],
+    ["ehrhart", "--poly", "square", "--t-max", "10001"],
+    ["ehrhart", "--poly", "square", "--degree", "2", "--period", "2501"],
+    ["pruned", "--poly", "square", "--fan", "fan", "--t-max", "10001"],
+    ["pruned", "--poly", "square", "--fan", "fan", "--degree", "2", "--period", "2501"],
+    ["verify-all", "--trials", "295"],
+])
+def test_loop_budget_exit_2(inputs, capsys, monkeypatch, argv):
+    # refused before any count: the counting layers are never reached
+    def no_count(*args):
+        raise AssertionError("counted before the loop budget was applied")
+    monkeypatch.setattr(cli, "GPerm", no_count)
+    monkeypatch.setattr(ehrhart, "count_lattice", no_count)
+    monkeypatch.setattr(ehrhart, "inner_pruned_count", no_count)
+    argv = [inputs.get(a, a) for a in argv]
+    rc, payload, err = invoke(capsys, *argv)
+    assert rc == 2 and payload is None
+    assert err.startswith("error:") and f"exceed the budget of {ehrhart.LOOP_BUDGET}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["chi", "--setfn", "std2", "--m-max", "5000"],
+    ["ehrhart", "--poly", "square", "--degree", "2", "--period", "2500", "--t-max", "1"],
+])
+def test_loop_budget_admits_its_bound(inputs, capsys, argv):
+    argv = [inputs.get(a, a) for a in argv]
+    rc, _, _ = invoke(capsys, *argv)
+    assert rc == 0
+
+
+def test_verify_all_checks_per_trial_bound():
+    counts = {len(cli.verify_all(seed, 1).entries) for seed in range(30)}
+    assert max(counts) == cli.CHECKS_PER_TRIAL

@@ -242,6 +242,36 @@ def test_chi_partition():
             assert sum(P.chi_count(k, m) for k in range(P.d)) == m ** P.d
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_point_polytope_tables(d):
+    # one face, of dimension 0: every list of k-faces with k >= 1 is empty
+    P = point_gp(d)
+    faces = P.face_lattice()
+    assert faces == (Face((0,), 0),)
+    for k in range(1, d):
+        assert P.chi_polynomial(k).coefficients == ()
+    for m in range(1, 4):
+        visits = direction_face_visits(P, m)
+        assert P.chi_count(0, m) == m ** d
+        for k in range(d):
+            if k:
+                assert P.chi_count(k, m) == 0
+            assert P.reciprocity_rhs(k, m) == sum(
+                n * sum(1 for g in faces if g.dim == k and set(g.vertex_ids) <= set(ids))
+                for ids, n in visits.items())
+
+
+def test_face_is_an_immutable_value():
+    face = Face(vertex_ids=(0, 2), dim=1)
+    assert face == Face((0, 2), 1) and face != Face((0, 2), 0)
+    assert face.vertex_ids == (0, 2) and face.dim == 1
+    assert hash(face) == hash(Face((0, 2), 1))
+    assert len({face, Face((0, 2), 1), Face((0, 3), 1)}) == 2
+    for field in ("vertex_ids", "dim"):
+        with pytest.raises(AttributeError):
+            setattr(face, field, 0)
+
+
 def test_chi_degree():
     for d in range(2, 6):
         P = perm_gp(d)
