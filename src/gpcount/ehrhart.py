@@ -41,8 +41,10 @@ the last coordinate in an interval, read off its rows by floor division as
 for the run itself, so the scan hands each run to a sweep that adds the
 cones' intervals into difference arrays and reads the multiplicity of every
 point of the run off their running sums, with no cone test per point.  The
-sweep still walks every point, so a folded box of more than `SCAN_BUDGET`
-points is refused before it starts.  A counted point in no cone, or strictly
+sweep still walks every point, and each run reads every distinct fan row and
+every cone's row list, so a sweep whose folded box points plus its prefixes
+of the last coordinate times those row reads exceed `SCAN_BUDGET` is
+refused before it starts.  A counted point in no cone, or strictly
 inside two cones, means the cones do not form a complete fan and is a hard
 error, raised at the first such point in lexicographic order.  The normal
 fan of a generalized permutahedron coarsens the braid fan, so each of its
@@ -221,9 +223,8 @@ def _dilate_frame(poly: HPolytope, t: int):
     return [tuple(r) for r in ranges], [(a, t * b - strict) for a, b, strict in rest]
 
 
-def _check_budget(ranges, what: str, t: int) -> None:
-    """Refuse a scan over the product of `ranges` larger than `SCAN_BUDGET`."""
-    size = prod(hi - lo + 1 for lo, hi in ranges)
+def _check_budget(size: int, what: str, t: int) -> None:
+    """Refuse a scan of `size` steps when that exceeds `SCAN_BUDGET`."""
     if size > SCAN_BUDGET:
         raise BudgetExceededError(
             f"scanning {size} {what} at t={t} exceeds the budget of {SCAN_BUDGET}")
@@ -235,22 +236,33 @@ def check_loop_budget(size: int, what: str) -> None:
         raise BudgetExceededError(f"{size} {what} exceed the budget of {LOOP_BUDGET}")
 
 
-def _scan_frame(poly: HPolytope, t: int, points: bool):
+def _scan_frame(poly: HPolytope, t: int, fan: FullDimFan | None = None):
     """`_dilate_frame` of the t-dilate and the number of coordinates the scan
     fixes, refused before any scan when the scan exceeds `SCAN_BUDGET` or
-    fixes more than `SCAN_DEPTH`.  A scan of every point (`points`) fixes
-    every coordinate and is bounded by the folded box.  A count fixes the
-    coordinates up to the last one any row involves, as the frame records,
-    and is bounded by the prefixes of the last of those."""
+    fixes more than `SCAN_DEPTH`.  A count fixes the coordinates up to the
+    last one any row involves, as the frame records, and is bounded by the
+    prefixes of the last of those.  A sweep against `fan` fixes every
+    coordinate and walks every point of the folded box, and each of its runs
+    reads every distinct row of the fan and every cone's row list once
+    (`_run_cover`); it is bounded by the box points plus the prefixes of the
+    last coordinate, each counted as a run, times those row reads."""
     ranges, rows = _dilate_frame(poly, t)
     if ranges is None:
         return None, None, 0
-    if points:
-        _check_budget(ranges, "box points", t)
-        scanned = len(ranges)
-    else:
+    widths = [hi - lo + 1 for lo, hi in ranges]
+    if fan is None:
         scanned = poly.frame[3]
-        _check_budget(ranges[:max(scanned - 1, 0)], "prefixes of the last coordinate", t)
+        size = prod(widths[:max(scanned - 1, 0)])
+        _check_budget(size, "prefixes of the last coordinate", t)
+    else:
+        scanned = len(ranges)
+        fan_rows, cones = fan.run_rows
+        reads = len(fan_rows) + sum(map(len, cones))
+        runs = prod(widths[:-1])
+        points = runs * widths[-1]
+        size = points + runs * reads
+        _check_budget(size, f"steps ({points} box points and {runs} runs of {reads} "
+                      "fan row reads)", t)
     if scanned > SCAN_DEPTH:
         raise BudgetExceededError(
             f"scanning {scanned} coordinates at t={t} exceeds the depth budget of {SCAN_DEPTH}")
@@ -358,7 +370,7 @@ def count_lattice(poly: HPolytope, t: int) -> int:
     The coordinates after the last one any row involves are free: each adds
     a factor, its width.  Only the coordinates up to that one are scanned,
     so a box is a product."""
-    ranges, rows, stop = _scan_frame(poly, t, points=False)
+    ranges, rows, stop = _scan_frame(poly, t)
     if ranges is None:
         return 0
     free = prod(hi - lo + 1 for lo, hi in ranges[stop:])
@@ -367,20 +379,21 @@ def count_lattice(poly: HPolytope, t: int) -> int:
     return free * _scan(ranges[:stop], rows)
 
 
-def _check_largest_dilates(fitted: HPolytope, degree: int, period: int,
-                           checked: HPolytope, t_max: int, points: bool) -> None:
+def _check_largest_dilates(fitted: HPolytope, degree: int, period: int, checked: HPolytope,
+                           t_max: int, fan: FullDimFan | None = None) -> None:
     """Apply the loop budget to the fit's nodes and the t_max checks, then
     the scan budget to the largest dilates a reciprocity check counts:
     `fitted` at the fit's last node `(degree + 2) * period` and `checked` at
-    `t_max`, all before any count.  A declaration the fit rejects before
-    counting (degree < 0 or period < 1) is left to the fit."""
+    `t_max`, swept against `fan` when given, all before any count.  A
+    declaration the fit rejects before counting (degree < 0 or period < 1)
+    is left to the fit."""
     last_node = (degree + 2) * period if degree >= 0 and period >= 1 else 0
     check_loop_budget(last_node, "fit nodes")
     check_loop_budget(t_max, "checks")
     if last_node:
-        _scan_frame(fitted, last_node, points)
+        _scan_frame(fitted, last_node, fan)
     if t_max >= 1:
-        _scan_frame(checked, t_max, points)
+        _scan_frame(checked, t_max, fan)
 
 
 def ehrhart_quasipoly(poly: HPolytope, degree: int, period: int) -> QuasiPolynomial:
@@ -404,7 +417,7 @@ def em_reciprocity_check(poly: HPolytope, degree: int, period: int,
     to the scan budget before the first count.
     """
     open_poly = poly.interior()
-    _check_largest_dilates(poly, degree, period, open_poly, t_max, points=False)
+    _check_largest_dilates(poly, degree, period, open_poly, t_max)
     qp = ehrhart_quasipoly(poly, degree, period)
     sign = (-1) ** degree
     report = Report()
@@ -552,7 +565,7 @@ def _multiplicities(poly: HPolytope, fan: FullDimFan, t: int) -> list[int]:
     if poly.d != fan.d:
         raise ValueError("polytope and fan live in different dimensions")
     hist = [0] * (len(fan.cones) + 1)
-    ranges, rows, _scanned = _scan_frame(poly, t, points=True)
+    ranges, rows, _scanned = _scan_frame(poly, t, fan)
     if ranges is None:
         return hist
 
@@ -601,7 +614,7 @@ def pruned_reciprocity_check(poly: HPolytope, fan: FullDimFan, degree: int,
     if any(rel == "=" and any(a) for a, rel, _ in open_poly.rows):
         raise ValueError("pruned counts need a full-dimensional polytope, "
                          "but this one lies on an equality row")
-    _check_largest_dilates(open_poly, degree, period, poly, t_max, points=True)
+    _check_largest_dilates(open_poly, degree, period, poly, t_max, fan)
     inner = interpolate_quasipoly(
         lambda t: inner_pruned_count(open_poly, fan, t), degree, period)
     sign = (-1) ** degree

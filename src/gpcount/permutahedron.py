@@ -48,17 +48,20 @@ sorted vertex ids and the dimension, built only when a query returns one or
 hands one to `count_k_faces`.  A k-face lies in a face f only if its lowest
 vertex does, so the k-faces are indexed by their lowest vertex id, one k at
 a time on the first query for that k, and the k-faces in f are found by
-walking the vertex ids of f over that index.  The k-face counts are cached
-per k, keyed by face mask.  `reciprocity_rhs(k, m)` visits only the faces
-that some direction in [m]^d selects: those whose fewest-block composition
-has at most m blocks, grouped by that number on first use.
+walking the vertex ids of f over that index.  `reciprocity_rhs(k, m)` is
+sum_j r[k][j] * binom(m, j), like `chi_count`, with r[k] the column sums of
+the faces' histograms weighted by their k-face counts.  A face enters r[k]
+on the first m that selects it, at least its fewest blocks; before that all
+its compositions have more than m blocks, where binom(m, j) = 0.  So r[k]
+grows by the faces grouped by fewest blocks, one group at a time, and each
+face's k-faces are counted once per k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter, mul
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .errors import NotSubmodularError
@@ -129,10 +132,11 @@ class GPerm:
     j), and the face masks of each dimension; summed over the faces of
     dimension k the histograms give the table a[k][j] that `chi_count`
     weights by binom(m, j).  `Face` objects are built only when a query
-    returns one.  Construction and queries are single-threaded: queries fill
-    the caches on first use (the face map, the `Face` objects handed out,
+    returns one or hands one to `count_k_faces`.  Construction and queries
+    are single-threaded: queries fill the caches on first use (the face map,
     the k-face index of each k, the faces grouped by fewest blocks and the
-    k-face count of each face), so they are not read-only.
+    row r[k] of `reciprocity_rhs`, grown by those groups), so they are not
+    read-only.
     """
 
     def __init__(self, z: SetFn):
@@ -140,9 +144,8 @@ class GPerm:
         self.d = z.d
         self.vertices: tuple[RatVec, ...] = vertices(z)
         self._scaled_vertices = z.scaled_vertices  # the vertices times L, in the same order
-        self._faces: dict[int, Face] = {}                          # face mask -> its Face
-        self._k_face_index: dict[int, dict[int, list[int]]] = {}   # k -> lowest id -> k-faces
-        self._k_face_counts: dict[int, dict[int, int]] = {}        # k -> face mask -> k-faces in it
+        self._k_face_index: dict[int, dict[int, list[int]]] = {}  # k -> lowest id -> k-faces
+        self._rhs_rows: dict[int, tuple[int, list[int]]] = {}  # k -> (groups folded in, r[k])
 
     @property
     def dimension(self) -> int:
@@ -235,10 +238,7 @@ class GPerm:
         return groups
 
     def _face(self, f: int) -> Face:
-        face = self._faces.get(f)
-        if face is None:
-            face = self._faces[f] = Face(_bits(f), self._face_map.dims[f])
-        return face
+        return Face(_bits(f), self._face_map.dims[f])
 
     def face_of_direction(self, y: Sequence) -> Face:
         """The face maximizing the direction y."""
@@ -271,19 +271,16 @@ class GPerm:
             f |= 1 << i
         if self._face_map.dims.get(f) != face.dim:
             raise ValueError("not a face of this polytope")
-        counts = self._k_face_counts.setdefault(k, {})
-        cached = counts.get(f)
-        if cached is None:
-            cached = 0
-            if k <= face.dim:
-                by_low = self._k_faces_by_lowest_vertex(k)
-                outside = ~f
-                for i in ids:
-                    for g in by_low.get(i, ()):
-                        if not g & outside:
-                            cached += 1
-            counts[f] = cached
-        return cached
+        if k > face.dim:
+            return 0
+        by_low = self._k_faces_by_lowest_vertex(k)
+        outside = ~f
+        count = 0
+        for i in ids:
+            for g in by_low.get(i, ()):
+                if not g & outside:
+                    count += 1
+        return count
 
     def _check_k(self, k: int) -> None:
         if not 0 <= k <= self.d - 1:
@@ -302,19 +299,20 @@ class GPerm:
 
     def reciprocity_rhs(self, k: int, m: int) -> int:
         """Sum over all directions in [m]^d of the number of k-faces of the
-        face maximizing that direction.  Only the faces some direction in
-        [m]^d selects are visited: those with a composition of at most m
-        blocks."""
+        face maximizing that direction, sum_j r[k][j] * binom(m, j); r[k]
+        takes in each group of faces by fewest blocks on the first m that
+        needs it."""
         self._check_k(k)
-        blocks = self._face_map.blocks
-        counts = self._k_face_counts.setdefault(k, {})
-        faces = [f for group in self._faces_by_fewest_blocks[1:m + 1] for f in group]
-        weights = [counts[f] if f in counts else self.count_k_faces(self._face(f), k)
-                   for f in faces]
-        # compositions by #blocks, each weighted by the k-faces of its face
-        weighted = [sum(map(mul, weights, column))
-                    for column in zip(*map(blocks.__getitem__, faces))]
-        return binomial_sum(weighted, m)
+        done, row = self._rhs_rows.get(k, (0, [0] * (self.d + 1)))
+        if m > done:
+            blocks = self._face_map.blocks
+            for group in self._faces_by_fewest_blocks[done + 1:m + 1]:
+                for f in group:
+                    n = self.count_k_faces(self._face(f), k)
+                    for j, c in enumerate(blocks[f]):
+                        row[j] += n * c
+            self._rhs_rows[k] = m, row
+        return binomial_sum(row, m)
 
     def verify_reciprocity(self, k: int, m_max: int) -> tuple[Polynomial, Report]:
         """Check the interpolated count forwards against the direct count and

@@ -20,11 +20,12 @@ from .errors import InputFormatError
 
 RatVec = tuple[Fraction, ...]
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RAT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$", re.ASCII)
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse a rational literal, rejecting anything else (decimals included)."""
+    """Parse a rational literal of ASCII digits, rejecting anything else
+    (decimals and other scripts' digits included)."""
     s = text.strip()
     if not _RAT_RE.match(s):
         raise ValueError(f"invalid rational literal: {text!r}")

@@ -300,6 +300,15 @@ def test_pruned_zero_row_exit_0(inputs, capsys):
         assert payload["summary"]["failures"] == 0
 
 
+def test_non_ascii_digits_exit_2(inputs, capsys):
+    # int() reads U+0663 as 3, but a rational literal is ASCII digits only
+    path = inputs["dir"] / "arabic_indic.json"
+    path.write_text(json.dumps({"d": 1, "values": ["0", "\u0663"]}))
+    rc, payload, err = invoke(capsys, "faces", "--setfn", str(path))
+    assert rc == 2 and payload is None
+    assert err.startswith("error:") and "invalid rational literal" in err
+
+
 def test_pruned_needs_exactly_one_fan_source(inputs, capsys):
     rc, payload, err = invoke(capsys, "pruned", "--poly", inputs["square"])
     assert rc == 2 and "exactly one" in err
@@ -325,6 +334,23 @@ def test_pruned_overlapping_cones_exit_2(inputs, capsys):
                               "--fan", str(path), "--degree", "2")
     assert rc == 2 and payload is None
     assert err.startswith("error:") and "strictly inside" in err
+
+
+def test_pruned_fan_sweep_budget_exit_2(inputs, capsys, monkeypatch):
+    # the open 6-cube at the fit's last node t = 8 has 7^6 box points but
+    # 7^5 runs, each reading pi_6's 30 distinct fan rows and 720 cones of 5
+    # rows: 61127059 steps, refused before the first count
+    def no_count(*args):
+        raise AssertionError("counted before the scan budget was applied")
+    monkeypatch.setattr(ehrhart, "_multiplicities", no_count)
+    path = inputs["dir"] / "cube_6.json"
+    path.write_text(json.dumps(hpolytope_to_json(unit_cube(6))))
+    rc, payload, err = invoke(capsys, "pruned", "--poly", str(path), "--setfn", PI_6,
+                              "--degree", "6", "--t-max", "1")
+    assert rc == 2 and payload is None
+    assert err.startswith("error:") and (
+        "61127059 steps (117649 box points and 16807 runs of 3630 fan row reads) at t=8"
+        f" exceeds the budget of {ehrhart.SCAN_BUDGET}") in err
 
 
 def test_hg_reciprocity_forty_nodes_exit_2(inputs):

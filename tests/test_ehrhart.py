@@ -718,14 +718,17 @@ def test_scan_budget_counts_scanned_prefixes():
 
 
 def test_pruned_scan_budget_bounds_box_points(monkeypatch):
-    # the pruned counts visit every point, so their budget bounds the folded
-    # box even where the prefixes of the last coordinate fit: the 3-dilated
-    # cube has 16 prefixes and 64 box points
+    # the pruned counts visit every point, and each run reads every distinct
+    # fan row and every cone's row list, so their budget bounds the folded box
+    # plus the runs times those reads even where the prefixes of the last
+    # coordinate fit: the 3-dilated cube has 64 box points and 16 runs, and
+    # pi_3's fan 6 distinct rows and 6 cones of 2 rows, 64 + 16 * 18 = 352
     fan = normal_fan_of(perm_gp(3))
-    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 64)
+    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 352)
     assert cumulative_pruned_count(unit_cube(3), fan, 3) == 120
-    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 63)
-    with pytest.raises(BudgetExceededError, match="64 box points"):
+    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 351)
+    with pytest.raises(BudgetExceededError, match=re.escape(
+            "352 steps (64 box points and 16 runs of 18 fan row reads) at t=3")):
         cumulative_pruned_count(unit_cube(3), fan, 3)
     # at the default budget: 1 and 2 prefixes, 10^12 + 1 and 2 (10^7 + 1) points
     monkeypatch.undo()
@@ -764,16 +767,18 @@ def test_reciprocity_checks_refuse_before_counting(monkeypatch):
     with pytest.raises(BudgetExceededError, match="13 prefixes of the last coordinate at t=12"):
         em_reciprocity_check(simplex, 2, 3, 1)
     assert counted == []
-    # the pruned check scans every point: 441 of the closed square at t = 20
-    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 440)
-    with pytest.raises(BudgetExceededError, match="441 box points at t=20"):
+    # the pruned check sweeps every point of the closed square at t = 20,
+    # 441, and its 21 runs read the diagonal fan's 2 rows and 2 row lists
+    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 524)
+    with pytest.raises(BudgetExceededError, match=re.escape(
+            "525 steps (441 box points and 21 runs of 4 fan row reads) at t=20")):
         pruned_reciprocity_check(SQUARE, DIAGONAL_FAN, 2, 1, 20)
     assert counted == []
     # at the budget every count runs
     monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 30)
     assert all_pass(em_reciprocity_check(simplex, 2, 1, 30)[1])
     assert max(counted) == 30
-    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 441)
+    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 525)
     assert all_pass(pruned_reciprocity_check(SQUARE, DIAGONAL_FAN, 2, 1, 20)[1])
 
 

@@ -342,6 +342,85 @@ def test_k_face_counts_match_containment_at_d5_d6():
             assert rhs == expected
 
 
+def test_reciprocity_rhs_rows_in_any_call_order():
+    # the per-k rows, grown by fewest-block groups on the first m that needs
+    # them, against a scan of [m]^d on fresh polytopes queried in several
+    # orders: m descending, m interleaved across k, a seeded shuffle, and
+    # split by face_lattice() and count_k_faces calls.  pi_4 goes up to
+    # m = 6, past its last fewest-block group; pi_5 up to m = 3, as its scan
+    # at m = 5 takes seconds; the seeded d = 5 polytopes, with fewer
+    # vertices, up to m = 5, past their last groups
+    rng = random.Random(67)
+    cases = [(standard_perm_setfn(4), 6), (standard_perm_setfn(5), 3)]
+    while len(cases) < 4:
+        z = random_hypergraphic_setfn(rng, max_d=5)
+        if z.d == 5:
+            cases.append((z, 5))
+    for z, m_top in cases:
+        ref = GPerm(z)
+        faces = ref.face_lattice()
+        inside = {f.vertex_ids: Counter(g.dim for g in faces
+                                        if set(g.vertex_ids) <= set(f.vertex_ids))
+                  for f in faces}
+        expected = {}
+        for m in range(1, m_top + 1):
+            visits = direction_face_visits(ref, m)
+            for k in range(z.d):
+                expected[(k, m)] = sum(n * inside[ids][k] for ids, n in visits.items())
+        pairs = sorted(expected)
+        shuffled = pairs[:]
+        rng.shuffle(shuffled)
+        orders = [
+            sorted(pairs, key=lambda km: (km[0], -km[1])),  # m descending per k
+            sorted(pairs, key=lambda km: (km[1], -km[0])),  # m interleaved across k
+            shuffled,
+        ]
+        for order in orders:
+            P = GPerm(z)
+            assert {km: P.reciprocity_rhs(*km) for km in order} == expected
+        half = len(shuffled) // 2
+        P = GPerm(z)
+        got = {km: P.reciprocity_rhs(*km) for km in shuffled[:half]}
+        for f in P.face_lattice():
+            for k in range(z.d):
+                assert P.count_k_faces(f, k) == inside[f.vertex_ids][k]
+        got.update({km: P.reciprocity_rhs(*km) for km in shuffled[half:]})
+        assert got == expected
+        assert {km: P.reciprocity_rhs(*km) for km in pairs} == expected
+
+
+def test_reciprocity_rhs_counts_each_face_once_per_k(monkeypatch):
+    # a repeat call with m no larger than one already asked for that k makes
+    # no count_k_faces call; a larger m counts only the faces it newly
+    # selects, and over every m each (face, k) is counted exactly once
+    calls = Counter()
+    real = GPerm.count_k_faces
+
+    def counted(self, face, k):
+        calls[(face, k)] += 1
+        return real(self, face, k)
+
+    monkeypatch.setattr(GPerm, "count_k_faces", counted)
+    P = perm_gp(5)
+    # pi_5's faces by fewest blocks: 1, 30, 150, 240, 120
+    assert [len(g) for g in P._faces_by_fewest_blocks] == [0, 1, 30, 150, 240, 120]
+    P.reciprocity_rhs(1, 3)
+    assert sum(calls.values()) == 181 and set(calls.values()) == {1}
+    for m in (3, 2, 1, 3):
+        P.reciprocity_rhs(1, m)
+    assert sum(calls.values()) == 181
+    P.reciprocity_rhs(1, 4)
+    assert sum(calls.values()) == 421
+    P.reciprocity_rhs(1, 7)
+    assert sum(calls.values()) == 541
+    P.verify_reciprocity(1, 5)
+    assert sum(calls.values()) == 541
+    for k in range(5):
+        P.verify_reciprocity(k, 3)
+        P.reciprocity_rhs(k, 5)
+    assert len(calls) == 5 * 541 and set(calls.values()) == {1}
+
+
 def test_faces_match_argmax_oracle():
     # the faces read off the chains against a dot-product argmax over all
     # vertices, with the dimension from an independent rank

@@ -25,7 +25,9 @@ def test_parse_rat_literals():
 
 @pytest.mark.parametrize(
     "bad",
-    ["1.5", "3e2", "1/0", "1/-2", "", "/3", "2/", "--1", "1 / 2", "nan", "0x3"],
+    ["1.5", "3e2", "1/0", "1/-2", "", "/3", "2/", "--1", "1 / 2", "nan", "0x3",
+     # digits of other scripts, which int() and Fraction() accept
+     "\u0661\u0662", "\u0663/4", "1/1\u0664", "\u0663/\u0664", "\uff17", "-\u096a"],
 )
 def test_parse_rat_rejects(bad):
     with pytest.raises(ValueError):
@@ -34,9 +36,9 @@ def test_parse_rat_rejects(bad):
 
 def test_parse_rat_agrees_with_fraction_parser():
     """On random strings over digits (ASCII and not), signs, '/', '_', '.',
-    'e' and whitespace, parse_rat gives what the literal check followed by
-    `Fraction(s)` gives: the same value, or the same ValueError."""
-    literal = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+    'e' and whitespace, parse_rat gives what the ASCII literal check followed
+    by `Fraction(s)` gives: the same value, or the same ValueError."""
+    literal = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
     def by_fraction(text):
         s = text.strip()
