@@ -45,16 +45,20 @@ The face map keeps each face as its vertex-id mask with its dimension, and
 the masks of each dimension in one list; row k of the table a is the column
 sum of the histograms of the k-faces.  A `Face` is a named tuple of the
 sorted vertex ids and the dimension, built only when a query returns one or
-hands one to `count_k_faces`.  A k-face lies in a face f only if its lowest
-vertex does, so the k-faces are indexed by their lowest vertex id, one k at
-a time on the first query for that k, and the k-faces in f are found by
-walking the vertex ids of f over that index.  `reciprocity_rhs(k, m)` is
-sum_j r[k][j] * binom(m, j), like `chi_count`, with r[k] the column sums of
-the faces' histograms weighted by their k-face counts.  A face enters r[k]
-on the first m that selects it, at least its fewest blocks; before that all
-its compositions have more than m blocks, where binom(m, j) = 0.  So r[k]
-grows by the faces grouped by fewest blocks, one group at a time, and each
-face's k-faces are counted once per k.
+hands one to `count_k_faces`.  The 0-faces in a face are its vertices, so
+`count_k_faces(f, 0)` is the number of vertex ids of f.  For k >= 1 a
+k-face lies in a face f only if its lowest vertex does, so the k-faces are
+indexed by their lowest vertex id, one k at a time on the first query for
+that k, and the k-faces in f are found by walking the vertex ids of f over
+that index.  `reciprocity_rhs(k, m)` is sum_j r[k][j] * binom(m, j), like
+`chi_count`, with r[k] the column sums of the faces' histograms weighted by
+their k-face counts.  A face of dimension below k holds no k-face and one
+of dimension k holds only itself, so only the faces of dimension above k
+are counted.  A face enters r[k] on the first m that selects it, at least
+its fewest blocks; before that all its compositions have more than m
+blocks, where binom(m, j) = 0.  So r[k] grows by the faces grouped by
+fewest blocks, one group at a time, and each face's k-faces are counted at
+most once per k.
 """
 
 from __future__ import annotations
@@ -79,7 +83,7 @@ def vertices(z: SetFn) -> tuple[RatVec, ...]:
         raise NotSubmodularError("set function is not submodular")
     scale, points = z.scaled[0], z.scaled_vertices
     value = {c: Fraction(c, scale) for c in {c for v in points for c in v}}
-    return tuple(tuple(value[c] for c in v) for v in points)
+    return tuple(tuple(map(value.__getitem__, v)) for v in points)
 
 
 def _level_prefixes(y: Sequence) -> list[int]:
@@ -257,9 +261,10 @@ class GPerm:
 
     def count_k_faces(self, face: Face, k: int) -> int:
         """Number of k-dimensional faces of this polytope contained in ``face``
-        (0 whenever k exceeds the dimension of ``face``).  A k-face lies in
-        ``face`` only if its lowest vertex does, so only the k-faces keyed by
-        the vertices of ``face`` are tested."""
+        (0 whenever k exceeds the dimension of ``face``).  For k = 0 it is the
+        number of vertices of ``face``.  Otherwise a k-face lies in ``face``
+        only if its lowest vertex does, so only the k-faces keyed by the
+        vertices of ``face`` are tested."""
         if k < 0:
             raise ValueError("k must be nonnegative")
         ids = face.vertex_ids
@@ -273,6 +278,8 @@ class GPerm:
             raise ValueError("not a face of this polytope")
         if k > face.dim:
             return 0
+        if k == 0:
+            return len(ids)
         by_low = self._k_faces_by_lowest_vertex(k)
         outside = ~f
         count = 0
@@ -301,14 +308,19 @@ class GPerm:
         """Sum over all directions in [m]^d of the number of k-faces of the
         face maximizing that direction, sum_j r[k][j] * binom(m, j); r[k]
         takes in each group of faces by fewest blocks on the first m that
-        needs it."""
+        needs it.  A face of dimension below k adds nothing, one of dimension
+        k adds its histogram once, and only the larger faces have their
+        k-faces counted."""
         self._check_k(k)
         done, row = self._rhs_rows.get(k, (0, [0] * (self.d + 1)))
         if m > done:
-            blocks = self._face_map.blocks
+            _, dims, blocks, _ = self._face_map
             for group in self._faces_by_fewest_blocks[done + 1:m + 1]:
                 for f in group:
-                    n = self.count_k_faces(self._face(f), k)
+                    dim = dims[f]
+                    if dim < k:
+                        continue
+                    n = 1 if dim == k else self.count_k_faces(self._face(f), k)
                     for j, c in enumerate(blocks[f]):
                         row[j] += n * c
             self._rhs_rows[k] = m, row

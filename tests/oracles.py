@@ -11,6 +11,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from math import ceil, floor, lcm
+from operator import mul
 
 from gpcount.ehrhart import FullDimFan, HPolytope
 from gpcount.errors import NotSubmodularError
@@ -237,9 +238,17 @@ def comp_coarsens(coarse, fine) -> bool:
     return next(pieces, None) is None
 
 
-def argmax_ids(P, y) -> tuple[int, ...]:
-    """Indices of the vertices of P with the largest dot product with y."""
-    values = [sum(Fraction(c) * yi for c, yi in zip(v, y)) for v in P.vertices]
+def integer_vertices(P) -> list[tuple[int, ...]]:
+    """The vertices of P times the lcm of all their denominators, a positive
+    scale, so every dot product keeps its order and its ties."""
+    points = [tuple(map(Fraction, v)) for v in P.vertices]
+    scale = lcm(*(c.denominator for v in points for c in v))
+    return [tuple(c.numerator * (scale // c.denominator) for c in v) for v in points]
+
+
+def argmax_ids(points, y) -> tuple[int, ...]:
+    """Indices of the points with the largest dot product with y."""
+    values = [sum(map(mul, v, y)) for v in points]
     best = max(values)
     return tuple(i for i, value in enumerate(values) if value == best)
 
@@ -247,7 +256,7 @@ def argmax_ids(P, y) -> tuple[int, ...]:
 def argmax_face(P, blocks) -> tuple[tuple[int, ...], int]:
     """Vertex ids and dimension of the face of P maximizing a direction
     whose level sets are these blocks."""
-    ids = argmax_ids(P, representative_direction(blocks))
+    ids = argmax_ids(integer_vertices(P), representative_direction(blocks))
     return ids, face_rank(P, ids)
 
 
@@ -277,9 +286,10 @@ def _rank(vectors) -> int:
 def direction_face_visits(P, m: int) -> Counter:
     """Scan every direction y in [m]^d and count, per vertex-id tuple of its
     maximal face (found by `argmax_ids`), the directions it maximizes."""
+    points = integer_vertices(P)
     visits = Counter()
     for y in itertools.product(range(1, m + 1), repeat=P.d):
-        visits[argmax_ids(P, y)] += 1
+        visits[argmax_ids(points, y)] += 1
     return visits
 
 
