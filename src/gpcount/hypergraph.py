@@ -90,10 +90,11 @@ class Hypergraph:
         meets an edge through v, and an edge lies inside U when it misses
         the complement of U, so one pass over the subsets builds both."""
         edges = tuple(sorted({mask for mask in self.masks if mask & (mask - 1)}))
-        if 3 ** self.d * max(1, len(edges)) > COLORING_BUDGET:
+        size = 3 ** self.d * max(1, len(edges))
+        if size > COLORING_BUDGET:
             raise BudgetExceededError(
-                f"3^{self.d} subset pairs times {len(edges)} distinct edges exceed "
-                f"the coloring budget of {COLORING_BUDGET}")
+                f"{size} tie tests (3^{self.d} subset pairs times {len(edges)} distinct "
+                f"edges, at least 1) exceed the coloring budget of {COLORING_BUDGET}")
         through = [sum(1 << k for k, e in enumerate(edges) if e >> v & 1)
                    for v in range(self.d)]
         full = (1 << self.d) - 1

@@ -41,31 +41,32 @@ rank of the scaled vertices, which stops at d - 1 because they all lie in
 x([d]) = L * z([d]); the face map checks it against the block count of the
 one-block composition, whose face is P itself.
 
-The face map keeps each face as its vertex-id mask with its dimension, and
-the masks of each dimension in one list; row k of the table a is the column
-sum of the histograms of the k-faces.  A `Face` is a named tuple of the
-sorted vertex ids and the dimension, built only when a query returns one or
-hands one to `count_k_faces`.  The 0-faces in a face are its vertices, so
-`count_k_faces(f, 0)` is the number of vertex ids of f.  For k >= 1 a
-k-face lies in a face f only if its lowest vertex does, so the k-faces are
-indexed by their lowest vertex id, one k at a time on the first query for
-that k, and the k-faces in f are found by walking the vertex ids of f over
-that index.  `reciprocity_rhs(k, m)` is sum_j r[k][j] * binom(m, j), like
-`chi_count`, with r[k] the column sums of the faces' histograms weighted by
-their k-face counts.  A face of dimension below k holds no k-face and one
-of dimension k holds only itself, so only the faces of dimension above k
-are counted.  A face enters r[k] on the first m that selects it, at least
-its fewest blocks; before that all its compositions have more than m
-blocks, where binom(m, j) = 0.  So r[k] grows by the faces grouped by
-fewest blocks, one group at a time, and each face's k-faces are counted at
-most once per k.
+A face is its vertex-id mask, bit v set for each vertex id v in it; the
+face map keeps each mask with its dimension, and the masks of each
+dimension in one list; row k of the table a is the column sum of the
+histograms of the k-faces.  A `Face` is the named tuple of the mask and
+the dimension, so `count_k_faces` checks one with a single lookup, and
+sorted vertex ids are read off a mask only for a person to read
+(`Face.vertex_ids`, the `faces` report).  The 0-faces in a face are its
+vertices, so `count_k_faces(f, 0)` is the number of set bits of f.  For
+k >= 1 a k-face lies in a face f only if its lowest vertex does, so the
+k-faces are indexed by their lowest set bit, one k at a time on the first
+query for that k, and the k-faces in f are found by walking the set bits
+of f over that index.  `reciprocity_rhs(k, m)` is
+sum_j r[k][j] * binom(m, j), like `chi_count`, with r[k] the column sums
+of the faces' histograms weighted by their k-face counts.  A face of
+dimension below k holds no k-face and one of dimension k holds only
+itself, so only the faces of dimension above k are counted.  A face enters
+r[k] on the first m that selects it, at least its fewest blocks; before
+that all its compositions have more than m blocks, where binom(m, j) = 0.
+So r[k] grows by the faces grouped by fewest blocks, one group at a time,
+and each face's k-faces are counted at most once per k.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .errors import NotSubmodularError
@@ -109,15 +110,20 @@ def _bits(mask: int) -> tuple[int, ...]:
 
 
 class Face(NamedTuple):
-    """A face, canonicalized by its sorted vertex-index set: the vertices
-    tight on every prefix of any composition whose directions it maximizes,
-    the AND of ``tight`` over those prefixes.  ``dim`` is d minus the most
-    blocks among these compositions: its normal cone, of dimension d - dim,
-    is the union of their braid cones, and a braid cone with j blocks has
-    dimension j."""
+    """A face, canonicalized by its vertex-id mask: bit v is set for each
+    vertex id v tight on every prefix of any composition whose directions
+    it maximizes, the AND of ``tight`` over those prefixes.  ``dim`` is d
+    minus the most blocks among these compositions: its normal cone, of
+    dimension d - dim, is the union of their braid cones, and a braid cone
+    with j blocks has dimension j."""
 
-    vertex_ids: tuple[int, ...]
+    mask: int
     dim: int
+
+    @property
+    def vertex_ids(self) -> tuple[int, ...]:
+        """The vertex ids of the face, in increasing order."""
+        return _bits(self.mask)
 
 
 class _FaceMap(NamedTuple):
@@ -135,12 +141,11 @@ class GPerm:
     its dimension and its compositions counted by number of blocks j (index
     j), and the face masks of each dimension; summed over the faces of
     dimension k the histograms give the table a[k][j] that `chi_count`
-    weights by binom(m, j).  `Face` objects are built only when a query
-    returns one or hands one to `count_k_faces`.  Construction and queries
-    are single-threaded: queries fill the caches on first use (the face map,
-    the k-face index of each k, the faces grouped by fewest blocks and the
-    row r[k] of `reciprocity_rhs`, grown by those groups), so they are not
-    read-only.
+    weights by binom(m, j).  A `Face` is a face mask with its dimension, as
+    the map keeps it.  Construction and queries are single-threaded:
+    queries fill the caches on first use (the face map, the k-face index of
+    each k, the faces grouped by fewest blocks and the row r[k] of
+    `reciprocity_rhs`, grown by those groups), so they are not read-only.
     """
 
     def __init__(self, z: SetFn):
@@ -148,7 +153,7 @@ class GPerm:
         self.d = z.d
         self.vertices: tuple[RatVec, ...] = vertices(z)
         self._scaled_vertices = z.scaled_vertices  # the vertices times L, in the same order
-        self._k_face_index: dict[int, dict[int, list[int]]] = {}  # k -> lowest id -> k-faces
+        self._k_face_index: dict[int, dict[int, list[int]]] = {}  # k -> lowest bit -> k-faces
         self._rhs_rows: dict[int, tuple[int, list[int]]] = {}  # k -> (groups folded in, r[k])
 
     @property
@@ -219,13 +224,13 @@ class GPerm:
                 for faces in fm.by_dim]
 
     def _k_faces_by_lowest_vertex(self, k: int) -> dict[int, list[int]]:
-        """The k-face masks keyed by their lowest vertex id, indexed on the
-        first query for k."""
+        """The k-face masks keyed by their lowest set bit, the bit of their
+        lowest vertex id, indexed on the first query for k."""
         index = self._k_face_index.get(k)
         if index is None:
             index = self._k_face_index[k] = {}
             for g in self._face_map.by_dim[k]:
-                index.setdefault((g & -g).bit_length() - 1, []).append(g)
+                index.setdefault(g & -g, []).append(g)
         return index
 
     @cached_property
@@ -241,9 +246,6 @@ class GPerm:
             groups[j].append(f)
         return groups
 
-    def _face(self, f: int) -> Face:
-        return Face(_bits(f), self._face_map.dims[f])
-
     def face_of_direction(self, y: Sequence) -> Face:
         """The face maximizing the direction y."""
         if len(y) != self.d:
@@ -252,39 +254,37 @@ class GPerm:
         f = -1
         for s in _level_prefixes(y):
             f &= fm.tight[s]
-        return self._face(f)
+        return Face(f, fm.dims[f])
 
     def face_lattice(self) -> tuple[Face, ...]:
         """Every nonempty face exactly once, the polytope itself included."""
         dims = self._face_map.dims
-        return tuple(map(Face, map(_bits, dims), dims.values()))
+        return tuple(map(Face, dims, dims.values()))
 
     def count_k_faces(self, face: Face, k: int) -> int:
         """Number of k-dimensional faces of this polytope contained in ``face``
-        (0 whenever k exceeds the dimension of ``face``).  For k = 0 it is the
-        number of vertices of ``face``.  Otherwise a k-face lies in ``face``
-        only if its lowest vertex does, so only the k-faces keyed by the
-        vertices of ``face`` are tested."""
+        (0 whenever k exceeds the dimension of ``face``).  ``face`` must be a
+        face mask of this polytope with its dimension, or ValueError is
+        raised.  For k = 0 the count is the number of vertices of ``face``.
+        Otherwise a k-face lies in ``face`` only if its lowest vertex does,
+        so only the k-faces keyed by the set bits of ``face`` are tested."""
         if k < 0:
             raise ValueError("k must be nonnegative")
-        ids = face.vertex_ids
-        n = len(self.vertices)
-        f = 0
-        for i in ids:  # vertex ids, in range and strictly increasing
-            if not 0 <= i < n or f >> i:
-                raise ValueError("not a face of this polytope")
-            f |= 1 << i
-        if self._face_map.dims.get(f) != face.dim:
+        f, dim = face
+        if self._face_map.dims.get(f) != dim:
             raise ValueError("not a face of this polytope")
-        if k > face.dim:
+        if k > dim:
             return 0
         if k == 0:
-            return len(ids)
+            return f.bit_count()
         by_low = self._k_faces_by_lowest_vertex(k)
         outside = ~f
         count = 0
-        for i in ids:
-            for g in by_low.get(i, ()):
+        rest = f
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            for g in by_low.get(low, ()):
                 if not g & outside:
                     count += 1
         return count
@@ -320,7 +320,7 @@ class GPerm:
                     dim = dims[f]
                     if dim < k:
                         continue
-                    n = 1 if dim == k else self.count_k_faces(self._face(f), k)
+                    n = 1 if dim == k else self.count_k_faces(Face(f, dim), k)
                     for j, c in enumerate(blocks[f]):
                         row[j] += n * c
             self._rhs_rows[k] = m, row
@@ -345,11 +345,11 @@ class GPerm:
 
 
 def face_lattice_to_json(P: GPerm) -> dict:
-    faces = sorted(P.face_lattice(), key=attrgetter("dim", "vertex_ids"))
+    faces = sorted((f.dim, f.vertex_ids) for f in P.face_lattice())
     scale, points = P.z.scaled[0], P._scaled_vertices
     text = {c: format_rat(Fraction(c, scale)) for c in {c for v in points for c in v}}
     return {
         "d": P.d,
         "vertices": [[text[c] for c in v] for v in points],
-        "faces": [{"dim": f.dim, "vertices": list(f.vertex_ids)} for f in faces],
+        "faces": [{"dim": dim, "vertices": list(ids)} for dim, ids in faces],
     }

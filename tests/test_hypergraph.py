@@ -186,6 +186,13 @@ def test_coloring_budget_counts_distinct_edges(monkeypatch):
     assert chromatic_count(hg(3), 2) == 8
 
 
+def test_coloring_budget_message_names_the_compared_size(monkeypatch):
+    # an edgeless hypergraph is charged one tie test per subset pair
+    monkeypatch.setattr(hypergraph, "COLORING_BUDGET", 26)
+    with pytest.raises(BudgetExceededError, match=r"^27 tie tests .* budget of 26$"):
+        chromatic_count(Hypergraph(3, ()), 2)
+
+
 def test_chromatic_polynomial_examples():
     assert chromatic_polynomial(hg(2, {1, 2})).coefficients == (0, -1, 1)
     assert chromatic_polynomial(hg(2)).coefficients == (0, 0, 1)
