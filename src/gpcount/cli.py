@@ -24,8 +24,8 @@ import time
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
+from . import ehrhart
 from .ehrhart import (
-    check_loop_budget,
     em_reciprocity_check,
     fan_from_json,
     hpolytope_from_json,
@@ -33,7 +33,7 @@ from .ehrhart import (
     pruned_reciprocity_check,
     unit_cube,
 )
-from .errors import GpcountError, InputFormatError
+from .errors import GpcountError, InputFormatError, check_budget
 from .generators import (
     random_hypergraph,
     random_hypergraphic_setfn,
@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_chi(args) -> tuple[dict, Report | None]:
-    check_loop_budget(2 * args.m_max, "checks")
+    check_budget(2 * args.m_max, ehrhart.LOOP_BUDGET, "checks")
     P = GPerm(_load_setfn(args.setfn))
     poly, report = P.verify_reciprocity(args.k, args.m_max)
     payload = {
@@ -243,7 +243,7 @@ def _hg_reciprocity_report(h, P: GPerm, acyclic: list, m_max: int) -> tuple[Poly
 
 
 def cmd_hg_reciprocity(args) -> tuple[dict, Report | None]:
-    check_loop_budget(3 * args.m_max + 1, "checks")
+    check_budget(3 * args.m_max + 1, ehrhart.LOOP_BUDGET, "checks")
     h, names = hypergraph_from_json(_load_json(args.hg))
     P = GPerm(hypergraphic_setfn(h))
     poly, report = _hg_reciprocity_report(h, P, acyclic_headings(h), args.m_max)
@@ -295,7 +295,7 @@ def verify_all(seed: int, trials: int) -> Report:
     """Run every reciprocity and round-trip identity on seeded random instances."""
     if trials < 1:
         raise ValueError("trials must be a positive integer")
-    check_loop_budget(CHECKS_PER_TRIAL * trials, "checks")
+    check_budget(CHECKS_PER_TRIAL * trials, ehrhart.LOOP_BUDGET, "checks")
     rng = random.Random(seed)
     report = Report()
     for trial in range(1, trials + 1):

@@ -30,7 +30,8 @@ coordinate it fixes, or that fixes more than `SCAN_DEPTH` coordinates (one
 recursion level each), is refused before it starts, and a reciprocity check
 is refused before its first count when its largest dilate would be, or when
 it would make more than `LOOP_BUDGET` checks or fit more than `LOOP_BUDGET`
-nodes.
+nodes.  Each refusal is `errors.check_budget`'s `BudgetExceededError`, and
+each budget is read when its guard runs.
 
 A full-dimensional fan is a list of closed cones (homogeneous non-strict
 rows), its distinct rows indexed once per fan, on first use.  The
@@ -61,7 +62,7 @@ from functools import cached_property
 from math import ceil, floor, gcd, prod
 from typing import Sequence
 
-from .errors import BudgetExceededError, IncompleteFanError, InputFormatError
+from .errors import IncompleteFanError, InputFormatError, check_budget
 from .permutahedron import GPerm
 from .polynomial import QuasiPolynomial, interpolate_quasipoly
 from .rational import exact, rat_from_json, to_integers
@@ -223,19 +224,6 @@ def _dilate_frame(poly: HPolytope, t: int):
     return [tuple(r) for r in ranges], [(a, t * b - strict) for a, b, strict in rest]
 
 
-def _check_budget(size: int, what: str, t: int) -> None:
-    """Refuse a scan of `size` steps when that exceeds `SCAN_BUDGET`."""
-    if size > SCAN_BUDGET:
-        raise BudgetExceededError(
-            f"scanning {size} {what} at t={t} exceeds the budget of {SCAN_BUDGET}")
-
-
-def check_loop_budget(size: int, what: str) -> None:
-    """Refuse a loop of more than `LOOP_BUDGET` checks or fit nodes."""
-    if size > LOOP_BUDGET:
-        raise BudgetExceededError(f"{size} {what} exceed the budget of {LOOP_BUDGET}")
-
-
 def _scan_frame(poly: HPolytope, t: int, fan: FullDimFan | None = None):
     """`_dilate_frame` of the t-dilate and the number of coordinates the scan
     fixes, refused before any scan when the scan exceeds `SCAN_BUDGET` or
@@ -253,7 +241,7 @@ def _scan_frame(poly: HPolytope, t: int, fan: FullDimFan | None = None):
     if fan is None:
         scanned = poly.frame[3]
         size = prod(widths[:max(scanned - 1, 0)])
-        _check_budget(size, "prefixes of the last coordinate", t)
+        check_budget(size, SCAN_BUDGET, f"prefixes of the last coordinate at t={t}")
     else:
         scanned = len(ranges)
         fan_rows, cones = fan.run_rows
@@ -261,11 +249,9 @@ def _scan_frame(poly: HPolytope, t: int, fan: FullDimFan | None = None):
         runs = prod(widths[:-1])
         points = runs * widths[-1]
         size = points + runs * reads
-        _check_budget(size, f"steps ({points} box points and {runs} runs of {reads} "
-                      "fan row reads)", t)
-    if scanned > SCAN_DEPTH:
-        raise BudgetExceededError(
-            f"scanning {scanned} coordinates at t={t} exceeds the depth budget of {SCAN_DEPTH}")
+        check_budget(size, SCAN_BUDGET, f"steps ({points} box points and {runs} runs of "
+                     f"{reads} fan row reads) at t={t}")
+    check_budget(scanned, SCAN_DEPTH, f"coordinates scanned at t={t}")
     return ranges, rows, scanned
 
 
@@ -388,8 +374,8 @@ def _check_largest_dilates(fitted: HPolytope, degree: int, period: int, checked:
     declaration the fit rejects before counting (degree < 0 or period < 1)
     is left to the fit."""
     last_node = (degree + 2) * period if degree >= 0 and period >= 1 else 0
-    check_loop_budget(last_node, "fit nodes")
-    check_loop_budget(t_max, "checks")
+    check_budget(last_node, LOOP_BUDGET, "fit nodes")
+    check_budget(t_max, LOOP_BUDGET, "checks")
     if last_node:
         _scan_frame(fitted, last_node, fan)
     if t_max >= 1:
@@ -410,9 +396,11 @@ def em_reciprocity_check(poly: HPolytope, degree: int, period: int,
     """Fit the closed count, then test its sign-alternating value at -t
     against the direct open count at t; returns the fit and the report.
 
-    The closed description must be irredundant and state each implicit
-    equality as an equality row or a pair of opposite rows (caller
-    responsibility), so the relative interior is exactly `poly.interior()`.
+    The closed description must state each implicit equality as an
+    equality row or a pair of opposite rows (caller responsibility), so the
+    relative interior is exactly `poly.interior()`.  Redundant and repeated
+    rows are fine: a valid row tight at a relative-interior point is
+    constant on the polytope, so it is one of those equalities.
     The largest dilates it counts, the fit's last node and t_max, are held
     to the scan budget before the first count.
     """

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `check_budget`, the one
+rule by which an enumeration refuses work before it starts."""
 
 
 class GpcountError(Exception):
@@ -24,3 +25,10 @@ class IncompleteFanError(GpcountError):
 
 class InputFormatError(GpcountError):
     """A JSON input document is malformed."""
+
+
+def check_budget(size: int, budget: int, what: str) -> None:
+    """Refuse `size` units of work, described by `what`, when they exceed
+    `budget`; every enumeration's guard raises here, in one form."""
+    if size > budget:
+        raise BudgetExceededError(f"{size} {what} exceed the budget of {budget}")

@@ -32,8 +32,9 @@ COLORING_BUDGET bounds the 3^d pairs (U, S) times the distinct edges, which
 covers the 2^d-entry tables as well, and is read as the tables are built;
 HEADING_BUDGET bounds the product of the edge sizes, the largest tie
 family's (U = S = all nodes), and is read before the compatible DP.  So
-both are read before any table or DP work, and each DP runs once per
-Hypergraph, which caches its result.
+both are read before any table or DP work, each refusing through
+`errors.check_budget`, and each DP runs once per Hypergraph, which caches
+its result.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from functools import cache, cached_property
 from math import prod
 from typing import Callable, Iterator, Sequence
 
-from .errors import BudgetExceededError, InputFormatError
+from .errors import InputFormatError, check_budget
 from .polynomial import Polynomial, binomial_polynomial, binomial_sum
 from .setfn import SetFn, check_ground_set
 
@@ -91,10 +92,8 @@ class Hypergraph:
         the complement of U, so one pass over the subsets builds both."""
         edges = tuple(sorted({mask for mask in self.masks if mask & (mask - 1)}))
         size = 3 ** self.d * max(1, len(edges))
-        if size > COLORING_BUDGET:
-            raise BudgetExceededError(
-                f"{size} tie tests (3^{self.d} subset pairs times {len(edges)} distinct "
-                f"edges, at least 1) exceed the coloring budget of {COLORING_BUDGET}")
+        check_budget(size, COLORING_BUDGET, f"tie tests (3^{self.d} subset pairs times "
+                     f"{len(edges)} distinct edges, at least 1)")
         through = [sum(1 << k for k, e in enumerate(edges) if e >> v & 1)
                    for v in range(self.d)]
         full = (1 << self.d) - 1
@@ -114,7 +113,7 @@ class Hypergraph:
 
     @cached_property
     def _compatible_partitions(self) -> tuple[int, ...]:
-        _check_heading_budget(self)
+        check_budget(self.heading_space, HEADING_BUDGET, "headings")
         edges = self._tie_tables[0]
         heads = cache(lambda family: sum(1 for _ in _acyclic_heads(tuple(family))))
 
@@ -180,15 +179,9 @@ def _acyclic_heads(masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
         stack.extend((i + 1, nxt) for nxt in reversed(choices[i + 1]))
 
 
-def _check_heading_budget(h: Hypergraph) -> None:
-    if h.heading_space > HEADING_BUDGET:
-        raise BudgetExceededError(
-            f"{h.heading_space} headings exceed the budget of {HEADING_BUDGET}")
-
-
 def acyclic_headings(h: Hypergraph) -> list[tuple[int, ...]]:
     """All acyclic headings, lexicographic in the per-edge head tuples."""
-    _check_heading_budget(h)
+    check_budget(h.heading_space, HEADING_BUDGET, "headings")
     return list(_acyclic_heads(h.masks))
 
 

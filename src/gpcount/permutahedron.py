@@ -61,6 +61,13 @@ r[k] on the first m that selects it, at least its fewest blocks; before
 that all its compositions have more than m blocks, where binom(m, j) = 0.
 So r[k] grows by the faces grouped by fewest blocks, one group at a time,
 and each face's k-faces are counted at most once per k.
+
+`face_of_direction` is the direction-side query of the face map, the AND
+of ``tight`` over the level-set prefixes of one direction.  Nothing in the
+package calls it; it stays as API because the tests probe the face map
+one composition at a time through it, against an argmax oracle and a
+chain-cut oracle.  The face map is built only up to `FACE_ENUM_MAX_D`
+ground-set elements, a cap that refuses through `errors.check_budget`.
 """
 
 from __future__ import annotations
@@ -69,7 +76,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .errors import NotSubmodularError
+from .errors import NotSubmodularError, check_budget
 from .polynomial import Polynomial, binomial_polynomial, binomial_sum
 from .rational import RatVec, affine_rank, format_rat
 from .report import Report
@@ -166,9 +173,7 @@ class GPerm:
         dimension from its block counts must equal the affine rank of all
         vertices, or the map raises RuntimeError."""
         d = self.d
-        if d > FACE_ENUM_MAX_D:
-            raise ValueError(
-                f"face enumeration is capped at d <= {FACE_ENUM_MAX_D}, got d = {d}")
+        check_budget(d, FACE_ENUM_MAX_D, "ground-set elements in a face enumeration")
         full = (1 << d) - 1
         values = self.z.scaled[1]
         by_value: list[dict[int, int]] = [{} for _ in range(d)]  # i -> L * v_i -> ids

@@ -350,7 +350,7 @@ def test_pruned_fan_sweep_budget_exit_2(inputs, capsys, monkeypatch):
     assert rc == 2 and payload is None
     assert err.startswith("error:") and (
         "61127059 steps (117649 box points and 16807 runs of 3630 fan row reads) at t=8"
-        f" exceeds the budget of {ehrhart.SCAN_BUDGET}") in err
+        f" exceed the budget of {ehrhart.SCAN_BUDGET}") in err
 
 
 def test_hg_reciprocity_forty_nodes_exit_2(inputs):

@@ -392,6 +392,25 @@ def test_em_needs_irredundant_rows():
     assert report.failures > 0
 
 
+def test_em_accepts_redundant_and_repeated_rows():
+    # a valid row tight at a relative-interior point is constant on P, so
+    # only implicit equalities need care: rows that cut nothing, repeat a
+    # row or touch P only at a vertex leave both counts unchanged
+    square = with_rows(SQUARE, [((1, 1), "<=", 2), ((2, 0), "<=", 2), ((1, 0), "<=", 5),
+                                ((-1, -1), "<=", 0)])
+    assert all_pass(em_reciprocity_check(square, 2, 1, 4)[1])
+    assert all_pass(pruned_reciprocity_check(square, normal_fan_of(perm_gp(2)), 2, 1, 4)[1])
+    simplex = with_rows(standard_simplex(3), [((1, 1, 0), "<=", 1), ((3, 3, 3), "<=", 3)])
+    assert all_pass(em_reciprocity_check(simplex, 3, 1, 4)[1])
+    # x = y written as an opposite pair plus a scaled copy of one of them
+    diagonal = HPolytope(
+        2,
+        (((1, -1), "<=", 0), ((-1, 1), "<=", 0), ((2, -2), "<=", 0), ((-1, 0), "<=", 0),
+         ((1, 0), "<=", 1)),
+        ((0, 1), (0, 1)))
+    assert all_pass(em_reciprocity_check(diagonal, 1, 1, 4)[1])
+
+
 def test_interior_keeps_opposite_rows():
     # x <= 0 and -2x <= 0 describe a segment; its interior keeps x = 0
     segment = HPolytope(

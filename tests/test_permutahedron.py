@@ -9,7 +9,7 @@ from math import comb, lcm
 import pytest
 
 from gpcount import permutahedron
-from gpcount.errors import NotSubmodularError
+from gpcount.errors import BudgetExceededError, NotSubmodularError
 from gpcount.generators import random_hypergraphic_setfn
 from gpcount.hypergraph import Hypergraph, hypergraphic_setfn
 from gpcount.permutahedron import Face, GPerm, face_lattice_to_json, vertices
@@ -616,11 +616,11 @@ def test_pairwise_edge_sum_is_translate_of_standard():
 
 def test_enumeration_caps():
     big = GPerm(standard_perm_setfn(7))
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceededError):
         big.face_lattice()
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceededError):
         big.chi_count(0, 1)  # direction counts use the capped face lattice
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetExceededError):
         big.face_of_direction((1,) * 7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
