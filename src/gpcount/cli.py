@@ -1,5 +1,14 @@
 """Command-line interface.
 
+`COMMANDS` is the one table of commands: each maps to its handler, its
+one-line help and its flags, and each flag carries its converter, default,
+required mark and help text.  `parse` reads argv against that table, with no
+parser object to build: flags go by their full names only, as `--flag value`
+or `--flag=value`, the last of a repeated flag wins, and a flag integer is an
+optional sign followed by ASCII digits.  `-h`/`--help` prints the help of the
+top level or of one command to stdout and exits 0; misuse prints a
+`usage: gpcount ...` line and one `error:` line to stderr and exits 2.
+
 Every command prints a single JSON report to stdout; diagnostics go to
 stderr.  A command returns its payload and its check `Report` (None when it
 has no checks); `run` appends the report's "checks" and "summary", then
@@ -15,14 +24,15 @@ of 2: with an indent set, the stdlib runs its pure-Python encoder.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import os
 import random
+import re
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Sequence
 
 from . import ehrhart
 from .ehrhart import (
@@ -110,70 +120,55 @@ def _load_setfn(path: str):
     return setfn_from_json(_load_json(path))
 
 
-def _positive(kind: str):
-    def convert(text: str) -> int:
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"{kind} must be a positive integer")
-        return value
-    return convert
+class UsageError(Exception):
+    """Misuse of the command line.  `command` names the command whose usage
+    line goes with the message, None for the top level."""
+
+    def __init__(self, command: str | None, message: str):
+        super().__init__(message)
+        self.command = command
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves no state
-    on it, so every `run` shares it."""
-    parser = argparse.ArgumentParser(
-        prog="gpcount",
-        description="Exact counting polynomials and reciprocity checks for "
-                    "generalized permutahedra, hypergraph colorings, and "
-                    "lattice points.")
-    sub = parser.add_subparsers(dest="command", required=True)
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
-    p = sub.add_parser("chi", help="direction-count polynomial and reciprocity "
-                                   "for a submodular set function")
-    p.add_argument("--setfn", required=True, help="set-function JSON file")
-    p.add_argument("--k", type=int, default=0, help="face dimension class (default 0)")
-    p.add_argument("--m-max", type=_positive("--m-max"), default=3)
 
-    p = sub.add_parser("faces", help="face lattice of a submodular set function")
-    p.add_argument("--setfn", required=True)
+def _integer(text: str) -> int:
+    """A flag integer: an optional sign and ASCII digits, as in documents
+    (no spaces, underscores or other scripts' digits)."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"must be an integer, got {text!r}")
+    return int(text)
 
-    p = sub.add_parser("hg-chromatic", help="proper-coloring polynomial of a hypergraph")
-    p.add_argument("--hg", required=True, help="hypergraph JSON file")
-    p.add_argument("--m", type=_positive("--m"), default=None,
-                   help="also report the count at this number of colors")
 
-    p = sub.add_parser("hg-headings", help="acyclic headings and their in-degree vectors")
-    p.add_argument("--hg", required=True)
+def _positive(text: str) -> int:
+    if not _INTEGER.fullmatch(text) or int(text) < 1:
+        raise ValueError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
-    p = sub.add_parser("hg-reciprocity", help="coloring/heading reciprocity checks")
-    p.add_argument("--hg", required=True)
-    p.add_argument("--m-max", type=_positive("--m-max"), default=3)
 
-    p = sub.add_parser("ehrhart", help="dilation-count quasipolynomial and its "
-                                       "interior reciprocity")
-    p.add_argument("--poly", required=True, help="H-polytope JSON file")
-    p.add_argument("--degree", type=int, default=None,
-                   help="declared degree (default: ambient dimension)")
-    p.add_argument("--period", type=_positive("--period"), default=1)
-    p.add_argument("--t-max", type=_positive("--t-max"), default=4)
+class Flag(NamedTuple):
+    """One flag of a command, given as `--name VALUE` or `--name=VALUE`.
+    `convert` (str, `_integer` or `_positive`) turns the text into the
+    value, raising ValueError; an absent flag takes `default`."""
+    name: str
+    convert: Callable[[str], object]
+    help: str
+    default: object = None
+    required: bool = False
 
-    p = sub.add_parser("pruned", help="pruned counts against a complete fan "
-                                      "and their reciprocity")
-    p.add_argument("--poly", required=True)
-    p.add_argument("--fan", default=None, help="fan JSON file")
-    p.add_argument("--setfn", default=None,
-                   help="use the normal fan of this set function's polytope")
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--period", type=_positive("--period"), default=1)
-    p.add_argument("--t-max", type=_positive("--t-max"), default=4)
+    @property
+    def dest(self) -> str:
+        """The attribute the value is stored under: `--m-max` gives `m_max`."""
+        return self.name[2:].replace("-", "_")
 
-    p = sub.add_parser("verify-all", help="seeded random self-verification suite")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--trials", type=_positive("--trials"), default=5)
 
-    return parser
+class Command(NamedTuple):
+    """One command: its handler, one-line help and flags; `exactly_one`
+    names flags of which exactly one must be given."""
+    handler: Callable[[SimpleNamespace], tuple[dict, Report | None]]
+    help: str
+    flags: tuple[Flag, ...]
+    exactly_one: tuple[str, ...] = ()
 
 
 def cmd_chi(args) -> tuple[dict, Report | None]:
@@ -269,8 +264,6 @@ def cmd_ehrhart(args) -> tuple[dict, Report | None]:
 
 def cmd_pruned(args) -> tuple[dict, Report | None]:
     poly = hpolytope_from_json(_load_json(args.poly))
-    if (args.fan is None) == (args.setfn is None):
-        raise GpcountError("pass exactly one of --fan and --setfn")
     if args.fan is not None:
         fan = fan_from_json(_load_json(args.fan))
     else:
@@ -338,28 +331,181 @@ def cmd_verify_all(args) -> tuple[dict, Report | None]:
     return payload, report
 
 
+_SETFN = Flag("--setfn", str, "set-function JSON file", required=True)
+_HG = Flag("--hg", str, "hypergraph JSON file", required=True)
+_POLY = Flag("--poly", str, "H-polytope JSON file", required=True)
+_DILATION = (
+    Flag("--degree", _integer, "declared degree (default: ambient dimension)"),
+    Flag("--period", _positive, "declared period", 1),
+    Flag("--t-max", _positive, "check the dilations t = 1..T_MAX", 4),
+)
+
+# The command table: the only place that knows a command's flags and handler.
 COMMANDS = {
-    "chi": cmd_chi,
-    "faces": cmd_faces,
-    "hg-chromatic": cmd_hg_chromatic,
-    "hg-headings": cmd_hg_headings,
-    "hg-reciprocity": cmd_hg_reciprocity,
-    "ehrhart": cmd_ehrhart,
-    "pruned": cmd_pruned,
-    "verify-all": cmd_verify_all,
+    "chi": Command(cmd_chi, "direction-count polynomial and reciprocity for a "
+                            "submodular set function", (
+        _SETFN,
+        Flag("--k", _integer, "face dimension class", 0),
+        Flag("--m-max", _positive, "check m = 1..M_MAX", 3),
+    )),
+    "faces": Command(cmd_faces, "face lattice of a submodular set function", (_SETFN,)),
+    "hg-chromatic": Command(cmd_hg_chromatic, "proper-coloring polynomial of a hypergraph", (
+        _HG,
+        Flag("--m", _positive, "also report the count at this number of colors"),
+    )),
+    "hg-headings": Command(cmd_hg_headings, "acyclic headings and their in-degree vectors",
+                           (_HG,)),
+    "hg-reciprocity": Command(cmd_hg_reciprocity, "coloring/heading reciprocity checks", (
+        _HG,
+        Flag("--m-max", _positive, "check m = 1..M_MAX colors", 3),
+    )),
+    "ehrhart": Command(cmd_ehrhart, "dilation-count quasipolynomial and its interior "
+                                    "reciprocity", (_POLY, *_DILATION)),
+    "pruned": Command(cmd_pruned, "pruned counts against a complete fan and their "
+                                  "reciprocity", (
+        _POLY,
+        Flag("--fan", str, "fan JSON file"),
+        Flag("--setfn", str, "use the normal fan of this set function's polytope"),
+        *_DILATION,
+    ), exactly_one=("--fan", "--setfn")),
+    "verify-all": Command(cmd_verify_all, "seeded random self-verification suite", (
+        Flag("--seed", _integer, "random seed", 1),
+        Flag("--trials", _positive, "number of seeded trials", 5),
+    )),
 }
+
+_HELP = ("-h", "--help")
+# argparse's rule for a token after a flag, kept so that every argv it
+# accepted parses to the same values: the token is the flag's value unless it
+# looks like a flag, that is, starts with "-" and is not "-", not a negative
+# number, and holds no space unless it names a flag before any "=".
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _is_value(token: str, flags: dict) -> bool:
+    if not token.startswith("-") or token == "-" or _NEGATIVE.match(token):
+        return True
+    return " " in token and token.partition("=")[0] not in flags
+
+
+def parse(argv: Sequence[str]) -> SimpleNamespace:
+    """The command line argv, without the program name, as a namespace:
+    `command`, `help`, and one attribute per flag of the command (`--m-max`
+    as `m_max`), which is its default when the flag is absent.  Flags are
+    given by their full names as `--flag value` or `--flag=value`, the last
+    of a repeated flag wins, and each value is converted where it is read.
+    `-h` or `--help` in place of the command, or anywhere after a known
+    command, gives `help` true and no flag attributes.  Misuse raises
+    UsageError."""
+    if not argv:
+        raise UsageError(None, "a command is required")
+    name = argv[0]
+    if name in _HELP:
+        return SimpleNamespace(command=None, help=True)
+    command = COMMANDS.get(name)
+    if command is None:
+        raise UsageError(None, f"unknown command {name!r}")
+    if any(token in _HELP for token in argv):
+        return SimpleNamespace(command=name, help=True)
+    flags = {flag.name: flag for flag in command.flags}
+    values = {}
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        key, eq, text = token.partition("=")
+        flag = flags.get(key)
+        if flag is None:
+            raise UsageError(name, f"unrecognized argument {token!r}")
+        if not eq:
+            if i == len(argv) or not _is_value(argv[i], flags):
+                raise UsageError(name, f"{key} expects a value")
+            text = argv[i]
+            i += 1
+        try:
+            values[key] = flag.convert(text)
+        except ValueError as exc:
+            raise UsageError(name, f"{key} {exc}") from None
+    for flag in command.flags:
+        if flag.required and flag.name not in values:
+            raise UsageError(name, f"{flag.name} is required")
+    if command.exactly_one and sum(f in values for f in command.exactly_one) != 1:
+        raise UsageError(name, f"pass exactly one of {' and '.join(command.exactly_one)}")
+    args = SimpleNamespace(command=name, help=False)
+    for flag in command.flags:
+        setattr(args, flag.dest, values.get(flag.name, flag.default))
+    return args
+
+
+def _usage(command: str | None) -> str:
+    """The usage line of one command, or of the top level for None."""
+    if command is None:
+        return f"usage: gpcount {{{','.join(COMMANDS)}}} [flags]"
+    words = []
+    for flag in COMMANDS[command].flags:
+        word = f"{flag.name} {flag.dest.upper()}"
+        words.append(word if flag.required else f"[{word}]")
+    return f"usage: gpcount {command} {' '.join(words)}"
+
+
+def _help_text(command: str | None) -> str:
+    """What `-h` prints: the usage line, then the commands (top level) or
+    one command's flags with their defaults."""
+    if command is None:
+        width = max(map(len, COMMANDS)) + 2
+        rows = [f"  {name:<{width}}{c.help}" for name, c in COMMANDS.items()]
+        return "\n".join([
+            _usage(None), "",
+            "Exact counting polynomials and reciprocity checks for generalized "
+            "permutahedra, hypergraph colorings, and lattice points.", "",
+            "commands:", *rows, "",
+            "Run `gpcount COMMAND -h` for the flags of one command."])
+    spec = COMMANDS[command]
+    cells = []
+    for flag in spec.flags:
+        note = flag.help
+        if flag.required:
+            note += " (required)"
+        elif flag.default is not None:
+            note += f" (default {flag.default})"
+        cells.append((f"{flag.name} {flag.dest.upper()}", note))
+    cells.append((", ".join(_HELP), "show this help and exit"))
+    width = max(len(left) for left, _ in cells) + 2
+    lines = [_usage(command), "", spec.help]
+    if spec.exactly_one:
+        lines.append(f"Pass exactly one of {' and '.join(spec.exactly_one)}.")
+    lines += ["", "flags:", *(f"  {left:<{width}}{note}" for left, note in cells)]
+    return "\n".join(lines)
+
+
+def _write(text: str) -> int:
+    """Print text to stdout: 0, or 2 with one `error:` line when stdout is
+    closed, as when a reader of the pipe stops early.  stdout is then pointed
+    at devnull, so that the interpreter's flush at exit stays quiet."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed a usage diagnostic to stderr
-        return 0 if not exc.code else 2
+        args = parse(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        prog = "gpcount" if exc.command is None else f"gpcount {exc.command}"
+        print(f"{_usage(exc.command)}\n{prog}: error: {exc}", file=sys.stderr)
+        return 2
+    if args.help:
+        return _write(_help_text(args.command))
     start = time.perf_counter()
     try:
-        payload, report = COMMANDS[args.command](args)
+        payload, report = COMMANDS[args.command].handler(args)
         if report is not None:
             payload.update(report.to_json())
     except (GpcountError, ValueError, OSError) as exc:
@@ -369,7 +515,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     payload["timing"] = round(time.perf_counter() - start, 6)
-    print(dumps(payload))
+    if _write(dumps(payload)):
+        return 2
     return 1 if payload.get("summary", {}).get("failures") else 0
 
 

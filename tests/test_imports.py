@@ -1,4 +1,5 @@
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,3 +23,12 @@ def test_runtime_imports_only_the_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert not outside
+
+
+def test_cli_imports_no_argparse():
+    # the command line is read from `cli.COMMANDS`; no parser tree is built
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import gpcount.cli; "
+            "print('argparse' in sys.modules)")
+    done = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")

@@ -27,9 +27,9 @@ EXAMPLES = _examples()
 def test_readme_example_parses(line):
     argv = shlex.split(line, comments=True)[1:]
     try:
-        cli.build_parser().parse_args(argv)
-    except SystemExit:
-        pytest.fail(f"README example does not parse: {line}")
+        cli.parse(argv)
+    except cli.UsageError as exc:
+        pytest.fail(f"README example does not parse: {line}: {exc}")
 
 
 def test_readme_shows_every_command():
