@@ -34,7 +34,7 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
-from . import ehrhart
+from . import errors
 from .ehrhart import (
     em_reciprocity_check,
     fan_from_json,
@@ -133,8 +133,9 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _integer(text: str) -> int:
-    """A flag integer: an optional sign and ASCII digits, as in documents
-    (no spaces, underscores or other scripts' digits)."""
+    """A flag integer: an optional sign and ASCII digits, with no spaces,
+    underscores or other scripts' digits.  Flags are stricter than
+    documents, whose numbers may carry surrounding whitespace."""
     if not _INTEGER.fullmatch(text):
         raise ValueError(f"must be an integer, got {text!r}")
     return int(text)
@@ -172,7 +173,7 @@ class Command(NamedTuple):
 
 
 def cmd_chi(args) -> tuple[dict, Report | None]:
-    check_budget(2 * args.m_max, ehrhart.LOOP_BUDGET, "checks")
+    check_budget(2 * args.m_max, errors.LOOP_BUDGET, "checks")
     P = GPerm(_load_setfn(args.setfn))
     poly, report = P.verify_reciprocity(args.k, args.m_max)
     payload = {
@@ -238,7 +239,7 @@ def _hg_reciprocity_report(h, P: GPerm, acyclic: list, m_max: int) -> tuple[Poly
 
 
 def cmd_hg_reciprocity(args) -> tuple[dict, Report | None]:
-    check_budget(3 * args.m_max + 1, ehrhart.LOOP_BUDGET, "checks")
+    check_budget(3 * args.m_max + 1, errors.LOOP_BUDGET, "checks")
     h, names = hypergraph_from_json(_load_json(args.hg))
     P = GPerm(hypergraphic_setfn(h))
     poly, report = _hg_reciprocity_report(h, P, acyclic_headings(h), args.m_max)
@@ -288,7 +289,7 @@ def verify_all(seed: int, trials: int) -> Report:
     """Run every reciprocity and round-trip identity on seeded random instances."""
     if trials < 1:
         raise ValueError("trials must be a positive integer")
-    check_budget(CHECKS_PER_TRIAL * trials, ehrhart.LOOP_BUDGET, "checks")
+    check_budget(CHECKS_PER_TRIAL * trials, errors.LOOP_BUDGET, "checks")
     rng = random.Random(seed)
     report = Report()
     for trial in range(1, trials + 1):

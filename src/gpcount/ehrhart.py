@@ -25,13 +25,13 @@ coordinate.  The coordinates after the last one any row involves are free,
 so a count multiplies their widths and scans only the coordinates before
 them; a box with no row left after folding is one product.  One
 recursive scan returns the count and can hand each run to a callback.  A
-count that would scan more than `SCAN_BUDGET` prefixes of the last
-coordinate it fixes, or that fixes more than `SCAN_DEPTH` coordinates (one
-recursion level each), is refused before it starts, and a reciprocity check
-is refused before its first count when its largest dilate would be, or when
-it would make more than `LOOP_BUDGET` checks or fit more than `LOOP_BUDGET`
-nodes.  Each refusal is `errors.check_budget`'s `BudgetExceededError`, and
-each budget is read when its guard runs.
+count charges the prefixes of the last coordinate it fixes to
+`errors.WORK_BUDGET` and is refused before it starts when they exceed it,
+or when it fixes more than `SCAN_DEPTH` coordinates (one recursion level
+each).  A reciprocity check is refused before its first count when its
+largest dilate would be, or when its checks or its fit's nodes exceed
+`errors.LOOP_BUDGET`.  Each refusal is `errors.check_budget`'s
+`BudgetExceededError`, and each budget is read when its guard runs.
 
 A full-dimensional fan is a list of closed cones (homogeneous non-strict
 rows), its distinct rows indexed once per fan, on first use.  The
@@ -43,14 +43,14 @@ for the run itself, so the scan hands each run to a sweep that adds the
 cones' intervals into difference arrays and reads the multiplicity of every
 point of the run off their running sums, with no cone test per point.  The
 sweep still walks every point, and each run reads every distinct fan row and
-every cone's row list, so a sweep whose folded box points plus its prefixes
-of the last coordinate times those row reads exceed `SCAN_BUDGET` is
-refused before it starts.  A counted point in no cone, or strictly
-inside two cones, means the cones do not form a complete fan and is a hard
-error, raised at the first such point in lexicographic order.  The normal
-fan of a generalized permutahedron coarsens the braid fan, so each of its
-cones is cut out by root rows `y_b - y_a <= 0`, one per edge at its vertex,
-read off the greedy chains.
+every cone's row list, so a sweep charges its folded box points plus its
+prefixes of the last coordinate times those row reads to
+`errors.WORK_BUDGET` before it starts.  A counted point in no cone, or
+strictly inside two cones, means the cones do not form a complete fan and is
+a hard error, raised at the first such point in lexicographic order.  The
+normal fan of a generalized permutahedron coarsens the braid fan, so each of
+its cones is cut out by root rows `y_b - y_a <= 0`, one per edge at its
+vertex, read off the greedy chains.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from functools import cached_property
 from math import ceil, floor, gcd, prod
 from typing import Sequence
 
+from . import errors
 from .errors import IncompleteFanError, InputFormatError, check_budget
 from .permutahedron import GPerm
 from .polynomial import QuasiPolynomial, interpolate_quasipoly
@@ -69,8 +70,6 @@ from .rational import exact, rat_from_json, to_integers
 from .report import Report
 
 RELATIONS = ("<=", "<", "=")
-SCAN_BUDGET = 10 ** 7
-LOOP_BUDGET = 10 ** 4  # checks one command makes; nodes (degree + 2) * period one fit counts
 SCAN_DEPTH = 500  # the scan recurses once per coordinate; Python allows 1000
 
 Row = tuple[tuple[int, ...], str, int]
@@ -226,14 +225,14 @@ def _dilate_frame(poly: HPolytope, t: int):
 
 def _scan_frame(poly: HPolytope, t: int, fan: FullDimFan | None = None):
     """`_dilate_frame` of the t-dilate and the number of coordinates the scan
-    fixes, refused before any scan when the scan exceeds `SCAN_BUDGET` or
-    fixes more than `SCAN_DEPTH`.  A count fixes the coordinates up to the
-    last one any row involves, as the frame records, and is bounded by the
-    prefixes of the last of those.  A sweep against `fan` fixes every
-    coordinate and walks every point of the folded box, and each of its runs
-    reads every distinct row of the fan and every cone's row list once
-    (`_run_cover`); it is bounded by the box points plus the prefixes of the
-    last coordinate, each counted as a run, times those row reads."""
+    fixes, refused before any scan when the scan exceeds
+    `errors.WORK_BUDGET` or fixes more than `SCAN_DEPTH`.  A count fixes the
+    coordinates up to the last one any row involves, as the frame records,
+    and is charged the prefixes of the last of those.  A sweep against `fan`
+    fixes every coordinate and walks every point of the folded box, and each
+    of its runs reads every distinct row of the fan and every cone's row
+    list once (`_run_cover`); it is charged the box points plus the prefixes
+    of the last coordinate, each counted as a run, times those row reads."""
     ranges, rows = _dilate_frame(poly, t)
     if ranges is None:
         return None, None, 0
@@ -241,7 +240,7 @@ def _scan_frame(poly: HPolytope, t: int, fan: FullDimFan | None = None):
     if fan is None:
         scanned = poly.frame[3]
         size = prod(widths[:max(scanned - 1, 0)])
-        check_budget(size, SCAN_BUDGET, f"prefixes of the last coordinate at t={t}")
+        check_budget(size, errors.WORK_BUDGET, f"prefixes of the last coordinate at t={t}")
     else:
         scanned = len(ranges)
         fan_rows, cones = fan.run_rows
@@ -249,7 +248,7 @@ def _scan_frame(poly: HPolytope, t: int, fan: FullDimFan | None = None):
         runs = prod(widths[:-1])
         points = runs * widths[-1]
         size = points + runs * reads
-        check_budget(size, SCAN_BUDGET, f"steps ({points} box points and {runs} runs of "
+        check_budget(size, errors.WORK_BUDGET, f"steps ({points} box points and {runs} runs of "
                      f"{reads} fan row reads) at t={t}")
     check_budget(scanned, SCAN_DEPTH, f"coordinates scanned at t={t}")
     return ranges, rows, scanned
@@ -349,9 +348,9 @@ def _scan(ranges, rows, run=None) -> int:
 
 
 def count_lattice(poly: HPolytope, t: int) -> int:
-    """Number of integer points in the t-th dilate.  More than `SCAN_BUDGET`
-    prefixes of the last coordinate scanned are refused before the scan
-    starts.
+    """Number of integer points in the t-th dilate.  More than
+    `errors.WORK_BUDGET` prefixes of the last coordinate scanned are refused
+    before the scan starts.
 
     The coordinates after the last one any row involves are free: each adds
     a factor, its width.  Only the coordinates up to that one are scanned,
@@ -368,14 +367,14 @@ def count_lattice(poly: HPolytope, t: int) -> int:
 def _check_largest_dilates(fitted: HPolytope, degree: int, period: int, checked: HPolytope,
                            t_max: int, fan: FullDimFan | None = None) -> None:
     """Apply the loop budget to the fit's nodes and the t_max checks, then
-    the scan budget to the largest dilates a reciprocity check counts:
+    the work budget to the largest dilates a reciprocity check counts:
     `fitted` at the fit's last node `(degree + 2) * period` and `checked` at
     `t_max`, swept against `fan` when given, all before any count.  A
     declaration the fit rejects before counting (degree < 0 or period < 1)
     is left to the fit."""
     last_node = (degree + 2) * period if degree >= 0 and period >= 1 else 0
-    check_budget(last_node, LOOP_BUDGET, "fit nodes")
-    check_budget(t_max, LOOP_BUDGET, "checks")
+    check_budget(last_node, errors.LOOP_BUDGET, "fit nodes")
+    check_budget(t_max, errors.LOOP_BUDGET, "checks")
     if last_node:
         _scan_frame(fitted, last_node, fan)
     if t_max >= 1:
@@ -402,7 +401,7 @@ def em_reciprocity_check(poly: HPolytope, degree: int, period: int,
     rows are fine: a valid row tight at a relative-interior point is
     constant on the polytope, so it is one of those equalities.
     The largest dilates it counts, the fit's last node and t_max, are held
-    to the scan budget before the first count.
+    to the work budget before the first count.
     """
     open_poly = poly.interior()
     _check_largest_dilates(poly, degree, period, open_poly, t_max)
@@ -597,7 +596,7 @@ def pruned_reciprocity_check(poly: HPolytope, fan: FullDimFan, degree: int,
     as `=` or as two opposite rows) is rejected with a `ValueError` before
     any counting; a zero `=` row constrains no direction.  The largest
     dilates it scans, the fit's last node and t_max, are then held to the
-    scan budget before the first count."""
+    work budget before the first count."""
     open_poly = poly.interior()
     if any(rel == "=" and any(a) for a, rel, _ in open_poly.rows):
         raise ValueError("pruned counts need a full-dimensional polytope, "

@@ -1,5 +1,18 @@
-"""Exception types shared across the package, and `check_budget`, the one
-rule by which an enumeration refuses work before it starts."""
+"""Exception types shared across the package, the work budgets, and
+`check_budget`, the one rule by which an enumeration refuses work before it
+starts.
+
+Every guard charges the size of the work it is about to do to one of two
+budgets, read from this module at call time, so that a monkeypatched value
+reaches every guard, through the CLI too.  `WORK_BUDGET` bounds the steps
+of any one enumeration: scan prefixes, sweep steps, tie tests, headings and
+face-map steps.  `LOOP_BUDGET` bounds the checks one command makes and the
+nodes one fit counts, loops that flags drive.  The one other limit,
+`ehrhart.SCAN_DEPTH`, bounds recursion depth, not work.
+"""
+
+WORK_BUDGET = 10 ** 7  # steps of any one enumeration
+LOOP_BUDGET = 10 ** 4  # checks one command makes; nodes (degree + 2) * period one fit counts
 
 
 class GpcountError(Exception):

@@ -28,13 +28,13 @@ of the edges S meets in two nodes or more, and inside[U], that of the edges
 inside U.  A pair's ties are bad[S] & inside[U]; only the compatible DP turns
 nonzero ties into a tie family, whose heading count it caches.
 
-COLORING_BUDGET bounds the 3^d pairs (U, S) times the distinct edges, which
-covers the 2^d-entry tables as well, and is read as the tables are built;
-HEADING_BUDGET bounds the product of the edge sizes, the largest tie
-family's (U = S = all nodes), and is read before the compatible DP.  So
-both are read before any table or DP work, each refusing through
-`errors.check_budget`, and each DP runs once per Hypergraph, which caches
-its result.
+Every guard here charges `errors.WORK_BUDGET`: the tables charge the 3^d
+pairs (U, S) times the distinct edges, which covers their 2^d entries as
+well, before they are built; the compatible DP and `acyclic_headings`
+charge the product of the edge sizes, the largest tie family's
+(U = S = all nodes), before they start.  So the budget is read before any
+table or DP work, each guard refusing through `errors.check_budget`, and
+each DP runs once per Hypergraph, which caches its result.
 """
 
 from __future__ import annotations
@@ -45,12 +45,10 @@ from functools import cache, cached_property
 from math import prod
 from typing import Callable, Iterator, Sequence
 
+from . import errors
 from .errors import InputFormatError, check_budget
 from .polynomial import Polynomial, binomial_polynomial, binomial_sum
 from .setfn import SetFn, check_ground_set
-
-HEADING_BUDGET = 10 ** 7
-COLORING_BUDGET = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -85,14 +83,14 @@ class Hypergraph:
         """The distinct edges with two nodes or more as bitmasks, the only
         edges a block can tie, bit k standing for edge k; bad[S], the edges
         that S meets in two nodes or more; inside[U], the edges contained
-        in U.  COLORING_BUDGET is read first.
+        in U.  Their size is charged to the work budget first.
 
         S meets an edge in two nodes when S minus its lowest node v already
         meets an edge through v, and an edge lies inside U when it misses
         the complement of U, so one pass over the subsets builds both."""
         edges = tuple(sorted({mask for mask in self.masks if mask & (mask - 1)}))
         size = 3 ** self.d * max(1, len(edges))
-        check_budget(size, COLORING_BUDGET, f"tie tests (3^{self.d} subset pairs times "
+        check_budget(size, errors.WORK_BUDGET, f"tie tests (3^{self.d} subset pairs times "
                      f"{len(edges)} distinct edges, at least 1)")
         through = [sum(1 << k for k, e in enumerate(edges) if e >> v & 1)
                    for v in range(self.d)]
@@ -113,7 +111,7 @@ class Hypergraph:
 
     @cached_property
     def _compatible_partitions(self) -> tuple[int, ...]:
-        check_budget(self.heading_space, HEADING_BUDGET, "headings")
+        check_budget(self.heading_space, errors.WORK_BUDGET, "headings")
         edges = self._tie_tables[0]
         heads = cache(lambda family: sum(1 for _ in _acyclic_heads(tuple(family))))
 
@@ -181,7 +179,7 @@ def _acyclic_heads(masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
 
 def acyclic_headings(h: Hypergraph) -> list[tuple[int, ...]]:
     """All acyclic headings, lexicographic in the per-edge head tuples."""
-    check_budget(h.heading_space, HEADING_BUDGET, "headings")
+    check_budget(h.heading_space, errors.WORK_BUDGET, "headings")
     return list(_acyclic_heads(h.masks))
 
 

@@ -66,8 +66,14 @@ and each face's k-faces are counted at most once per k.
 of ``tight`` over the level-set prefixes of one direction.  Nothing in the
 package calls it; it stays as API because the tests probe the face map
 one composition at a time through it, against an argmax oracle and a
-chain-cut oracle.  The face map is built only up to `FACE_ENUM_MAX_D`
-ground-set elements, a cap that refuses through `errors.check_budget`.
+chain-cut oracle.
+
+The DP visits the 3^d pairs (prefix A, block B) and ANDs masks as wide as
+the vertex count V, so the face map charges 3^d * V to
+`errors.WORK_BUDGET` through `errors.check_budget` before it builds
+``tight``.  pi_6 charges 524 880 and is built, pi_7 charges 11 022 480
+and is refused, and an 8-node hypergraphic polytope with 150 vertices
+charges 984 150 and is built.
 """
 
 from __future__ import annotations
@@ -76,13 +82,12 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
+from . import errors
 from .errors import NotSubmodularError, check_budget
 from .polynomial import Polynomial, binomial_polynomial, binomial_sum
 from .rational import RatVec, affine_rank, format_rat
 from .report import Report
 from .setfn import SetFn
-
-FACE_ENUM_MAX_D = 6
 
 
 def vertices(z: SetFn) -> tuple[RatVec, ...]:
@@ -169,18 +174,20 @@ class GPerm:
 
     @cached_property
     def _face_map(self) -> _FaceMap:
-        """The tight sets and the flag DP over them.  The whole polytope's
-        dimension from its block counts must equal the affine rank of all
-        vertices, or the map raises RuntimeError."""
-        d = self.d
-        check_budget(d, FACE_ENUM_MAX_D, "ground-set elements in a face enumeration")
+        """The tight sets and the flag DP over them, its 3^d subset pairs
+        times the vertex count charged to the work budget first.  The whole
+        polytope's dimension from its block counts must equal the affine
+        rank of all vertices, or the map raises RuntimeError."""
+        d, n = self.d, len(self.vertices)
+        check_budget(3 ** d * n, errors.WORK_BUDGET,
+                     f"face-map steps (3^{d} subset pairs times {n} vertices)")
         full = (1 << d) - 1
         values = self.z.scaled[1]
         by_value: list[dict[int, int]] = [{} for _ in range(d)]  # i -> L * v_i -> ids
         for vid, v in enumerate(self._scaled_vertices):
             for i, c in enumerate(v):
                 by_value[i][c] = by_value[i].get(c, 0) | 1 << vid
-        tight = [(1 << len(self.vertices)) - 1] + [0] * full
+        tight = [(1 << n) - 1] + [0] * full
         for s in range(1, full + 1):
             for i in _bits(s):
                 prev = s ^ 1 << i

@@ -138,7 +138,8 @@ def interpolate_quasipoly(count: Callable[[int], int], degree: int,
     its residue class.  The fit through the first degree+1 of them passes
     through the last exactly when the fit through all of them has degree at
     most ``degree``; a higher degree means the declaration is wrong and
-    raises.
+    raises.  So does a declared degree above the highest constituent degree,
+    unless every count is 0 (an empty polytope).
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -153,4 +154,8 @@ def interpolate_quasipoly(count: Callable[[int], int], degree: int,
                 f"t={start + (degree + 1) * period}; declared degree {degree} / "
                 f"period {period} is wrong")
         constituents.append(poly)
+    top = max(c.degree for c in constituents)
+    if 0 <= top < degree:
+        raise InterpolationMismatchError(
+            f"the counts have degree {top}; declared degree {degree} is wrong")
     return QuasiPolynomial(period, tuple(constituents))

@@ -3,8 +3,11 @@
 `BudgetExceededError` before the work starts.  Each guard is pinned at its
 boundary: refused with the budget one below the size it charges, run with
 the budget equal to it.  Every budget is a module constant read at call
-time, so monkeypatching it takes effect, through the CLI too."""
+time, so monkeypatching it takes effect, through the CLI too.  Only three
+remain, `errors.WORK_BUDGET`, `errors.LOOP_BUDGET` and `ehrhart.SCAN_DEPTH`,
+and every `check_budget` call in the package reads one of them."""
 
+import ast
 import contextlib
 import io
 import re
@@ -12,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from gpcount import cli, ehrhart, hypergraph, permutahedron
+import gpcount
+from gpcount import cli, ehrhart, errors
 from gpcount.ehrhart import (
     count_lattice,
     cumulative_pruned_count,
@@ -37,23 +41,25 @@ def pi(d):
 
 # (module, constant, size the call charges, call on fresh objects)
 GUARDS = {
-    "scan prefixes": (ehrhart, "SCAN_BUDGET", 16,
+    "scan prefixes": (errors, "WORK_BUDGET", 16,
                       lambda: count_lattice(standard_simplex(3), 3)),
-    "sweep steps": (ehrhart, "SCAN_BUDGET", 352,
+    "sweep steps": (errors, "WORK_BUDGET", 352,
                     lambda: cumulative_pruned_count(unit_cube(3), normal_fan_of(pi(3)), 3)),
     "scan depth": (ehrhart, "SCAN_DEPTH", 3,
                    lambda: count_lattice(standard_simplex(3), 1)),
-    "checks": (ehrhart, "LOOP_BUDGET", 5,
+    "checks": (errors, "LOOP_BUDGET", 5,
                lambda: em_reciprocity_check(standard_simplex(2), 2, 1, 5)),
-    "fit nodes": (ehrhart, "LOOP_BUDGET", 12,
+    "fit nodes": (errors, "LOOP_BUDGET", 12,
                   lambda: em_reciprocity_check(standard_simplex(2), 2, 3, 1)),
-    "colorings": (hypergraph, "COLORING_BUDGET", 27,
+    "colorings": (errors, "WORK_BUDGET", 27,
                   lambda: chromatic_count(Hypergraph(3, ()), 2)),
-    "headings": (hypergraph, "HEADING_BUDGET", 12,
+    "headings": (errors, "WORK_BUDGET", 12,
                  lambda: acyclic_headings(RUNNING)),
-    "face cap": (permutahedron, "FACE_ENUM_MAX_D", 3,
+    # 3^3 subset pairs times pi_3's 6 vertices
+    "face cap": (errors, "WORK_BUDGET", 162,
                  lambda: pi(3).face_lattice()),
 }
+BUDGETS = {("errors", "WORK_BUDGET"), ("errors", "LOOP_BUDGET"), (None, "SCAN_DEPTH")}
 
 
 @pytest.mark.parametrize("guard", GUARDS)
@@ -73,8 +79,50 @@ def test_cli_reads_the_loop_budget_at_call_time(monkeypatch):
     # chi --m-max 2 makes 2 * 2 checks
     argv = ["chi", "--setfn", str(PI_3), "--m-max", "2"]
     for budget, rc, err in ((3, 2, "error: 4 checks exceed the budget of 3\n"), (4, 0, "")):
-        monkeypatch.setattr(ehrhart, "LOOP_BUDGET", budget)
-        out, errors = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(errors):
+        monkeypatch.setattr(errors, "LOOP_BUDGET", budget)
+        out, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(stderr):
             assert cli.run(argv) == rc
-        assert errors.getvalue() == err
+        assert stderr.getvalue() == err
+
+
+def _budget_reads(tree):
+    """(module or None, name) of the budget argument of each `check_budget`
+    call in `tree`, called by name, by an imported alias or through a
+    module, with the budget given by position or by keyword."""
+    names = {"check_budget"} | {alias.asname for node in ast.walk(tree)
+                                if isinstance(node, ast.ImportFrom)
+                                for alias in node.names
+                                if alias.name == "check_budget" and alias.asname}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if not (isinstance(func, ast.Name) and func.id in names
+                or isinstance(func, ast.Attribute) and func.attr == "check_budget"):
+            continue
+        budget = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "budget"), None)
+        if isinstance(budget, ast.Attribute) and isinstance(budget.value, ast.Name):
+            yield budget.value.id, budget.attr
+        elif isinstance(budget, ast.Name):
+            yield None, budget.id
+        else:
+            yield None, budget and ast.unparse(budget)
+
+
+def test_every_guard_reads_one_of_three_budgets():
+    # a new guard reuses a budget instead of adding a constant, whatever
+    # form its call takes
+    forms = ("from .errors import check_budget as cb\n"
+             "check_budget(1, errors.WORK_BUDGET, 'a')\n"
+             "cb(1, OTHER_BUDGET, 'b')\n"
+             "errors.check_budget(1, budget=errors.LOOP_BUDGET, what='c')\n"
+             "check_budget(1, 10, 'd')\n")
+    reads = list(_budget_reads(ast.parse(forms)))
+    assert [r in BUDGETS for r in reads] == [True, False, True, False]
+    package = Path(gpcount.__file__).resolve().parent
+    reads = [(path.name, read) for path in sorted(package.glob("*.py"))
+             for read in _budget_reads(ast.parse(path.read_text(), str(path)))]
+    assert len(reads) >= len(GUARDS)
+    assert [r for r in reads if r[1] not in BUDGETS] == []

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gpcount import cli, ehrhart, permutahedron
+from gpcount import cli, ehrhart, errors, permutahedron
 from gpcount.cli import run
 from gpcount.ehrhart import unit_cube
 from gpcount.hypergraph import hypergraph_from_json
@@ -21,13 +21,16 @@ from oracles import (
     fan_to_json,
     greedy_vertex,
     hpolytope_to_json,
+    hypergraph_to_json,
     setfn_to_json,
     with_rows,
 )
 from test_ehrhart import DIAGONAL_FAN, HUGE_SIMPLEX, OVERLAPPING
+from test_hypergraph import EIGHT
 from test_permutahedron import non_integer_setfn
 
 PI_6 = str(Path(__file__).resolve().parent.parent / "perfbench" / "docs" / "pi_6.json")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 RUNNING_DOC = {
     "nodes": ["a", "b", "c"],
@@ -308,6 +311,19 @@ def test_ehrhart(inputs, capsys):
     assert payload["summary"] == {"checks": 4, "failures": 0}
 
 
+@pytest.mark.parametrize("argv", [
+    ["ehrhart", "--poly", str(GOLDEN / "simplex_q3.json"), "--period", "3"],
+    ["pruned", "--poly", str(GOLDEN / "cube_3.json"), "--setfn", str(GOLDEN / "pi_3.json")],
+])
+@pytest.mark.parametrize("degree", [4, 5])
+def test_degree_above_the_true_one_exit_2(capsys, argv, degree):
+    # both counts have degree 3; a higher declaration is bad input, not a
+    # failed identity
+    rc, payload, err = invoke(capsys, *argv, "--t-max", "3", "--degree", str(degree))
+    assert rc == 2 and payload is None
+    assert err == f"error: the counts have degree 3; declared degree {degree} is wrong\n"
+
+
 def test_ehrhart_opposite_rows_exit_0(inputs, capsys):
     # x1 <= 0 and -x1 <= 0 stay the equality x1 = 0 in the open count
     rc, payload, _ = invoke(
@@ -440,7 +456,7 @@ def test_pruned_fan_sweep_budget_exit_2(inputs, capsys, monkeypatch):
     assert rc == 2 and payload is None
     assert err.startswith("error:") and (
         "61127059 steps (117649 box points and 16807 runs of 3630 fan row reads) at t=8"
-        f" exceed the budget of {ehrhart.SCAN_BUDGET}") in err
+        f" exceed the budget of {errors.WORK_BUDGET}") in err
 
 
 def test_hg_reciprocity_forty_nodes_exit_2(inputs):
@@ -470,6 +486,26 @@ def test_hg_chromatic_eight_nodes(inputs, capsys):
         want = brute_chromatic_count(h, m)
         assert sum(c * m ** i for i, c in enumerate(poly)) == want
     assert payload["count"] == want
+
+
+def test_hg_reciprocity_eight_nodes(inputs, capsys):
+    path = inputs["dir"] / "eight.json"
+    path.write_text(json.dumps(hypergraph_to_json(EIGHT)))
+    rc, payload, _ = invoke(capsys, "hg-reciprocity", "--hg", str(path))
+    assert rc == 0 and payload["summary"]["failures"] == 0
+
+
+def test_face_map_budget_refuses_pi_8_exit_2(inputs, capsys, monkeypatch):
+    # charged 3^8 subset pairs times 40 320 vertices before the tight table
+    def no_dp(*args):
+        raise AssertionError("the face map started before its budget was read")
+    monkeypatch.setattr(permutahedron, "_bits", no_dp)
+    path = inputs["dir"] / "pi_8.json"
+    path.write_text(json.dumps(setfn_to_json(standard_perm_setfn(8))))
+    rc, payload, err = invoke(capsys, "chi", "--setfn", str(path))
+    assert rc == 2 and payload is None
+    assert err == ("error: 264539520 face-map steps (3^8 subset pairs times 40320 "
+                   "vertices) exceed the budget of 10000000\n")
 
 
 def test_scan_budget_exit_2(inputs, capsys):
@@ -659,7 +695,7 @@ def test_loop_budget_exit_2(inputs, capsys, monkeypatch, argv):
     argv = [inputs.get(a, a) for a in argv]
     rc, payload, err = invoke(capsys, *argv)
     assert rc == 2 and payload is None
-    assert err.startswith("error:") and f"exceed the budget of {ehrhart.LOOP_BUDGET}" in err
+    assert err.startswith("error:") and f"exceed the budget of {errors.LOOP_BUDGET}" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpcount import ehrhart
+from gpcount import ehrhart, errors
 from gpcount.errors import (
     BudgetExceededError,
     IncompleteFanError,
@@ -33,10 +33,12 @@ from gpcount.ehrhart import (
     unit_cube,
 )
 from gpcount.generators import (
+    random_hypergraph,
     random_hypergraphic_setfn,
     random_rational_box,
     random_rational_simplex,
 )
+from gpcount.hypergraph import chromatic_count, compatible_pairs_count, hypergraphic_setfn
 from gpcount.permutahedron import GPerm
 from gpcount.polynomial import interpolate_quasipoly
 from gpcount.setfn import standard_perm_setfn
@@ -351,6 +353,9 @@ def test_ehrhart_quasipoly():
 def test_quasipoly_wrong_declaration():
     with pytest.raises(InterpolationMismatchError):
         ehrhart_quasipoly(SQUARE, 1, 1)        # degree too small
+    for degree in (3, 4):                      # degree too large
+        with pytest.raises(InterpolationMismatchError, match=f"declared degree {degree} "):
+            ehrhart_quasipoly(SQUARE, degree, 1)
     with pytest.raises(InterpolationMismatchError):
         ehrhart_quasipoly(SEGMENT_HALF, 1, 1)  # true period is 2
 
@@ -363,6 +368,10 @@ def test_em_reciprocity():
     assert fit == ehrhart_quasipoly(simplex, 2, 1)
     assert report.entries[-1].lhs == 1  # 3-dilate of the open simplex
     assert all_pass(em_reciprocity_check(single_point((0, 0)), 0, 1, 4)[1])
+    # no point at any t: the fit is 0 at any declared degree
+    empty = with_rows(SQUARE, [((1, 0), "<=", -1)])
+    fit, report = em_reciprocity_check(empty, 2, 1, 3)
+    assert all_pass(report) and fit.to_json() == {"period": 1, "constituents": [["0"]]}
 
 
 def test_em_reciprocity_scaled_simplex():
@@ -720,9 +729,9 @@ def test_scan_budget(monkeypatch):
     folded = with_rows(HUGE_SIMPLEX, [(a, "<=", 1) for a, _rel, _b in unit_cube(3).rows[1::2]])
     assert count_lattice(folded, 1) == 8
     # the budget bounds the prefixes (x1, x2) of the last coordinate: 16 at t = 3
-    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 16)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 16)
     assert count_lattice(standard_simplex(3), 3) == 20
-    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 15)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 15)
     with pytest.raises(BudgetExceededError, match="16 prefixes of the last coordinate"):
         count_lattice(standard_simplex(3), 3)
     # a box folds every row, so nothing is scanned and no budget applies
@@ -743,9 +752,9 @@ def test_pruned_scan_budget_bounds_box_points(monkeypatch):
     # coordinate fit: the 3-dilated cube has 64 box points and 16 runs, and
     # pi_3's fan 6 distinct rows and 6 cones of 2 rows, 64 + 16 * 18 = 352
     fan = normal_fan_of(perm_gp(3))
-    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 352)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 352)
     assert cumulative_pruned_count(unit_cube(3), fan, 3) == 120
-    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 351)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 351)
     with pytest.raises(BudgetExceededError, match=re.escape(
             "352 steps (64 box points and 16 runs of 18 fan row reads) at t=3")):
         cumulative_pruned_count(unit_cube(3), fan, 3)
@@ -777,27 +786,27 @@ def test_reciprocity_checks_refuse_before_counting(monkeypatch):
     # the open 2-simplex has 30 prefixes at t = 30, the closed one 5 at the
     # fit's last node t = 4
     simplex = standard_simplex(2)
-    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 29)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 29)
     with pytest.raises(BudgetExceededError, match="30 prefixes of the last coordinate at t=30"):
         em_reciprocity_check(simplex, 2, 1, 30)
     assert counted == []
     # the fit's last node (2 + 2) * 3 = 12: 13 prefixes of the closed simplex
-    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 12)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 12)
     with pytest.raises(BudgetExceededError, match="13 prefixes of the last coordinate at t=12"):
         em_reciprocity_check(simplex, 2, 3, 1)
     assert counted == []
     # the pruned check sweeps every point of the closed square at t = 20,
     # 441, and its 21 runs read the diagonal fan's 2 rows and 2 row lists
-    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 524)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 524)
     with pytest.raises(BudgetExceededError, match=re.escape(
             "525 steps (441 box points and 21 runs of 4 fan row reads) at t=20")):
         pruned_reciprocity_check(SQUARE, DIAGONAL_FAN, 2, 1, 20)
     assert counted == []
     # at the budget every count runs
-    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 30)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 30)
     assert all_pass(em_reciprocity_check(simplex, 2, 1, 30)[1])
     assert max(counted) == 30
-    monkeypatch.setattr(ehrhart, "SCAN_BUDGET", 525)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 525)
     assert all_pass(pruned_reciprocity_check(SQUARE, DIAGONAL_FAN, 2, 1, 20)[1])
 
 
@@ -856,6 +865,27 @@ def test_direction_count_bridge():
         cube = unit_cube(P.d).interior()
         for m in range(1, 4):
             assert P.chi_count(0, m) == inner_pruned_count(cube, fan, m + 1)
+    # the paper's link across three codes that share no algorithm (the run
+    # sweep against the root-row fan, the tight-mask face DP and the
+    # tie-table coloring DP): on a hypergraphic polytope, the open cube's
+    # inner pruned count is the vertex-direction count and the proper
+    # coloring count one color down, and the closed cube's cumulative count
+    # is the weighted face count and the compatible pair count two colors up
+    rng = random.Random(4)
+    draws = (random_hypergraph(rng, max_d=5) for _ in itertools.count())
+    hypergraphs = list(itertools.islice((h for h in draws if h.d >= 4), 20))
+    assert [h.d for h in hypergraphs].count(4) == 8
+    for h in hypergraphs:
+        P = GPerm(hypergraphic_setfn(h))
+        fan = normal_fan_of(P)
+        closed = unit_cube(h.d)
+        assert inner_pruned_count(closed.interior(), fan, 1) == 0
+        for t in range(1, 5):
+            if t > 1:
+                assert inner_pruned_count(closed.interior(), fan, t) == \
+                    P.chi_count(0, t - 1) == chromatic_count(h, t - 1)
+            assert cumulative_pruned_count(closed, fan, t) == \
+                P.reciprocity_rhs(0, t + 1) == compatible_pairs_count(h, t + 1)
 
 
 def test_polytope_json_round_trip():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpcount import hypergraph
+from gpcount import errors
 from gpcount.errors import BudgetExceededError, InputFormatError
 from gpcount.generators import random_hypergraph
 from gpcount.hypergraph import (
@@ -23,6 +23,7 @@ from gpcount.hypergraph import (
 )
 from gpcount.permutahedron import GPerm, vertices
 from oracles import (
+    all_pass,
     brute_acyclic_headings,
     brute_chromatic_count,
     brute_compatible_pairs,
@@ -30,6 +31,7 @@ from oracles import (
     hypergraph_to_json,
     is_compatible,
     is_proper,
+    tight_sets_by_subset_sums,
 )
 
 
@@ -39,6 +41,20 @@ def hg(d, *edges):
 
 # the 6-edge example used throughout: one triple, two pairs, three singletons
 RUNNING = hg(3, {1, 2, 3}, {1, 2}, {2, 3}, {1}, {2}, {3})
+
+
+def seeded_hypergraph(seed, d, fewest, most):
+    """fewest..most edges of 2 to 4 of the d nodes, drawn from Random(seed)."""
+    rng = random.Random(seed)
+    return Hypergraph(d, tuple(frozenset(rng.sample(range(1, d + 1), rng.randint(2, 4)))
+                               for _ in range(rng.randint(fewest, most))))
+
+
+# beyond d = 6, where pi_6 is the largest permutahedron the face map admits:
+# 96 and 150 vertices, charging 3^7 * 96 = 209 952 and 3^8 * 150 = 984 150
+# face-map steps
+SEVEN = seeded_hypergraph(2, 7, 6, 6)
+EIGHT = seeded_hypergraph(3, 8, 5, 8)
 
 
 def test_validation():
@@ -127,7 +143,7 @@ def test_running_example_headings():
 
 def test_heading_budget(monkeypatch):
     assert RUNNING.heading_space == 12
-    monkeypatch.setattr(hypergraph, "HEADING_BUDGET", 11)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 11)
     with pytest.raises(BudgetExceededError):
         acyclic_headings(RUNNING)
 
@@ -163,32 +179,32 @@ def test_chromatic_count_examples(monkeypatch):
     with pytest.raises(ValueError):
         chromatic_count(hg(2, {1, 2}), 0)
     # the budget bounds the DP's 3^d subset pairs, whatever m is
-    monkeypatch.setattr(hypergraph, "COLORING_BUDGET", 3 ** 2 - 1)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 3 ** 2 - 1)
     with pytest.raises(BudgetExceededError):
         chromatic_count(hg(2, {1, 2}), 10)
     with pytest.raises(BudgetExceededError):
         chromatic_polynomial(hg(2, {1, 2}))
-    monkeypatch.setattr(hypergraph, "COLORING_BUDGET", 3 ** 2)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 3 ** 2)
     assert chromatic_count(hg(2, {1, 2}), 10) == 90
 
 
 def test_coloring_budget_counts_distinct_edges(monkeypatch):
     # the DP tests every distinct edge of size >= 2 at each of its 3^d pairs
     two = hg(3, {1, 2}, {2, 3})
-    monkeypatch.setattr(hypergraph, "COLORING_BUDGET", 3 ** 3 * 2 - 1)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 3 ** 3 * 2 - 1)
     with pytest.raises(BudgetExceededError):
         chromatic_count(two, 2)
-    monkeypatch.setattr(hypergraph, "COLORING_BUDGET", 3 ** 3 * 2)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 3 ** 3 * 2)
     assert chromatic_count(two, 2) == brute_chromatic_count(two, 2)
     # duplicates and singletons are dropped before the budget is read
-    monkeypatch.setattr(hypergraph, "COLORING_BUDGET", 3 ** 3)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 3 ** 3)
     assert chromatic_count(hg(3, {1, 2}, {1, 2}, {3}), 2) == 4
     assert chromatic_count(hg(3), 2) == 8
 
 
 def test_coloring_budget_message_names_the_compared_size(monkeypatch):
     # an edgeless hypergraph is charged one tie test per subset pair
-    monkeypatch.setattr(hypergraph, "COLORING_BUDGET", 26)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 26)
     with pytest.raises(BudgetExceededError, match=r"^27 tie tests .* budget of 26$"):
         chromatic_count(Hypergraph(3, ()), 2)
 
@@ -326,21 +342,26 @@ def test_compatible_pairs_match_scan():
 
 
 def test_compatible_pairs_budgets(monkeypatch):
-    # the coloring budget bounds the DP's 3^d pairs times its distinct edges,
-    # whatever m is, and the heading budget the product of the edge sizes,
-    # the tie family of the one-block partition; fresh hypergraphs, as each
-    # caches its table
+    # the work budget bounds the DP's 3^d pairs times its distinct edges,
+    # whatever m is, and then the product of the edge sizes, the tie family
+    # of the one-block partition; fresh hypergraphs, as each caches its table
     assert compatible_pairs_count(hg(2), 10 ** 4) == 10 ** 8
-    monkeypatch.setattr(hypergraph, "COLORING_BUDGET", 3 ** 3 * 3 - 1)
-    with pytest.raises(BudgetExceededError):
+    # RUNNING: 81 tie tests, 12 headings
+    monkeypatch.setattr(errors, "WORK_BUDGET", 3 ** 3 * 3 - 1)
+    with pytest.raises(BudgetExceededError, match="^81 tie tests"):
         compatible_pairs_count(Hypergraph(3, RUNNING.edges), 1)
-    monkeypatch.setattr(hypergraph, "COLORING_BUDGET", 3 ** 3 * 3)
-    monkeypatch.setattr(hypergraph, "HEADING_BUDGET", RUNNING.heading_space - 1)
-    with pytest.raises(BudgetExceededError):
-        compatible_pairs_count(Hypergraph(3, RUNNING.edges), 1)
-    monkeypatch.setattr(hypergraph, "HEADING_BUDGET", RUNNING.heading_space)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 3 ** 3 * 3)
     assert compatible_pairs_count(Hypergraph(3, RUNNING.edges), 10) == \
         brute_compatible_pairs(RUNNING, 10)
+    # ten copies of {1, 2, 3}: 27 tie tests, 3^10 headings; only the
+    # headings that give every copy one head are acyclic, as for one copy
+    tens = (frozenset({1, 2, 3}),) * 10
+    monkeypatch.setattr(errors, "WORK_BUDGET", 3 ** 10 - 1)
+    with pytest.raises(BudgetExceededError, match="^59049 headings"):
+        compatible_pairs_count(Hypergraph(3, tens), 1)
+    monkeypatch.setattr(errors, "WORK_BUDGET", 3 ** 10)
+    assert compatible_pairs_count(Hypergraph(3, tens), 10) == \
+        brute_compatible_pairs(hg(3, {1, 2, 3}), 10)
 
 
 def test_reciprocity_identities():
@@ -355,6 +376,19 @@ def test_reciprocity_identities():
             assert sign * p(-m) == pairs
             assert pairs == P.reciprocity_rhs(0, m)
         assert sign * p(-1) == len(acyclic_headings(h))
+
+
+@pytest.mark.parametrize("h", [SEVEN, EIGHT], ids=["d7", "d8"])
+def test_seven_and_eight_nodes(h):
+    # the face map, the coloring DP and a scan of [m]^d agree past d = 6
+    P = GPerm(hypergraphic_setfn(h))
+    for m in (1, 2, 3):
+        assert P.chi_count(0, m) == chromatic_count(h, m) == brute_chromatic_count(h, m)
+        assert P.reciprocity_rhs(0, m) == compatible_pairs_count(h, m)
+    for k in range(h.d):
+        assert all_pass(P.verify_reciprocity(k, 3)[1])
+    if h is EIGHT:
+        assert P._face_map.tight == tight_sets_by_subset_sums(P)
 
 
 def test_graph_specialization():

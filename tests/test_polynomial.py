@@ -158,6 +158,15 @@ def test_interpolate_quasipoly():
 def test_interpolate_quasipoly_wrong_degree():
     with pytest.raises(InterpolationMismatchError):
         interpolate_quasipoly(lambda t: t * t, 1, 1)
+    # above the highest constituent degree, 2 (t^2 on odd t, t on even t)
+    for declared in (3, 4):
+        with pytest.raises(InterpolationMismatchError,
+                           match=f"degree 2; declared degree {declared} is wrong"):
+            interpolate_quasipoly(lambda t: t if t % 2 == 0 else t * t, declared, 2)
+    # all counts 0 (an empty polytope) fit any declared degree
+    for degree, period in ((0, 1), (3, 1), (2, 3)):
+        assert all(c.degree == -1 for c in interpolate_quasipoly(lambda t: 0, degree,
+                                                                  period).constituents)
 
 
 @pytest.mark.parametrize("deg, period", [(1, 1), (2, 1), (1, 3), (3, 2)])
