@@ -10,10 +10,11 @@ top level or of one command to stdout and exits 0; misuse prints a
 `usage: gpcount ...` line and one `error:` line to stderr and exits 2.
 
 Every command prints a single JSON report to stdout; diagnostics go to
-stderr.  A command returns its payload and its check `Report` (None when it
-has no checks); `run` appends the report's "checks" and "summary", then
-"timing", and reads the exit code off "summary".  Exit codes: 0 when all
-checks pass (or a command has no checks), 1 when at least one check fails,
+stderr.  A command returns its own fields and its check `Report` (None when
+it has no checks); `run` alone writes the report around them: "command",
+the fields, the report's "checks" and "summary", then "timing", and it
+reads the exit code off "summary".  Exit codes: 0 when all checks pass (or
+a command has no checks), 1 when at least one check fails,
 2 on input errors (malformed documents, violated preconditions, exceeded
 budgets) and 3 on an internal error; after 2 or 3 no partial report is
 emitted.  Reports are deterministic for fixed inputs up to the "timing"
@@ -164,8 +165,9 @@ class Flag(NamedTuple):
 
 
 class Command(NamedTuple):
-    """One command: its handler, one-line help and flags; `exactly_one`
-    names flags of which exactly one must be given."""
+    """One command: its handler, which returns the command's own report
+    fields and its check `Report` (None without checks), its one-line help
+    and flags; `exactly_one` names flags of which exactly one must be given."""
     handler: Callable[[SimpleNamespace], tuple[dict, Report | None]]
     help: str
     flags: tuple[Flag, ...]
@@ -176,47 +178,32 @@ def cmd_chi(args) -> tuple[dict, Report | None]:
     check_budget(2 * args.m_max, errors.LOOP_BUDGET, "checks")
     P = GPerm(_load_setfn(args.setfn))
     poly, report = P.verify_reciprocity(args.k, args.m_max)
-    payload = {
-        "command": "chi",
-        "d": P.d,
-        "k": args.k,
-        "polynomial": poly.to_json(),
-    }
-    return payload, report
+    return {"d": P.d, "k": args.k, "polynomial": poly.to_json()}, report
 
 
 def cmd_faces(args) -> tuple[dict, Report | None]:
-    P = GPerm(_load_setfn(args.setfn))
-    payload = {"command": "faces"}
-    payload.update(face_lattice_to_json(P))
-    return payload, None
+    return face_lattice_to_json(GPerm(_load_setfn(args.setfn))), None
 
 
 def cmd_hg_chromatic(args) -> tuple[dict, Report | None]:
     h, names = hypergraph_from_json(_load_json(args.hg))
-    payload = {
-        "command": "hg-chromatic",
-        "nodes": list(names),
-        "polynomial": chromatic_polynomial(h).to_json(),
-    }
+    fields = {"nodes": list(names), "polynomial": chromatic_polynomial(h).to_json()}
     if args.m is not None:
-        payload["m"] = args.m
-        payload["count"] = chromatic_count(h, args.m)
-    return payload, None
+        fields["m"] = args.m
+        fields["count"] = chromatic_count(h, args.m)
+    return fields, None
 
 
 def cmd_hg_headings(args) -> tuple[dict, Report | None]:
     h, names = hypergraph_from_json(_load_json(args.hg))
     acyclic = acyclic_headings(h)
     vectors = sorted(vertices_via_headings(h, acyclic))
-    payload = {
-        "command": "hg-headings",
+    return {
         "nodes": list(names),
         "acyclic_count": len(acyclic),
         "headings": [[names[head - 1] for head in heads] for heads in acyclic],
         "indegree_vectors": [list(v) for v in vectors],
-    }
-    return payload, None
+    }, None
 
 
 def _hg_reciprocity_report(h, P: GPerm, acyclic: list, m_max: int) -> tuple[Polynomial, Report]:
@@ -243,24 +230,14 @@ def cmd_hg_reciprocity(args) -> tuple[dict, Report | None]:
     h, names = hypergraph_from_json(_load_json(args.hg))
     P = GPerm(hypergraphic_setfn(h))
     poly, report = _hg_reciprocity_report(h, P, acyclic_headings(h), args.m_max)
-    payload = {
-        "command": "hg-reciprocity",
-        "nodes": list(names),
-        "polynomial": poly.to_json(),
-    }
-    return payload, report
+    return {"nodes": list(names), "polynomial": poly.to_json()}, report
 
 
 def cmd_ehrhart(args) -> tuple[dict, Report | None]:
     poly = hpolytope_from_json(_load_json(args.poly))
     degree = poly.d if args.degree is None else args.degree
     qp, report = em_reciprocity_check(poly, degree, args.period, args.t_max)
-    payload = {
-        "command": "ehrhart",
-        "degree": degree,
-        "quasipolynomial": qp.to_json(),
-    }
-    return payload, report
+    return {"degree": degree, "quasipolynomial": qp.to_json()}, report
 
 
 def cmd_pruned(args) -> tuple[dict, Report | None]:
@@ -271,12 +248,7 @@ def cmd_pruned(args) -> tuple[dict, Report | None]:
         fan = normal_fan_of(GPerm(_load_setfn(args.setfn)))
     degree = poly.d if args.degree is None else args.degree
     inner, report = pruned_reciprocity_check(poly, fan, degree, args.period, args.t_max)
-    payload = {
-        "command": "pruned",
-        "degree": degree,
-        "inner_quasipolynomial": inner.to_json(),
-    }
-    return payload, report
+    return {"degree": degree, "inner_quasipolynomial": inner.to_json()}, report
 
 
 # The most checks one trial of `verify_all` makes: 1 round trip, 16 direction
@@ -327,9 +299,7 @@ def verify_all(seed: int, trials: int) -> Report:
 
 
 def cmd_verify_all(args) -> tuple[dict, Report | None]:
-    report = verify_all(args.seed, args.trials)
-    payload = {"command": "verify-all", "seed": args.seed, "trials": args.trials}
-    return payload, report
+    return {"seed": args.seed, "trials": args.trials}, verify_all(args.seed, args.trials)
 
 
 _SETFN = Flag("--setfn", str, "set-function JSON file", required=True)
@@ -506,19 +476,20 @@ def run(argv: Sequence[str] | None = None) -> int:
         return _write(_help_text(args.command))
     start = time.perf_counter()
     try:
-        payload, report = COMMANDS[args.command].handler(args)
+        fields, report = COMMANDS[args.command].handler(args)
+        out = {"command": args.command, **fields}
         if report is not None:
-            payload.update(report.to_json())
+            out.update(report.to_json())
     except (GpcountError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    payload["timing"] = round(time.perf_counter() - start, 6)
-    if _write(dumps(payload)):
+    out["timing"] = round(time.perf_counter() - start, 6)
+    if _write(dumps(out)):
         return 2
-    return 1 if payload.get("summary", {}).get("failures") else 0
+    return 1 if out.get("summary", {}).get("failures") else 0
 
 
 def main() -> None:

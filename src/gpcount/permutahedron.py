@@ -7,8 +7,8 @@ before it.  The chains are walked once per set function, on the integers
 L * z, and their sorted distinct vertices are cached as integer tuples
 (`SetFn.scaled_vertices`).  `vertices(z)` divides them by L with one
 `Fraction` per distinct coordinate value; a vertex id is an index into
-either.  The face map, the dimension check and the `faces` report read the
-integer tuples.
+either.  The face map and the dimension check read the integer tuples, and
+the `faces` report writes the `Fraction`s.
 
 A linear direction y is maximized on the face of the points tight on every
 upper level set of y: x(S) = z(S) for each S in the flag of y.  So a face is
@@ -358,10 +358,8 @@ class GPerm:
 
 def face_lattice_to_json(P: GPerm) -> dict:
     faces = sorted((f.dim, f.vertex_ids) for f in P.face_lattice())
-    scale, points = P.z.scaled[0], P._scaled_vertices
-    text = {c: format_rat(Fraction(c, scale)) for c in {c for v in points for c in v}}
     return {
         "d": P.d,
-        "vertices": [[text[c] for c in v] for v in points],
+        "vertices": [list(map(format_rat, v)) for v in P.vertices],
         "faces": [{"dim": dim, "vertices": list(ids)} for dim, ids in faces],
     }

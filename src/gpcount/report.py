@@ -41,10 +41,10 @@ class Report:
         self.entries.append(entry)
         return entry
 
-    def merge(self, other: "Report", prefix: str = "") -> None:
+    def merge(self, other: "Report", prefix: str) -> None:
+        """Append the checks of ``other``, each label as "<prefix>: <label>"."""
         for e in other.entries:
-            label = f"{prefix}: {e.label}" if prefix else e.label
-            self.entries.append(CheckEntry(label, e.lhs, e.rhs))
+            self.entries.append(CheckEntry(f"{prefix}: {e.label}", e.lhs, e.rhs))
 
     @property
     def failures(self) -> int:

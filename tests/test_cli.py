@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import random
@@ -12,7 +13,7 @@ import pytest
 
 from gpcount import cli, ehrhart, errors, permutahedron
 from gpcount.cli import run
-from gpcount.ehrhart import unit_cube
+from gpcount.ehrhart import FullDimFan, HPolytope, box, unit_cube
 from gpcount.hypergraph import hypergraph_from_json
 from gpcount.rational import format_rat
 from gpcount.setfn import standard_perm_setfn
@@ -380,6 +381,43 @@ def test_commands_without_checks_print_no_summary(inputs, capsys, argv):
     assert list(payload)[-1] == "timing"
 
 
+def _command_key_writers(tree: ast.AST) -> list[str]:
+    """The innermost function (or "<module>") around each write of the dict
+    key "command": a dict display, a subscript store or a `dict(...)` call."""
+    found = []
+
+    def is_key(node) -> bool:
+        return isinstance(node, ast.Constant) and node.value == "command"
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.Dict):
+            found.extend(scope for key in node.keys if is_key(key))
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            found.extend([scope] if is_key(node.slice) else [])
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "dict":
+            found.extend(scope for k in node.keywords if k.arg == "command")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_run_writes_the_command_key():
+    # a handler returns only its own fields; `run` writes the envelope
+    forms = ("def f():\n    return {'command': 1, 'd': 2}\n"
+             "def g(p):\n    p['command'] = 1\n    p['d'] = 2\n"
+             "h = dict(command=1)\n"
+             "def k(p):\n    return p['command'], SimpleNamespace(command=1)\n")
+    assert _command_key_writers(ast.parse(forms)) == ["f", "g", "<module>"]
+    package = Path(cli.__file__).resolve().parent
+    writers = [(path.name, scope) for path in sorted(package.glob("*.py"))
+               for scope in _command_key_writers(ast.parse(path.read_text(), str(path)))]
+    assert writers == [("cli.py", "run")]
+
+
 def test_pruned_with_fan(inputs, capsys):
     rc, payload, _ = invoke(
         capsys, "pruned", "--poly", inputs["square"], "--fan", inputs["fan"])
@@ -440,6 +478,48 @@ def test_pruned_overlapping_cones_exit_2(inputs, capsys):
                               "--fan", str(path), "--degree", "2")
     assert rc == 2 and payload is None
     assert err.startswith("error:") and "strictly inside" in err
+
+
+@pytest.mark.xfail(strict=True, reason="the cumulative count charges a cone that meets P "
+                                       "only on its boundary (ROADMAP item 19)")
+@pytest.mark.parametrize("bounds, source", [
+    # the quadrants other than the nonnegative one meet the unit square only
+    # on its boundary
+    ([(0, 1), (0, 1)], ["--fan", "quadrants.json"]),
+    # the cone y2 >= y1 of pi_2's normal fan meets [1, 2] x [0, 1] only at
+    # its corner (t, t), on the wall y1 = y2
+    ([(1, 2), (0, 1)], ["--setfn", "std2.json"]),
+], ids=["square-quadrants", "rectangle-pi_2"])
+def test_pruned_cone_meeting_p_only_on_its_boundary_exit_0(inputs, capsys, monkeypatch,
+                                                           bounds, source):
+    # the closed regions of P° cut by the walls number (t + 1)^2
+    monkeypatch.chdir(inputs["dir"])
+    quadrants = FullDimFan(tuple(HPolytope(2, (((sx, 0), "<=", 0), ((0, sy), "<=", 0)), None)
+                                 for sx in (1, -1) for sy in (1, -1)))
+    Path("quadrants.json").write_text(json.dumps(fan_to_json(quadrants)))
+    Path("poly.json").write_text(json.dumps(hpolytope_to_json(box(bounds))))
+    rc, payload, _ = invoke(capsys, "pruned", "--poly", "poly.json", *source, "--t-max", "3")
+    assert rc == 0 and [c["rhs"] for c in payload["checks"]] == ["4", "9", "16"], payload
+
+
+@pytest.mark.xfail(strict=True, reason="a fan is checked only at the points a count scans "
+                                       "(ROADMAP item 14)")
+@pytest.mark.parametrize("cones", [
+    # interiors overlap: the third half-plane meets the first two inside
+    [((1, -1),), ((-1, 1),), ((1, 1),)],
+    # not complete: the nonnegative orthant alone
+    [((-1, 0), (0, -1))],
+], ids=["overlapping", "orthant"])
+def test_pruned_non_fan_exit_2(inputs, capsys, cones):
+    fan = FullDimFan(tuple(HPolytope(2, tuple((a, "<=", 0) for a in rows), None)
+                           for rows in cones))
+    fan_path = inputs["dir"] / "non_fan.json"
+    fan_path.write_text(json.dumps(fan_to_json(fan)))
+    poly = inputs["dir"] / "box12.json"
+    poly.write_text(json.dumps(hpolytope_to_json(box([(1, 2), (1, 2)]))))
+    rc, payload, _ = invoke(capsys, "pruned", "--poly", str(poly), "--fan", str(fan_path),
+                            "--degree", "2", "--t-max", "3")
+    assert rc == 2 and payload is None
 
 
 def test_pruned_fan_sweep_budget_exit_2(inputs, capsys, monkeypatch):
