@@ -56,7 +56,6 @@ vertex, read off the greedy chains.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor, gcd, prod
@@ -68,6 +67,7 @@ from .permutahedron import GPerm
 from .polynomial import QuasiPolynomial, interpolate_quasipoly
 from .rational import exact, rat_from_json, to_integers
 from .report import Report
+from .value import Frozen
 
 RELATIONS = ("<=", "<", "=")
 SCAN_DEPTH = 500  # the scan recurses once per coordinate; Python allows 1000
@@ -75,21 +75,25 @@ SCAN_DEPTH = 500  # the scan recurses once per coordinate; Python allows 1000
 Row = tuple[tuple[int, ...], str, int]
 
 
-@dataclass(frozen=True)
-class HPolytope:
+class HPolytope(Frozen):
     """Rows `a . x rel b` with rational entries, each stored as its primitive
     integer row: `(*a, b)` scaled by the lcm of its denominators and divided
     by the gcd of its entries, with its relation, in its place."""
+
+    _fields = ("d", "rows", "bbox")
     d: int
     rows: tuple[Row, ...]
-    bbox: tuple[tuple[int, int], ...] | None = None
+    bbox: tuple[tuple[int, int], ...] | None
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, d: int, rows: Sequence[Row],
+                 bbox: Sequence[tuple[int, int]] | None = None):
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise ValueError(f"d must be an integer, got {d!r}")
+        if d < 1:
             raise ValueError("d must be positive")
-        rows = tuple((tuple(a), rel, b) for a, rel, b in self.rows)
+        rows = tuple((tuple(a), rel, b) for a, rel, b in rows)
         for a, rel, _b in rows:
-            if len(a) != self.d:
+            if len(a) != d:
                 raise ValueError("row length mismatch")
             if rel not in RELATIONS:
                 raise ValueError(f"unknown relation {rel!r}")
@@ -101,19 +105,21 @@ class HPolytope:
                 g = gcd(*a, b) or 1
                 primitive.append((tuple(c // g for c in a), rel, b // g))
             rows = tuple(primitive)
-        object.__setattr__(self, "rows", rows)
-        if self.bbox is not None:
+        if bbox is not None:
             try:
-                box_ = tuple((int(lo), int(hi)) for lo, hi in self.bbox)
+                box_ = tuple((int(lo), int(hi)) for lo, hi in bbox)
             except OverflowError:  # an infinite float
                 raise ValueError("bbox bounds must be integers") from None
-            if len(box_) != self.d:
+            if len(box_) != d:
                 raise ValueError("bbox length mismatch")
-            if any(int(v) != v for pair in self.bbox for v in pair):
+            if any(int(v) != v for pair in bbox for v in pair):
                 raise ValueError("bbox bounds must be integers")
             if any(lo > hi for lo, hi in box_):
                 raise ValueError("bbox bounds out of order")
-            object.__setattr__(self, "bbox", box_)
+            bbox = box_
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "bbox", bbox)
 
     @cached_property
     def frame(self) -> tuple[tuple, tuple, tuple, int]:
@@ -413,14 +419,14 @@ def em_reciprocity_check(poly: HPolytope, degree: int, period: int,
     return qp, report
 
 
-@dataclass(frozen=True)
-class FullDimFan:
+class FullDimFan(Frozen):
     """Closed full-dimensional cones, rows `a . y <= 0`, intended to cover space."""
 
+    _fields = ("cones",)
     cones: tuple[HPolytope, ...]
 
-    def __post_init__(self):
-        cones = tuple(self.cones)
+    def __init__(self, cones: Sequence[HPolytope]):
+        cones = tuple(cones)
         if not cones:
             raise ValueError("a fan needs at least one cone")
         d = cones[0].d

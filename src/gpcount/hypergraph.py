@@ -39,34 +39,37 @@ each DP runs once per Hypergraph, which caches its result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from math import prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import errors
 from .errors import InputFormatError, check_budget
 from .polynomial import Polynomial, binomial_polynomial, binomial_sum
 from .setfn import SetFn, check_ground_set
+from .value import Frozen
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(Frozen):
     """Nodes are 1..d; edges form a multiset (duplicates and singletons allowed)."""
 
+    _fields = ("d", "edges")
     d: int
     edges: tuple[frozenset[int], ...]
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, d: int, edges: Sequence[Iterable[int]]):
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise ValueError(f"d must be an integer, got {d!r}")
+        if d < 1:
             raise ValueError("d must be positive")
-        edges = tuple(frozenset(e) for e in self.edges)
+        edges = tuple(frozenset(e) for e in edges)
         for e in edges:
             if not e:
                 raise ValueError("edges must be nonempty")
-            if not all(isinstance(i, int) and 1 <= i <= self.d for i in e):
+            if not all(isinstance(i, int) and 1 <= i <= d for i in e):
                 raise ValueError("edge node outside 1..d")
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "edges", edges)
 
     @property

@@ -14,7 +14,6 @@ integer numerators of its coefficients over their common denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, prod
@@ -22,17 +21,18 @@ from typing import Callable, Sequence
 
 from .errors import InterpolationMismatchError
 from .rational import exact, format_rat, to_integers
+from .value import Frozen
 
 
-@dataclass(frozen=True)
-class Polynomial:
+class Polynomial(Frozen):
     """Coefficients constant-first; trailing zeros are trimmed on construction.
     A non-integral float coefficient raises ValueError (`rational.exact`)."""
 
+    _fields = ("coefficients",)
     coefficients: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        coeffs = [exact(c) for c in self.coefficients]
+    def __init__(self, coefficients: Sequence[Fraction]):
+        coeffs = [exact(c) for c in coefficients]
         n = len(coeffs)
         while n and not coeffs[n - 1]:
             n -= 1
@@ -101,23 +101,24 @@ def binomial_polynomial(counts: Sequence[int]) -> Polynomial:
     return interpolate([binomial_sum(counts, m) for m in range(1, n + 1)], 1, 1)
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
+class QuasiPolynomial(Frozen):
     """One polynomial constituent per residue class of the argument.
 
     Evaluation picks the constituent by the nonnegative residue of t modulo
     the period, for negative t as well.
     """
 
+    _fields = ("period", "constituents")
     period: int
     constituents: tuple[Polynomial, ...]
 
-    def __post_init__(self):
-        if self.period < 1:
+    def __init__(self, period: int, constituents: Sequence[Polynomial]):
+        if isinstance(period, bool) or not isinstance(period, int) or period < 1:
             raise ValueError("period must be a positive integer")
-        constituents = tuple(self.constituents)
-        if len(constituents) != self.period:
+        constituents = tuple(constituents)
+        if len(constituents) != period:
             raise ValueError("need exactly one constituent per residue class")
+        object.__setattr__(self, "period", period)
         object.__setattr__(self, "constituents", constituents)
 
     def __call__(self, t: int) -> Fraction:

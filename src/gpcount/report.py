@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .rational import format_rat
+from .value import Frozen, Value
 
 
 def _render(value) -> str:
@@ -13,11 +12,16 @@ def _render(value) -> str:
     return format_rat(value)
 
 
-@dataclass(frozen=True)
-class CheckEntry:
+class CheckEntry(Frozen):
+    _fields = ("label", "lhs", "rhs")
     label: str
     lhs: object
     rhs: object
+
+    def __init__(self, label: str, lhs: object, rhs: object):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def passed(self) -> bool:
@@ -32,9 +36,12 @@ class CheckEntry:
         }
 
 
-@dataclass
-class Report:
-    entries: list[CheckEntry] = field(default_factory=list)
+class Report(Value):
+    _fields = ("entries",)
+    entries: list[CheckEntry]
+
+    def __init__(self, entries: list[CheckEntry] | None = None):
+        self.entries = [] if entries is None else entries
 
     def check(self, label: str, lhs, rhs) -> CheckEntry:
         entry = CheckEntry(label, lhs, rhs)

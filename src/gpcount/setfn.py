@@ -13,29 +13,30 @@ subset sums.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import InputFormatError
 from .rational import exact, rat_from_json, to_integers
+from .value import Frozen
 
 MAX_GROUND_SET = 8
 
 
-@dataclass(frozen=True)
-class SetFn:
+class SetFn(Frozen):
+    _fields = ("d", "values")
     d: int
     values: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        check_ground_set(self.d)
-        values = tuple(map(exact, self.values))
-        if len(values) != 1 << self.d:
-            raise ValueError(f"need {1 << self.d} values, got {len(values)}")
+    def __init__(self, d: int, values: Sequence[Fraction]):
+        check_ground_set(d)
+        values = tuple(map(exact, values))
+        if len(values) != 1 << d:
+            raise ValueError(f"need {1 << d} values, got {len(values)}")
         if values[0] != 0:
             raise ValueError("the empty set must map to 0")
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "values", values)
 
     @cached_property
@@ -78,7 +79,10 @@ class SetFn:
 
 
 def check_ground_set(d: int) -> None:
-    """Reject a ground-set size outside 1..MAX_GROUND_SET."""
+    """Reject a ground-set size that is a bool or not an int, or lies outside
+    1..MAX_GROUND_SET."""
+    if isinstance(d, bool) or not isinstance(d, int):
+        raise ValueError(f"ground-set size must be an integer, got {d!r}")
     if not 1 <= d <= MAX_GROUND_SET:
         raise ValueError(f"ground-set size must be in 1..{MAX_GROUND_SET}, got {d}")
 

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "gpcount"
 
 
@@ -32,3 +34,18 @@ def test_cli_imports_no_argparse():
     done = subprocess.run([sys.executable, "-I", "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
+@pytest.mark.parametrize("modules", [
+    ("gpcount.cli",),
+    # what perfbench/setup_probe.py imports before it builds the objects
+    ("gpcount.ehrhart", "gpcount.hypergraph", "gpcount.permutahedron", "gpcount.setfn"),
+], ids=["cli", "setup_probe"])
+def test_imports_no_dataclasses_or_inspect(modules):
+    # the value classes are plain classes (`gpcount.value`): importing the
+    # package loads neither `dataclasses` nor the `inspect` it pulls in
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import {', '.join(modules)}; "
+            "print([name for name in ('dataclasses', 'inspect') if name in sys.modules])")
+    done = subprocess.run([sys.executable, "-I", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -1,0 +1,120 @@
+"""Value semantics of the package's classes: equality and hash by fields,
+frozen fields, the repr they print, and constructors that refuse a bool or a
+non-int size."""
+
+from fractions import Fraction
+
+import pytest
+
+from gpcount.ehrhart import FullDimFan, HPolytope
+from gpcount.hypergraph import Hypergraph
+from gpcount.polynomial import Polynomial, QuasiPolynomial
+from gpcount.report import CheckEntry, Report
+from gpcount.setfn import SetFn
+
+
+def _cone(sign):
+    return HPolytope(1, (((sign,), "<=", 0),))
+
+
+# per class: a builder, two argument tuples that differ in one field, and the
+# repr of the first
+CASES = {
+    "SetFn": (SetFn, (1, (0, Fraction(1, 2))), (1, (0, 1)),
+              "SetFn(d=1, values=(Fraction(0, 1), Fraction(1, 2)))"),
+    "Hypergraph": (Hypergraph, (2, ({1, 2},)), (2, ({1},)),
+                   "Hypergraph(d=2, edges=(frozenset({1, 2}),))"),
+    "Polynomial": (Polynomial, ((1, Fraction(1, 2)),), ((1, 2),),
+                   "Polynomial(coefficients=(Fraction(1, 1), Fraction(1, 2)))"),
+    "QuasiPolynomial": (QuasiPolynomial, (1, (Polynomial((1,)),)), (1, (Polynomial((2,)),)),
+                        "QuasiPolynomial(period=1, constituents="
+                        "(Polynomial(coefficients=(Fraction(1, 1),)),))"),
+    "HPolytope": (HPolytope, (1, (((2,), "<=", 4),), ((0, 2),)), (1, (((2,), "<=", 4),), ((0, 3),)),
+                  "HPolytope(d=1, rows=(((1,), '<=', 2),), bbox=((0, 2),))"),
+    "FullDimFan": (FullDimFan, ((_cone(1), _cone(-1)),), ((_cone(-1), _cone(1)),),
+                   "FullDimFan(cones=(HPolytope(d=1, rows=(((1,), '<=', 0),), bbox=None), "
+                   "HPolytope(d=1, rows=(((-1,), '<=', 0),), bbox=None)))"),
+    "CheckEntry": (CheckEntry, ("t=1", 2, Fraction(2)), ("t=1", 2, 3),
+                   "CheckEntry(label='t=1', lhs=2, rhs=Fraction(2, 1))"),
+}
+FROZEN = sorted(CASES)
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_equal_fields_give_equal_values_and_hashes(name):
+    cls, args, _other, _text = CASES[name]
+    a, b = cls(*args), cls(*args)
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_another_class_or_field_is_unequal(name):
+    cls, args, other, _text = CASES[name]
+    a = cls(*args)
+    assert a != cls(*other)
+    assert a != tuple(getattr(a, field) for field in cls._fields)
+    same_fields = type("Sub" + name, (cls,), {})(*args)
+    assert a != same_fields and same_fields != a
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_fields_cannot_be_assigned_or_deleted(name):
+    cls, args, _other, _text = CASES[name]
+    a = cls(*args)
+    for field in cls._fields:
+        before = getattr(a, field)
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+            setattr(a, field, None)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(a, field)
+        assert getattr(a, field) is before
+    with pytest.raises(AttributeError):
+        a.extra = 1
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_repr_names_every_field(name):
+    cls, args, _other, text = CASES[name]
+    assert repr(cls(*args)) == text
+
+
+def test_cached_properties_fill_past_the_guard():
+    z = SetFn(2, (0, 1, 1, 1))
+    assert "scaled" not in z.__dict__
+    assert z.scaled == (1, (0, 1, 1, 1))
+    assert z.__dict__["scaled"] is z.scaled
+    # the cache is not a field: equality and hash still read the fields only
+    assert z == SetFn(2, (0, 1, 1, 1)) and hash(z) == hash(SetFn(2, (0, 1, 1, 1)))
+
+
+def test_report_is_mutable_unhashable_and_owns_its_entries():
+    a, b = Report(), Report()
+    assert a.entries is not b.entries
+    a.check("x", 1, 1)
+    assert b.entries == [] and a != b
+    b.check("x", 1, 1)
+    assert a == b and a != Report([CheckEntry("x", 1, 2)])
+    assert a != a.entries
+    with pytest.raises(TypeError):
+        hash(a)
+    a.entries = []
+    assert a == Report()
+    assert repr(b) == "Report(entries=[CheckEntry(label='x', lhs=1, rhs=1)])"
+    assert repr(Report()) == "Report(entries=[])"
+
+
+@pytest.mark.parametrize("size", [True, False, 1.0, Fraction(1), "1", None])
+@pytest.mark.parametrize("build", [
+    lambda n: SetFn(n, (0, 1)),
+    lambda n: Hypergraph(n, ({1},)),
+    lambda n: HPolytope(n, (((1,), "<=", 1),)),
+    lambda n: QuasiPolynomial(n, (Polynomial((1,)),)),
+], ids=["SetFn", "Hypergraph", "HPolytope", "QuasiPolynomial"])
+def test_constructors_refuse_a_bool_or_non_int_size(build, size):
+    # a range test alone takes True for 1 and 1.0 for 1
+    with pytest.raises(ValueError):
+        build(size)
+    assert build(1) == build(1)
