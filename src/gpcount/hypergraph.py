@@ -67,8 +67,11 @@ class Hypergraph(Frozen):
         for e in edges:
             if not e:
                 raise ValueError("edges must be nonempty")
-            if not all(isinstance(i, int) and 1 <= i <= d for i in e):
-                raise ValueError("edge node outside 1..d")
+            for i in e:
+                if isinstance(i, bool) or not isinstance(i, int):
+                    raise ValueError(f"edge node must be an integer, got {i!r}")
+                if not 1 <= i <= d:
+                    raise ValueError("edge node outside 1..d")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "edges", edges)
 

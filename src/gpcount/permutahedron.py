@@ -23,14 +23,20 @@ whose scaled coordinate L * v_i is L * (z(S) - z(S - i)), read from the
 vertex ids grouped by coordinate value.  No linear optimization is needed.
 
 The whole composition-to-face map is a DP over chains of subsets.  Prefix
-sets A are taken in increasing numeric order, each with counts of
-(face mask, #blocks) states, and extending A by a nonempty block B outside it
-ANDs in ``tight[A | B]``.  At the full set each face mask holds its
-compositions counted by number of blocks.  Exactly binom(m, j) directions in
-[m]^d have a given composition with j blocks, so direction counts are sums
-over these histograms, never scans of [m]^d.  With a[k][j] the number of
-compositions with j blocks whose face has dimension k,
-chi_count(k, m) = sum_j a[k][j] * binom(m, j).
+sets A are taken in increasing numeric order, from the empty set on, each
+with counts of (face mask, #blocks) states, and extending A by a nonempty
+block B outside it ANDs in ``tight[A | B]``.  Every vertex is tight on the
+empty set and on [d], so ``tight`` of either holds every id, and a
+composition's face is fixed once only its last block is left.  So a
+composition is closed into the histogram of its face, its count by number
+of blocks, when B is the rest of [d], or when A | B leaves one element,
+which is then the last block.  States are kept only for the prefixes with
+two elements or more left: none at [d], and for d <= 2 none but the empty
+one.  Each face mask ends up holding its compositions counted by number of
+blocks.  Exactly binom(m, j) directions in [m]^d have a given composition
+with j blocks, so direction counts are sums over these histograms, never
+scans of [m]^d.  With a[k][j] the number of compositions with j blocks
+whose face has dimension k, chi_count(k, m) = sum_j a[k][j] * binom(m, j).
 
 A face's dimension is d minus the most blocks among the compositions that
 map to it, with no rank computation per face.  The normal fan of P coarsens
@@ -62,14 +68,9 @@ that all its compositions have more than m blocks, where binom(m, j) = 0.
 So r[k] grows by the faces grouped by fewest blocks, one group at a time,
 and each face's k-faces are counted at most once per k.
 
-`face_of_direction` is the direction-side query of the face map, the AND
-of ``tight`` over the level-set prefixes of one direction.  Nothing in the
-package calls it; it stays as API because the tests probe the face map
-one composition at a time through it, against an argmax oracle and a
-chain-cut oracle.
-
-The DP visits the 3^d pairs (prefix A, block B) and ANDs masks as wide as
-the vertex count V, so the face map charges 3^d * V to
+The DP visits fewer than the 3^d pairs (prefix A, block B), since it
+keeps no states at [d] or where one element is left, and ANDs masks as
+wide as the vertex count V.  The face map still charges 3^d * V to
 `errors.WORK_BUDGET` through `errors.check_budget` before it builds
 ``tight``.  pi_6 charges 524 880 and is built, pi_7 charges 11 022 480
 and is refused, and an 8-node hypergraphic polytope with 150 vertices
@@ -80,7 +81,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import errors
 from .errors import NotSubmodularError, check_budget
@@ -97,19 +98,6 @@ def vertices(z: SetFn) -> tuple[RatVec, ...]:
     scale, points = z.scaled[0], z.scaled_vertices
     value = {c: Fraction(c, scale) for c in {c for v in points for c in v}}
     return tuple(tuple(map(value.__getitem__, v)) for v in points)
-
-
-def _level_prefixes(y: Sequence) -> list[int]:
-    """Masks of the upper level sets of y, from the largest value down."""
-    levels: dict = {}
-    for i, v in enumerate(y):
-        levels[v] = levels.get(v, 0) | 1 << i
-    prefixes = []
-    mask = 0
-    for v in sorted(levels, reverse=True):
-        mask |= levels[v]
-        prefixes.append(mask)
-    return prefixes
 
 
 def _bits(mask: int) -> tuple[int, ...]:
@@ -192,25 +180,41 @@ class GPerm:
             for i in _bits(s):
                 prev = s ^ 1 << i
                 tight[s] |= tight[prev] & by_value[i].get(values[s] - values[prev], 0)
-        # prefix set -> {(face mask so far, #blocks): compositions of the prefix}
-        states: list[dict[tuple[int, int], int]] = [{} for _ in range(full + 1)]
-        states[0][(tight[full], 0)] = 1
+        # prefix set -> {(face mask so far, #blocks): compositions of the prefix},
+        # for the prefixes with two elements or more left; a composition is
+        # closed into blocks once only its last block is left, as ANDing
+        # tight[full], which holds every id, keeps its face
+        states: list[dict[tuple[int, int], int]] = [{} for _ in range(full)]
+        states[0][(tight[0], 0)] = 1
+        blocks: dict[int, list[int]] = {}
         for a in range(full):
+            prefix = states[a]
+            if not prefix:
+                continue
             rest = full ^ a
-            b = rest
+            for (f, j), count in prefix.items():  # the rest as the last block
+                hist = blocks.get(f)
+                if hist is None:
+                    hist = blocks[f] = [0] * (d + 1)
+                hist[j + 1] += count
+            b = (rest - 1) & rest
             while b:
-                nxt, t = states[a | b], tight[a | b]
-                for (f, j), n in states[a].items():
-                    key = (f & t, j + 1)
-                    nxt[key] = nxt.get(key, 0) + n
+                left = rest ^ b
+                t = tight[a | b]
+                if left & (left - 1):
+                    nxt = states[a | b]
+                    for (f, j), count in prefix.items():
+                        key = (f & t, j + 1)
+                        nxt[key] = nxt.get(key, 0) + count
+                else:  # one element left: close with it as the last block
+                    for (f, j), count in prefix.items():
+                        g = f & t
+                        hist = blocks.get(g)
+                        if hist is None:
+                            hist = blocks[g] = [0] * (d + 1)
+                        hist[j + 2] += count
                 b = (b - 1) & rest
             states[a] = {}
-        blocks: dict[int, list[int]] = {}
-        for (f, j), n in states[full].items():
-            hist = blocks.get(f)
-            if hist is None:
-                hist = blocks[f] = [0] * (d + 1)
-            hist[j] = n
         dims: dict[int, int] = {}
         by_dim: list[list[int]] = [[] for _ in range(d)]
         for f, hist in blocks.items():
@@ -257,16 +261,6 @@ class GPerm:
                 j += 1
             groups[j].append(f)
         return groups
-
-    def face_of_direction(self, y: Sequence) -> Face:
-        """The face maximizing the direction y."""
-        if len(y) != self.d:
-            raise ValueError("direction length mismatch")
-        fm = self._face_map
-        f = -1
-        for s in _level_prefixes(y):
-            f &= fm.tight[s]
-        return Face(f, fm.dims[f])
 
     def face_lattice(self) -> tuple[Face, ...]:
         """Every nonempty face exactly once, the polytope itself included."""
@@ -357,7 +351,7 @@ class GPerm:
 
 
 def face_lattice_to_json(P: GPerm) -> dict:
-    faces = sorted((f.dim, f.vertex_ids) for f in P.face_lattice())
+    faces = sorted((dim, _bits(mask)) for mask, dim in P.face_lattice())
     return {
         "d": P.d,
         "vertices": [list(map(format_rat, v)) for v in P.vertices],

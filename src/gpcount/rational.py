@@ -77,7 +77,12 @@ def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
     or d - 1 when all points share one coordinate sum, since their
     differences then lie in the hyperplane x_1 + ... + x_d = 0 (as the
     vertices of a generalized permutahedron do, x([d]) = z([d])).
-    Coordinates may be ints or Fractions.
+    The points after the first are visited in the order k * step mod n for
+    k = 1..n-1, with step near 8/13 of the point count n and coprime to it,
+    so each is visited once: on sorted vertices neighbors differ only in
+    their last coordinates, and a spread order reaches the bound after few
+    rows.  The rank does not depend on the order.  Coordinates may be ints
+    or Fractions.
     """
     if not points:
         raise ValueError("affine_rank needs at least one point")
@@ -90,10 +95,14 @@ def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
         flat = to_integers(c for p in points for c in p)[1]
         rows = [flat[i:i + d] for i in range(0, len(flat), d)]
     bound = d - 1 if len(set(map(sum, rows))) == 1 else d
+    n = len(rows)
+    step = n * 8 // 13 or 1
+    while gcd(step, n) != 1:
+        step += 1
     base = rows[0]
     basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
-    for p in rows[1:]:
-        v = [c - b for c, b in zip(p, base)]
+    for k in range(1, n):
+        v = [c - b for c, b in zip(rows[k * step % n], base)]
         for col, row in basis:
             if v[col]:
                 g = gcd(v[col], row[col])

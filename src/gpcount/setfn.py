@@ -65,16 +65,24 @@ class SetFn(Frozen):
     @cached_property
     def is_submodular(self) -> bool:
         """Local diminishing-returns criterion over all (A, i, j) with i, j not in
-        A, compared on the integers L * z."""
-        v = self.scaled[1]
-        for mask in range(1 << self.d):
-            free = [i for i in range(self.d) if not mask >> i & 1]
-            for pos, i in enumerate(free):
-                bi = 1 << i
-                for j in free[pos + 1:]:
-                    bj = 1 << j
-                    if v[mask | bi] + v[mask | bj] < v[mask | bi | bj] + v[mask]:
+        A, compared on the integers L * z: the pairs i < j in the outer loop,
+        and in the inner loop the masks A avoiding both, from the largest
+        down."""
+        v, d = self.scaled[1], self.d
+        full = (1 << d) - 1
+        for i in range(d):
+            bi = 1 << i
+            for j in range(i + 1, d):
+                bj = 1 << j
+                bij = bi | bj
+                rest = full ^ bij
+                a = rest
+                while True:
+                    if v[a | bi] + v[a | bj] < v[a | bij] + v[a]:
                         return False
+                    if not a:
+                        break
+                    a = (a - 1) & rest
         return True
 
 

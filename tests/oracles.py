@@ -16,6 +16,7 @@ from operator import mul
 from gpcount.ehrhart import FullDimFan, HPolytope
 from gpcount.errors import NotSubmodularError
 from gpcount.hypergraph import check_heading
+from gpcount.permutahedron import Face
 from gpcount.polynomial import Polynomial
 from gpcount.rational import format_rat
 from gpcount.setfn import SetFn
@@ -258,6 +259,24 @@ def argmax_face(P, blocks) -> tuple[tuple[int, ...], int]:
     whose level sets are these blocks."""
     ids = argmax_ids(integer_vertices(P), representative_direction(blocks))
     return ids, face_rank(P, ids)
+
+
+def face_of_direction(P, y) -> Face:
+    """The face of P maximizing the direction y, read off P's face map one
+    direction at a time: the AND of ``tight`` over the upper level sets of
+    y, from the largest value down."""
+    if len(y) != P.d:
+        raise ValueError("direction length mismatch")
+    levels: dict = {}
+    for i, v in enumerate(y):
+        levels[v] = levels.get(v, 0) | 1 << i
+    fm = P._face_map
+    f = -1
+    prefix = 0
+    for v in sorted(levels, reverse=True):
+        prefix |= levels[v]
+        f &= fm.tight[prefix]
+    return Face(f, fm.dims[f])
 
 
 def face_rank(P, ids) -> int:

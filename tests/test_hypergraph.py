@@ -64,6 +64,10 @@ def test_validation():
         hg(3, {1, 5})
     with pytest.raises(ValueError):
         Hypergraph(0, ())
+    # a bool is an int to isinstance, and True == 1 would pass the range test
+    for edge in ({True, 2}, {False}, {1.0, 2}, {"1"}):
+        with pytest.raises(ValueError, match="edge node must be an integer"):
+            Hypergraph(2, (edge,))
     assert hg(2).edges == ()  # edgeless is fine
 
 

@@ -22,6 +22,7 @@ from oracles import (
     comp_coarsens,
     compositions,
     direction_face_visits,
+    face_of_direction,
     face_rank,
     greedy_vertex,
     representative_direction,
@@ -45,11 +46,11 @@ def test_composition_of_direction():
     cases = [((5, 5, 2), ((1, 2), (3,))), ((1, 2, 3), ((3,), (2,), (1,))),
              ((2, 2, 2), ((1, 2, 3),)), (rational, ((1, 3), (2,)))]
     for y, blocks in cases:
-        face = P.face_of_direction(y)
-        assert face == P.face_of_direction(representative_direction(blocks))
+        face = face_of_direction(P, y)
+        assert face == face_of_direction(P, representative_direction(blocks))
         assert (face.vertex_ids, face.dim) == argmax_face(P, blocks)
-    assert P.face_of_direction((5, 5, 2)).dim == 1
-    assert P.face_of_direction(rational).dim == 1
+    assert face_of_direction(P, (5, 5, 2)).dim == 1
+    assert face_of_direction(P, rational).dim == 1
 
 
 def test_composition_counts():
@@ -133,17 +134,17 @@ def test_gperm_dimension():
 
 def test_face_of_direction():
     P = perm_gp(3)
-    whole = P.face_of_direction((1, 1, 1))
+    whole = face_of_direction(P, (1, 1, 1))
     assert len(whole.vertex_ids) == 6
     assert whole.dim == 2
-    v = P.face_of_direction((3, 2, 1))
+    v = face_of_direction(P, (3, 2, 1))
     assert [P.vertices[i] for i in v.vertex_ids] == [(3, 2, 1)]
     assert v.dim == 0
-    e = P.face_of_direction((2, 2, 1))
+    e = face_of_direction(P, (2, 2, 1))
     assert sorted(P.vertices[i] for i in e.vertex_ids) == [(2, 3, 1), (3, 2, 1)]
     assert e.dim == 1
     with pytest.raises(ValueError):
-        P.face_of_direction((1, 1))
+        face_of_direction(P, (1, 1))
 
 
 def test_direction_and_composition_agree():
@@ -152,7 +153,7 @@ def test_direction_and_composition_agree():
     for blocks in compositions(3):
         y = representative_direction(blocks)
         moved = [Fraction(3 * c - 7, 2) for c in y]
-        assert P.face_of_direction(y) == P.face_of_direction(moved)
+        assert face_of_direction(P, y) == face_of_direction(P, moved)
 
 
 def test_face_lattice_counts():
@@ -172,7 +173,7 @@ def test_whole_polytope_face():
         faces = P.face_lattice()
         full = [f for f in faces if len(f.vertex_ids) == len(P.vertices)]
         assert len(full) == 1
-        assert P.face_of_direction((1,) * P.d) == full[0]
+        assert face_of_direction(P, (1,) * P.d) == full[0]
         # face identity is the vertex set, so ids are unique
         assert len({f.vertex_ids for f in faces}) == len(faces)
 
@@ -186,15 +187,15 @@ def test_face_monotonicity():
 
 def test_count_k_faces():
     P = perm_gp(3)
-    whole = P.face_of_direction((1, 1, 1))
+    whole = face_of_direction(P, (1, 1, 1))
     assert P.count_k_faces(whole, 0) == 6
     assert P.count_k_faces(whole, 1) == 6
     assert P.count_k_faces(whole, 2) == 1
-    edge = P.face_of_direction((2, 2, 1))
+    edge = face_of_direction(P, (2, 2, 1))
     assert P.count_k_faces(edge, 0) == 2
     assert P.count_k_faces(edge, 1) == 1
     assert P.count_k_faces(edge, 2) == 0  # k above the face's own dimension
-    vert = P.face_of_direction((3, 2, 1))
+    vert = face_of_direction(P, (3, 2, 1))
     assert P.count_k_faces(vert, 0) == 1
     with pytest.raises(ValueError):
         P.count_k_faces(edge, -1)
@@ -212,7 +213,7 @@ def test_count_k_faces():
 def test_count_k_faces_rejects_wrong_dim():
     # a Face with the mask of a real face but another dim is no face of P
     P = perm_gp(3)
-    edge = P.face_of_direction((2, 2, 1))
+    edge = face_of_direction(P, (2, 2, 1))
     for dim in (0, 2):
         with pytest.raises(ValueError, match="not a face"):
             P.count_k_faces(Face(edge.mask, dim), 0)
@@ -349,7 +350,7 @@ def test_k_face_counts_match_containment_at_d5_d6():
         pairs = [(k, m) for k in range(z.d) for m in range(1, 4)]
         expected = {}
         for m in range(1, 4):
-            visits = Counter(ref.face_of_direction(y)
+            visits = Counter(face_of_direction(ref, y)
                              for y in itertools.product(range(1, m + 1), repeat=z.d))
             for k in range(z.d):
                 expected[(k, m)] = sum(n * inside[f][k] for f, n in visits.items())
@@ -459,7 +460,7 @@ def test_faces_match_argmax_oracle():
         P = GPerm(z)
         seen = set()
         for comp in compositions(P.d):
-            face = P.face_of_direction(representative_direction(comp))
+            face = face_of_direction(P, representative_direction(comp))
             assert (face.vertex_ids, face.dim) == argmax_face(P, comp)
             seen.add(face)
         assert seen == set(P.face_lattice())
@@ -500,7 +501,7 @@ def test_face_map_matches_chain_cut_oracle():
             most[ids] = max(most[ids], len(blocks))
         dim = {ids: P.d - j for ids, j in most.items()}
         for comp in compositions(P.d):
-            face = P.face_of_direction(representative_direction(comp))
+            face = face_of_direction(P, representative_direction(comp))
             assert (face.vertex_ids, face.dim) == (ref[comp], dim[ref[comp]])
         assert {(f.vertex_ids, f.dim) for f in P.face_lattice()} == set(dim.items())
         by_blocks = Counter((ids, len(blocks)) for blocks, ids in ref.items())
@@ -516,6 +517,35 @@ def test_face_map_matches_chain_cut_oracle():
                 assert P.reciprocity_rhs(k, m) == sum(
                     n * comb(m, j) * inside[ids][k]
                     for (ids, j), n in by_blocks.items() if j <= m)
+
+
+def test_face_map_histograms_match_chain_cut_oracle():
+    # every face's compositions counted by number of blocks against the
+    # chain-cut map, (face, j) by (face, j): the DP closes a composition
+    # when its last block is the rest of [d] or a single element, and at
+    # d = 1 and 2 those closings are all it does
+    rng = random.Random(73)
+    cases = [standard_perm_setfn(d) for d in range(1, 7)]
+    for d in range(2, 7):
+        while True:
+            z = random_hypergraphic_setfn(rng, max_d=6)
+            if z.d == d:
+                cases.append(z)
+                break
+    while len(cases) < 16:
+        z = non_integer_setfn(rng, max_d=6)
+        if z.scaled[0] > 1:
+            cases.append(z)
+    assert {z.d for z in cases[6:]} >= {2, 3, 4, 5, 6}
+    for z in cases:
+        P = GPerm(z)
+        expected = Counter()
+        for blocks, ids in chain_cut_faces(P).items():
+            expected[(sum(1 << i for i in ids), len(blocks))] += 1
+        got = {(f, j): n for f, hist in P._face_map.blocks.items()
+               for j, n in enumerate(hist) if n}
+        assert got == expected
+        assert sum(got.values()) == len(compositions(z.d))
 
 
 def test_tight_sets_match_subset_sum_oracle():
@@ -573,7 +603,7 @@ def test_dimension_duality():
     for P in (perm_gp(3), GPerm(random_hypergraphic_setfn(rng, max_d=4))):
         finest = {}
         for comp in compositions(P.d):
-            face = P.face_of_direction(representative_direction(comp))
+            face = face_of_direction(P, representative_direction(comp))
             blocks = len(comp)
             if blocks > finest.get(face.vertex_ids, 0):
                 finest[face.vertex_ids] = blocks
@@ -588,7 +618,7 @@ def test_order_reversal():
     for P in (perm_gp(3), GPerm(random_hypergraphic_setfn(rng, max_d=4))):
         mapped = {}
         for comp in compositions(P.d):
-            face = P.face_of_direction(representative_direction(comp))
+            face = face_of_direction(P, representative_direction(comp))
             mapped.setdefault(face.vertex_ids, []).append(comp)
         for f, g in itertools.permutations(P.face_lattice(), 2):
             if not set(f.vertex_ids) <= set(g.vertex_ids):
@@ -611,7 +641,7 @@ def test_pairwise_edge_sum_is_translate_of_standard():
     # identical face structure: the translate has the same normal fan
     for comp in compositions(3):
         y = representative_direction(comp)
-        assert P.face_of_direction(y).vertex_ids == Q.face_of_direction(y).vertex_ids
+        assert face_of_direction(P, y).vertex_ids == face_of_direction(Q, y).vertex_ids
 
 
 def test_enumeration_caps():
@@ -621,7 +651,7 @@ def test_enumeration_caps():
     with pytest.raises(BudgetExceededError):
         big.chi_count(0, 1)  # direction counts use the capped face lattice
     with pytest.raises(BudgetExceededError):
-        big.face_of_direction((1,) * 7)
+        face_of_direction(big, (1,) * 7)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert perm_gp(2).chi_count(0, 9) == 72  # no cap on m

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gpcount.generators import random_hypergraphic_setfn
 from gpcount.permutahedron import vertices
 from gpcount.rational import affine_rank, format_rat, parse_rat, to_integers
 from gpcount.setfn import standard_perm_setfn
@@ -171,6 +172,42 @@ def test_affine_rank_pi_6():
     perms = list(itertools.permutations(range(1, 7)))
     assert affine_rank(perms) == 5
     assert affine_rank(vertices(standard_perm_setfn(6))) == 5
+
+
+def test_affine_rank_independent_of_point_order():
+    # the points after the first are visited in a strided order; on shuffled
+    # integer and Fraction point sets (n = 1, 2, 3 and more, with and
+    # without repeated points, every rank 0..d) and on sorted GP vertex
+    # lists, the rank equals the unshuffled rank and the oracle's
+    rng = random.Random(83)
+    cases = []
+    for d in range(1, 7):
+        for r in range(d + 1):
+            for n in (1, 2, 3, 4, 7, 13, 30):
+                base = [rng.randint(-9, 9) for _ in range(d)]
+                gens = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(r)]
+                points = [tuple(b + sum(rng.randint(-3, 3) * g[i] for g in gens)
+                                for i, b in enumerate(base)) for _ in range(n)]
+                if n % 2:
+                    points += rng.sample(points, min(n, 2))
+                scale = [Fraction(rng.randint(1, 5), rng.randint(1, 7)) for _ in range(d)]
+                cases.append(points)
+                cases.append([tuple(c * s for c, s in zip(p, scale)) for p in points])
+    rng_z = random.Random(89)
+    for z in [standard_perm_setfn(d) for d in range(1, 7)] + [
+            random_hypergraphic_setfn(rng_z, max_d=6) for _ in range(8)]:
+        cases += [list(vertices(z)), list(z.scaled_vertices)]
+    seen = set()
+    for points in cases:
+        expected = rank_oracle(points)
+        assert affine_rank(points) == expected
+        for _ in range(3):
+            shuffled = points[:]
+            rng.shuffle(shuffled)
+            assert affine_rank(shuffled) == expected == rank_oracle(shuffled)
+        seen.add((len(points), len(points[0]), expected))
+    assert {n for n, _, _ in seen} >= {1, 2, 3, 720}
+    assert {(d, r) for _, d, r in seen} == {(d, r) for d in range(1, 7) for r in range(d + 1)}
 
 
 @st.composite

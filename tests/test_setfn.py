@@ -83,6 +83,22 @@ def test_local_criterion_matches_definition():
     assert verdicts == {True, False}  # the sample exercises both branches
 
 
+def test_local_criterion_finds_each_raised_value():
+    # pi_d has slack 1 in every local inequality; raising z(S) by 2 breaks
+    # exactly those with A | i | j = S, one (A = {}) when S is a pair and
+    # the top masks A = [d] - i - j when S = [d], so the pairwise loop
+    # must reach every pair at every mask
+    for d in range(2, 6):
+        base = standard_perm_setfn(d).values
+        assert SetFn(d, base).is_submodular
+        for s in range(1 << d):
+            if s.bit_count() < 2:
+                continue
+            z = SetFn(d, tuple(v + 2 if mask == s else v for mask, v in enumerate(base)))
+            assert not z.is_submodular
+            assert not submodular_by_definition(z)
+
+
 def test_scaled():
     z = SetFn(2, (0, Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)))
     assert z.scaled == (12, (0, 6, 8, 9))
