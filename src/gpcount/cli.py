@@ -44,7 +44,7 @@ from .ehrhart import (
     pruned_reciprocity_check,
     unit_cube,
 )
-from .errors import GpcountError, InputFormatError, check_budget
+from .errors import GpcountError, InputFormatError, check_budget, require_integer
 from .generators import (
     random_hypergraph,
     random_hypergraphic_setfn,
@@ -259,8 +259,7 @@ CHECKS_PER_TRIAL = 34
 
 def verify_all(seed: int, trials: int) -> Report:
     """Run every reciprocity and round-trip identity on seeded random instances."""
-    if trials < 1:
-        raise ValueError("trials must be a positive integer")
+    require_integer("trials", trials, 1)
     check_budget(CHECKS_PER_TRIAL * trials, errors.LOOP_BUDGET, "checks")
     rng = random.Random(seed)
     report = Report()

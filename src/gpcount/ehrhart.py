@@ -62,7 +62,7 @@ from math import ceil, floor, gcd, prod
 from typing import Sequence
 
 from . import errors
-from .errors import IncompleteFanError, InputFormatError, check_budget
+from .errors import IncompleteFanError, InputFormatError, check_budget, require_integer
 from .permutahedron import GPerm
 from .polynomial import QuasiPolynomial, interpolate_quasipoly
 from .rational import exact, rat_from_json, to_integers
@@ -87,10 +87,7 @@ class HPolytope(Frozen):
 
     def __init__(self, d: int, rows: Sequence[Row],
                  bbox: Sequence[tuple[int, int]] | None = None):
-        if isinstance(d, bool) or not isinstance(d, int):
-            raise ValueError(f"d must be an integer, got {d!r}")
-        if d < 1:
-            raise ValueError("d must be positive")
+        require_integer("d", d, 1)
         rows = tuple((tuple(a), rel, b) for a, rel, b in rows)
         for a, rel, _b in rows:
             if len(a) != d:
@@ -112,7 +109,7 @@ class HPolytope(Frozen):
                 raise ValueError("bbox bounds must be integers") from None
             if len(box_) != d:
                 raise ValueError("bbox length mismatch")
-            if any(int(v) != v for pair in bbox for v in pair):
+            if any(isinstance(v, bool) or int(v) != v for pair in bbox for v in pair):
                 raise ValueError("bbox bounds must be integers")
             if any(lo > hi for lo, hi in box_):
                 raise ValueError("bbox bounds out of order")
@@ -169,11 +166,7 @@ def _unit_row(d: int, i: int, c: int) -> tuple[int, ...]:
 
 
 def unit_cube(d: int) -> HPolytope:
-    rows = []
-    for i in range(d):
-        rows.append((_unit_row(d, i, -1), "<=", 0))
-        rows.append((_unit_row(d, i, 1), "<=", 1))
-    return HPolytope(d, tuple(rows), tuple((0, 1) for _ in range(d)))
+    return box([(0, 1)] * d)
 
 
 def box(bounds: Sequence[tuple[Fraction, Fraction]]) -> HPolytope:
@@ -208,8 +201,7 @@ def _dilate_frame(poly: HPolytope, t: int):
     a zero row empties the dilate when its bound is negative, a row in a
     single coordinate folds into that coordinate's range by floor division,
     and the other rows are the scan's."""
-    if t < 1:
-        raise ValueError("dilation must be a positive integer")
+    require_integer("t", t, 1)
     if poly.bbox is None:
         raise ValueError("counting requires a bounding box")
     zero, axis, rest, _scanned = poly.frame
@@ -372,19 +364,19 @@ def count_lattice(poly: HPolytope, t: int) -> int:
 
 def _check_largest_dilates(fitted: HPolytope, degree: int, period: int, checked: HPolytope,
                            t_max: int, fan: FullDimFan | None = None) -> None:
-    """Apply the loop budget to the fit's nodes and the t_max checks, then
-    the work budget to the largest dilates a reciprocity check counts:
-    `fitted` at the fit's last node `(degree + 2) * period` and `checked` at
-    `t_max`, swept against `fan` when given, all before any count.  A
-    declaration the fit rejects before counting (degree < 0 or period < 1)
-    is left to the fit."""
-    last_node = (degree + 2) * period if degree >= 0 and period >= 1 else 0
+    """Refuse a degree below 0 and a period or t_max below 1, then apply the
+    loop budget to the fit's nodes and the t_max checks, and the work budget
+    to the largest dilates a reciprocity check counts: `fitted` at the fit's
+    last node `(degree + 2) * period` and `checked` at `t_max`, swept against
+    `fan` when given, all before any count."""
+    require_integer("degree", degree, 0)
+    require_integer("period", period, 1)
+    require_integer("t_max", t_max, 1)
+    last_node = (degree + 2) * period
     check_budget(last_node, errors.LOOP_BUDGET, "fit nodes")
     check_budget(t_max, errors.LOOP_BUDGET, "checks")
-    if last_node:
-        _scan_frame(fitted, last_node, fan)
-    if t_max >= 1:
-        _scan_frame(checked, t_max, fan)
+    _scan_frame(fitted, last_node, fan)
+    _scan_frame(checked, t_max, fan)
 
 
 def ehrhart_quasipoly(poly: HPolytope, degree: int, period: int) -> QuasiPolynomial:
@@ -545,8 +537,8 @@ def multiplicity(fan: FullDimFan, point: Sequence[int]) -> int:
     cover of the one-point run at it."""
     if len(point) != fan.d:
         raise ValueError("point length mismatch")
-    if not all(isinstance(x, int) for x in point):
-        raise ValueError(f"multiplicity needs an integer point, got {tuple(point)}")
+    for x in point:
+        require_integer("coordinate of the integer point", x)
     return _run_cover(fan, point, point[-1], point[-1])[0][0]
 
 
@@ -621,8 +613,6 @@ def hpolytope_from_json(doc: object, *, require_bbox: bool = True) -> HPolytope:
     if not isinstance(doc, dict) or "d" not in doc or "rows" not in doc:
         raise InputFormatError("polytope document needs 'd' and 'rows'")
     d, raw_rows = doc["d"], doc["rows"]
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise InputFormatError("'d' must be a positive integer")
     if not isinstance(raw_rows, list):
         raise InputFormatError("'rows' must be a list")
     rows = []

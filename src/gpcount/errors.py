@@ -1,6 +1,8 @@
-"""Exception types shared across the package, the work budgets, and
-`check_budget`, the one rule by which an enumeration refuses work before it
-starts.
+"""Exception types shared across the package, the work budgets, and the
+two refusal rules: `check_budget`, by which an enumeration refuses work
+before it starts, and `require_integer`, by which a function refuses an
+integer argument (a dilation t, a number of colors m, a face dimension k, a
+size or a step) that is not an int or lies outside its range.
 
 Every guard charges the size of the work it is about to do to one of two
 budgets, read from this module at call time, so that a monkeypatched value
@@ -9,6 +11,11 @@ of any one enumeration: scan prefixes, sweep steps, tie tests, headings and
 face-map steps.  `LOOP_BUDGET` bounds the checks one command makes and the
 nodes one fit counts, loops that flags drive.  The one other limit,
 `ehrhart.SCAN_DEPTH`, bounds recursion depth, not work.
+
+An integer argument is an int and never a bool: `True` passes a range test
+as 1 and `1.0` as 1, so a range test alone would count the wrong thing or
+fail later with a `TypeError`.  A refusal is a `ValueError` naming the
+argument and its range.
 """
 
 WORK_BUDGET = 10 ** 7  # steps of any one enumeration
@@ -45,3 +52,17 @@ def check_budget(size: int, budget: int, what: str) -> None:
     `budget`; every enumeration's guard raises here, in one form."""
     if size > budget:
         raise BudgetExceededError(f"{size} {what} exceed the budget of {budget}")
+
+
+def require_integer(name: str, value, low: int | None = None,
+                    high: int | None = None) -> int:
+    """Return `value` when it is an int, not a bool, in low..high, where a
+    None bound is open and a range open above starts at None, 0 or 1;
+    otherwise raise ValueError naming the argument `name` and its range."""
+    if type(value) is int and (low is None or low <= value) and (high is None or value <= high):
+        return value
+    if high is not None:
+        need = f"in {low}..{high}" if type(value) is int else f"an integer in {low}..{high}"
+    else:
+        need = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}[low]
+    raise ValueError(f"{name} must be {need}, got {value!r}")

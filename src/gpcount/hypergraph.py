@@ -45,9 +45,9 @@ from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import errors
-from .errors import InputFormatError, check_budget
+from .errors import InputFormatError, check_budget, require_integer
 from .polynomial import Polynomial, binomial_polynomial, binomial_sum
-from .setfn import SetFn, check_ground_set
+from .setfn import MAX_GROUND_SET, SetFn
 from .value import Frozen
 
 
@@ -59,19 +59,13 @@ class Hypergraph(Frozen):
     edges: tuple[frozenset[int], ...]
 
     def __init__(self, d: int, edges: Sequence[Iterable[int]]):
-        if isinstance(d, bool) or not isinstance(d, int):
-            raise ValueError(f"d must be an integer, got {d!r}")
-        if d < 1:
-            raise ValueError("d must be positive")
+        require_integer("d", d, 1)
         edges = tuple(frozenset(e) for e in edges)
         for e in edges:
             if not e:
                 raise ValueError("edges must be nonempty")
             for i in e:
-                if isinstance(i, bool) or not isinstance(i, int):
-                    raise ValueError(f"edge node must be an integer, got {i!r}")
-                if not 1 <= i <= d:
-                    raise ValueError("edge node outside 1..d")
+                require_integer("edge node", i, 1, d)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "edges", edges)
 
@@ -137,7 +131,7 @@ def check_heading(h: Hypergraph, heads: Sequence[int]) -> None:
 
 def hypergraphic_setfn(h: Hypergraph) -> SetFn:
     """z(T) = number of edges meeting T, counted with multiplicity."""
-    check_ground_set(h.d)
+    require_integer("ground-set size", h.d, 1, MAX_GROUND_SET)
     values = tuple(Fraction(sum(1 for em in h.masks if em & mask))
                    for mask in range(1 << h.d))
     return SetFn(h.d, values)

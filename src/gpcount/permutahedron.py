@@ -62,11 +62,13 @@ of f over that index.  `reciprocity_rhs(k, m)` is
 sum_j r[k][j] * binom(m, j), like `chi_count`, with r[k] the column sums
 of the faces' histograms weighted by their k-face counts.  A face of
 dimension below k holds no k-face and one of dimension k holds only
-itself, so only the faces of dimension above k are counted.  A face enters
-r[k] on the first m that selects it, at least its fewest blocks; before
-that all its compositions have more than m blocks, where binom(m, j) = 0.
-So r[k] grows by the faces grouped by fewest blocks, one group at a time,
-and each face's k-faces are counted at most once per k.
+itself, so r[k] starts as a copy of a[k] and only the faces of dimension
+above k have their k-faces counted.  Such a face enters r[k] on the first
+m that selects it, at least its fewest blocks; before that all its
+compositions have more than m blocks, where binom(m, j) = 0.  A k-face in
+a[k] that no m up to now selects adds 0 the same way.  So r[k] grows by
+the faces above k grouped by fewest blocks, one group at a time, and each
+face's k-faces are counted at most once per k.
 
 The DP visits fewer than the 3^d pairs (prefix A, block B), since it
 keeps no states at [d] or where one element is left, and ANDs masks as
@@ -84,7 +86,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from . import errors
-from .errors import NotSubmodularError, check_budget
+from .errors import NotSubmodularError, check_budget, require_integer
 from .polynomial import Polynomial, binomial_polynomial, binomial_sum
 from .rational import RatVec, affine_rank, format_rat
 from .report import Report
@@ -274,8 +276,7 @@ class GPerm:
         raised.  For k = 0 the count is the number of vertices of ``face``.
         Otherwise a k-face lies in ``face`` only if its lowest vertex does,
         so only the k-faces keyed by the set bits of ``face`` are tested."""
-        if k < 0:
-            raise ValueError("k must be nonnegative")
+        require_integer("k", k, 0)
         f, dim = face
         if self._face_map.dims.get(f) != dim:
             raise ValueError("not a face of this polytope")
@@ -295,40 +296,35 @@ class GPerm:
                     count += 1
         return count
 
-    def _check_k(self, k: int) -> None:
-        if not 0 <= k <= self.d - 1:
-            raise ValueError(f"k must be in 0..{self.d - 1}")
-
     def chi_count(self, k: int, m: int) -> int:
         """Number of directions in [m]^d whose maximal face is k-dimensional."""
-        self._check_k(k)
+        require_integer("k", k, 0, self.d - 1)
         return binomial_sum(self._chi_table[k], m)
 
     def chi_polynomial(self, k: int) -> Polynomial:
         """The direction count sum_j a[k][j] * binom(m, j) as a polynomial in
         m, of degree <= d-k."""
-        self._check_k(k)
+        require_integer("k", k, 0, self.d - 1)
         return binomial_polynomial(self._chi_table[k])
 
     def reciprocity_rhs(self, k: int, m: int) -> int:
         """Sum over all directions in [m]^d of the number of k-faces of the
-        face maximizing that direction, sum_j r[k][j] * binom(m, j); r[k]
-        takes in each group of faces by fewest blocks on the first m that
-        needs it.  A face of dimension below k adds nothing, one of dimension
-        k adds its histogram once, and only the larger faces have their
-        k-faces counted."""
-        self._check_k(k)
-        done, row = self._rhs_rows.get(k, (0, [0] * (self.d + 1)))
+        face maximizing that direction, sum_j r[k][j] * binom(m, j).  r[k]
+        starts as a[k], each k-face holding only itself, and takes in each
+        group of faces of dimension above k by fewest blocks on the first m
+        that needs it, weighted by their k-face counts."""
+        require_integer("k", k, 0, self.d - 1)
+        require_integer("m", m, 1)
+        done, row = self._rhs_rows.get(k) or (0, list(self._chi_table[k]))
         if m > done:
             _, dims, blocks, _ = self._face_map
             for group in self._faces_by_fewest_blocks[done + 1:m + 1]:
                 for f in group:
                     dim = dims[f]
-                    if dim < k:
-                        continue
-                    n = 1 if dim == k else self.count_k_faces(Face(f, dim), k)
-                    for j, c in enumerate(blocks[f]):
-                        row[j] += n * c
+                    if dim > k:
+                        n = self.count_k_faces(Face(f, dim), k)
+                        for j, c in enumerate(blocks[f]):
+                            row[j] += n * c
             self._rhs_rows[k] = m, row
         return binomial_sum(row, m)
 
@@ -336,9 +332,8 @@ class GPerm:
         """Check the interpolated count forwards against the direct count and
         backwards (sign-alternating evaluation at -m) against the weighted
         face count, for m = 1..m_max; returns the polynomial and the report."""
-        self._check_k(k)
-        if m_max < 1:
-            raise ValueError("m_max must be positive")
+        require_integer("k", k, 0, self.d - 1)
+        require_integer("m_max", m_max, 1)
         poly = self.chi_polynomial(k)
         sign = (-1) ** (self.d - k)
         report = Report()

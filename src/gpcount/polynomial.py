@@ -19,7 +19,7 @@ from functools import cached_property
 from math import comb, prod
 from typing import Callable, Sequence
 
-from .errors import InterpolationMismatchError
+from .errors import InterpolationMismatchError, require_integer
 from .rational import exact, format_rat, to_integers
 from .value import Frozen
 
@@ -68,8 +68,7 @@ def interpolate(values: Sequence[int], start: int, step: int) -> Polynomial:
     """The unique polynomial of degree < len(values) that takes values[i] at
     start + i * step, in Newton's forward-difference form (see the module
     docstring); step must be a positive integer."""
-    if step < 1:
-        raise ValueError("step must be a positive integer")
+    require_integer("step", step, 1)
     n = len(values)
     den = weight = prod(k * step for k in range(1, n))  # weight: D / (k! step^k)
     total, basis, diffs = [0] * n, [1], list(values)  # basis: prod_{i<k} (x - x_i)
@@ -85,8 +84,7 @@ def interpolate(values: Sequence[int], start: int, step: int) -> Polynomial:
 
 def binomial_sum(counts: Sequence[int], m: int) -> int:
     """sum_j c[j] * binom(m, j) at a positive integer m."""
-    if m < 1:
-        raise ValueError("m must be a positive integer")
+    require_integer("m", m, 1)
     return sum(n * comb(m, j) for j, n in enumerate(counts))
 
 
@@ -113,8 +111,7 @@ class QuasiPolynomial(Frozen):
     constituents: tuple[Polynomial, ...]
 
     def __init__(self, period: int, constituents: Sequence[Polynomial]):
-        if isinstance(period, bool) or not isinstance(period, int) or period < 1:
-            raise ValueError("period must be a positive integer")
+        require_integer("period", period, 1)
         constituents = tuple(constituents)
         if len(constituents) != period:
             raise ValueError("need exactly one constituent per residue class")
@@ -140,10 +137,11 @@ def interpolate_quasipoly(count: Callable[[int], int], degree: int,
     through the last exactly when the fit through all of them has degree at
     most ``degree``; a higher degree means the declaration is wrong and
     raises.  So does a declared degree above the highest constituent degree,
-    unless every count is 0 (an empty polytope).
+    unless every count is 0 (an empty polytope).  The degree and the period
+    are checked before the first count.
     """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    require_integer("degree", degree, 0)
+    require_integer("period", period, 1)
     constituents = []
     for residue in range(period):
         start = residue if residue >= 1 else period

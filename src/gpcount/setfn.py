@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import InputFormatError
+from .errors import InputFormatError, require_integer
 from .rational import exact, rat_from_json, to_integers
 from .value import Frozen
 
@@ -30,7 +30,7 @@ class SetFn(Frozen):
     values: tuple[Fraction, ...]
 
     def __init__(self, d: int, values: Sequence[Fraction]):
-        check_ground_set(d)
+        require_integer("ground-set size", d, 1, MAX_GROUND_SET)
         values = tuple(map(exact, values))
         if len(values) != 1 << d:
             raise ValueError(f"need {1 << d} values, got {len(values)}")
@@ -86,19 +86,10 @@ class SetFn(Frozen):
         return True
 
 
-def check_ground_set(d: int) -> None:
-    """Reject a ground-set size that is a bool or not an int, or lies outside
-    1..MAX_GROUND_SET."""
-    if isinstance(d, bool) or not isinstance(d, int):
-        raise ValueError(f"ground-set size must be an integer, got {d!r}")
-    if not 1 <= d <= MAX_GROUND_SET:
-        raise ValueError(f"ground-set size must be in 1..{MAX_GROUND_SET}, got {d}")
-
-
 def standard_perm_setfn(d: int) -> SetFn:
     """z(A) = d + (d-1) + ... + (d-|A|+1), the base function whose polytope is
     the convex hull of the permutations of (1, ..., d)."""
-    check_ground_set(d)
+    require_integer("ground-set size", d, 1, MAX_GROUND_SET)
     values = []
     for mask in range(1 << d):
         k = mask.bit_count()
@@ -138,8 +129,8 @@ def setfn_from_json(doc: object) -> SetFn:
     if not isinstance(doc, dict) or "d" not in doc or "values" not in doc:
         raise InputFormatError("set-function document needs 'd' and 'values'")
     d, raw = doc["d"], doc["values"]
-    if not isinstance(d, int) or isinstance(d, bool) or not isinstance(raw, list):
-        raise InputFormatError("'d' must be an integer and 'values' a list")
+    if not isinstance(raw, list):
+        raise InputFormatError("'values' must be a list")
     values = tuple(rat_from_json(v) for v in raw)
     try:
         return SetFn(d, values)

@@ -5,7 +5,9 @@ boundary: refused with the budget one below the size it charges, run with
 the budget equal to it.  Every budget is a module constant read at call
 time, so monkeypatching it takes effect, through the CLI too.  Only three
 remain, `errors.WORK_BUDGET`, `errors.LOOP_BUDGET` and `ehrhart.SCAN_DEPTH`,
-and every `check_budget` call in the package reads one of them."""
+and every `check_budget` call in the package reads one of them.  The other
+refusal rule in `errors`, `require_integer`, is the only place that refuses
+an argument for not being an integer, a positive or a nonnegative one."""
 
 import ast
 import contextlib
@@ -126,3 +128,36 @@ def test_every_guard_reads_one_of_three_budgets():
              for read in _budget_reads(ast.parse(path.read_text(), str(path)))]
     assert len(reads) >= len(GUARDS)
     assert [r for r in reads if r[1] not in BUDGETS] == []
+
+
+# an argument's name, or a placeholder for it, before the phrase; `cli`'s
+# flag converters raise the phrase alone, as they check a flag's text and
+# `parse` puts the flag in front
+INTEGER_RULE = re.compile(r"[\w}] must be (?:an|a positive|a nonnegative) integer")
+
+
+def _integer_refusals(tree):
+    """The source of each `raise ValueError(message)` in `tree` whose
+    message says that an argument must be an integer."""
+    for node in ast.walk(tree):
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        if (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+                and exc.func.id == "ValueError" and exc.args
+                and INTEGER_RULE.search(ast.unparse(exc.args[0]))):
+            yield ast.unparse(exc.args[0])
+
+
+def test_only_errors_refuses_a_non_integer_argument():
+    # a new integer argument calls `errors.require_integer` instead of
+    # writing the check and its message again
+    forms = ('raise ValueError(f"{name} must be a positive integer, got {value!r}")\n'
+             'raise ValueError("k must be an integer") from None\n'
+             'raise ValueError("degree must be a nonnegative integer")\n'
+             'raise ValueError(f"must be an integer, got {text!r}")\n'
+             'raise ValueError("bbox bounds must be integers")\n')
+    assert len(list(_integer_refusals(ast.parse(forms)))) == 3
+    package = Path(gpcount.__file__).resolve().parent
+    found = [(path.name, text) for path in sorted(package.glob("*.py"))
+             if path.name != "errors.py"
+             for text in _integer_refusals(ast.parse(path.read_text(), str(path)))]
+    assert found == []

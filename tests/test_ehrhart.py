@@ -80,6 +80,8 @@ def perm_gp(d):
 def test_constructors():
     assert SQUARE.bbox == ((0, 1), (0, 1))
     assert len(SQUARE.rows) == 4
+    for d in range(1, 7):
+        assert unit_cube(d) == box([(0, 1)] * d)
     assert box([(Fraction(-1, 2), Fraction(3, 2))]).bbox == ((-1, 2),)
     assert standard_simplex(2).rows[-1][2] == 1
     assert single_point((Fraction(1, 2),)).bbox == ((0, 1),)
@@ -99,7 +101,8 @@ def test_hpolytope_validation():
 def test_bbox_bounds_must_be_integers():
     # truncating 3/2 to 1 would lose x = 3 at t = 2 and count [2, 3, 4, 5]
     rows = (((1,), "<=", Fraction(3, 2)), ((-1,), "<=", 0))
-    for bad in (Fraction(3, 2), 2.7, float("inf")):
+    # a bool is an int to int(), so True would pass for 1
+    for bad in (Fraction(3, 2), 2.7, float("inf"), True, False):
         with pytest.raises(ValueError, match="bbox bounds must be integers"):
             HPolytope(1, rows, ((0, bad),))
     segment = HPolytope(1, rows, ((0, 2),))

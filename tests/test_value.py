@@ -1,16 +1,34 @@
 """Value semantics of the package's classes: equality and hash by fields,
-frozen fields, the repr they print, and constructors that refuse a bool or a
-non-int size."""
+frozen fields, the repr they print; and constructors and counting functions
+that refuse a bool, a non-int or an out-of-range integer argument."""
 
+import re
 from fractions import Fraction
 
 import pytest
 
-from gpcount.ehrhart import FullDimFan, HPolytope
+from gpcount.cli import verify_all
+from gpcount.ehrhart import (
+    FullDimFan,
+    HPolytope,
+    count_lattice,
+    em_reciprocity_check,
+    multiplicity,
+    normal_fan_of,
+    standard_simplex,
+    unit_cube,
+)
 from gpcount.hypergraph import Hypergraph
-from gpcount.polynomial import Polynomial, QuasiPolynomial
+from gpcount.permutahedron import GPerm
+from gpcount.polynomial import (
+    Polynomial,
+    QuasiPolynomial,
+    binomial_sum,
+    interpolate,
+    interpolate_quasipoly,
+)
 from gpcount.report import CheckEntry, Report
-from gpcount.setfn import SetFn
+from gpcount.setfn import SetFn, standard_perm_setfn
 
 
 def _cone(sign):
@@ -106,15 +124,49 @@ def test_report_is_mutable_unhashable_and_owns_its_entries():
     assert repr(Report()) == "Report(entries=[])"
 
 
-@pytest.mark.parametrize("size", [True, False, 1.0, Fraction(1), "1", None])
-@pytest.mark.parametrize("build", [
-    lambda n: SetFn(n, (0, 1)),
-    lambda n: Hypergraph(n, ({1},)),
-    lambda n: HPolytope(n, (((1,), "<=", 1),)),
-    lambda n: QuasiPolynomial(n, (Polynomial((1,)),)),
-], ids=["SetFn", "Hypergraph", "HPolytope", "QuasiPolynomial"])
-def test_constructors_refuse_a_bool_or_non_int_size(build, size):
-    # a range test alone takes True for 1 and 1.0 for 1
-    with pytest.raises(ValueError):
-        build(size)
-    assert build(1) == build(1)
+PI_3 = GPerm(standard_perm_setfn(3))
+HEXAGON = max(PI_3.face_lattice(), key=lambda face: face.dim)
+SEGMENT = standard_simplex(1)
+# per integer argument: the name its refusal gives, a call that passes n to
+# it and takes n = 1, and an int outside its range (None where every int is
+# in range)
+INTEGER_ARGUMENTS = {
+    "SetFn": ("ground-set size", lambda n: SetFn(n, (0, 1)), 9),
+    "Hypergraph": ("d", lambda n: Hypergraph(n, ({1},)), 0),
+    "HPolytope": ("d", lambda n: HPolytope(n, (((1,), "<=", 1),)), 0),
+    "QuasiPolynomial": ("period", lambda n: QuasiPolynomial(n, (Polynomial((1,)),)), 0),
+    "edge node": ("edge node", lambda n: Hypergraph(2, ({n},)), 3),
+    "count_k_faces": ("k", lambda n: PI_3.count_k_faces(HEXAGON, n), -1),
+    "chi_count k": ("k", lambda n: PI_3.chi_count(n, 2), 3),
+    "chi_count m": ("m", lambda n: PI_3.chi_count(0, n), 0),
+    "reciprocity_rhs m": ("m", lambda n: PI_3.reciprocity_rhs(0, n), 0),
+    "verify_reciprocity": ("m_max", lambda n: PI_3.verify_reciprocity(0, n), 0),
+    "binomial_sum": ("m", lambda n: binomial_sum([1, 1], n), 0),
+    "count_lattice": ("t", lambda n: count_lattice(unit_cube(2), n), 0),
+    "multiplicity": ("coordinate of the integer point",
+                     lambda n: multiplicity(normal_fan_of(PI_3), (1, n, 1)), None),
+    "interpolate": ("step", lambda n: interpolate([1, 2], 1, n), 0),
+    "fit degree": ("degree", lambda n: interpolate_quasipoly(lambda t: t + 1, n, 1), -1),
+    "fit period": ("period", lambda n: interpolate_quasipoly(lambda t: t + 1, 1, n), 0),
+    "dilation degree": ("degree", lambda n: em_reciprocity_check(SEGMENT, n, 1, 1), -1),
+    "dilation period": ("period", lambda n: em_reciprocity_check(SEGMENT, 1, n, 1), 0),
+    "dilation t_max": ("t_max", lambda n: em_reciprocity_check(SEGMENT, 1, 1, n), 0),
+    "verify_all": ("trials", lambda n: verify_all(1, n), 0),
+}
+# the ids keep the names pytest gave the first six values when they were
+# the only ones
+NOT_INTEGERS = {"True": True, "False": False, "1.0": 1.0, "size3": Fraction(1), "1": "1",
+                "None": None}
+REFUSALS = [(case, value) for case in INTEGER_ARGUMENTS for value in NOT_INTEGERS] + [
+    (case, "out of range") for case, (_name, _call, bad) in INTEGER_ARGUMENTS.items()
+    if bad is not None]
+
+
+@pytest.mark.parametrize("case, value", REFUSALS, ids=[f"{c}-{v}" for c, v in REFUSALS])
+def test_constructors_refuse_a_bool_or_non_int_size(case, value):
+    # a range test alone takes True for 1 and 1.0 for 1, and a missing one
+    # fails later, on a TypeError or an empty loop
+    name, call, bad = INTEGER_ARGUMENTS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
+        call(bad if value == "out of range" else NOT_INTEGERS[value])
+    assert call(1) == call(1)
