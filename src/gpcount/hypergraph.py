@@ -125,6 +125,8 @@ def check_heading(h: Hypergraph, heads: Sequence[int]) -> None:
     if len(heads) != len(h.edges):
         raise ValueError("a heading needs exactly one head per edge")
     for e, head in zip(h.edges, heads):
+        if type(head) is not int:  # True, 1.0 and Fraction(1) are all `in` {1, 2}
+            require_integer("head", head, 1, h.d)
         if head not in e:
             raise ValueError(f"head {head} does not belong to its edge")
 

@@ -63,12 +63,8 @@ sum_j r[k][j] * binom(m, j), like `chi_count`, with r[k] the column sums
 of the faces' histograms weighted by their k-face counts.  A face of
 dimension below k holds no k-face and one of dimension k holds only
 itself, so r[k] starts as a copy of a[k] and only the faces of dimension
-above k have their k-faces counted.  Such a face enters r[k] on the first
-m that selects it, at least its fewest blocks; before that all its
-compositions have more than m blocks, where binom(m, j) = 0.  A k-face in
-a[k] that no m up to now selects adds 0 the same way.  So r[k] grows by
-the faces above k grouped by fewest blocks, one group at a time, and each
-face's k-faces are counted at most once per k.
+above k have their k-faces counted.  r[k] is one full row, built on the
+first query for k, so each face's k-faces are counted once per k.
 
 The DP visits fewer than the 3^d pairs (prefix A, block B), since it
 keeps no states at [d] or where one element is left, and ANDs masks as
@@ -146,8 +142,8 @@ class GPerm:
     weights by binom(m, j).  A `Face` is a face mask with its dimension, as
     the map keeps it.  Construction and queries are single-threaded:
     queries fill the caches on first use (the face map, the k-face index of
-    each k, the faces grouped by fewest blocks and the row r[k] of
-    `reciprocity_rhs`, grown by those groups), so they are not read-only.
+    each k and the row r[k] of `reciprocity_rhs`, one full row per k), so
+    they are not read-only.
     """
 
     def __init__(self, z: SetFn):
@@ -156,7 +152,7 @@ class GPerm:
         self.vertices: tuple[RatVec, ...] = vertices(z)
         self._scaled_vertices = z.scaled_vertices  # the vertices times L, in the same order
         self._k_face_index: dict[int, dict[int, list[int]]] = {}  # k -> lowest bit -> k-faces
-        self._rhs_rows: dict[int, tuple[int, list[int]]] = {}  # k -> (groups folded in, r[k])
+        self._rhs_rows: dict[int, list[int]] = {}  # k -> r[k]
 
     @property
     def dimension(self) -> int:
@@ -251,19 +247,6 @@ class GPerm:
                 index.setdefault(g & -g, []).append(g)
         return index
 
-    @cached_property
-    def _faces_by_fewest_blocks(self) -> list[list[int]]:
-        """Face masks grouped by the fewest blocks (index j) among the
-        compositions that map to them: the directions in [m]^d select a face
-        exactly when that number is at most m."""
-        groups: list[list[int]] = [[] for _ in range(self.d + 1)]
-        for f, hist in self._face_map.blocks.items():
-            j = 1  # no composition has 0 blocks
-            while not hist[j]:
-                j += 1
-            groups[j].append(f)
-        return groups
-
     def face_lattice(self) -> tuple[Face, ...]:
         """Every nonempty face exactly once, the polytope itself included."""
         dims = self._face_map.dims
@@ -310,22 +293,20 @@ class GPerm:
     def reciprocity_rhs(self, k: int, m: int) -> int:
         """Sum over all directions in [m]^d of the number of k-faces of the
         face maximizing that direction, sum_j r[k][j] * binom(m, j).  r[k]
-        starts as a[k], each k-face holding only itself, and takes in each
-        group of faces of dimension above k by fewest blocks on the first m
-        that needs it, weighted by their k-face counts."""
+        starts as a[k], each k-face holding only itself, and adds every face
+        of dimension above k weighted by its k-face count, once per k."""
         require_integer("k", k, 0, self.d - 1)
         require_integer("m", m, 1)
-        done, row = self._rhs_rows.get(k) or (0, list(self._chi_table[k]))
-        if m > done:
+        row = self._rhs_rows.get(k)
+        if row is None:
             _, dims, blocks, _ = self._face_map
-            for group in self._faces_by_fewest_blocks[done + 1:m + 1]:
-                for f in group:
-                    dim = dims[f]
-                    if dim > k:
-                        n = self.count_k_faces(Face(f, dim), k)
-                        for j, c in enumerate(blocks[f]):
-                            row[j] += n * c
-            self._rhs_rows[k] = m, row
+            row = self._rhs_rows[k] = list(self._chi_table[k])
+            for f, hist in blocks.items():
+                dim = dims[f]
+                if dim > k:
+                    n = self.count_k_faces(Face(f, dim), k)
+                    for j, c in enumerate(hist):
+                        row[j] += n * c
         return binomial_sum(row, m)
 
     def verify_reciprocity(self, k: int, m_max: int) -> tuple[Polynomial, Report]:

@@ -90,6 +90,14 @@ def test_check_heading():
         check_heading(RUNNING, (1, 2, 3))
     with pytest.raises(ValueError):
         check_heading(RUNNING, (1, 2, 1, 1, 2, 3))  # 1 is not in {2,3}
+    # each equals 1 and hashes like it, so `head in {1, 2}` holds
+    h = Hypergraph(2, ({1, 2},))
+    for head in (True, 1.0, Fraction(1)):
+        with pytest.raises(ValueError, match=r"^head must be an integer in 1\.\.2, got "):
+            indegree_vector(h, (head,))
+        with pytest.raises(ValueError, match=r"^head must be an integer in 1\.\.2, got "):
+            vertices_via_headings(h, [(2,), (head,)])
+    assert indegree_vector(h, (1,)) == (1, 0)
 
 
 def with_repeats(rng, h):

@@ -366,13 +366,12 @@ def test_k_face_counts_match_containment_at_d5_d6():
 
 
 def test_reciprocity_rhs_rows_in_any_call_order():
-    # the per-k rows, grown by fewest-block groups on the first m that needs
-    # them, against a scan of [m]^d on fresh polytopes queried in several
-    # orders: m descending, m interleaved across k, a seeded shuffle, and
-    # split by face_lattice() and count_k_faces calls.  pi_4 goes up to
-    # m = 6, past its last fewest-block group; pi_5 and the seeded d = 5
-    # polytopes up to m = 5, their last groups, where faces of dimension k
-    # and below are reached for k = 0 and 1
+    # the per-k rows, each built in full on the first query for its k,
+    # against a scan of [m]^d on fresh polytopes queried in several orders:
+    # m descending, m interleaved across k, a seeded shuffle, and split by
+    # face_lattice() and count_k_faces calls.  pi_4 goes up to m = 6, past
+    # d; pi_5 and the seeded d = 5 polytopes up to m = 5, where every face
+    # is selected
     rng = random.Random(67)
     cases = [(standard_perm_setfn(4), 6), (standard_perm_setfn(5), 5)]
     while len(cases) < 4:
@@ -413,11 +412,9 @@ def test_reciprocity_rhs_rows_in_any_call_order():
 
 
 def test_reciprocity_rhs_counts_each_face_once_per_k(monkeypatch):
-    # a repeat call with m no larger than one already asked for that k makes
-    # no count_k_faces call; a larger m counts only the faces it newly
-    # selects, and only those of dimension above k: a face of dimension
-    # below k holds no k-face and a k-face only itself.  Over every m each
-    # such (face, k) is counted exactly once
+    # the first call for k counts the k-faces of every face of dimension
+    # above k exactly once, whatever m is: a face of dimension below k holds
+    # no k-face and a k-face only itself.  Later calls for k count none
     calls = Counter()
     real = GPerm.count_k_faces
 
@@ -427,23 +424,17 @@ def test_reciprocity_rhs_counts_each_face_once_per_k(monkeypatch):
 
     monkeypatch.setattr(GPerm, "count_k_faces", counted)
     P = perm_gp(5)
-    # pi_5's faces by fewest blocks: 1, 30, 150, 240, 120, of dimension 4
-    # down to 0
-    assert [len(g) for g in P._faces_by_fewest_blocks] == [0, 1, 30, 150, 240, 120]
-    P.reciprocity_rhs(1, 3)
-    assert sum(calls.values()) == 181 and set(calls.values()) == {1}
-    for m in (3, 2, 1, 3):
-        P.reciprocity_rhs(1, m)
-    assert sum(calls.values()) == 181
-    P.reciprocity_rhs(1, 4)  # the 240 edges have dimension 1 = k
-    assert sum(calls.values()) == 181
-    P.reciprocity_rhs(1, 7)  # the 120 vertices have dimension 0 < k
-    assert sum(calls.values()) == 181
-    P.verify_reciprocity(1, 5)
-    assert sum(calls.values()) == 181
+    f_vector = Counter(face.dim for face in P.face_lattice())
+    for k, m in [(1, 1), (0, 3), (2, 2), (3, 7)]:
+        P.reciprocity_rhs(k, m)
+        at_k = sum(n for (_, j), n in calls.items() if j == k)
+        assert at_k == sum(n for dim, n in f_vector.items() if dim > k)
+    counted_so_far = calls.copy()
     for k in range(5):
+        for m in (1, 3, 2, 7):
+            P.reciprocity_rhs(k, m)
         P.verify_reciprocity(k, 3)
-        P.reciprocity_rhs(k, 5)
+    assert calls == counted_so_far
     assert Counter(k for _, k in calls) == {0: 421, 1: 181, 2: 31, 3: 1}
     assert len(calls) == 634 and set(calls.values()) == {1}
     assert all(face.dim > k for face, k in calls)

@@ -5,8 +5,7 @@ the four workloads (gperm, dilation, hypergraph, verify), makes deleting,
 renaming or no longer calling a traced name fail this suite, not only the
 benchmark's smoke test or a traced benchmark run.  Every report of those
 passes must also pass the benchmark's own checks, and so must those of the
-untraced tiny `dilation` and `hypergraph` passes, the path the benchmark's
-timings come from.
+untraced tiny passes of all four, the path the benchmark's timings come from.
 `run.py` exits 0 even when reports fail, so each test reads its last line.
 """
 
@@ -66,3 +65,11 @@ def test_tiny_untraced_dilation_pass_is_correct():
 
 def test_tiny_untraced_hypergraph_pass_is_correct():
     assert_tiny_untraced_pass_is_correct("hypergraph")
+
+
+def test_tiny_untraced_gperm_pass_is_correct():
+    assert_tiny_untraced_pass_is_correct("gperm")
+
+
+def test_tiny_untraced_verify_pass_is_correct():
+    assert_tiny_untraced_pass_is_correct("verify")
