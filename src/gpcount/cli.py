@@ -21,6 +21,16 @@ emitted.  Reports are deterministic for fixed inputs up to the "timing"
 field.  `run` writes each report with `dumps`, this module's own JSON
 writer, byte for byte as the stdlib's `json.dumps` writes it with an indent
 of 2: with an indent set, the stdlib runs its pure-Python encoder.
+
+The four commands that build a `GPerm` from their input (`chi`, `faces`,
+`pruned --setfn` and `hg-reciprocity`) get it from `_polytope`, which keeps
+the last one it built.  Its key is the `SetFn` value, whose exact
+`Fraction`s define the polytope, together with `errors.WORK_BUDGET` at call
+time, so a process that calls `run` more than once builds the vertices and
+face map of a repeated set function once, and a kept polytope refuses
+exactly what a fresh one would.  A document rewritten in place is a new
+key.  Nothing else is kept between calls, and `verify-all` builds its own
+polytopes without reading or replacing the kept one.
 """
 
 from __future__ import annotations
@@ -31,6 +41,7 @@ import random
 import re
 import sys
 import time
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
@@ -63,7 +74,7 @@ from .hypergraph import (
 from .permutahedron import GPerm, face_lattice_to_json
 from .polynomial import Polynomial
 from .report import Report
-from .setfn import setfn_from_json, setfn_from_vertices
+from .setfn import SetFn, setfn_from_json, setfn_from_vertices
 
 
 def dumps(value, pad: str = "\n") -> str:
@@ -121,6 +132,18 @@ def _load_setfn(path: str):
     return setfn_from_json(_load_json(path))
 
 
+def _polytope(z: SetFn) -> GPerm:
+    """The generalized permutahedron of z, the one the last call built when
+    z and `errors.WORK_BUDGET` are unchanged since."""
+    return _last_polytope(z, errors.WORK_BUDGET)
+
+
+@lru_cache(maxsize=1)
+def _last_polytope(z: SetFn, budget: int) -> GPerm:
+    # the budget is in the key only: the face map reads it when it is built
+    return GPerm(z)
+
+
 class UsageError(Exception):
     """Misuse of the command line.  `command` names the command whose usage
     line goes with the message, None for the top level."""
@@ -176,13 +199,13 @@ class Command(NamedTuple):
 
 def cmd_chi(args) -> tuple[dict, Report | None]:
     check_budget(2 * args.m_max, errors.LOOP_BUDGET, "checks")
-    P = GPerm(_load_setfn(args.setfn))
+    P = _polytope(_load_setfn(args.setfn))
     poly, report = P.verify_reciprocity(args.k, args.m_max)
     return {"d": P.d, "k": args.k, "polynomial": poly.to_json()}, report
 
 
 def cmd_faces(args) -> tuple[dict, Report | None]:
-    return face_lattice_to_json(GPerm(_load_setfn(args.setfn))), None
+    return face_lattice_to_json(_polytope(_load_setfn(args.setfn))), None
 
 
 def cmd_hg_chromatic(args) -> tuple[dict, Report | None]:
@@ -228,7 +251,7 @@ def _hg_reciprocity_report(h, P: GPerm, acyclic: list, m_max: int) -> tuple[Poly
 def cmd_hg_reciprocity(args) -> tuple[dict, Report | None]:
     check_budget(3 * args.m_max + 1, errors.LOOP_BUDGET, "checks")
     h, names = hypergraph_from_json(_load_json(args.hg))
-    P = GPerm(hypergraphic_setfn(h))
+    P = _polytope(hypergraphic_setfn(h))
     poly, report = _hg_reciprocity_report(h, P, acyclic_headings(h), args.m_max)
     return {"nodes": list(names), "polynomial": poly.to_json()}, report
 
@@ -245,7 +268,7 @@ def cmd_pruned(args) -> tuple[dict, Report | None]:
     if args.fan is not None:
         fan = fan_from_json(_load_json(args.fan))
     else:
-        fan = normal_fan_of(GPerm(_load_setfn(args.setfn)))
+        fan = normal_fan_of(_polytope(_load_setfn(args.setfn)))
     degree = poly.d if args.degree is None else args.degree
     inner, report = pruned_reciprocity_check(poly, fan, degree, args.period, args.t_max)
     return {"degree": degree, "inner_quasipolynomial": inner.to_json()}, report

@@ -143,7 +143,10 @@ class GPerm:
     the map keeps it.  Construction and queries are single-threaded:
     queries fill the caches on first use (the face map, the k-face index of
     each k and the row r[k] of `reciprocity_rhs`, one full row per k), so
-    they are not read-only.
+    they are not read-only.  One `GPerm` may serve many requests (the CLI
+    keeps the last one it built), so each cache entry is built aside and
+    stored only once complete: a query cut short, by a refused budget or an
+    interrupt, leaves no partial entry for a later query to read.
     """
 
     def __init__(self, z: SetFn):
@@ -242,9 +245,10 @@ class GPerm:
         lowest vertex id, indexed on the first query for k."""
         index = self._k_face_index.get(k)
         if index is None:
-            index = self._k_face_index[k] = {}
+            index = {}
             for g in self._face_map.by_dim[k]:
                 index.setdefault(g & -g, []).append(g)
+            self._k_face_index[k] = index
         return index
 
     def face_lattice(self) -> tuple[Face, ...]:
@@ -300,13 +304,14 @@ class GPerm:
         row = self._rhs_rows.get(k)
         if row is None:
             _, dims, blocks, _ = self._face_map
-            row = self._rhs_rows[k] = list(self._chi_table[k])
+            row = list(self._chi_table[k])
             for f, hist in blocks.items():
                 dim = dims[f]
                 if dim > k:
                     n = self.count_k_faces(Face(f, dim), k)
                     for j, c in enumerate(hist):
                         row[j] += n * c
+            self._rhs_rows[k] = row
         return binomial_sum(row, m)
 
     def verify_reciprocity(self, k: int, m_max: int) -> tuple[Polynomial, Report]:

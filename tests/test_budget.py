@@ -88,6 +88,22 @@ def test_cli_reads_the_loop_budget_at_call_time(monkeypatch):
         assert stderr.getvalue() == err
 
 
+def test_cli_reads_the_work_budget_at_call_time(monkeypatch):
+    # chi on pi_3 charges 3^3 subset pairs times 6 vertices to the face map.
+    # The CLI keeps the last polytope it built, and a kept one is refused
+    # exactly where a fresh one is
+    argv = ["chi", "--setfn", str(PI_3)]
+    refused = ("error: 162 face-map steps (3^3 subset pairs times 6 vertices) "
+               "exceed the budget of 161\n")
+    for budget, rc, err in ((10 ** 7, 0, ""), (161, 2, refused), (162, 0, ""),
+                            (161, 2, refused)):
+        monkeypatch.setattr(errors, "WORK_BUDGET", budget)
+        out, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(stderr):
+            assert cli.run(argv) == rc
+        assert stderr.getvalue() == err
+
+
 def _budget_reads(tree):
     """(module or None, name) of the budget argument of each `check_budget`
     call in `tree`, called by name, by an imported alias or through a

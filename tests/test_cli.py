@@ -2,6 +2,7 @@ import ast
 import itertools
 import json
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -706,6 +707,59 @@ def test_face_dimension_disagreement_exit_3(inputs, capsys, monkeypatch):
     assert rc == 3 and payload is None
     assert err.startswith("internal error: RuntimeError: face dimensions disagree")
     assert "dimension 2 from its block counts but affine rank 3" in err
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout without its timing line, and stderr of one request."""
+    rc = run(argv)
+    captured = capsys.readouterr()
+    return rc, re.sub(r',\n  "timing": [^\n]*', "", captured.out), captured.err
+
+
+def test_a_kept_polytope_changes_no_outcome(tmp_path, capsys):
+    # faces, then chi at every k with --m-max 2 and 3 on pi_4; a second set
+    # function; pi_4 again, once with a k out of range; a document rewritten
+    # in place under the same path; and the other two commands that build a
+    # polytope.  In one process each request prints and exits as it does
+    # with nothing kept
+    pi_4, doc = str(GOLDEN / "pi_4.json"), tmp_path / "z.json"
+    steps = [(GOLDEN / "nonint_4.json").read_text(), ["faces", "--setfn", pi_4]]
+    steps += [["chi", "--setfn", pi_4, "--k", str(k), "--m-max", str(m_max)]
+              for k in range(4) for m_max in (2, 3)]
+    steps += [["chi", "--setfn", str(doc), "--k", "1"], ["faces", "--setfn", str(doc)],
+              ["chi", "--setfn", pi_4, "--k", "2"], ["chi", "--setfn", pi_4, "--k", "4"],
+              (GOLDEN / "pi_3.json").read_text(), ["faces", "--setfn", str(doc)],
+              ["pruned", "--poly", str(GOLDEN / "cube_3.json"), "--setfn", str(doc)],
+              ["hg-reciprocity", "--hg", str(GOLDEN / "hg_5.json")],
+              ["hg-reciprocity", "--hg", str(GOLDEN / "hg_5.json"), "--m-max", "2"]]
+
+    def send_all(keep):
+        outcomes = []
+        for step in steps:
+            if isinstance(step, str):
+                doc.write_text(step)
+                continue
+            if not keep:
+                cli._last_polytope.cache_clear()
+            outcomes.append(_outcome(capsys, step))
+        return outcomes
+
+    fresh = send_all(keep=False)
+    cli._last_polytope.cache_clear()
+    assert send_all(keep=True) == fresh
+    assert [rc for rc, _, _ in fresh] == [0] * 12 + [2] + [0] * 4
+    # one build for each run of requests on an equal set function: 5 runs
+    # and 12 requests after the first of their run
+    assert cli._last_polytope.cache_info()[:2] == (12, 5)
+
+
+def test_verify_all_leaves_the_kept_polytope(capsys):
+    assert invoke(capsys, "faces", "--setfn", str(GOLDEN / "pi_3.json"))[0] == 0
+    kept = cli._polytope(standard_perm_setfn(3))
+    info = cli._last_polytope.cache_info()
+    assert invoke(capsys, "verify-all", "--seed", "1", "--trials", "2")[0] == 0
+    assert cli._last_polytope.cache_info() == info
+    assert cli._polytope(standard_perm_setfn(3)) is kept
 
 
 def test_verify_all_deterministic(capsys):

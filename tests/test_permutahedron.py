@@ -440,6 +440,47 @@ def test_reciprocity_rhs_counts_each_face_once_per_k(monkeypatch):
     assert all(face.dim > k for face, k in calls)
 
 
+def test_interrupted_reciprocity_rhs_keeps_no_partial_row(monkeypatch):
+    # r[1] of pi_4 cut short at its 5th k-face count is not stored: the next
+    # query builds the whole row and answers as a fresh polytope does
+    P = perm_gp(4)
+    real = GPerm.count_k_faces
+    calls = 0
+
+    def interrupted(self, face, k):
+        nonlocal calls
+        calls += 1
+        if calls == 5:
+            raise KeyboardInterrupt
+        return real(self, face, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GPerm, "count_k_faces", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            P.reciprocity_rhs(1, 3)
+    assert P.reciprocity_rhs(1, 3) == perm_gp(4).reciprocity_rhs(1, 3) == 360
+
+
+def test_interrupted_k_face_index_keeps_no_partial_index():
+    # the edge index of pi_4 cut short after 3 of its 36 edges is not
+    # stored: the next query indexes every edge
+    P = perm_gp(4)
+    whole = next(f for f in P.face_lattice() if f.dim == 3)
+    by_dim = P._face_map.by_dim
+    edges = by_dim[1]
+
+    class Interrupted(list):
+        def __iter__(self):
+            yield from edges[:3]
+            raise KeyboardInterrupt
+
+    by_dim[1] = Interrupted(edges)
+    with pytest.raises(KeyboardInterrupt):
+        P.count_k_faces(whole, 1)
+    by_dim[1] = edges
+    assert P.count_k_faces(whole, 1) == len(edges) == 36
+
+
 def test_faces_match_argmax_oracle():
     # the faces read off the chains against a dot-product argmax over all
     # vertices, with the dimension from an independent rank
