@@ -20,7 +20,9 @@ budgets) and 3 on an internal error; after 2 or 3 no partial report is
 emitted.  Reports are deterministic for fixed inputs up to the "timing"
 field.  `run` writes each report with `dumps`, this module's own JSON
 writer, byte for byte as the stdlib's `json.dumps` writes it with an indent
-of 2: with an indent set, the stdlib runs its pure-Python encoder.
+of 2: with an indent set, the stdlib runs its pure-Python encoder.  The
+face rows of a `faces` report come as a `FaceRows` list, whose rows `dumps`
+writes with one string template each, not one recursive call per value.
 
 The four commands that build a `GPerm` from their input (`chi`, `faces`,
 `pruned --setfn` and `hg-reciprocity`) get it from `_polytope`, which keeps
@@ -42,7 +44,9 @@ import re
 import sys
 import time
 from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
@@ -71,7 +75,7 @@ from .hypergraph import (
     hypergraphic_setfn,
     vertices_via_headings,
 )
-from .permutahedron import GPerm, face_lattice_to_json
+from .permutahedron import FaceRows, GPerm, face_lattice_to_json
 from .polynomial import Polynomial
 from .report import Report
 from .setfn import SetFn, setfn_from_json, setfn_from_vertices
@@ -83,7 +87,10 @@ def dumps(value, pad: str = "\n") -> str:
     and None; anything else raises TypeError.  `pad` is the newline and
     indent of the line value starts on; callers leave it at its default.  A
     list of only ints (bools excluded) or only strings is written with one
-    join."""
+    join.  A `FaceRows` list whose rows all have the shape {"dim": int,
+    "vertices": [int, ...]} (keys in that order, at least one id) is written
+    with one template per row (`_face_rows`); otherwise it is written as a
+    plain list, with the same bytes or the same TypeError."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -97,7 +104,7 @@ def dumps(value, pad: str = "\n") -> str:
         for key, item in value.items():  # the encoder refuses non-str keys
             items.append(encode_basestring_ascii(key) + ": " + dumps(item, inner))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if kind is list:
+    if kind is list or kind is FaceRows:
         if not value:
             return "[]"
         inner = pad + "  "
@@ -107,7 +114,9 @@ def dumps(value, pad: str = "\n") -> str:
         elif kinds == {str}:
             items = map(encode_basestring_ascii, value)
         else:
-            items = [dumps(item, inner) for item in value]
+            items = _face_rows(value, inner) if kind is FaceRows else None
+            if items is None:
+                items = [dumps(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if value is None:
         return "null"
@@ -118,6 +127,31 @@ def dumps(value, pad: str = "\n") -> str:
     if kind is float:
         return float.__repr__(value)
     raise TypeError(f"{kind.__name__} is not JSON serializable")
+
+
+_ROW_KEYS = ("dim", "vertices")
+
+
+def _face_rows(rows: FaceRows, pad: str) -> list[str] | None:
+    """The rows of a `faces` report written at pad with one template each,
+    the same bytes as `dumps` gives row by row; None unless every row is a
+    dict of an int "dim" and a nonempty list of int "vertices", in that
+    order, so that any other row goes through `dumps` as it would in a
+    plain list."""
+    if set(map(type, rows)) != {dict} or set(map(tuple, rows)) != {_ROW_KEYS}:
+        return None
+    dims = list(map(itemgetter("dim"), rows))
+    ids = list(map(itemgetter("vertices"), rows))
+    if (set(map(type, dims)) != {int} or set(map(type, ids)) != {list} or not all(ids)
+            or set(map(type, chain.from_iterable(ids))) != {int}):
+        return None
+    key_pad = pad + "  "
+    id_pad = key_pad + "  "
+    heads = {dim: "{" + key_pad + '"dim": ' + int.__repr__(dim) + "," + key_pad
+             + '"vertices": [' + id_pad for dim in set(dims)}
+    sep = "," + id_pad
+    tail = key_pad + "]" + pad + "}"
+    return [heads[dim] + sep.join(map(int.__repr__, vs)) + tail for dim, vs in zip(dims, ids)]
 
 
 def _load_json(path: str):

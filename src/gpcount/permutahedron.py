@@ -53,8 +53,13 @@ dimension in one list; row k of the table a is the column sum of the
 histograms of the k-faces.  A `Face` is the named tuple of the mask and
 the dimension, so `count_k_faces` checks one with a single lookup, and
 sorted vertex ids are read off a mask only for a person to read
-(`Face.vertex_ids`, the `faces` report).  The 0-faces in a face are its
-vertices, so `count_k_faces(f, 0)` is the number of set bits of f.  For
+(`Face.vertex_ids`, the `faces` report).  The `faces` report lists the
+faces by dimension and, within one dimension, by their lists of vertex
+ids, as `sorted((dim, ids))` would; `face_lattice_to_json` groups the
+faces by dimension first, so it sorts only each dimension's id lists, and
+each id list it reads off a mask goes into the report as it is.  The
+0-faces in a face are its vertices, so `count_k_faces(f, 0)` is the
+number of set bits of f.  For
 k >= 1 a k-face lies in a face f only if its lowest vertex does, so the
 k-faces are indexed by their lowest set bit, one k at a time on the first
 query for that k, and the k-faces in f are found by walking the set bits
@@ -98,13 +103,13 @@ def vertices(z: SetFn) -> tuple[RatVec, ...]:
     return tuple(tuple(map(value.__getitem__, v)) for v in points)
 
 
-def _bits(mask: int) -> tuple[int, ...]:
+def _bits(mask: int) -> list[int]:
     ids = []
     while mask:
         low = mask & -mask
         ids.append(low.bit_length() - 1)
         mask ^= low
-    return tuple(ids)
+    return ids
 
 
 class Face(NamedTuple):
@@ -121,7 +126,7 @@ class Face(NamedTuple):
     @property
     def vertex_ids(self) -> tuple[int, ...]:
         """The vertex ids of the face, in increasing order."""
-        return _bits(self.mask)
+        return tuple(_bits(self.mask))
 
 
 class _FaceMap(NamedTuple):
@@ -331,10 +336,24 @@ class GPerm:
         return poly, report
 
 
+class FaceRows(list):
+    """The faces of a `faces` report, each a dict {"dim": k, "vertices":
+    [ids]} with its keys in that order.  It is a list like any other, but
+    `cli.dumps` writes each row that fits that shape with one template."""
+
+
 def face_lattice_to_json(P: GPerm) -> dict:
-    faces = sorted((dim, _bits(mask)) for mask, dim in P.face_lattice())
+    """The fields of the `faces` report: d, the vertices as exact rationals
+    and one row per face, by dimension and then by vertex-id list."""
+    by_dim: list[list[list[int]]] = [[] for _ in range(P.d)]
+    for mask, dim in P.face_lattice():
+        by_dim[dim].append(_bits(mask))
+    faces = FaceRows()
+    for k, rows in enumerate(by_dim):
+        rows.sort()
+        faces += [{"dim": k, "vertices": ids} for ids in rows]
     return {
         "d": P.d,
         "vertices": [list(map(format_rat, v)) for v in P.vertices],
-        "faces": [{"dim": dim, "vertices": list(ids)} for dim, ids in faces],
+        "faces": faces,
     }

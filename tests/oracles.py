@@ -474,6 +474,36 @@ def setfn_sum(z1, z2):
     return SetFn(z1.d, tuple(a + b for a, b in zip(z1.values, z2.values)))
 
 
+def relabellings(d: int, edges) -> set:
+    """The edge set under each of the d! relabellings of the nodes 1..d,
+    each written as its sorted tuple of sorted edge tuples."""
+    return {tuple(sorted(tuple(sorted(perm[i - 1] for i in e)) for e in edges))
+            for perm in itertools.permutations(range(1, d + 1))}
+
+
+def canonical_form(d: int, edges) -> tuple:
+    """The least of the relabellings of an edge set: two edge sets on the
+    nodes 1..d are isomorphic exactly when their canonical forms are equal."""
+    return min(relabellings(d, edges))
+
+
+def isomorphism_classes(d: int, candidates) -> list:
+    """The canonical form of each isomorphism class of the sets of distinct
+    edges drawn from candidates, sorted edge tuples closed under
+    relabelling, the empty set included.  Each class is relabelled once:
+    every edge set met afterwards in a class already seen is skipped."""
+    candidates = sorted(candidates)
+    seen: set = set()
+    forms = []
+    for n in range(len(candidates) + 1):
+        for edges in itertools.combinations(candidates, n):
+            if edges not in seen:
+                images = relabellings(d, edges)
+                seen |= images
+                forms.append(min(images))
+    return forms
+
+
 def all_pass(report) -> bool:
     """Every check of the report holds."""
     return report.failures == 0

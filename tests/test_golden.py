@@ -10,7 +10,9 @@ document of four cones, both written with fractional, non-primitive rows,
 and of `verify-all --seed 3 --trials 2`, compared byte for byte with
 the committed fixtures there apart from the `timing` value.  Each report
 must also equal `json.dumps(json.loads(report), indent=2)`, which pins the
-CLI's own JSON writer to the stdlib format.
+CLI's own JSON writer to the stdlib format.  Two larger `faces` reports, on
+pi_5 and on a seeded set function with d = 6, are pinned by the sha256 of
+their bytes without the `timing` line, too large to commit as fixtures.
 
 A refactor must leave these reports unchanged.  To record an intended
 report change, regenerate the fixtures with
@@ -21,8 +23,10 @@ and say in CHANGES.md which reports changed and why.
 """
 
 import contextlib
+import hashlib
 import io
 import json
+import random
 import re
 from pathlib import Path
 
@@ -30,6 +34,10 @@ import pytest
 
 from gpcount import cli
 from gpcount.cli import run
+from gpcount.generators import random_hypergraphic_setfn
+from gpcount.permutahedron import GPerm
+from gpcount.setfn import standard_perm_setfn
+from oracles import setfn_to_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 TIMING = re.compile(r'"timing": [-+0-9.e]+')
@@ -83,6 +91,32 @@ def test_report_matches_golden(case):
     out = report(CASES[case])
     assert out == (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# The sha256 of each `faces` report, its `timing` line taken out; seed 383
+# draws d = 6 with 38 vertices and 303 faces.
+LARGE_FACES = {
+    "pi_5": (lambda: standard_perm_setfn(5),
+             "53dd2f3300f269767f0a4001b9b6b992be9a50edd90d74e335c52da595266232"),
+    "seeded_6": (lambda: random_hypergraphic_setfn(random.Random(383), max_d=6),
+                 "a1c6176ea3a7bba0713e342d9105b68cf10b9cde67ffd81fd82cea68bda055ca"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_FACES))
+def test_large_faces_report_bytes(name, tmp_path):
+    make, digest = LARGE_FACES[name]
+    z = make()
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(setfn_to_json(z)))
+    out = report(["faces", "--setfn", str(path)])
+    lines = out.splitlines(keepends=True)
+    assert sum(line.startswith('  "timing": ') for line in lines) == 1
+    kept = "".join(line for line in lines if not line.startswith('  "timing": '))
+    assert hashlib.sha256(kept.encode()).hexdigest() == digest
+    faces = sorted((face.dim, face.vertex_ids) for face in GPerm(z).face_lattice())
+    assert json.loads(out)["faces"] == [{"dim": dim, "vertices": list(ids)}
+                                        for dim, ids in faces]
 
 
 if __name__ == "__main__":
