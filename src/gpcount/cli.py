@@ -26,11 +26,12 @@ writes with one string template each, not one recursive call per value.
 
 The four commands that build a `GPerm` from their input (`chi`, `faces`,
 `pruned --setfn` and `hg-reciprocity`) get it from `_polytope`, which keeps
-the last one it built.  Its key is the `SetFn` value, whose exact
-`Fraction`s define the polytope, together with `errors.WORK_BUDGET` at call
-time, so a process that calls `run` more than once builds the vertices and
-face map of a repeated set function once, and a kept polytope refuses
-exactly what a fresh one would.  A document rewritten in place is a new
+the last one it built.  Its key is the `SetFn` value, compared and hashed
+by its exact integer form `SetFn.scaled` (so a parsed document and an equal
+set function built from integers are one key), together with
+`errors.WORK_BUDGET` at call time, so a process that calls `run` more than
+once builds the vertices and face map of a repeated set function once, and
+a kept polytope refuses exactly what a fresh one would.  A document rewritten in place is a new
 key.  Nothing else is kept between calls, and `verify-all` builds its own
 polytopes without reading or replacing the kept one.
 """

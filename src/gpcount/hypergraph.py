@@ -39,7 +39,6 @@ each DP runs once per Hypergraph, which caches its result.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, cached_property
 from math import prod
 from typing import Callable, Iterable, Iterator, Sequence
@@ -134,9 +133,9 @@ def check_heading(h: Hypergraph, heads: Sequence[int]) -> None:
 def hypergraphic_setfn(h: Hypergraph) -> SetFn:
     """z(T) = number of edges meeting T, counted with multiplicity."""
     require_integer("ground-set size", h.d, 1, MAX_GROUND_SET)
-    values = tuple(Fraction(sum(1 for em in h.masks if em & mask))
-                   for mask in range(1 << h.d))
-    return SetFn(h.d, values)
+    masks = h.masks
+    return SetFn._from_integers(h.d, 1, [sum(1 for em in masks if em & mask)
+                                         for mask in range(1 << h.d)])
 
 
 def indegree_vector(h: Hypergraph, heads: Sequence[int]) -> tuple[int, ...]:

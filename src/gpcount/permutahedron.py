@@ -83,7 +83,7 @@ charges 984 150 and is built.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from . import errors
@@ -127,6 +127,10 @@ class Face(NamedTuple):
     def vertex_ids(self) -> tuple[int, ...]:
         """The vertex ids of the face, in increasing order."""
         return tuple(_bits(self.mask))
+
+
+# a Face from a (mask, dim) pair, without the named tuple's Python-level __new__
+_face_from_pair = partial(tuple.__new__, Face)
 
 
 class _FaceMap(NamedTuple):
@@ -258,8 +262,7 @@ class GPerm:
 
     def face_lattice(self) -> tuple[Face, ...]:
         """Every nonempty face exactly once, the polytope itself included."""
-        dims = self._face_map.dims
-        return tuple(map(Face, dims, dims.values()))
+        return tuple(map(_face_from_pair, self._face_map.dims.items()))
 
     def count_k_faces(self, face: Face, k: int) -> int:
         """Number of k-dimensional faces of this polytope contained in ``face``

@@ -7,16 +7,26 @@ spaced integer nodes x_i = start + i * step (dilates t, or colors m).
 p(x) = sum_k Delta^k y_0 * prod_{i<k} (x - x_i) / (k! step^k), where
 Delta^k y_0 is the k-th forward difference of the values.  Over the one
 denominator D = (n-1)! step^(n-1) every weight D / (k! step^k) is an
-integer, so the products are multiplied out on integers and each coefficient
-becomes one `Fraction`.  A polynomial is evaluated by Horner's rule on the
-integer numerators of its coefficients over their common denominator.
+integer, so the terms D / (k! step^k) * prod_{i<k} (x - x_i) are multiplied
+out on integers.  They depend only on the node set (n, start, step), so a
+small cache keeps them, built by the same loop on first use, and a fit only
+takes the forward differences and sums their multiples of the terms.
+
+A polynomial keeps one form, its integer form: the lcm of its coefficient
+denominators and the integer numerators over it.  A fit stores its
+numerators over D divided by their gcd with D, which is that form; a
+polynomial built from coefficients is scaled to it by `to_integers`.
+Equality and hashing go by it, evaluation is Horner's rule on the
+numerators over their common denominator, and the coefficients become
+`Fraction`s only when first read (`to_json`, `repr`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from math import comb, prod
+from functools import cached_property, lru_cache
+from math import comb, gcd, prod
+from operator import mul, sub
 from typing import Callable, Sequence
 
 from .errors import InterpolationMismatchError, require_integer
@@ -26,28 +36,43 @@ from .value import Frozen
 
 class Polynomial(Frozen):
     """Coefficients constant-first; trailing zeros are trimmed on construction.
-    A non-integral float coefficient raises ValueError (`rational.exact`)."""
+    A non-integral float coefficient raises ValueError (`rational.exact`).
+    Stored, compared and hashed in its integer form (see the module
+    docstring); `coefficients` are made from it on first read."""
 
     _fields = ("coefficients",)
-    coefficients: tuple[Fraction, ...]
 
     def __init__(self, coefficients: Sequence[Fraction]):
-        coeffs = [exact(c) for c in coefficients]
-        n = len(coeffs)
-        while n and not coeffs[n - 1]:
+        self._store(*to_integers(map(exact, coefficients)))
+
+    @classmethod
+    def _from_integers(cls, den: int, nums: Sequence[int]) -> Polynomial:
+        """The polynomial with coefficients nums[k] / den, for a positive den."""
+        poly = cls.__new__(cls)
+        poly._store(den, nums)
+        return poly
+
+    def _store(self, den: int, nums: Sequence[int]) -> None:
+        # divided by the gcd of den and the numerators, den is the lcm of the
+        # reduced denominators, so the pair is `to_integers(coefficients)`
+        n = len(nums)
+        while n and not nums[n - 1]:
             n -= 1
-        object.__setattr__(self, "coefficients", tuple(coeffs[:n]))
+        g = gcd(den, *nums[:n])
+        object.__setattr__(self, "_integer_form", (den // g, tuple(c // g for c in nums[:n])))
+
+    def _astuple(self) -> tuple:
+        return self._integer_form
+
+    @cached_property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        den, nums = self._integer_form
+        return tuple(Fraction(c, den) for c in nums)
 
     @property
     def degree(self) -> int:
         # -1 for the zero polynomial
-        return len(self.coefficients) - 1
-
-    @cached_property
-    def _integer_form(self) -> tuple[int, tuple[int, ...]]:
-        """The lcm of the coefficient denominators, and the integer numerators
-        N_k over it."""
-        return to_integers(self.coefficients)
+        return len(self._integer_form[1]) - 1
 
     def __call__(self, x) -> Fraction:
         """The value at an int or Fraction x, by Horner's rule on the integer
@@ -64,22 +89,40 @@ class Polynomial(Frozen):
         return [format_rat(c) for c in self.coefficients]
 
 
-def interpolate(values: Sequence[int], start: int, step: int) -> Polynomial:
-    """The unique polynomial of degree < len(values) that takes values[i] at
-    start + i * step, in Newton's forward-difference form (see the module
-    docstring); step must be a positive integer."""
-    require_integer("step", step, 1)
-    n = len(values)
+# One node set per (degree, period, residue) fitted.  A pass of a benchmark
+# workload uses at most 33 (`verify`); the bound keeps a long process that
+# fits many periods from growing without limit.
+@lru_cache(maxsize=64)
+def _newton_columns(n: int, start: int, step: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """D = (n-1)! step^(n-1) and, for each power j < n, the coefficients of
+    x^j in the integer Newton terms D / (k! step^k) * prod_{i<k} (x - x_i)
+    of the nodes x_i = start + i * step, for k = j..n-1 (the terms of lower
+    k have no x^j)."""
     den = weight = prod(k * step for k in range(1, n))  # weight: D / (k! step^k)
-    total, basis, diffs = [0] * n, [1], list(values)  # basis: prod_{i<k} (x - x_i)
+    columns, basis = [[] for _ in range(n)], [1]  # basis: prod_{i<k} (x - x_i)
     for k in range(n):
-        for j, b in enumerate(basis):
-            total[j] += diffs[0] * weight * b
+        for column, b in zip(columns, basis):
+            column.append(weight * b)
         node = start + k * step
         basis = [b - node * c for b, c in zip([0] + basis, basis + [0])]
         weight //= (k + 1) * step
-        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
-    return Polynomial(tuple(Fraction(t, den) for t in total))
+    return den, tuple(map(tuple, columns))
+
+
+def interpolate(values: Sequence[int], start: int, step: int) -> Polynomial:
+    """The unique polynomial of degree < len(values) that takes values[i] at
+    start + i * step, in Newton's forward-difference form (see the module
+    docstring); start must be an integer and step a positive integer."""
+    require_integer("start", start)
+    require_integer("step", step, 1)
+    n = len(values)
+    den, columns = _newton_columns(n, start, step)
+    diffs, heads = list(values), []  # heads[k]: Delta^k y_0
+    for _ in range(n):
+        heads.append(diffs[0])
+        diffs = list(map(sub, diffs[1:], diffs))
+    return Polynomial._from_integers(
+        den, [sum(map(mul, col, heads[j:])) for j, col in enumerate(columns)])
 
 
 def binomial_sum(counts: Sequence[int], m: int) -> int:

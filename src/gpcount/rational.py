@@ -1,11 +1,17 @@
 """Exact rational scalars and vectors.
 
-Every coordinate, set-function value, and polynomial coefficient in this
-package is a `fractions.Fraction`; floats never appear.  Text form is the
-rational literal: optional sign, integer, optionally "/" and a positive
-integer ("3", "-2", "3/4").  Decimal notation is rejected on purpose, and
-`exact` refuses a non-integral float.  The counting cores run on integers:
-`to_integers` scales a list of rationals by the lcm of their denominators.
+Every coordinate, set-function value, and polynomial coefficient this
+package hands out is a `fractions.Fraction`; floats never appear.  Text form
+is the rational literal: optional sign, integer, optionally "/" and a
+positive integer ("3", "-2", "3/4").  Decimal notation is rejected on
+purpose, and `exact` refuses a non-integral float.  The counting cores run
+on integers: `to_integers` scales a list of rationals by the lcm of their
+denominators.  That pair, the lcm and the integers, is the one form a
+polynomial (`Polynomial._integer_form`) and a set function (`SetFn.scaled`)
+store and compare; their `Fraction`s are made only when a caller first
+reads them.  A fit, and a set function built from integer counts or subset
+sums (hypergraphic, standard or reconstructed from vertices), is built in
+that form directly, without a `Fraction` in between.
 """
 
 from __future__ import annotations

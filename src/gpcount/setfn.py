@@ -2,12 +2,14 @@
 
 Subsets are bitmasks (bit i set means element i+1 is in the subset) over a
 dense value table of length 2^d.  The module covers the values scaled once
-to integers by the lcm of their denominators, the submodularity test on
-those integers, pointwise sums, the coordinate sums of a point over all
-subsets, the greedy points of the chains on the scaled values (the
-vertices of the generalized permutahedron, times L, when z is submodular),
-and reconstruction of a set function from a vertex set by maximizing
-subset sums.
+to integers by the lcm of their denominators (`SetFn.scaled`, the one form
+a set function keeps: equality and hashing go by it, and its `Fraction`
+values are made only when they are first read), the
+submodularity test on those integers, pointwise sums, the coordinate sums
+of a point over all subsets, the greedy points of the chains on the scaled
+values (the vertices of the generalized permutahedron, times L, when z is
+submodular), and reconstruction of a set function from a vertex set by
+maximizing subset sums, built from those integer sums.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import InputFormatError, require_integer
@@ -25,24 +28,45 @@ MAX_GROUND_SET = 8
 
 
 class SetFn(Frozen):
+    """z on the subsets of {1, ..., d}, its `values` indexed by bitmask.
+
+    Stored, compared and hashed as d and `scaled`, which are equal exactly
+    when the values are; `values` are made from `scaled` on first read."""
+
     _fields = ("d", "values")
     d: int
-    values: tuple[Fraction, ...]
+    scaled: tuple[int, tuple[int, ...]]
+    """The lcm L of the denominators of the values, and the integers L * z."""
 
     def __init__(self, d: int, values: Sequence[Fraction]):
+        self._store(d, *to_integers(map(exact, values)))
+
+    @classmethod
+    def _from_integers(cls, d: int, scale: int, ints: Sequence[int]) -> SetFn:
+        """z = ints / scale for a positive scale."""
+        z = cls.__new__(cls)
+        z._store(d, scale, ints)
+        return z
+
+    def _store(self, d: int, scale: int, ints: Sequence[int]) -> None:
+        # divided by the gcd of scale and the ints, scale is the lcm of the
+        # reduced denominators, so the pair is `to_integers(values)`
         require_integer("ground-set size", d, 1, MAX_GROUND_SET)
-        values = tuple(map(exact, values))
-        if len(values) != 1 << d:
-            raise ValueError(f"need {1 << d} values, got {len(values)}")
-        if values[0] != 0:
+        if len(ints) != 1 << d:
+            raise ValueError(f"need {1 << d} values, got {len(ints)}")
+        if ints[0]:
             raise ValueError("the empty set must map to 0")
+        g = gcd(scale, *ints)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "scaled", (scale // g, tuple(v // g for v in ints)))
+
+    def _astuple(self) -> tuple:
+        return self.d, self.scaled
 
     @cached_property
-    def scaled(self) -> tuple[int, tuple[int, ...]]:
-        """The lcm L of the denominators of the values, and the integers L * z."""
-        return to_integers(self.values)
+    def values(self) -> tuple[Fraction, ...]:
+        scale, ints = self.scaled
+        return tuple(Fraction(v, scale) for v in ints)
 
     @cached_property
     def scaled_vertices(self) -> tuple[tuple[int, ...], ...]:
@@ -93,8 +117,8 @@ def standard_perm_setfn(d: int) -> SetFn:
     values = []
     for mask in range(1 << d):
         k = mask.bit_count()
-        values.append(Fraction(k * d - k * (k - 1) // 2))
-    return SetFn(d, tuple(values))
+        values.append(k * d - k * (k - 1) // 2)
+    return SetFn._from_integers(d, 1, values)
 
 
 def setfn_from_vertices(vertex_set: Iterable[Sequence[Fraction]]) -> SetFn:
@@ -114,7 +138,7 @@ def setfn_from_vertices(vertex_set: Iterable[Sequence[Fraction]]) -> SetFn:
     best = subset_sums(rows[0])
     for p in rows[1:]:
         best = list(map(max, best, subset_sums(p)))
-    return SetFn(d, tuple(Fraction(b, scale) for b in best))
+    return SetFn._from_integers(d, scale, best)
 
 
 def subset_sums(p: Sequence) -> list:

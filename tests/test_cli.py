@@ -17,7 +17,7 @@ from gpcount.cli import run
 from gpcount.ehrhart import FullDimFan, HPolytope, box, unit_cube
 from gpcount.hypergraph import hypergraph_from_json
 from gpcount.rational import format_rat
-from gpcount.setfn import standard_perm_setfn
+from gpcount.setfn import setfn_from_json, standard_perm_setfn
 from oracles import (
     brute_chromatic_count,
     fan_to_json,
@@ -751,6 +751,17 @@ def test_a_kept_polytope_changes_no_outcome(tmp_path, capsys):
     # one build for each run of requests on an equal set function: 5 runs
     # and 12 requests after the first of their run
     assert cli._last_polytope.cache_info()[:2] == (12, 5)
+
+
+def test_equal_parsed_and_integer_built_setfns_share_the_kept_polytope():
+    # the slot's key is the set function's value: pi_3 from its document
+    # (Fractions) and from `standard_perm_setfn` (integers) are one key
+    parsed = setfn_from_json(json.loads((GOLDEN / "pi_3.json").read_text()))
+    built = standard_perm_setfn(3)
+    assert parsed == built and hash(parsed) == hash(built)
+    kept = cli._polytope(parsed)
+    assert cli._polytope(built) is kept
+    assert cli._last_polytope.cache_info()[:2] == (1, 1)
 
 
 def test_verify_all_leaves_the_kept_polytope(capsys):

@@ -275,6 +275,20 @@ def test_face_is_an_immutable_value():
             setattr(face, field, 0)
 
 
+def test_face_lattice_is_the_face_map_as_faces():
+    # each face of the face map's dims, in its order, built as a `Face`
+    rng = random.Random(29)
+    cases = [standard_perm_setfn(d) for d in range(1, 6)]
+    cases += [random_hypergraphic_setfn(rng, max_d=6) for _ in range(6)]
+    for z in cases:
+        P = GPerm(z)
+        dims = P._face_map.dims
+        faces = P.face_lattice()
+        assert faces == tuple(Face(mask, dim) for mask, dim in dims.items())
+        assert all(type(f) is Face for f in faces)
+        assert [f.dim for f in faces] == list(dims.values())
+
+
 def test_face_ids_match_mask_and_id_tuples_are_refused():
     # every face's sorted ids spell its mask, and a Face built the old way,
     # from a tuple of vertex ids, is no face of the polytope at any k

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gpcount import polynomial
 from gpcount.errors import InterpolationMismatchError
 from gpcount.polynomial import (
     Polynomial,
@@ -14,6 +15,7 @@ from gpcount.polynomial import (
     interpolate,
     interpolate_quasipoly,
 )
+from gpcount.rational import to_integers
 from oracles import horner, lagrange
 
 
@@ -67,6 +69,17 @@ def test_interpolate_rejects_step_below_one():
             interpolate([1, 2], 1, step)
 
 
+def test_interpolate_refuses_a_start_that_is_no_int():
+    # equal to 1 but no int: refused before the Newton terms of its node
+    # set are cached, so later fits on that node set stay exact
+    polynomial._newton_columns.cache_clear()
+    for start in (Fraction(1), 1.0, True):
+        with pytest.raises(ValueError, match="start must be an integer"):
+            interpolate([1, 2], start, 1)
+    assert interpolate([1, 2], 1, 1) == Polynomial((0, 1))
+    assert binomial_polynomial([0, 1]).coefficients == (0, 1)
+
+
 @given(st.lists(st.integers(-20, 20), min_size=1, max_size=5), st.integers(-6, 6),
        st.integers(1, 6))
 def test_interpolation_round_trip(cs, start, step):
@@ -78,15 +91,27 @@ def test_interpolation_round_trip(cs, start, step):
 rationals = st.fractions(min_value=-12, max_value=12, max_denominator=7)
 
 
-@given(st.lists(st.integers(-50, 50), max_size=9), st.integers(-6, 6), st.integers(1, 6))
+small_or_big = st.one_of(st.integers(-50, 50), st.integers(-10 ** 30, 10 ** 30))
+
+
+@given(st.lists(small_or_big, max_size=9), st.integers(-40, 40), st.integers(1, 9))
 @example([], 1, 1)
 @example([7], -3, 2)
 @example([0, 1, 0, -1, 0], 0, 6)
 def test_interpolate_matches_lagrange(values, start, step):
-    p = interpolate(values, start, step)
-    assert all(type(c) is Fraction for c in p.coefficients)
-    want = lagrange([(start + i * step, y) for i, y in enumerate(values)])
-    assert list(p.coefficients) + [Fraction(0)] * (len(want) - len(p.coefficients)) == want
+    # the first fit on the node set fills the cache of its Newton terms and
+    # the fit of the reversed values reads it; each is the Lagrange
+    # polynomial, and the same value as the polynomial of its coefficients
+    polynomial._newton_columns.cache_clear()
+    for ys in (values, values[::-1]):
+        p = interpolate(ys, start, step)
+        assert all(type(c) is Fraction for c in p.coefficients)
+        want = lagrange([(start + i * step, y) for i, y in enumerate(ys)])
+        assert list(p.coefficients) + [Fraction(0)] * (len(want) - len(p.coefficients)) == want
+        assert p._integer_form == to_integers(p.coefficients)
+        same = Polynomial(p.coefficients)
+        assert p == same and hash(p) == hash(same)
+        assert repr(p) == repr(same) and p.to_json() == same.to_json()
 
 
 @given(st.lists(rationals, max_size=8), st.one_of(st.integers(-30, 30), rationals))

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from gpcount.errors import InputFormatError, NotSubmodularError
-from gpcount.generators import random_hypergraphic_setfn
+from gpcount.generators import random_hypergraph, random_hypergraphic_setfn
 from gpcount.hypergraph import Hypergraph, hypergraphic_setfn
 from gpcount.permutahedron import vertices
+from gpcount.rational import to_integers
 from gpcount.setfn import (
     SetFn,
     setfn_from_json,
@@ -44,16 +45,21 @@ def test_standard_values():
 
 
 def test_setfn_validation():
-    with pytest.raises(ValueError):
-        SetFn(2, (1, 0, 0, 0))       # empty set must map to 0
-    with pytest.raises(ValueError):
-        SetFn(2, (0, 1, 1))          # wrong table size
-    with pytest.raises(ValueError):
-        SetFn(0, ())
-    with pytest.raises(ValueError):
-        SetFn(9, (0,) * 512)
-    with pytest.raises(ValueError):
-        standard_perm_setfn(9)
+    # from values and from integers over a scale, with the same messages
+    for build in (SetFn, lambda d, ints: SetFn._from_integers(d, 1, ints)):
+        with pytest.raises(ValueError, match="the empty set must map to 0"):
+            build(2, (1, 0, 0, 0))
+        with pytest.raises(ValueError, match="need 4 values, got 3"):
+            build(2, (0, 1, 1))
+        with pytest.raises(ValueError, match="ground-set size must be in 1..8"):
+            build(0, ())
+        with pytest.raises(ValueError, match="ground-set size must be in 1..8"):
+            build(9, (0,) * 512)
+    for build in (standard_perm_setfn,
+                  lambda d: hypergraphic_setfn(Hypergraph(d, ({1, d},))),
+                  lambda d: setfn_from_vertices([(1,) * d])):
+        with pytest.raises(ValueError, match="ground-set size must be in 1..8"):
+            build(9)
 
 
 def test_setfn_float_values():
@@ -107,6 +113,47 @@ def test_scaled():
     assert not SetFn(2, (0, Fraction(1, 2), Fraction(2, 3), Fraction(4, 3))).is_submodular
     assert standard_perm_setfn(2).scaled == (1, (0, 2, 2, 3))
     assert SetFn(1, (0, Fraction(-3, 4))).scaled == (4, (0, -3))
+
+
+def edges_meeting(h):
+    """z(T) = the number of edges meeting T, from the edges' node sets."""
+    return tuple(Fraction(sum(1 for e in h.edges if any(mask >> (i - 1) & 1 for i in e)))
+                 for mask in range(1 << h.d))
+
+
+def assert_same_value(z, d, values):
+    # an integer-built z is the set function of its values in every respect
+    # the package reads: fields, equality both ways, hash, repr and `scaled`
+    same = SetFn(d, values)
+    assert z.d == d and z.values == tuple(values)
+    assert all(type(v) is Fraction for v in z.values)
+    assert z == same and same == z and not z != same
+    assert hash(z) == hash(same)
+    assert repr(z) == repr(same)
+    assert z.scaled == same.scaled == to_integers(values)
+    assert len({z, same}) == 1
+
+
+def test_integer_built_setfns_equal_their_values():
+    rng = random.Random(13)
+    for _ in range(8):
+        h = random_hypergraph(rng, max_d=6, max_edges=5)
+        assert_same_value(hypergraphic_setfn(h), h.d, edges_meeting(h))
+    for d in range(1, 5):
+        # z(A) = d + (d-1) + ... + (d-|A|+1)
+        want = [sum(range(d, d - mask.bit_count(), -1)) for mask in range(1 << d)]
+        assert_same_value(standard_perm_setfn(d), d, want)
+    # the subset-sum maxima over a vertex set, with Fraction coordinates
+    pts = [(Fraction(1, 2), Fraction(3, 4), -1), (Fraction(-1, 6), 1, Fraction(-7, 12))]
+    want = [max(sum(p[i] for i in range(3) if mask >> i & 1) for p in pts)
+            for mask in range(8)]
+    assert_same_value(setfn_from_vertices(pts), 3, want)
+    # an unreduced pair: every int even over scale 2, and a common factor 3
+    # of the ints and the scale 6
+    assert_same_value(SetFn._from_integers(2, 2, (0, 4, 6, 8)), 2, (0, 2, 3, 4))
+    z = SetFn._from_integers(2, 6, (0, 3, 9, -12))
+    assert z.scaled == (2, (0, 1, 3, -4))
+    assert_same_value(z, 2, (0, Fraction(1, 2), Fraction(3, 2), -2))
 
 
 def test_greedy_vertex_examples():

@@ -101,9 +101,9 @@ def test_repr_names_every_field(name):
 
 def test_cached_properties_fill_past_the_guard():
     z = SetFn(2, (0, 1, 1, 1))
-    assert "scaled" not in z.__dict__
-    assert z.scaled == (1, (0, 1, 1, 1))
-    assert z.__dict__["scaled"] is z.scaled
+    assert "scaled_vertices" not in z.__dict__
+    assert z.scaled_vertices == ((0, 1), (1, 0))
+    assert z.__dict__["scaled_vertices"] is z.scaled_vertices
     # the cache is not a field: equality and hash still read the fields only
     assert z == SetFn(2, (0, 1, 1, 1)) and hash(z) == hash(SetFn(2, (0, 1, 1, 1)))
 
