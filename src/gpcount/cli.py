@@ -31,9 +31,20 @@ by its exact integer form `SetFn.scaled` (so a parsed document and an equal
 set function built from integers are one key), together with
 `errors.WORK_BUDGET` at call time, so a process that calls `run` more than
 once builds the vertices and face map of a repeated set function once, and
-a kept polytope refuses exactly what a fresh one would.  A document rewritten in place is a new
-key.  Nothing else is kept between calls, and `verify-all` builds its own
-polytopes without reading or replacing the kept one.
+a kept polytope refuses exactly what a fresh one would.  A document
+rewritten in place is a new key, and `verify-all` builds its own polytopes
+without reading or replacing the kept one.
+
+`ehrhart`, `pruned` and `verify-all` make their reciprocity checks through
+`_reciprocity`, which keeps the last 64: the fit and the check entries of
+each `em_reciprocity_check` and `pruned_reciprocity_check`, and hands each
+caller a new `Report` of those entries.  Its key is the check, its
+arguments with their types (so a `True` or `2.0` degree misses an int one
+and is refused as before), and `errors.WORK_BUDGET`, `errors.LOOP_BUDGET`
+and `ehrhart.SCAN_DEPTH` at call time, so a kept check refuses exactly what
+a fresh one would.  Errors are never kept.  An entry holds its polytope and
+fan, about 1 MB with the normal fan of pi_6.  Nothing else in this module
+is kept between calls.
 """
 
 from __future__ import annotations
@@ -51,7 +62,7 @@ from operator import itemgetter
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
-from . import errors
+from . import ehrhart, errors
 from .ehrhart import (
     em_reciprocity_check,
     fan_from_json,
@@ -77,7 +88,7 @@ from .hypergraph import (
     vertices_via_headings,
 )
 from .permutahedron import FaceRows, GPerm, face_lattice_to_json
-from .polynomial import Polynomial
+from .polynomial import Polynomial, QuasiPolynomial
 from .report import Report
 from .setfn import SetFn, setfn_from_json, setfn_from_vertices
 
@@ -179,6 +190,26 @@ def _last_polytope(z: SetFn, budget: int) -> GPerm:
     return GPerm(z)
 
 
+def _reciprocity(check: Callable, *args) -> tuple[QuasiPolynomial, Report]:
+    """`check(*args)` for `em_reciprocity_check` or
+    `pruned_reciprocity_check`: the fit and a new `Report` of the check
+    entries, which are kept for equal arguments of equal types and equal
+    `errors.WORK_BUDGET`, `errors.LOOP_BUDGET` and `ehrhart.SCAN_DEPTH`."""
+    fit, entries = _kept_reciprocity(check, errors.WORK_BUDGET, errors.LOOP_BUDGET,
+                                     ehrhart.SCAN_DEPTH, *args)
+    return fit, Report(list(entries))
+
+
+# A `verify` pass of the benchmark uses 49 keys, so none is evicted; an entry
+# keeps its polytope and fan, about 1 MB for the normal fan of pi_6.
+@lru_cache(maxsize=64, typed=True)
+def _kept_reciprocity(check: Callable, work_budget: int, loop_budget: int, scan_depth: int,
+                      *args) -> tuple[QuasiPolynomial, tuple]:
+    # the budgets are in the key only: the check reads them as it runs
+    fit, report = check(*args)
+    return fit, tuple(report.entries)
+
+
 class UsageError(Exception):
     """Misuse of the command line.  `command` names the command whose usage
     line goes with the message, None for the top level."""
@@ -268,17 +299,17 @@ def _hg_reciprocity_report(h, P: GPerm, acyclic: list, m_max: int) -> tuple[Poly
     """The chromatic polynomial of h and the report of its identities;
     `acyclic` is `acyclic_headings(h)`."""
     poly = chromatic_polynomial(h)
-    sign = (-1) ** h.d
+    odd = h.d % 2  # (-1)^d poly(-m) is poly(-m), negated when d is odd
     report = Report()
     for m in range(1, m_max + 1):
         report.check(f"coloring count m={m}", chromatic_count(h, m), P.chi_count(0, m))
     for m in range(1, m_max + 1):
-        value = sign * poly(-m)
+        value = -poly(-m) if odd else poly(-m)
         pairs = compatible_pairs_count(h, m)
         report.check(f"negative m={m} vs compatible pairs", value, pairs)
         report.check(f"compatible pairs m={m} vs vertex sum", pairs,
                      P.reciprocity_rhs(0, m))
-    report.check("negative m=1 vs acyclic headings", sign * poly(-1),
+    report.check("negative m=1 vs acyclic headings", -poly(-1) if odd else poly(-1),
                  len(acyclic))
     return poly, report
 
@@ -294,7 +325,7 @@ def cmd_hg_reciprocity(args) -> tuple[dict, Report | None]:
 def cmd_ehrhart(args) -> tuple[dict, Report | None]:
     poly = hpolytope_from_json(_load_json(args.poly))
     degree = poly.d if args.degree is None else args.degree
-    qp, report = em_reciprocity_check(poly, degree, args.period, args.t_max)
+    qp, report = _reciprocity(em_reciprocity_check, poly, degree, args.period, args.t_max)
     return {"degree": degree, "quasipolynomial": qp.to_json()}, report
 
 
@@ -305,7 +336,8 @@ def cmd_pruned(args) -> tuple[dict, Report | None]:
     else:
         fan = normal_fan_of(_polytope(_load_setfn(args.setfn)))
     degree = poly.d if args.degree is None else args.degree
-    inner, report = pruned_reciprocity_check(poly, fan, degree, args.period, args.t_max)
+    inner, report = _reciprocity(pruned_reciprocity_check, poly, fan, degree, args.period,
+                                 args.t_max)
     return {"degree": degree, "inner_quasipolynomial": inner.to_json()}, report
 
 
@@ -341,17 +373,17 @@ def verify_all(seed: int, trials: int) -> Report:
         report.merge(_hg_reciprocity_report(h, Ph, acyclic, 2)[1], f"{tag}: hypergraph d={h.d}")
 
         qbox, deg, period = random_rational_box(rng)
-        report.merge(em_reciprocity_check(qbox, deg, period, 3)[1],
+        report.merge(_reciprocity(em_reciprocity_check, qbox, deg, period, 3)[1],
                      f"{tag}: dilation counts, box d={deg}")
         qsim, deg, period = random_rational_simplex(rng)
-        report.merge(em_reciprocity_check(qsim, deg, period, 3)[1],
+        report.merge(_reciprocity(em_reciprocity_check, qsim, deg, period, 3)[1],
                      f"{tag}: dilation counts, simplex d={deg}")
 
         zf = random_hypergraphic_setfn(rng, max_d=3)
         Pf = GPerm(zf)
-        report.merge(
-            pruned_reciprocity_check(unit_cube(Pf.d), normal_fan_of(Pf), Pf.d, 1, 3)[1],
-            f"{tag}: pruned counts d={Pf.d}")
+        report.merge(_reciprocity(pruned_reciprocity_check, unit_cube(Pf.d), normal_fan_of(Pf),
+                                  Pf.d, 1, 3)[1],
+                     f"{tag}: pruned counts d={Pf.d}")
     return report
 
 

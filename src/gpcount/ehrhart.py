@@ -404,10 +404,10 @@ def em_reciprocity_check(poly: HPolytope, degree: int, period: int,
     open_poly = poly.interior()
     _check_largest_dilates(poly, degree, period, open_poly, t_max)
     qp = ehrhart_quasipoly(poly, degree, period)
-    sign = (-1) ** degree
+    odd = degree % 2  # (-1)^degree qp(-t) is qp(-t), negated when the degree is odd
     report = Report()
     for t in range(1, t_max + 1):
-        report.check(f"t={t}", sign * qp(-t), count_lattice(open_poly, t))
+        report.check(f"t={t}", -qp(-t) if odd else qp(-t), count_lattice(open_poly, t))
     return qp, report
 
 
@@ -602,10 +602,11 @@ def pruned_reciprocity_check(poly: HPolytope, fan: FullDimFan, degree: int,
     _check_largest_dilates(open_poly, degree, period, poly, t_max, fan)
     inner = interpolate_quasipoly(
         lambda t: inner_pruned_count(open_poly, fan, t), degree, period)
-    sign = (-1) ** degree
+    odd = degree % 2
     report = Report()
     for t in range(1, t_max + 1):
-        report.check(f"t={t}", sign * inner(-t), cumulative_pruned_count(poly, fan, t))
+        report.check(f"t={t}", -inner(-t) if odd else inner(-t),
+                     cumulative_pruned_count(poly, fan, t))
     return inner, report
 
 

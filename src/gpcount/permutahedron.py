@@ -329,12 +329,12 @@ class GPerm:
         require_integer("k", k, 0, self.d - 1)
         require_integer("m_max", m_max, 1)
         poly = self.chi_polynomial(k)
-        sign = (-1) ** (self.d - k)
+        odd = (self.d - k) % 2  # (-1)^(d-k) poly(-m) is poly(-m), negated when d - k is odd
         report = Report()
         for m in range(1, m_max + 1):
             report.check(f"k={k} forward m={m}", poly(m), self.chi_count(k, m))
         for m in range(1, m_max + 1):
-            report.check(f"k={k} negative m={m}", sign * poly(-m),
+            report.check(f"k={k} negative m={m}", -poly(-m) if odd else poly(-m),
                          self.reciprocity_rhs(k, m))
         return poly, report
 

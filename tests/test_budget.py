@@ -7,7 +7,8 @@ time, so monkeypatching it takes effect, through the CLI too.  Only three
 remain, `errors.WORK_BUDGET`, `errors.LOOP_BUDGET` and `ehrhart.SCAN_DEPTH`,
 and every `check_budget` call in the package reads one of them.  The other
 refusal rule in `errors`, `require_integer`, is the only place that refuses
-an argument for not being an integer, a positive or a nonnegative one."""
+an argument for not being an integer, a positive or a nonnegative one.
+Every module-level cache of the package states a finite bound."""
 
 import ast
 import contextlib
@@ -31,10 +32,12 @@ from gpcount.errors import BudgetExceededError
 from gpcount.hypergraph import Hypergraph, acyclic_headings, chromatic_count
 from gpcount.permutahedron import GPerm
 from gpcount.setfn import standard_perm_setfn
+from conftest import package_caches
 from test_hypergraph import RUNNING  # 3 * 2 * 2 headings
 
 ONE_FORM = re.compile(r"(\d+) .+ exceed the budget of (\d+)")
-PI_3 = Path(__file__).resolve().parent / "golden" / "pi_3.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+PI_3 = GOLDEN / "pi_3.json"
 
 
 def pi(d):
@@ -77,31 +80,58 @@ def test_every_guard_refuses_in_one_form(monkeypatch, guard):
     call()
 
 
-def test_cli_reads_the_loop_budget_at_call_time(monkeypatch):
-    # chi --m-max 2 makes 2 * 2 checks
-    argv = ["chi", "--setfn", str(PI_3), "--m-max", "2"]
-    for budget, rc, err in ((3, 2, "error: 4 checks exceed the budget of 3\n"), (4, 0, "")):
-        monkeypatch.setattr(errors, "LOOP_BUDGET", budget)
+def _refused_below_the_boundary(monkeypatch, module, constant, argv, boundary, refused):
+    # argv runs at the boundary budget, is refused one below it, runs at the
+    # boundary again and is refused again.  The CLI keeps the last polytope
+    # and its reciprocity checks, and a kept one is refused exactly where a
+    # fresh one is
+    for budget, rc, err in ((boundary, 0, ""), (boundary - 1, 2, f"error: {refused}\n"),
+                            (boundary, 0, ""), (boundary - 1, 2, f"error: {refused}\n")):
+        monkeypatch.setattr(module, constant, budget)
         out, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(stderr):
             assert cli.run(argv) == rc
         assert stderr.getvalue() == err
 
 
-def test_cli_reads_the_work_budget_at_call_time(monkeypatch):
-    # chi on pi_3 charges 3^3 subset pairs times 6 vertices to the face map.
-    # The CLI keeps the last polytope it built, and a kept one is refused
-    # exactly where a fresh one is
-    argv = ["chi", "--setfn", str(PI_3)]
-    refused = ("error: 162 face-map steps (3^3 subset pairs times 6 vertices) "
-               "exceed the budget of 161\n")
-    for budget, rc, err in ((10 ** 7, 0, ""), (161, 2, refused), (162, 0, ""),
-                            (161, 2, refused)):
-        monkeypatch.setattr(errors, "WORK_BUDGET", budget)
-        out, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(stderr):
-            assert cli.run(argv) == rc
-        assert stderr.getvalue() == err
+CHI = ["chi", "--setfn", str(PI_3), "--m-max", "2"]
+# a fit of degree 2 and period 2 counts (2 + 2) * 2 nodes; the triangle's
+# rows involve all 3 coordinates, and a sweep fixes both of the rectangle's
+EHRHART = ["ehrhart", "--poly", str(GOLDEN / "triangle_q2.json"),
+           "--degree", "2", "--period", "2", "--t-max", "4"]
+PRUNED = ["pruned", "--poly", str(GOLDEN / "rect_q2.json"),
+          "--fan", str(GOLDEN / "fan_diag_q.json"),
+          "--degree", "2", "--period", "2", "--t-max", "4"]
+
+
+@pytest.mark.parametrize("argv, boundary, refused", [
+    (CHI, 4, "4 checks exceed the budget of 3"),  # 2 * 2 checks
+    (EHRHART, 8, "8 fit nodes exceed the budget of 7"),
+    (PRUNED, 8, "8 fit nodes exceed the budget of 7"),
+], ids=["chi", "ehrhart", "pruned"])
+def test_cli_reads_the_loop_budget_at_call_time(monkeypatch, argv, boundary, refused):
+    _refused_below_the_boundary(monkeypatch, errors, "LOOP_BUDGET", argv, boundary, refused)
+
+
+@pytest.mark.parametrize("argv, boundary, refused", [
+    # 3^3 subset pairs times pi_3's 6 vertices charged to the face map
+    (CHI, 162, "162 face-map steps (3^3 subset pairs times 6 vertices)"
+               " exceed the budget of 161"),
+    # the largest dilate, the fit's last node t = 8
+    (EHRHART, 525, "525 prefixes of the last coordinate at t=8 exceed the budget of 524"),
+    (PRUNED, 437, "437 steps (209 box points and 19 runs of 12 fan row reads) at t=8 "
+                  "exceed the budget of 436"),
+], ids=["chi", "ehrhart", "pruned"])
+def test_cli_reads_the_work_budget_at_call_time(monkeypatch, argv, boundary, refused):
+    _refused_below_the_boundary(monkeypatch, errors, "WORK_BUDGET", argv, boundary, refused)
+
+
+@pytest.mark.parametrize("argv, boundary, refused", [
+    (EHRHART, 3, "3 coordinates scanned at t=8 exceed the budget of 2"),
+    (PRUNED, 2, "2 coordinates scanned at t=8 exceed the budget of 1"),
+], ids=["ehrhart", "pruned"])
+def test_cli_reads_the_scan_depth_at_call_time(monkeypatch, argv, boundary, refused):
+    _refused_below_the_boundary(monkeypatch, ehrhart, "SCAN_DEPTH", argv, boundary, refused)
 
 
 def _budget_reads(tree):
@@ -144,6 +174,49 @@ def test_every_guard_reads_one_of_three_budgets():
              for read in _budget_reads(ast.parse(path.read_text(), str(path)))]
     assert len(reads) >= len(GUARDS)
     assert [r for r in reads if r[1] not in BUDGETS] == []
+
+
+def _module_caches(tree):
+    """(name, bound) of each function at the top level of `tree` decorated
+    with `lru_cache` or `cache`, by name or through `functools`, called or
+    not: the bound is the int `maxsize` the decorator states, or None when
+    it states none, or states None."""
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            func = call.func if call else decorator
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name not in ("lru_cache", "cache"):
+                continue
+            given = None
+            if name == "lru_cache" and call:
+                given = call.args[0] if call.args else next(
+                    (k.value for k in call.keywords if k.arg == "maxsize"), None)
+            bound = given.value if isinstance(given, ast.Constant) else None
+            yield node.name, bound if type(bound) is int else None
+
+
+def test_every_module_cache_is_bounded_and_emptied_before_each_test():
+    # a module-level cache states a finite bound, so a long process cannot
+    # grow it without limit, and `conftest` finds it and empties it before
+    # every test
+    forms = ("@lru_cache(maxsize=64)\ndef a(): pass\n"
+             "@functools.lru_cache(8, typed=True)\ndef b(): pass\n"
+             "@lru_cache\ndef c(): pass\n"
+             "@lru_cache(maxsize=None)\ndef d(): pass\n"
+             "@functools.cache\ndef e(): pass\n"
+             "class F:\n    @lru_cache(maxsize=None)\n    def g(self): pass\n")
+    assert list(_module_caches(ast.parse(forms))) == [
+        ("a", 64), ("b", 8), ("c", None), ("d", None), ("e", None)]
+    package = Path(gpcount.__file__).resolve().parent
+    caches = {f"{path.stem}.{name}": bound for path in sorted(package.glob("*.py"))
+              for name, bound in _module_caches(ast.parse(path.read_text(), str(path)))}
+    assert {"cli._last_polytope", "cli._kept_reciprocity",
+            "polynomial._newton_columns"} <= set(caches)
+    assert [name for name, bound in caches.items() if not bound or bound < 1] == []
+    assert set(caches) == set(package_caches())
 
 
 # an argument's name, or a placeholder for it, before the phrase; `cli`'s

@@ -28,6 +28,7 @@ from oracles import (
     with_rows,
 )
 from test_ehrhart import DIAGONAL_FAN, HUGE_SIMPLEX, OVERLAPPING
+from test_golden import CASES
 from test_hypergraph import EIGHT
 from test_permutahedron import non_integer_setfn
 
@@ -771,6 +772,70 @@ def test_verify_all_leaves_the_kept_polytope(capsys):
     assert invoke(capsys, "verify-all", "--seed", "1", "--trials", "2")[0] == 0
     assert cli._last_polytope.cache_info() == info
     assert cli._polytope(standard_perm_setfn(3)) is kept
+
+
+def test_a_kept_check_changes_no_outcome(capsys):
+    # verify-all at seeds 1..15 with two trials each, then the ehrhart and
+    # pruned golden cases, each twice.  In one process each request prints
+    # and exits as it does with no reciprocity check kept
+    steps = [["verify-all", "--seed", str(seed), "--trials", "2"] for seed in range(1, 16)]
+    steps += [argv for case, argv in sorted(CASES.items())
+              if case.startswith(("ehrhart_", "pruned_")) for _ in range(2)]
+
+    def send_all(keep):
+        outcomes = []
+        for argv in steps:
+            if not keep:
+                cli._kept_reciprocity.cache_clear()
+            outcomes.append(_outcome(capsys, argv))
+        return outcomes
+
+    fresh = send_all(keep=False)
+    cli._kept_reciprocity.cache_clear()
+    assert send_all(keep=True) == fresh
+    assert [rc for rc, _, _ in fresh] == [0] * len(steps)
+    # the 90 checks of the verify-all requests hold 49 distinct keys; each
+    # golden case is kept on its first request and read on its second
+    assert cli._kept_reciprocity.cache_info()[:2] == (41 + 5, 49 + 5)
+
+
+def test_a_kept_report_is_the_callers_own():
+    # a check appended to the report of a kept check shows in no later report
+    square = unit_cube(2)
+    fit, report = cli._reciprocity(ehrhart.em_reciprocity_check, square, 2, 1, 3)
+    report.check("appended", 0, 1)
+    kept_fit, kept = cli._reciprocity(ehrhart.em_reciprocity_check, square, 2, 1, 3)
+    assert cli._kept_reciprocity.cache_info()[:2] == (1, 1)
+    assert kept_fit is fit
+    assert [e.label for e in kept.entries] == ["t=1", "t=2", "t=3"]
+    assert kept.failures == 0
+
+
+def _pi_fan(d):
+    return ehrhart.normal_fan_of(permutahedron.GPerm(standard_perm_setfn(d)))
+
+
+@pytest.mark.parametrize("check, operands, degree", [
+    ("em_reciprocity_check", lambda: (unit_cube(1),), True),
+    ("em_reciprocity_check", lambda: (unit_cube(2),), 2.0),
+    ("em_reciprocity_check", lambda: (unit_cube(2),), Fraction(2)),
+    ("pruned_reciprocity_check", lambda: (unit_cube(1), _pi_fan(1)), True),
+    ("pruned_reciprocity_check", lambda: (unit_cube(2), _pi_fan(2)), 2.0),
+], ids=["ehrhart-True", "ehrhart-2.0", "ehrhart-Fraction", "pruned-True", "pruned-2.0"])
+def test_a_kept_check_refuses_a_degree_that_is_no_int(check, operands, degree):
+    # the kept checks are keyed by type too: a degree equal to a kept int
+    # degree, but not an int, misses the kept entry and is refused with the
+    # check's own ValueError
+    check = getattr(ehrhart, check)
+    with pytest.raises(ValueError) as fresh:
+        check(*operands(), degree, 1, 3)
+    cli._reciprocity(check, *operands(), int(degree), 1, 3)
+    with pytest.raises(ValueError) as kept:
+        cli._reciprocity(check, *operands(), degree, 1, 3)
+    assert str(kept.value) == str(fresh.value)
+    # two misses, and only the int entry is kept
+    info = cli._kept_reciprocity.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 1)
 
 
 def test_verify_all_deterministic(capsys):
