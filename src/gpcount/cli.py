@@ -20,18 +20,18 @@ budgets) and 3 on an internal error; after 2 or 3 no partial report is
 emitted.  Reports are deterministic for fixed inputs up to the "timing"
 field.  `run` writes each report with `dumps`, this module's own JSON
 writer, byte for byte as the stdlib's `json.dumps` writes it with an indent
-of 2: with an indent set, the stdlib runs its pure-Python encoder.  The
-face rows of a `faces` report come as a `FaceRows` list, whose rows `dumps`
-writes with one string template each, not one recursive call per value.
+of 2: with an indent set, the stdlib runs its pure-Python encoder.  A list
+of dicts that all have the shape of the face rows of a `faces` report is
+written with one string template per row, not one recursive call per value.
 
 The four commands that build a `GPerm` from their input (`chi`, `faces`,
 `pruned --setfn` and `hg-reciprocity`) get it from `_polytope`, which keeps
 the last one it built.  Its key is the `SetFn` value, compared and hashed
 by its exact integer form `SetFn.scaled` (so a parsed document and an equal
-set function built from integers are one key), together with
-`errors.WORK_BUDGET` at call time, so a process that calls `run` more than
-once builds the vertices and face map of a repeated set function once, and
-a kept polytope refuses exactly what a fresh one would.  A document
+set function built from integers are one key), together with `_limits()`,
+the three limits of `errors` at call time, so a process that calls `run`
+more than once builds the vertices and face map of a repeated set function
+once, and a kept polytope refuses exactly what a fresh one would.  A document
 rewritten in place is a new key, and `verify-all` builds its own polytopes
 without reading or replacing the kept one.
 
@@ -40,11 +40,10 @@ without reading or replacing the kept one.
 each `em_reciprocity_check` and `pruned_reciprocity_check`, and hands each
 caller a new `Report` of those entries.  Its key is the check, its
 arguments with their types (so a `True` or `2.0` degree misses an int one
-and is refused as before), and `errors.WORK_BUDGET`, `errors.LOOP_BUDGET`
-and `ehrhart.SCAN_DEPTH` at call time, so a kept check refuses exactly what
-a fresh one would.  Errors are never kept.  An entry holds its polytope and
-fan, about 1 MB with the normal fan of pi_6.  Nothing else in this module
-is kept between calls.
+and is refused as before), and `_limits()` at call time, so a kept check
+refuses exactly what a fresh one would.  Errors are never kept.  An entry
+holds its polytope and fan, about 1 MB with the normal fan of pi_6.
+Nothing else in this module is kept between calls.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ from operator import itemgetter
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
-from . import ehrhart, errors
+from . import errors
 from .ehrhart import (
     em_reciprocity_check,
     fan_from_json,
@@ -87,7 +86,7 @@ from .hypergraph import (
     hypergraphic_setfn,
     vertices_via_headings,
 )
-from .permutahedron import FaceRows, GPerm, face_lattice_to_json
+from .permutahedron import GPerm, face_lattice_to_json
 from .polynomial import Polynomial, QuasiPolynomial
 from .report import Report
 from .setfn import SetFn, setfn_from_json, setfn_from_vertices
@@ -99,10 +98,11 @@ def dumps(value, pad: str = "\n") -> str:
     and None; anything else raises TypeError.  `pad` is the newline and
     indent of the line value starts on; callers leave it at its default.  A
     list of only ints (bools excluded) or only strings is written with one
-    join.  A `FaceRows` list whose rows all have the shape {"dim": int,
-    "vertices": [int, ...]} (keys in that order, at least one id) is written
-    with one template per row (`_face_rows`); otherwise it is written as a
-    plain list, with the same bytes or the same TypeError."""
+    join.  A list of only dicts that all have the shape {"dim": int,
+    "vertices": [int, ...]} (keys in that order, at least one id), as the
+    rows of a `faces` report do, is written with one template per row
+    (`_face_rows`); any other list is written item by item, with the same
+    bytes or the same TypeError."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -116,7 +116,7 @@ def dumps(value, pad: str = "\n") -> str:
         for key, item in value.items():  # the encoder refuses non-str keys
             items.append(encode_basestring_ascii(key) + ": " + dumps(item, inner))
         return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if kind is list or kind is FaceRows:
+    if kind is list:
         if not value:
             return "[]"
         inner = pad + "  "
@@ -126,7 +126,7 @@ def dumps(value, pad: str = "\n") -> str:
         elif kinds == {str}:
             items = map(encode_basestring_ascii, value)
         else:
-            items = _face_rows(value, inner) if kind is FaceRows else None
+            items = _face_rows(value, inner) if kinds == {dict} else None
             if items is None:
                 items = [dumps(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
@@ -144,13 +144,13 @@ def dumps(value, pad: str = "\n") -> str:
 _ROW_KEYS = ("dim", "vertices")
 
 
-def _face_rows(rows: FaceRows, pad: str) -> list[str] | None:
-    """The rows of a `faces` report written at pad with one template each,
-    the same bytes as `dumps` gives row by row; None unless every row is a
-    dict of an int "dim" and a nonempty list of int "vertices", in that
-    order, so that any other row goes through `dumps` as it would in a
-    plain list."""
-    if set(map(type, rows)) != {dict} or set(map(tuple, rows)) != {_ROW_KEYS}:
+def _face_rows(rows: list[dict], pad: str) -> list[str] | None:
+    """Dicts written at pad with one template each, the same bytes as
+    `dumps` gives dict by dict; None unless every dict holds an int "dim"
+    and a nonempty list of int "vertices", in that order, as the rows of a
+    `faces` report do, so that any other list goes through `dumps` item by
+    item."""
+    if set(map(tuple, rows)) != {_ROW_KEYS}:
         return None
     dims = list(map(itemgetter("dim"), rows))
     ids = list(map(itemgetter("vertices"), rows))
@@ -178,15 +178,21 @@ def _load_setfn(path: str):
     return setfn_from_json(_load_json(path))
 
 
+def _limits() -> tuple[int, int, int]:
+    """The three limits of `errors`, read now: part of the key of each kept
+    result, so that a kept result refuses exactly what a fresh one would."""
+    return errors.WORK_BUDGET, errors.LOOP_BUDGET, errors.SCAN_DEPTH
+
+
 def _polytope(z: SetFn) -> GPerm:
     """The generalized permutahedron of z, the one the last call built when
-    z and `errors.WORK_BUDGET` are unchanged since."""
-    return _last_polytope(z, errors.WORK_BUDGET)
+    z and `_limits()` are unchanged since."""
+    return _last_polytope(z, _limits())
 
 
 @lru_cache(maxsize=1)
-def _last_polytope(z: SetFn, budget: int) -> GPerm:
-    # the budget is in the key only: the face map reads it when it is built
+def _last_polytope(z: SetFn, limits: tuple[int, int, int]) -> GPerm:
+    # the limits are in the key only: the polytope's guards read them as they run
     return GPerm(z)
 
 
@@ -194,18 +200,17 @@ def _reciprocity(check: Callable, *args) -> tuple[QuasiPolynomial, Report]:
     """`check(*args)` for `em_reciprocity_check` or
     `pruned_reciprocity_check`: the fit and a new `Report` of the check
     entries, which are kept for equal arguments of equal types and equal
-    `errors.WORK_BUDGET`, `errors.LOOP_BUDGET` and `ehrhart.SCAN_DEPTH`."""
-    fit, entries = _kept_reciprocity(check, errors.WORK_BUDGET, errors.LOOP_BUDGET,
-                                     ehrhart.SCAN_DEPTH, *args)
+    `_limits()`."""
+    fit, entries = _kept_reciprocity(check, _limits(), *args)
     return fit, Report(list(entries))
 
 
 # A `verify` pass of the benchmark uses 49 keys, so none is evicted; an entry
 # keeps its polytope and fan, about 1 MB for the normal fan of pi_6.
 @lru_cache(maxsize=64, typed=True)
-def _kept_reciprocity(check: Callable, work_budget: int, loop_budget: int, scan_depth: int,
+def _kept_reciprocity(check: Callable, limits: tuple[int, int, int],
                       *args) -> tuple[QuasiPolynomial, tuple]:
-    # the budgets are in the key only: the check reads them as it runs
+    # the limits are in the key only: the check reads them as it runs
     fit, report = check(*args)
     return fit, tuple(report.entries)
 

@@ -27,8 +27,8 @@ them; a box with no row left after folding is one product.  One
 recursive scan returns the count and can hand each run to a callback.  A
 count charges the prefixes of the last coordinate it fixes to
 `errors.WORK_BUDGET` and is refused before it starts when they exceed it,
-or when it fixes more than `SCAN_DEPTH` coordinates (one recursion level
-each).  A reciprocity check is refused before its first count when its
+or when it fixes more than `errors.SCAN_DEPTH` coordinates (one recursion
+level each).  A reciprocity check is refused before its first count when its
 largest dilate would be, or when its checks or its fit's nodes exceed
 `errors.LOOP_BUDGET`.  Each refusal is `errors.check_budget`'s
 `BudgetExceededError`, and each budget is read when its guard runs.
@@ -70,7 +70,6 @@ from .report import Report
 from .value import Frozen
 
 RELATIONS = ("<=", "<", "=")
-SCAN_DEPTH = 500  # the scan recurses once per coordinate; Python allows 1000
 
 Row = tuple[tuple[int, ...], str, int]
 
@@ -193,21 +192,29 @@ def standard_simplex(d: int, scale: Fraction = Fraction(1)) -> HPolytope:
     return HPolytope(d, tuple(rows), tuple((0, ceil(scale)) for _ in range(d)))
 
 
-def _dilate_frame(poly: HPolytope, t: int):
-    """Axis ranges of the t-dilate, and its other rows as (coeffs, bound)
-    meaning coeffs . x <= bound.  None signals an empty dilate.
+def _scan_frame(poly: HPolytope, t: int, fan: FullDimFan | None = None):
+    """Axis ranges of the t-dilate, its other rows as (coeffs, bound)
+    meaning coeffs . x <= bound, and the number of coordinates the scan
+    fixes; (None, None, 0) for an empty dilate.
 
     Scales the polytope's `frame`, each right-hand side to `t b - strict`:
     a zero row empties the dilate when its bound is negative, a row in a
     single coordinate folds into that coordinate's range by floor division,
-    and the other rows are the scan's."""
+    and the other rows are the scan's.  The scan is refused before it starts
+    when it exceeds `errors.WORK_BUDGET` or fixes more than
+    `errors.SCAN_DEPTH` coordinates.  A count fixes the coordinates up to
+    the last one any row involves, as the frame records, and is charged the
+    prefixes of the last of those.  A sweep against `fan` fixes every
+    coordinate and walks every point of the folded box, and each of its runs
+    reads every distinct row of the fan and every cone's row list once
+    (`_run_cover`); it is charged the box points plus the prefixes of the
+    last coordinate, each counted as a run, times those row reads."""
     require_integer("t", t, 1)
     if poly.bbox is None:
         raise ValueError("counting requires a bounding box")
-    zero, axis, rest, _scanned = poly.frame
-    for b, strict in zero:
-        if t * b < strict:
-            return None, None
+    zero, axis, rest, scanned = poly.frame
+    if any(t * b < strict for b, strict in zero):
+        return None, None, 0
     ranges = [[lo * t, hi * t] for lo, hi in poly.bbox]
     for i, c, b, strict in axis:
         bound = t * b - strict
@@ -215,28 +222,10 @@ def _dilate_frame(poly: HPolytope, t: int):
             ranges[i][1] = min(ranges[i][1], bound // c)
         else:
             ranges[i][0] = max(ranges[i][0], -(bound // -c))
-    for lo, hi in ranges:
-        if lo > hi:
-            return None, None
-    return [tuple(r) for r in ranges], [(a, t * b - strict) for a, b, strict in rest]
-
-
-def _scan_frame(poly: HPolytope, t: int, fan: FullDimFan | None = None):
-    """`_dilate_frame` of the t-dilate and the number of coordinates the scan
-    fixes, refused before any scan when the scan exceeds
-    `errors.WORK_BUDGET` or fixes more than `SCAN_DEPTH`.  A count fixes the
-    coordinates up to the last one any row involves, as the frame records,
-    and is charged the prefixes of the last of those.  A sweep against `fan`
-    fixes every coordinate and walks every point of the folded box, and each
-    of its runs reads every distinct row of the fan and every cone's row
-    list once (`_run_cover`); it is charged the box points plus the prefixes
-    of the last coordinate, each counted as a run, times those row reads."""
-    ranges, rows = _dilate_frame(poly, t)
-    if ranges is None:
+    if any(lo > hi for lo, hi in ranges):
         return None, None, 0
     widths = [hi - lo + 1 for lo, hi in ranges]
     if fan is None:
-        scanned = poly.frame[3]
         size = prod(widths[:max(scanned - 1, 0)])
         check_budget(size, errors.WORK_BUDGET, f"prefixes of the last coordinate at t={t}")
     else:
@@ -248,12 +237,13 @@ def _scan_frame(poly: HPolytope, t: int, fan: FullDimFan | None = None):
         size = points + runs * reads
         check_budget(size, errors.WORK_BUDGET, f"steps ({points} box points and {runs} runs of "
                      f"{reads} fan row reads) at t={t}")
-    check_budget(scanned, SCAN_DEPTH, f"coordinates scanned at t={t}")
-    return ranges, rows, scanned
+    check_budget(scanned, errors.SCAN_DEPTH, f"coordinates scanned at t={t}")
+    return ([tuple(r) for r in ranges], [(a, t * b - strict) for a, b, strict in rest],
+            scanned)
 
 
 def _scan(ranges, rows, run=None) -> int:
-    """Number of integer points of a dilate, given by its `_dilate_frame`.
+    """Number of integer points of a dilate, given by its `_scan_frame`.
     Over each prefix `(x_1..x_{d-1})` of the ranges, in lexicographic order,
     the points `prefix + (x_d,)` of the dilate are the run `lo <= x_d <= hi`;
     each nonempty run is handed to `run(point, lo, hi)` when given, where

@@ -4,13 +4,13 @@ before it starts, and `require_integer`, by which a function refuses an
 integer argument (a dilation t, a number of colors m, a face dimension k, a
 size or a step) that is not an int or lies outside its range.
 
-Every guard charges the size of the work it is about to do to one of two
-budgets, read from this module at call time, so that a monkeypatched value
+Every guard charges the size of what it is about to do to one of three
+limits, read from this module at call time, so that a monkeypatched value
 reaches every guard, through the CLI too.  `WORK_BUDGET` bounds the steps
 of any one enumeration: scan prefixes, sweep steps, tie tests, headings and
 face-map steps.  `LOOP_BUDGET` bounds the checks one command makes and the
-nodes one fit counts, loops that flags drive.  The one other limit,
-`ehrhart.SCAN_DEPTH`, bounds recursion depth, not work.
+nodes one fit counts, loops that flags drive.  `SCAN_DEPTH` bounds the
+coordinates a lattice scan fixes, one recursion level each: depth, not work.
 
 An integer argument is an int and never a bool: `True` passes a range test
 as 1 and `1.0` as 1, so a range test alone would count the wrong thing or
@@ -20,6 +20,7 @@ argument and its range.
 
 WORK_BUDGET = 10 ** 7  # steps of any one enumeration
 LOOP_BUDGET = 10 ** 4  # checks one command makes; nodes (degree + 2) * period one fit counts
+SCAN_DEPTH = 500  # coordinates one scan fixes, one recursion level each; Python allows 1000
 
 
 class GpcountError(Exception):

@@ -57,9 +57,10 @@ sorted vertex ids are read off a mask only for a person to read
 faces by dimension and, within one dimension, by their lists of vertex
 ids, as `sorted((dim, ids))` would; `face_lattice_to_json` groups the
 faces by dimension first, so it sorts only each dimension's id lists, and
-each id list it reads off a mask goes into the report as it is.  The
-0-faces in a face are its vertices, so `count_k_faces(f, 0)` is the
-number of set bits of f.  For
+each id list it reads off a mask goes into the report as it is, in a
+plain list of {"dim", "vertices"} dicts (`cli.dumps` knows that shape and
+writes each with one template).  The 0-faces in a face are its vertices,
+so `count_k_faces(f, 0)` is the number of set bits of f.  For
 k >= 1 a k-face lies in a face f only if its lowest vertex does, so the
 k-faces are indexed by their lowest set bit, one k at a time on the first
 query for that k, and the k-faces in f are found by walking the set bits
@@ -339,19 +340,13 @@ class GPerm:
         return poly, report
 
 
-class FaceRows(list):
-    """The faces of a `faces` report, each a dict {"dim": k, "vertices":
-    [ids]} with its keys in that order.  It is a list like any other, but
-    `cli.dumps` writes each row that fits that shape with one template."""
-
-
 def face_lattice_to_json(P: GPerm) -> dict:
     """The fields of the `faces` report: d, the vertices as exact rationals
     and one row per face, by dimension and then by vertex-id list."""
     by_dim: list[list[list[int]]] = [[] for _ in range(P.d)]
     for mask, dim in P.face_lattice():
         by_dim[dim].append(_bits(mask))
-    faces = FaceRows()
+    faces = []
     for k, rows in enumerate(by_dim):
         rows.sort()
         faces += [{"dim": k, "vertices": ids} for ids in rows]

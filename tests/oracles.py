@@ -322,13 +322,13 @@ def brute_lattice_points(poly, t: int):
 
 
 def dilate_frame(poly, t: int):
-    """The t-dilate as `_dilate_frame` gives it, its rows analysed anew at
-    this t: each row is rescaled to integers by the lcm of its denominators,
-    a strict row lowers its bound t b by one and an equality adds the
-    opposite row; then a zero row with a negative bound empties the dilate,
-    a row in one coordinate folds into that coordinate's range by floor
-    division, and the others stay as (coeffs, bound), in row order.  None
-    for an empty dilate."""
+    """The t-dilate as the first two items of `_scan_frame` give it, its
+    rows analysed anew at this t: each row is rescaled to integers by the
+    lcm of its denominators, a strict row lowers its bound t b by one and an
+    equality adds the opposite row; then a zero row with a negative bound
+    empties the dilate, a row in one coordinate folds into that coordinate's
+    range by floor division, and the others stay as (coeffs, bound), in row
+    order.  (None, None) for an empty dilate."""
     rows = []
     for a, rel, b in poly.rows:
         scale = lcm(*(v.denominator for v in (*a, b)))

@@ -4,10 +4,11 @@
 boundary: refused with the budget one below the size it charges, run with
 the budget equal to it.  Every budget is a module constant read at call
 time, so monkeypatching it takes effect, through the CLI too.  Only three
-remain, `errors.WORK_BUDGET`, `errors.LOOP_BUDGET` and `ehrhart.SCAN_DEPTH`,
-and every `check_budget` call in the package reads one of them.  The other
-refusal rule in `errors`, `require_integer`, is the only place that refuses
-an argument for not being an integer, a positive or a nonnegative one.
+remain, all in `errors`: `WORK_BUDGET`, `LOOP_BUDGET` and `SCAN_DEPTH`, and
+every `check_budget` call in the package reads one of them.  The results
+the CLI keeps between calls are keyed on all three.  The other refusal
+rule in `errors`, `require_integer`, is the only place that refuses an
+argument for not being an integer, a positive or a nonnegative one.
 Every module-level cache of the package states a finite bound."""
 
 import ast
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import gpcount
-from gpcount import cli, ehrhart, errors
+from gpcount import cli, errors
 from gpcount.ehrhart import (
     count_lattice,
     cumulative_pruned_count,
@@ -50,7 +51,7 @@ GUARDS = {
                       lambda: count_lattice(standard_simplex(3), 3)),
     "sweep steps": (errors, "WORK_BUDGET", 352,
                     lambda: cumulative_pruned_count(unit_cube(3), normal_fan_of(pi(3)), 3)),
-    "scan depth": (ehrhart, "SCAN_DEPTH", 3,
+    "scan depth": (errors, "SCAN_DEPTH", 3,
                    lambda: count_lattice(standard_simplex(3), 1)),
     "checks": (errors, "LOOP_BUDGET", 5,
                lambda: em_reciprocity_check(standard_simplex(2), 2, 1, 5)),
@@ -64,7 +65,7 @@ GUARDS = {
     "face cap": (errors, "WORK_BUDGET", 162,
                  lambda: pi(3).face_lattice()),
 }
-BUDGETS = {("errors", "WORK_BUDGET"), ("errors", "LOOP_BUDGET"), (None, "SCAN_DEPTH")}
+BUDGETS = {("errors", "WORK_BUDGET"), ("errors", "LOOP_BUDGET"), ("errors", "SCAN_DEPTH")}
 
 
 @pytest.mark.parametrize("guard", GUARDS)
@@ -131,7 +132,22 @@ def test_cli_reads_the_work_budget_at_call_time(monkeypatch, argv, boundary, ref
     (PRUNED, 2, "2 coordinates scanned at t=8 exceed the budget of 1"),
 ], ids=["ehrhart", "pruned"])
 def test_cli_reads_the_scan_depth_at_call_time(monkeypatch, argv, boundary, refused):
-    _refused_below_the_boundary(monkeypatch, ehrhart, "SCAN_DEPTH", argv, boundary, refused)
+    _refused_below_the_boundary(monkeypatch, errors, "SCAN_DEPTH", argv, boundary, refused)
+
+
+@pytest.mark.parametrize("limit", ["WORK_BUDGET", "LOOP_BUDGET", "SCAN_DEPTH"])
+def test_kept_results_are_keyed_on_every_limit(monkeypatch, limit):
+    # a repeated request reads the kept polytope; a change to any one limit
+    # between two requests builds it again
+    def chi():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(CHI) == 0
+        return cli._last_polytope.cache_info()[:2]
+
+    chi()
+    assert chi() == (1, 1)
+    monkeypatch.setattr(errors, limit, getattr(errors, limit) + 1)
+    assert chi() == (1, 2)
 
 
 def _budget_reads(tree):

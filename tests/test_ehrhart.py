@@ -206,7 +206,7 @@ def scan_cases(poly, t):
     product), free trailing coordinates (after the last one any row
     involves), and an inner prefix `(x_1..x_j)`, j < d - 1, of the ranges
     that some row rules out for every completion in the ranges."""
-    ranges, rows = ehrhart._dilate_frame(poly, t)
+    ranges, rows = ehrhart._scan_frame(poly, t)[:2]
     if ranges is None:
         return set()
     if not rows:
@@ -248,7 +248,7 @@ def empty_run_reached(ranges, rows):
 def scanned_points(poly, t):
     """The scan's count of the t-dilate, and its points expanded from the
     runs the scan hands its callback."""
-    ranges, rows = ehrhart._dilate_frame(poly, t)
+    ranges, rows = ehrhart._scan_frame(poly, t)[:2]
     points = []
     if ranges is None:
         return 0, points
@@ -280,7 +280,7 @@ def test_count_lattice_against_brute_force():
                 if not points:
                     cases.add("empty")
                 shortcuts |= scan_cases(P, t)
-                ranges, rows = ehrhart._dilate_frame(P, t)
+                ranges, rows = ehrhart._scan_frame(P, t)[:2]
                 if ranges is not None:
                     branches.add("one coordinate" if len(ranges) == 1 else "inline last coordinate")
                     if "empty run" not in branches and len(ranges) > 1 \
@@ -317,7 +317,7 @@ def test_dilate_frame_matches_per_t_reference():
                         cases.add("zero row empties")
             for t in range(1, 7):
                 expected = dilate_frame(P, t)
-                assert ehrhart._dilate_frame(P, t) == expected
+                assert ehrhart._scan_frame(P, t)[:2] == expected
                 if expected[0] is None:
                     cases.add("empty")
     assert cases == {"equality", "zero row", "zero row empties", "empty"}

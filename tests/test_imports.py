@@ -49,3 +49,32 @@ def test_imports_no_dataclasses_or_inspect(modules):
     done = subprocess.run([sys.executable, "-I", "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def _unused_imports(tree):
+    """The names that the top-level imports of `tree` bind and that nothing
+    in it reads, by name or as the base of an attribute; `from __future__`
+    binds nothing."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(name for name in bound if name not in read)
+
+
+def test_every_top_level_import_is_used():
+    # a deletion that leaves an import behind fails here, not in a linter
+    forms = ("from __future__ import annotations\n"
+             "import os, os.path\nimport json as j\nfrom . import a, b\n"
+             "from .c import d as e, f\n"
+             "def g(x: f) -> None:\n    return os.sep + a.x\n")
+    assert _unused_imports(ast.parse(forms)) == ["b", "e", "j"]
+    unused = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+              for name in _unused_imports(ast.parse(path.read_text(), str(path)))]
+    assert unused == []

@@ -1,10 +1,13 @@
 """`cli.dumps`, the writer of every report, gives the bytes of
 `json.dumps(value, indent=2)` on the values it accepts and refuses the rest.
-The rows of a `faces` report (`FaceRows`) that fit its template get the
-same bytes from it; any other row gets what a plain list would get."""
+A list of dicts that all fit the template of a `faces` row gets the same
+bytes from one template per row; a list with any other item is written
+item by item, as a report's `checks` list is.  `faces` takes the template
+and `chi` does not."""
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -12,7 +15,8 @@ from hypothesis import strategies as st
 
 from gpcount import cli
 from gpcount.cli import dumps
-from gpcount.permutahedron import FaceRows
+
+PI_3 = Path(__file__).resolve().parent / "golden" / "pi_3.json"
 
 # Any code point, with lone surrogates and the characters JSON escapes drawn
 # often.
@@ -58,12 +62,16 @@ def nestings(rows):
 
 @given(ROWS)
 def test_face_rows_template_gives_json_dumps_bytes(rows):
-    assert cli._face_rows(FaceRows(rows), "\n  ") is not None
-    for plain, marked in zip(nestings(rows), nestings(FaceRows(rows))):
-        assert dumps(marked) == json.dumps(plain, indent=2)
+    assert cli._face_rows(rows, "\n  ") is not None
+    for value in nestings(rows):
+        assert dumps(value) == json.dumps(value, indent=2)
 
 
 class Id(int):
+    pass
+
+
+class Ids(list):
     pass
 
 
@@ -83,7 +91,7 @@ MISFITS = [
     {"vertices": [0, 1], "dim": 1},
     {"dim": 1, "vertices": []},
     {"dim": 1, "vertices": (0, 1)},
-    {"dim": 1, "vertices": FaceRows([0, 1])},
+    {"dim": 1, "vertices": Ids([0, 1])},
     [1, [0, 1]],
     7,
 ]
@@ -91,18 +99,44 @@ MISFITS = [
 
 @given(ROWS, st.sampled_from(MISFITS), st.integers(0, 8))
 def test_a_row_off_the_template_gets_plain_list_bytes_or_type_error(rows, misfit, at):
+    # the list is written item by item: the bytes of `json.dumps`, or the
+    # TypeError that the misfit row alone raises
     rows = rows[:at] + [misfit] + rows[at:]
-    assert cli._face_rows(FaceRows(rows), "\n  ") is None
-    for plain, marked in zip(nestings(rows), nestings(FaceRows(rows))):
-        try:
-            want = dumps(plain)
-        except TypeError:
+    if type(misfit) is dict:
+        assert cli._face_rows(rows, "\n  ") is None
+    try:
+        dumps(misfit)
+    except TypeError:
+        for value in nestings(rows):
             with pytest.raises(TypeError):
-                dumps(marked)
-        else:
-            assert dumps(marked) == want == json.dumps(plain, indent=2)
+                dumps(value)
+    else:
+        for value in nestings(rows):
+            assert dumps(value) == json.dumps(value, indent=2)
 
 
-@pytest.mark.parametrize("rows", [[], [1, 2], ["a"], [[]]])
+@pytest.mark.parametrize("rows", [
+    [], [1, 2], ["a"], [[]], [{}], [{"dim": 0}], [{"name": "k=1 forward m=1", "ok": True}],
+    [{"dim": 0, "vertices": [0]}, {"dim": 0, "vertices": [1], "ok": True}]])
 def test_face_rows_without_rows_are_a_plain_list(rows):
-    assert dumps(FaceRows(rows)) == json.dumps(rows, indent=2)
+    if rows and all(type(row) is dict for row in rows):
+        assert cli._face_rows(rows, "\n  ") is None
+    assert dumps(rows) == json.dumps(rows, indent=2)
+
+
+def test_faces_takes_the_template_and_chi_does_not(monkeypatch, capsys):
+    # `faces` writes its rows with one template each; `chi`'s only list of
+    # dicts, its checks, is tried once and written item by item
+    returns = []
+    real = cli._face_rows
+
+    def face_rows(rows, pad):
+        returns.append(real(rows, pad))
+        return returns[-1]
+
+    monkeypatch.setattr(cli, "_face_rows", face_rows)
+    for command, templated in (("faces", 1), ("chi", 0)):
+        returns.clear()
+        assert cli.run([command, "--setfn", str(PI_3)]) == 0
+        assert capsys.readouterr().err == ""
+        assert returns and sum(r is not None for r in returns) == templated
