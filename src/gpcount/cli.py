@@ -88,7 +88,7 @@ from .hypergraph import (
 )
 from .permutahedron import GPerm, face_lattice_to_json
 from .polynomial import Polynomial, QuasiPolynomial
-from .report import Report
+from .report import Report, reflected
 from .setfn import SetFn, setfn_from_json, setfn_from_vertices
 
 
@@ -302,20 +302,21 @@ def cmd_hg_headings(args) -> tuple[dict, Report | None]:
 
 def _hg_reciprocity_report(h, P: GPerm, acyclic: list, m_max: int) -> tuple[Polynomial, Report]:
     """The chromatic polynomial of h and the report of its identities;
-    `acyclic` is `acyclic_headings(h)`."""
+    `acyclic` is `acyclic_headings(h)`.  Each reflection (-1)^d poly(-m) is
+    `reflected(poly, h.d, m)`, in a loop of its own and not
+    `Report.reflections`: the check of the compatible pairs against the
+    vertex sum at m comes right after the reflection check at m."""
     poly = chromatic_polynomial(h)
-    odd = h.d % 2  # (-1)^d poly(-m) is poly(-m), negated when d is odd
     report = Report()
     for m in range(1, m_max + 1):
         report.check(f"coloring count m={m}", chromatic_count(h, m), P.chi_count(0, m))
     for m in range(1, m_max + 1):
-        value = -poly(-m) if odd else poly(-m)
+        value = reflected(poly, h.d, m)
         pairs = compatible_pairs_count(h, m)
         report.check(f"negative m={m} vs compatible pairs", value, pairs)
         report.check(f"compatible pairs m={m} vs vertex sum", pairs,
                      P.reciprocity_rhs(0, m))
-    report.check("negative m=1 vs acyclic headings", -poly(-1) if odd else poly(-1),
-                 len(acyclic))
+    report.check("negative m=1 vs acyclic headings", reflected(poly, h.d, 1), len(acyclic))
     return poly, report
 
 

@@ -380,8 +380,10 @@ def ehrhart_quasipoly(poly: HPolytope, degree: int, period: int) -> QuasiPolynom
 
 def em_reciprocity_check(poly: HPolytope, degree: int, period: int,
                          t_max: int) -> tuple[QuasiPolynomial, Report]:
-    """Fit the closed count, then test its sign-alternating value at -t
-    against the direct open count at t; returns the fit and the report.
+    """Fit the closed count, then check its reflection (-1)^degree qp(-t)
+    against the direct open count at t for t = 1..t_max, through
+    `Report.reflections`, each labelled "t=<t>"; returns the fit and the
+    report.
 
     The closed description must state each implicit equality as an
     equality row or a pair of opposite rows (caller responsibility), so the
@@ -394,11 +396,7 @@ def em_reciprocity_check(poly: HPolytope, degree: int, period: int,
     open_poly = poly.interior()
     _check_largest_dilates(poly, degree, period, open_poly, t_max)
     qp = ehrhart_quasipoly(poly, degree, period)
-    odd = degree % 2  # (-1)^degree qp(-t) is qp(-t), negated when the degree is odd
-    report = Report()
-    for t in range(1, t_max + 1):
-        report.check(f"t={t}", -qp(-t) if odd else qp(-t), count_lattice(open_poly, t))
-    return qp, report
+    return qp, Report().reflections("t=", qp, degree, lambda t: count_lattice(open_poly, t), t_max)
 
 
 class FullDimFan(Frozen):
@@ -575,9 +573,10 @@ def cumulative_pruned_count(poly: HPolytope, fan: FullDimFan, t: int) -> int:
 
 def pruned_reciprocity_check(poly: HPolytope, fan: FullDimFan, degree: int,
                              period: int, t_max: int) -> tuple[QuasiPolynomial, Report]:
-    """Fit the inner pruned count of the interior, then test its
-    sign-alternating value at -t against the cumulative count of the closed
-    polytope, for t = 1..t_max; returns the fit and the report.
+    """Fit the inner pruned count of the interior, then check its
+    reflection (-1)^degree inner(-t) against the cumulative count of the
+    closed polytope for t = 1..t_max, through `Report.reflections`, each
+    labelled "t=<t>"; returns the fit and the report.
 
     The identity is stated for full-dimensional polytopes, so a polytope
     whose interior keeps an equality row with a nonzero coefficient (written
@@ -592,12 +591,8 @@ def pruned_reciprocity_check(poly: HPolytope, fan: FullDimFan, degree: int,
     _check_largest_dilates(open_poly, degree, period, poly, t_max, fan)
     inner = interpolate_quasipoly(
         lambda t: inner_pruned_count(open_poly, fan, t), degree, period)
-    odd = degree % 2
-    report = Report()
-    for t in range(1, t_max + 1):
-        report.check(f"t={t}", -inner(-t) if odd else inner(-t),
-                     cumulative_pruned_count(poly, fan, t))
-    return inner, report
+    return inner, Report().reflections(
+        "t=", inner, degree, lambda t: cumulative_pruned_count(poly, fan, t), t_max)
 
 
 def hpolytope_from_json(doc: object, *, require_bbox: bool = True) -> HPolytope:

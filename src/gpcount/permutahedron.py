@@ -324,20 +324,18 @@ class GPerm:
         return binomial_sum(row, m)
 
     def verify_reciprocity(self, k: int, m_max: int) -> tuple[Polynomial, Report]:
-        """Check the interpolated count forwards against the direct count and
-        backwards (sign-alternating evaluation at -m) against the weighted
-        face count, for m = 1..m_max; returns the polynomial and the report."""
+        """Check the interpolated count forwards against the direct count,
+        then its reflection (-1)^(d-k) poly(-m) against the weighted face
+        count through `Report.reflections`, for m = 1..m_max; returns the
+        polynomial and the report."""
         require_integer("k", k, 0, self.d - 1)
         require_integer("m_max", m_max, 1)
         poly = self.chi_polynomial(k)
-        odd = (self.d - k) % 2  # (-1)^(d-k) poly(-m) is poly(-m), negated when d - k is odd
         report = Report()
         for m in range(1, m_max + 1):
             report.check(f"k={k} forward m={m}", poly(m), self.chi_count(k, m))
-        for m in range(1, m_max + 1):
-            report.check(f"k={k} negative m={m}", -poly(-m) if odd else poly(-m),
-                         self.reciprocity_rhs(k, m))
-        return poly, report
+        return poly, report.reflections(f"k={k} negative m=", poly, self.d - k,
+                                        lambda m: self.reciprocity_rhs(k, m), m_max)
 
 
 def face_lattice_to_json(P: GPerm) -> dict:

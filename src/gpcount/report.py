@@ -1,4 +1,12 @@
-"""Pass/fail check reports shared by the verification entry points."""
+"""Pass/fail check reports shared by the verification entry points.
+
+The package checks four reciprocity theorems of one form, (-1)^n f(-x) =
+g(x): Ehrhart-Macdonald, the pruned inside-out identity, Aguiar-Ardila /
+Billera-Jia-Reiner for the direction counts and Aval-Karaboghossian-Tanasa
+for hypergraph colorings.  `reflected(f, n, x)` is the left side, and
+`Report.reflections` checks it against a count g(x) for x = 1..last; every
+sign flip of the package is made here.
+"""
 
 from __future__ import annotations
 
@@ -10,6 +18,11 @@ def _render(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     return format_rat(value)
+
+
+def reflected(f, n: int, x: int):
+    """(-1)^n f(-x): f read at -x, negated when n is odd."""
+    return -f(-x) if n % 2 else f(-x)
 
 
 class CheckEntry(Frozen):
@@ -47,6 +60,13 @@ class Report(Value):
         entry = CheckEntry(label, lhs, rhs)
         self.entries.append(entry)
         return entry
+
+    def reflections(self, prefix: str, f, n: int, count, last: int) -> "Report":
+        """Check `reflected(f, n, x)` against `count(x)` for x = 1..last, in
+        that order, each labelled "<prefix><x>"; returns this report."""
+        for x in range(1, last + 1):
+            self.check(f"{prefix}{x}", reflected(f, n, x), count(x))
+        return self
 
     def merge(self, other: "Report", prefix: str) -> None:
         """Append the checks of ``other``, each label as "<prefix>: <label>"."""

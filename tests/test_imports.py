@@ -78,3 +78,53 @@ def test_every_top_level_import_is_used():
     unused = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
               for name in _unused_imports(ast.parse(path.read_text(), str(path)))]
     assert unused == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _reads(stmt) -> set:
+    """The names that `stmt` loads, reads as attributes or imports."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def _unread_private_names(trees: dict) -> list:
+    """The private top-level names (one leading underscore, not a dunder)
+    that the modules of `trees` define and that no other top-level
+    statement of any of them reads, by name, as an attribute or in an
+    import; a function calling itself does not read its own name."""
+    defined, read = [], []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name)]
+            else:
+                names = []
+            defined += [(module, name, len(read)) for name in names if _private(name)]
+            read.append(_reads(stmt))
+    return [f"{module}: {name}" for module, name, at in defined
+            if not any(name in names for i, names in enumerate(read) if i != at)]
+
+
+def test_every_private_name_is_read():
+    # a deletion that leaves a private helper behind fails here
+    forms = {"a.py": ast.parse("def _f(n):\n    return _f(n - 1)\n_g = 1\n_h = _g\n"
+                               "def _i():\n    pass\n__all__ = ['_i']\n"),
+             "b.py": ast.parse("from .a import _i\n_j: int = 2\n")}
+    assert _unread_private_names(forms) == ["a.py: _f", "a.py: _h", "b.py: _j"]
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert _unread_private_names(trees) == []

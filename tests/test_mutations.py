@@ -9,14 +9,22 @@ callee and a golden case of `tests/test_golden.py` is run through
 `cli.run`, which should exit 1.  The escapes are strict xfails until
 item 17's anchors land, and that change takes their marks off; the
 controls, cases the same mutation already fails, pass today and pin that
-each mutation is live."""
+each mutation is live.
+
+Every sign flip of the package is made by one routine, `report.reflected`.
+Dropping its sign fails exactly the reflection checks of each golden report
+whose n is odd, and no other check; where n is even it changes nothing."""
 
 import contextlib
+import importlib
 import io
+import json
+import pkgutil
 
 import pytest
 
-from gpcount import cli, ehrhart, hypergraph, permutahedron, polynomial
+import gpcount
+from gpcount import cli, ehrhart, hypergraph, permutahedron, polynomial, report
 from test_golden import CASES
 
 ESCAPE = pytest.mark.xfail(strict=True, reason="an additive error in a shared counter "
@@ -63,3 +71,40 @@ def exit_code(case: str) -> int:
 def test_mutation_fails_a_check(monkeypatch, mutate, case):
     mutate(monkeypatch)
     assert exit_code(case) == 1
+
+
+def unsigned_reflection(monkeypatch) -> list:
+    """Patch every module binding that is `report.reflected` with one that
+    reads f at -x without the sign; returns the patched modules' names."""
+    patched = []
+    for info in pkgutil.iter_modules(gpcount.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"gpcount.{info.name}")
+        for name, value in list(vars(module).items()):
+            if value is report.reflected:
+                monkeypatch.setattr(module, name, lambda f, n, x: f(-x))
+                patched.append(info.name)
+    return patched
+
+
+def failed_labels(case: str) -> tuple[int, list]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.run(CASES[case])
+    return rc, [c["label"] for c in json.loads(out.getvalue())["checks"] if not c["pass"]]
+
+
+@pytest.mark.parametrize("case, labels", [
+    ("chi_pi_4_k1", [f"k=1 negative m={m}" for m in (1, 2, 3)]),
+    ("hg_reciprocity_hg_5", [f"negative m={m} vs compatible pairs" for m in (1, 2, 3)]
+     + ["negative m=1 vs acyclic headings"]),
+    ("ehrhart_box_q6", [f"t={t}" for t in (1, 2, 3, 4)]),
+    ("pruned_cube_3_pi_3", [f"t={t}" for t in (1, 2, 3)]),
+    ("chi_pi_4_k0", []),
+    ("ehrhart_triangle_q2", []),
+])
+def test_every_sign_flip_is_made_by_reflected(monkeypatch, case, labels):
+    # odd n: each reflection check fails and nothing else; even n: no change
+    assert {"cli", "report"} <= set(unsigned_reflection(monkeypatch))
+    assert failed_labels(case) == (1 if labels else 0, labels)
