@@ -50,7 +50,7 @@ strictly inside two cones, means the cones do not form a complete fan and is
 a hard error, raised at the first such point in lexicographic order.  The
 normal fan of a generalized permutahedron coarsens the braid fan, so each of
 its cones is cut out by root rows `y_b - y_a <= 0`, one per edge at its
-vertex, read off the greedy chains.
+vertex, read off the polytope's tight sets.
 """
 
 from __future__ import annotations
@@ -440,37 +440,31 @@ class FullDimFan(Frozen):
 
 def normal_fan_of(P: GPerm) -> FullDimFan:
     """One closed cone per vertex of P, in `P.vertices` order, cut out by
-    root rows `y_b - y_a <= 0`.  The normal fan coarsens the braid fan, so
-    the cone of a vertex v is the union of the braid cones of the chains
-    whose greedy vertex is v.  Along a chain, with prefix M before the
-    adjacent pair (a, b), swapping a and b moves the greedy vertex by
-    `z(M+a) + z(M+b) - z(M) - z(M+a+b)` times `e_b - e_a`; where that gap
-    is positive the swapped chain's vertex is a neighbour of v across the
-    wall `y_a = y_b`, and the rows of v are these edge directions, read off
-    every chain of v on the integers `z.scaled` (whose sorted greedy
-    vertices are `P.vertices` scaled by one positive factor)."""
-    d = P.d
-    _scale, values = P.z.scaled
-    edges: dict[tuple[int, ...], set[tuple[int, int]]] = {}
-    for perm in itertools.permutations(range(d)):
-        coords = [0] * d
-        pairs = []
-        before = mask = 0  # the prefixes before the previous element and after it
-        prev = None
-        for b in perm:
-            grown = mask | 1 << b
-            coords[b] = values[grown] - values[mask]
-            if prev is not None and values[mask] + values[before | 1 << b] > \
-                    values[before] + values[grown]:
-                pairs.append((prev, b))
-            before, mask, prev = mask, grown, b
-        edges.setdefault(tuple(coords), set()).update(pairs)
-    cones = []
-    for v in sorted(edges):
-        rows = tuple((tuple(1 if i == b else -1 if i == a else 0 for i in range(d)), "<=", 0)
-                     for a, b in sorted(edges[v]))
-        cones.append(HPolytope(d, rows, None))
-    return FullDimFan(tuple(cones))
+    root rows `y_b - y_a <= 0` in sorted (a, b) order.  The normal fan
+    coarsens the braid fan, so the cone of a vertex v is the union of the
+    braid cones of its greedy chains, and its rows are the directions
+    `e_b - e_a` of its edges.  A vertex's tight sets form a distributive
+    lattice whose maximal chains are its greedy chains, so a tight triple
+    M < M+a < M+a+b lies on one, where swapping a and b moves the greedy
+    vertex by `z(M+a) + z(M+b) - z(M) - z(M+a+b)` times `e_b - e_a`.  That
+    gap is z(M+b) - v(M+b), so v has the edge `e_b - e_a` exactly when it
+    is tight on M, M+a and M+a+b but not on M+b for some M avoiding a and
+    b: one OR of mask ANDs over `P.tight`, with no face map."""
+    d, tight = P.d, P.tight
+    rows: list[list[Row]] = [[] for _ in P.vertices]
+    for a, b in itertools.permutations(range(d), 2):
+        ea, eb = 1 << a, 1 << b
+        with_edge = 0  # the ids of the vertices with the edge e_b - e_a
+        for m in range(1 << d):
+            if not m & (ea | eb):
+                with_edge |= tight[m] & tight[m | ea] & tight[m | ea | eb] & ~tight[m | eb]
+        root = (tuple(1 if i == b else -1 if i == a else 0 for i in range(d)), "<=", 0)
+        # one pass over the digits, where peeling the lowest bit off a mask
+        # as wide as the vertex count costs that width per set bit
+        for vid, bit in enumerate(reversed(f"{with_edge:b}")):
+            if bit == "1":
+                rows[vid].append(root)
+    return FullDimFan(tuple(HPolytope(d, tuple(cone), None) for cone in rows))
 
 
 def _run_cover(fan: FullDimFan, point, lo: int, hi: int) -> tuple[list[int], list[int]]:

@@ -21,6 +21,9 @@ has an element i with S - i tight: intersect S with that chain.  Hence
 ``tight[S]`` is the OR over i in S of ``tight[S - i]`` ANDed with the ids v
 whose scaled coordinate L * v_i is L * (z(S) - z(S - i)), read from the
 vertex ids grouped by coordinate value.  No linear optimization is needed.
+``tight`` is built once per polytope (`GPerm.tight`), without a budget of
+its own, and shared: the face map below reads it, and so does
+`ehrhart.normal_fan_of`, which reads the normal fan's root rows off it.
 
 The whole composition-to-face map is a DP over chains of subsets.  Prefix
 sets A are taken in increasing numeric order, from the empty set on, each
@@ -75,7 +78,7 @@ first query for k, so each face's k-faces are counted once per k.
 The DP visits fewer than the 3^d pairs (prefix A, block B), since it
 keeps no states at [d] or where one element is left, and ANDs masks as
 wide as the vertex count V.  The face map still charges 3^d * V to
-`errors.WORK_BUDGET` through `errors.check_budget` before it builds
+`errors.WORK_BUDGET` through `errors.check_budget` before it reads
 ``tight``.  pi_6 charges 524 880 and is built, pi_7 charges 11 022 480
 and is refused, and an 8-node hypergraphic polytope with 150 vertices
 charges 984 150 and is built.
@@ -135,28 +138,30 @@ _face_from_pair = partial(tuple.__new__, Face)
 
 
 class _FaceMap(NamedTuple):
-    tight: list[int]                # subset mask -> mask of the vertex ids tight on it
     dims: dict[int, int]            # vertex-id mask -> dimension of that face
     blocks: dict[int, list[int]]    # vertex-id mask -> its compositions by number of blocks
     by_dim: list[list[int]]         # k -> the masks of the k-faces
 
 
 class GPerm:
-    """A generalized permutahedron; its face map is built on first use.
+    """A generalized permutahedron; its tight sets and face map are built
+    on first use.
 
-    Vertex ids index the sorted ``vertices``.  The face map holds
-    ``tight[S]``, the vertex ids v with v(S) = z(S), and for each face mask
+    Vertex ids index the sorted ``vertices``.  ``tight[S]`` is the mask of
+    the vertex ids v with v(S) = z(S), built once and read by both the face
+    map and `ehrhart.normal_fan_of`.  The face map holds for each face mask
     its dimension and its compositions counted by number of blocks j (index
     j), and the face masks of each dimension; summed over the faces of
     dimension k the histograms give the table a[k][j] that `chi_count`
     weights by binom(m, j).  A `Face` is a face mask with its dimension, as
     the map keeps it.  Construction and queries are single-threaded:
-    queries fill the caches on first use (the face map, the k-face index of
-    each k and the row r[k] of `reciprocity_rhs`, one full row per k), so
-    they are not read-only.  One `GPerm` may serve many requests (the CLI
-    keeps the last one it built), so each cache entry is built aside and
-    stored only once complete: a query cut short, by a refused budget or an
-    interrupt, leaves no partial entry for a later query to read.
+    queries fill the caches on first use (``tight``, the face map, the
+    k-face index of each k and the row r[k] of `reciprocity_rhs`, one full
+    row per k), so they are not read-only.  One `GPerm` may serve many
+    requests (the CLI keeps the last one it built), so each cache entry is
+    built aside and stored only once complete: a query cut short, by a
+    refused budget or an interrupt, leaves no partial entry for a later
+    query to read.
     """
 
     def __init__(self, z: SetFn):
@@ -172,25 +177,34 @@ class GPerm:
         return affine_rank(self._scaled_vertices)
 
     @cached_property
-    def _face_map(self) -> _FaceMap:
-        """The tight sets and the flag DP over them, its 3^d subset pairs
-        times the vertex count charged to the work budget first.  The whole
-        polytope's dimension from its block counts must equal the affine
-        rank of all vertices, or the map raises RuntimeError."""
-        d, n = self.d, len(self.vertices)
-        check_budget(3 ** d * n, errors.WORK_BUDGET,
-                     f"face-map steps (3^{d} subset pairs times {n} vertices)")
-        full = (1 << d) - 1
+    def tight(self) -> list[int]:
+        """tight[S]: the mask of the vertex ids v with v(S) = z(S), for each
+        subset mask S, the OR over i in S of tight[S - i] ANDed with the ids
+        whose scaled coordinate i is L * (z(S) - z(S - i))."""
+        d = self.d
         values = self.z.scaled[1]
         by_value: list[dict[int, int]] = [{} for _ in range(d)]  # i -> L * v_i -> ids
         for vid, v in enumerate(self._scaled_vertices):
             for i, c in enumerate(v):
                 by_value[i][c] = by_value[i].get(c, 0) | 1 << vid
-        tight = [(1 << n) - 1] + [0] * full
-        for s in range(1, full + 1):
+        tight = [(1 << len(self.vertices)) - 1] + [0] * ((1 << d) - 1)
+        for s in range(1, 1 << d):
             for i in _bits(s):
                 prev = s ^ 1 << i
                 tight[s] |= tight[prev] & by_value[i].get(values[s] - values[prev], 0)
+        return tight
+
+    @cached_property
+    def _face_map(self) -> _FaceMap:
+        """The flag DP over the tight sets, its 3^d subset pairs times the
+        vertex count charged to the work budget before ``tight`` is read.
+        The whole polytope's dimension from its block counts must equal the
+        affine rank of all vertices, or the map raises RuntimeError."""
+        d, n = self.d, len(self.vertices)
+        check_budget(3 ** d * n, errors.WORK_BUDGET,
+                     f"face-map steps (3^{d} subset pairs times {n} vertices)")
+        full = (1 << d) - 1
+        tight = self.tight
         # prefix set -> {(face mask so far, #blocks): compositions of the prefix},
         # for the prefixes with two elements or more left; a composition is
         # closed into blocks once only its last block is left, as ANDing
@@ -240,7 +254,7 @@ class GPerm:
             raise RuntimeError(
                 f"face dimensions disagree: the whole polytope has dimension {whole} "
                 f"from its block counts but affine rank {rank}")
-        return _FaceMap(tight, dims, blocks, by_dim)
+        return _FaceMap(dims, blocks, by_dim)
 
     @cached_property
     def _chi_table(self) -> list[list[int]]:
@@ -312,7 +326,7 @@ class GPerm:
         require_integer("m", m, 1)
         row = self._rhs_rows.get(k)
         if row is None:
-            _, dims, blocks, _ = self._face_map
+            dims, blocks, _ = self._face_map
             row = list(self._chi_table[k])
             for f, hist in blocks.items():
                 dim = dims[f]

@@ -270,13 +270,12 @@ def face_of_direction(P, y) -> Face:
     levels: dict = {}
     for i, v in enumerate(y):
         levels[v] = levels.get(v, 0) | 1 << i
-    fm = P._face_map
     f = -1
     prefix = 0
     for v in sorted(levels, reverse=True):
         prefix |= levels[v]
-        f &= fm.tight[prefix]
-    return Face(f, fm.dims[f])
+        f &= P.tight[prefix]
+    return Face(f, P._face_map.dims[f])
 
 
 def face_rank(P, ids) -> int:
@@ -392,6 +391,37 @@ def brute_normal_fan(P) -> FullDimFan:
         rows = tuple((tuple(uc - vc for uc, vc in zip(u, v)), "<=", Fraction(0))
                      for u in P.vertices if u != v)
         cones.append(HPolytope(P.d, rows, None))
+    return FullDimFan(tuple(cones))
+
+
+def chain_walk_normal_fan(P) -> FullDimFan:
+    """The normal fan of P read off its d! greedy chains on the integers
+    `z.scaled`: along a chain, with prefix M before the adjacent pair
+    (a, b), swapping a and b moves the greedy vertex by
+    `z(M+a) + z(M+b) - z(M) - z(M+a+b)` times `e_b - e_a`, so where that gap
+    is positive the chain's vertex gets the root row `y_b - y_a <= 0`.  One
+    cone per vertex in sorted order, its rows in sorted (a, b) order."""
+    d = P.d
+    values = P.z.scaled[1]
+    edges: dict = {}
+    for perm in itertools.permutations(range(d)):
+        coords = [0] * d
+        pairs = []
+        before = mask = 0  # the prefixes before the previous element and after it
+        prev = None
+        for b in perm:
+            grown = mask | 1 << b
+            coords[b] = values[grown] - values[mask]
+            if prev is not None and values[mask] + values[before | 1 << b] > \
+                    values[before] + values[grown]:
+                pairs.append((prev, b))
+            before, mask, prev = mask, grown, b
+        edges.setdefault(tuple(coords), set()).update(pairs)
+    cones = []
+    for v in sorted(edges):
+        rows = tuple((tuple(1 if i == b else -1 if i == a else 0 for i in range(d)), "<=", 0)
+                     for a, b in sorted(edges[v]))
+        cones.append(HPolytope(d, rows, None))
     return FullDimFan(tuple(cones))
 
 

@@ -48,12 +48,14 @@ from oracles import (
     brute_lattice_points,
     brute_multiplicity,
     brute_normal_fan,
+    chain_walk_normal_fan,
     dilate_frame,
     fan_to_json,
     hpolytope_to_json,
     single_point,
     with_rows,
 )
+from test_permutahedron import non_integer_setfn
 
 SQUARE = unit_cube(2)
 SEGMENT_HALF = box([(0, Fraction(1, 2))])
@@ -533,12 +535,13 @@ def test_normal_fan_structure():
 
 
 def test_normal_fan_needs_no_face_map():
-    # the root rows are read off the chains, so d = 7 is in reach
+    # the root rows are read off the tight sets, with no face map and no
+    # face-map budget, so d = 7 is in reach
     P = perm_gp(7)
     fan = normal_fan_of(P)
     assert len(fan.cones) == 5040
     assert all(len(c.rows) == 6 for c in fan.cones)
-    assert "_face_map" not in P.__dict__
+    assert "_face_map" not in P.__dict__ and "tight" in P.__dict__
 
 
 def seeded_setfns(seed, count, max_d):
@@ -559,15 +562,32 @@ def cone_membership(fan, y):
 
 def test_normal_fan_matches_all_vertex_fan():
     # same closed cones and same interiors as the cones cut out by every
-    # other vertex, cone by cone in vertex order, on [-2, 2]^d
+    # other vertex, cone by cone in vertex order, on [-2, 2]^d; the rational
+    # z have scaled values that differ from their values
     setfns = [standard_perm_setfn(d) for d in range(1, 5)]
     setfns += seeded_setfns(83, 100, 4)
+    rng = random.Random(97)
+    setfns += [non_integer_setfn(rng, max_d=4) for _ in range(12)]
+    assert any(z.scaled[0] > 1 for z in setfns)
     for z in setfns:
         P = GPerm(z)
         fan, brute = normal_fan_of(P), brute_normal_fan(P)
         assert len(fan.cones) == len(brute.cones) == len(P.vertices)
         for y in itertools.product(range(-2, 3), repeat=P.d):
             assert cone_membership(fan, y) == cone_membership(brute, y)
+
+
+def test_normal_fan_matches_chain_walk_oracle():
+    # the edge rule read off the tight sets against the d! chain walk, cone
+    # for cone and row for row, on pi_1..pi_7, rational z and seeded z
+    rng = random.Random(101)
+    setfns = [standard_perm_setfn(d) for d in range(1, 8)]
+    setfns += [non_integer_setfn(rng, max_d=6) for _ in range(20)]
+    setfns += seeded_setfns(103, 200, 7)
+    assert any(z.scaled[0] > 1 for z in setfns)
+    for z in setfns:
+        P = GPerm(z)
+        assert normal_fan_of(P) == chain_walk_normal_fan(P)
 
 
 def test_normal_fan_rows_are_edges():
@@ -870,10 +890,12 @@ def test_direction_count_bridge():
             assert P.chi_count(0, m) == inner_pruned_count(cube, fan, m + 1)
     # the paper's link across three codes that share no algorithm (the run
     # sweep against the root-row fan, the tight-mask face DP and the
-    # tie-table coloring DP): on a hypergraphic polytope, the open cube's
-    # inner pruned count is the vertex-direction count and the proper
-    # coloring count one color down, and the closed cube's cumulative count
-    # is the weighted face count and the compatible pair count two colors up
+    # tie-table coloring DP; the fan is read off the tight masks too, so it
+    # is pinned to the chain-walk oracle's): on a hypergraphic polytope, the
+    # open cube's inner pruned count is the vertex-direction count and the
+    # proper coloring count one color down, and the closed cube's cumulative
+    # count is the weighted face count and the compatible pair count two
+    # colors up
     rng = random.Random(4)
     draws = (random_hypergraph(rng, max_d=5) for _ in itertools.count())
     hypergraphs = list(itertools.islice((h for h in draws if h.d >= 4), 20))
@@ -881,6 +903,7 @@ def test_direction_count_bridge():
     for h in hypergraphs:
         P = GPerm(hypergraphic_setfn(h))
         fan = normal_fan_of(P)
+        assert fan == chain_walk_normal_fan(P)
         closed = unit_cube(h.d)
         assert inner_pruned_count(closed.interior(), fan, 1) == 0
         for t in range(1, 5):

@@ -400,7 +400,7 @@ def test_seven_and_eight_nodes(h):
     for k in range(h.d):
         assert all_pass(P.verify_reciprocity(k, 3)[1])
     if h is EIGHT:
-        assert P._face_map.tight == tight_sets_by_subset_sums(P)
+        assert P.tight == tight_sets_by_subset_sums(P)
 
 
 def test_graph_specialization():

@@ -128,3 +128,25 @@ def test_every_private_name_is_read():
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(SRC.glob("*.py"))}
     assert _unread_private_names(trees) == []
+
+
+def _chain_walks(tree) -> list:
+    """The lines of `tree` that call `permutations` with one argument, by
+    name or as an attribute: a walk over every ordering of a ground set."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and len(node.args) == 1 and not node.keywords
+            and (getattr(node.func, "id", None) == "permutations"
+                 or getattr(node.func, "attr", None) == "permutations")]
+
+
+def test_only_setfn_walks_every_chain():
+    # the d! greedy chains are walked once per set function, in
+    # `SetFn.scaled_vertices`; every other reader of the chains reads the
+    # vertices or the tight sets
+    forms = ("import itertools\nfrom itertools import permutations\n"
+             "a = itertools.permutations(range(3))\nb = permutations('ab')\n"
+             "c = permutations(range(3), 2)\nd = permutations(range(3), r=2)\n")
+    assert _chain_walks(ast.parse(forms)) == [3, 4]
+    walks = [path.name for path in sorted(SRC.glob("*.py"))
+             for _line in _chain_walks(ast.parse(path.read_text(), str(path)))]
+    assert walks == ["setfn.py"]

@@ -603,7 +603,7 @@ def test_tight_sets_match_subset_sum_oracle():
     assert any(any(v.denominator > 1 for v in z.values) for z in cases)
     for z in cases:
         P = GPerm(z)
-        assert P._face_map.tight == tight_sets_by_subset_sums(P)
+        assert P.tight == tight_sets_by_subset_sums(P)
 
 
 def test_face_map_checks_dimension_against_affine_rank(monkeypatch):
