@@ -42,7 +42,7 @@ caller a new `Report` of those entries.  Its key is the check, its
 arguments with their types (so a `True` or `2.0` degree misses an int one
 and is refused as before), and `_limits()` at call time, so a kept check
 refuses exactly what a fresh one would.  Errors are never kept.  An entry
-holds its polytope and fan, about 1 MB with the normal fan of pi_6.
+holds its polytope and fan, about 0.2 MB with the normal fan of pi_6.
 Nothing else in this module is kept between calls.
 """
 
@@ -206,7 +206,7 @@ def _reciprocity(check: Callable, *args) -> tuple[QuasiPolynomial, Report]:
 
 
 # A `verify` pass of the benchmark uses 49 keys, so none is evicted; an entry
-# keeps its polytope and fan, about 1 MB for the normal fan of pi_6.
+# keeps its polytope and fan, about 0.2 MB for the normal fan of pi_6.
 @lru_cache(maxsize=64, typed=True)
 def _kept_reciprocity(check: Callable, limits: tuple[int, int, int],
                       *args) -> tuple[QuasiPolynomial, tuple]:

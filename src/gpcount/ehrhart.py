@@ -2,8 +2,9 @@
 intersections with complete fans.
 
 A polytope is a halfspace description (rows may be non-strict, strict, or
-equalities) together with a trusted integer bounding box at dilation 1; the
-t-th dilate keeps every normal vector and scales the right-hand sides by t.
+equalities) together with an integer bounding box at dilation 1, which every
+polytope has and whose caller vouches that it holds the polytope; the t-th
+dilate keeps every normal vector and scales the right-hand sides by t.
 On integer points the t-th dilate is one integer system of `a . x <= b`
 rows: a strict row lowers its bound by one and an equality becomes two
 opposite rows.  A polytope stores each row as its primitive integer row,
@@ -33,11 +34,14 @@ largest dilate would be, or when its checks or its fit's nodes exceed
 `errors.LOOP_BUDGET`.  Each refusal is `errors.check_budget`'s
 `BudgetExceededError`, and each budget is read when its guard runs.
 
-A full-dimensional fan is a list of closed cones (homogeneous non-strict
-rows), its distinct rows indexed once per fan, on first use.  The
-multiplicity of a point is the number of closed cones containing it; the
-inner pruned count takes the points of multiplicity exactly one and the
-cumulative pruned count the sum of multiplicities.  Each cone meets a run of
+A full-dimensional fan is its dimension and a list of closed cones, each a
+`Cone`: a tuple of primitive integer rows `a . y <= 0`, with no box.  A fan
+document's rows are checked and made primitive in `fan_from_json` alone,
+through the helpers that parse and normalize a polytope's rows; the normal
+fan writes its root rows directly.  A fan's distinct rows are indexed once
+per fan, on first use.  The multiplicity of a point is the number of closed
+cones containing it; the inner pruned count takes the points of multiplicity
+exactly one and the cumulative pruned count the sum of multiplicities.  Each cone meets a run of
 the last coordinate in an interval, read off its rows by floor division as
 for the run itself, so the scan hands each run to a sweep that adds the
 cones' intervals into difference arrays and reads the multiplicity of every
@@ -59,7 +63,7 @@ import itertools
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, floor, gcd, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import errors
 from .errors import IncompleteFanError, InputFormatError, check_budget, require_integer
@@ -74,48 +78,54 @@ RELATIONS = ("<=", "<", "=")
 Row = tuple[tuple[int, ...], str, int]
 
 
+def primitive_rows(d: int, rows: Sequence) -> tuple[Row, ...]:
+    """Rows `a . x rel b` with rational entries, in `d` coordinates, each as
+    its primitive integer row: `(*a, b)` scaled by the lcm of its
+    denominators and divided by the gcd of its entries, with its relation,
+    in its place."""
+    require_integer("d", d, 1)
+    rows = tuple((tuple(a), rel, b) for a, rel, b in rows)
+    for a, rel, _b in rows:
+        if len(a) != d:
+            raise ValueError("row length mismatch")
+        if rel not in RELATIONS:
+            raise ValueError(f"unknown relation {rel!r}")
+    if all(all(type(c) is int for c in (*a, b)) and gcd(*a, b) <= 1 for a, _rel, b in rows):
+        return rows
+    primitive = []
+    for a, rel, b in rows:
+        *a, b = to_integers(map(exact, (*a, b)))[1]
+        g = gcd(*a, b) or 1
+        primitive.append((tuple(c // g for c in a), rel, b // g))
+    return tuple(primitive)
+
+
 class HPolytope(Frozen):
-    """Rows `a . x rel b` with rational entries, each stored as its primitive
-    integer row: `(*a, b)` scaled by the lcm of its denominators and divided
-    by the gcd of its entries, with its relation, in its place."""
+    """Rows `a . x rel b` with rational entries, stored as `primitive_rows`,
+    and an integer bounding box at dilation 1."""
 
     _fields = ("d", "rows", "bbox")
     d: int
     rows: tuple[Row, ...]
-    bbox: tuple[tuple[int, int], ...] | None
+    bbox: tuple[tuple[int, int], ...]
 
-    def __init__(self, d: int, rows: Sequence[Row],
-                 bbox: Sequence[tuple[int, int]] | None = None):
-        require_integer("d", d, 1)
-        rows = tuple((tuple(a), rel, b) for a, rel, b in rows)
-        for a, rel, _b in rows:
-            if len(a) != d:
-                raise ValueError("row length mismatch")
-            if rel not in RELATIONS:
-                raise ValueError(f"unknown relation {rel!r}")
-        if not all(type(c) is int for a, _rel, b in rows for c in (*a, b)) \
-                or any(gcd(*a, b) > 1 for a, _rel, b in rows):
-            primitive = []
-            for a, rel, b in rows:
-                *a, b = to_integers(map(exact, (*a, b)))[1]
-                g = gcd(*a, b) or 1
-                primitive.append((tuple(c // g for c in a), rel, b // g))
-            rows = tuple(primitive)
-        if bbox is not None:
-            try:
-                box_ = tuple((int(lo), int(hi)) for lo, hi in bbox)
-            except OverflowError:  # an infinite float
-                raise ValueError("bbox bounds must be integers") from None
-            if len(box_) != d:
-                raise ValueError("bbox length mismatch")
-            if any(isinstance(v, bool) or int(v) != v for pair in bbox for v in pair):
-                raise ValueError("bbox bounds must be integers")
-            if any(lo > hi for lo, hi in box_):
-                raise ValueError("bbox bounds out of order")
-            bbox = box_
+    def __init__(self, d: int, rows: Sequence[Row], bbox: Sequence[tuple[int, int]]):
+        rows = primitive_rows(d, rows)
+        if bbox is None:
+            raise ValueError("a polytope needs a bounding box")
+        try:
+            box_ = tuple((int(lo), int(hi)) for lo, hi in bbox)
+        except OverflowError:  # an infinite float
+            raise ValueError("bbox bounds must be integers") from None
+        if len(box_) != d:
+            raise ValueError("bbox length mismatch")
+        if any(isinstance(v, bool) or int(v) != v for pair in bbox for v in pair):
+            raise ValueError("bbox bounds must be integers")
+        if any(lo > hi for lo, hi in box_):
+            raise ValueError("bbox bounds out of order")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "bbox", bbox)
+        object.__setattr__(self, "bbox", box_)
 
     @cached_property
     def frame(self) -> tuple[tuple, tuple, tuple, int]:
@@ -208,10 +218,11 @@ def _scan_frame(poly: HPolytope, t: int, fan: FullDimFan | None = None):
     coordinate and walks every point of the folded box, and each of its runs
     reads every distinct row of the fan and every cone's row list once
     (`_run_cover`); it is charged the box points plus the prefixes of the
-    last coordinate, each counted as a run, times those row reads."""
+    last coordinate, each counted as a run, times those row reads.  A
+    polytope and a fan in different dimensions are refused first."""
     require_integer("t", t, 1)
-    if poly.bbox is None:
-        raise ValueError("counting requires a bounding box")
+    if fan is not None and poly.d != fan.d:
+        raise ValueError("polytope and fan live in different dimensions")
     zero, axis, rest, scanned = poly.frame
     if any(t * b < strict for b, strict in zero):
         return None, None, 0
@@ -399,28 +410,26 @@ def em_reciprocity_check(poly: HPolytope, degree: int, period: int,
     return qp, Report().reflections("t=", qp, degree, lambda t: count_lattice(open_poly, t), t_max)
 
 
+class Cone(NamedTuple):
+    """A closed cone: primitive integer rows `a . y <= 0`."""
+
+    rows: tuple[Row, ...]
+
+
 class FullDimFan(Frozen):
-    """Closed full-dimensional cones, rows `a . y <= 0`, intended to cover space."""
+    """Closed full-dimensional cones in `d` coordinates, intended to cover
+    space."""
 
-    _fields = ("cones",)
-    cones: tuple[HPolytope, ...]
+    _fields = ("d", "cones")
+    d: int
+    cones: tuple[Cone, ...]
 
-    def __init__(self, cones: Sequence[HPolytope]):
+    def __init__(self, d: int, cones: Sequence[Cone]):
         cones = tuple(cones)
         if not cones:
             raise ValueError("a fan needs at least one cone")
-        d = cones[0].d
-        for cone in cones:
-            if cone.d != d:
-                raise ValueError("cones of mixed ambient dimension")
-            for _a, rel, b in cone.rows:
-                if rel != "<=" or b != 0:
-                    raise ValueError("cone rows must be homogeneous non-strict inequalities")
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "cones", cones)
-
-    @property
-    def d(self) -> int:
-        return self.cones[0].d
 
     @cached_property
     def run_rows(self) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
@@ -430,12 +439,10 @@ class FullDimFan(Frozen):
         the last, and per cone the indices of its rows.  A zero row holds
         everywhere and is left out."""
         index: dict[tuple[int, ...], int] = {}
-        cones = []
-        for cone in self.cones:
-            cones.append(tuple(index.setdefault(a, len(index))
-                               for a, _rel, _b in cone.rows if any(a)))
+        cones = tuple(tuple(index.setdefault(a, len(index)) for a, _rel, _b in cone.rows if any(a))
+                      for cone in self.cones)
         rows = tuple((tuple((i, c) for i, c in enumerate(a[:-1]) if c), a[-1]) for a in index)
-        return rows, tuple(cones)
+        return rows, cones
 
 
 def normal_fan_of(P: GPerm) -> FullDimFan:
@@ -464,7 +471,7 @@ def normal_fan_of(P: GPerm) -> FullDimFan:
         for vid, bit in enumerate(reversed(f"{with_edge:b}")):
             if bit == "1":
                 rows[vid].append(root)
-    return FullDimFan(tuple(HPolytope(d, tuple(cone), None) for cone in rows))
+    return FullDimFan(d, (Cone(tuple(cone)) for cone in rows))
 
 
 def _run_cover(fan: FullDimFan, point, lo: int, hi: int) -> tuple[list[int], list[int]]:
@@ -529,8 +536,6 @@ def _multiplicities(poly: HPolytope, fan: FullDimFan, t: int) -> list[int]:
     (index m: the points in exactly m closed cones), swept one run of the
     last coordinate at a time; raises at the first point, in lexicographic
     order, that lies in no cone or strictly inside two."""
-    if poly.d != fan.d:
-        raise ValueError("polytope and fan live in different dimensions")
     hist = [0] * (len(fan.cones) + 1)
     ranges, rows, _scanned = _scan_frame(poly, t, fan)
     if ranges is None:
@@ -589,42 +594,58 @@ def pruned_reciprocity_check(poly: HPolytope, fan: FullDimFan, degree: int,
         "t=", inner, degree, lambda t: cumulative_pruned_count(poly, fan, t), t_max)
 
 
-def hpolytope_from_json(doc: object, *, require_bbox: bool = True) -> HPolytope:
+def _rows_from_json(doc: object) -> tuple[object, list, object]:
+    """The `d`, the rows and the `bbox` (None when absent) of a polytope or
+    cone document, the rows' entries parsed as rationals and nothing else
+    checked."""
     if not isinstance(doc, dict) or "d" not in doc or "rows" not in doc:
         raise InputFormatError("polytope document needs 'd' and 'rows'")
-    d, raw_rows = doc["d"], doc["rows"]
-    if not isinstance(raw_rows, list):
+    if not isinstance(doc["rows"], list):
         raise InputFormatError("'rows' must be a list")
     rows = []
-    for raw in raw_rows:
+    for raw in doc["rows"]:
         if not isinstance(raw, dict) or not {"a", "rel", "b"} <= set(raw):
             raise InputFormatError("each row needs 'a', 'rel' and 'b'")
         if not isinstance(raw["a"], list):
             raise InputFormatError("row 'a' must be a list")
         a = tuple(rat_from_json(c) for c in raw["a"])
         rows.append((a, raw["rel"], rat_from_json(raw["b"])))
-    bbox = None
-    if "bbox" in doc and doc["bbox"] is not None:
-        raw_box = doc["bbox"]
-        if (not isinstance(raw_box, list)
-                or not all(isinstance(p, list) and len(p) == 2
-                           and all(isinstance(v, int) and not isinstance(v, bool) for v in p)
-                           for p in raw_box)):
-            raise InputFormatError("'bbox' must be a list of [lo, hi] integer pairs")
-        bbox = tuple((p[0], p[1]) for p in raw_box)
-    elif require_bbox:
+    return doc["d"], rows, doc.get("bbox")
+
+
+def hpolytope_from_json(doc: object) -> HPolytope:
+    d, rows, raw_box = _rows_from_json(doc)
+    if raw_box is None:
         raise InputFormatError("polytope document needs a 'bbox'")
+    if (not isinstance(raw_box, list)
+            or not all(isinstance(p, list) and len(p) == 2
+                       and all(isinstance(v, int) and not isinstance(v, bool) for v in p)
+                       for p in raw_box)):
+        raise InputFormatError("'bbox' must be a list of [lo, hi] integer pairs")
     try:
-        return HPolytope(d, tuple(rows), bbox)
+        return HPolytope(d, rows, raw_box)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
 
 
 def fan_from_json(doc: object) -> FullDimFan:
+    """The fan of a `{"cones": [{"d", "rows"}]}` document, the one place a
+    fan's rows are checked: every cone in one dimension, with no `bbox`, its
+    rows `primitive_rows` that are homogeneous and non-strict."""
     if not isinstance(doc, dict) or "cones" not in doc or not isinstance(doc["cones"], list):
         raise InputFormatError("fan document needs a 'cones' list")
-    cones = tuple(hpolytope_from_json(c, require_bbox=False) for c in doc["cones"])
+    dims, cones = set(), []
     try:
-        return FullDimFan(cones)
+        for raw in doc["cones"]:
+            d, rows, bbox = _rows_from_json(raw)
+            if bbox is not None:
+                raise InputFormatError("a cone document takes no 'bbox'")
+            cones.append(Cone(primitive_rows(d, rows)))
+            dims.add(d)
+        if len(dims) > 1:
+            raise ValueError("cones of mixed ambient dimension")
+        if any(rel != "<=" or b != 0 for cone in cones for _a, rel, b in cone.rows):
+            raise ValueError("cone rows must be homogeneous non-strict inequalities")
+        return FullDimFan(dims.pop() if dims else None, cones)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import ceil, floor, lcm
 from operator import mul
 
-from gpcount.ehrhart import FullDimFan, HPolytope
+from gpcount.ehrhart import Cone, FullDimFan, HPolytope, primitive_rows
 from gpcount.errors import NotSubmodularError
 from gpcount.hypergraph import check_heading
 from gpcount.permutahedron import Face
@@ -385,13 +385,14 @@ def brute_fan_check(fan, points):
 
 def brute_normal_fan(P) -> FullDimFan:
     """One closed cone per vertex v, cut out by (u - v) . y <= 0 over the
-    other vertices u: the directions maximized at v."""
+    other vertices u: the directions maximized at v, each made primitive by
+    `primitive_rows`."""
     cones = []
     for v in P.vertices:
         rows = tuple((tuple(uc - vc for uc, vc in zip(u, v)), "<=", Fraction(0))
                      for u in P.vertices if u != v)
-        cones.append(HPolytope(P.d, rows, None))
-    return FullDimFan(tuple(cones))
+        cones.append(Cone(primitive_rows(P.d, rows)))
+    return FullDimFan(P.d, tuple(cones))
 
 
 def chain_walk_normal_fan(P) -> FullDimFan:
@@ -421,8 +422,8 @@ def chain_walk_normal_fan(P) -> FullDimFan:
     for v in sorted(edges):
         rows = tuple((tuple(1 if i == b else -1 if i == a else 0 for i in range(d)), "<=", 0)
                      for a, b in sorted(edges[v]))
-        cones.append(HPolytope(d, rows, None))
-    return FullDimFan(tuple(cones))
+        cones.append(Cone(rows))
+    return FullDimFan(d, tuple(cones))
 
 
 def _row_holds(a, rel, b, x, t) -> bool:
@@ -468,14 +469,14 @@ def _row_to_json(row) -> dict:
 
 def hpolytope_to_json(poly: HPolytope) -> dict:
     """The document `hpolytope_from_json` reads."""
-    doc = {"d": poly.d, "rows": [_row_to_json(r) for r in poly.rows]}
-    if poly.bbox is not None:
-        doc["bbox"] = [[lo, hi] for lo, hi in poly.bbox]
-    return doc
+    return {"d": poly.d, "rows": [_row_to_json(r) for r in poly.rows],
+            "bbox": [[lo, hi] for lo, hi in poly.bbox]}
 
 
 def fan_to_json(fan) -> dict:
-    return {"cones": [hpolytope_to_json(c) for c in fan.cones]}
+    """The document `fan_from_json` reads: each cone's rows with the fan's d."""
+    return {"cones": [{"d": fan.d, "rows": [_row_to_json(r) for r in cone.rows]}
+                      for cone in fan.cones]}
 
 
 def hypergraph_to_json(h, names=None) -> dict:

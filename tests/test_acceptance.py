@@ -19,8 +19,8 @@ import time
 from oracles import all_pass, chromatic_poly_deletion_contraction
 
 from gpcount.ehrhart import (
+    Cone,
     FullDimFan,
-    HPolytope,
     cumulative_pruned_count,
     em_reciprocity_check,
     count_lattice,
@@ -51,9 +51,9 @@ from gpcount.setfn import setfn_from_vertices, standard_perm_setfn
 
 RUNNING_HG = Hypergraph(3, ({1, 2, 3}, {1, 2}, {2, 3}, {1}, {2}, {3}))
 
-DIAGONAL_FAN = FullDimFan((
-    HPolytope(2, (((1, -1), "<=", 0),), None),
-    HPolytope(2, (((-1, 1), "<=", 0),), None),
+DIAGONAL_FAN = FullDimFan(2, (
+    Cone((((1, -1), "<=", 0),)),
+    Cone((((-1, 1), "<=", 0),)),
 ))
 
 

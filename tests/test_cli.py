@@ -14,7 +14,7 @@ import pytest
 
 from gpcount import cli, ehrhart, errors, permutahedron
 from gpcount.cli import run
-from gpcount.ehrhart import FullDimFan, HPolytope, box, unit_cube
+from gpcount.ehrhart import Cone, FullDimFan, box, unit_cube
 from gpcount.hypergraph import hypergraph_from_json
 from gpcount.rational import format_rat
 from gpcount.setfn import setfn_from_json, standard_perm_setfn
@@ -496,8 +496,8 @@ def test_pruned_cone_meeting_p_only_on_its_boundary_exit_0(inputs, capsys, monke
                                                            bounds, source):
     # the closed regions of P° cut by the walls number (t + 1)^2
     monkeypatch.chdir(inputs["dir"])
-    quadrants = FullDimFan(tuple(HPolytope(2, (((sx, 0), "<=", 0), ((0, sy), "<=", 0)), None)
-                                 for sx in (1, -1) for sy in (1, -1)))
+    quadrants = FullDimFan(2, (Cone((((sx, 0), "<=", 0), ((0, sy), "<=", 0)))
+                               for sx in (1, -1) for sy in (1, -1)))
     Path("quadrants.json").write_text(json.dumps(fan_to_json(quadrants)))
     Path("poly.json").write_text(json.dumps(hpolytope_to_json(box(bounds))))
     rc, payload, _ = invoke(capsys, "pruned", "--poly", "poly.json", *source, "--t-max", "3")
@@ -513,8 +513,7 @@ def test_pruned_cone_meeting_p_only_on_its_boundary_exit_0(inputs, capsys, monke
     [((-1, 0), (0, -1))],
 ], ids=["overlapping", "orthant"])
 def test_pruned_non_fan_exit_2(inputs, capsys, cones):
-    fan = FullDimFan(tuple(HPolytope(2, tuple((a, "<=", 0) for a in rows), None)
-                           for rows in cones))
+    fan = FullDimFan(2, (Cone(tuple((a, "<=", 0) for a in rows)) for rows in cones))
     fan_path = inputs["dir"] / "non_fan.json"
     fan_path.write_text(json.dumps(fan_to_json(fan)))
     poly = inputs["dir"] / "box12.json"

@@ -1,8 +1,10 @@
 import itertools
+import json
 import random
 import re
 from fractions import Fraction
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from gpcount.errors import (
     InterpolationMismatchError,
 )
 from gpcount.ehrhart import (
+    Cone,
     FullDimFan,
     HPolytope,
     box,
@@ -28,6 +31,7 @@ from gpcount.ehrhart import (
     inner_pruned_count,
     multiplicity,
     normal_fan_of,
+    primitive_rows,
     pruned_reciprocity_check,
     standard_simplex,
     unit_cube,
@@ -59,17 +63,17 @@ from test_permutahedron import non_integer_setfn
 
 SQUARE = unit_cube(2)
 SEGMENT_HALF = box([(0, Fraction(1, 2))])
-DIAGONAL_FAN = FullDimFan((
-    HPolytope(2, (((1, -1), "<=", 0),), None),
-    HPolytope(2, (((-1, 1), "<=", 0),), None),
+DIAGONAL_FAN = FullDimFan(2, (
+    Cone((((1, -1), "<=", 0),)),
+    Cone((((-1, 1), "<=", 0),)),
 ))
-WHOLE_PLANE = FullDimFan((HPolytope(2, (), None),))
+WHOLE_PLANE = FullDimFan(2, (Cone(()),))
 # a half-plane, the whole plane and the opposite half-plane: they cover the
 # plane, but every point with x1 != 0 lies strictly inside two of them
-OVERLAPPING = FullDimFan((
-    HPolytope(2, (((1, 0), "<=", 0),), None),
-    HPolytope(2, (), None),
-    HPolytope(2, (((-1, 0), "<=", 0),), None),
+OVERLAPPING = FullDimFan(2, (
+    Cone((((1, 0), "<=", 0),)),
+    Cone(()),
+    Cone((((-1, 0), "<=", 0),)),
 ))
 # one diagonal row, so nothing folds: (10^5 + 1)^2 prefixes at t = 1
 HUGE_SIMPLEX = HPolytope(3, (((1, 1, 1), "<=", 300000),), ((0, 10 ** 5),) * 3)
@@ -505,12 +509,20 @@ def test_float_rows_rejected():
 
 
 def test_fan_rows_stay_integers(monkeypatch):
-    # the normal fan writes primitive integer rows: no cone rescales them,
-    # and neither does the fan's sweep index
+    # the normal fan writes primitive integer rows straight into its cones:
+    # it builds no polytope, no cone rescales its rows, and neither does the
+    # fan's sweep index
     calls = []
     real = ehrhart.to_integers
     monkeypatch.setattr(ehrhart, "to_integers", lambda values: calls.append(values) or real(values))
-    fan = normal_fan_of(perm_gp(4))
+
+    def no_polytope(*args):
+        raise AssertionError("the normal fan built an HPolytope")
+
+    monkeypatch.setattr(ehrhart.HPolytope, "__init__", no_polytope)
+    P = perm_gp(4)
+    fan = normal_fan_of(P)
+    assert fan == chain_walk_normal_fan(P)
     rows, cones = fan.run_rows
     assert calls == []
     assert all(type(c) is int for cone in fan.cones for a, _rel, b in cone.rows for c in (*a, b))
@@ -649,7 +661,7 @@ def test_pruned_counts_diagonal():
 
 
 def test_incomplete_fan():
-    half = FullDimFan((HPolytope(2, (((1, 0), "<=", 0),), None),))
+    half = FullDimFan(2, (Cone((((1, 0), "<=", 0),)),))
     with pytest.raises(IncompleteFanError):
         inner_pruned_count(SQUARE, half, 1)
     with pytest.raises(IncompleteFanError):
@@ -698,8 +710,8 @@ def fans(draw):
         return normal_fan_of(GPerm(z))
     d = draw(st.integers(1, 3))
     row = st.tuples(*[st.integers(-2, 2)] * d).map(lambda a: (a, "<=", 0))
-    cone = st.lists(row, max_size=3).map(lambda rows: HPolytope(d, tuple(rows), None))
-    return FullDimFan(tuple(draw(st.lists(cone, min_size=1, max_size=4))))
+    cone = st.lists(row, max_size=3).map(lambda rows: Cone(primitive_rows(d, rows)))
+    return FullDimFan(d, tuple(draw(st.lists(cone, min_size=1, max_size=4))))
 
 
 @st.composite
@@ -743,7 +755,7 @@ def test_scan_budget(monkeypatch):
     # the first box point (1, 1, 1) lies in no cone, so reaching the scan
     # would raise IncompleteFanError instead
     no_origin = HPolytope(3, HUGE_SIMPLEX.rows, ((1, 10 ** 5),) * 3)
-    half = FullDimFan((HPolytope(3, (((1, 0, 0), "<=", 0),), None),))
+    half = FullDimFan(3, (Cone((((1, 0, 0), "<=", 0),)),))
     with pytest.raises(BudgetExceededError):
         inner_pruned_count(no_origin, half, 1)
     with pytest.raises(BudgetExceededError):
@@ -784,8 +796,7 @@ def test_pruned_scan_budget_bounds_box_points(monkeypatch):
     # at the default budget: 1 and 2 prefixes, 10^12 + 1 and 2 (10^7 + 1) points
     monkeypatch.undo()
     long_segment = box([(0, 10 ** 12)])
-    line = FullDimFan((HPolytope(1, (((1,), "<=", 0),), None),
-                       HPolytope(1, (((-1,), "<=", 0),), None)))
+    line = FullDimFan(1, (Cone((((1,), "<=", 0),)), Cone((((-1,), "<=", 0),))))
     assert count_lattice(long_segment, 1) == 10 ** 12 + 1
     with pytest.raises(BudgetExceededError, match=re.escape("1000000000001 box points")):
         inner_pruned_count(long_segment, line, 1)
@@ -795,6 +806,21 @@ def test_pruned_scan_budget_bounds_box_points(monkeypatch):
     assert count_lattice(wide, 1) == 2 * (10 ** 7 + 1)
     with pytest.raises(BudgetExceededError, match="box points"):
         inner_pruned_count(wide, WHOLE_PLANE, 1)
+
+
+def test_pruned_dimensions_checked_before_sizing():
+    # against the fan of pi_6 the 3-cube's sweep would be sized past the
+    # work budget; the mismatch is refused first, also where the dilate is
+    # empty and no sweep is sized at all
+    fan = normal_fan_of(perm_gp(6))
+    message = "^polytope and fan live in different dimensions$"
+    with pytest.raises(ValueError, match=message):
+        pruned_reciprocity_check(unit_cube(3), fan, 3, 1, 100)
+    empty = HPolytope(3, (((0, 0, 0), "<=", -1),), ((0, 1),) * 3)
+    for count in (inner_pruned_count, cumulative_pruned_count):
+        for poly in (unit_cube(3), empty):
+            with pytest.raises(ValueError, match=message):
+                count(poly, fan, 1)
 
 
 def test_reciprocity_checks_refuse_before_counting(monkeypatch):
@@ -919,9 +945,11 @@ def test_polytope_json_round_trip():
     assert doc["d"] == 2
     assert doc["bbox"] == [[0, 1], [0, 1]]
     assert hpolytope_from_json(doc) == SQUARE
-    no_box = hpolytope_to_json(DIAGONAL_FAN.cones[0])
-    assert "bbox" not in no_box
-    assert hpolytope_from_json(no_box, require_bbox=False) == DIAGONAL_FAN.cones[0]
+    # a cone document has no box, so it is no polytope document
+    cone_doc = fan_to_json(DIAGONAL_FAN)["cones"][0]
+    assert "bbox" not in cone_doc
+    with pytest.raises(InputFormatError, match="^polytope document needs a 'bbox'$"):
+        hpolytope_from_json(cone_doc)
 
 
 @pytest.mark.parametrize(
@@ -947,20 +975,51 @@ def test_polytope_json_rejects(doc):
 
 
 def test_fan_json_round_trip():
-    fan = normal_fan_of(perm_gp(2))
-    assert fan_from_json(fan_to_json(fan)) == fan
-    assert fan_from_json(fan_to_json(DIAGONAL_FAN)) == DIAGONAL_FAN
+    # pi_1's one cone has no rows: the document's d is the fan's
+    fans = [normal_fan_of(perm_gp(1)), normal_fan_of(perm_gp(2)), DIAGONAL_FAN, WHOLE_PLANE]
+    fans += [normal_fan_of(GPerm(z)) for z in seeded_setfns(107, 20, 4)]
+    assert {fan.d for fan in fans} == {1, 2, 3, 4}
+    for fan in fans:
+        assert fan_from_json(fan_to_json(fan)) == fan
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        {},
-        {"cones": []},
-        {"cones": [{"d": 2, "rows": [{"a": ["1", "0"], "rel": "<=", "b": "1"}]}]},
-        {"cones": [{"d": 2, "rows": [{"a": ["1", "0"], "rel": "<", "b": "0"}]}]},
-    ],
-)
-def test_fan_json_rejects(doc):
-    with pytest.raises(InputFormatError):
+def test_fan_json_reads_primitive_integer_rows():
+    # the golden four-cone fan is written with fractional and scaled rows
+    doc = json.loads((Path(__file__).parent / "golden" / "fan_diag_q.json").read_text())
+    fan = fan_from_json(doc)
+    assert fan.d == 2
+    assert [cone.rows for cone in fan.cones] == [
+        (((1, -1), "<=", 0), ((-1, -1), "<=", 0)),
+        (((-1, 1), "<=", 0), ((-1, -1), "<=", 0)),
+        (((1, 1), "<=", 0), ((-1, 1), "<=", 0)),
+        (((1, 1), "<=", 0), ((1, -1), "<=", 0)),
+    ]
+    assert all(type(c) is int for cone in fan.cones for a, _rel, b in cone.rows for c in (*a, b))
+
+
+def _cone_doc(d, *rows, **extra):
+    return {"d": d, "rows": [{"a": a, "rel": rel, "b": b} for a, rel, b in rows], **extra}
+
+
+FAN_REJECTS = [
+    ({}, "fan document needs a 'cones' list"),
+    ({"cones": []}, "a fan needs at least one cone"),
+    ({"cones": [_cone_doc(2, (["1", "0"], "<=", "1"))]},
+     "cone rows must be homogeneous non-strict inequalities"),
+    ({"cones": [_cone_doc(2, (["1", "0"], "<", "0"))]},
+     "cone rows must be homogeneous non-strict inequalities"),
+    ({"cones": [_cone_doc(2, (["1", "0"], "<=", "0")), _cone_doc(3)]},
+     "cones of mixed ambient dimension"),
+    ({"cones": [_cone_doc(2, (["1"], "<=", "0"))]}, "row length mismatch"),
+    ({"cones": [_cone_doc(2, (["1", "0"], ">=", "0"))]}, "unknown relation '>='"),
+    ({"cones": [[]]}, "polytope document needs 'd' and 'rows'"),
+    ({"cones": [_cone_doc(2, bbox=[[0, 1], [0, 1]])]}, "a cone document takes no 'bbox'"),
+]
+
+
+# one fault per document, each refused with its own message
+@pytest.mark.parametrize("doc, message", FAN_REJECTS,
+                         ids=[f"doc{i}" for i in range(len(FAN_REJECTS))])
+def test_fan_json_rejects(doc, message):
+    with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
         fan_from_json(doc)

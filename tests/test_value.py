@@ -9,6 +9,7 @@ import pytest
 
 from gpcount.cli import verify_all
 from gpcount.ehrhart import (
+    Cone,
     FullDimFan,
     HPolytope,
     count_lattice,
@@ -32,7 +33,7 @@ from gpcount.setfn import SetFn, standard_perm_setfn
 
 
 def _cone(sign):
-    return HPolytope(1, (((sign,), "<=", 0),))
+    return Cone((((sign,), "<=", 0),))
 
 
 # per class: a builder, two argument tuples that differ in one field, and the
@@ -49,9 +50,9 @@ CASES = {
                         "(Polynomial(coefficients=(Fraction(1, 1),)),))"),
     "HPolytope": (HPolytope, (1, (((2,), "<=", 4),), ((0, 2),)), (1, (((2,), "<=", 4),), ((0, 3),)),
                   "HPolytope(d=1, rows=(((1,), '<=', 2),), bbox=((0, 2),))"),
-    "FullDimFan": (FullDimFan, ((_cone(1), _cone(-1)),), ((_cone(-1), _cone(1)),),
-                   "FullDimFan(cones=(HPolytope(d=1, rows=(((1,), '<=', 0),), bbox=None), "
-                   "HPolytope(d=1, rows=(((-1,), '<=', 0),), bbox=None)))"),
+    "FullDimFan": (FullDimFan, (1, (_cone(1), _cone(-1))), (1, (_cone(-1), _cone(1))),
+                   "FullDimFan(d=1, cones=(Cone(rows=(((1,), '<=', 0),)), "
+                   "Cone(rows=(((-1,), '<=', 0),))))"),
     "CheckEntry": (CheckEntry, ("t=1", 2, Fraction(2)), ("t=1", 2, 3),
                    "CheckEntry(label='t=1', lhs=2, rhs=Fraction(2, 1))"),
 }
@@ -133,7 +134,7 @@ SEGMENT = standard_simplex(1)
 INTEGER_ARGUMENTS = {
     "SetFn": ("ground-set size", lambda n: SetFn(n, (0, 1)), 9),
     "Hypergraph": ("d", lambda n: Hypergraph(n, ({1},)), 0),
-    "HPolytope": ("d", lambda n: HPolytope(n, (((1,), "<=", 1),)), 0),
+    "HPolytope": ("d", lambda n: HPolytope(n, (((1,), "<=", 1),), ((0, 1),)), 0),
     "QuasiPolynomial": ("period", lambda n: QuasiPolynomial(n, (Polynomial((1,)),)), 0),
     "edge node": ("edge node", lambda n: Hypergraph(2, ({n},)), 3),
     "count_k_faces": ("k", lambda n: PI_3.count_k_faces(HEXAGON, n), -1),
