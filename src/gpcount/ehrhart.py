@@ -8,16 +8,19 @@ dilate keeps every normal vector and scales the right-hand sides by t.
 On integer points the t-th dilate is one integer system of `a . x <= b`
 rows: a strict row lowers its bound by one and an equality becomes two
 opposite rows.  A polytope stores each row as its primitive integer row,
-and its interior has the same rows with other relations.  Each polytope is
-compiled once, on its first count, into an integer dilation frame: its rows
-with equalities split, sorted into zero rows, rows in a single coordinate
+and its interior has the same rows with other relations; a polytope
+document's rows are read straight into integers (`rational.rats_from_json`),
+and only a row with a non-int entry is rescaled.  Each polytope is compiled
+once, on its first count, into an integer dilation frame: its rows with
+equalities split, sorted into zero rows, per coordinate its box bounds with
+the rows in that coordinate alone bounding it from above and from below,
 and the rest, together with the number of coordinates a count scans.  A
 t-dilate only scales the box and the right-hand sides: a zero row with a
 negative bound empties it, and a row in a single coordinate folds into that
-coordinate's range.  The scan then fixes one coordinate at a time, in
-order.  At coordinate j each row `a . x <= b` bounds `a_j x_j` by what the
-fixed prefix leaves of b, less the least the later coordinates can add over
-their ranges.  Every point of the dilate meets that bound, so no point is
+coordinate's range by one floor division.  The scan then fixes one
+coordinate at a time, in order.  At coordinate j each row `a . x <= b`
+bounds `a_j x_j` by what the fixed prefix leaves of b, less the least the
+later coordinates can add over their ranges.  Every point of the dilate meets that bound, so no point is
 lost, and a prefix whose range for x_j is empty is dropped there.  At the
 last coordinate nothing is left to add, so the points over each prefix form
 one integer interval, read off by floor division (Beck-Robins, *Computing the
@@ -69,7 +72,7 @@ from . import errors
 from .errors import IncompleteFanError, InputFormatError, check_budget, require_integer
 from .permutahedron import GPerm
 from .polynomial import QuasiPolynomial, interpolate_quasipoly
-from .rational import exact, rat_from_json, to_integers
+from .rational import exact, rats_from_json, to_integers
 from .report import Report
 from .value import Frozen
 
@@ -80,9 +83,10 @@ Row = tuple[tuple[int, ...], str, int]
 
 def primitive_rows(d: int, rows: Sequence) -> tuple[Row, ...]:
     """Rows `a . x rel b` with rational entries, in `d` coordinates, each as
-    its primitive integer row: `(*a, b)` scaled by the lcm of its
-    denominators and divided by the gcd of its entries, with its relation,
-    in its place."""
+    its primitive integer row: `(*a, b)` divided by the gcd of its entries,
+    after a row with a non-int entry is scaled to integers by the lcm of its
+    denominators (`exact` refuses what is not a rational), with its
+    relation, in its place."""
     require_integer("d", d, 1)
     rows = tuple((tuple(a), rel, b) for a, rel, b in rows)
     for a, rel, _b in rows:
@@ -90,13 +94,15 @@ def primitive_rows(d: int, rows: Sequence) -> tuple[Row, ...]:
             raise ValueError("row length mismatch")
         if rel not in RELATIONS:
             raise ValueError(f"unknown relation {rel!r}")
-    if all(all(type(c) is int for c in (*a, b)) and gcd(*a, b) <= 1 for a, _rel, b in rows):
-        return rows
     primitive = []
     for a, rel, b in rows:
-        *a, b = to_integers(map(exact, (*a, b)))[1]
-        g = gcd(*a, b) or 1
-        primitive.append((tuple(c // g for c in a), rel, b // g))
+        if type(b) is not int or not all(type(c) is int for c in a):
+            *a, b = to_integers(map(exact, (*a, b)))[1]
+            a = tuple(a)
+        g = gcd(*a, b)
+        if g > 1:
+            a, b = tuple(c // g for c in a), b // g
+        primitive.append((a, rel, b))
     return tuple(primitive)
 
 
@@ -129,13 +135,15 @@ class HPolytope(Frozen):
 
     @cached_property
     def frame(self) -> tuple[tuple, tuple, tuple, int]:
-        """The rows compiled for dilation, `(zero, axis, rest,
-        scanned)`.  On integer points the t-dilate of a row is
-        `a . x <= t b - strict`, where `strict` is 1 for `<` and 0 otherwise,
-        and an equality is two opposite such rows, the row first.  `zero`
-        holds the zero rows as `(b, strict)`, `axis` the rows in a single
-        coordinate i, coefficient c, as `(i, c, b, strict)`, and `rest` the
-        others as `(a, b, strict)`, in row order.  A count scans the
+        """The rows compiled for dilation, `(zero, folds, rest, scanned)`.
+        On integer points the t-dilate of a row is `a . x <= t b - strict`,
+        where `strict` is 1 for `<` and 0 otherwise, and an equality is two
+        opposite such rows, the row first.  `zero` holds the zero rows as
+        `(b, strict)`.  `folds` holds per coordinate i its box bounds and
+        the rows in that coordinate alone, coefficient c, in row order:
+        `(lo, hi, upper, lower)`, with `upper` the rows with c > 0 and
+        `lower` those with c < 0, each as `(|c|, b, strict)`.  `rest` holds
+        the other rows as `(a, b, strict)`, in row order.  A count scans the
         coordinates up to the last one a row of `rest` involves: `scanned`
         of them."""
         rows = []
@@ -143,17 +151,21 @@ class HPolytope(Frozen):
             rows.append((a, b, int(rel == "<")))
             if rel == "=":
                 rows.append((tuple(-c for c in a), -b, 0))
-        zero, axis, rest = [], [], []
+        zero, rest = [], []
+        upper, lower = [[] for _ in self.bbox], [[] for _ in self.bbox]
         for a, b, strict in rows:
             nz = [i for i, c in enumerate(a) if c]
             if not nz:
                 zero.append((b, strict))
             elif len(nz) == 1:
-                axis.append((nz[0], a[nz[0]], b, strict))
+                c = a[nz[0]]
+                (upper if c > 0 else lower)[nz[0]].append((abs(c), b, strict))
             else:
                 rest.append((a, b, strict))
+        folds = tuple((lo, hi, tuple(up), tuple(down))
+                      for (lo, hi), up, down in zip(self.bbox, upper, lower))
         scanned = max((j + 1 for a, _b, _strict in rest for j, c in enumerate(a) if c), default=0)
-        return tuple(zero), tuple(axis), tuple(rest), scanned
+        return tuple(zero), folds, tuple(rest), scanned
 
     def interior(self) -> "HPolytope":
         """Relative interior: the same rows, with a non-zero `<=` row made
@@ -198,7 +210,7 @@ def standard_simplex(d: int, scale: Fraction = Fraction(1)) -> HPolytope:
     if scale <= 0:
         raise ValueError("scale must be positive")
     rows = [(_unit_row(d, i, -1), "<=", 0) for i in range(d)]
-    rows.append(((1,) * d, "<=", scale))
+    rows.append(((scale.denominator,) * d, "<=", scale.numerator))
     return HPolytope(d, tuple(rows), tuple((0, ceil(scale)) for _ in range(d)))
 
 
@@ -208,10 +220,11 @@ def _scan_frame(poly: HPolytope, t: int, fan: FullDimFan | None = None):
     fixes; (None, None, 0) for an empty dilate.
 
     Scales the polytope's `frame`, each right-hand side to `t b - strict`:
-    a zero row empties the dilate when its bound is negative, a row in a
-    single coordinate folds into that coordinate's range by floor division,
-    and the other rows are the scan's.  The scan is refused before it starts
-    when it exceeds `errors.WORK_BUDGET` or fixes more than
+    a zero row empties the dilate when its bound is negative, each
+    coordinate's range is its box bounds times t, lowered by its upper and
+    raised by its lower rows by floor division, and an empty range empties
+    the dilate there; the other rows are the scan's.  The scan is refused
+    before it starts when it exceeds `errors.WORK_BUDGET` or fixes more than
     `errors.SCAN_DEPTH` coordinates.  A count fixes the coordinates up to
     the last one any row involves, as the frame records, and is charged the
     prefixes of the last of those.  A sweep against `fan` fixes every
@@ -223,18 +236,23 @@ def _scan_frame(poly: HPolytope, t: int, fan: FullDimFan | None = None):
     require_integer("t", t, 1)
     if fan is not None and poly.d != fan.d:
         raise ValueError("polytope and fan live in different dimensions")
-    zero, axis, rest, scanned = poly.frame
+    zero, folds, rest, scanned = poly.frame
     if any(t * b < strict for b, strict in zero):
         return None, None, 0
-    ranges = [[lo * t, hi * t] for lo, hi in poly.bbox]
-    for i, c, b, strict in axis:
-        bound = t * b - strict
-        if c > 0:
-            ranges[i][1] = min(ranges[i][1], bound // c)
-        else:
-            ranges[i][0] = max(ranges[i][0], -(bound // -c))
-    if any(lo > hi for lo, hi in ranges):
-        return None, None, 0
+    ranges = []
+    for lo, hi, upper, lower in folds:
+        lo, hi = lo * t, hi * t
+        for c, b, strict in upper:
+            top = (t * b - strict) // c
+            if top < hi:
+                hi = top
+        for c, b, strict in lower:
+            bottom = -((t * b - strict) // c)
+            if bottom > lo:
+                lo = bottom
+        if lo > hi:
+            return None, None, 0
+        ranges.append((lo, hi))
     widths = [hi - lo + 1 for lo, hi in ranges]
     if fan is None:
         size = prod(widths[:max(scanned - 1, 0)])
@@ -249,8 +267,7 @@ def _scan_frame(poly: HPolytope, t: int, fan: FullDimFan | None = None):
         check_budget(size, errors.WORK_BUDGET, f"steps ({points} box points and {runs} runs of "
                      f"{reads} fan row reads) at t={t}")
     check_budget(scanned, errors.SCAN_DEPTH, f"coordinates scanned at t={t}")
-    return ([tuple(r) for r in ranges], [(a, t * b - strict) for a, b, strict in rest],
-            scanned)
+    return ranges, [(a, t * b - strict) for a, b, strict in rest], scanned
 
 
 def _scan(ranges, rows, run=None) -> int:
@@ -596,8 +613,9 @@ def pruned_reciprocity_check(poly: HPolytope, fan: FullDimFan, degree: int,
 
 def _rows_from_json(doc: object) -> tuple[object, list, object]:
     """The `d`, the rows and the `bbox` (None when absent) of a polytope or
-    cone document, the rows' entries parsed as rationals and nothing else
-    checked."""
+    cone document, each row's entries read as rationals and scaled to
+    integers by the lcm of their denominators (`rats_from_json`), and
+    nothing else checked."""
     if not isinstance(doc, dict) or "d" not in doc or "rows" not in doc:
         raise InputFormatError("polytope document needs 'd' and 'rows'")
     if not isinstance(doc["rows"], list):
@@ -608,8 +626,8 @@ def _rows_from_json(doc: object) -> tuple[object, list, object]:
             raise InputFormatError("each row needs 'a', 'rel' and 'b'")
         if not isinstance(raw["a"], list):
             raise InputFormatError("row 'a' must be a list")
-        a = tuple(rat_from_json(c) for c in raw["a"])
-        rows.append((a, raw["rel"], rat_from_json(raw["b"])))
+        *a, b = rats_from_json((*raw["a"], raw["b"]))[1]
+        rows.append((tuple(a), raw["rel"], b))
     return doc["d"], rows, doc.get("bbox")
 
 

@@ -36,7 +36,8 @@ from .value import Frozen
 
 class Polynomial(Frozen):
     """Coefficients constant-first; trailing zeros are trimmed on construction.
-    A non-integral float coefficient raises ValueError (`rational.exact`).
+    A coefficient `rational.exact` refuses (a non-integral float, a str or
+    a bool) raises ValueError.
     Stored, compared and hashed in its integer form (see the module
     docstring); `coefficients` are made from it on first read."""
 

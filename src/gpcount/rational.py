@@ -4,14 +4,18 @@ Every coordinate, set-function value, and polynomial coefficient this
 package hands out is a `fractions.Fraction`; floats never appear.  Text form
 is the rational literal: optional sign, integer, optionally "/" and a
 positive integer ("3", "-2", "3/4").  Decimal notation is rejected on
-purpose, and `exact` refuses a non-integral float.  The counting cores run
-on integers: `to_integers` scales a list of rationals by the lcm of their
-denominators.  That pair, the lcm and the integers, is the one form a
-polynomial (`Polynomial._integer_form`) and a set function (`SetFn.scaled`)
-store and compare; their `Fraction`s are made only when a caller first
-reads them.  A fit, and a set function built from integer counts or subset
-sums (hypergraphic, standard or reconstructed from vertices), is built in
-that form directly, without a `Fraction` in between.
+purpose.  `exact` takes an int that is not a bool, a `Fraction` or an
+integral float, and refuses anything else, a str and a non-integral float
+included.  The counting cores run on integers: `to_integers` scales a list
+of rationals by the lcm of their denominators.  That pair, the lcm and the
+integers, is the one form a polynomial (`Polynomial._integer_form`) and a
+set function (`SetFn.scaled`) store and compare; their `Fraction`s are made
+only when a caller first reads them.  A fit, and a set function built from
+integer counts or subset sums (hypergraphic, standard or reconstructed from
+vertices), is built in that form directly, without a `Fraction` in between.
+So is every document: `rats_from_json`, the one reader of a document's
+rational fields, reads a list of ints and literals straight into that pair,
+and `parse_rat` is its `Fraction` form for one literal.
 """
 
 from __future__ import annotations
@@ -26,37 +30,74 @@ from .errors import InputFormatError
 
 RatVec = tuple[Fraction, ...]
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$", re.ASCII)
+_RAT_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?", re.ASCII)  # matched in full
 
 
-def parse_rat(text: str) -> Fraction:
-    """Parse a rational literal of ASCII digits, rejecting anything else
-    (decimals and other scripts' digits included)."""
-    s = text.strip()
-    if not _RAT_RE.match(s):
-        raise ValueError(f"invalid rational literal: {text!r}")
-    return Fraction(*map(int, s.split("/")))
+def _scaled(values: Iterable) -> tuple[int, tuple[int, ...]]:
+    """`rats_from_json`, raising ValueError."""
+    nums, dens = [], []
+    for value in values:
+        if isinstance(value, str):
+            match = _RAT_RE.fullmatch(value.strip())
+            if match is None:
+                raise ValueError(f"invalid rational literal: {value!r}")
+            num, den = match.groups()
+            num = int(num)  # a ValueError past `sys.get_int_max_str_digits()`
+            if den is None:
+                den = 1
+            else:
+                den = int(den)
+                g = gcd(num, den)
+                num, den = num // g, den // g
+        elif isinstance(value, int) and not isinstance(value, bool):
+            num, den = value, 1
+        else:
+            raise ValueError(f"expected a rational literal, got {value!r}")
+        nums.append(num)
+        dens.append(den)
+    scale = lcm(*dens)
+    if scale == 1:
+        return 1, tuple(nums)
+    return scale, tuple(n * (scale // d) for n, d in zip(nums, dens))
 
 
-def rat_from_json(value) -> Fraction:
-    """A rational field of a JSON document: a rational literal or an integer."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if not isinstance(value, str):
-        raise InputFormatError(f"expected a rational literal, got {value!r}")
+def rats_from_json(values: Iterable) -> tuple[int, tuple[int, ...]]:
+    """The rational fields ``values`` of a JSON document, each an int (not a
+    bool) or a rational literal, as `to_integers` gives their values: the
+    lcm L of their reduced denominators and the integers L * v, read
+    without a `Fraction`.  The first bad field raises InputFormatError."""
     try:
-        return parse_rat(value)
+        return _scaled(values)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
 
 
+def parse_rat(text: str) -> Fraction:
+    """Parse a rational literal of ASCII digits, rejecting anything else
+    (decimals and other scripts' digits included): the `Fraction` form of
+    `rats_from_json`, raising ValueError."""
+    scale, (num,) = _scaled((text,))
+    return Fraction(num, scale)
+
+
 def exact(value) -> Fraction:
-    """``value`` as a Fraction.  A non-integral float raises ValueError: its
-    binary fraction (0.1 is 3602879701896397/36028797018963968) is seldom
-    the rational meant.  An integral float such as 2.0 is its integer."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{value!r} is a non-integral float, not an exact rational")
-    return value if isinstance(value, Fraction) else Fraction(value)
+    """``value`` as a Fraction: an int that is not a bool, a Fraction, or an
+    integral float such as 2.0, which is its integer.  A non-integral float
+    raises ValueError: its binary fraction (0.1 is
+    3602879701896397/36028797018963968) is seldom the rational meant.
+    Anything else raises ValueError too: a str would go through
+    `Fraction`'s wider grammar ("0.1", "1e1", "1_0"), which documents
+    refuse, and a bool would count as 0 or 1."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError(f"{value!r} is a non-integral float, not an exact rational")
+        return Fraction(value)
+    raise ValueError(f"{value!r} is not an exact rational: expected an int, a Fraction "
+                     f"or an integral float")
 
 
 def format_rat(value: Fraction | int) -> str:

@@ -9,7 +9,9 @@ submodularity test on those integers, pointwise sums, the coordinate sums
 of a point over all subsets, the greedy points of the chains on the scaled
 values (the vertices of the generalized permutahedron, times L, when z is
 submodular), and reconstruction of a set function from a vertex set by
-maximizing subset sums, built from those integer sums.
+maximizing subset sums, built from those integer sums.  A set-function
+document is read the same way, its values straight into the scaled
+integers (`rational.rats_from_json`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import InputFormatError, require_integer
-from .rational import exact, rat_from_json, to_integers
+from .rational import exact, rats_from_json, to_integers
 from .value import Frozen
 
 MAX_GROUND_SET = 8
@@ -155,8 +157,8 @@ def setfn_from_json(doc: object) -> SetFn:
     d, raw = doc["d"], doc["values"]
     if not isinstance(raw, list):
         raise InputFormatError("'values' must be a list")
-    values = tuple(rat_from_json(v) for v in raw)
+    scale, ints = rats_from_json(raw)
     try:
-        return SetFn(d, values)
+        return SetFn._from_integers(d, scale, ints)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc

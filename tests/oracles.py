@@ -8,13 +8,14 @@ instances.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction
 from math import ceil, floor, lcm
 from operator import mul
 
 from gpcount.ehrhart import Cone, FullDimFan, HPolytope, primitive_rows
-from gpcount.errors import NotSubmodularError
+from gpcount.errors import InputFormatError, NotSubmodularError
 from gpcount.hypergraph import check_heading
 from gpcount.permutahedron import Face
 from gpcount.polynomial import Polynomial
@@ -460,6 +461,51 @@ def single_point(coords) -> HPolytope:
     rows = tuple((tuple(Fraction(int(j == i)) for j in range(d)), "=", c)
                  for i, c in enumerate(coords))
     return HPolytope(d, rows, tuple((floor(c), ceil(c)) for c in coords))
+
+
+_RAT_LITERAL = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$", re.ASCII)
+
+
+def rat_by_fraction(value) -> Fraction:
+    """A rational field of a document as a `Fraction`: an int that is not a
+    bool, or a literal matching the rational grammar, its parts read by
+    int() and handed to `Fraction`; InputFormatError for anything else."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise InputFormatError(f"expected a rational literal, got {value!r}")
+    s = value.strip()
+    if not _RAT_LITERAL.match(s):
+        raise InputFormatError(f"invalid rational literal: {value!r}")
+    try:
+        return Fraction(*map(int, s.split("/")))
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from exc
+
+
+def _rows_by_fractions(doc) -> list:
+    return [(tuple(rat_by_fraction(c) for c in row["a"]), row["rel"], rat_by_fraction(row["b"]))
+            for row in doc["rows"]]
+
+
+def setfn_by_fractions(doc) -> SetFn:
+    """The set function of a well-formed document, its values read as
+    `Fraction`s and scaled by `SetFn` through `to_integers`."""
+    return SetFn(doc["d"], [rat_by_fraction(v) for v in doc["values"]])
+
+
+def hpolytope_by_fractions(doc) -> HPolytope:
+    """The polytope of a well-formed document, its row entries read as
+    `Fraction`s and made primitive through `to_integers`."""
+    return HPolytope(doc["d"], _rows_by_fractions(doc), doc["bbox"])
+
+
+def fan_by_fractions(doc) -> FullDimFan:
+    """The fan of a well-formed document, each cone's rows read as
+    `Fraction`s and made primitive through `to_integers`."""
+    cones = doc["cones"]
+    return FullDimFan(cones[0]["d"], [Cone(primitive_rows(c["d"], _rows_by_fractions(c)))
+                                      for c in cones])
 
 
 def _row_to_json(row) -> dict:

@@ -206,6 +206,38 @@ def random_sparse_hpolytope(rng, d):
     return HPolytope(d, tuple(rows), bbox)
 
 
+def random_folded_hpolytope(rng, d):
+    """A `random_hpolytope` with 2 or 3 more rows bounding one coordinate
+    from above and as many from below, all in that coordinate alone, with
+    coefficients of 1 to 3 in size, each `<=`, `<` or `=`."""
+    P = random_hpolytope(rng, d)
+    i = rng.randrange(d)
+    lo, hi = P.bbox[i]
+    rows = list(P.rows)
+    for sign in (1, -1) * rng.randint(2, 3):
+        c = sign * rng.randint(1, 3)
+        b = Fraction(c * rng.randint(lo, hi) + rng.randint(-1, 2), rng.randint(1, 2))
+        rel = rng.choice(("<=", "<=", "<", "="))
+        rows.append((tuple(c if j == i else 0 for j in range(d)), rel, b))
+    return HPolytope(d, tuple(rows), P.bbox)
+
+
+def several_folds(poly):
+    """Whether some coordinate has at least two rows in it alone bounding it
+    from above and two from below (an `=` row bounds it both ways), among
+    them a coefficient of size above 1, a `<` row and an `=` row."""
+    for i in range(poly.d):
+        folds = [(a[i], rel) for a, rel, _b in poly.rows
+                 if a[i] and not any(c for j, c in enumerate(a) if j != i)]
+        upper = sum(c > 0 or rel == "=" for c, rel in folds)
+        lower = sum(c < 0 or rel == "=" for c, rel in folds)
+        rels = {rel for _c, rel in folds}
+        if (upper >= 2 and lower >= 2 and any(abs(c) > 1 for c, _rel in folds)
+                and {"<", "="} <= rels):
+            return True
+    return False
+
+
 def scan_cases(poly, t):
     """Which shortcuts of the coordinate scan the t-dilate offers, read off
     its folded ranges and rows: no row left after folding (a count is one
@@ -310,10 +342,13 @@ def test_dilate_frame_matches_per_t_reference():
     polys = [random_hpolytope(rng) for _ in range(60)]
     polys += [random_hpolytope(rng, 4) for _ in range(12)]
     polys += [random_sparse_hpolytope(rng, rng.randint(2, 4)) for _ in range(30)]
+    polys += [random_folded_hpolytope(rng, rng.randint(1, 3)) for _ in range(30)]
     cases = set()
     for poly in polys:
         for P in (poly, poly.interior()):
             assert P.rows == HPolytope(P.d, P.rows, P.bbox).rows
+            if several_folds(P):
+                cases.add("several folds")
             for a, rel, b in P.rows:
                 if rel == "=":
                     cases.add("equality")
@@ -326,17 +361,24 @@ def test_dilate_frame_matches_per_t_reference():
                 assert ehrhart._scan_frame(P, t)[:2] == expected
                 if expected[0] is None:
                     cases.add("empty")
-    assert cases == {"equality", "zero row", "zero row empties", "empty"}
+    assert cases == {"equality", "zero row", "zero row empties", "empty", "several folds"}
 
 
 def test_polytope_compiled_once(monkeypatch):
-    # one rescaling per row of the closed simplex: its interior reuses the
-    # integer rows, and no dilate, fitted or checked, rescales again
+    # a row with a Fraction entry is rescaled once, when its polytope is
+    # built; integer rows, the interior's and those of every dilate, fitted
+    # or checked, are never rescaled.  The 4-simplex is written in integers,
+    # and the same simplex written at scale 1/2 rescales each of its 5 rows
     calls = []
     real = ehrhart.to_integers
     monkeypatch.setattr(ehrhart, "to_integers", lambda values: calls.append(values) or real(values))
     simplex = standard_simplex(4)
     assert all_pass(em_reciprocity_check(simplex, 4, 1, 20)[1])
+    assert calls == []
+    halved = HPolytope(4, [(tuple(Fraction(c, 2) for c in a), rel, Fraction(b, 2))
+                           for a, rel, b in simplex.rows], simplex.bbox)
+    assert halved == simplex
+    assert all_pass(em_reciprocity_check(halved, 4, 1, 20)[1])
     assert len(calls) == len(simplex.rows) == 5
 
 
@@ -506,6 +548,23 @@ def test_float_rows_rejected():
         box([(0, 0.5)])
     with pytest.raises(ValueError, match="non-integral float"):
         standard_simplex(2, 1.5)
+
+
+def test_str_and_bool_entries_refused():
+    # box([("0.5", "1e1")]) would read Fraction's wider grammar as the rows
+    # -2x <= -1 and x <= 10, and a bool would be 0 or 1
+    for row in ((("1/2",), "<=", 1), ((1,), "<=", "0.5"), ((True,), "<=", 1), ((1,), "<=", False)):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            HPolytope(1, (row, ((-1,), "<=", 0)), ((0, 5),))
+    for bounds in ([("0.5", "1e1")], [(0, "1")], [(False, 1)], [(0, True)]):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            box(bounds)
+    for scale in ("3/2", "1", True):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            standard_simplex(2, scale)
+    # an int, a Fraction and an integral float are still taken
+    assert box([(0, 1.0)]) == box([(Fraction(0), 1)]) == unit_cube(1)
+    assert standard_simplex(2, 2.0) == standard_simplex(2, Fraction(4, 2))
 
 
 def test_fan_rows_stay_integers(monkeypatch):

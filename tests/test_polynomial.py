@@ -53,6 +53,14 @@ def test_float_coefficients():
             Polynomial(bad)
 
 
+def test_str_and_bool_coefficients_refused():
+    # a str would go through Fraction's own grammar ("1_0" is 10) and a bool
+    # would count as 0 or 1
+    for bad in (("1_0",), (0, "1/2"), (True,), (0, False)):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            Polynomial(bad)
+
+
 def test_interpolate_exact():
     # through (1,0),(2,2),(3,6): t^2 - t
     p = interpolate([0, 2, 6], 1, 1)

@@ -69,6 +69,14 @@ def test_setfn_float_values():
     assert SetFn(2, (0, 2.0, 2, 3.0)).values == (0, 2, 2, 3)
 
 
+def test_setfn_str_and_bool_values_refused():
+    # "0.1" would be 1/10 through Fraction's wider grammar, which documents
+    # refuse, and True would be 1
+    for values in ((0, "0.1"), (0, "1"), (0, True), (False, 1)):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            SetFn(1, values)
+
+
 def test_is_submodular_examples():
     assert SetFn(2, (0, 2, 2, 3)).is_submodular
     assert not SetFn(2, (0, 0, 0, 1)).is_submodular
