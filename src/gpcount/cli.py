@@ -28,21 +28,22 @@ The four commands that build a `GPerm` from their input (`chi`, `faces`,
 `pruned --setfn` and `hg-reciprocity`) get it from `_polytope`, which keeps
 the last one it built.  Its key is the `SetFn` value, compared and hashed
 by its exact integer form `SetFn.scaled` (so a parsed document and an equal
-set function built from integers are one key), together with `_limits()`,
-the three limits of `errors` at call time, so a process that calls `run`
-more than once builds the vertices and face map of a repeated set function
-once, and a kept polytope refuses exactly what a fresh one would.  A document
-rewritten in place is a new key, and `verify-all` builds its own polytopes
-without reading or replacing the kept one.
+set function built from integers are one key), together with
+`errors.limits()`, every limit at call time: `errors` owns that part of the
+key of each kept result.  So a process that calls `run` more than once
+builds the vertices and face map of a repeated set function once, and a
+kept polytope refuses exactly what a fresh one would.  A document rewritten
+in place is a new key, and `verify-all` builds its own polytopes without
+reading or replacing the kept one.
 
 `ehrhart`, `pruned` and `verify-all` make their reciprocity checks through
 `_reciprocity`, which keeps the last 64: the fit and the check entries of
 each `em_reciprocity_check` and `pruned_reciprocity_check`, and hands each
 caller a new `Report` of those entries.  Its key is the check, its
 arguments with their types (so a `True` or `2.0` degree misses an int one
-and is refused as before), and `_limits()` at call time, so a kept check
-refuses exactly what a fresh one would.  Errors are never kept.  An entry
-holds its polytope and fan, about 0.2 MB with the normal fan of pi_6.
+and is refused as before), and `errors.limits()` at call time, so a kept
+check refuses exactly what a fresh one would.  Errors are never kept.  An
+entry holds its polytope and fan, about 0.2 MB with the normal fan of pi_6.
 Nothing else in this module is kept between calls.
 """
 
@@ -178,20 +179,14 @@ def _load_setfn(path: str):
     return setfn_from_json(_load_json(path))
 
 
-def _limits() -> tuple[int, int, int]:
-    """The three limits of `errors`, read now: part of the key of each kept
-    result, so that a kept result refuses exactly what a fresh one would."""
-    return errors.WORK_BUDGET, errors.LOOP_BUDGET, errors.SCAN_DEPTH
-
-
 def _polytope(z: SetFn) -> GPerm:
     """The generalized permutahedron of z, the one the last call built when
-    z and `_limits()` are unchanged since."""
-    return _last_polytope(z, _limits())
+    z and `errors.limits()` are unchanged since."""
+    return _last_polytope(z, errors.limits())
 
 
 @lru_cache(maxsize=1)
-def _last_polytope(z: SetFn, limits: tuple[int, int, int]) -> GPerm:
+def _last_polytope(z: SetFn, limits: tuple[int, ...]) -> GPerm:
     # the limits are in the key only: the polytope's guards read them as they run
     return GPerm(z)
 
@@ -200,15 +195,15 @@ def _reciprocity(check: Callable, *args) -> tuple[QuasiPolynomial, Report]:
     """`check(*args)` for `em_reciprocity_check` or
     `pruned_reciprocity_check`: the fit and a new `Report` of the check
     entries, which are kept for equal arguments of equal types and equal
-    `_limits()`."""
-    fit, entries = _kept_reciprocity(check, _limits(), *args)
+    `errors.limits()`."""
+    fit, entries = _kept_reciprocity(check, errors.limits(), *args)
     return fit, Report(list(entries))
 
 
 # A `verify` pass of the benchmark uses 49 keys, so none is evicted; an entry
 # keeps its polytope and fan, about 0.2 MB for the normal fan of pi_6.
 @lru_cache(maxsize=64, typed=True)
-def _kept_reciprocity(check: Callable, limits: tuple[int, int, int],
+def _kept_reciprocity(check: Callable, limits: tuple[int, ...],
                       *args) -> tuple[QuasiPolynomial, tuple]:
     # the limits are in the key only: the check reads them as it runs
     fit, report = check(*args)
@@ -347,10 +342,15 @@ def cmd_pruned(args) -> tuple[dict, Report | None]:
     return {"degree": degree, "inner_quasipolynomial": inner.to_json()}, report
 
 
-# The most checks one trial of `verify_all` makes: 1 round trip, 16 direction
-# checks (4 for each k < d <= 4), 1 heading check, 7 hypergraph checks and 3
-# for each of the two dilation counts and the pruned count.
-CHECKS_PER_TRIAL = 34
+# The depth of one trial of `verify_all`: m = 1..TRIAL_M colors for the
+# direction and hypergraph checks, t = 1..TRIAL_T dilations for the two
+# dilation counts and the pruned count.
+TRIAL_M = 2
+TRIAL_T = 3
+# The most checks one trial makes: 1 round trip, 2 * TRIAL_M direction checks
+# for each k < d <= 4, 1 heading check, 3 * TRIAL_M + 1 hypergraph checks and
+# TRIAL_T for each of the two dilation counts and the pruned count.
+CHECKS_PER_TRIAL = 1 + 4 * (2 * TRIAL_M) + 1 + (3 * TRIAL_M + 1) + 3 * TRIAL_T
 
 
 def verify_all(seed: int, trials: int) -> Report:
@@ -369,26 +369,25 @@ def verify_all(seed: int, trials: int) -> Report:
 
         ks = range(P.d) if P.d <= 4 else (0,)
         for k in ks:
-            report.merge(P.verify_reciprocity(k, 2)[1], f"{tag}: directions d={P.d}")
+            report.merge(P.verify_reciprocity(k, TRIAL_M)[1], f"{tag}: directions d={P.d}")
 
         h = random_hypergraph(rng, max_d=5, max_edges=5)
         Ph = GPerm(hypergraphic_setfn(h))
         acyclic = acyclic_headings(h)
         report.check(f"{tag}: heading vertex description (d={h.d})",
                      vertices_via_headings(h, acyclic) == set(Ph.vertices), True)
-        report.merge(_hg_reciprocity_report(h, Ph, acyclic, 2)[1], f"{tag}: hypergraph d={h.d}")
+        report.merge(_hg_reciprocity_report(h, Ph, acyclic, TRIAL_M)[1],
+                     f"{tag}: hypergraph d={h.d}")
 
-        qbox, deg, period = random_rational_box(rng)
-        report.merge(_reciprocity(em_reciprocity_check, qbox, deg, period, 3)[1],
-                     f"{tag}: dilation counts, box d={deg}")
-        qsim, deg, period = random_rational_simplex(rng)
-        report.merge(_reciprocity(em_reciprocity_check, qsim, deg, period, 3)[1],
-                     f"{tag}: dilation counts, simplex d={deg}")
+        for draw, shape in ((random_rational_box, "box"), (random_rational_simplex, "simplex")):
+            poly, deg, period = draw(rng)
+            report.merge(_reciprocity(em_reciprocity_check, poly, deg, period, TRIAL_T)[1],
+                         f"{tag}: dilation counts, {shape} d={deg}")
 
         zf = random_hypergraphic_setfn(rng, max_d=3)
         Pf = GPerm(zf)
         report.merge(_reciprocity(pruned_reciprocity_check, unit_cube(Pf.d), normal_fan_of(Pf),
-                                  Pf.d, 1, 3)[1],
+                                  Pf.d, 1, TRIAL_T)[1],
                      f"{tag}: pruned counts d={Pf.d}")
     return report
 

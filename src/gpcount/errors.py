@@ -11,6 +11,9 @@ of any one enumeration: scan prefixes, sweep steps, tie tests, headings and
 face-map steps.  `LOOP_BUDGET` bounds the checks one command makes and the
 nodes one fit counts, loops that flags drive.  `SCAN_DEPTH` bounds the
 coordinates a lattice scan fixes, one recursion level each: depth, not work.
+`limits()` reads all three now: it is the key under which `cli` keeps a
+result between calls, so a kept result refuses exactly what a fresh one
+would, and a limit added here is in that key too.
 
 An integer argument is an int and never a bool: `True` passes a range test
 as 1 and `1.0` as 1, so a range test alone would count the wrong thing or
@@ -21,6 +24,11 @@ argument and its range.
 WORK_BUDGET = 10 ** 7  # steps of any one enumeration
 LOOP_BUDGET = 10 ** 4  # checks one command makes; nodes (degree + 2) * period one fit counts
 SCAN_DEPTH = 500  # coordinates one scan fixes, one recursion level each; Python allows 1000
+
+
+def limits() -> tuple[int, ...]:
+    """Every limit of this module, read now: the key of each kept result."""
+    return WORK_BUDGET, LOOP_BUDGET, SCAN_DEPTH
 
 
 class GpcountError(Exception):

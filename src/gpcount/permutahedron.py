@@ -65,9 +65,9 @@ plain list of {"dim", "vertices"} dicts (`cli.dumps` knows that shape and
 writes each with one template).  The 0-faces in a face are its vertices,
 so `count_k_faces(f, 0)` is the number of set bits of f.  For
 k >= 1 a k-face lies in a face f only if its lowest vertex does, so the
-k-faces are indexed by their lowest set bit, one k at a time on the first
-query for that k, and the k-faces in f are found by walking the set bits
-of f over that index.  `reciprocity_rhs(k, m)` is
+k-faces are indexed by their lowest set bit, for every k >= 1 in one pass
+on the first query with k >= 1, and the k-faces in f are found by walking
+the set bits of f over that index.  `reciprocity_rhs(k, m)` is
 sum_j r[k][j] * binom(m, j), like `chi_count`, with r[k] the column sums
 of the faces' histograms weighted by their k-face counts.  A face of
 dimension below k holds no k-face and one of dimension k holds only
@@ -93,7 +93,7 @@ from typing import NamedTuple
 from . import errors
 from .errors import NotSubmodularError, check_budget, require_integer
 from .polynomial import Polynomial, binomial_polynomial, binomial_sum
-from .rational import RatVec, affine_rank, format_rat
+from .rational import RatVec, affine_rank
 from .report import Report
 from .setfn import SetFn
 
@@ -155,9 +155,10 @@ class GPerm:
     dimension k the histograms give the table a[k][j] that `chi_count`
     weights by binom(m, j).  A `Face` is a face mask with its dimension, as
     the map keeps it.  Construction and queries are single-threaded:
-    queries fill the caches on first use (``tight``, the face map, the
-    k-face index of each k and the row r[k] of `reciprocity_rhs`, one full
-    row per k), so they are not read-only.  One `GPerm` may serve many
+    queries fill the caches on first use (``tight``, the face map, and the
+    k-face index of every k >= 1 at once; only the row r[k] of
+    `reciprocity_rhs` is still built per k, one full row on the first query
+    for k), so they are not read-only.  One `GPerm` may serve many
     requests (the CLI keeps the last one it built), so each cache entry is
     built aside and stored only once complete: a query cut short, by a
     refused budget or an interrupt, leaves no partial entry for a later
@@ -168,13 +169,11 @@ class GPerm:
         self.z = z
         self.d = z.d
         self.vertices: tuple[RatVec, ...] = vertices(z)
-        self._scaled_vertices = z.scaled_vertices  # the vertices times L, in the same order
-        self._k_face_index: dict[int, dict[int, list[int]]] = {}  # k -> lowest bit -> k-faces
         self._rhs_rows: dict[int, list[int]] = {}  # k -> r[k]
 
     @property
     def dimension(self) -> int:
-        return affine_rank(self._scaled_vertices)
+        return affine_rank(self.z.scaled_vertices)
 
     @cached_property
     def tight(self) -> list[int]:
@@ -184,7 +183,7 @@ class GPerm:
         d = self.d
         values = self.z.scaled[1]
         by_value: list[dict[int, int]] = [{} for _ in range(d)]  # i -> L * v_i -> ids
-        for vid, v in enumerate(self._scaled_vertices):
+        for vid, v in enumerate(self.z.scaled_vertices):
             for i, c in enumerate(v):
                 by_value[i][c] = by_value[i].get(c, 0) | 1 << vid
         tight = [(1 << len(self.vertices)) - 1] + [0] * ((1 << d) - 1)
@@ -264,15 +263,15 @@ class GPerm:
         return [list(map(sum, zip(*map(fm.blocks.__getitem__, faces))))
                 for faces in fm.by_dim]
 
-    def _k_faces_by_lowest_vertex(self, k: int) -> dict[int, list[int]]:
-        """The k-face masks keyed by their lowest set bit, the bit of their
-        lowest vertex id, indexed on the first query for k."""
-        index = self._k_face_index.get(k)
-        if index is None:
-            index = {}
-            for g in self._face_map.by_dim[k]:
-                index.setdefault(g & -g, []).append(g)
-            self._k_face_index[k] = index
+    @cached_property
+    def _faces_by_lowest_vertex(self) -> list[dict[int, list[int]]]:
+        """For each k >= 1, the k-face masks keyed by their lowest set bit,
+        the bit of their lowest vertex id; entry 0 stays empty, as
+        `count_k_faces` reads vertices off the mask."""
+        index: list[dict[int, list[int]]] = [{} for _ in range(self.d)]
+        for k, faces in enumerate(self._face_map.by_dim[1:], 1):
+            for g in faces:
+                index[k].setdefault(g & -g, []).append(g)
         return index
 
     def face_lattice(self) -> tuple[Face, ...]:
@@ -294,7 +293,7 @@ class GPerm:
             return 0
         if k == 0:
             return f.bit_count()
-        by_low = self._k_faces_by_lowest_vertex(k)
+        by_low = self._faces_by_lowest_vertex[k]
         outside = ~f
         count = 0
         rest = f
@@ -341,9 +340,11 @@ class GPerm:
         """Check the interpolated count forwards against the direct count,
         then its reflection (-1)^(d-k) poly(-m) against the weighted face
         count through `Report.reflections`, for m = 1..m_max; returns the
-        polynomial and the report."""
+        polynomial and the report.  Its 2 * m_max checks are charged to
+        `errors.LOOP_BUDGET` before the first."""
         require_integer("k", k, 0, self.d - 1)
         require_integer("m_max", m_max, 1)
+        check_budget(2 * m_max, errors.LOOP_BUDGET, "checks")
         poly = self.chi_polynomial(k)
         report = Report()
         for m in range(1, m_max + 1):
@@ -364,6 +365,6 @@ def face_lattice_to_json(P: GPerm) -> dict:
         faces += [{"dim": k, "vertices": ids} for ids in rows]
     return {
         "d": P.d,
-        "vertices": [list(map(format_rat, v)) for v in P.vertices],
+        "vertices": [list(map(str, v)) for v in P.vertices],
         "faces": faces,
     }

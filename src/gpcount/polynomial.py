@@ -30,7 +30,7 @@ from operator import mul, sub
 from typing import Callable, Sequence
 
 from .errors import InterpolationMismatchError, require_integer
-from .rational import exact, format_rat, to_integers
+from .rational import exact, to_integers
 from .value import Frozen
 
 
@@ -87,7 +87,7 @@ class Polynomial(Frozen):
     def to_json(self) -> list[str]:
         if not self.coefficients:
             return ["0"]
-        return [format_rat(c) for c in self.coefficients]
+        return list(map(str, self.coefficients))
 
 
 # One node set per (degree, period, residue) fitted.  A pass of a benchmark

@@ -3,11 +3,12 @@
 Every coordinate, set-function value, and polynomial coefficient this
 package hands out is a `fractions.Fraction`; floats never appear.  Text form
 is the rational literal: optional sign, integer, optionally "/" and a
-positive integer ("3", "-2", "3/4").  Decimal notation is rejected on
-purpose.  `exact` takes an int that is not a bool, a `Fraction` or an
-integral float, and refuses anything else, a str and a non-integral float
-included.  The counting cores run on integers: `to_integers` scales a list
-of rationals by the lcm of their denominators.  That pair, the lcm and the
+positive integer ("3", "-2", "3/4"), the form in which `str` writes a
+`Fraction` or an int.  Decimal notation is rejected on purpose.  `exact`
+takes an int that is not a bool, a `Fraction` or an integral float, and
+refuses anything else, a str and a non-integral float included.  The
+counting cores run on integers: `to_integers` scales a list of rationals
+by the lcm of their denominators.  That pair, the lcm and the
 integers, is the one form a polynomial (`Polynomial._integer_form`) and a
 set function (`SetFn.scaled`) store and compare; their `Fraction`s are made
 only when a caller first reads them.  A fit, and a set function built from
@@ -98,10 +99,6 @@ def exact(value) -> Fraction:
         return Fraction(value)
     raise ValueError(f"{value!r} is not an exact rational: expected an int, a Fraction "
                      f"or an integral float")
-
-
-def format_rat(value: Fraction | int) -> str:
-    return str(value)
 
 
 def to_integers(values: Iterable) -> tuple[int, tuple[int, ...]]:

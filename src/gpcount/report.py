@@ -10,14 +10,13 @@ sign flip of the package is made here.
 
 from __future__ import annotations
 
-from .rational import format_rat
 from .value import Frozen, Value
 
 
 def _render(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    return format_rat(value)
+    return str(value)
 
 
 def reflected(f, n: int, x: int):

@@ -19,7 +19,6 @@ from gpcount.errors import InputFormatError, NotSubmodularError
 from gpcount.hypergraph import check_heading
 from gpcount.permutahedron import Face
 from gpcount.polynomial import Polynomial
-from gpcount.rational import format_rat
 from gpcount.setfn import SetFn
 
 
@@ -510,7 +509,7 @@ def fan_by_fractions(doc) -> FullDimFan:
 
 def _row_to_json(row) -> dict:
     a, rel, b = row
-    return {"a": [format_rat(c) for c in a], "rel": rel, "b": format_rat(b)}
+    return {"a": [str(c) for c in a], "rel": rel, "b": str(b)}
 
 
 def hpolytope_to_json(poly: HPolytope) -> dict:
@@ -540,7 +539,7 @@ def hypergraph_to_json(h, names=None) -> dict:
 
 def setfn_to_json(z) -> dict:
     """The document `setfn_from_json` reads."""
-    return {"d": z.d, "values": [format_rat(v) for v in z.values]}
+    return {"d": z.d, "values": [str(v) for v in z.values]}
 
 
 def setfn_sum(z1, z2):

@@ -6,7 +6,8 @@ the budget equal to it.  Every budget is a module constant read at call
 time, so monkeypatching it takes effect, through the CLI too.  Only three
 remain, all in `errors`: `WORK_BUDGET`, `LOOP_BUDGET` and `SCAN_DEPTH`, and
 every `check_budget` call in the package reads one of them.  The results
-the CLI keeps between calls are keyed on all three.  The other refusal
+the CLI keeps between calls are keyed on `errors.limits()`, which holds
+every one of them.  The other refusal
 rule in `errors`, `require_integer`, is the only place that refuses an
 argument for not being an integer, a positive or a nonnegative one.
 Every module-level cache of the package states a finite bound."""
@@ -66,6 +67,7 @@ GUARDS = {
                  lambda: pi(3).face_lattice()),
 }
 BUDGETS = {("errors", "WORK_BUDGET"), ("errors", "LOOP_BUDGET"), ("errors", "SCAN_DEPTH")}
+LIMITS = [name for name, value in vars(errors).items() if type(value) is int]
 
 
 @pytest.mark.parametrize("guard", GUARDS)
@@ -79,6 +81,33 @@ def test_every_guard_refuses_in_one_form(monkeypatch, guard):
     assert (int(match[1]), int(match[2])) == (size, size - 1)
     monkeypatch.setattr(module, constant, size)
     call()
+
+
+def _unreached(self, k):
+    raise AssertionError("counted before the loop budget was applied")
+
+
+@pytest.mark.parametrize("k, m_max", [(0, 1), (1, 3), (2, 5)])
+def test_verify_reciprocity_charges_its_checks_first(monkeypatch, k, m_max):
+    # a library call makes 2 * m_max checks: one over the loop budget it is
+    # refused before the polynomial is built, at the budget it runs them all
+    P = pi(3)
+    real = GPerm.chi_polynomial
+    monkeypatch.setattr(errors, "LOOP_BUDGET", 2 * m_max - 1)
+    monkeypatch.setattr(GPerm, "chi_polynomial", _unreached)
+    with pytest.raises(BudgetExceededError) as refused:
+        P.verify_reciprocity(k, m_max)
+    assert str(refused.value) == f"{2 * m_max} checks exceed the budget of {2 * m_max - 1}"
+    monkeypatch.setattr(errors, "LOOP_BUDGET", 2 * m_max)
+    monkeypatch.setattr(GPerm, "chi_polynomial", real)
+    poly, report = P.verify_reciprocity(k, m_max)
+    assert len(report.entries) == 2 * m_max and report.failures == 0
+
+
+def test_verify_reciprocity_refuses_a_huge_m_max_at_once(monkeypatch):
+    monkeypatch.setattr(GPerm, "chi_polynomial", _unreached)
+    with pytest.raises(BudgetExceededError):
+        pi(3).verify_reciprocity(0, 10 ** 8)
 
 
 def _refused_below_the_boundary(monkeypatch, module, constant, argv, boundary, refused):
@@ -135,7 +164,19 @@ def test_cli_reads_the_scan_depth_at_call_time(monkeypatch, argv, boundary, refu
     _refused_below_the_boundary(monkeypatch, errors, "SCAN_DEPTH", argv, boundary, refused)
 
 
-@pytest.mark.parametrize("limit", ["WORK_BUDGET", "LOOP_BUDGET", "SCAN_DEPTH"])
+def test_limits_holds_every_limit(monkeypatch):
+    # `errors.limits()` is the key of every kept result, so a limit added to
+    # `errors` and left out of it would be read by its guard but not by a
+    # kept result, which would then skip that refusal
+    assert {"WORK_BUDGET", "LOOP_BUDGET", "SCAN_DEPTH"} <= set(LIMITS)
+    for name in LIMITS:
+        before = errors.limits()
+        with monkeypatch.context() as patch:
+            patch.setattr(errors, name, getattr(errors, name) + 1)
+            assert errors.limits() != before, name
+
+
+@pytest.mark.parametrize("limit", LIMITS)
 def test_kept_results_are_keyed_on_every_limit(monkeypatch, limit):
     # a repeated request reads the kept polytope; a change to any one limit
     # between two requests builds it again

@@ -123,8 +123,8 @@ def test_scaled_vertices_are_vertices_times_scale():
     for z in cases:
         P = GPerm(z)
         scale = z.scaled[0]
-        assert all(type(c) is int for v in P._scaled_vertices for c in v)
-        assert P._scaled_vertices == tuple(tuple(scale * c for c in v) for v in P.vertices)
+        assert all(type(c) is int for v in z.scaled_vertices for c in v)
+        assert z.scaled_vertices == tuple(tuple(scale * c for c in v) for v in P.vertices)
 
 
 def test_gperm_dimension():
@@ -473,6 +473,38 @@ def test_interrupted_reciprocity_rhs_keeps_no_partial_row(monkeypatch):
         with pytest.raises(KeyboardInterrupt):
             P.reciprocity_rhs(1, 3)
     assert P.reciprocity_rhs(1, 3) == perm_gp(4).reciprocity_rhs(1, 3) == 360
+
+
+def test_k_face_index_is_built_once_for_every_k():
+    # r[0] counts vertices off the masks and builds no index; the first
+    # query at some k >= 1 indexes the faces of every k >= 1 in one pass,
+    # and the queries at the other k read that index: the face map's lists
+    # of faces by dimension are not walked again
+    for d in (4, 5):
+        P, fresh = perm_gp(d), perm_gp(d)
+        assert P.reciprocity_rhs(0, 3) == fresh.reciprocity_rhs(0, 3)
+        assert "_faces_by_lowest_vertex" not in vars(P)
+        faces = P.face_lattice()
+        whole = next(f for f in faces if f.dim == d - 1)
+        assert P.count_k_faces(whole, 2) == fresh.count_k_faces(whole, 2)
+        index = vars(P)["_faces_by_lowest_vertex"]
+        by_dim = P._face_map.by_dim
+        assert index[0] == {}
+        for k in range(1, d):
+            assert all(low == g & -g for low, gs in index[k].items() for g in gs)
+            assert sorted(itertools.chain.from_iterable(index[k].values())) == sorted(by_dim[k])
+
+        class Unread(list):
+            def __iter__(self):
+                raise AssertionError("the k-face index was built again")
+
+        for k in range(1, d):
+            by_dim[k] = Unread(by_dim[k])
+        for k in range(1, d):
+            assert P.reciprocity_rhs(k, 3) == fresh.reciprocity_rhs(k, 3)
+            assert ([P.count_k_faces(f, k) for f in faces]
+                    == [fresh.count_k_faces(f, k) for f in faces])
+        assert vars(P)["_faces_by_lowest_vertex"] is index
 
 
 def test_interrupted_k_face_index_keeps_no_partial_index():
