@@ -38,20 +38,22 @@ largest dilate would be, or when its checks or its fit's nodes exceed
 `BudgetExceededError`, and each budget is read when its guard runs.
 
 A full-dimensional fan is its dimension and a list of closed cones, each a
-`Cone`: a tuple of primitive integer rows `a . y <= 0`, with no box.  A fan
-document's rows are checked and made primitive in `fan_from_json` alone,
-through the helpers that parse and normalize a polytope's rows; the normal
-fan writes its root rows directly.  A fan's distinct rows are indexed once
-per fan, on first use.  The multiplicity of a point is the number of closed
+`Cone`: the primitive integer normals `a` of its rows `a . y <= 0`, with no
+box, no relation and no offset.  A fan document's rows are checked (each
+`<=` with offset 0) and made primitive in `fan_from_json` alone, through the
+helpers that parse and normalize a polytope's rows, and only their normals
+are kept; the normal fan writes its root normals directly.  A fan's distinct
+rows are indexed once per fan, on first use, where a row not in the fan's
+dimension is refused.  The multiplicity of a point is the number of closed
 cones containing it; the inner pruned count takes the points of multiplicity
-exactly one and the cumulative pruned count the sum of multiplicities.  Each cone meets a run of
-the last coordinate in an interval, read off its rows by floor division as
-for the run itself, so the scan hands each run to a sweep that adds the
-cones' intervals into difference arrays and reads the multiplicity of every
-point of the run off their running sums, with no cone test per point.  The
-sweep still walks every point, and each run reads every distinct fan row and
-every cone's row list, so a sweep charges its folded box points plus its
-prefixes of the last coordinate times those row reads to
+exactly one and the cumulative pruned count the sum of multiplicities.  Each
+cone meets a run of the last coordinate in an interval, read off its rows by
+floor division as for the run itself, so the scan hands each run to a sweep
+that adds the cones' intervals into difference arrays and reads the
+multiplicity of every point of the run off their running sums, with no cone
+test per point.  The sweep still walks every point, and each run reads every
+distinct fan row and every cone's row list, so a sweep charges its folded
+box points plus its prefixes of the last coordinate times those row reads to
 `errors.WORK_BUDGET` before it starts.  A counted point in no cone, or
 strictly inside two cones, means the cones do not form a complete fan and is
 a hard error, raised at the first such point in lexicographic order.  The
@@ -232,10 +234,13 @@ def _scan_frame(poly: HPolytope, t: int, fan: FullDimFan | None = None):
     reads every distinct row of the fan and every cone's row list once
     (`_run_cover`); it is charged the box points plus the prefixes of the
     last coordinate, each counted as a run, times those row reads.  A
-    polytope and a fan in different dimensions are refused first."""
+    polytope and a fan in different dimensions are refused first, then a
+    fan row not in that dimension (`FullDimFan.run_rows`)."""
     require_integer("t", t, 1)
-    if fan is not None and poly.d != fan.d:
-        raise ValueError("polytope and fan live in different dimensions")
+    if fan is not None:
+        if poly.d != fan.d:
+            raise ValueError("polytope and fan live in different dimensions")
+        fan_rows, cones = fan.run_rows
     zero, folds, rest, scanned = poly.frame
     if any(t * b < strict for b, strict in zero):
         return None, None, 0
@@ -259,7 +264,6 @@ def _scan_frame(poly: HPolytope, t: int, fan: FullDimFan | None = None):
         check_budget(size, errors.WORK_BUDGET, f"prefixes of the last coordinate at t={t}")
     else:
         scanned = len(ranges)
-        fan_rows, cones = fan.run_rows
         reads = len(fan_rows) + sum(map(len, cones))
         runs = prod(widths[:-1])
         points = runs * widths[-1]
@@ -428,9 +432,10 @@ def em_reciprocity_check(poly: HPolytope, degree: int, period: int,
 
 
 class Cone(NamedTuple):
-    """A closed cone: primitive integer rows `a . y <= 0`."""
+    """A closed cone: the primitive integer normals `a` of its rows
+    `a . y <= 0`."""
 
-    rows: tuple[Row, ...]
+    rows: tuple[tuple[int, ...], ...]
 
 
 class FullDimFan(Frozen):
@@ -454,20 +459,23 @@ class FullDimFan(Frozen):
         distinct nonzero rows, each as `(terms, c)` with `terms` the
         pairs `(i, a_i)` of its nonzero coefficients before the last and `c`
         the last, and per cone the indices of its rows.  A zero row holds
-        everywhere and is left out."""
+        everywhere and is left out; a row not of length d raises
+        ValueError."""
         index: dict[tuple[int, ...], int] = {}
-        cones = tuple(tuple(index.setdefault(a, len(index)) for a, _rel, _b in cone.rows if any(a))
+        cones = tuple(tuple(index.setdefault(a, len(index)) for a in cone.rows if any(a))
                       for cone in self.cones)
+        if any(len(a) != self.d for a in index):
+            raise ValueError("cone row length mismatch")
         rows = tuple((tuple((i, c) for i, c in enumerate(a[:-1]) if c), a[-1]) for a in index)
         return rows, cones
 
 
 def normal_fan_of(P: GPerm) -> FullDimFan:
     """One closed cone per vertex of P, in `P.vertices` order, cut out by
-    root rows `y_b - y_a <= 0` in sorted (a, b) order.  The normal fan
-    coarsens the braid fan, so the cone of a vertex v is the union of the
-    braid cones of its greedy chains, and its rows are the directions
-    `e_b - e_a` of its edges.  A vertex's tight sets form a distributive
+    root rows `y_b - y_a <= 0`, each as its normal `e_b - e_a`, in sorted
+    (a, b) order.  The normal fan coarsens the braid fan, so the cone of a
+    vertex v is the union of the braid cones of its greedy chains, and its
+    rows are the directions `e_b - e_a` of its edges.  A vertex's tight sets form a distributive
     lattice whose maximal chains are its greedy chains, so a tight triple
     M < M+a < M+a+b lies on one, where swapping a and b moves the greedy
     vertex by `z(M+a) + z(M+b) - z(M) - z(M+a+b)` times `e_b - e_a`.  That
@@ -475,14 +483,14 @@ def normal_fan_of(P: GPerm) -> FullDimFan:
     is tight on M, M+a and M+a+b but not on M+b for some M avoiding a and
     b: one OR of mask ANDs over `P.tight`, with no face map."""
     d, tight = P.d, P.tight
-    rows: list[list[Row]] = [[] for _ in P.vertices]
+    rows: list[list[tuple[int, ...]]] = [[] for _ in P.vertices]
     for a, b in itertools.permutations(range(d), 2):
         ea, eb = 1 << a, 1 << b
         with_edge = 0  # the ids of the vertices with the edge e_b - e_a
         for m in range(1 << d):
             if not m & (ea | eb):
                 with_edge |= tight[m] & tight[m | ea] & tight[m | ea | eb] & ~tight[m | eb]
-        root = (tuple(1 if i == b else -1 if i == a else 0 for i in range(d)), "<=", 0)
+        root = tuple(1 if i == b else -1 if i == a else 0 for i in range(d))
         # one pass over the digits, where peeling the lowest bit off a mask
         # as wide as the vertex count costs that width per set bit
         for vid, bit in enumerate(reversed(f"{with_edge:b}")):
@@ -649,7 +657,8 @@ def hpolytope_from_json(doc: object) -> HPolytope:
 def fan_from_json(doc: object) -> FullDimFan:
     """The fan of a `{"cones": [{"d", "rows"}]}` document, the one place a
     fan's rows are checked: every cone in one dimension, with no `bbox`, its
-    rows `primitive_rows` that are homogeneous and non-strict."""
+    rows `primitive_rows` that are homogeneous and non-strict, of which each
+    cone keeps the normals."""
     if not isinstance(doc, dict) or "cones" not in doc or not isinstance(doc["cones"], list):
         raise InputFormatError("fan document needs a 'cones' list")
     dims, cones = set(), []
@@ -658,12 +667,13 @@ def fan_from_json(doc: object) -> FullDimFan:
             d, rows, bbox = _rows_from_json(raw)
             if bbox is not None:
                 raise InputFormatError("a cone document takes no 'bbox'")
-            cones.append(Cone(primitive_rows(d, rows)))
+            cones.append(primitive_rows(d, rows))
             dims.add(d)
         if len(dims) > 1:
             raise ValueError("cones of mixed ambient dimension")
-        if any(rel != "<=" or b != 0 for cone in cones for _a, rel, b in cone.rows):
+        if any(rel != "<=" or b != 0 for rows in cones for _a, rel, b in rows):
             raise ValueError("cone rows must be homogeneous non-strict inequalities")
-        return FullDimFan(dims.pop() if dims else None, cones)
+        return FullDimFan(dims.pop() if dims else None,
+                          [Cone(tuple(a for a, _rel, _b in rows)) for rows in cones])
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc

@@ -15,13 +15,13 @@ only when a caller first reads them.  A fit, and a set function built from
 integer counts or subset sums (hypergraphic, standard or reconstructed from
 vertices), is built in that form directly, without a `Fraction` in between.
 So is every document: `rats_from_json`, the one reader of a document's
-rational fields, reads a list of ints and literals straight into that pair,
-and `parse_rat` is its `Fraction` form for one literal.
+rational fields, reads a list of ints and literals straight into that pair.
+`affine_rank` takes integer points, as its one caller, a generalized
+permutahedron's scaled vertices, holds them.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -73,14 +73,6 @@ def rats_from_json(values: Iterable) -> tuple[int, tuple[int, ...]]:
         raise InputFormatError(str(exc)) from exc
 
 
-def parse_rat(text: str) -> Fraction:
-    """Parse a rational literal of ASCII digits, rejecting anything else
-    (decimals and other scripts' digits included): the `Fraction` form of
-    `rats_from_json`, raising ValueError."""
-    scale, (num,) = _scaled((text,))
-    return Fraction(num, scale)
-
-
 def exact(value) -> Fraction:
     """``value`` as a Fraction: an int that is not a bool, a Fraction, or an
     integral float such as 2.0, which is its integer.  A non-integral float
@@ -109,44 +101,37 @@ def to_integers(values: Iterable) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
-def affine_rank(points: Sequence[Sequence[Fraction]]) -> int:
-    """Dimension of the affine hull of ``points`` (0 for a single point).
+def affine_rank(points: Sequence[Sequence[int]]) -> int:
+    """Dimension of the affine hull of the integer ``points`` (0 for a
+    single point).
 
-    Fraction-free: integer points are used as they are, other points are
-    scaled by one lcm of all their denominators, and each integer difference
-    vector against the first point is reduced against an echelon basis of
-    gcd-normalized rows.  Every basis row vanishes at the pivot columns of
-    the rows before it, so a vector is in their span exactly when it reduces
-    to zero.  The reduction stops once the basis reaches the rank bound: d,
-    or d - 1 when all points share one coordinate sum, since their
-    differences then lie in the hyperplane x_1 + ... + x_d = 0 (as the
-    vertices of a generalized permutahedron do, x([d]) = z([d])).
-    The points after the first are visited in the order k * step mod n for
-    k = 1..n-1, with step near 8/13 of the point count n and coprime to it,
-    so each is visited once: on sorted vertices neighbors differ only in
-    their last coordinates, and a spread order reaches the bound after few
-    rows.  The rank does not depend on the order.  Coordinates may be ints
-    or Fractions.
+    Fraction-free: each integer difference vector against the first point
+    is reduced against an echelon basis of gcd-normalized rows.  Every basis
+    row vanishes at the pivot columns of the rows before it, so a vector is
+    in their span exactly when it reduces to zero.  The reduction stops
+    once the basis reaches the rank bound: d, or d - 1 when all points share
+    one coordinate sum, since their differences then lie in the hyperplane
+    x_1 + ... + x_d = 0 (as the vertices of a generalized permutahedron do,
+    x([d]) = z([d])).  The points after the first are visited in the order
+    k * step mod n for k = 1..n-1, with step near 8/13 of the point count n
+    and coprime to it, so each is visited once: on sorted vertices neighbors
+    differ only in their last coordinates, and a spread order reaches the
+    bound after few rows.  The rank does not depend on the order.
     """
     if not points:
         raise ValueError("affine_rank needs at least one point")
     d = len(points[0])
     if any(len(p) != d for p in points):
         raise ValueError("points of mixed length")
-    if set(map(type, itertools.chain.from_iterable(points))) <= {int}:
-        rows = points
-    else:
-        flat = to_integers(c for p in points for c in p)[1]
-        rows = [flat[i:i + d] for i in range(0, len(flat), d)]
-    bound = d - 1 if len(set(map(sum, rows))) == 1 else d
-    n = len(rows)
+    bound = d - 1 if len(set(map(sum, points))) == 1 else d
+    n = len(points)
     step = n * 8 // 13 or 1
     while gcd(step, n) != 1:
         step += 1
-    base = rows[0]
+    base = points[0]
     basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
     for k in range(1, n):
-        v = [c - b for c, b in zip(rows[k * step % n], base)]
+        v = [c - b for c, b in zip(points[k * step % n], base)]
         for col, row in basis:
             if v[col]:
                 g = gcd(v[col], row[col])

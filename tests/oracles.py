@@ -357,17 +357,18 @@ def dilate_frame(poly, t: int):
 
 
 def brute_multiplicity(fan, x) -> int:
-    """Number of cones whose Fraction rows `a . x <= 0` all hold at x, read
-    from `cone.rows` without the library's integer compilation."""
+    """Number of cones whose Fraction rows `a . x <= 0` all hold at x, their
+    normals `a` read from `cone.rows` without the library's integer
+    compilation."""
     return sum(1 for cone in fan.cones
-               if all(_row_holds(a, rel, b, x, 1) for a, rel, b in cone.rows))
+               if all(_row_holds(a, "<=", 0, x, 1) for a in cone.rows))
 
 
 def brute_strict_count(fan, x) -> int:
     """Number of cones whose nonzero Fraction rows `a . x <= 0` all hold
     strictly at x, read from `cone.rows`; a zero row constrains nothing."""
     return sum(1 for cone in fan.cones
-               if all(_row_holds(a, "<", b, x, 1) for a, _rel, b in cone.rows if any(a)))
+               if all(_row_holds(a, "<", 0, x, 1) for a in cone.rows if any(a)))
 
 
 def brute_fan_check(fan, points):
@@ -383,15 +384,21 @@ def brute_fan_check(fan, points):
     return None
 
 
+def primitive_cone(d: int, rows) -> Cone:
+    """The cone of the rows `a . y <= 0` in `d` coordinates: the normals of
+    their `primitive_rows`."""
+    return Cone(tuple(a for a, _rel, _b in primitive_rows(d, rows)))
+
+
 def brute_normal_fan(P) -> FullDimFan:
     """One closed cone per vertex v, cut out by (u - v) . y <= 0 over the
     other vertices u: the directions maximized at v, each made primitive by
-    `primitive_rows`."""
+    `primitive_rows` and kept as its normal."""
     cones = []
     for v in P.vertices:
         rows = tuple((tuple(uc - vc for uc, vc in zip(u, v)), "<=", Fraction(0))
                      for u in P.vertices if u != v)
-        cones.append(Cone(primitive_rows(P.d, rows)))
+        cones.append(primitive_cone(P.d, rows))
     return FullDimFan(P.d, tuple(cones))
 
 
@@ -400,8 +407,9 @@ def chain_walk_normal_fan(P) -> FullDimFan:
     `z.scaled`: along a chain, with prefix M before the adjacent pair
     (a, b), swapping a and b moves the greedy vertex by
     `z(M+a) + z(M+b) - z(M) - z(M+a+b)` times `e_b - e_a`, so where that gap
-    is positive the chain's vertex gets the root row `y_b - y_a <= 0`.  One
-    cone per vertex in sorted order, its rows in sorted (a, b) order."""
+    is positive the chain's vertex gets the root row `y_b - y_a <= 0`, as its
+    normal `e_b - e_a`.  One cone per vertex in sorted order, its rows in
+    sorted (a, b) order."""
     d = P.d
     values = P.z.scaled[1]
     edges: dict = {}
@@ -420,7 +428,7 @@ def chain_walk_normal_fan(P) -> FullDimFan:
         edges.setdefault(tuple(coords), set()).update(pairs)
     cones = []
     for v in sorted(edges):
-        rows = tuple((tuple(1 if i == b else -1 if i == a else 0 for i in range(d)), "<=", 0)
+        rows = tuple(tuple(1 if i == b else -1 if i == a else 0 for i in range(d))
                      for a, b in sorted(edges[v]))
         cones.append(Cone(rows))
     return FullDimFan(d, tuple(cones))
@@ -501,9 +509,10 @@ def hpolytope_by_fractions(doc) -> HPolytope:
 
 def fan_by_fractions(doc) -> FullDimFan:
     """The fan of a well-formed document, each cone's rows read as
-    `Fraction`s and made primitive through `to_integers`."""
+    `Fraction`s and made primitive through `to_integers`, and their normals
+    kept."""
     cones = doc["cones"]
-    return FullDimFan(cones[0]["d"], [Cone(primitive_rows(c["d"], _rows_by_fractions(c)))
+    return FullDimFan(cones[0]["d"], [primitive_cone(c["d"], _rows_by_fractions(c))
                                       for c in cones])
 
 
@@ -519,8 +528,9 @@ def hpolytope_to_json(poly: HPolytope) -> dict:
 
 
 def fan_to_json(fan) -> dict:
-    """The document `fan_from_json` reads: each cone's rows with the fan's d."""
-    return {"cones": [{"d": fan.d, "rows": [_row_to_json(r) for r in cone.rows]}
+    """The document `fan_from_json` reads: each cone's normals `a` as rows
+    `a . y <= 0`, with the fan's d."""
+    return {"cones": [{"d": fan.d, "rows": [_row_to_json((a, "<=", 0)) for a in cone.rows]}
                       for cone in fan.cones]}
 
 

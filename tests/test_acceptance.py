@@ -52,8 +52,8 @@ from gpcount.setfn import setfn_from_vertices, standard_perm_setfn
 RUNNING_HG = Hypergraph(3, ({1, 2, 3}, {1, 2}, {2, 3}, {1}, {2}, {3}))
 
 DIAGONAL_FAN = FullDimFan(2, (
-    Cone((((1, -1), "<=", 0),)),
-    Cone((((-1, 1), "<=", 0),)),
+    Cone(((1, -1),)),
+    Cone(((-1, 1),)),
 ))
 
 
@@ -75,9 +75,9 @@ def test_criterion_1_standard_permutahedra():
     start = time.perf_counter()
     ok = True
     for d in range(2, 6):
-        verts = vertices(standard_perm_setfn(d))
-        ok = ok and len(verts) == math.factorial(d)
-        ok = ok and affine_rank(verts) == d - 1
+        z = standard_perm_setfn(d)
+        ok = ok and len(vertices(z)) == math.factorial(d)
+        ok = ok and affine_rank(z.scaled_vertices) == d - 1
     _finish(1, ok, time.perf_counter() - start, 1,
             "standard permutahedra d=2..5 have d! vertices of affine rank d-1")
 

@@ -495,8 +495,7 @@ def test_pruned_cone_meeting_p_only_on_its_boundary_exit_0(inputs, capsys, monke
                                                            bounds, source):
     # the closed regions of P° cut by the walls number (t + 1)^2
     monkeypatch.chdir(inputs["dir"])
-    quadrants = FullDimFan(2, (Cone((((sx, 0), "<=", 0), ((0, sy), "<=", 0)))
-                               for sx in (1, -1) for sy in (1, -1)))
+    quadrants = FullDimFan(2, (Cone(((sx, 0), (0, sy))) for sx in (1, -1) for sy in (1, -1)))
     Path("quadrants.json").write_text(json.dumps(fan_to_json(quadrants)))
     Path("poly.json").write_text(json.dumps(hpolytope_to_json(box(bounds))))
     rc, payload, _ = invoke(capsys, "pruned", "--poly", "poly.json", *source, "--t-max", "3")
@@ -512,7 +511,7 @@ def test_pruned_cone_meeting_p_only_on_its_boundary_exit_0(inputs, capsys, monke
     [((-1, 0), (0, -1))],
 ], ids=["overlapping", "orthant"])
 def test_pruned_non_fan_exit_2(inputs, capsys, cones):
-    fan = FullDimFan(2, (Cone(tuple((a, "<=", 0) for a in rows)) for rows in cones))
+    fan = FullDimFan(2, map(Cone, cones))
     fan_path = inputs["dir"] / "non_fan.json"
     fan_path.write_text(json.dumps(fan_to_json(fan)))
     poly = inputs["dir"] / "box12.json"

@@ -31,7 +31,6 @@ from gpcount.ehrhart import (
     inner_pruned_count,
     multiplicity,
     normal_fan_of,
-    primitive_rows,
     pruned_reciprocity_check,
     standard_simplex,
     unit_cube,
@@ -56,6 +55,7 @@ from oracles import (
     dilate_frame,
     fan_to_json,
     hpolytope_to_json,
+    primitive_cone,
     single_point,
     with_rows,
 )
@@ -64,16 +64,16 @@ from test_permutahedron import non_integer_setfn
 SQUARE = unit_cube(2)
 SEGMENT_HALF = box([(0, Fraction(1, 2))])
 DIAGONAL_FAN = FullDimFan(2, (
-    Cone((((1, -1), "<=", 0),)),
-    Cone((((-1, 1), "<=", 0),)),
+    Cone(((1, -1),)),
+    Cone(((-1, 1),)),
 ))
 WHOLE_PLANE = FullDimFan(2, (Cone(()),))
 # a half-plane, the whole plane and the opposite half-plane: they cover the
 # plane, but every point with x1 != 0 lies strictly inside two of them
 OVERLAPPING = FullDimFan(2, (
-    Cone((((1, 0), "<=", 0),)),
+    Cone(((1, 0),)),
     Cone(()),
-    Cone((((-1, 0), "<=", 0),)),
+    Cone(((-1, 0),)),
 ))
 # one diagonal row, so nothing folds: (10^5 + 1)^2 prefixes at t = 1
 HUGE_SIMPLEX = HPolytope(3, (((1, 1, 1), "<=", 300000),), ((0, 10 ** 5),) * 3)
@@ -584,7 +584,8 @@ def test_fan_rows_stay_integers(monkeypatch):
     assert fan == chain_walk_normal_fan(P)
     rows, cones = fan.run_rows
     assert calls == []
-    assert all(type(c) is int for cone in fan.cones for a, _rel, b in cone.rows for c in (*a, b))
+    assert all(type(a) is tuple and len(a) == 4 and all(type(c) is int for c in a)
+               for cone in fan.cones for a in cone.rows)
     assert len(cones) == 24 and len(rows) == 12
 
 
@@ -625,7 +626,7 @@ def cone_membership(fan, y):
     (every nonzero row negative)."""
     out = []
     for cone in fan.cones:
-        top = max((sum(c * x for c, x in zip(a, y)) for a, _rel, _b in cone.rows if any(a)),
+        top = max((sum(c * x for c, x in zip(a, y)) for a in cone.rows if any(a)),
                   default=-1)
         out.append((top <= 0, top < 0))
     return out
@@ -679,7 +680,7 @@ def test_normal_fan_rows_are_edges():
                     root = tuple((c > 0) - (c < 0) for c in step)
                     assert sorted(root) == [-1] + [0] * (P.d - 2) + [1]
                     expected.add(root)
-            assert {a for a, _rel, _b in cone.rows} == expected
+            assert set(cone.rows) == expected
             assert len(cone.rows) == len(expected)
 
 
@@ -720,11 +721,27 @@ def test_pruned_counts_diagonal():
 
 
 def test_incomplete_fan():
-    half = FullDimFan(2, (Cone((((1, 0), "<=", 0),)),))
+    half = FullDimFan(2, (Cone(((1, 0),)),))
     with pytest.raises(IncompleteFanError):
         inner_pruned_count(SQUARE, half, 1)
     with pytest.raises(IncompleteFanError):
         cumulative_pruned_count(SQUARE, half, 1)
+
+
+def test_fan_rows_of_wrong_length_refused(monkeypatch):
+    # a fan built in code whose rows are not of its length is refused before
+    # any budget or sweep, instead of being swept with each row's last entry
+    # read as the coefficient of x_d; a row still written as (a, rel, b) is
+    # one such row
+    monkeypatch.setattr(errors, "WORK_BUDGET", 0)
+    short = FullDimFan(3, (Cone(((1, 0),)), Cone(((-1, 0),))))
+    written = FullDimFan(2, (Cone((((1, 0), "<", 5),)), Cone((((-1, 0), "<=", 0),))))
+    for poly, fan in ((unit_cube(3), short), (SQUARE, written)):
+        for count in (inner_pruned_count, cumulative_pruned_count):
+            with pytest.raises(ValueError, match="^cone row length mismatch$"):
+                count(poly, fan, 2)
+    with pytest.raises(ValueError, match="^cone row length mismatch$"):
+        multiplicity(short, (0, 0, 1))
 
 
 def test_overlapping_cones_rejected():
@@ -769,7 +786,7 @@ def fans(draw):
         return normal_fan_of(GPerm(z))
     d = draw(st.integers(1, 3))
     row = st.tuples(*[st.integers(-2, 2)] * d).map(lambda a: (a, "<=", 0))
-    cone = st.lists(row, max_size=3).map(lambda rows: Cone(primitive_rows(d, rows)))
+    cone = st.lists(row, max_size=3).map(lambda rows: primitive_cone(d, rows))
     return FullDimFan(d, tuple(draw(st.lists(cone, min_size=1, max_size=4))))
 
 
@@ -814,7 +831,7 @@ def test_scan_budget(monkeypatch):
     # the first box point (1, 1, 1) lies in no cone, so reaching the scan
     # would raise IncompleteFanError instead
     no_origin = HPolytope(3, HUGE_SIMPLEX.rows, ((1, 10 ** 5),) * 3)
-    half = FullDimFan(3, (Cone((((1, 0, 0), "<=", 0),)),))
+    half = FullDimFan(3, (Cone(((1, 0, 0),)),))
     with pytest.raises(BudgetExceededError):
         inner_pruned_count(no_origin, half, 1)
     with pytest.raises(BudgetExceededError):
@@ -855,7 +872,7 @@ def test_pruned_scan_budget_bounds_box_points(monkeypatch):
     # at the default budget: 1 and 2 prefixes, 10^12 + 1 and 2 (10^7 + 1) points
     monkeypatch.undo()
     long_segment = box([(0, 10 ** 12)])
-    line = FullDimFan(1, (Cone((((1,), "<=", 0),)), Cone((((-1,), "<=", 0),))))
+    line = FullDimFan(1, (Cone(((1,),)), Cone(((-1,),))))
     assert count_lattice(long_segment, 1) == 10 ** 12 + 1
     with pytest.raises(BudgetExceededError, match=re.escape("1000000000001 box points")):
         inner_pruned_count(long_segment, line, 1)
@@ -929,11 +946,11 @@ def test_region_decomposition():
         for t in range(1, 4):
             open_total = sum(
                 count_lattice(with_rows(
-                    open_poly, [(a, "<", 0) for a, _rel, _b in cone.rows]), t)
+                    open_poly, [(a, "<", 0) for a in cone.rows]), t)
                 for cone in fan.cones)
             assert inner_pruned_count(open_poly, fan, t) == open_total
             closed_total = sum(
-                count_lattice(with_rows(poly, cone.rows), t)
+                count_lattice(with_rows(poly, [(a, "<=", 0) for a in cone.rows]), t)
                 for cone in fan.cones)
             assert cumulative_pruned_count(poly, fan, t) == closed_total
 
@@ -1048,12 +1065,13 @@ def test_fan_json_reads_primitive_integer_rows():
     fan = fan_from_json(doc)
     assert fan.d == 2
     assert [cone.rows for cone in fan.cones] == [
-        (((1, -1), "<=", 0), ((-1, -1), "<=", 0)),
-        (((-1, 1), "<=", 0), ((-1, -1), "<=", 0)),
-        (((1, 1), "<=", 0), ((-1, 1), "<=", 0)),
-        (((1, 1), "<=", 0), ((1, -1), "<=", 0)),
+        ((1, -1), (-1, -1)),
+        ((-1, 1), (-1, -1)),
+        ((1, 1), (-1, 1)),
+        ((1, 1), (1, -1)),
     ]
-    assert all(type(c) is int for cone in fan.cones for a, _rel, b in cone.rows for c in (*a, b))
+    assert all(type(a) is tuple and len(a) == 2 and all(type(c) is int for c in a)
+               for cone in fan.cones for a in cone.rows)
 
 
 def _cone_doc(d, *rows, **extra):

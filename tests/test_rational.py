@@ -9,19 +9,26 @@ from hypothesis import strategies as st
 
 from gpcount.generators import random_hypergraphic_setfn
 from gpcount.permutahedron import vertices
-from gpcount.rational import affine_rank, parse_rat, to_integers
+from gpcount.errors import InputFormatError
+from gpcount.rational import affine_rank, rats_from_json, to_integers
 from gpcount.setfn import standard_perm_setfn
 from oracles import _rank
 
 
+def literal(text: str) -> Fraction:
+    """The value `rats_from_json` reads from the one literal ``text``."""
+    scale, (num,) = rats_from_json([text])
+    return Fraction(num, scale)
+
+
 def test_parse_rat_literals():
-    assert parse_rat("3/4") == Fraction(3, 4)
-    assert parse_rat("-2") == Fraction(-2)
-    assert parse_rat("+5") == Fraction(5)
-    assert parse_rat("0") == 0
-    assert parse_rat(" 7/2 ") == Fraction(7, 2)
+    assert literal("3/4") == Fraction(3, 4)
+    assert literal("-2") == Fraction(-2)
+    assert literal("+5") == Fraction(5)
+    assert literal("0") == 0
+    assert literal(" 7/2 ") == Fraction(7, 2)
     # unreduced input is fine, the value is what matters
-    assert parse_rat("6/4") == Fraction(3, 2)
+    assert literal("6/4") == Fraction(3, 2)
 
 
 @pytest.mark.parametrize(
@@ -31,26 +38,27 @@ def test_parse_rat_literals():
      "\u0661\u0662", "\u0663/4", "1/1\u0664", "\u0663/\u0664", "\uff17", "-\u096a"],
 )
 def test_parse_rat_rejects(bad):
-    with pytest.raises(ValueError):
-        parse_rat(bad)
+    with pytest.raises(InputFormatError):
+        literal(bad)
 
 
 def test_parse_rat_agrees_with_fraction_parser():
     """On random strings over digits (ASCII and not), signs, '/', '_', '.',
-    'e' and whitespace, parse_rat gives what the ASCII literal check followed
-    by `Fraction(s)` gives: the same value, or the same ValueError."""
-    literal = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
+    'e' and whitespace, `rats_from_json` reads what the ASCII literal check
+    followed by `Fraction(s)` gives: the same value, or an error with the
+    same message."""
+    grammar = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
     def by_fraction(text):
         s = text.strip()
-        if not literal.match(s):
+        if not grammar.match(s):
             raise ValueError(f"invalid rational literal: {text!r}")
         return Fraction(s)
 
-    def outcome(parse, text):
+    def outcome(parse, text, error):
         try:
             return parse(text)
-        except ValueError as exc:
+        except error as exc:
             return str(exc)
 
     rng = random.Random(5)
@@ -58,8 +66,8 @@ def test_parse_rat_agrees_with_fraction_parser():
     parsed = 0
     for _ in range(10 ** 5):
         text = "".join(rng.choices(alphabet, k=rng.randint(0, 8)))
-        expected = outcome(by_fraction, text)
-        assert outcome(parse_rat, text) == expected, text
+        expected = outcome(by_fraction, text, ValueError)
+        assert outcome(literal, text, InputFormatError) == expected, text
         parsed += isinstance(expected, Fraction)
     assert parsed > 10 ** 4
 
@@ -74,7 +82,7 @@ def test_format_rat():
 
 @given(st.fractions(max_denominator=10 ** 9))
 def test_literal_round_trip(q):
-    assert parse_rat(str(q)) == q
+    assert literal(str(q)) == q
 
 
 def test_to_integers():
@@ -85,31 +93,39 @@ def test_to_integers():
     assert to_integers([]) == (1, ())
 
 
+def integer_points(points):
+    """``points`` scaled by the lcm of all their denominators, which keeps
+    their affine rank, as the integer points `affine_rank` takes."""
+    d = len(points[0])
+    flat = to_integers(c for p in points for c in p)[1]
+    return [flat[i:i + d] for i in range(0, len(flat), d)]
+
+
 def test_affine_rank_examples():
-    assert affine_rank([(Fraction(0), Fraction(0))]) == 0
-    assert affine_rank([(Fraction(1), Fraction(2)), (Fraction(2), Fraction(1))]) == 1
+    assert affine_rank([(0, 0)]) == 0
+    assert affine_rank([(1, 2), (2, 1)]) == 1
     perms = [
         (3, 2, 1), (3, 1, 2), (2, 3, 1), (1, 3, 2), (2, 1, 3), (1, 2, 3)]
-    assert affine_rank([tuple(map(Fraction, p)) for p in perms]) == 2
+    assert affine_rank(perms) == 2
 
 
 def test_affine_rank_degenerate():
     # repeated points add nothing
-    p = (Fraction(1), Fraction(1))
+    p = (1, 1)
     assert affine_rank([p, p, p]) == 0
-    # collinear rational points
-    pts = [(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1, 3)),
-           (Fraction(3, 2), Fraction(1))]
+    # collinear points, scaled from (0, 0), (1/2, 1/3) and (3/2, 1)
+    pts = integer_points([(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1, 3)),
+                          (Fraction(3, 2), Fraction(1))])
+    assert pts == [(0, 0), (3, 2), (9, 6)]
     assert affine_rank(pts) == 1
     with pytest.raises(ValueError):
         affine_rank([])
 
 
-points3 = st.lists(
-    st.tuples(*[st.fractions(max_denominator=4)] * 3), min_size=1, max_size=6)
+points3 = st.lists(st.tuples(*[st.integers(-8, 8)] * 3), min_size=1, max_size=6)
 
 
-@given(points3, st.tuples(*[st.fractions(max_denominator=4)] * 3))
+@given(points3, st.tuples(*[st.integers(-8, 8)] * 3))
 def test_affine_rank_translation_invariant(points, shift):
     moved = [tuple(c + s for c, s in zip(p, shift)) for p in points]
     assert affine_rank(moved) == affine_rank(points)
@@ -160,7 +176,7 @@ def point_sets(draw, entry=coord):
 
 @given(point_sets())
 def test_affine_rank_matches_oracle(points):
-    assert affine_rank(points) == rank_oracle(points)
+    assert affine_rank(integer_points(points)) == rank_oracle(points)
 
 
 @given(point_sets(st.integers(-20, 20)))
@@ -172,14 +188,15 @@ def test_affine_rank_int_points(points):
 def test_affine_rank_pi_6():
     perms = list(itertools.permutations(range(1, 7)))
     assert affine_rank(perms) == 5
-    assert affine_rank(vertices(standard_perm_setfn(6))) == 5
+    assert affine_rank(standard_perm_setfn(6).scaled_vertices) == 5
 
 
 def test_affine_rank_independent_of_point_order():
     # the points after the first are visited in a strided order; on shuffled
-    # integer and Fraction point sets (n = 1, 2, 3 and more, with and
-    # without repeated points, every rank 0..d) and on sorted GP vertex
-    # lists, the rank equals the unshuffled rank and the oracle's
+    # integer point sets, some scaled from Fraction ones (n = 1, 2, 3 and
+    # more, with and without repeated points, every rank 0..d), and on
+    # sorted GP vertex lists, the rank equals the unshuffled rank and the
+    # oracle's
     rng = random.Random(83)
     cases = []
     for d in range(1, 7):
@@ -193,11 +210,12 @@ def test_affine_rank_independent_of_point_order():
                     points += rng.sample(points, min(n, 2))
                 scale = [Fraction(rng.randint(1, 5), rng.randint(1, 7)) for _ in range(d)]
                 cases.append(points)
-                cases.append([tuple(c * s for c, s in zip(p, scale)) for p in points])
+                cases.append(integer_points([tuple(c * s for c, s in zip(p, scale))
+                                             for p in points]))
     rng_z = random.Random(89)
     for z in [standard_perm_setfn(d) for d in range(1, 7)] + [
             random_hypergraphic_setfn(rng_z, max_d=6) for _ in range(8)]:
-        cases += [list(vertices(z)), list(z.scaled_vertices)]
+        cases += [integer_points(vertices(z)), list(z.scaled_vertices)]
     seen = set()
     for points in cases:
         expected = rank_oracle(points)
@@ -239,4 +257,4 @@ def common_sum_sets(draw, entry=coord):
 @given(st.one_of(common_sum_sets(), common_sum_sets(st.integers(-20, 20))))
 def test_affine_rank_common_sum_bound(points):
     # the reduction stops at d - 1 only when every point has the same sum
-    assert affine_rank(points) == rank_oracle(points)
+    assert affine_rank(integer_points(points)) == rank_oracle(points)

@@ -33,7 +33,7 @@ from gpcount.setfn import SetFn, standard_perm_setfn
 
 
 def _cone(sign):
-    return Cone((((sign,), "<=", 0),))
+    return Cone(((sign,),))
 
 
 # per class: a builder, two argument tuples that differ in one field, and the
@@ -51,8 +51,7 @@ CASES = {
     "HPolytope": (HPolytope, (1, (((2,), "<=", 4),), ((0, 2),)), (1, (((2,), "<=", 4),), ((0, 3),)),
                   "HPolytope(d=1, rows=(((1,), '<=', 2),), bbox=((0, 2),))"),
     "FullDimFan": (FullDimFan, (1, (_cone(1), _cone(-1))), (1, (_cone(-1), _cone(1))),
-                   "FullDimFan(d=1, cones=(Cone(rows=(((1,), '<=', 0),)), "
-                   "Cone(rows=(((-1,), '<=', 0),))))"),
+                   "FullDimFan(d=1, cones=(Cone(rows=((1,),)), Cone(rows=((-1,),))))"),
     "CheckEntry": (CheckEntry, ("t=1", 2, Fraction(2)), ("t=1", 2, 3),
                    "CheckEntry(label='t=1', lhs=2, rhs=Fraction(2, 1))"),
 }
