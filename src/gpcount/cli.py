@@ -17,8 +17,10 @@ reads the exit code off "summary".  Exit codes: 0 when all checks pass (or
 a command has no checks), 1 when at least one check fails,
 2 on input errors (malformed documents, violated preconditions, exceeded
 budgets) and 3 on an internal error; after 2 or 3 no partial report is
-emitted.  Reports are deterministic for fixed inputs up to the "timing"
-field.  `run` writes each report with `dumps`, this module's own JSON
+emitted.  `verify-all` draws its own instances, so an error other than a
+budget refusal raised on one of them is a failed check of its trial and
+family, not exit 2.  Reports are deterministic for fixed inputs up to the
+"timing" field.  `run` writes each report with `dumps`, this module's own JSON
 writer, byte for byte as the stdlib's `json.dumps` writes it with an indent
 of 2: with an indent set, the stdlib runs its pure-Python encoder.  A list
 of dicts that all have the shape of the face rows of a `faces` report is
@@ -55,6 +57,7 @@ import random
 import re
 import sys
 import time
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -71,7 +74,13 @@ from .ehrhart import (
     pruned_reciprocity_check,
     unit_cube,
 )
-from .errors import GpcountError, InputFormatError, check_budget, require_integer
+from .errors import (
+    BudgetExceededError,
+    GpcountError,
+    InputFormatError,
+    check_budget,
+    require_integer,
+)
 from .generators import (
     random_hypergraph,
     random_hypergraphic_setfn,
@@ -353,8 +362,25 @@ TRIAL_T = 3
 CHECKS_PER_TRIAL = 1 + 4 * (2 * TRIAL_M) + 1 + (3 * TRIAL_M + 1) + 3 * TRIAL_T
 
 
+@contextmanager
+def _family(report: Report, label: str):
+    """Run one family of checks of a `verify_all` trial.  The trial drew the
+    instances itself, so an error raised on them is a fault of the program,
+    not of the input: a `GpcountError` or `ValueError` becomes one failed
+    check "<label>: error", its message against "no error", and the trial
+    goes on.  A budget refusal is a limit, not a fault, and leaves as it
+    came."""
+    try:
+        yield
+    except BudgetExceededError:
+        raise
+    except (GpcountError, ValueError) as exc:
+        report.check(f"{label}: error", str(exc), "no error")
+
+
 def verify_all(seed: int, trials: int) -> Report:
-    """Run every reciprocity and round-trip identity on seeded random instances."""
+    """Run every reciprocity and round-trip identity on seeded random
+    instances, each family of a trial under `_family`."""
     require_integer("trials", trials, 1)
     check_budget(CHECKS_PER_TRIAL * trials, errors.LOOP_BUDGET, "checks")
     rng = random.Random(seed)
@@ -362,33 +388,36 @@ def verify_all(seed: int, trials: int) -> Report:
     for trial in range(1, trials + 1):
         tag = f"trial {trial}"
 
-        z = random_hypergraphic_setfn(rng, max_d=5)
-        P = GPerm(z)
-        report.check(f"{tag}: set-function round trip (d={z.d})",
-                     setfn_from_vertices(P.vertices) == z, True)
+        with _family(report, f"{tag}: set function and directions"):
+            z = random_hypergraphic_setfn(rng, max_d=5)
+            P = GPerm(z)
+            report.check(f"{tag}: set-function round trip (d={z.d})",
+                         setfn_from_vertices(P.vertices) == z, True)
+            ks = range(P.d) if P.d <= 4 else (0,)
+            for k in ks:
+                report.merge(P.verify_reciprocity(k, TRIAL_M)[1], f"{tag}: directions d={P.d}")
 
-        ks = range(P.d) if P.d <= 4 else (0,)
-        for k in ks:
-            report.merge(P.verify_reciprocity(k, TRIAL_M)[1], f"{tag}: directions d={P.d}")
-
-        h = random_hypergraph(rng, max_d=5, max_edges=5)
-        Ph = GPerm(hypergraphic_setfn(h))
-        acyclic = acyclic_headings(h)
-        report.check(f"{tag}: heading vertex description (d={h.d})",
-                     vertices_via_headings(h, acyclic) == set(Ph.vertices), True)
-        report.merge(_hg_reciprocity_report(h, Ph, acyclic, TRIAL_M)[1],
-                     f"{tag}: hypergraph d={h.d}")
+        with _family(report, f"{tag}: hypergraph"):
+            h = random_hypergraph(rng, max_d=5, max_edges=5)
+            Ph = GPerm(hypergraphic_setfn(h))
+            acyclic = acyclic_headings(h)
+            report.check(f"{tag}: heading vertex description (d={h.d})",
+                         vertices_via_headings(h, acyclic) == set(Ph.vertices), True)
+            report.merge(_hg_reciprocity_report(h, Ph, acyclic, TRIAL_M)[1],
+                         f"{tag}: hypergraph d={h.d}")
 
         for draw, shape in ((random_rational_box, "box"), (random_rational_simplex, "simplex")):
-            poly, deg, period = draw(rng)
-            report.merge(_reciprocity(em_reciprocity_check, poly, deg, period, TRIAL_T)[1],
-                         f"{tag}: dilation counts, {shape} d={deg}")
+            with _family(report, f"{tag}: dilation counts, {shape}"):
+                poly, deg, period = draw(rng)
+                report.merge(_reciprocity(em_reciprocity_check, poly, deg, period, TRIAL_T)[1],
+                             f"{tag}: dilation counts, {shape} d={deg}")
 
-        zf = random_hypergraphic_setfn(rng, max_d=3)
-        Pf = GPerm(zf)
-        report.merge(_reciprocity(pruned_reciprocity_check, unit_cube(Pf.d), normal_fan_of(Pf),
-                                  Pf.d, 1, TRIAL_T)[1],
-                     f"{tag}: pruned counts d={Pf.d}")
+        with _family(report, f"{tag}: pruned counts"):
+            zf = random_hypergraphic_setfn(rng, max_d=3)
+            Pf = GPerm(zf)
+            report.merge(_reciprocity(pruned_reciprocity_check, unit_cube(Pf.d),
+                                      normal_fan_of(Pf), Pf.d, 1, TRIAL_T)[1],
+                         f"{tag}: pruned counts d={Pf.d}")
     return report
 
 

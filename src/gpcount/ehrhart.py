@@ -43,10 +43,11 @@ box, no relation and no offset.  A fan document's rows are checked (each
 `<=` with offset 0) and made primitive in `fan_from_json` alone, through the
 helpers that parse and normalize a polytope's rows, and only their normals
 are kept; the normal fan writes its root normals directly.  A fan's distinct
-rows are indexed once per fan, on first use, where a row not in the fan's
-dimension is refused.  The multiplicity of a point is the number of closed
-cones containing it; the inner pruned count takes the points of multiplicity
-exactly one and the cumulative pruned count the sum of multiplicities.  Each
+rows are indexed once per fan, on first use, where every row, zero rows
+included, is refused unless it is a tuple of ints in the fan's dimension.
+The multiplicity of a point is the number of closed cones containing it;
+the inner pruned count takes the points of multiplicity exactly one and
+the cumulative pruned count the sum of multiplicities.  Each
 cone meets a run of the last coordinate in an interval, read off its rows by
 floor division as for the run itself, so the scan hands each run to a sweep
 that adds the cones' intervals into difference arrays and reads the
@@ -235,7 +236,8 @@ def _scan_frame(poly: HPolytope, t: int, fan: FullDimFan | None = None):
     (`_run_cover`); it is charged the box points plus the prefixes of the
     last coordinate, each counted as a run, times those row reads.  A
     polytope and a fan in different dimensions are refused first, then a
-    fan row not in that dimension (`FullDimFan.run_rows`)."""
+    fan row that is not a tuple of ints in that dimension
+    (`FullDimFan.run_rows`)."""
     require_integer("t", t, 1)
     if fan is not None:
         if poly.d != fan.d:
@@ -459,13 +461,18 @@ class FullDimFan(Frozen):
         distinct nonzero rows, each as `(terms, c)` with `terms` the
         pairs `(i, a_i)` of its nonzero coefficients before the last and `c`
         the last, and per cone the indices of its rows.  A zero row holds
-        everywhere and is left out; a row not of length d raises
-        ValueError."""
+        everywhere and is left out.  Every row, zero rows included, is
+        checked first: one that is not a tuple of ints raises ValueError,
+        as does one not of length d."""
+        every = [a for cone in self.cones for a in cone.rows]
+        tuples = set(map(type, every)) <= {tuple}
+        if tuples and not set(map(len, every)) <= {self.d}:
+            raise ValueError("cone row length mismatch")
+        if not tuples or not set(map(type, itertools.chain.from_iterable(every))) <= {int}:
+            raise ValueError("cone rows must be tuples of ints")
         index: dict[tuple[int, ...], int] = {}
         cones = tuple(tuple(index.setdefault(a, len(index)) for a in cone.rows if any(a))
                       for cone in self.cones)
-        if any(len(a) != self.d for a in index):
-            raise ValueError("cone row length mismatch")
         rows = tuple((tuple((i, c) for i, c in enumerate(a[:-1]) if c), a[-1]) for a in index)
         return rows, cones
 

@@ -8,8 +8,11 @@ acyclic heading whose heads carry their edges' maximal colors) give the
 counting polynomials whose reciprocity the rest of the package checks.
 
 Acyclic headings are grown edge by edge, not filtered out of the product of
-the edges: a partial heading is dropped as soon as its newest head already
-reaches another node of that edge, since every completion keeps that cycle.
+the edges: a head is tested before it joins a partial heading, and one that
+already reaches another node of its edge is never taken, since every
+completion would keep that cycle.  So the enumerator only ever holds
+acyclic partial headings, and `acyclic_headings` and the compatible DP
+share it.
 
 Both counts come from one subset DP, never from a scan of [m]^d.  From its
 top color down, a coloring is an ordered partition into j blocks plus j of
@@ -152,30 +155,42 @@ def _acyclic_heads(masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
     in increasing node order, so the head tuples come lexicographically.
 
     Depth first on an explicit stack, as a recursion would be as deep as the
-    edge list is long.  reach[i][v] is the bitmask of the nodes that node
-    v + 1 reaches under the first i heads, itself included; heading edge i at
-    `head` closes a cycle exactly when `head` reaches another node of the edge.
+    edge list is long.  Each edge's options `(head, others)`, `others` its
+    mask without the head, are listed once.  A stack entry `(i, head, reach)`
+    heads edge i at `head`, and reach[v] is the bitmask of the nodes that
+    node v + 1 reaches under the heads of edges 0..i, itself included.
+    Heading the next edge at `head` closes a cycle exactly when `head`
+    reaches one of its `others`, so each option is tested against its
+    parent's table before it is pushed, and only acyclic partial headings
+    are ever pushed, in reverse so that they pop in order.  The last edge's
+    heads are tested and yielded in a loop, and an edge with no tails hands
+    its parent's table on.
     """
     if not masks:
         yield ()
         return
-    choices = [[v + 1 for v in range(e.bit_length()) if e >> v & 1] for e in masks]
+    options = [[(v + 1, e & ~(1 << v)) for v in range(e.bit_length()) if e >> v & 1]
+               for e in masks]
+    last = len(masks) - 1
     heads = [0] * len(masks)
-    reach = [[1 << v for v in range(max(masks).bit_length())]] + [None] * len(masks)
-    stack = [(0, head) for head in reversed(choices[0])]
+    # the root heads no edge; its write to heads[-1] is overwritten below
+    stack = [(-1, 0, [1 << v for v in range(max(masks).bit_length())])]
     while stack:
-        i, head = stack.pop()
-        down = reach[i][head - 1]
-        others = masks[i] & ~(1 << (head - 1))
-        if down & others:
-            continue
+        i, head, reach = stack.pop()
         heads[i] = head
-        if i + 1 == len(masks):
-            yield tuple(heads)
+        i += 1
+        if i == last:
+            for head, others in options[i]:
+                if not reach[head - 1] & others:
+                    heads[i] = head
+                    yield tuple(heads)
             continue
-        # a node that reaches a tail of the new arcs now reaches all `head` does
-        reach[i + 1] = [r | down if r & others else r for r in reach[i]]
-        stack.extend((i + 1, nxt) for nxt in reversed(choices[i + 1]))
+        for head, others in reversed(options[i]):
+            down = reach[head - 1]
+            if not down & others:
+                # a node that reaches a tail of the new arcs now reaches all `head` does
+                stack.append((i, head, [r | down if r & others else r for r in reach]
+                              if others else reach))
 
 
 def acyclic_headings(h: Hypergraph) -> list[tuple[int, ...]]:

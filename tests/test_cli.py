@@ -27,7 +27,7 @@ from oracles import (
     with_rows,
 )
 from test_ehrhart import DIAGONAL_FAN, HUGE_SIMPLEX, OVERLAPPING
-from test_golden import CASES
+from test_golden import CASES, GOLDEN
 from test_hypergraph import EIGHT
 from test_permutahedron import non_integer_setfn
 
@@ -856,6 +856,37 @@ def test_verify_all_rejects_zero_trials(capsys):
     rc, payload, _ = invoke(capsys, "verify-all", "--trials", "0")
     assert rc == 2
     assert payload is None
+
+
+def test_verify_all_error_is_a_failed_check(capsys, monkeypatch):
+    # verify-all draws its own instances, so an error raised on one is a
+    # fault of the program: one failed check names the trial and the family,
+    # and the other families and the next trial still run
+    draw = cli.random_rational_box
+
+    def wrong_period(rng):
+        draw(rng)  # the later families draw what they drew before
+        return box([(0, Fraction(1, 2))]), 1, 1  # the vertex 1/2 needs period 2
+    monkeypatch.setattr(cli, "random_rational_box", wrong_period)
+    rc, payload, err = invoke(capsys, "verify-all", "--seed", "3", "--trials", "2")
+    assert (rc, err) == (1, "")
+    message = ("constituent for residue 0 disagrees with the count at t=3; "
+               "declared degree 1 / period 1 is wrong")
+    failed = [c for c in payload["checks"] if not c["pass"]]
+    assert failed == [{"label": f"trial {trial}: dilation counts, box: error",
+                       "lhs": message, "rhs": "no error", "pass": False}
+                      for trial in (1, 2)]
+    golden = json.loads((GOLDEN / "verify_all_seed_3.out").read_text())
+    assert [c for c in payload["checks"] if c["pass"]] == [
+        c for c in golden["checks"] if ": dilation counts, box " not in c["label"]]
+
+
+def test_verify_all_budget_refusal_in_a_trial_exit_2(capsys, monkeypatch):
+    # a budget refusal is a limit, not a fault: no report, exit 2
+    monkeypatch.setattr(errors, "WORK_BUDGET", 0)
+    rc, payload, err = invoke(capsys, "verify-all", "--seed", "3", "--trials", "2")
+    assert (rc, payload) == (2, None)
+    assert err.startswith("error:") and "exceed the budget of 0" in err
 
 
 def test_module_entry_point(inputs):

@@ -744,6 +744,27 @@ def test_fan_rows_of_wrong_length_refused(monkeypatch):
         multiplicity(short, (0, 0, 1))
 
 
+@pytest.mark.parametrize("fan, message", [
+    (FullDimFan(2, (Cone(((0, 0, 0),)),)), "cone row length mismatch"),
+    (FullDimFan(2, (Cone(((1, 0), (0, 0, 0))), Cone(((-1, 0),)))), "cone row length mismatch"),
+    (FullDimFan(2, (Cone(([1, 0],)), Cone(([-1, 0],)))), "cone rows must be tuples of ints"),
+    (FullDimFan(2, (Cone(((0, 0.0),)),)), "cone rows must be tuples of ints"),
+    (FullDimFan(2, (Cone(((1, 0),)), Cone(((-1, False),)))), "cone rows must be tuples of ints"),
+    (FullDimFan(2, (Cone(((1, 0),)), Cone(((Fraction(-1), 0),)))),
+     "cone rows must be tuples of ints"),
+], ids=["zero-row-length", "zero-row-beside-rows", "list-rows", "float-zero-row", "bool-entry",
+        "fraction-entry"])
+def test_fan_rows_are_int_tuples_of_the_fan_length(fan, message):
+    # every row is checked, zero rows included, before it is indexed: a zero
+    # row of the wrong length was left out and the fan swept, and a list row
+    # failed with a TypeError when it was hashed
+    for count in (inner_pruned_count, cumulative_pruned_count):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            count(unit_cube(2), fan, 1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        multiplicity(fan, (0, 1))
+
+
 def test_overlapping_cones_rejected():
     assert multiplicity(OVERLAPPING, (1, 0)) == 2
     # the pruned counts visit points in lexicographic order, so the error

@@ -124,6 +124,18 @@ def test_acyclicity_matches_direct_definition():
         assert acyclic_headings(h) == brute_acyclic_headings(h)
 
 
+def test_acyclic_headings_census():
+    # bounded-exhaustive: every set of 1 to 4 distinct edges of two nodes or
+    # more on 4 nodes, 561 hypergraphs, the whole ordered list each
+    pool = [frozenset(s) for r in range(2, 5)
+            for s in itertools.combinations(range(1, 5), r)]
+    cases = [Hypergraph(4, combo) for count in range(1, 5)
+             for combo in itertools.combinations(pool, count)]
+    assert len(cases) == 561
+    for h in cases:
+        assert acyclic_headings(h) == brute_acyclic_headings(h), h
+
+
 def test_many_singleton_edges():
     # the heads are fixed edge by edge; a long edge list must not run out of stack
     h = hg(3, {1, 2}, *[{i % 3 + 1} for i in range(3000)])
