@@ -22,9 +22,10 @@ budget refusal raised on one of them is a failed check of its trial and
 family, not exit 2.  Reports are deterministic for fixed inputs up to the
 "timing" field.  `run` writes each report with `dumps`, this module's own JSON
 writer, byte for byte as the stdlib's `json.dumps` writes it with an indent
-of 2: with an indent set, the stdlib runs its pure-Python encoder.  A list
-of dicts that all have the shape of the face rows of a `faces` report is
-written with one string template per row, not one recursive call per value.
+of 2: with an indent set, the stdlib runs its pure-Python encoder.  The
+faces of a `faces` report are `Face` values, which `dumps` writes as
+{"dim", "vertices"} dicts; a list of only `Face`s is written with one
+string template per face, not one recursive call per value.
 
 The four commands that build a `GPerm` from their input (`chi`, `faces`,
 `pruned --setfn` and `hg-reciprocity`) get it from `_polytope`, which keeps
@@ -59,9 +60,7 @@ import sys
 import time
 from contextlib import contextmanager
 from functools import lru_cache
-from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
 
@@ -96,7 +95,7 @@ from .hypergraph import (
     hypergraphic_setfn,
     vertices_via_headings,
 )
-from .permutahedron import GPerm, face_lattice_to_json
+from .permutahedron import Face, GPerm, faces_report
 from .polynomial import Polynomial, QuasiPolynomial
 from .report import Report, reflected
 from .setfn import SetFn, setfn_from_json, setfn_from_vertices
@@ -105,14 +104,16 @@ from .setfn import SetFn, setfn_from_json, setfn_from_vertices
 def dumps(value, pad: str = "\n") -> str:
     """The stdlib's `json.dumps` with an indent of 2, for dicts with str
     keys, lists, str, int, finite float (`timing` is the only float), bool
-    and None; anything else raises TypeError.  `pad` is the newline and
-    indent of the line value starts on; callers leave it at its default.  A
-    list of only ints (bools excluded) or only strings is written with one
-    join.  A list of only dicts that all have the shape {"dim": int,
-    "vertices": [int, ...]} (keys in that order, at least one id), as the
-    rows of a `faces` report do, is written with one template per row
-    (`_face_rows`); any other list is written item by item, with the same
-    bytes or the same TypeError."""
+    and None, and for a `Face` (exact type, its fields ints, as `GPerm`
+    builds it), written as its dict {"dim": dim, "vertices": [ids]}, ids
+    increasing; anything else, tuples and other named tuples included,
+    raises TypeError.  A `Face` with a mask below 1 raises ValueError: no
+    polytope has a face without vertices.  `pad` is the newline and indent
+    of the line value starts on; callers leave it at its default.  A list
+    of only ints (bools excluded) or only strings is written with one join,
+    and a list of only `Face`s, as the faces of a `faces` report are, with
+    one template per face (`_face_items`); any other list is written item
+    by item."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -135,10 +136,10 @@ def dumps(value, pad: str = "\n") -> str:
             items = map(int.__repr__, value)
         elif kinds == {str}:
             items = map(encode_basestring_ascii, value)
+        elif kinds == {Face}:
+            items = _face_items(value, inner)
         else:
-            items = _face_rows(value, inner) if kinds == {dict} else None
-            if items is None:
-                items = [dumps(item, inner) for item in value]
+            items = [dumps(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     if value is None:
         return "null"
@@ -148,32 +149,33 @@ def dumps(value, pad: str = "\n") -> str:
         return "false"
     if kind is float:
         return float.__repr__(value)
+    if kind is Face:
+        return _face_items([value], pad)[0]
     raise TypeError(f"{kind.__name__} is not JSON serializable")
 
 
-_ROW_KEYS = ("dim", "vertices")
-
-
-def _face_rows(rows: list[dict], pad: str) -> list[str] | None:
-    """Dicts written at pad with one template each, the same bytes as
-    `dumps` gives dict by dict; None unless every dict holds an int "dim"
-    and a nonempty list of int "vertices", in that order, as the rows of a
-    `faces` report do, so that any other list goes through `dumps` item by
-    item."""
-    if set(map(tuple, rows)) != {_ROW_KEYS}:
-        return None
-    dims = list(map(itemgetter("dim"), rows))
-    ids = list(map(itemgetter("vertices"), rows))
-    if (set(map(type, dims)) != {int} or set(map(type, ids)) != {list} or not all(ids)
-            or set(map(type, chain.from_iterable(ids))) != {int}):
-        return None
+def _face_items(faces: list[Face], pad: str) -> list[str]:
+    """Faces written at pad as `dumps` writes their dicts, from one head
+    string per dimension and one string per vertex id up to the highest
+    one, each face's ids read off its mask, lowest first."""
     key_pad = pad + "  "
-    id_pad = key_pad + "  "
-    heads = {dim: "{" + key_pad + '"dim": ' + int.__repr__(dim) + "," + key_pad
-             + '"vertices": [' + id_pad for dim in set(dims)}
-    sep = "," + id_pad
     tail = key_pad + "]" + pad + "}"
-    return [heads[dim] + sep.join(map(int.__repr__, vs)) + tail for dim, vs in zip(dims, ids)]
+    heads: dict[int, str] = {}
+    # each id after its separator, the first one's comma cut off below
+    ids = ["," + key_pad + "  " + str(i) for i in range(max(faces).mask.bit_length())]
+    items = []
+    for mask, dim in faces:
+        head = heads.get(dim) or heads.setdefault(
+            dim, "{" + key_pad + '"dim": ' + int.__repr__(dim) + "," + key_pad + '"vertices": [')
+        if mask < 1:
+            raise ValueError("a face has at least one vertex")
+        row = []
+        while mask:
+            low = mask & -mask
+            row.append(ids[low.bit_length() - 1])
+            mask ^= low
+        items.append(head + "".join(row)[1:] + tail)
+    return items
 
 
 def _load_json(path: str):
@@ -280,7 +282,7 @@ def cmd_chi(args) -> tuple[dict, Report | None]:
 
 
 def cmd_faces(args) -> tuple[dict, Report | None]:
-    return face_lattice_to_json(_polytope(_load_setfn(args.setfn))), None
+    return faces_report(_polytope(_load_setfn(args.setfn))), None
 
 
 def cmd_hg_chromatic(args) -> tuple[dict, Report | None]:

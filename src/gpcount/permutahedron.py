@@ -58,11 +58,11 @@ the dimension, so `count_k_faces` checks one with a single lookup, and
 sorted vertex ids are read off a mask only for a person to read
 (`Face.vertex_ids`, the `faces` report).  The `faces` report lists the
 faces by dimension and, within one dimension, by their lists of vertex
-ids, as `sorted((dim, ids))` would; `face_lattice_to_json` groups the
-faces by dimension first, so it sorts only each dimension's id lists, and
-each id list it reads off a mask goes into the report as it is, in a
-plain list of {"dim", "vertices"} dicts (`cli.dumps` knows that shape and
-writes each with one template).  The 0-faces in a face are its vertices,
+ids, as `sorted((dim, ids))` would.  `faces_report` groups the faces by
+dimension and sorts each group once on the bits of each mask, lowest id
+first, with no id list built; its faces are the `Face` values themselves,
+and `cli.dumps` writes each as {"dim", "vertices"}, its ids read off the
+mask into one template.  The 0-faces in a face are its vertices,
 so `count_k_faces(f, 0)` is the number of set bits of f.  For
 k >= 1 a k-face lies in a face f only if its lowest vertex does, so the
 k-faces are indexed by their lowest set bit, for every k >= 1 in one pass
@@ -122,7 +122,8 @@ class Face(NamedTuple):
     it maximizes, the AND of ``tight`` over those prefixes.  ``dim`` is d
     minus the most blocks among these compositions: its normal cone, of
     dimension d - dim, is the union of their braid cones, and a braid cone
-    with j blocks has dimension j."""
+    with j blocks has dimension j.  `cli.dumps` writes a Face as
+    {"dim": dim, "vertices": [ids]}, its ids in increasing order."""
 
     mask: int
     dim: int
@@ -353,16 +354,20 @@ class GPerm:
                                         lambda m: self.reciprocity_rhs(k, m), m_max)
 
 
-def face_lattice_to_json(P: GPerm) -> dict:
+def faces_report(P: GPerm) -> dict:
     """The fields of the `faces` report: d, the vertices as exact rationals
-    and one row per face, by dimension and then by vertex-id list."""
-    by_dim: list[list[list[int]]] = [[] for _ in range(P.d)]
-    for mask, dim in P.face_lattice():
-        by_dim[dim].append(_bits(mask))
-    faces = []
-    for k, rows in enumerate(by_dim):
-        rows.sort()
-        faces += [{"dim": k, "vertices": ids} for ids in rows]
+    and the `Face`s, which `cli.dumps` writes as {"dim", "vertices"} rows,
+    by dimension and then by sorted vertex-id list.  No face contains
+    another of its dimension, so no face's bits, lowest id first, are a
+    prefix of another's, and where two first differ the face holding that
+    id comes first: a descending sort on them is the sort on the id lists."""
+    by_dim: list[list[Face]] = [[] for _ in range(P.d)]
+    for face in P.face_lattice():
+        by_dim[face.dim].append(face)
+    faces: list[Face] = []
+    for rows in by_dim:
+        rows.sort(key=lambda face: format(face.mask, "b")[::-1], reverse=True)
+        faces += rows
     return {
         "d": P.d,
         "vertices": [list(map(str, v)) for v in P.vertices],

@@ -1,0 +1,34 @@
+"""The benchmark records at the repository root, `BENCH_*.json`, are written
+by hand from paired runs of `perfbench/run.py`, so this keeps them
+consistent with the benchmark they report: each parses, names its change,
+parent commit, command and set-up, and each of its runs names a workload of
+`BENCHMARK.json` and a side, `parent` or `change`, with a correct result
+that carries every end-to-end metric of `BENCHMARK.json`."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_records_exist():
+    assert {"BENCH_51.json", "BENCH_52.json"} <= {path.name for path in RECORDS}
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda path: path.name)
+def test_record_names_its_runs_and_their_metrics(path):
+    record = json.loads(path.read_text())
+    for key in ("change", "parent_commit", "command", "setup"):
+        assert type(record[key]) is str and record[key], key
+    assert type(record["runs"]) is list and record["runs"]
+    workloads = {w["name"] for w in BENCHMARK["workloads"]}
+    metrics = {m["name"] for m in BENCHMARK["end_to_end"]}
+    for run in record["runs"]:
+        assert run["workload"] in workloads
+        assert run["side"] in ("parent", "change")
+        assert run["result"]["correct"] is True
+        assert metrics <= set(run["result"]["metrics"])

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 import warnings
 from collections import Counter
@@ -9,10 +10,11 @@ from math import comb, lcm
 import pytest
 
 from gpcount import permutahedron
+from gpcount.cli import dumps
 from gpcount.errors import BudgetExceededError, NotSubmodularError
 from gpcount.generators import random_hypergraphic_setfn
 from gpcount.hypergraph import Hypergraph, hypergraphic_setfn
-from gpcount.permutahedron import Face, GPerm, face_lattice_to_json, vertices
+from gpcount.permutahedron import Face, GPerm, faces_report, vertices
 from gpcount.report import Report
 from gpcount.setfn import SetFn, standard_perm_setfn
 from oracles import (
@@ -736,13 +738,30 @@ def test_enumeration_caps():
 
 
 def test_face_lattice_json():
-    doc = face_lattice_to_json(perm_gp(3))
+    doc = faces_report(perm_gp(3))
     assert doc["d"] == 3
     assert len(doc["vertices"]) == 6
     assert doc["vertices"][0] == ["1", "2", "3"]
     assert len(doc["faces"]) == 13
-    dims = [f["dim"] for f in doc["faces"]]
+    assert all(type(f) is Face for f in doc["faces"])
+    dims = [f.dim for f in doc["faces"]]
     assert dims == sorted(dims)
-    assert doc["faces"][-1] == {"dim": 2, "vertices": [0, 1, 2, 3, 4, 5]}
+    assert doc["faces"][-1] == Face(0b111111, 2)
+    assert doc["faces"][-1].vertex_ids == (0, 1, 2, 3, 4, 5)
     for f in doc["faces"]:
-        assert all(0 <= i < 6 for i in f["vertices"])
+        assert all(0 <= i < 6 for i in f.vertex_ids)
+
+
+def test_faces_report_matches_sorted_id_lists():
+    # the descending sort on each face's bits, lowest id first, against the
+    # sort on (dim, vertex ids), and the written report against the stdlib's
+    # bytes of its dicts, on pi_1..pi_6 and 200 seeded set functions
+    rng = random.Random(5)
+    for z in ([standard_perm_setfn(d) for d in range(1, 7)]
+              + [random_hypergraphic_setfn(rng, max_d=6) for _ in range(200)]):
+        P = GPerm(z)
+        doc = faces_report(P)
+        faces = sorted(P.face_lattice(), key=lambda f: (f.dim, f.vertex_ids))
+        assert doc["faces"] == faces
+        rows = [{"dim": f.dim, "vertices": list(f.vertex_ids)} for f in faces]
+        assert dumps(doc) == json.dumps(dict(doc, faces=rows), indent=2)

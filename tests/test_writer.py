@@ -1,12 +1,16 @@
 """`cli.dumps`, the writer of every report, gives the bytes of
 `json.dumps(value, indent=2)` on the values it accepts and refuses the rest.
-A list of dicts that all fit the template of a `faces` row gets the same
-bytes from one template per row; a list with any other item is written
-item by item, as a report's `checks` list is.  `faces` takes the template
-and `chi` does not."""
+A `Face` is written as its dict {"dim", "vertices"}, alone, in a dict or
+among other items; a list of only `Face`s gets the same bytes from one
+template per face, and any other list, a report's `checks` or a list of
+dicts of a face's shape among them, is written item by item.  Tuples,
+other named tuples and subclasses of `Face` raise TypeError, and a `Face`
+with no vertex, never built by `GPerm`, raises ValueError.  `faces` takes
+the template and `chi` does not."""
 
 import json
 from fractions import Fraction
+from typing import NamedTuple
 from pathlib import Path
 
 import pytest
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 
 from gpcount import cli
 from gpcount.cli import dumps
+from gpcount.permutahedron import Face
 
 PI_3 = Path(__file__).resolve().parent / "golden" / "pi_3.json"
 
@@ -43,100 +48,117 @@ def test_edge_cases(value):
 
 @pytest.mark.parametrize("value", [
     {1: "a"}, {None: 1}, {("a",): 1}, [{"a": {2: 3}}], Fraction(1, 2), {1, 2},
-    ["a", Fraction(1)], ("a",), b"a"])
+    ["a", Fraction(1)], ("a",), b"a", (3, 1), [(3, 1)]])
 def test_unsupported_values_raise_type_error(value):
     with pytest.raises(TypeError):
         dumps(value)
 
 
-# Rows of a `faces` report: an int dim and one or many int ids, small or big.
+# Faces of a `faces` report: an int dim and a mask of one or many ids, small or big.
 INTS = st.integers(-3, 40) | st.integers()
-ROWS = st.lists(st.builds(lambda dim, ids: {"dim": dim, "vertices": ids},
-                          INTS, st.lists(INTS, min_size=1)), min_size=1, max_size=8)
+MASKS = st.integers(1, 1 << 8) | st.integers(1, 1 << 800)
+FACES = st.lists(st.builds(Face, MASKS, INTS), min_size=1, max_size=8)
 
 
-def nestings(rows):
-    """The rows written at top level and nested in a report and a list."""
-    return [rows, {"command": "faces", "faces": rows, "timing": 0.5}, [[{"faces": rows}], 1]]
+def row(face):
+    return {"dim": face.dim, "vertices": list(face.vertex_ids)}
 
 
-@given(ROWS)
-def test_face_rows_template_gives_json_dumps_bytes(rows):
-    assert cli._face_rows(rows, "\n  ") is not None
-    for value in nestings(rows):
-        assert dumps(value) == json.dumps(value, indent=2)
+def nestings(faces):
+    """The faces written at top level, nested in a report and a list, one
+    alone and among other items, each with the same value in dicts."""
+    rows = list(map(row, faces))
+    return [(faces, rows),
+            ({"command": "faces", "faces": faces, "timing": 0.5},
+             {"command": "faces", "faces": rows, "timing": 0.5}),
+            ([[{"faces": faces}], 1], [[{"faces": rows}], 1]),
+            (faces[0], rows[0]),
+            ([1, faces[-1], "a", faces, None], [1, rows[-1], "a", rows, None])]
 
 
-class Id(int):
+@given(FACES)
+def test_face_rows_template_gives_json_dumps_bytes(faces):
+    for value, dicts in nestings(faces):
+        assert dumps(value) == json.dumps(dicts, indent=2)
+
+
+class Pair(NamedTuple):
+    mask: int
+    dim: int
+
+
+class SubFace(Face):
     pass
 
 
-class Ids(list):
-    pass
-
-
-# One row that does not fit the template, put among rows that do.
+# One item that does not fit the template, put among faces that do: a dict
+# of a face's shape is written as any dict, a tuple, another named tuple or
+# a `Face` subclass raises TypeError.
 MISFITS = [
-    {"dim": 1, "vertices": [0, "1"]},
+    {"dim": 1, "vertices": [0, 1]},
     {"dim": 1, "vertices": [0, True]},
-    {"dim": 1, "vertices": [0, 1.0]},
-    {"dim": 1, "vertices": [0, Id(1)]},
-    {"dim": 1, "vertices": [0, Fraction(1)]},
-    {"dim": 1, "vertices": [0, None]},
-    {"dim": True, "vertices": [0, 1]},
-    {"dim": "1", "vertices": [0, 1]},
-    {"dim": 1, "vertices": [0, 1], "extra": 2},
-    {"dim": 1},
-    {"vertices": [0, 1]},
-    {"vertices": [0, 1], "dim": 1},
-    {"dim": 1, "vertices": []},
-    {"dim": 1, "vertices": (0, 1)},
-    {"dim": 1, "vertices": Ids([0, 1])},
     [1, [0, 1]],
     7,
+    (3, 1),
+    Pair(3, 1),
+    SubFace(3, 1),
+    Fraction(1),
 ]
 
 
-@given(ROWS, st.sampled_from(MISFITS), st.integers(0, 8))
-def test_a_row_off_the_template_gets_plain_list_bytes_or_type_error(rows, misfit, at):
+@given(FACES, st.sampled_from(MISFITS), st.integers(0, 8))
+def test_a_row_off_the_template_gets_plain_list_bytes_or_type_error(faces, misfit, at):
     # the list is written item by item: the bytes of `json.dumps`, or the
-    # TypeError that the misfit row alone raises
-    rows = rows[:at] + [misfit] + rows[at:]
-    if type(misfit) is dict:
-        assert cli._face_rows(rows, "\n  ") is None
+    # TypeError that the misfit alone raises
+    if isinstance(misfit, tuple):  # a tuple, another named tuple, a `Face` subclass
+        with pytest.raises(TypeError):
+            dumps(misfit)
+    faces = faces[:at] + [misfit] + faces[at:]
+    rows = [row(f) if type(f) is Face else f for f in faces]
+    wrapped = [(faces, rows), ({"faces": faces}, {"faces": rows}), ([faces], [rows])]
     try:
         dumps(misfit)
     except TypeError:
-        for value in nestings(rows):
+        for value, _ in wrapped:
             with pytest.raises(TypeError):
                 dumps(value)
     else:
-        for value in nestings(rows):
-            assert dumps(value) == json.dumps(value, indent=2)
+        for value, dicts in wrapped:
+            assert dumps(value) == json.dumps(dicts, indent=2)
+
+
+@pytest.mark.parametrize("mask", [0, -1, -6])
+def test_a_face_without_vertices_raises_value_error(mask):
+    # `GPerm` builds no face with an empty mask; writing one would print a
+    # face of no polytope, so the writer refuses it, alone or among faces
+    for value in (Face(mask, 0), [Face(mask, 0)], [Face(1, 0), Face(mask, 1)],
+                  {"faces": [Face(mask, 0)]}, [1, Face(mask, 0)]):
+        with pytest.raises(ValueError):
+            dumps(value)
 
 
 @pytest.mark.parametrize("rows", [
     [], [1, 2], ["a"], [[]], [{}], [{"dim": 0}], [{"name": "k=1 forward m=1", "ok": True}],
     [{"dim": 0, "vertices": [0]}, {"dim": 0, "vertices": [1], "ok": True}]])
 def test_face_rows_without_rows_are_a_plain_list(rows):
-    if rows and all(type(row) is dict for row in rows):
-        assert cli._face_rows(rows, "\n  ") is None
+    # lists without a `Face`, dicts of a face's shape among them, are written
+    # item by item
     assert dumps(rows) == json.dumps(rows, indent=2)
 
 
 def test_faces_takes_the_template_and_chi_does_not(monkeypatch, capsys):
-    # `faces` writes its rows with one template each; `chi`'s only list of
-    # dicts, its checks, is tried once and written item by item
-    returns = []
-    real = cli._face_rows
+    # `faces` writes its faces with one template each; `chi`'s only list of
+    # dicts, its checks, never reaches the template
+    calls = []
+    real = cli._face_items
 
-    def face_rows(rows, pad):
-        returns.append(real(rows, pad))
-        return returns[-1]
+    def face_items(faces, pad):
+        calls.append(faces)
+        return real(faces, pad)
 
-    monkeypatch.setattr(cli, "_face_rows", face_rows)
-    for command, templated in (("faces", 1), ("chi", 0)):
-        returns.clear()
+    monkeypatch.setattr(cli, "_face_items", face_items)
+    for command, templated in (("faces", [[Face] * 13]), ("chi", [])):
+        calls.clear()
         assert cli.run([command, "--setfn", str(PI_3)]) == 0
         assert capsys.readouterr().err == ""
-        assert returns and sum(r is not None for r in returns) == templated
+        assert [list(map(type, faces)) for faces in calls] == templated
