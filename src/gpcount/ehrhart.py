@@ -28,14 +28,17 @@ Continuous Discretely*), inline in the loop over the second-to-last
 coordinate.  The coordinates after the last one any row involves are free,
 so a count multiplies their widths and scans only the coordinates before
 them; a box with no row left after folding is one product.  One
-recursive scan returns the count and can hand each run to a callback.  A
+scan returns the count and can hand each run to a callback; it recurses
+through a plain function, not a closure that refers to itself, so a count
+leaves no reference cycle and what it allocates is freed when it returns.  A
 count charges the prefixes of the last coordinate it fixes to
 `errors.WORK_BUDGET` and is refused before it starts when they exceed it,
 or when it fixes more than `errors.SCAN_DEPTH` coordinates (one recursion
 level each).  A reciprocity check is refused before its first count when its
 largest dilate would be, or when its checks or its fit's nodes exceed
 `errors.LOOP_BUDGET`.  Each refusal is `errors.check_budget`'s
-`BudgetExceededError`, and each budget is read when its guard runs.
+`BudgetExceededError`, its message formatted only then, and each budget is
+read when its guard runs.
 
 A full-dimensional fan is its dimension and a list of closed cones, each a
 `Cone`: the primitive integer normals `a` of its rows `a . y <= 0`, with no
@@ -234,10 +237,11 @@ def _scan_frame(poly: HPolytope, t: int, fan: FullDimFan | None = None):
     coordinate and walks every point of the folded box, and each of its runs
     reads every distinct row of the fan and every cone's row list once
     (`_run_cover`); it is charged the box points plus the prefixes of the
-    last coordinate, each counted as a run, times those row reads.  A
-    polytope and a fan in different dimensions are refused first, then a
-    fan row that is not a tuple of ints in that dimension
-    (`FullDimFan.run_rows`)."""
+    last coordinate, each counted as a run, times those row reads.  Each
+    guard is handed its message as a template and its fields, formatted
+    only when it refuses.  A polytope and a fan in different dimensions are
+    refused first, then a fan row that is not a tuple of ints in that
+    dimension (`FullDimFan.run_rows`)."""
     require_integer("t", t, 1)
     if fan is not None:
         if poly.d != fan.d:
@@ -263,16 +267,17 @@ def _scan_frame(poly: HPolytope, t: int, fan: FullDimFan | None = None):
     widths = [hi - lo + 1 for lo, hi in ranges]
     if fan is None:
         size = prod(widths[:max(scanned - 1, 0)])
-        check_budget(size, errors.WORK_BUDGET, f"prefixes of the last coordinate at t={t}")
+        check_budget(size, errors.WORK_BUDGET, "prefixes of the last coordinate at t={}", t)
     else:
         scanned = len(ranges)
         reads = len(fan_rows) + sum(map(len, cones))
         runs = prod(widths[:-1])
         points = runs * widths[-1]
         size = points + runs * reads
-        check_budget(size, errors.WORK_BUDGET, f"steps ({points} box points and {runs} runs of "
-                     f"{reads} fan row reads) at t={t}")
-    check_budget(scanned, errors.SCAN_DEPTH, f"coordinates scanned at t={t}")
+        check_budget(size, errors.WORK_BUDGET,
+                     "steps ({} box points and {} runs of {} fan row reads) at t={}",
+                     points, runs, reads, t)
+    check_budget(scanned, errors.SCAN_DEPTH, "coordinates scanned at t={}", t)
     return ranges, [(a, t * b - strict) for a, b, strict in rest], scanned
 
 
@@ -287,9 +292,9 @@ def _scan(ranges, rows, run=None) -> int:
     The scan fixes one coordinate at a time.  At coordinate j a row
     `a . x <= bound` with `a_j != 0` leaves
     `a_j x_j <= rest - slack_j`, where `rest = bound - a[:j] . prefix` and
-    `slack_j = sum_{k > j} min(a_k lo_k, a_k hi_k)` over the ranges is the
-    least the later coordinates can add; this holds at every point of the
-    dilate over the prefix, so no point is lost.  It lowers `hi` to
+    `slack_j = sum_{k > j} a_k lo_k` (`a_k hi_k` where `a_k < 0`) over the
+    ranges is the least the later coordinates can add; this holds at every
+    point of the dilate over the prefix, so no point is lost.  It lowers `hi` to
     `floor((rest - slack_j) / a_j)` when `a_j > 0` and raises `lo` to the
     ceiling when `a_j < 0`; an empty range drops the prefix.  A value of x_j
     in range keeps `rest >= slack_j` for the next coordinate, so a row needs
@@ -297,7 +302,12 @@ def _scan(ranges, rows, run=None) -> int:
     of a row its slack is 0, so at the last coordinate the bounds are exact
     and `(lo, hi)` is the whole run.  The loop over the second-to-last
     coordinate reads the run over each of its values inline, from the rows
-    that bound x_d from above and from below."""
+    that bound x_d from above and from below.
+
+    Only what depends on the ranges is built per call, in one pass each:
+    each row's slack at each of its coordinates, and the split of the rows
+    of x_d into those bounding it from above and from below.  The scan
+    itself is `_scan_level`."""
     last = len(ranges) - 1
     bounds = [[] for _ in ranges]  # coordinate j -> (row, a_j, slack_j) where a_j != 0
     for r, (a, _bound) in enumerate(rows):
@@ -307,66 +317,75 @@ def _scan(ranges, rows, run=None) -> int:
             if c:
                 bounds[j].append((r, c, slack))
                 lo, hi = ranges[j]
-                slack += min(c * lo, c * hi)
+                slack += c * (lo if c > 0 else hi)
     rest = [bound for _a, bound in rows]
     point = [0] * len(ranges)
     # Over x_{d-1} = x a row leaves `rest - a_{d-1} x` for `a_d x_d`, so the
     # loop over x_{d-1} reads each run from `upper`, the rows bounding x_d
     # from above as (row, a_d, a_{d-1}), and `lower`, those bounding it from
     # below as (row, -a_d, a_{d-1}); with one coordinate neither is read.
-    run_lo, run_hi = ranges[last]
-    upper = [(r, c, rows[r][0][last - 1]) for r, c, _slack in bounds[last] if c > 0]
-    lower = [(r, -c, rows[r][0][last - 1]) for r, c, _slack in bounds[last] if c < 0]
+    upper, lower = [], []
+    for r, c, _slack in bounds[last]:
+        if c > 0:
+            upper.append((r, c, rows[r][0][last - 1]))
+        else:
+            lower.append((r, -c, rows[r][0][last - 1]))
+    return _scan_level(0, ranges, bounds, rest, point, run, last, upper, lower)
 
-    def scan(j):
-        lo, hi = ranges[j]
-        touched = bounds[j]
-        for r, c, slack in touched:
-            room = rest[r] - slack
-            if c > 0:
-                room //= c
-                if room < hi:
-                    hi = room
-            else:
-                room = -(room // -c)
-                if room > lo:
-                    lo = room
-        if lo > hi:
-            return 0
-        if j == last:  # only when the scan has one coordinate
-            if run is not None:
-                run(point, lo, hi)
-            return hi - lo + 1
-        total = 0
-        if j + 1 == last:
-            for x in range(lo, hi + 1):
-                first, final = run_lo, run_hi
-                for r, c, a in upper:
-                    room = (rest[r] - a * x) // c
-                    if room < final:
-                        final = room
-                for r, c, a in lower:
-                    room = -((rest[r] - a * x) // c)
-                    if room > first:
-                        first = room
-                if first <= final:
-                    if run is not None:
-                        point[j] = x
-                        run(point, first, final)
-                    total += final - first + 1
-            return total
-        for r, c, _slack in touched:
-            rest[r] -= c * lo
+
+def _scan_level(j, ranges, bounds, rest, point, run, last, upper, lower) -> int:
+    """Number of points of the dilate over the fixed prefix `point[:j]`,
+    where `rest[r]` is what the prefix leaves of row r's bound; `_scan`
+    builds the other arguments.  A plain function, not a closure over
+    `_scan`'s lists, so that its recursion leaves no reference cycle to
+    outlive the scan."""
+    lo, hi = ranges[j]
+    touched = bounds[j]
+    for r, c, slack in touched:
+        room = rest[r] - slack
+        if c > 0:
+            room //= c
+            if room < hi:
+                hi = room
+        else:
+            room = -(room // -c)
+            if room > lo:
+                lo = room
+    if lo > hi:
+        return 0
+    if j == last:  # only when the scan has one coordinate
+        if run is not None:
+            run(point, lo, hi)
+        return hi - lo + 1
+    total = 0
+    if j + 1 == last:
+        run_lo, run_hi = ranges[last]
         for x in range(lo, hi + 1):
-            point[j] = x
-            total += scan(j + 1)
-            for r, c, _slack in touched:
-                rest[r] -= c
-        for r, c, _slack in touched:
-            rest[r] += c * (hi + 1)
+            first, final = run_lo, run_hi
+            for r, c, a in upper:
+                room = (rest[r] - a * x) // c
+                if room < final:
+                    final = room
+            for r, c, a in lower:
+                room = -((rest[r] - a * x) // c)
+                if room > first:
+                    first = room
+            if first <= final:
+                if run is not None:
+                    point[j] = x
+                    run(point, first, final)
+                total += final - first + 1
         return total
-
-    return scan(0)
+    for r, c, _slack in touched:
+        rest[r] -= c * lo
+    for x in range(lo, hi + 1):
+        point[j] = x
+        total += _scan_level(j + 1, ranges, bounds, rest, point, run, last, upper, lower)
+        for r, c, _slack in touched:
+            rest[r] -= c
+    for r, c, _slack in touched:
+        rest[r] += c * (hi + 1)
+    return total
 
 
 def count_lattice(poly: HPolytope, t: int) -> int:
@@ -380,6 +399,8 @@ def count_lattice(poly: HPolytope, t: int) -> int:
     ranges, rows, stop = _scan_frame(poly, t)
     if ranges is None:
         return 0
+    if stop == len(ranges):
+        return _scan(ranges, rows)
     free = prod(hi - lo + 1 for lo, hi in ranges[stop:])
     if not stop:
         return free

@@ -56,11 +56,13 @@ class InputFormatError(GpcountError):
     """A JSON input document is malformed."""
 
 
-def check_budget(size: int, budget: int, what: str) -> None:
+def check_budget(size: int, budget: int, what: str, *fields) -> None:
     """Refuse `size` units of work, described by `what`, when they exceed
-    `budget`; every enumeration's guard raises here, in one form."""
+    `budget`; every enumeration's guard raises here, in one form.  `what` is
+    a `str.format` template for `fields`, filled only on refusal, so a guard
+    under its budget formats nothing."""
     if size > budget:
-        raise BudgetExceededError(f"{size} {what} exceed the budget of {budget}")
+        raise BudgetExceededError(f"{size} {what.format(*fields)} exceed the budget of {budget}")
 
 
 def require_integer(name: str, value, low: int | None = None,

@@ -92,8 +92,9 @@ class Hypergraph(Frozen):
         the complement of U, so one pass over the subsets builds both."""
         edges = tuple(sorted({mask for mask in self.masks if mask & (mask - 1)}))
         size = 3 ** self.d * max(1, len(edges))
-        check_budget(size, errors.WORK_BUDGET, f"tie tests (3^{self.d} subset pairs times "
-                     f"{len(edges)} distinct edges, at least 1)")
+        check_budget(size, errors.WORK_BUDGET,
+                     "tie tests (3^{} subset pairs times {} distinct edges, at least 1)",
+                     self.d, len(edges))
         through = [sum(1 << k for k, e in enumerate(edges) if e >> v & 1)
                    for v in range(self.d)]
         full = (1 << self.d) - 1

@@ -202,7 +202,7 @@ class GPerm:
         affine rank of all vertices, or the map raises RuntimeError."""
         d, n = self.d, len(self.vertices)
         check_budget(3 ** d * n, errors.WORK_BUDGET,
-                     f"face-map steps (3^{d} subset pairs times {n} vertices)")
+                     "face-map steps (3^{} subset pairs times {} vertices)", d, n)
         full = (1 << d) - 1
         tight = self.tight
         # prefix set -> {(face mask so far, #blocks): compositions of the prefix},

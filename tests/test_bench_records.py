@@ -3,9 +3,12 @@ by hand from paired runs of `perfbench/run.py`, so this keeps them
 consistent with the benchmark they report: each parses, names its change,
 parent commit, command and set-up, and each of its runs names a workload of
 `BENCHMARK.json` and a side, `parent` or `change`, with a correct result
-that carries every end-to-end metric of `BENCHMARK.json`."""
+that carries every end-to-end metric of `BENCHMARK.json`.  Runs come in
+pairs: each (workload, seed, pair) holds exactly one `parent` run and one
+`change` run, so a median or a count of pairs won reads matched runs."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,7 @@ RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 
 
 def test_records_exist():
-    assert {"BENCH_51.json", "BENCH_52.json"} <= {path.name for path in RECORDS}
+    assert {"BENCH_51.json", "BENCH_52.json", "BENCH_53.json"} <= {path.name for path in RECORDS}
 
 
 @pytest.mark.parametrize("path", RECORDS, ids=lambda path: path.name)
@@ -32,3 +35,11 @@ def test_record_names_its_runs_and_their_metrics(path):
         assert run["side"] in ("parent", "change")
         assert run["result"]["correct"] is True
         assert metrics <= set(run["result"]["metrics"])
+
+
+@pytest.mark.parametrize("path", RECORDS, ids=lambda path: path.name)
+def test_record_runs_come_in_pairs(path):
+    runs = json.loads(path.read_text())["runs"]
+    sides = Counter((run["workload"], run["seed"], run["pair"], run["side"]) for run in runs)
+    assert set(sides.values()) == {1}
+    assert sides.keys() == {(*key[:3], side) for key in sides for side in ("parent", "change")}

@@ -1,6 +1,7 @@
 """Every work budget refuses through `errors.check_budget`, in one form:
 `<size> <what> exceed the budget of <budget>`, raised as
-`BudgetExceededError` before the work starts.  Each guard is pinned at its
+`BudgetExceededError` before the work starts, its message a template
+formatted only then.  Each guard is pinned at its
 boundary: refused with the budget one below the size it charges, run with
 the budget equal to it.  Every budget is a module constant read at call
 time, so monkeypatching it takes effect, through the CLI too.  Only three
@@ -191,10 +192,9 @@ def test_kept_results_are_keyed_on_every_limit(monkeypatch, limit):
     assert chi() == (1, 2)
 
 
-def _budget_reads(tree):
-    """(module or None, name) of the budget argument of each `check_budget`
-    call in `tree`, called by name, by an imported alias or through a
-    module, with the budget given by position or by keyword."""
+def _guard_calls(tree):
+    """Each `check_budget` call in `tree`, called by name, by an imported
+    alias or through a module."""
     names = {"check_budget"} | {alias.asname for node in ast.walk(tree)
                                 if isinstance(node, ast.ImportFrom)
                                 for alias in node.names
@@ -203,11 +203,22 @@ def _budget_reads(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        if not (isinstance(func, ast.Name) and func.id in names
+        if (isinstance(func, ast.Name) and func.id in names
                 or isinstance(func, ast.Attribute) and func.attr == "check_budget"):
-            continue
-        budget = node.args[1] if len(node.args) > 1 else next(
-            (k.value for k in node.keywords if k.arg == "budget"), None)
+            yield node
+
+
+def _argument(call, position, keyword):
+    """The node of a call's argument, given by position or by keyword."""
+    return call.args[position] if len(call.args) > position else next(
+        (k.value for k in call.keywords if k.arg == keyword), None)
+
+
+def _budget_reads(tree):
+    """(module or None, name) of the budget argument of each `check_budget`
+    call in `tree`, with the budget given by position or by keyword."""
+    for node in _guard_calls(tree):
+        budget = _argument(node, 1, "budget")
         if isinstance(budget, ast.Attribute) and isinstance(budget.value, ast.Name):
             yield budget.value.id, budget.attr
         elif isinstance(budget, ast.Name):
@@ -231,6 +242,36 @@ def test_every_guard_reads_one_of_three_budgets():
              for read in _budget_reads(ast.parse(path.read_text(), str(path)))]
     assert len(reads) >= len(GUARDS)
     assert [r for r in reads if r[1] not in BUDGETS] == []
+
+
+class Unprintable:
+    """A field that raises when it is formatted."""
+
+    def __format__(self, spec):
+        raise AssertionError("formatted")
+
+
+def test_a_guard_formats_its_message_only_on_refusal():
+    # a guard under its budget is handed its message as a template and its
+    # fields, and builds nothing from them; a refusal fills the template
+    errors.check_budget(5, 5, "steps ({} of {}) at t={}", Unprintable(), 2, Unprintable())
+    with pytest.raises(AssertionError, match="formatted"):
+        errors.check_budget(6, 5, "steps ({} of {}) at t={}", 1, 2, Unprintable())
+    with pytest.raises(BudgetExceededError) as refused:
+        errors.check_budget(6, 5, "steps ({} of {}) at t={}", 1, 2, 3)
+    assert str(refused.value) == "6 steps (1 of 2) at t=3 exceed the budget of 5"
+
+
+def test_every_guard_passes_its_message_as_a_template():
+    # the `what` of each `check_budget` call in the package is a plain
+    # string, never an f-string or a call, so nothing is formatted before
+    # the guard decides
+    package = Path(gpcount.__file__).resolve().parent
+    whats = [(path.name, _argument(node, 2, "what")) for path in sorted(package.glob("*.py"))
+             for node in _guard_calls(ast.parse(path.read_text(), str(path)))]
+    assert len(whats) >= len(GUARDS)
+    assert [(name, ast.unparse(what)) for name, what in whats
+            if not (isinstance(what, ast.Constant) and type(what.value) is str)] == []
 
 
 def _module_caches(tree):
