@@ -24,8 +24,10 @@ family, not exit 2.  Reports are deterministic for fixed inputs up to the
 writer, byte for byte as the stdlib's `json.dumps` writes it with an indent
 of 2: with an indent set, the stdlib runs its pure-Python encoder.  The
 faces of a `faces` report are `Face` values, which `dumps` writes as
-{"dim", "vertices"} dicts; a list of only `Face`s is written with one
-string template per face, not one recursive call per value.
+{"dim", "vertices"} dicts, and the checks of a report are its `CheckEntry`
+values, which `dumps` writes as {"label", "lhs", "rhs", "pass"} dicts; a
+list of only `Face`s or of only `CheckEntry`s is written with one string
+template per item, not one recursive call per value.
 
 The four commands that build a `GPerm` from their input (`chi`, `faces`,
 `pruned --setfn` and `hg-reciprocity`) get it from `_polytope`, which keeps
@@ -97,23 +99,27 @@ from .hypergraph import (
 )
 from .permutahedron import Face, GPerm, faces_report
 from .polynomial import Polynomial, QuasiPolynomial
-from .report import Report, reflected
+from .report import CheckEntry, Report, reflected
 from .setfn import SetFn, setfn_from_json, setfn_from_vertices
 
 
 def dumps(value, pad: str = "\n") -> str:
     """The stdlib's `json.dumps` with an indent of 2, for dicts with str
     keys, lists, str, int, finite float (`timing` is the only float), bool
-    and None, and for a `Face` (exact type, its fields ints, as `GPerm`
+    and None, for a `Face` (exact type, its fields ints, as `GPerm`
     builds it), written as its dict {"dim": dim, "vertices": [ids]}, ids
-    increasing; anything else, tuples and other named tuples included,
-    raises TypeError.  A `Face` with a mask below 1 raises ValueError: no
-    polytope has a face without vertices.  `pad` is the newline and indent
-    of the line value starts on; callers leave it at its default.  A list
-    of only ints (bools excluded) or only strings is written with one join,
-    and a list of only `Face`s, as the faces of a `faces` report are, with
-    one template per face (`_face_items`); any other list is written item
-    by item."""
+    increasing, and for a `CheckEntry` (exact type, its label a str, as
+    `Report` builds it), written as its dict {"label": label, "lhs":
+    str(lhs), "rhs": str(rhs), "pass": passed}, a bool side as "true" or
+    "false"; anything else, tuples and other named tuples included, raises
+    TypeError.  A `Face` with a mask below 1 raises ValueError: no polytope
+    has a face without vertices.  `pad` is the newline and indent of the
+    line value starts on; callers leave it at its default.  A list of only
+    ints (bools excluded) or only strings is written with one join, a list
+    of only `Face`s, as the faces of a `faces` report are, with one
+    template per face (`_face_items`), and a list of only `CheckEntry`s, as
+    a report's checks are, with one template per check (`_check_items`);
+    any other list is written item by item."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -138,6 +144,8 @@ def dumps(value, pad: str = "\n") -> str:
             items = map(encode_basestring_ascii, value)
         elif kinds == {Face}:
             items = _face_items(value, inner)
+        elif kinds == {CheckEntry}:
+            items = _check_items(value, inner)
         else:
             items = [dumps(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
@@ -151,6 +159,8 @@ def dumps(value, pad: str = "\n") -> str:
         return float.__repr__(value)
     if kind is Face:
         return _face_items([value], pad)[0]
+    if kind is CheckEntry:
+        return _check_items([value], pad)[0]
     raise TypeError(f"{kind.__name__} is not JSON serializable")
 
 
@@ -176,6 +186,32 @@ def _face_items(faces: list[Face], pad: str) -> list[str]:
             mask ^= low
         items.append(head + "".join(row)[1:] + tail)
     return items
+
+
+def _check_items(checks: list[CheckEntry], pad: str) -> list[str]:
+    """Checks written at pad as `dumps` writes their dicts, each from the
+    same four key strings around its label, its two sides and its verdict."""
+    key_pad = pad + "  "
+    head = "{" + key_pad + '"label": '
+    lhs = "," + key_pad + '"lhs": '
+    rhs = "," + key_pad + '"rhs": '
+    verdict = "," + key_pad + '"pass": '
+    tail = pad + "}"
+    return [head + encode_basestring_ascii(check.label)
+            + lhs + encode_basestring_ascii(_side(check.lhs))
+            + rhs + encode_basestring_ascii(_side(check.rhs))
+            + verdict + ("true" if check.passed else "false") + tail
+            for check in checks]
+
+
+def _side(value) -> str:
+    """One side of a check as its report writes it: a bool as "true" or
+    "false", anything else as its str."""
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return str(value)
 
 
 def _load_json(path: str):
@@ -430,11 +466,8 @@ def cmd_verify_all(args) -> tuple[dict, Report | None]:
 _SETFN = Flag("--setfn", str, "set-function JSON file", required=True)
 _HG = Flag("--hg", str, "hypergraph JSON file", required=True)
 _POLY = Flag("--poly", str, "H-polytope JSON file", required=True)
-_DILATION = (
-    Flag("--degree", _integer, "declared degree (default: ambient dimension)"),
-    Flag("--period", _positive, "declared period", 1),
-    Flag("--t-max", _positive, "check the dilations t = 1..T_MAX", 4),
-)
+_DEGREE = Flag("--degree", _integer, "declared degree (default: ambient dimension)")
+_T_MAX = Flag("--t-max", _positive, "check the dilations t = 1..T_MAX", 4)
 
 # The command table: the only place that knows a command's flags and handler.
 COMMANDS = {
@@ -456,13 +489,20 @@ COMMANDS = {
         Flag("--m-max", _positive, "check m = 1..M_MAX colors", 3),
     )),
     "ehrhart": Command(cmd_ehrhart, "dilation-count quasipolynomial and its interior "
-                                    "reciprocity", (_POLY, *_DILATION)),
+                                    "reciprocity", (
+        _POLY, _DEGREE, Flag("--period", _positive, "declared period", 1), _T_MAX)),
     "pruned": Command(cmd_pruned, "pruned counts against a complete fan and their "
                                   "reciprocity", (
         _POLY,
         Flag("--fan", str, "fan JSON file"),
         Flag("--setfn", str, "use the normal fan of this set function's polytope"),
-        *_DILATION,
+        _DEGREE,
+        # the cones cut P into pieces with vertices of their own, so the
+        # pruned counts have the pieces' period, often not P's
+        Flag("--period", _positive, "declared period of the pieces that the fan's cones "
+                                    "cut out of the polytope, not of the polytope "
+                                    "(Beck-Zaslavsky)", 1),
+        _T_MAX,
     ), exactly_one=("--fan", "--setfn")),
     "verify-all": Command(cmd_verify_all, "seeded random self-verification suite", (
         Flag("--seed", _integer, "random seed", 1),

@@ -71,7 +71,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, gcd, prod
+from math import gcd, prod
 from typing import NamedTuple, Sequence
 
 from . import errors
@@ -125,19 +125,33 @@ class HPolytope(Frozen):
         rows = primitive_rows(d, rows)
         if bbox is None:
             raise ValueError("a polytope needs a bounding box")
+        pairs = tuple((lo, hi) for lo, hi in bbox)
         try:
-            box_ = tuple((int(lo), int(hi)) for lo, hi in bbox)
-        except OverflowError:  # an infinite float
+            box_ = tuple((int(lo), int(hi)) for lo, hi in pairs)
+        except (OverflowError, ValueError):  # an infinite or NaN float, a str of no integer
             raise ValueError("bbox bounds must be integers") from None
         if len(box_) != d:
             raise ValueError("bbox length mismatch")
-        if any(isinstance(v, bool) or int(v) != v for pair in bbox for v in pair):
+        if any(isinstance(v, bool) or int(v) != v for pair in pairs for v in pair):
             raise ValueError("bbox bounds must be integers")
         if any(lo > hi for lo, hi in box_):
             raise ValueError("bbox bounds out of order")
+        self._store(d, rows, box_)
+
+    @classmethod
+    def _from_rows(cls, d: int, rows: tuple[Row, ...],
+                   bbox: tuple[tuple[int, int], ...]) -> "HPolytope":
+        """The polytope of rows that are already `primitive_rows` in d >= 1
+        coordinates and a bbox of d int pairs `lo <= hi`, as the package's
+        own constructors build them; nothing is checked again."""
+        poly = cls.__new__(cls)
+        poly._store(d, rows, bbox)
+        return poly
+
+    def _store(self, d: int, rows: tuple[Row, ...], bbox: tuple[tuple[int, int], ...]) -> None:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "bbox", box_)
+        object.__setattr__(self, "bbox", bbox)
 
     @cached_property
     def frame(self) -> tuple[tuple, tuple, tuple, int]:
@@ -185,39 +199,57 @@ class HPolytope(Frozen):
             if rel == "<=" and any(a):
                 rel = "=" if (tuple(-c for c in a), -b) in closed else "<"
             rows.append((a, rel, b))
-        return HPolytope(self.d, tuple(rows), self.bbox)
-
-
-def _unit_row(d: int, i: int, c: int) -> tuple[int, ...]:
-    return tuple(c if j == i else 0 for j in range(d))
+        return HPolytope._from_rows(self.d, tuple(rows), self.bbox)
 
 
 def unit_cube(d: int) -> HPolytope:
-    return box([(0, 1)] * d)
+    """`box([(0, 1)] * d)`: per coordinate the rows `-x_i <= 0` and
+    `x_i <= 1`, and the bbox (0, 1)."""
+    zeros = (0,) * d  # sized, and refused, as `[(0, 1)] * d` is
+    d = len(zeros)
+    require_integer("d", d, 1)
+    rows = []
+    for i in range(d):
+        before, after = zeros[:i], zeros[i + 1:]
+        rows.append((before + (-1,) + after, "<=", 0))
+        rows.append((before + (1,) + after, "<=", 1))
+    return HPolytope._from_rows(d, tuple(rows), ((0, 1),) * d)
 
 
 def box(bounds: Sequence[tuple[Fraction, Fraction]]) -> HPolytope:
+    """lo_i <= x_i <= hi_i, each bound an `exact` rational: per coordinate
+    the primitive rows `-q x_i <= -p` for lo = p/q and `q x_i <= p` for
+    hi = p/q, and the bbox (floor lo, ceil hi)."""
     d = len(bounds)
+    require_integer("d", d, 1)
+    zeros = (0,) * d
     rows = []
     bbox = []
     for i, (lo, hi) in enumerate(bounds):
         lo, hi = exact(lo), exact(hi)
         if lo > hi:
             raise ValueError("box bounds out of order")
-        rows.append((_unit_row(d, i, -lo.denominator), "<=", -lo.numerator))
-        rows.append((_unit_row(d, i, hi.denominator), "<=", hi.numerator))
-        bbox.append((floor(lo), ceil(hi)))
-    return HPolytope(d, tuple(rows), tuple(bbox))
+        before, after = zeros[:i], zeros[i + 1:]
+        rows.append((before + (-lo.denominator,) + after, "<=", -lo.numerator))
+        rows.append((before + (hi.denominator,) + after, "<=", hi.numerator))
+        bbox.append((lo.numerator // lo.denominator, -(-hi.numerator // hi.denominator)))
+    return HPolytope._from_rows(d, tuple(rows), tuple(bbox))
 
 
 def standard_simplex(d: int, scale: Fraction = Fraction(1)) -> HPolytope:
-    """x_i >= 0 and sum x_i <= scale."""
+    """x_i >= 0 and sum x_i <= scale: the primitive rows `-x_i <= 0` and
+    `q (x_1 + ... + x_d) <= p` for scale = p/q, and the bbox (0, ceil
+    scale) in every coordinate."""
     scale = exact(scale)
     if scale <= 0:
         raise ValueError("scale must be positive")
-    rows = [(_unit_row(d, i, -1), "<=", 0) for i in range(d)]
+    coordinates = range(d)  # TypeError for a d that is no int; then True and d < 1 are refused
+    require_integer("d", d, 1)
+    zeros = (0,) * d
+    rows = [(zeros[:i] + (-1,) + zeros[i + 1:], "<=", 0) for i in coordinates]
     rows.append(((scale.denominator,) * d, "<=", scale.numerator))
-    return HPolytope(d, tuple(rows), tuple((0, ceil(scale)) for _ in range(d)))
+    top = -(-scale.numerator // scale.denominator)
+    return HPolytope._from_rows(d, tuple(rows), ((0, top),) * d)
 
 
 def _scan_frame(poly: HPolytope, t: int, fan: FullDimFan | None = None):

@@ -29,7 +29,9 @@ The ties are read off two tables over the distinct edges with two nodes or
 more, built once per Hypergraph and shared by both DPs: bad[S], the bitmask
 of the edges S meets in two nodes or more, and inside[U], that of the edges
 inside U.  A pair's ties are bad[S] & inside[U]; only the compatible DP turns
-nonzero ties into a tie family, whose heading count it caches.
+nonzero ties into a tie family, whose heading count it caches.  A family of
+one edge is not enumerated: each of the edge's nodes in S can head it, and
+one edge closes no cycle, so it weighs the number of those nodes.
 
 Every guard here charges `errors.WORK_BUDGET`: the tables charge the 3^d
 pairs (U, S) times the distinct edges, which covers their 2^d entries as
@@ -119,6 +121,8 @@ class Hypergraph(Frozen):
         heads = cache(lambda family: sum(1 for _ in _acyclic_heads(tuple(family))))
 
         def weight(ties: int, block: int) -> int:
+            if not ties & (ties - 1):  # one edge: any of its nodes in the block heads it
+                return (edges[ties.bit_length() - 1] & block).bit_count()
             return heads(frozenset(edges[k] & block for k in range(ties.bit_length())
                                    if ties >> k & 1))
         return _ordered_partitions(self, weight)

@@ -161,6 +161,22 @@ def test_top_level_usage(capsys):
         _assert_usage_error(capsys, argv)
 
 
+def test_pruned_help_gives_the_period_of_the_pieces(capsys):
+    # the fan's cones cut the polytope into pieces whose vertices can be
+    # finer than its own, so `pruned --period` is not the polytope's period
+    periods = {}
+    for command in ("pruned", "ehrhart"):
+        assert run([command, "-h"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        periods[command] = [line.split(None, 2)[2] for line in out.splitlines()
+                            if line.startswith("  --period PERIOD")]
+    assert periods == {
+        "pruned": ["declared period of the pieces that the fan's cones cut out of the "
+                   "polytope, not of the polytope (Beck-Zaslavsky) (default 1)"],
+        "ehrhart": ["declared period (default 1)"]}
+
+
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_command_usage(command, capsys):
     spec = cli.COMMANDS[command]

@@ -107,8 +107,9 @@ def test_hpolytope_validation():
 def test_bbox_bounds_must_be_integers():
     # truncating 3/2 to 1 would lose x = 3 at t = 2 and count [2, 3, 4, 5]
     rows = (((1,), "<=", Fraction(3, 2)), ((-1,), "<=", 0))
-    # a bool is an int to int(), so True would pass for 1
-    for bad in (Fraction(3, 2), 2.7, float("inf"), True, False):
+    # a bool is an int to int(), so True would pass for 1; int() refuses an
+    # infinite float with OverflowError and NaN with its own ValueError
+    for bad in (Fraction(3, 2), 2.7, float("inf"), float("-inf"), float("nan"), True, False):
         with pytest.raises(ValueError, match="bbox bounds must be integers"):
             HPolytope(1, rows, ((0, bad),))
     segment = HPolytope(1, rows, ((0, 2),))

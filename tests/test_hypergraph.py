@@ -124,15 +124,24 @@ def test_acyclicity_matches_direct_definition():
         assert acyclic_headings(h) == brute_acyclic_headings(h)
 
 
+def edge_sets(d, most):
+    """Every set of up to `most` distinct edges of two nodes or more on d
+    nodes, the empty set first."""
+    pool = [frozenset(s) for r in range(2, d + 1)
+            for s in itertools.combinations(range(1, d + 1), r)]
+    return [list(combo) for count in range(most + 1)
+            for combo in itertools.combinations(pool, count)]
+
+
+# bounded-exhaustive: every set of 1 to 4 distinct edges of two nodes or
+# more on 4 nodes
+FOUR_NODE_CENSUS = [Hypergraph(4, edges) for edges in edge_sets(4, 4) if edges]
+
+
 def test_acyclic_headings_census():
-    # bounded-exhaustive: every set of 1 to 4 distinct edges of two nodes or
-    # more on 4 nodes, 561 hypergraphs, the whole ordered list each
-    pool = [frozenset(s) for r in range(2, 5)
-            for s in itertools.combinations(range(1, 5), r)]
-    cases = [Hypergraph(4, combo) for count in range(1, 5)
-             for combo in itertools.combinations(pool, count)]
-    assert len(cases) == 561
-    for h in cases:
+    # the whole ordered list of each
+    assert len(FOUR_NODE_CENSUS) == 561
+    for h in FOUR_NODE_CENSUS:
         assert acyclic_headings(h) == brute_acyclic_headings(h), h
 
 
@@ -363,6 +372,26 @@ def test_compatible_pairs_match_scan():
     for h in cases:
         for m in (1, 2, 3):
             assert compatible_pairs_count(h, m) == brute_compatible_pairs(h, m)
+
+
+def test_compatible_pairs_census_on_three_nodes():
+    # every set of distinct edges of two nodes or more on 3 nodes, and each
+    # with one of its edges doubled: tie families of one edge, of one edge
+    # twice, and of several; m = 1..d+1 pins every coefficient of the count
+    sets = edge_sets(3, 4)
+    cases = ([Hypergraph(3, edges) for edges in sets]
+             + [Hypergraph(3, edges + [edge]) for edges in sets for edge in edges])
+    assert len(cases) == 16 + 32
+    for h in cases:
+        for m in range(1, h.d + 2):
+            assert compatible_pairs_count(h, m) == brute_compatible_pairs(h, m), (h, m)
+
+
+def test_compatible_pairs_census():
+    # m = 2, the first m with more than one block, on the 561 hypergraphs
+    # of the heading census
+    for h in FOUR_NODE_CENSUS:
+        assert compatible_pairs_count(h, 2) == brute_compatible_pairs(h, 2), h
 
 
 def test_compatible_pairs_budgets(monkeypatch):

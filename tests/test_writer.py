@@ -1,12 +1,13 @@
 """`cli.dumps`, the writer of every report, gives the bytes of
 `json.dumps(value, indent=2)` on the values it accepts and refuses the rest.
-A `Face` is written as its dict {"dim", "vertices"}, alone, in a dict or
-among other items; a list of only `Face`s gets the same bytes from one
-template per face, and any other list, a report's `checks` or a list of
-dicts of a face's shape among them, is written item by item.  Tuples,
-other named tuples and subclasses of `Face` raise TypeError, and a `Face`
-with no vertex, never built by `GPerm`, raises ValueError.  `faces` takes
-the template and `chi` does not."""
+A `Face` is written as its dict {"dim", "vertices"} and a `CheckEntry` as
+its dict {"label", "lhs", "rhs", "pass"}, alone, in a dict or among other
+items; a list of only `Face`s or of only `CheckEntry`s gets the same bytes
+from one template per item, and any other list, dicts of a face's or a
+check's shape among them, is written item by item.  Tuples, other named
+tuples and subclasses of `Face` or `CheckEntry` raise TypeError, and a
+`Face` with no vertex, never built by `GPerm`, raises ValueError.  `faces`
+takes the face template and `chi` the check template."""
 
 import json
 from fractions import Fraction
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from gpcount import cli
 from gpcount.cli import dumps
 from gpcount.permutahedron import Face
+from gpcount.report import CheckEntry
 
 PI_3 = Path(__file__).resolve().parent / "golden" / "pi_3.json"
 
@@ -146,19 +148,100 @@ def test_face_rows_without_rows_are_a_plain_list(rows):
     assert dumps(rows) == json.dumps(rows, indent=2)
 
 
-def test_faces_takes_the_template_and_chi_does_not(monkeypatch, capsys):
-    # `faces` writes its faces with one template each; `chi`'s only list of
-    # dicts, its checks, never reaches the template
+# Checks of a report: a label with any escape, int, `Fraction`, bool or str
+# sides, passing and failing.
+SIDES = st.integers() | st.fractions() | st.booleans() | TEXT
+CHECKS = st.lists(st.builds(lambda label, lhs, rhs, same: CheckEntry(label, lhs,
+                                                                    lhs if same else rhs),
+                            TEXT, SIDES, SIDES, st.booleans()), min_size=1, max_size=8)
+
+
+def side(value):
+    return ("true" if value else "false") if isinstance(value, bool) else str(value)
+
+
+def check_row(check):
+    return {"label": check.label, "lhs": side(check.lhs), "rhs": side(check.rhs),
+            "pass": check.lhs == check.rhs}
+
+
+def check_nestings(checks):
+    """The checks written at top level, in a report, nested in a list, one
+    alone and among other items, each with the same value in dicts."""
+    rows = list(map(check_row, checks))
+    summary = {"checks": len(checks), "failures": sum(not row["pass"] for row in rows)}
+    return [(checks, rows),
+            ({"command": "verify-all", "checks": checks, "summary": summary, "timing": 0.5},
+             {"command": "verify-all", "checks": rows, "summary": summary, "timing": 0.5}),
+            ([[{"checks": checks}], 1], [[{"checks": rows}], 1]),
+            (checks[0], rows[0]),
+            ([1, checks[-1], "a", checks, None], [1, rows[-1], "a", rows, None])]
+
+
+@given(CHECKS)
+def test_check_rows_template_gives_json_dumps_bytes(checks):
+    for value, dicts in check_nestings(checks):
+        assert dumps(value) == json.dumps(dicts, indent=2)
+
+
+class Triple(NamedTuple):
+    label: str
+    lhs: object
+    rhs: object
+
+
+class SubCheck(CheckEntry):
+    pass
+
+
+# One item that does not fit the check template, put among checks that do:
+# a dict of a check's shape and a `Face` are written as such, a tuple,
+# another named tuple or a `CheckEntry` subclass raises TypeError.
+CHECK_MISFITS = [
+    {"label": "t=1", "lhs": "1", "rhs": "1", "pass": True},
+    Face(3, 1),
+    "t=1",
+    ("t=1", 1, 1),
+    Triple("t=1", 1, 1),
+    SubCheck("t=1", 1, 1),
+    Fraction(1),
+]
+
+
+@given(CHECKS, st.sampled_from(CHECK_MISFITS), st.integers(0, 8))
+def test_a_check_off_the_template_gets_plain_list_bytes_or_type_error(checks, misfit, at):
+    # the list is written item by item: the bytes of `json.dumps`, or the
+    # TypeError that the misfit alone raises
+    if type(misfit) in (tuple, Triple, SubCheck):
+        with pytest.raises(TypeError):
+            dumps(misfit)
+    checks = checks[:at] + [misfit] + checks[at:]
+    rows = [check_row(c) if type(c) is CheckEntry else row(c) if type(c) is Face else c
+            for c in checks]
+    wrapped = [(checks, rows), ({"checks": checks}, {"checks": rows}), ([checks], [rows])]
+    try:
+        dumps(misfit)
+    except TypeError:
+        for value, _ in wrapped:
+            with pytest.raises(TypeError):
+                dumps(value)
+    else:
+        for value, dicts in wrapped:
+            assert dumps(value) == json.dumps(dicts, indent=2)
+
+
+def test_faces_and_chi_take_their_templates(monkeypatch, capsys):
+    # `faces` writes its faces with one template each and has no checks;
+    # `chi` writes its checks with one template each and has no faces
     calls = []
-    real = cli._face_items
-
-    def face_items(faces, pad):
-        calls.append(faces)
-        return real(faces, pad)
-
-    monkeypatch.setattr(cli, "_face_items", face_items)
-    for command, templated in (("faces", [[Face] * 13]), ("chi", [])):
+    for name in ("_face_items", "_check_items"):
+        def items(values, pad, real=getattr(cli, name), name=name):
+            calls.append((name, list(map(type, values))))
+            return real(values, pad)
+        monkeypatch.setattr(cli, name, items)
+    for command, templated in (("faces", [("_face_items", [Face] * 13)]),
+                               ("chi", [("_check_items", [CheckEntry] * 6)])):
         calls.clear()
         assert cli.run([command, "--setfn", str(PI_3)]) == 0
         assert capsys.readouterr().err == ""
-        assert [list(map(type, faces)) for faces in calls] == templated
+        assert calls == templated
