@@ -10,18 +10,19 @@ document of four cones, both written with fractional, non-primitive rows,
 and of `verify-all --seed 3 --trials 2`, compared byte for byte with
 the committed fixtures there apart from the `timing` value.  Each report
 must also equal `json.dumps(json.loads(report), indent=2)`, which pins the
-CLI's own JSON writer to the stdlib format.  Two larger `faces` reports, on
-pi_5 and on a seeded set function with d = 6, are pinned by the sha256 of
-their bytes without the `timing` line, too large to commit as fixtures, and
-so are the `verify-all` reports of seeds 1 to 15 at two trials and of seeds
-1, 7 and 20 at five, with their timing value set to 0.
+CLI's own JSON writer to the stdlib format.  Five larger `faces` reports,
+on pi_5, pi_6, two seeded set functions with d = 6 and a rational one with
+negative coordinates, are pinned by the sha256 of their bytes without the
+`timing` line, too large to commit as fixtures, and so are the `verify-all`
+reports of seeds 1 to 15 at two trials and of seeds 1, 7 and 20 at five,
+with their timing value set to 0.
 
 A refactor must leave these reports unchanged.  To record an intended
 report change, regenerate the fixtures with
 
     PYTHONPATH=src python tests/test_golden.py
 
-which also rewrites the `verify-all` digests in this file, and say in
+which also rewrites the `faces` and `verify-all` digests in this file, and say in
 CHANGES.md which reports changed and why.
 """
 
@@ -31,6 +32,8 @@ import io
 import json
 import random
 import re
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -38,8 +41,9 @@ import pytest
 from gpcount import cli
 from gpcount.cli import run
 from gpcount.generators import random_hypergraphic_setfn
+from gpcount.hypergraph import Hypergraph, hypergraphic_setfn
 from gpcount.permutahedron import GPerm
-from gpcount.setfn import standard_perm_setfn
+from gpcount.setfn import SetFn, standard_perm_setfn
 from oracles import setfn_to_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -96,13 +100,50 @@ def test_report_matches_golden(case):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-# The sha256 of each `faces` report, its `timing` line taken out; seed 383
-# draws d = 6 with 38 vertices and 303 faces.
+def _template_6():
+    """The edge template of the benchmark's `gperm` workload with d = 6,
+    relabelled and weighted from 1 to 3 by seed 37, as one of its `faces`
+    documents is: 65 vertices and 563 faces."""
+    rng = random.Random(37)
+    perm = list(range(1, 7))
+    rng.shuffle(perm)
+    edges = []
+    for edge in [(4, 5), (2, 3, 5), (1, 2, 4), (1, 3, 4, 6), (2, 6)]:
+        edges += [frozenset(perm[i - 1] for i in edge)] * rng.randint(1, 3)
+    return hypergraphic_setfn(Hypergraph(6, tuple(edges)))
+
+
+def _rational_5():
+    """A 5-node hypergraphic set function plus 2/3 of the standard one, minus
+    a modular function with fractional weights: L = 12, and coordinates of
+    both signs."""
+    h = hypergraphic_setfn(Hypergraph(5, tuple(map(frozenset, [
+        (1, 2), (2, 3, 4), (1, 4, 5), (3, 5), (2, 5)]))))
+    shift = (Fraction(7, 4), 3, Fraction(1, 2), 0, Fraction(5, 6))
+    return SetFn(5, tuple(
+        a + Fraction(2, 3) * b - sum(c for i, c in enumerate(shift) if s >> i & 1)
+        for s, (a, b) in enumerate(zip(h.values, standard_perm_setfn(5).values))))
+
+
+# The set function of each large `faces` report; seed 383 draws d = 6 with 38
+# vertices and 303 faces.
+LARGE_FACES_SETFNS = {
+    "pi_5": lambda: standard_perm_setfn(5),
+    "pi_6": lambda: standard_perm_setfn(6),
+    "seeded_6": lambda: random_hypergraphic_setfn(random.Random(383), max_d=6),
+    "template_6": _template_6,
+    "rational_5": _rational_5,
+}
+
+
+# The sha256 of each `faces` report, its `timing` line taken out.  Regenerated
+# by this file's `__main__`.
 LARGE_FACES = {
-    "pi_5": (lambda: standard_perm_setfn(5),
-             "53dd2f3300f269767f0a4001b9b6b992be9a50edd90d74e335c52da595266232"),
-    "seeded_6": (lambda: random_hypergraphic_setfn(random.Random(383), max_d=6),
-                 "a1c6176ea3a7bba0713e342d9105b68cf10b9cde67ffd81fd82cea68bda055ca"),
+    "pi_5": "53dd2f3300f269767f0a4001b9b6b992be9a50edd90d74e335c52da595266232",
+    "pi_6": "322d55301761ea85146c630de3deac5e9c3136c1c080a035b7973eb5abae4e4d",
+    "seeded_6": "a1c6176ea3a7bba0713e342d9105b68cf10b9cde67ffd81fd82cea68bda055ca",
+    "template_6": "c44ffd36ec3ed19619252dc7a771df4fb3d3ccd572ddf22912bcfa843ccb94a2",
+    "rational_5": "a9516b45f19c54a88f54b7e28075e05d09e62a00c387f5fd50b114610d03c294",
 }
 
 
@@ -138,17 +179,33 @@ def test_verify_all_report_bytes(seed, trials):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL[seed, trials]
 
 
-@pytest.mark.parametrize("name", sorted(LARGE_FACES))
-def test_large_faces_report_bytes(name, tmp_path):
-    make, digest = LARGE_FACES[name]
-    z = make()
-    path = tmp_path / f"{name}.json"
+def large_faces_report(z, directory: Path) -> tuple[str, str]:
+    """The `faces` report on z, its document written to ``directory``, and
+    the sha256 of its bytes without the one `timing` line."""
+    path = directory / "setfn.json"
     path.write_text(json.dumps(setfn_to_json(z)))
     out = report(["faces", "--setfn", str(path)])
     lines = out.splitlines(keepends=True)
     assert sum(line.startswith('  "timing": ') for line in lines) == 1
     kept = "".join(line for line in lines if not line.startswith('  "timing": '))
-    assert hashlib.sha256(kept.encode()).hexdigest() == digest
+    return out, hashlib.sha256(kept.encode()).hexdigest()
+
+
+def test_large_faces_cases_are_the_documented_ones():
+    assert sorted(LARGE_FACES) == sorted(LARGE_FACES_SETFNS)
+    for name, size in (("template_6", (65, 563)), ("seeded_6", (38, 303))):
+        P = GPerm(LARGE_FACES_SETFNS[name]())
+        assert (len(P.vertices), len(P.face_lattice())) == size
+    z = _rational_5()
+    assert z.scaled[0] == 12
+    assert {c < 0 for v in z.scaled_vertices for c in v} == {False, True}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_FACES))
+def test_large_faces_report_bytes(name, tmp_path):
+    z = LARGE_FACES_SETFNS[name]()
+    out, digest = large_faces_report(z, tmp_path)
+    assert digest == LARGE_FACES[name]
     faces = sorted((face.dim, face.vertex_ids) for face in GPerm(z).face_lattice())
     assert json.loads(out)["faces"] == [{"dim": dim, "vertices": list(ids)}
                                         for dim, ids in faces]
@@ -164,10 +221,23 @@ def _verify_all_digests() -> str:
     return "VERIFY_ALL = {\n" + "\n".join(lines) + "\n}"
 
 
+def _large_faces_digests() -> str:
+    """The `LARGE_FACES` table as source, one line per report."""
+    lines = []
+    with tempfile.TemporaryDirectory() as directory:
+        for name, make in LARGE_FACES_SETFNS.items():
+            digest = large_faces_report(make(), Path(directory))[1]
+            lines.append(f'    "{name}": "{digest}",')
+    return "LARGE_FACES = {\n" + "\n".join(lines) + "\n}"
+
+
 if __name__ == "__main__":
     for case, argv in CASES.items():
         (GOLDEN / f"{case}.out").write_text(report(argv), encoding="utf-8")
     here = Path(__file__)
-    here.write_text(re.sub(r"VERIFY_ALL = \{.*?\n\}", lambda _: _verify_all_digests(),
-                           here.read_text(encoding="utf-8"), count=1, flags=re.S),
-                    encoding="utf-8")
+    source = here.read_text(encoding="utf-8")
+    for table, digests in (("LARGE_FACES", _large_faces_digests),
+                           ("VERIFY_ALL", _verify_all_digests)):
+        source = re.sub(table + r" = \{.*?\n\}", lambda _: digests(), source,
+                        count=1, flags=re.S)
+    here.write_text(source, encoding="utf-8")

@@ -21,7 +21,7 @@ from gpcount.hypergraph import (
     indegree_vector,
     vertices_via_headings,
 )
-from gpcount.permutahedron import GPerm, vertices
+from gpcount.permutahedron import Face, GPerm, vertices
 from oracles import (
     all_pass,
     brute_acyclic_headings,
@@ -440,8 +440,9 @@ def test_seven_and_eight_nodes(h):
         assert P.reciprocity_rhs(0, m) == compatible_pairs_count(h, m)
     for k in range(h.d):
         assert all_pass(P.verify_reciprocity(k, 3)[1])
-    if h is EIGHT:
-        assert P.tight == tight_sets_by_subset_sums(P)
+    if h is EIGHT:  # id sets per S, each read off its mask as a face's ids
+        assert [frozenset(Face(t, 0).vertex_ids) for t in P.tight] == \
+            tight_sets_by_subset_sums(P)
 
 
 def test_graph_specialization():

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import json
+import operator
 import random
 import warnings
 from collections import Counter
@@ -201,12 +202,14 @@ def test_count_k_faces():
     assert P.count_k_faces(vert, 0) == 1
     with pytest.raises(ValueError):
         P.count_k_faces(edge, -1)
-    # a negative mask, the empty mask, a bit past the last vertex id, and
-    # the union of two vertices that span no edge: (1, 2, 3) and (3, 2, 1)
-    opposite = 1 | 1 << 5
+    # a negative mask, the zero mask, the meet of two vertices, which holds
+    # none, the whole polytope's mask doubled, and the union of two
+    # vertices that span no edge: (1, 2, 3) and (3, 2, 1)
+    vertex = {f.vertex_ids: f.mask for f in P.face_lattice() if f.dim == 0}
+    opposite = vertex[(0,)] | vertex[(5,)]
     assert [P.vertices[i] for i in Face(opposite, 1).vertex_ids] == [(1, 2, 3), (3, 2, 1)]
     assert opposite not in {f.mask for f in P.face_lattice()}
-    for mask in (-1, 0, 1 << len(P.vertices), opposite):
+    for mask in (-1, 0, vertex[(0,)] & vertex[(5,)], whole.mask << 1, opposite):
         for dim in range(3):
             with pytest.raises(ValueError, match="not a face of this polytope"):
                 P.count_k_faces(Face(mask, dim), 0)
@@ -252,7 +255,7 @@ def test_point_polytope_tables(d):
     # one face, of dimension 0: every list of k-faces with k >= 1 is empty
     P = point_gp(d)
     faces = P.face_lattice()
-    assert faces == (Face(1, 0),)
+    assert [(f.dim, f.vertex_ids) for f in faces] == [(0, (0,))]
     for k in range(1, d):
         assert P.chi_polynomial(k).coefficients == ()
     for m in range(1, 4):
@@ -267,11 +270,15 @@ def test_point_polytope_tables(d):
 
 
 def test_face_is_an_immutable_value():
-    face = Face(mask=0b101, dim=1)
-    assert face == Face(5, 1) and face != Face(5, 0)
-    assert face.mask == 5 and face.dim == 1 and face.vertex_ids == (0, 2)
-    assert hash(face) == hash(Face(5, 1))
-    assert len({face, Face(5, 1), Face(9, 1)}) == 2
+    # the edge of pi_3 between its vertices (2, 3, 1) and (3, 2, 1)
+    P = perm_gp(3)
+    edge = face_of_direction(P, (2, 2, 1)).mask
+    face = Face(mask=edge, dim=1)
+    assert face == Face(edge, 1) and face != Face(edge, 0)
+    assert face.mask == edge and face.dim == 1 and face.vertex_ids == (3, 5)
+    assert [P.vertices[i] for i in face.vertex_ids] == [(2, 3, 1), (3, 2, 1)]
+    assert hash(face) == hash(Face(edge, 1))
+    assert len({face, Face(edge, 1), Face(edge << 1, 1)}) == 2
     for field in ("mask", "dim", "vertex_ids"):
         with pytest.raises(AttributeError):
             setattr(face, field, 0)
@@ -292,8 +299,9 @@ def test_face_lattice_is_the_face_map_as_faces():
 
 
 def test_face_ids_match_mask_and_id_tuples_are_refused():
-    # every face's sorted ids spell its mask, and a Face built the old way,
-    # from a tuple of vertex ids, is no face of the polytope at any k
+    # every face's sorted ids are the vertices in it, and its mask is the
+    # join of theirs; a Face built from a tuple of vertex ids is no face of
+    # the polytope at any k
     rng = random.Random(71)
     cases = [standard_perm_setfn(d) for d in range(1, 7)]
     while len(cases) < 8:
@@ -302,10 +310,13 @@ def test_face_ids_match_mask_and_id_tuples_are_refused():
             cases.append(z)
     for z in cases:
         P = GPerm(z)
+        vertex = {f.vertex_ids[0]: f.mask for f in P.face_lattice() if f.dim == 0}
+        assert sorted(vertex) == list(range(len(P.vertices)))
         for f in P.face_lattice():
             ids = f.vertex_ids
-            assert list(ids) == sorted(set(ids)) and set(ids) <= set(range(len(P.vertices)))
-            assert f.mask == sum(1 << i for i in ids)
+            assert list(ids) == sorted(set(ids))
+            assert set(ids) == {i for i, g in vertex.items() if not g & ~f.mask}
+            assert functools.reduce(operator.or_, map(vertex.__getitem__, ids)) == f.mask
             for k in range(P.d):
                 with pytest.raises(ValueError, match="not a face of this polytope"):
                     P.count_k_faces(Face(ids, f.dim), k)
@@ -621,8 +632,8 @@ def test_face_map_histograms_match_chain_cut_oracle():
         P = GPerm(z)
         expected = Counter()
         for blocks, ids in chain_cut_faces(P).items():
-            expected[(sum(1 << i for i in ids), len(blocks))] += 1
-        got = {(f, j): n for f, hist in P._face_map.blocks.items()
+            expected[(ids, len(blocks))] += 1
+        got = {(Face(f, 0).vertex_ids, j): n for f, hist in P._face_map.blocks.items()
                for j, n in enumerate(hist) if n}
         assert got == expected
         assert sum(got.values()) == len(compositions(z.d))
@@ -630,14 +641,16 @@ def test_face_map_histograms_match_chain_cut_oracle():
 
 def test_tight_sets_match_subset_sum_oracle():
     # the one-element DP over tight sets against the subset sums of every
-    # vertex, on pi_1..pi_6 and on non-integer z, whose scaled values differ
+    # vertex, on pi_1..pi_6 and on non-integer z, whose scaled values differ:
+    # id sets per S, each read off its mask as a face's ids
     rng = random.Random(59)
     cases = [standard_perm_setfn(d) for d in range(1, 7)]
     cases += [non_integer_setfn(rng, max_d=6) for _ in range(6)]
     assert any(any(v.denominator > 1 for v in z.values) for z in cases)
     for z in cases:
         P = GPerm(z)
-        assert P.tight == tight_sets_by_subset_sums(P)
+        assert [frozenset(Face(t, 0).vertex_ids) for t in P.tight] == \
+            tight_sets_by_subset_sums(P)
 
 
 def test_face_map_checks_dimension_against_affine_rank(monkeypatch):
@@ -738,7 +751,8 @@ def test_enumeration_caps():
 
 
 def test_face_lattice_json():
-    doc = faces_report(perm_gp(3))
+    P = perm_gp(3)
+    doc = faces_report(P)
     assert doc["d"] == 3
     assert len(doc["vertices"]) == 6
     assert doc["vertices"][0] == ["1", "2", "3"]
@@ -746,7 +760,7 @@ def test_face_lattice_json():
     assert all(type(f) is Face for f in doc["faces"])
     dims = [f.dim for f in doc["faces"]]
     assert dims == sorted(dims)
-    assert doc["faces"][-1] == Face(0b111111, 2)
+    assert doc["faces"][-1] == face_of_direction(P, (1, 1, 1))
     assert doc["faces"][-1].vertex_ids == (0, 1, 2, 3, 4, 5)
     for f in doc["faces"]:
         assert all(0 <= i < 6 for i in f.vertex_ids)
