@@ -167,24 +167,26 @@ def dumps(value, pad: str = "\n") -> str:
 def _face_items(faces: list[Face], pad: str) -> list[str]:
     """Faces written at pad as `dumps` writes their dicts, from one head
     string per dimension and one string per vertex id up to the highest
-    one, each face's ids read off its mask, lowest first."""
+    one, each face's ids read off its mask from the top bit down, so in
+    increasing order."""
     key_pad = pad + "  "
     tail = key_pad + "]" + pad + "}"
     heads: dict[int, str] = {}
-    # each id after its separator, the first one's comma cut off below
-    ids = ["," + key_pad + "  " + str(i) for i in range(max(faces).mask.bit_length())]
+    ids = [key_pad + "  " + str(i) for i in range(max(faces).mask.bit_length() - 1)]
     items = []
     for mask, dim in faces:
         head = heads.get(dim) or heads.setdefault(
             dim, "{" + key_pad + '"dim": ' + int.__repr__(dim) + "," + key_pad + '"vertices": [')
-        if mask < 1:
+        if mask < 2 or not mask & mask - 1:  # no bit below the sentinel
             raise ValueError("a face has at least one vertex")
+        top = mask.bit_length() - 1  # the sentinel's place, the vertex count
+        rest = mask ^ 1 << top
         row = []
-        while mask:
-            low = mask & -mask
-            row.append(ids[low.bit_length() - 1])
-            mask ^= low
-        items.append(head + "".join(row)[1:] + tail)
+        while rest:
+            n = rest.bit_length()  # bit n - 1 is vertex id top - n
+            row.append(ids[top - n])
+            rest ^= 1 << n - 1
+        items.append(head + ",".join(row) + tail)
     return items
 
 

@@ -205,9 +205,8 @@ class HPolytope(Frozen):
 def unit_cube(d: int) -> HPolytope:
     """`box([(0, 1)] * d)`: per coordinate the rows `-x_i <= 0` and
     `x_i <= 1`, and the bbox (0, 1)."""
-    zeros = (0,) * d  # sized, and refused, as `[(0, 1)] * d` is
-    d = len(zeros)
     require_integer("d", d, 1)
+    zeros = (0,) * d
     rows = []
     for i in range(d):
         before, after = zeros[:i], zeros[i + 1:]
@@ -240,13 +239,12 @@ def standard_simplex(d: int, scale: Fraction = Fraction(1)) -> HPolytope:
     """x_i >= 0 and sum x_i <= scale: the primitive rows `-x_i <= 0` and
     `q (x_1 + ... + x_d) <= p` for scale = p/q, and the bbox (0, ceil
     scale) in every coordinate."""
+    require_integer("d", d, 1)
     scale = exact(scale)
     if scale <= 0:
         raise ValueError("scale must be positive")
-    coordinates = range(d)  # TypeError for a d that is no int; then True and d < 1 are refused
-    require_integer("d", d, 1)
     zeros = (0,) * d
-    rows = [(zeros[:i] + (-1,) + zeros[i + 1:], "<=", 0) for i in coordinates]
+    rows = [(zeros[:i] + (-1,) + zeros[i + 1:], "<=", 0) for i in range(d)]
     rows.append(((scale.denominator,) * d, "<=", scale.numerator))
     top = -(-scale.numerator // scale.denominator)
     return HPolytope._from_rows(d, tuple(rows), ((0, top),) * d)
@@ -542,7 +540,7 @@ def normal_fan_of(P: GPerm) -> FullDimFan:
     gap is z(M+b) - v(M+b), so v has the edge `e_b - e_a` exactly when it
     is tight on M, M+a and M+a+b but not on M+b for some M avoiding a and
     b: one OR of mask ANDs over `P.tight`, with no face map."""
-    d, tight = P.d, P.tight
+    d, tight, n = P.d, P.tight, len(P.vertices)
     rows: list[list[tuple[int, ...]]] = [[] for _ in P.vertices]
     for a, b in itertools.permutations(range(d), 2):
         ea, eb = 1 << a, 1 << b
@@ -551,9 +549,10 @@ def normal_fan_of(P: GPerm) -> FullDimFan:
             if not m & (ea | eb):
                 with_edge |= tight[m] & tight[m | ea] & tight[m | ea | eb] & ~tight[m | eb]
         root = tuple(1 if i == b else -1 if i == a else 0 for i in range(d))
-        # one pass over the digits, where peeling the lowest bit off a mask
-        # as wide as the vertex count costs that width per set bit
-        for vid, bit in enumerate(reversed(f"{with_edge:b}")):
+        # one pass over the digits, vertex id v at place v from the left,
+        # where peeling one bit at a time off a mask as wide as the vertex
+        # count costs that width per set bit; ~tight clears the sentinel
+        for vid, bit in enumerate(format(with_edge, f"0{n}b")):
             if bit == "1":
                 rows[vid].append(root)
     return FullDimFan(d, (Cone(tuple(cone)) for cone in rows))

@@ -130,8 +130,9 @@ class Face(NamedTuple):
 
     @property
     def vertex_ids(self) -> tuple[int, ...]:
-        """The vertex ids of the face, in increasing order."""
-        return tuple(_bits(self.mask))
+        """The vertex ids of the face, in increasing order: the places of
+        the 1s after the sentinel in the mask's binary digits."""
+        return tuple(vid for vid, bit in enumerate(format(self.mask, "b")[1:]) if bit == "1")
 
 
 # a Face from a (mask, dim) pair, without the named tuple's Python-level __new__
@@ -183,11 +184,13 @@ class GPerm:
         whose scaled coordinate i is L * (z(S) - z(S - i))."""
         d = self.d
         values = self.z.scaled[1]
+        n = len(self.vertices)
         by_value: list[dict[int, int]] = [{} for _ in range(d)]  # i -> L * v_i -> ids
         for vid, v in enumerate(self.z.scaled_vertices):
             for i, c in enumerate(v):
-                by_value[i][c] = by_value[i].get(c, 0) | 1 << vid
-        tight = [(1 << len(self.vertices)) - 1] + [0] * ((1 << d) - 1)
+                by_value[i][c] = by_value[i].get(c, 0) | 1 << n - 1 - vid
+        # every mask holds the sentinel 1 << n, tight[0] every id as well
+        tight = [(1 << n + 1) - 1] + [1 << n] * ((1 << d) - 1)
         for s in range(1, 1 << d):
             for i in _bits(s):
                 prev = s ^ 1 << i
@@ -293,7 +296,7 @@ class GPerm:
         if k > dim:
             return 0
         if k == 0:
-            return f.bit_count()
+            return f.bit_count() - 1  # all but the sentinel
         by_low = self._faces_by_lowest_vertex[k]
         outside = ~f
         count = 0
@@ -331,7 +334,7 @@ class GPerm:
             for f, hist in blocks.items():
                 dim = dims[f]
                 if dim > k:
-                    n = self.count_k_faces(Face(f, dim), k)
+                    n = self.count_k_faces(_face_from_pair((f, dim)), k)
                     for j, c in enumerate(hist):
                         row[j] += n * c
             self._rhs_rows[k] = row
@@ -358,18 +361,21 @@ def faces_report(P: GPerm) -> dict:
     """The fields of the `faces` report: d, the vertices as exact rationals
     and the `Face`s, which `cli.dumps` writes as {"dim", "vertices"} rows,
     by dimension and then by sorted vertex-id list.  No face contains
-    another of its dimension, so no face's bits, lowest id first, are a
-    prefix of another's, and where two first differ the face holding that
-    id comes first: a descending sort on them is the sort on the id lists."""
+    another of its dimension, so where the digits of two face masks of one
+    dimension first differ, after the sentinel, the face holding that id
+    has the larger mask and the smaller id list: within a dimension the
+    masks in decreasing order are the id lists in increasing order."""
     by_dim: list[list[Face]] = [[] for _ in range(P.d)]
     for face in P.face_lattice():
         by_dim[face.dim].append(face)
     faces: list[Face] = []
     for rows in by_dim:
-        rows.sort(key=lambda face: format(face.mask, "b")[::-1], reverse=True)
+        rows.sort(reverse=True)
         faces += rows
+    scale, points = P.z.scaled[0], P.z.scaled_vertices
+    text = {c: str(Fraction(c, scale)) for c in {c for v in points for c in v}}
     return {
         "d": P.d,
-        "vertices": [list(map(str, v)) for v in P.vertices],
+        "vertices": [list(map(text.__getitem__, v)) for v in points],
         "faces": faces,
     }

@@ -38,7 +38,9 @@ def _scaled(values: Iterable) -> tuple[int, tuple[int, ...]]:
     """`rats_from_json`, raising ValueError."""
     nums, dens = [], []
     for value in values:
-        if isinstance(value, str):
+        if type(value) is str and value.isascii() and value.isdigit():
+            num, den = int(value), 1  # a ValueError past `sys.get_int_max_str_digits()`
+        elif isinstance(value, str):
             match = _RAT_RE.fullmatch(value.strip())
             if match is None:
                 raise ValueError(f"invalid rational literal: {value!r}")

@@ -9,6 +9,8 @@ from fractions import Fraction
 from math import comb, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gpcount import permutahedron
 from gpcount.cli import dumps
@@ -764,6 +766,42 @@ def test_face_lattice_json():
     assert doc["faces"][-1].vertex_ids == (0, 1, 2, 3, 4, 5)
     for f in doc["faces"]:
         assert all(0 <= i < 6 for i in f.vertex_ids)
+
+
+def test_mask_digits_are_the_sentinel_then_the_incidence_row():
+    # format(mask, "b") is "1" and then one digit per vertex id, in id order,
+    # "1" where the face (the tight set) holds that vertex: face masks against
+    # the chain-cut map's id lists, tight masks against the subset sums, on
+    # pi_1..pi_5 and on non-integer z
+    rng = random.Random(89)
+    cases = [standard_perm_setfn(d) for d in range(1, 6)]
+    cases += [non_integer_setfn(rng, max_d=5) for _ in range(4)]
+    for z in cases:
+        P = GPerm(z)
+        n = len(P.vertices)
+
+        def incidence(ids):
+            return "".join("1" if vid in ids else "0" for vid in range(n))
+
+        for blocks, ids in chain_cut_faces(P).items():
+            mask = face_of_direction(P, representative_direction(blocks)).mask
+            assert format(mask, "b") == "1" + incidence(ids)
+        for mask, ids in zip(P.tight, tight_sets_by_subset_sums(P)):
+            assert format(mask, "b") == "1" + incidence(ids)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.booleans())
+def test_masks_in_decreasing_order_are_the_id_lists_in_increasing_order(seed, shifted):
+    # within one dimension no face holds another, so the face masks sorted
+    # in decreasing order give the faces sorted by their vertex ids, on
+    # seeded z with d <= 6, integer or not
+    rng = random.Random(seed)
+    z = non_integer_setfn(rng, max_d=6) if shifted else random_hypergraphic_setfn(rng, max_d=6)
+    faces = GPerm(z).face_lattice()
+    for k in range(z.d):
+        of_dim = [f for f in faces if f.dim == k]
+        assert sorted(of_dim, reverse=True) == sorted(of_dim, key=lambda f: f.vertex_ids)
 
 
 def test_faces_report_matches_sorted_id_lists():

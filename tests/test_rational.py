@@ -72,6 +72,25 @@ def test_parse_rat_agrees_with_fraction_parser():
     assert parsed > 10 ** 4
 
 
+class Literal(str):
+    """A str that is not exactly a str, so it is read by the literal grammar."""
+
+
+@pytest.mark.parametrize("text", [
+    "0", "7", "007", "10" * 20, "9" * 4300, "9" * 4301, "0" * 4301,
+    "\u0663", "\u00b2", "1\uff17", "", " 7", "+7", "-7", "7/2"])
+def test_digit_strings_read_as_by_the_literal_grammar(text):
+    # a str of ASCII digits alone is read by int(); every literal gives the
+    # value or the error that the grammar gives, over-long ones included
+    def outcome(value):
+        try:
+            return rats_from_json([value])
+        except InputFormatError as exc:
+            return str(exc)
+
+    assert outcome(text) == outcome(Literal(text))
+
+
 def test_format_rat():
     # the package writes a rational with `str`, in the literal form it reads
     assert str(Fraction(3, 4)) == "3/4"

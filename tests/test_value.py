@@ -143,6 +143,8 @@ INTEGER_ARGUMENTS = {
     "verify_reciprocity": ("m_max", lambda n: PI_3.verify_reciprocity(0, n), 0),
     "binomial_sum": ("m", lambda n: binomial_sum([1, 1], n), 0),
     "count_lattice": ("t", lambda n: count_lattice(unit_cube(2), n), 0),
+    "unit_cube": ("d", unit_cube, 0),
+    "standard_simplex": ("d", standard_simplex, 0),
     "multiplicity": ("coordinate of the integer point",
                      lambda n: multiplicity(normal_fan_of(PI_3), (1, n, 1)), None),
     "interpolate": ("step", lambda n: interpolate([1, 2], 1, n), 0),

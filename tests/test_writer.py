@@ -131,10 +131,11 @@ def test_a_row_off_the_template_gets_plain_list_bytes_or_type_error(faces, misfi
             assert dumps(value) == json.dumps(dicts, indent=2)
 
 
-@pytest.mark.parametrize("mask", [0, -1, -6])
+@pytest.mark.parametrize("mask", [0, -1, -6, 1, 2, 1 << 6, 1 << 70, -(1 << 70)])
 def test_a_face_without_vertices_raises_value_error(mask):
-    # `GPerm` builds no face with an empty mask; writing one would print a
-    # face of no polytope, so the writer refuses it, alone or among faces
+    # `GPerm` builds no face with an empty mask, one that holds only the
+    # sentinel bit; writing one would print a face of no polytope, so the
+    # writer refuses it, alone or among faces, and a negative mask too
     for value in (Face(mask, 0), [Face(mask, 0)], [Face(3, 0), Face(mask, 1)],
                   {"faces": [Face(mask, 0)]}, [1, Face(mask, 0)]):
         with pytest.raises(ValueError):
