@@ -24,10 +24,11 @@ family, not exit 2.  Reports are deterministic for fixed inputs up to the
 writer, byte for byte as the stdlib's `json.dumps` writes it with an indent
 of 2: with an indent set, the stdlib runs its pure-Python encoder.  The
 faces of a `faces` report are `Face` values, which `dumps` writes as
-{"dim", "vertices"} dicts, and the checks of a report are its `CheckEntry`
-values, which `dumps` writes as {"label", "lhs", "rhs", "pass"} dicts; a
-list of only `Face`s or of only `CheckEntry`s is written with one string
-template per item, not one recursive call per value.
+{"dim", "vertices"} dicts, the ids read off each mask's binary digits
+after its leading sentinel bit, and the checks of a report are its
+`CheckEntry` values, which `dumps` writes as {"label", "lhs", "rhs",
+"pass"} dicts; a list of only `Face`s or of only `CheckEntry`s is written
+with one string template per item, not one recursive call per value.
 
 The four commands that build a `GPerm` from their input (`chi`, `faces`,
 `pruned --setfn` and `hg-reciprocity`) get it from `_polytope`, which keeps
@@ -112,8 +113,9 @@ def dumps(value, pad: str = "\n") -> str:
     `Report` builds it), written as its dict {"label": label, "lhs":
     str(lhs), "rhs": str(rhs), "pass": passed}, a bool side as "true" or
     "false"; anything else, tuples and other named tuples included, raises
-    TypeError.  A `Face` with a mask below 1 raises ValueError: no polytope
-    has a face without vertices.  `pad` is the newline and indent of the
+    TypeError.  A `Face` whose mask is below 2 or holds only the sentinel
+    bit, its top one, raises ValueError: no polytope has a face without
+    vertices.  `pad` is the newline and indent of the
     line value starts on; callers leave it at its default.  A list of only
     ints (bools excluded) or only strings is written with one join, a list
     of only `Face`s, as the faces of a `faces` report are, with one

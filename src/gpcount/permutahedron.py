@@ -8,14 +8,15 @@ L * z, and their sorted distinct vertices are cached as integer tuples
 (`SetFn.scaled_vertices`).  `vertices(z)` divides them by L with one
 `Fraction` per distinct coordinate value; a vertex id is an index into
 either.  The face map and the dimension check read the integer tuples, and
-the `faces` report writes the `Fraction`s.
+the `faces` report writes them with one `str(Fraction(c, L))` per distinct
+value c.
 
 A linear direction y is maximized on the face of the points tight on every
 upper level set of y: x(S) = z(S) for each S in the flag of y.  So a face is
-an intersection of tight sets.  ``tight[S]`` is the bitmask of the vertex ids
-v with v(S) = z(S), and the face of y is the AND of ``tight`` over the
-prefixes of its level-set composition (its blocks of equal value, largest
-value first).  A vertex's tight sets are closed under union and intersection
+an intersection of tight sets.  ``tight[S]`` is the bitmask of the vertex
+ids v with v(S) = z(S), laid out as a face mask is (below), and the face of
+y is the AND of ``tight`` over the prefixes of its level-set composition
+(its blocks of equal value, largest value first).  A vertex's tight sets are closed under union and intersection
 and hold the maximal chain of its greedy order, so a nonempty tight set S
 has an element i with S - i tight: intersect S with that chain.  Hence
 ``tight[S]`` is the OR over i in S of ``tight[S - i]`` ANDed with the ids v
@@ -50,24 +51,31 @@ rank of the scaled vertices, which stops at d - 1 because they all lie in
 x([d]) = L * z([d]); the face map checks it against the block count of the
 one-block composition, whose face is P itself.
 
-A face is its vertex-id mask, bit v set for each vertex id v in it; the
-face map keeps each mask with its dimension, and the masks of each
-dimension in one list; row k of the table a is the column sum of the
-histograms of the k-faces.  A `Face` is the named tuple of the mask and
-the dimension, so `count_k_faces` checks one with a single lookup, and
-sorted vertex ids are read off a mask only for a person to read
-(`Face.vertex_ids`, the `faces` report).  The `faces` report lists the
-faces by dimension and, within one dimension, by their lists of vertex
-ids, as `sorted((dim, ids))` would.  `faces_report` groups the faces by
-dimension and sorts each group once on the bits of each mask, lowest id
-first, with no id list built; its faces are the `Face` values themselves,
-and `cli.dumps` writes each as {"dim", "vertices"}, its ids read off the
-mask into one template.  The 0-faces in a face are its vertices,
-so `count_k_faces(f, 0)` is the number of set bits of f.  For
-k >= 1 a k-face lies in a face f only if its lowest vertex does, so the
-k-faces are indexed by their lowest set bit, for every k >= 1 in one pass
-on the first query with k >= 1, and the k-faces in f are found by walking
-the set bits of f over that index.  `reciprocity_rhs(k, m)` is
+A face is its vertex-id mask.  For V vertices the mask holds a sentinel,
+bit V, and bit V - 1 - v for each vertex id v in the face, so that
+`format(mask, "b")` is "1" followed by the face's incidence row, one digit
+per vertex id in increasing order.  ``tight`` of the empty set holds the
+sentinel and every id, every other ``tight[S]`` starts as the sentinel
+alone, and an AND keeps it, so every face mask holds it and names its own
+vertex count, its bit length less one.  The face map keeps each mask with
+its dimension, and the masks of each dimension in one list; row k of the
+table a is the column sum of the histograms of the k-faces.  A `Face` is
+the named tuple of the mask and the dimension, so `count_k_faces` checks
+one with a single lookup, and sorted vertex ids are read off a mask only
+for a person to read (`Face.vertex_ids`, the `faces` report).  The `faces`
+report lists the faces by dimension and, within one dimension, by their
+lists of vertex ids, as `sorted((dim, ids))` would.  No face contains
+another of its dimension, so within one dimension the masks in decreasing
+order are the id lists in increasing order: `faces_report` groups the
+faces by dimension and sorts each group on plain int compares, with no
+key and no id list built.  Its faces are the `Face` values themselves, and
+`cli.dumps` writes each as {"dim", "vertices"}, its ids read off the mask
+from the top bit down into one template.  The 0-faces in a face are its
+vertices, so `count_k_faces(f, 0)` is the number of set bits of f less
+the sentinel.  For k >= 1 a k-face lies in a face f only if the vertex of
+its lowest set bit does, so the k-faces are indexed by their lowest set
+bit, for every k >= 1 in one pass on the first query with k >= 1, and the
+k-faces in f are found by walking the set bits of f over that index.  `reciprocity_rhs(k, m)` is
 sum_j r[k][j] * binom(m, j), like `chi_count`, with r[k] the column sums
 of the faces' histograms weighted by their k-face counts.  A face of
 dimension below k holds no k-face and one of dimension k holds only
@@ -117,9 +125,11 @@ def _bits(mask: int) -> list[int]:
 
 
 class Face(NamedTuple):
-    """A face, canonicalized by its vertex-id mask: bit v is set for each
-    vertex id v tight on every prefix of any composition whose directions
-    it maximizes, the AND of ``tight`` over those prefixes.  ``dim`` is d
+    """A face, canonicalized by its vertex-id mask, the AND of ``tight``
+    over the prefixes of any composition whose directions it maximizes: for
+    V vertices, the sentinel bit V and bit V - 1 - v for each vertex id v
+    tight on every one of those prefixes, so the mask's binary digits are
+    "1" and then its incidence row in id order.  ``dim`` is d
     minus the most blocks among these compositions: its normal cone, of
     dimension d - dim, is the union of their braid cones, and a braid cone
     with j blocks has dimension j.  `cli.dumps` writes a Face as
@@ -150,8 +160,9 @@ class GPerm:
     on first use.
 
     Vertex ids index the sorted ``vertices``.  ``tight[S]`` is the mask of
-    the vertex ids v with v(S) = z(S), built once and read by both the face
-    map and `ehrhart.normal_fan_of`.  The face map holds for each face mask
+    the vertex ids v with v(S) = z(S), laid out as a `Face` mask is, with
+    the sentinel bit on top and id 0 just below it, built once and read by
+    both the face map and `ehrhart.normal_fan_of`.  The face map holds for each face mask
     its dimension and its compositions counted by number of blocks j (index
     j), and the face masks of each dimension; summed over the faces of
     dimension k the histograms give the table a[k][j] that `chi_count`
@@ -270,7 +281,7 @@ class GPerm:
     @cached_property
     def _faces_by_lowest_vertex(self) -> list[dict[int, list[int]]]:
         """For each k >= 1, the k-face masks keyed by their lowest set bit,
-        the bit of their lowest vertex id; entry 0 stays empty, as
+        the bit of their highest vertex id; entry 0 stays empty, as
         `count_k_faces` reads vertices off the mask."""
         index: list[dict[int, list[int]]] = [{} for _ in range(self.d)]
         for k, faces in enumerate(self._face_map.by_dim[1:], 1):
@@ -287,8 +298,9 @@ class GPerm:
         (0 whenever k exceeds the dimension of ``face``).  ``face`` must be a
         face mask of this polytope with its dimension, or ValueError is
         raised.  For k = 0 the count is the number of vertices of ``face``.
-        Otherwise a k-face lies in ``face`` only if its lowest vertex does,
-        so only the k-faces keyed by the set bits of ``face`` are tested."""
+        Otherwise a k-face lies in ``face`` only if the vertex of its lowest
+        set bit does, so only the k-faces keyed by the set bits of ``face``
+        are tested."""
         require_integer("k", k, 0)
         f, dim = face
         if self._face_map.dims.get(f) != dim:
@@ -361,10 +373,12 @@ def faces_report(P: GPerm) -> dict:
     """The fields of the `faces` report: d, the vertices as exact rationals
     and the `Face`s, which `cli.dumps` writes as {"dim", "vertices"} rows,
     by dimension and then by sorted vertex-id list.  No face contains
-    another of its dimension, so where the digits of two face masks of one
-    dimension first differ, after the sentinel, the face holding that id
-    has the larger mask and the smaller id list: within a dimension the
-    masks in decreasing order are the id lists in increasing order."""
+    another of its dimension, so where the digits of two masks of one
+    dimension first differ, after the sentinel, neither id list has ended:
+    the face holding that id has the larger mask and the smaller list, and
+    the masks in decreasing order are the id lists in increasing order.
+    The vertices are written from the scaled ones, with one string per
+    distinct value."""
     by_dim: list[list[Face]] = [[] for _ in range(P.d)]
     for face in P.face_lattice():
         by_dim[face.dim].append(face)
