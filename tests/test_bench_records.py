@@ -19,7 +19,8 @@ RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 
 
 def test_records_exist():
-    assert {"BENCH_51.json", "BENCH_52.json", "BENCH_53.json", "BENCH_54.json"} <= {
+    assert {"BENCH_51.json", "BENCH_52.json", "BENCH_53.json", "BENCH_54.json",
+            "BENCH_55.json"} <= {
         path.name for path in RECORDS}
 
 
