@@ -61,8 +61,7 @@ import random
 import re
 import sys
 import time
-from contextlib import contextmanager
-from functools import lru_cache
+from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
@@ -398,68 +397,84 @@ def cmd_pruned(args) -> tuple[dict, Report | None]:
 # dilation counts and the pruned count.
 TRIAL_M = 2
 TRIAL_T = 3
-# The most checks one trial makes: 1 round trip, 2 * TRIAL_M direction checks
-# for each k < d <= 4, 1 heading check, 3 * TRIAL_M + 1 hypergraph checks and
-# TRIAL_T for each of the two dilation counts and the pruned count.
-CHECKS_PER_TRIAL = 1 + 4 * (2 * TRIAL_M) + 1 + (3 * TRIAL_M + 1) + 3 * TRIAL_T
 
 
-@contextmanager
-def _family(report: Report, label: str):
-    """Run one family of checks of a `verify_all` trial.  The trial drew the
-    instances itself, so an error raised on them is a fault of the program,
-    not of the input: a `GpcountError` or `ValueError` becomes one failed
-    check "<label>: error", its message against "no error", and the trial
-    goes on.  A budget refusal is a limit, not a fault, and leaves as it
-    came."""
-    try:
-        yield
-    except BudgetExceededError:
-        raise
-    except (GpcountError, ValueError) as exc:
-        report.check(f"{label}: error", str(exc), "no error")
+def _directions(rng: random.Random, report: Report, tag: str) -> None:
+    """A drawn hypergraphic set function: its round trip through its
+    vertices, then the direction-count reciprocity at every k < d, or at
+    k = 0 alone when d = 5."""
+    z = random_hypergraphic_setfn(rng, max_d=5)
+    P = GPerm(z)
+    report.check(f"{tag}: set-function round trip (d={z.d})",
+                 setfn_from_vertices(P.vertices) == z, True)
+    for k in range(P.d) if P.d <= 4 else (0,):
+        report.merge(P.verify_reciprocity(k, TRIAL_M)[1], f"{tag}: directions d={P.d}")
+
+
+def _hypergraph(rng: random.Random, report: Report, tag: str) -> None:
+    """A drawn hypergraph: its polytope's vertices from its acyclic
+    headings, then its coloring and heading identities."""
+    h = random_hypergraph(rng, max_d=5, max_edges=5)
+    Ph = GPerm(hypergraphic_setfn(h))
+    acyclic = acyclic_headings(h)
+    report.check(f"{tag}: heading vertex description (d={h.d})",
+                 vertices_via_headings(h, acyclic) == set(Ph.vertices), True)
+    report.merge(_hg_reciprocity_report(h, Ph, acyclic, TRIAL_M)[1], f"{tag}: hypergraph d={h.d}")
+
+
+def _dilation(shape: str, rng: random.Random, report: Report, tag: str) -> None:
+    """A drawn rational box or simplex (`shape`): the reciprocity of its
+    dilation counts.  The draw is read off this module at call time, so a
+    patched binding is the one drawn from."""
+    poly, deg, period = (random_rational_box if shape == "box" else random_rational_simplex)(rng)
+    report.merge(_reciprocity(em_reciprocity_check, poly, deg, period, TRIAL_T)[1],
+                 f"{tag}: dilation counts, {shape} d={deg}")
+
+
+def _pruned(rng: random.Random, report: Report, tag: str) -> None:
+    """The unit cube against the normal fan of a drawn hypergraphic
+    polytope in d <= 3: the reciprocity of its pruned counts."""
+    zf = random_hypergraphic_setfn(rng, max_d=3)
+    Pf = GPerm(zf)
+    report.merge(_reciprocity(pruned_reciprocity_check, unit_cube(Pf.d),
+                              normal_fan_of(Pf), Pf.d, 1, TRIAL_T)[1],
+                 f"{tag}: pruned counts d={Pf.d}")
+
+
+# The families of one `verify_all` trial, in the order a trial runs and draws
+# them: (name, the most checks it makes, run(rng, report, tag)).  Directions:
+# 1 round trip and 2 * TRIAL_M checks for each k < d <= 4; hypergraph: 1
+# heading check and 3 * TRIAL_M + 1 hypergraph checks.
+FAMILIES = (("set function and directions", 1 + 4 * 2 * TRIAL_M, _directions),
+            ("hypergraph", 1 + 3 * TRIAL_M + 1, _hypergraph),
+            ("dilation counts, box", TRIAL_T, partial(_dilation, "box")),
+            ("dilation counts, simplex", TRIAL_T, partial(_dilation, "simplex")),
+            ("pruned counts", TRIAL_T, _pruned))
+# The most checks one trial makes, what `--trials` is charged per trial.
+CHECKS_PER_TRIAL = sum(most for _name, most, _run in FAMILIES)
 
 
 def verify_all(seed: int, trials: int) -> Report:
     """Run every reciprocity and round-trip identity on seeded random
-    instances, each family of a trial under `_family`."""
+    instances: each trial runs every row of `FAMILIES` in order.  The trial
+    drew the instances itself, so an error raised on them is a fault of the
+    program, not of the input: a `GpcountError` or `ValueError` in a family
+    becomes one failed check "trial <n>: <name>: error", its message against
+    "no error", and the trial goes on.  A budget refusal is a limit, not a
+    fault, and leaves as it came."""
     require_integer("trials", trials, 1)
     check_budget(CHECKS_PER_TRIAL * trials, errors.LOOP_BUDGET, "checks")
     rng = random.Random(seed)
     report = Report()
     for trial in range(1, trials + 1):
         tag = f"trial {trial}"
-
-        with _family(report, f"{tag}: set function and directions"):
-            z = random_hypergraphic_setfn(rng, max_d=5)
-            P = GPerm(z)
-            report.check(f"{tag}: set-function round trip (d={z.d})",
-                         setfn_from_vertices(P.vertices) == z, True)
-            ks = range(P.d) if P.d <= 4 else (0,)
-            for k in ks:
-                report.merge(P.verify_reciprocity(k, TRIAL_M)[1], f"{tag}: directions d={P.d}")
-
-        with _family(report, f"{tag}: hypergraph"):
-            h = random_hypergraph(rng, max_d=5, max_edges=5)
-            Ph = GPerm(hypergraphic_setfn(h))
-            acyclic = acyclic_headings(h)
-            report.check(f"{tag}: heading vertex description (d={h.d})",
-                         vertices_via_headings(h, acyclic) == set(Ph.vertices), True)
-            report.merge(_hg_reciprocity_report(h, Ph, acyclic, TRIAL_M)[1],
-                         f"{tag}: hypergraph d={h.d}")
-
-        for draw, shape in ((random_rational_box, "box"), (random_rational_simplex, "simplex")):
-            with _family(report, f"{tag}: dilation counts, {shape}"):
-                poly, deg, period = draw(rng)
-                report.merge(_reciprocity(em_reciprocity_check, poly, deg, period, TRIAL_T)[1],
-                             f"{tag}: dilation counts, {shape} d={deg}")
-
-        with _family(report, f"{tag}: pruned counts"):
-            zf = random_hypergraphic_setfn(rng, max_d=3)
-            Pf = GPerm(zf)
-            report.merge(_reciprocity(pruned_reciprocity_check, unit_cube(Pf.d),
-                                      normal_fan_of(Pf), Pf.d, 1, TRIAL_T)[1],
-                         f"{tag}: pruned counts d={Pf.d}")
+        for name, _most, run in FAMILIES:
+            try:
+                run(rng, report, tag)
+            except BudgetExceededError:
+                raise
+            except (GpcountError, ValueError) as exc:
+                report.check(f"{tag}: {name}: error", str(exc), "no error")
     return report
 
 

@@ -16,6 +16,7 @@ from gpcount import cli, ehrhart, errors, permutahedron
 from gpcount.cli import run
 from gpcount.ehrhart import Cone, FullDimFan, box, unit_cube
 from gpcount.hypergraph import hypergraph_from_json
+from gpcount.report import Report
 from gpcount.setfn import setfn_from_json, standard_perm_setfn
 from oracles import (
     brute_chromatic_count,
@@ -965,3 +966,16 @@ def test_loop_budget_admits_its_bound(inputs, capsys, argv):
 def test_verify_all_checks_per_trial_bound():
     counts = {len(cli.verify_all(seed, 1).entries) for seed in range(30)}
     assert max(counts) == cli.CHECKS_PER_TRIAL
+
+
+@pytest.mark.parametrize("name, most, run", cli.FAMILIES,
+                         ids=[name for name, _most, _run in cli.FAMILIES])
+def test_verify_all_family_check_bound(name, most, run):
+    # each row's bound on its own: no draw makes more checks, and one makes
+    # exactly that many
+    counts = set()
+    for seed in range(30):
+        report = Report()
+        run(random.Random(seed), report, "trial 1")
+        counts.add(len(report.entries))
+    assert max(counts) == most
