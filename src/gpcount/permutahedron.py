@@ -141,7 +141,11 @@ class Face(NamedTuple):
     @property
     def vertex_ids(self) -> tuple[int, ...]:
         """The vertex ids of the face, in increasing order: the places of
-        the 1s after the sentinel in the mask's binary digits."""
+        the 1s after the sentinel in the mask's binary digits.  A mask below
+        2 or holding only the sentinel bit raises ValueError, as `cli.dumps`
+        does: no polytope has a face without vertices."""
+        if self.mask < 2 or not self.mask & self.mask - 1:
+            raise ValueError("a face has at least one vertex")
         return tuple(vid for vid, bit in enumerate(format(self.mask, "b")[1:]) if bit == "1")
 
 

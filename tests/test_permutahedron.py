@@ -286,6 +286,14 @@ def test_face_is_an_immutable_value():
             setattr(face, field, 0)
 
 
+@pytest.mark.parametrize("mask", [0, -1, -6, 1, 2, 1 << 6, 1 << 70, -(1 << 70)])
+def test_vertex_ids_of_a_face_without_vertices_raise_value_error(mask):
+    # the masks `cli.dumps` refuses, below 2 or holding only the sentinel
+    # bit: a negative mask is not read as the digits after its minus sign
+    with pytest.raises(ValueError, match="at least one vertex"):
+        Face(mask, 0).vertex_ids
+
+
 def test_face_lattice_is_the_face_map_as_faces():
     # each face of the face map's dims, in its order, built as a `Face`
     rng = random.Random(29)
