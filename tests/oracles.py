@@ -11,7 +11,7 @@ import itertools
 import re
 from collections import Counter
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor, gcd, lcm
 from operator import mul
 
 from gpcount.ehrhart import Cone, FullDimFan, HPolytope, primitive_rows
@@ -588,6 +588,73 @@ def isomorphism_classes(d: int, candidates) -> list:
                 seen |= images
                 forms.append(min(images))
     return forms
+
+
+def _cross(o, p, q) -> int:
+    """Twice the signed area of the triangle o, p, q: positive when it turns
+    counterclockwise."""
+    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+
+def convex_hull(points) -> tuple:
+    """The vertices of the convex hull of points in the plane,
+    counterclockwise from the least one, by Andrew's monotone chain; a point
+    inside an edge is no vertex, so collinear points give two."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return tuple(pts)
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return tuple(chain(pts) + chain(reversed(pts)))
+
+
+def lattice_polygons(n: int) -> list[tuple]:
+    """Every lattice polygon of positive area that is the convex hull of
+    points of {0..n}^2, once up to translation: its counterclockwise
+    vertices, moved so that its least x and least y are 0."""
+    grid = list(itertools.product(range(n + 1), repeat=2))
+    polygons = set()
+    for size in range(3, len(grid) + 1):
+        for points in itertools.combinations(grid, size):
+            hull = convex_hull(points)
+            if len(hull) >= 3:
+                x0, y0 = min(x for x, _ in hull), min(y for _, y in hull)
+                polygons.add(tuple((x - x0, y - y0) for x, y in hull))
+    return sorted(polygons)
+
+
+def _edges(vertices) -> list:
+    return list(zip(vertices, vertices[1:] + vertices[:1]))
+
+
+def lattice_polygon(vertices) -> HPolytope:
+    """The polygon of counterclockwise lattice vertices: one `<=` row per
+    edge p -> q, its outer normal (q_y - p_y, p_x - q_x) against its value
+    at p, and the bbox of the vertices."""
+    rows = [((qy - py, px - qx), "<=", (qy - py) * px + (px - qx) * py)
+            for (px, py), (qx, qy) in _edges(vertices)]
+    xs, ys = zip(*vertices)
+    return HPolytope(2, rows, [(min(xs), max(xs)), (min(ys), max(ys))])
+
+
+def pick_counts(vertices, t: int) -> tuple[Fraction, Fraction]:
+    """The lattice points of the t-dilate of the lattice polygon of
+    counterclockwise vertices and of its interior, by Pick's theorem from
+    the vertices alone: A t^2 + B t / 2 + 1 and A t^2 - B t / 2 + 1, with A
+    the area (the shoelace sum) and B the boundary points (the sum of the
+    gcds of the edge vectors)."""
+    edges = _edges(vertices)
+    area = Fraction(sum(px * qy - qx * py for (px, py), (qx, qy) in edges), 2)
+    boundary = sum(gcd(qx - px, qy - py) for (px, py), (qx, qy) in edges)
+    return (area * t * t + Fraction(boundary * t, 2) + 1,
+            area * t * t - Fraction(boundary * t, 2) + 1)
 
 
 def all_pass(report) -> bool:
