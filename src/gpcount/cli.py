@@ -28,7 +28,10 @@ faces of a `faces` report are `Face` values, which `dumps` writes as
 after its leading sentinel bit, and the checks of a report are its
 `CheckEntry` values, which `dumps` writes as {"label", "lhs", "rhs",
 "pass"} dicts; a list of only `Face`s or of only `CheckEntry`s is written
-with one string template per item, not one recursive call per value.
+with one string template per item, not one recursive call per value, and a
+list of nonempty rows holding only ints or only strs, as the headings and
+in-degree vectors of `hg-headings` and the vertices of `faces` are, with
+one join per row.
 
 The four commands that build a `GPerm` from their input (`chi`, `faces`,
 `pruned --setfn` and `hg-reciprocity`) get it from `_polytope`, which keeps
@@ -62,6 +65,7 @@ import re
 import sys
 import time
 from functools import lru_cache, partial
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Sequence
@@ -118,9 +122,12 @@ def dumps(value, pad: str = "\n") -> str:
     line value starts on; callers leave it at its default.  A list of only
     ints (bools excluded) or only strings is written with one join, a list
     of only `Face`s, as the faces of a `faces` report are, with one
-    template per face (`_face_items`), and a list of only `CheckEntry`s, as
-    a report's checks are, with one template per check (`_check_items`);
-    any other list is written item by item."""
+    template per face (`_face_items`), a list of only `CheckEntry`s, as
+    a report's checks are, with one template per check (`_check_items`),
+    and a list of nonempty lists whose items, taken together, are only ints
+    (bools excluded) or only strings, as the rows of `hg-headings` and the
+    vertices of `faces` are, with one join per row (`_row_items`); any
+    other list is written item by item."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -147,6 +154,10 @@ def dumps(value, pad: str = "\n") -> str:
             items = _face_items(value, inner)
         elif kinds == {CheckEntry}:
             items = _check_items(value, inner)
+        elif kinds == {list} and all(value) and (
+                cells := set(map(type, chain.from_iterable(value)))) in ({int}, {str}):
+            items = _row_items(value, inner, int.__repr__ if cells == {int}
+                               else encode_basestring_ascii)
         else:
             items = [dumps(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
@@ -189,6 +200,14 @@ def _face_items(faces: list[Face], pad: str) -> list[str]:
             rest ^= 1 << n - 1
         items.append(head + ",".join(row) + tail)
     return items
+
+
+def _row_items(rows: list[list], pad: str, write: Callable[[object], str]) -> list[str]:
+    """Nonempty rows of only ints or only strs written at pad as `dumps`
+    writes them, each cell by `write` and each row by one join."""
+    cell_pad = pad + "  "
+    head, sep, tail = "[" + cell_pad, "," + cell_pad, pad + "]"
+    return [head + sep.join(map(write, row)) + tail for row in rows]
 
 
 def _check_items(checks: list[CheckEntry], pad: str) -> list[str]:
@@ -337,10 +356,11 @@ def cmd_hg_headings(args) -> tuple[dict, Report | None]:
     h, names = hypergraph_from_json(_load_json(args.hg))
     acyclic = acyclic_headings(h)
     vectors = sorted(vertices_via_headings(h, acyclic))
+    name = ("", *names).__getitem__  # node v is names[v - 1]
     return {
         "nodes": list(names),
         "acyclic_count": len(acyclic),
-        "headings": [[names[head - 1] for head in heads] for heads in acyclic],
+        "headings": [list(map(name, heads)) for heads in acyclic],
         "indegree_vectors": [list(v) for v in vectors],
     }, None
 

@@ -12,7 +12,9 @@ the edges: a head is tested before it joins a partial heading, and one that
 already reaches another node of its edge is never taken, since every
 completion would keep that cycle.  So the enumerator only ever holds
 acyclic partial headings, and `acyclic_headings` and the compatible DP
-share it.
+share it.  A partial heading's reach table is one int, a field of bits per
+node, so testing a head is one shift and mask and pushing one takes a few
+whole-table int operations, with no per-node list.
 
 Both counts come from one subset DP, never from a scan of [m]^d.  From its
 top color down, a coloring is an ordered partition into j blocks plus j of
@@ -37,7 +39,8 @@ Every guard here charges `errors.WORK_BUDGET`: the tables charge the 3^d
 pairs (U, S) times the distinct edges, which covers their 2^d entries as
 well, before they are built; the compatible DP and `acyclic_headings`
 charge the product of the edge sizes, the largest tie family's
-(U = S = all nodes), before they start.  So the budget is read before any
+(U = S = all nodes), times the 64-bit words of a reach table, which each
+head test reads whole, before they start.  So the budget is read before any
 table or DP work, each guard refusing through `errors.check_budget`, and
 each DP runs once per Hypergraph, which caches its result.
 """
@@ -116,7 +119,7 @@ class Hypergraph(Frozen):
 
     @cached_property
     def _compatible_partitions(self) -> tuple[int, ...]:
-        check_budget(self.heading_space, errors.WORK_BUDGET, "headings")
+        _check_heading_budget(self)
         edges = self._tie_tables[0]
         heads = cache(lambda family: sum(1 for _ in _acyclic_heads(tuple(family))))
 
@@ -160,48 +163,83 @@ def _acyclic_heads(masks: Sequence[int]) -> Iterator[tuple[int, ...]]:
     in increasing node order, so the head tuples come lexicographically.
 
     Depth first on an explicit stack, as a recursion would be as deep as the
-    edge list is long.  Each edge's options `(head, others)`, `others` its
-    mask without the head, are listed once.  A stack entry `(i, head, reach)`
-    heads edge i at `head`, and reach[v] is the bitmask of the nodes that
-    node v + 1 reaches under the heads of edges 0..i, itself included.
+    edge list is long.  A stack entry `(i, head, reach)` heads edge i at
+    `head`, and `reach` is the reach table under the heads of edges 0..i,
+    packed in one int: over the n nodes up to the highest one of any edge,
+    field v, of w = n + 1 bits at bit w * v, holds the bitmask of the nodes
+    that node v + 1 reaches, itself included, and its top bit stays 0.
+    Each edge's options `(head, shift, others)` are listed once: `others` is
+    its mask without the head and `shift` the place of the head's field.
     Heading the next edge at `head` closes a cycle exactly when `head`
     reaches one of its `others`, so each option is tested against its
     parent's table before it is pushed, and only acyclic partial headings
-    are ever pushed, in reverse so that they pop in order.  The last edge's
-    heads are tested and yielded in a loop, and an edge with no tails hands
-    its parent's table on.
+    are ever pushed, in reverse so that they pop in order.  A pushed table
+    adds the field `down` of the head to every field that meets the edge:
+    with the edge copied into every field (`spreads`), adding 2^n - 1 to
+    each field's meet sets its top bit exactly when the meet is not empty,
+    with no carry out of the field, so `hit` holds a 1 at bit w * v for each
+    such field v and `hit * down` copies `down` into those fields alone.  A
+    field that meets the edge only at `head` already holds `down`, so one
+    `hit` serves every head of the edge.  An edge of one node adds no arc
+    and hands its parent's table on, so a run of them costs no table work.
+    The last edge's heads are tested and yielded in a loop.  Each head test
+    and push reads the whole table, n * w bits, which `acyclic_headings`
+    and the compatible DP charge to the budget (`_check_heading_budget`).
     """
     if not masks:
         yield ()
         return
-    options = [[(v + 1, e & ~(1 << v)) for v in range(e.bit_length()) if e >> v & 1]
+    n = max(masks).bit_length()
+    w = n + 1
+    ones = ((1 << w * n) - 1) // ((1 << w) - 1)  # bit 0 of every field
+    high = ones << n  # the top bit of every field
+    carry = high - ones  # 2^n - 1 in every field
+    field = (1 << n) - 1
+    options = [[(v + 1, w * v, e ^ 1 << v) for v in range(e.bit_length()) if e >> v & 1]
                for e in masks]
+    spreads = [ones * e if e & (e - 1) else 0 for e in masks[:-1]]
     last = len(masks) - 1
     heads = [0] * len(masks)
-    # the root heads no edge; its write to heads[-1] is overwritten below
-    stack = [(-1, 0, [1 << v for v in range(max(masks).bit_length())])]
+    # the root heads no edge, each node reaching itself: bit v of field v, at
+    # bit (w + 1) * v; its write to heads[-1] is overwritten below
+    stack = [(-1, 0, ((1 << (w + 1) * n) - 1) // ((1 << w + 1) - 1))]
     while stack:
         i, head, reach = stack.pop()
         heads[i] = head
         i += 1
         if i == last:
-            for head, others in options[i]:
-                if not reach[head - 1] & others:
+            for head, shift, others in options[i]:
+                if not reach >> shift & others:
                     heads[i] = head
                     yield tuple(heads)
             continue
-        for head, others in reversed(options[i]):
-            down = reach[head - 1]
+        spread = spreads[i]
+        if not spread:  # one node: no arc, no cycle
+            stack.append((i, options[i][0][0], reach))
+            continue
+        # a node that reaches a node of the edge now reaches all its head does
+        hit = ((reach & spread) + carry & high) >> n
+        for head, shift, others in reversed(options[i]):
+            down = reach >> shift & field
             if not down & others:
-                # a node that reaches a tail of the new arcs now reaches all `head` does
-                stack.append((i, head, [r | down if r & others else r for r in reach]
-                              if others else reach))
+                stack.append((i, head, reach | hit * down))
 
 
 def acyclic_headings(h: Hypergraph) -> list[tuple[int, ...]]:
     """All acyclic headings, lexicographic in the per-edge head tuples."""
-    check_budget(h.heading_space, errors.WORK_BUDGET, "headings")
+    _check_heading_budget(h)
     return list(_acyclic_heads(h.masks))
+
+
+def _check_heading_budget(h: Hypergraph) -> None:
+    """Charge the headings of h: the product of the edge sizes, each heading
+    tested on a reach table of n * (n + 1) bits (see `_acyclic_heads`),
+    counted in 64-bit words, at least 1."""
+    n = max(h.masks, default=0).bit_length()
+    words = max(1, -(-n * (n + 1) // 64))
+    check_budget(h.heading_space * words, errors.WORK_BUDGET,
+                 "headings by table word ({} headings times {}-word reach tables)",
+                 h.heading_space, words)
 
 
 def vertices_via_headings(h: Hypergraph,

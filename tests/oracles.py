@@ -576,18 +576,65 @@ def canonical_form(d: int, edges) -> tuple:
 def isomorphism_classes(d: int, candidates) -> list:
     """The canonical form of each isomorphism class of the sets of distinct
     edges drawn from candidates, sorted edge tuples closed under
-    relabelling, the empty set included.  Each class is relabelled once:
-    every edge set met afterwards in a class already seen is skipped."""
+    relabelling, the empty set included."""
     candidates = sorted(candidates)
+    return least_images((edges for n in range(len(candidates) + 1)
+                         for edges in itertools.combinations(candidates, n)),
+                        lambda edges: relabellings(d, edges))
+
+
+def least_images(items, images) -> list:
+    """The least image of each class of the items, where images(item) is
+    the set of an item's images under every relabelling, its own included.
+    Each class is relabelled once: every item met afterwards in a class
+    already seen is skipped."""
     seen: set = set()
     forms = []
-    for n in range(len(candidates) + 1):
-        for edges in itertools.combinations(candidates, n):
-            if edges not in seen:
-                images = relabellings(d, edges)
-                seen |= images
-                forms.append(min(images))
+    for item in items:
+        if item not in seen:
+            found = images(item)
+            seen |= found
+            forms.append(min(found))
     return forms
+
+
+def submodular_values(d: int, top: int) -> list[tuple[int, ...]]:
+    """Every submodular z on {1..d} with z(empty set) = 0 and integer values
+    0..top, as its value tuple indexed by bitmask.  The subsets are set in
+    order of size, and a set T of two elements or more takes only values up
+    to z(S+i) + z(S+j) - z(S) for each pair i, j in T, S = T - i - j: these
+    local inequalities hold for all S, i and j exactly when z is
+    submodular, and every set they read is smaller than T."""
+    order = sorted(range(1, 1 << d), key=int.bit_count)
+    pairs = [[(t ^ i, t ^ j, t ^ i ^ j) for i, j in itertools.combinations(
+        [1 << v for v in range(d) if t >> v & 1], 2)] for t in order]
+    found, values = [], [0] * (1 << d)
+
+    def fill(at):
+        if at == len(order):
+            found.append(tuple(values))
+            return
+        most = min([values[a] + values[b] - values[c] for a, b, c in pairs[at]], default=top)
+        for value in range(min(most, top) + 1):
+            values[order[at]] = value
+            fill(at + 1)
+
+    fill(0)
+    return found
+
+
+def setfn_classes(d: int, tables) -> list[tuple[int, ...]]:
+    """The classes of the value tables up to the d! relabellings of the
+    ground set, each as its least image (`least_images`)."""
+    # the subset each relabelling sends to s, for every s
+    sources = []
+    for perm in itertools.permutations(range(d)):
+        source = [0] * (1 << d)
+        for s in range(1 << d):
+            source[sum(1 << perm[v] for v in range(d) if s >> v & 1)] = s
+        sources.append(source)
+    return least_images(tables, lambda table: {tuple(map(table.__getitem__, source))
+                                               for source in sources})
 
 
 def _cross(o, p, q) -> int:

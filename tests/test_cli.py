@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -565,6 +566,25 @@ def test_hg_reciprocity_forty_nodes_exit_2(inputs):
         capture_output=True, text=True, timeout=10)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "error: ground-set size must be in 1..8, got 40\n"
+
+
+def test_hg_headings_wide_edge_is_charged_its_reach_table(inputs, capsys):
+    # each head test reads the whole n * (n + 1)-bit reach table, so one
+    # edge on 2000 nodes is refused before any table is built, and one on
+    # 300 nodes, 1411 words a table, is enumerated
+    names = [f"v{i}" for i in range(2000)]
+    path = inputs["dir"] / "wide.json"
+    path.write_text(json.dumps({"nodes": names, "edges": [names]}))
+    started = time.perf_counter()
+    rc, payload, err = invoke(capsys, "hg-headings", "--hg", str(path))
+    assert rc == 2 and payload is None
+    assert err == ("error: 125064000 headings by table word (2000 headings times"
+                   f" 62532-word reach tables) exceed the budget of {errors.WORK_BUDGET}\n")
+    path.write_text(json.dumps({"nodes": names[:300], "edges": [names[:300]]}))
+    rc, payload, _ = invoke(capsys, "hg-headings", "--hg", str(path))
+    assert rc == 0 and payload["acyclic_count"] == 300
+    assert payload["headings"][-1] == ["v299"]
+    assert time.perf_counter() - started < 10
 
 
 def test_hg_chromatic_eight_nodes(inputs, capsys):

@@ -110,9 +110,23 @@ def with_repeats(rng, h):
     return Hypergraph(h.d, tuple(edges))
 
 
+def sparse_hypergraph(rng):
+    """1 to 7 edges of 1 to 3 of the nodes up to a drawn highest node, on 6
+    to 14 nodes, one of the edges sometimes repeated."""
+    d = rng.randint(6, 14)
+    top = rng.randint(3, d)
+    edges = [rng.sample(range(1, top + 1), rng.choice((1, 2, 2, 3, 3)))
+             for _ in range(rng.randint(1, 7))]
+    if rng.random() < 0.3:
+        edges.append(rng.choice(edges))
+    return Hypergraph(d, edges)
+
+
 def test_acyclicity_matches_direct_definition():
     # the whole ordered list against the product scan: every multiset of up
-    # to 3 edges on 4 nodes, then random ones with repeated and singleton edges
+    # to 3 edges on 4 nodes, random ones with repeated and singleton edges,
+    # sparse ones on 6 to 14 nodes, where a packed reach table has fields of
+    # 7 to 15 bits and spans up to seven 30-bit digits of an int, and no edges
     pool = [frozenset(s) for r in range(1, 5)
             for s in itertools.combinations(range(1, 5), r)]
     cases = [Hypergraph(4, combo) for count in range(1, 4)
@@ -120,8 +134,16 @@ def test_acyclicity_matches_direct_definition():
     rng = random.Random(3)
     cases += [with_repeats(rng, random_hypergraph(rng, max_d=5, max_edges=3))
               for _ in range(60)]
+    rng = random.Random(57)
+    sparse = [sparse_hypergraph(rng) for _ in range(600)]
+    assert {max(h.masks).bit_length() for h in sparse} >= set(range(6, 15))
+    assert any(len(e) == 1 for h in sparse for e in h.edges)  # singleton edges
+    assert any(len(set(h.edges)) < len(h.edges) for h in sparse)  # repeated edges
+    assert any(max(h.masks).bit_length() < h.d for h in sparse)  # nodes above every edge
+    cases += sparse + [hg(d) for d in (1, 6, 14)]
     for h in cases:
-        assert acyclic_headings(h) == brute_acyclic_headings(h)
+        assert acyclic_headings(h) == brute_acyclic_headings(h), h
+    assert acyclic_headings(hg(14)) == [()]
 
 
 def edge_sets(d, most):

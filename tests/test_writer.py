@@ -3,11 +3,14 @@
 A `Face` is written as its dict {"dim", "vertices"} and a `CheckEntry` as
 its dict {"label", "lhs", "rhs", "pass"}, alone, in a dict or among other
 items; a list of only `Face`s or of only `CheckEntry`s gets the same bytes
-from one template per item, and any other list, dicts of a face's or a
-check's shape among them, is written item by item.  Tuples, other named
-tuples and subclasses of `Face` or `CheckEntry` raise TypeError, and a
-`Face` with no vertex, never built by `GPerm`, raises ValueError.  `faces`
-takes the face template and `chi` the check template."""
+from one template per item, a list of nonempty rows of only ints or only
+strs from one join per row, and any other list, dicts of a face's or a
+check's shape and rows with an empty row, a bool, a float or None among
+them, is written item by item.  Tuples, other named tuples, subclasses of
+`str`, `int`, `Face` or `CheckEntry` raise TypeError, and a `Face` with no
+vertex, never built by `GPerm`, raises ValueError.  `faces` takes the face
+template and the rows path for its vertices, `chi` the check template and
+`hg-headings` the rows path for its headings and in-degree vectors."""
 
 import json
 from fractions import Fraction
@@ -233,6 +236,54 @@ def test_a_check_off_the_template_gets_plain_list_bytes_or_type_error(checks, mi
             assert dumps(value) == json.dumps(dicts, indent=2)
 
 
+# Rows of a report: headings of node names, in-degree vectors, vertices as
+# exact rationals.
+ROWS = (st.lists(st.lists(st.integers(), min_size=1, max_size=5), min_size=1, max_size=6)
+        | st.lists(st.lists(TEXT, min_size=1, max_size=5), min_size=1, max_size=6))
+
+
+class Name(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+@given(ROWS)
+def test_rows_give_json_dumps_bytes(rows):
+    for value in (rows, {"headings": rows, "timing": 0.5}, [[{"rows": rows}], 1]):
+        assert dumps(value) == json.dumps(value, indent=2)
+
+
+# One item that does not fit the rows path, put among rows that do, as a row
+# or as an item of a row: each of them is written item by item, and a tuple
+# or a subclass of `str` or `int` raises TypeError.
+ROW_MISFITS = [[], True, False, 1.5, None, "a", 7, [1, "a"], [[1]], [True], (1, 2),
+               Name("a"), Count(3)]
+
+
+@given(ROWS, st.sampled_from(ROW_MISFITS), st.booleans(), st.integers(0, 6),
+       st.integers(0, 5))
+def test_a_row_off_the_rows_path_gets_plain_list_bytes_or_type_error(rows, misfit, as_row,
+                                                                     at, cell):
+    if type(misfit) in (tuple, Name, Count):
+        with pytest.raises(TypeError):
+            dumps(misfit)
+    rows = [list(row) for row in rows]
+    if as_row:
+        rows.insert(at, misfit)
+    else:
+        rows[at % len(rows)].insert(cell, misfit)
+    try:
+        dumps(misfit)
+    except TypeError:
+        with pytest.raises(TypeError):
+            dumps(rows)
+    else:
+        assert dumps(rows) == json.dumps(rows, indent=2)
+
+
 def test_faces_and_chi_take_their_templates(monkeypatch, capsys):
     # `faces` writes its faces with one template each and has no checks;
     # `chi` writes its checks with one template each and has no faces
@@ -248,3 +299,21 @@ def test_faces_and_chi_take_their_templates(monkeypatch, capsys):
         assert cli.run([command, "--setfn", str(PI_3)]) == 0
         assert capsys.readouterr().err == ""
         assert calls == templated
+
+
+def test_hg_headings_and_faces_take_the_rows_path(monkeypatch, capsys):
+    # `hg-headings` writes its 11 headings of node names and its 11 in-degree
+    # vectors with one join per row; `faces` its 6 vertices of pi_3
+    calls = []
+
+    def rows(values, pad, write, real=cli._row_items):
+        calls.append((len(values), {type(cell) for row in values for cell in row}))
+        return real(values, pad, write)
+    monkeypatch.setattr(cli, "_row_items", rows)
+    for argv, taken in ((["hg-headings", "--hg", str(PI_3.parent / "hg_5.json")],
+                         [(11, {str}), (11, {int})]),
+                        (["faces", "--setfn", str(PI_3)], [(6, {str})])):
+        calls.clear()
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert calls == taken
