@@ -23,15 +23,16 @@ family, not exit 2.  Reports are deterministic for fixed inputs up to the
 "timing" field.  `run` writes each report with `dumps`, this module's own JSON
 writer, byte for byte as the stdlib's `json.dumps` writes it with an indent
 of 2: with an indent set, the stdlib runs its pure-Python encoder.  The
-faces of a `faces` report are `Face` values, which `dumps` writes as
-{"dim", "vertices"} dicts, the ids read off each mask's binary digits
-after its leading sentinel bit, and the checks of a report are its
-`CheckEntry` values, which `dumps` writes as {"label", "lhs", "rhs",
-"pass"} dicts; a list of only `Face`s or of only `CheckEntry`s is written
-with one string template per item, not one recursive call per value, and a
-list of nonempty rows holding only ints or only strs, as the headings and
-in-degree vectors of `hg-headings` and the vertices of `faces` are, with
-one join per row.
+faces of a `faces` report are a list of `Face` values, which `dumps`
+writes as {"dim", "vertices"} dicts, the ids read off each mask's binary
+digits after its leading sentinel bit, and the checks of a report are a
+list of `CheckEntry` values, which `dumps` writes as {"label", "lhs",
+"rhs", "pass"} dicts: a list of only `Face`s or of only `CheckEntry`s is
+written with one string template per item, not one recursive call per
+value, and a lone `Face` or `CheckEntry`, which no report holds, is
+refused.  A list of nonempty rows holding only ints or only strs, as the
+headings and in-degree vectors of `hg-headings` and the vertices of
+`faces` are, is written with one join per row.
 
 The four commands that build a `GPerm` from their input (`chi`, `faces`,
 `pruned --setfn` and `hg-reciprocity`) get it from `_polytope`, which keeps
@@ -110,24 +111,24 @@ from .setfn import SetFn, setfn_from_json, setfn_from_vertices
 def dumps(value, pad: str = "\n") -> str:
     """The stdlib's `json.dumps` with an indent of 2, for dicts with str
     keys, lists, str, int, finite float (`timing` is the only float), bool
-    and None, for a `Face` (exact type, its fields ints, as `GPerm`
-    builds it), written as its dict {"dim": dim, "vertices": [ids]}, ids
-    increasing, and for a `CheckEntry` (exact type, its label a str, as
-    `Report` builds it), written as its dict {"label": label, "lhs":
-    str(lhs), "rhs": str(rhs), "pass": passed}, a bool side as "true" or
-    "false"; anything else, tuples and other named tuples included, raises
-    TypeError.  A `Face` whose mask is below 2 or holds only the sentinel
-    bit, its top one, raises ValueError: no polytope has a face without
-    vertices.  `pad` is the newline and indent of the
-    line value starts on; callers leave it at its default.  A list of only
-    ints (bools excluded) or only strings is written with one join, a list
-    of only `Face`s, as the faces of a `faces` report are, with one
-    template per face (`_face_items`), a list of only `CheckEntry`s, as
-    a report's checks are, with one template per check (`_check_items`),
-    and a list of nonempty lists whose items, taken together, are only ints
-    (bools excluded) or only strings, as the rows of `hg-headings` and the
-    vertices of `faces` are, with one join per row (`_row_items`); any
-    other list is written item by item."""
+    and None, and for lists of only `Face`s or of only `CheckEntry`s (exact
+    types, as `GPerm` and `Report` build them): a `Face` is written as its
+    dict {"dim": dim, "vertices": [ids]}, ids increasing, and a
+    `CheckEntry` as its dict {"label": label, "lhs": str(lhs), "rhs":
+    str(rhs), "pass": passed}, a bool side as "true" or "false".  Anything
+    else, tuples and other named tuples included, and a `Face` or a
+    `CheckEntry` outside such a list, raises TypeError.  A `Face` whose
+    mask is below 2 or holds only the sentinel bit, its top one, raises
+    ValueError: no polytope has a face without vertices.  `pad` is the
+    newline and indent of the line value starts on; callers leave it at
+    its default.  A list of only ints (bools excluded) or only strings is
+    written with one join, a list of only `Face`s, as the faces of a
+    `faces` report are, with one template per face (`_face_items`), a list
+    of only `CheckEntry`s, as a report's checks are, with one template per
+    check (`_check_items`), and a list of nonempty lists whose items,
+    taken together, are only ints (bools excluded) or only strings, as the
+    rows of `hg-headings` and the vertices of `faces` are, with one join
+    per row (`_row_items`); any other list is written item by item."""
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
@@ -169,10 +170,6 @@ def dumps(value, pad: str = "\n") -> str:
         return "false"
     if kind is float:
         return float.__repr__(value)
-    if kind is Face:
-        return _face_items([value], pad)[0]
-    if kind is CheckEntry:
-        return _check_items([value], pad)[0]
     raise TypeError(f"{kind.__name__} is not JSON serializable")
 
 

@@ -58,24 +58,25 @@ per vertex id in increasing order.  ``tight`` of the empty set holds the
 sentinel and every id, every other ``tight[S]`` starts as the sentinel
 alone, and an AND keeps it, so every face mask holds it and names its own
 vertex count, its bit length less one.  The face map keeps each mask with
-its dimension, and the masks of each dimension in one list; row k of the
-table a is the column sum of the histograms of the k-faces.  A `Face` is
-the named tuple of the mask and the dimension, so `count_k_faces` checks
-one with a single lookup, and sorted vertex ids are read off a mask only
-for a person to read (`Face.vertex_ids`, the `faces` report).  The `faces`
-report lists the faces by dimension and, within one dimension, by their
-lists of vertex ids, as `sorted((dim, ids))` would.  No face contains
-another of its dimension, so within one dimension the masks in decreasing
-order are the id lists in increasing order: `faces_report` groups the
-faces by dimension and sorts each group on plain int compares, with no
-key and no id list built.  Its faces are the `Face` values themselves, and
-`cli.dumps` writes each as {"dim", "vertices"}, its ids read off the mask
-from the top bit down into one template.  The 0-faces in a face are its
-vertices, so `count_k_faces(f, 0)` is the number of set bits of f less
-the sentinel.  For k >= 1 a k-face lies in a face f only if the vertex of
-its lowest set bit does, so the k-faces are indexed by their lowest set
-bit, for every k >= 1 in one pass on the first query with k >= 1, and the
-k-faces in f are found by walking the set bits of f over that index.  `reciprocity_rhs(k, m)` is
+its dimension, and the masks of each dimension in one list, sorted once in
+decreasing order; row k of the table a is the column sum of the
+histograms of the k-faces.  No face contains another of its dimension, so
+within one dimension the masks in decreasing order are the lists of
+vertex ids in increasing order: `face_lattice()` reads the faces off
+those lists, by dimension and then by vertex ids, as `sorted((dim,
+ids))` would, with no key and no id list built.  A `Face` is the named
+tuple of the mask and the dimension, so `count_k_faces` checks one with a
+single lookup, and sorted vertex ids are read off a mask only for a
+person to read (`Face.vertex_ids`, the `faces` report).  The `faces`
+report's faces are `face_lattice()`'s `Face` values themselves, in its
+order, and `cli.dumps` writes their list with one {"dim", "vertices"}
+template per face, its ids read off the mask from the top bit down.  The
+0-faces in a face are its vertices, so `count_k_faces(f, 0)` is the
+number of set bits of f less the sentinel.  For k >= 1 a k-face lies in
+a face f only if the vertex of its lowest set bit does, so the k-faces
+are indexed by their lowest set bit, for every k >= 1 in one pass on the
+first query with k >= 1, and the k-faces in f are found by walking the
+set bits of f over that index.  `reciprocity_rhs(k, m)` is
 sum_j r[k][j] * binom(m, j), like `chi_count`, with r[k] the column sums
 of the faces' histograms weighted by their k-face counts.  A face of
 dimension below k holds no k-face and one of dimension k holds only
@@ -132,8 +133,9 @@ class Face(NamedTuple):
     "1" and then its incidence row in id order.  ``dim`` is d
     minus the most blocks among these compositions: its normal cone, of
     dimension d - dim, is the union of their braid cones, and a braid cone
-    with j blocks has dimension j.  `cli.dumps` writes a Face as
-    {"dim": dim, "vertices": [ids]}, its ids in increasing order."""
+    with j blocks has dimension j.  `cli.dumps` writes a list of only
+    Faces, each as {"dim": dim, "vertices": [ids]}, its ids in increasing
+    order."""
 
     mask: int
     dim: int
@@ -156,7 +158,7 @@ _face_from_pair = partial(tuple.__new__, Face)
 class _FaceMap(NamedTuple):
     dims: dict[int, int]            # vertex-id mask -> dimension of that face
     blocks: dict[int, list[int]]    # vertex-id mask -> its compositions by number of blocks
-    by_dim: list[list[int]]         # k -> the masks of the k-faces
+    by_dim: list[list[int]]         # k -> the masks of the k-faces, decreasing: by vertex ids
 
 
 class GPerm:
@@ -168,7 +170,8 @@ class GPerm:
     the sentinel bit on top and id 0 just below it, built once and read by
     both the face map and `ehrhart.normal_fan_of`.  The face map holds for each face mask
     its dimension and its compositions counted by number of blocks j (index
-    j), and the face masks of each dimension; summed over the faces of
+    j), and the face masks of each dimension in decreasing order, which
+    `face_lattice` reads in turn; summed over the faces of
     dimension k the histograms give the table a[k][j] that `chi_count`
     weights by binom(m, j).  A `Face` is a face mask with its dimension, as
     the map keeps it.  Construction and queries are single-threaded:
@@ -266,6 +269,8 @@ class GPerm:
                 j -= 1
             dims[f] = d - j
             by_dim[d - j].append(f)
+        for masks in by_dim:  # so in increasing order of their vertex ids
+            masks.sort(reverse=True)
         whole = dims[tight[full]]
         rank = self.dimension
         if whole != rank:
@@ -294,8 +299,14 @@ class GPerm:
         return index
 
     def face_lattice(self) -> tuple[Face, ...]:
-        """Every nonempty face exactly once, the polytope itself included."""
-        return tuple(map(_face_from_pair, self._face_map.dims.items()))
+        """Every nonempty face exactly once, the polytope itself included,
+        by dimension and then by vertex ids: the face map's masks of each
+        dimension in decreasing order.  Where the digits of two masks of
+        one dimension first differ, after the sentinel, neither id list has
+        ended, as no face contains another of its dimension: the face
+        holding that id has the larger mask and the smaller id list."""
+        return tuple(_face_from_pair((f, k))
+                     for k, masks in enumerate(self._face_map.by_dim) for f in masks)
 
     def count_k_faces(self, face: Face, k: int) -> int:
         """Number of k-dimensional faces of this polytope contained in ``face``
@@ -375,25 +386,14 @@ class GPerm:
 
 def faces_report(P: GPerm) -> dict:
     """The fields of the `faces` report: d, the vertices as exact rationals
-    and the `Face`s, which `cli.dumps` writes as {"dim", "vertices"} rows,
-    by dimension and then by sorted vertex-id list.  No face contains
-    another of its dimension, so where the digits of two masks of one
-    dimension first differ, after the sentinel, neither id list has ended:
-    the face holding that id has the larger mask and the smaller list, and
-    the masks in decreasing order are the id lists in increasing order.
+    and the `Face`s of `face_lattice()` in its order, by dimension and then
+    by vertex ids, which `cli.dumps` writes as {"dim", "vertices"} rows.
     The vertices are written from the scaled ones, with one string per
     distinct value."""
-    by_dim: list[list[Face]] = [[] for _ in range(P.d)]
-    for face in P.face_lattice():
-        by_dim[face.dim].append(face)
-    faces: list[Face] = []
-    for rows in by_dim:
-        rows.sort(reverse=True)
-        faces += rows
     scale, points = P.z.scaled[0], P.z.scaled_vertices
     text = {c: str(Fraction(c, scale)) for c in {c for v in points for c in v}}
     return {
         "d": P.d,
         "vertices": [list(map(text.__getitem__, v)) for v in points],
-        "faces": faces,
+        "faces": list(P.face_lattice()),
     }

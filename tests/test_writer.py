@@ -1,16 +1,18 @@
 """`cli.dumps`, the writer of every report, gives the bytes of
 `json.dumps(value, indent=2)` on the values it accepts and refuses the rest.
-A `Face` is written as its dict {"dim", "vertices"} and a `CheckEntry` as
-its dict {"label", "lhs", "rhs", "pass"}, alone, in a dict or among other
-items; a list of only `Face`s or of only `CheckEntry`s gets the same bytes
-from one template per item, a list of nonempty rows of only ints or only
-strs from one join per row, and any other list, dicts of a face's or a
-check's shape and rows with an empty row, a bool, a float or None among
-them, is written item by item.  Tuples, other named tuples, subclasses of
-`str`, `int`, `Face` or `CheckEntry` raise TypeError, and a `Face` with no
-vertex, never built by `GPerm`, raises ValueError.  `faces` takes the face
-template and the rows path for its vertices, `chi` the check template and
-`hg-headings` the rows path for its headings and in-degree vectors."""
+A list of only `Face`s is written as their dicts {"dim", "vertices"} and a
+list of only `CheckEntry`s as their dicts {"label", "lhs", "rhs", "pass"},
+one template per item, at top level, in a dict or among other items; a
+list of nonempty rows of only ints or only strs gets the same bytes from
+one join per row, and any other list, dicts of a face's or a check's shape
+and rows with an empty row, a bool, a float or None among them, is written
+item by item.  A lone `Face` or `CheckEntry`, which no report holds, raises
+TypeError, and so does one in a list written item by item, as do tuples,
+other named tuples and subclasses of `str`, `int`, `Face` or `CheckEntry`;
+a `Face` with no vertex, never built by `GPerm`, raises ValueError in a
+list of faces.  `faces` takes the face template and the rows path for its
+vertices, `chi` the check template and `hg-headings` the rows path for its
+headings and in-degree vectors."""
 
 import json
 from fractions import Fraction
@@ -72,21 +74,33 @@ def row(face):
 
 
 def nestings(faces):
-    """The faces written at top level, nested in a report and a list, one
-    alone and among other items, each with the same value in dicts."""
+    """The faces written at top level, nested in a report and a list and
+    among other items, each with the same value in dicts, and one face
+    alone or among other items, with TypeError in place of the dicts."""
     rows = list(map(row, faces))
     return [(faces, rows),
             ({"command": "faces", "faces": faces, "timing": 0.5},
              {"command": "faces", "faces": rows, "timing": 0.5}),
             ([[{"faces": faces}], 1], [[{"faces": rows}], 1]),
-            (faces[0], rows[0]),
-            ([1, faces[-1], "a", faces, None], [1, rows[-1], "a", rows, None])]
+            ([1, "a", faces, None], [1, "a", rows, None]),
+            (faces[0], TypeError),
+            ([1, faces[-1], "a", faces, None], TypeError)]
+
+
+def written_as(value, dicts):
+    """`dumps(value)` gives the bytes of `json.dumps(dicts, indent=2)`, or
+    raises TypeError where dicts is TypeError."""
+    if dicts is TypeError:
+        with pytest.raises(TypeError):
+            dumps(value)
+    else:
+        assert dumps(value) == json.dumps(dicts, indent=2)
 
 
 @given(FACES)
 def test_face_rows_template_gives_json_dumps_bytes(faces):
     for value, dicts in nestings(faces):
-        assert dumps(value) == json.dumps(dicts, indent=2)
+        written_as(value, dicts)
 
 
 class Pair(NamedTuple):
@@ -98,9 +112,10 @@ class SubFace(Face):
     pass
 
 
-# One item that does not fit the template, put among faces that do: a dict
-# of a face's shape is written as any dict, a tuple, another named tuple or
-# a `Face` subclass raises TypeError.
+# One item that does not fit the template, put among faces that do: the list
+# is written item by item, so its faces raise TypeError as a lone face does,
+# and a tuple, another named tuple or a `Face` subclass raises TypeError
+# alone too.
 MISFITS = [
     {"dim": 1, "vertices": [0, 1]},
     {"dim": 1, "vertices": [0, True]},
@@ -115,33 +130,27 @@ MISFITS = [
 
 @given(FACES, st.sampled_from(MISFITS), st.integers(0, 8))
 def test_a_row_off_the_template_gets_plain_list_bytes_or_type_error(faces, misfit, at):
-    # the list is written item by item: the bytes of `json.dumps`, or the
-    # TypeError that the misfit alone raises
+    # the list is written item by item, and a `Face` alone raises TypeError
     if isinstance(misfit, tuple):  # a tuple, another named tuple, a `Face` subclass
         with pytest.raises(TypeError):
             dumps(misfit)
     faces = faces[:at] + [misfit] + faces[at:]
-    rows = [row(f) if type(f) is Face else f for f in faces]
-    wrapped = [(faces, rows), ({"faces": faces}, {"faces": rows}), ([faces], [rows])]
-    try:
-        dumps(misfit)
-    except TypeError:
-        for value, _ in wrapped:
-            with pytest.raises(TypeError):
-                dumps(value)
-    else:
-        for value, dicts in wrapped:
-            assert dumps(value) == json.dumps(dicts, indent=2)
+    for value in (faces, {"faces": faces}, [faces]):
+        with pytest.raises(TypeError):
+            dumps(value)
 
 
 @pytest.mark.parametrize("mask", [0, -1, -6, 1, 2, 1 << 6, 1 << 70, -(1 << 70)])
 def test_a_face_without_vertices_raises_value_error(mask):
     # `GPerm` builds no face with an empty mask, one that holds only the
     # sentinel bit; writing one would print a face of no polytope, so the
-    # writer refuses it, alone or among faces, and a negative mask too
-    for value in (Face(mask, 0), [Face(mask, 0)], [Face(3, 0), Face(mask, 1)],
-                  {"faces": [Face(mask, 0)]}, [1, Face(mask, 0)]):
+    # writer refuses it among faces, and a negative mask too; alone or among
+    # other items it raises TypeError, as any lone `Face` does
+    for value in ([Face(mask, 0)], [Face(3, 0), Face(mask, 1)], {"faces": [Face(mask, 0)]}):
         with pytest.raises(ValueError):
+            dumps(value)
+    for value in (Face(mask, 0), [1, Face(mask, 0)]):
+        with pytest.raises(TypeError):
             dumps(value)
 
 
@@ -172,22 +181,24 @@ def check_row(check):
 
 
 def check_nestings(checks):
-    """The checks written at top level, in a report, nested in a list, one
-    alone and among other items, each with the same value in dicts."""
+    """The checks written at top level, in a report, nested in a list and
+    among other items, each with the same value in dicts, and one check
+    alone or among other items, with TypeError in place of the dicts."""
     rows = list(map(check_row, checks))
     summary = {"checks": len(checks), "failures": sum(not row["pass"] for row in rows)}
     return [(checks, rows),
             ({"command": "verify-all", "checks": checks, "summary": summary, "timing": 0.5},
              {"command": "verify-all", "checks": rows, "summary": summary, "timing": 0.5}),
             ([[{"checks": checks}], 1], [[{"checks": rows}], 1]),
-            (checks[0], rows[0]),
-            ([1, checks[-1], "a", checks, None], [1, rows[-1], "a", rows, None])]
+            ([1, "a", checks, None], [1, "a", rows, None]),
+            (checks[0], TypeError),
+            ([1, checks[-1], "a", checks, None], TypeError)]
 
 
 @given(CHECKS)
 def test_check_rows_template_gives_json_dumps_bytes(checks):
     for value, dicts in check_nestings(checks):
-        assert dumps(value) == json.dumps(dicts, indent=2)
+        written_as(value, dicts)
 
 
 class Triple(NamedTuple):
@@ -201,8 +212,9 @@ class SubCheck(CheckEntry):
 
 
 # One item that does not fit the check template, put among checks that do:
-# a dict of a check's shape and a `Face` are written as such, a tuple,
-# another named tuple or a `CheckEntry` subclass raises TypeError.
+# the list is written item by item, so its checks raise TypeError as a lone
+# check does, and a tuple, another named tuple or a `CheckEntry` subclass
+# raises TypeError alone too.
 CHECK_MISFITS = [
     {"label": "t=1", "lhs": "1", "rhs": "1", "pass": True},
     Face(3, 1),
@@ -216,24 +228,14 @@ CHECK_MISFITS = [
 
 @given(CHECKS, st.sampled_from(CHECK_MISFITS), st.integers(0, 8))
 def test_a_check_off_the_template_gets_plain_list_bytes_or_type_error(checks, misfit, at):
-    # the list is written item by item: the bytes of `json.dumps`, or the
-    # TypeError that the misfit alone raises
+    # the list is written item by item, and a `CheckEntry` alone raises TypeError
     if type(misfit) in (tuple, Triple, SubCheck):
         with pytest.raises(TypeError):
             dumps(misfit)
     checks = checks[:at] + [misfit] + checks[at:]
-    rows = [check_row(c) if type(c) is CheckEntry else row(c) if type(c) is Face else c
-            for c in checks]
-    wrapped = [(checks, rows), ({"checks": checks}, {"checks": rows}), ([checks], [rows])]
-    try:
-        dumps(misfit)
-    except TypeError:
-        for value, _ in wrapped:
-            with pytest.raises(TypeError):
-                dumps(value)
-    else:
-        for value, dicts in wrapped:
-            assert dumps(value) == json.dumps(dicts, indent=2)
+    for value in (checks, {"checks": checks}, [checks]):
+        with pytest.raises(TypeError):
+            dumps(value)
 
 
 # Rows of a report: headings of node names, in-degree vectors, vertices as
