@@ -26,14 +26,22 @@ a block without ties, else 0; compatible pairs weigh the acyclic headings of
 the tie family, since arcs never descend in color and so a heading is
 acyclic when each block's is.  That weight is the vertex count of the minor
 on S, so the sum is the Aguiar-Ardila face count of the hypergraphic z.
+A row of counts, c[j] for the partitions of U, is one int with a field of
+bits per j, so a pair (U, S) adds a weight times a whole row in one
+multiply-add; the field width comes from a bound on every count (see
+`_ordered_partitions`), so no field carries into the next.
 
 The ties are read off two tables over the distinct edges with two nodes or
 more, built once per Hypergraph and shared by both DPs: bad[S], the bitmask
 of the edges S meets in two nodes or more, and inside[U], that of the edges
 inside U.  A pair's ties are bad[S] & inside[U]; only the compatible DP turns
 nonzero ties into a tie family, whose heading count it caches.  A family of
-one edge is not enumerated: each of the edge's nodes in S can head it, and
-one edge closes no cycle, so it weighs the number of those nodes.
+one or two edges is not enumerated.  Each of an edge's nodes in S can head
+it, and one edge closes no cycle, so it weighs the number of those nodes.
+Under two edges with meets a and b every arc points at one of the two
+heads, so a cycle can only be the 2-cycle of two heads apart, each in the
+other's meet: the family weighs |a| |b| - k (k - 1), with k = |a & b|.
+Like the one-edge weight, this reads only the meets.
 
 Every guard here charges `errors.WORK_BUDGET`: the tables charge the 3^d
 pairs (U, S) times the distinct edges, which covers their 2^d entries as
@@ -124,8 +132,14 @@ class Hypergraph(Frozen):
         heads = cache(lambda family: sum(1 for _ in _acyclic_heads(tuple(family))))
 
         def weight(ties: int, block: int) -> int:
-            if not ties & (ties - 1):  # one edge: any of its nodes in the block heads it
-                return (edges[ties.bit_length() - 1] & block).bit_count()
+            rest = ties & (ties - 1)
+            a = edges[(ties ^ rest).bit_length() - 1] & block
+            if not rest:  # one edge: any of its nodes in the block heads it
+                return a.bit_count()
+            if not rest & (rest - 1):  # two: only two heads apart in both meets close a cycle
+                b = edges[rest.bit_length() - 1] & block
+                k = (a & b).bit_count()
+                return a.bit_count() * b.bit_count() - k * (k - 1)
             return heads(frozenset(edges[k] & block for k in range(ties.bit_length())
                                    if ties >> k & 1))
         return _ordered_partitions(self, weight)
@@ -259,25 +273,37 @@ def _ordered_partitions(h: Hypergraph,
     a block without ties weighs 1, one with ties `weight(ties, S)`.  The
     compatible weight reads the ties as the set of their meets with S: two
     edges that tie alike take one head, or they close a 2-cycle, so repeats
-    change no count."""
-    _, bad, inside = h._tie_tables
+    change no count.
+
+    The row of U's counts is one int, the count of its j-block partitions
+    in the field of `width` bits at bit width * j, so a pair (U, S) adds its
+    weight times the row of U - S as one multiply-add, and U's sum moves up
+    one field, a block more, by one shift.  No field carries into the next:
+    each count is at most d^d times the product of the sizes of the distinct
+    edges with two nodes or more.  A j-block ordered partition of U is a map
+    from U onto 1..j, and there are at most d^d maps from U into 1..d.  A
+    block weighs at most the headings of its tie family, the product of its
+    meets' sizes, and an edge tied by a block is inside U but not inside
+    U - S, so no later block ties it again: a partition's weights multiply
+    to at most the product over the edges, each once."""
+    edges, bad, inside = h._tie_tables
     full = (1 << h.d) - 1
-    # a set of n nodes splits into at most n blocks
-    partitions = [[0] * (u.bit_count() + 1) for u in range(full + 1)]
-    partitions[0][0] = 1
+    width = (h.d ** h.d * prod(e.bit_count() for e in edges)).bit_length()
+    partitions = [1] + [0] * full
     for uncolored in range(1, full + 1):
         within = inside[uncolored]
-        row = partitions[uncolored]
+        total = 0
         block = uncolored
         while block:
             ties = bad[block] & within
-            w = weight(ties, block) if ties else 1
-            if w:
-                rest = partitions[uncolored ^ block]
-                for j, count in enumerate(rest, 1):
-                    row[j] += w * count
+            if not ties:
+                total += partitions[uncolored ^ block]
+            elif w := weight(ties, block):
+                total += w * partitions[uncolored ^ block]
             block = (block - 1) & uncolored
-    return tuple(partitions[full])
+        partitions[uncolored] = total << width
+    row, field = partitions[full], (1 << width) - 1
+    return tuple(row >> width * j & field for j in range(h.d + 1))
 
 
 def chromatic_count(h: Hypergraph, m: int) -> int:

@@ -11,12 +11,13 @@ import itertools
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import ceil, floor, gcd, lcm
 from operator import mul
 
 from gpcount.ehrhart import Cone, FullDimFan, HPolytope, primitive_rows
 from gpcount.errors import InputFormatError, NotSubmodularError
-from gpcount.hypergraph import check_heading
+from gpcount.hypergraph import _acyclic_heads, check_heading
 from gpcount.permutahedron import Face
 from gpcount.polynomial import Polynomial
 from gpcount.setfn import SetFn
@@ -124,6 +125,42 @@ def brute_chromatic_count(h, m: int) -> int:
     """Proper colorings of h with colors 1..m, by scanning all of [m]^d."""
     return sum(1 for colors in itertools.product(range(1, m + 1), repeat=h.d)
                if is_proper(h, colors))
+
+
+def ordered_partitions_by_lists(h, weight) -> tuple[int, ...]:
+    """The coloring DP of `hypergraph._ordered_partitions` with each row a
+    list of counts, added entry by entry, not one packed int: c[j] for
+    j = 0..d, over the ordered partitions into j blocks, the sum of the
+    products of the blocks' weights, `weight(ties, S)` for a block S with
+    ties and 1 for one without."""
+    _, bad, inside = h._tie_tables
+    full = (1 << h.d) - 1
+    # a set of n nodes splits into at most n blocks
+    partitions = [[0] * (u.bit_count() + 1) for u in range(full + 1)]
+    partitions[0][0] = 1
+    for uncolored in range(1, full + 1):
+        within = inside[uncolored]
+        row = partitions[uncolored]
+        block = uncolored
+        while block:
+            ties = bad[block] & within
+            w = weight(ties, block) if ties else 1
+            if w:
+                rest = partitions[uncolored ^ block]
+                for j, count in enumerate(rest, 1):
+                    row[j] += w * count
+            block = (block - 1) & uncolored
+    return tuple(partitions[full])
+
+
+def enumerated_tie_weight(h):
+    """The compatible DP's block weight with every tie family enumerated:
+    the acyclic headings of the tied edges' meets with the block, repeats
+    kept, with no closed form for a family of one or two edges."""
+    edges = h._tie_tables[0]
+    heads = cache(lambda meets: sum(1 for _ in _acyclic_heads(meets)))
+    return lambda ties, block: heads(tuple(edges[k] & block for k in range(ties.bit_length())
+                                           if ties >> k & 1))
 
 
 def chromatic_poly_deletion_contraction(num_nodes: int, edge_list) -> Polynomial:

@@ -20,7 +20,7 @@ RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 
 def test_records_exist():
     assert {"BENCH_51.json", "BENCH_52.json", "BENCH_53.json", "BENCH_54.json",
-            "BENCH_55.json", "BENCH_57.json"} <= {
+            "BENCH_55.json", "BENCH_57.json", "BENCH_59.json"} <= {
         path.name for path in RECORDS}
 
 

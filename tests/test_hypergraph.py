@@ -11,6 +11,7 @@ from gpcount.errors import BudgetExceededError, InputFormatError
 from gpcount.generators import random_hypergraph
 from gpcount.hypergraph import (
     Hypergraph,
+    _acyclic_heads,
     acyclic_headings,
     check_heading,
     chromatic_count,
@@ -28,9 +29,11 @@ from oracles import (
     brute_chromatic_count,
     brute_compatible_pairs,
     chromatic_poly_deletion_contraction,
+    enumerated_tie_weight,
     hypergraph_to_json,
     is_compatible,
     is_proper,
+    ordered_partitions_by_lists,
     tight_sets_by_subset_sums,
 )
 
@@ -465,6 +468,32 @@ def test_seven_and_eight_nodes(h):
     if h is EIGHT:  # id sets per S, each read off its mask as a face's ids
         assert [frozenset(Face(t, 0).vertex_ids) for t in P.tight] == \
             tight_sets_by_subset_sums(P)
+
+
+def test_packed_coloring_dp_matches_list_rows():
+    # each row one packed int against the reference's lists of counts, the
+    # compatible side against every tie family enumerated; 10 nodes give
+    # 11 fields per row
+    rng = random.Random(59)
+    ten = seeded_hypergraph(5, 10, 7, 7)
+    cases = FOUR_NODE_CENSUS + six_node_hypergraphs(rng, 6) + \
+        [with_repeats(rng, random_hypergraph(rng, max_d=6, max_edges=6)) for _ in range(30)] + \
+        [SEVEN, EIGHT, ten]
+    for h in cases:
+        assert h._proper_partitions == ordered_partitions_by_lists(h, lambda ties, block: 0), h
+        assert h._compatible_partitions == \
+            ordered_partitions_by_lists(h, enumerated_tie_weight(h)), h
+
+
+def test_two_edge_families_census():
+    # every family of two distinct meets of two nodes or more on 2 to 5
+    # nodes; c[1] is the weight of the one block, all the nodes, which ties
+    # both edges, so it is the closed form |a| |b| - k (k - 1)
+    cases = [Hypergraph(d, edges) for d in range(2, 6) for edges in edge_sets(d, 2)
+             if len(edges) == 2]
+    assert len(cases) == 6 + 55 + 325
+    for h in cases:
+        assert h._compatible_partitions[1] == sum(1 for _ in _acyclic_heads(h.masks)), h
 
 
 def test_graph_specialization():
